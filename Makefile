@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint lint-json lint-sarif race bench bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test vet lint lint-json lint-sarif race bench bench-check bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -39,12 +39,20 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...
+	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...
 
 BENCHTIME ?= 2s
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkPipelineServe -benchtime=$(BENCHTIME) ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkClusterServe -benchtime=$(BENCHTIME) ./internal/cluster/
+
+# The serving benchmark (BENCHMARK.json) is a Go module of its own, so
+# `go test ./...` never builds it: vet it and run its tests, a 200 ms
+# smoke of every workload whose traced run checks the unrolled tensor
+# kernels against the Network.Classify oracle. This is what notices a
+# tensor/nn change that stops bench/ compiling or agreeing.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Machine-readable throughput artifact (BENCH_pipeline.json): the same
 # closed-loop workloads as the serve benchmarks, emitted as JSON for

@@ -66,10 +66,7 @@ func (l *Dense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 2 {
 		panic(fmt.Sprintf("nn: Dense input must be rank-2 [batch, features], got %v", in.Shape()))
 	}
-	out := tensor.MatMul(pool, in, tensor.Transpose(l.W))
-	tensor.AddBiasRows(pool, out, l.B)
-	l.Act.Apply(pool, out)
-	return out
+	return tensor.Linear(pool, in, l.W, l.B, l.Act)
 }
 
 // OutputShape implements Layer.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -282,6 +283,57 @@ func TestReadWeightsBadMagic(t *testing.T) {
 	}
 	if err := net.ReadWeights(bytes.NewReader(nil)); err == nil {
 		t.Fatal("ReadWeights accepted empty stream")
+	}
+}
+
+// payloadOffset returns the byte offset, in net's weight stream, of the
+// first payload value of tensor idx.
+func payloadOffset(net *Network, idx int) int {
+	off := 12 // magic, version, count
+	for i, wt := range net.weightTensors() {
+		off += 4 + 4*wt.Rank()
+		if i == idx {
+			break
+		}
+		off += 4 * wt.Len()
+	}
+	return off
+}
+
+// A rejected stream must leave the network as it was: ReadWeights used
+// to overwrite tensor by tensor as it read, so a stream that failed at
+// tensor 2 had already replaced tensors 0 and 1.
+func TestReadWeightsRejectsWithoutTouchingTheNetwork(t *testing.T) {
+	src := irisSpec().MustBuild(99)
+	var buf bytes.Buffer
+	if err := src.WriteWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	corrupt := func(idx int, v float32) []byte {
+		bad := append([]byte(nil), stream...)
+		binary.LittleEndian.PutUint32(bad[payloadOffset(src, idx):], math.Float32bits(v))
+		return bad
+	}
+	in := tensor.FromSlice([]float32{5.1, 3.5, 1.4, 0.2, -1, 0, 2, 7}, 2, 4)
+	for _, tc := range []struct {
+		name, wantErr string
+		stream        []byte
+	}{
+		{"truncated inside tensor 2", "tensor 2", stream[:payloadOffset(src, 2)+8]},
+		{"NaN in tensor 1", "tensor 1", corrupt(1, float32(math.NaN()))},
+		{"+Inf in tensor 4", "tensor 4", corrupt(4, float32(math.Inf(1)))},
+		{"-Inf in tensor 0", "tensor 0", corrupt(0, float32(math.Inf(-1)))},
+	} {
+		dst := irisSpec().MustBuild(1)
+		before := dst.Forward(tensor.Serial, in)
+		err := dst.ReadWeights(bytes.NewReader(tc.stream))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: ReadWeights error = %v, want one naming %q", tc.name, err, tc.wantErr)
+		}
+		if after := dst.Forward(tensor.Serial, in); !after.Equal(before) {
+			t.Errorf("%s: rejected stream changed the network's outputs", tc.name)
+		}
 	}
 }
 

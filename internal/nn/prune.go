@@ -125,10 +125,7 @@ func Halve(d *Dense) *HalfDense {
 
 // Forward implements Layer.
 func (l *HalfDense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.MatMul(pool, in, tensor.Transpose(l.expanded))
-	tensor.AddBiasRows(pool, out, l.B)
-	l.Act.Apply(pool, out)
-	return out
+	return tensor.Linear(pool, in, l.expanded, l.B, l.Act)
 }
 
 // OutputShape implements Layer.

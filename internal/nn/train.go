@@ -103,8 +103,7 @@ func sgdStep(layers []*Dense, xb *tensor.Tensor, yb []int, lr float32) {
 	var zs []*tensor.Tensor      // pre-activation per hidden layer
 	cur := xb
 	for li, l := range layers {
-		z := tensor.MatMul(tensor.Serial, cur, tensor.Transpose(l.W))
-		tensor.AddBiasRows(tensor.Serial, z, l.B)
+		z := tensor.Linear(tensor.Serial, cur, l.W, l.B, tensor.Identity)
 		if li < len(layers)-1 {
 			zs = append(zs, z.Clone())
 		}

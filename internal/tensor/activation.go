@@ -64,29 +64,9 @@ func ParseActivation(s string) (Activation, error) {
 func (a Activation) Apply(pool *Pool, t *Tensor) {
 	switch a {
 	case Identity:
-	case ReLU:
+	case ReLU, Tanh, Sigmoid:
 		d := t.data
-		pool.For(len(d), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if d[i] < 0 {
-					d[i] = 0
-				}
-			}
-		})
-	case Tanh:
-		d := t.data
-		pool.For(len(d), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				d[i] = float32(math.Tanh(float64(d[i])))
-			}
-		})
-	case Sigmoid:
-		d := t.data
-		pool.For(len(d), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				d[i] = float32(1 / (1 + math.Exp(-float64(d[i]))))
-			}
-		})
+		pool.For(len(d), func(lo, hi int) { a.elementwise(d[lo:hi]) })
 	case Softmax:
 		if t.Rank() != 2 {
 			panic(fmt.Sprintf("tensor: softmax needs a rank-2 tensor, got %v", t.Shape()))
@@ -101,6 +81,30 @@ func (a Activation) Apply(pool *Pool, t *Tensor) {
 		})
 	default:
 		panic(fmt.Sprintf("tensor: unknown activation %d", int(a)))
+	}
+}
+
+// elementwise applies an element-wise activation to d in place. It is
+// the one definition of ReLU/Tanh/Sigmoid arithmetic: Apply runs it over
+// pool ranges and Linear over each output segment as it is produced, so
+// the two cannot drift apart. Softmax needs whole rows and is a no-op
+// here.
+func (a Activation) elementwise(d []float32) {
+	switch a {
+	case ReLU:
+		for i, v := range d {
+			if v < 0 {
+				d[i] = 0
+			}
+		}
+	case Tanh:
+		for i, v := range d {
+			d[i] = float32(math.Tanh(float64(v)))
+		}
+	case Sigmoid:
+		for i, v := range d {
+			d[i] = float32(1 / (1 + math.Exp(-float64(v))))
+		}
 	}
 }
 

@@ -20,6 +20,28 @@ func BenchmarkMatMulSerial256(b *testing.B) {
 	}
 }
 
+// benchSink keeps the compiler from discarding the measured call.
+var benchSink *Tensor
+
+// The mnist-small 784→800 layer at the benchmark's two batch sizes, on
+// the pools the scheduler's CPU (GroupSize 4096) and iGPU (256) devices
+// hand to the kernel. randTensor has no exact zeros, so the numbers are
+// comparable with MatMul's, whose av == 0 skip never fires either.
+func benchLinear(b *testing.B, pool *Pool, m int) {
+	rng := rand.New(rand.NewSource(1))
+	in, w, bias := randTensor(rng, m, 784), randTensor(rng, 800, 784), randTensor(rng, 800)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = Linear(pool, in, w, bias, ReLU)
+	}
+}
+
+func BenchmarkLinearSerial1x784x800(b *testing.B)      { benchLinear(b, Serial, 1) }
+func BenchmarkLinearSerial64x784x800(b *testing.B)     { benchLinear(b, Serial, 64) }
+func BenchmarkLinearGroup256x1x784x800(b *testing.B)   { benchLinear(b, NewPool(0, 256), 1) }
+func BenchmarkLinearGroup4096x64x784x800(b *testing.B) { benchLinear(b, NewPool(0, 4096), 64) }
+
 func BenchmarkMatMulParallel256(b *testing.B) {
 	a, bb := benchTensors(256, 256, 256)
 	c := New(256, 256)

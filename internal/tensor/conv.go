@@ -165,17 +165,13 @@ func Conv2DIm2Col(pool *Pool, input, filters, bias *Tensor) *Tensor {
 	outH, outW := input.Dim(2)-kH+1, input.Dim(3)-kW+1
 	cols := Im2Col(input, kH, kW)                  // [batch*outH*outW, C*kH*kW]
 	w := filters.Reshape(outC, filters.Len()/outC) // [outC, C*kH*kW]
-	prod := MatMul(pool, cols, Transpose(w))       // [batch*outH*outW, outC]
+	prod := Linear(pool, cols, w, bias, Identity)  // [batch*outH*outW, outC]
 	out := New(batch, outC, outH, outW)            // transpose back to NCHW
 	plane := outH * outW
 	for b := 0; b < batch; b++ {
 		for i := 0; i < plane; i++ {
 			row := prod.Row(b*plane + i)
-			for oc := 0; oc < outC; oc++ {
-				v := row[oc]
-				if bias != nil {
-					v += bias.data[oc]
-				}
+			for oc, v := range row {
 				out.data[b*outC*plane+oc*plane+i] = v
 			}
 		}

@@ -1,0 +1,98 @@
+package tensor
+
+import "fmt"
+
+// Linear computes the fully connected layer out = act(in·Wᵀ + bias) for
+// in [m,k], w [n,k] and bias [n] (nil for none), reading W as stored —
+// one row per neuron — so no transposed copy is ever made.
+//
+// This is the paper's thread-per-node FFNN kernel (§IV-B): a work-item
+// is one (sample, neuron) pair and walks that neuron's weight row. The
+// m·n work-items are split along neurons into groups of GroupSize, so
+// the partitioning does not depend on the batch having many rows and no
+// output element is shared between workers. A worker retires four
+// work-items per step, so a layer of at most 4·GroupSize work-items is
+// under GroupSize steps in all and runs inline: handing half of that to
+// a second goroutine gains little and ties the call's latency to how
+// promptly the host wakes another CPU.
+//
+// Every output is one float32 accumulator summed over p = 0..k-1 in
+// ascending order, then + bias, then the activation: to the bit the
+// result of MatMul against a transposed copy of w, AddBiasRows and
+// Apply, on every pool. Speed comes from keeping four neurons'
+// accumulators in flight against one input row, never from splitting or
+// reordering a sum. The one difference from MatMul: there is no av == 0
+// skip, so 0·Inf in non-finite weights yields NaN here.
+func Linear(pool *Pool, in, w, bias *Tensor, act Activation) *Tensor {
+	if in.Rank() != 2 || w.Rank() != 2 || in.Dim(1) != w.Dim(1) {
+		panic(fmt.Sprintf("tensor: Linear needs in [m,k] and w [n,k], got %v, %v", in.Shape(), w.Shape()))
+	}
+	m, n := in.Dim(0), w.Dim(0)
+	if bias != nil && (bias.Rank() != 1 || bias.Dim(0) != n) {
+		panic(fmt.Sprintf("tensor: Linear bias shape %v, want [%d]", bias.Shape(), n))
+	}
+	out := New(m, n)
+	if m == 0 {
+		return out
+	}
+	if pool.workers == 1 || m*n <= 4*pool.groupSize {
+		linearNeurons(out, in, w, bias, act, 0, n) // no closure: the call allocates out and nothing else
+	} else {
+		// Neurons per group, in whole tiles of four so that only the
+		// last group has a tail.
+		per := (pool.groupSize / m) &^ 3
+		if per < 4 {
+			per = 4
+		}
+		pool.forGroups(n, per, func(lo, hi int) { linearNeurons(out, in, w, bias, act, lo, hi) })
+	}
+	if act == Softmax {
+		act.Apply(pool, out)
+	}
+	return out
+}
+
+// linearNeurons fills columns [lo, hi) of out: for every sample, the raw
+// dot products, then bias and activation over the segment just written.
+func linearNeurons(out, in, w, bias *Tensor, act Activation, lo, hi int) {
+	m, k, n := in.shape[0], in.shape[1], w.shape[0]
+	for i := 0; i < m; i++ {
+		seg := out.data[i*n+lo : i*n+hi]
+		dotRows(seg, in.data[i*k:(i+1)*k], w.data[lo*k:hi*k])
+		if bias != nil {
+			for x, b := range bias.data[lo:hi] {
+				seg[x] += b
+			}
+		}
+		act.elementwise(seg)
+	}
+}
+
+// dotRows sets dst[j] to the dot product of x with row j of w, which
+// holds len(dst) rows of len(x) weights.
+func dotRows(dst, x, w []float32) {
+	k := len(x)
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		w0 := w[j*k:][:k]
+		w1 := w[(j+1)*k:][:k]
+		w2 := w[(j+2)*k:][:k]
+		w3 := w[(j+3)*k:][:k]
+		var s0, s1, s2, s3 float32
+		for p, v := range x {
+			s0 += v * w0[p]
+			s1 += v * w1[p]
+			s2 += v * w2[p]
+			s3 += v * w3[p]
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(dst); j++ {
+		wj := w[j*k:][:k]
+		var s float32
+		for p, v := range x {
+			s += v * wj[p]
+		}
+		dst[j] = s
+	}
+}

@@ -4,8 +4,9 @@ import "fmt"
 
 // MatMul computes C = A·B for rank-2 tensors A (m×k) and B (k×n), writing
 // into a freshly allocated m×n tensor. Work is partitioned over the pool
-// by output row, matching the paper's thread-per-node parallelisation of
-// dense layers.
+// by output row. In a dense layer those rows are samples, not neurons:
+// the paper's thread-per-node kernel is Linear, which also spares the
+// transposed weight copy this form needs.
 func MatMul(pool *Pool, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v × %v", a.Shape(), b.Shape()))
@@ -51,31 +52,6 @@ func MatMulInto(pool *Pool, c, a, b *Tensor) {
 			}
 		}
 	})
-}
-
-// MatVec computes y = A·x for A (m×k) and x (k), returning a length-m
-// rank-1 tensor.
-func MatVec(pool *Pool, a, x *Tensor) *Tensor {
-	if a.Rank() != 2 || x.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: MatVec needs rank-2 × rank-1, got %v × %v", a.Shape(), x.Shape()))
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	if x.Dim(0) != k {
-		panic(fmt.Sprintf("tensor: MatVec dimensions differ: %v × %v", a.Shape(), x.Shape()))
-	}
-	y := New(m)
-	ad, xd, yd := a.data, x.data, y.data
-	pool.For(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum float32
-			arow := ad[i*k : (i+1)*k]
-			for p, av := range arow {
-				sum += av * xd[p]
-			}
-			yd[i] = sum
-		}
-	})
-	return y
 }
 
 // AddBiasRows adds bias (length n) to every row of the m×n tensor t,

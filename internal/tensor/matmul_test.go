@@ -101,38 +101,6 @@ func TestMatMulIntoOverwrites(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float32{1, 1, 1}, 3)
-	y := MatVec(Serial, a, x)
-	if y.Dim(0) != 2 || y.At(0) != 6 || y.At(1) != 15 {
-		t.Fatalf("MatVec = %v", y)
-	}
-}
-
-func TestMatVecMatchesMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randTensor(rng, 13, 7)
-	x := randTensor(rng, 7)
-	y := MatVec(Default, a, x)
-	want := MatMul(Serial, a, x.Reshape(7, 1))
-	for i := 0; i < 13; i++ {
-		d := y.At(i) - want.At(i, 0)
-		if d < -1e-4 || d > 1e-4 {
-			t.Fatalf("MatVec[%d] = %g, want %g", i, y.At(i), want.At(i, 0))
-		}
-	}
-}
-
-func TestMatVecShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MatVec dimension mismatch did not panic")
-		}
-	}()
-	MatVec(Serial, New(2, 3), New(4))
-}
-
 func TestAddBiasRows(t *testing.T) {
 	m := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	bias := FromSlice([]float32{10, 20}, 2)

@@ -39,10 +39,17 @@ func (p *Pool) GroupSize() int { return p.groupSize }
 // the group size except possibly the last. For small n the call is run
 // inline to avoid goroutine overhead.
 func (p *Pool) For(n int, fn func(lo, hi int)) {
+	p.forGroups(n, p.groupSize, fn)
+}
+
+// forGroups is For with an explicit group length: kernels whose index
+// is not the work-item itself (Linear splits neurons, each worth one
+// work-item per sample) convert GroupSize into their own unit first.
+func (p *Pool) forGroups(n, size int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	groups := (n + p.groupSize - 1) / p.groupSize
+	groups := (n + size - 1) / size
 	if groups == 1 || p.workers == 1 {
 		fn(0, n)
 		return
@@ -66,8 +73,8 @@ func (p *Pool) For(n int, fn func(lo, hi int)) {
 				if g >= groups {
 					return
 				}
-				lo := g * p.groupSize
-				hi := lo + p.groupSize
+				lo := g * size
+				hi := lo + size
 				if hi > n {
 					hi = n
 				}
