@@ -53,3 +53,61 @@ func TestMnistSmallForwardAllocationBudget(t *testing.T) {
 		t.Errorf("mnist-small batch-1 Forward allocates %d B, want under 16 KB (three output tensors are 6.4 KB)", bytes)
 	}
 }
+
+// The conv block of http_cnn_b8: the 32→32 3×3 Pad 1 layer at batch 8
+// allocates its padded input and its output and nothing else — no
+// closure on one worker, no scratch in the four-filter kernel.
+func TestConvForwardAllocatesOnlyPaddedInputAndOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := NewConvPad(rng, 32, 32, 3, 1, tensor.ReLU)
+	in := tensor.New(8, 32, 14, 14)
+	for i := range in.Data() {
+		in.Data()[i] = rng.Float32()
+	}
+	tensors := testing.AllocsPerRun(20, func() {
+		benchSink = tensor.New(8, 32, 16, 16)
+		benchSink = tensor.New(8, 32, 14, 14)
+	})
+	if forward := testing.AllocsPerRun(20, func() { benchSink = c.Forward(tensor.Serial, in) }); forward != tensors {
+		t.Errorf("Conv.Forward makes %v allocations, its padded input and output tensors alone %v", forward, tensors)
+	}
+}
+
+func TestMnistCNNForwardAllocationBudget(t *testing.T) {
+	net := mnistCNNSpec.MustBuild(1)
+	in := tensor.New(8, 1, 28, 28)
+	in.Fill(0.5)
+	if bytes := bytesPerRun(5, func() { benchSink = net.Forward(tensor.Serial, in) }); bytes > 1600<<10 {
+		t.Errorf("mnist-cnn batch-8 Forward allocates %d B, want at most 1.6 MB (its activations are 1571 KB)", bytes)
+	}
+}
+
+// Conv2DAct and MaxPool2D follow Linear's inline rule: a call of at
+// most 4·GroupSize work-items stays on the caller, which shows as the
+// Serial call's allocation count; one row over the limit, the split —
+// goroutines and their closure — must still happen.
+func TestConvAndMaxPoolSmallCallsRunInline(t *testing.T) {
+	pool := tensor.NewPool(2, 256) // inline up to 1024 work-items
+	filters := tensor.New(8, 1, 1, 1)
+	conv := func(pool *tensor.Pool, in *tensor.Tensor) float64 {
+		return testing.AllocsPerRun(20, func() { tensor.Conv2DAct(pool, in, filters, nil, tensor.ReLU) })
+	}
+	maxPool := func(pool *tensor.Pool, in *tensor.Tensor) float64 {
+		return testing.AllocsPerRun(20, func() { tensor.MaxPool2D(pool, in, 1) })
+	}
+	for _, tc := range []struct {
+		name     string
+		allocs   func(pool *tensor.Pool, in *tensor.Tensor) float64
+		at, over *tensor.Tensor // 1024 and 1088 work-items
+	}{
+		{"Conv2DAct", conv, tensor.New(1, 1, 8, 16), tensor.New(1, 1, 8, 17)}, // × 8 filters
+		{"MaxPool2D", maxPool, tensor.New(1, 8, 8, 16), tensor.New(1, 8, 8, 17)},
+	} {
+		if got, want := tc.allocs(pool, tc.at), tc.allocs(tensor.Serial, tc.at); got != want {
+			t.Errorf("%s of 1024 work-items on pool(2,256): %v allocs per call, want the inline call's %v", tc.name, got, want)
+		}
+		if got, inline := tc.allocs(pool, tc.over), tc.allocs(tensor.Serial, tc.over); got <= inline {
+			t.Errorf("%s of 1088 work-items on pool(2,256): %v allocs per call, no more than inline (%v): it was not split", tc.name, got, inline)
+		}
+	}
+}

@@ -40,11 +40,12 @@ var mnistSmallSpec = &Spec{Name: "mnist-small", Kind: FFNN, InputShape: []int{78
 func BenchmarkForwardMnistSmall1(b *testing.B)  { benchForward(b, mnistSmallSpec, 1) }
 func BenchmarkForwardMnistSmall64(b *testing.B) { benchForward(b, mnistSmallSpec, 64) }
 
-func BenchmarkForwardMnistCNN16(b *testing.B) {
-	benchForward(b, &Spec{Name: "mnist-cnn", Kind: CNN, InputShape: []int{1, 28, 28},
-		Hidden: []int{128}, Classes: 10, Act: tensor.ReLU,
-		VGGBlocks: 2, ConvsPerBlock: 1, Filters: 32, FilterSize: 3, PoolSize: 2, SamePad: true}, 16)
-}
+var mnistCNNSpec = &Spec{Name: "mnist-cnn", Kind: CNN, InputShape: []int{1, 28, 28},
+	Hidden: []int{128}, Classes: 10, Act: tensor.ReLU,
+	VGGBlocks: 2, ConvsPerBlock: 1, Filters: 32, FilterSize: 3, PoolSize: 2, SamePad: true}
+
+func BenchmarkForwardMnistCNN8(b *testing.B)  { benchForward(b, mnistCNNSpec, 8) } // http_cnn_b8's batch
+func BenchmarkForwardMnistCNN16(b *testing.B) { benchForward(b, mnistCNNSpec, 16) }
 
 func BenchmarkBuildMnistDeep(b *testing.B) {
 	spec := &Spec{Name: "mnist-deep", Kind: FFNN, InputShape: []int{784},

@@ -9,16 +9,75 @@ import (
 	"bomw/internal/tensor"
 )
 
-// The dense layers run on tensor.Linear; these tests hold them, to the
-// bit and on every pool, to the call sequence they ran before it:
-// transpose the weights, MatMul, add the bias, apply the activation.
+// The dense layers run on tensor.Linear and the conv blocks on
+// tensor.Conv2DAct and the plane-split MaxPool2D; these tests hold
+// them, to the bit and on every pool, to the call sequences they ran
+// before: transpose the weights, MatMul, add the bias, apply the
+// activation; pad, one output at a time through a single accumulator,
+// apply the activation; one pooling plane after the other.
 
-var identityPools = []*tensor.Pool{tensor.Serial, tensor.NewPool(2, 64), tensor.NewPool(3, 1), tensor.NewPool(2, 4096)}
+var identityPools = []*tensor.Pool{tensor.Serial, tensor.NewPool(2, 64), tensor.NewPool(3, 1), tensor.NewPool(2, 256), tensor.NewPool(2, 4096)}
 
 func referenceDense(in, w, b *tensor.Tensor, act tensor.Activation) *tensor.Tensor {
 	out := tensor.MatMul(tensor.Serial, in, tensor.Transpose(w))
 	tensor.AddBiasRows(tensor.Serial, out, b)
 	act.Apply(tensor.Serial, out)
+	return out
+}
+
+// referenceConv is the loop nest tensor.Conv2D ran before the
+// four-filter kernel: bias, then += in·w over c, fy, fx ascending.
+func referenceConv(in, filters, bias *tensor.Tensor) *tensor.Tensor {
+	batch, inC, inH, inW := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
+	outC, kH, kW := filters.Dim(0), filters.Dim(2), filters.Dim(3)
+	outH, outW := inH-kH+1, inW-kW+1
+	out := tensor.New(batch, outC, outH, outW)
+	src, fd, dst := in.Data(), filters.Data(), out.Data()
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < outC; oc++ {
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					var sum float32
+					if bias != nil {
+						sum = bias.Data()[oc]
+					}
+					for c := 0; c < inC; c++ {
+						for fy := 0; fy < kH; fy++ {
+							for fx := 0; fx < kW; fx++ {
+								sum += src[((b*inC+c)*inH+oy+fy)*inW+ox+fx] * fd[((oc*inC+c)*kH+fy)*kW+fx]
+							}
+						}
+					}
+					dst[((b*outC+oc)*outH+oy)*outW+ox] = sum
+				}
+			}
+		}
+	}
+	return out
+}
+
+// referenceMaxPool is tensor.MaxPool2D's window scan: the first element
+// seeds, a later one wins only if greater.
+func referenceMaxPool(in *tensor.Tensor, k int) *tensor.Tensor {
+	planes, inH, inW := in.Dim(0)*in.Dim(1), in.Dim(2), in.Dim(3)
+	outH, outW := inH/k, inW/k
+	out := tensor.New(in.Dim(0), in.Dim(1), outH, outW)
+	src, dst := in.Data(), out.Data()
+	for p := 0; p < planes; p++ {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				best := src[(p*inH+oy*k)*inW+ox*k]
+				for fy := 0; fy < k; fy++ {
+					for fx := 0; fx < k; fx++ {
+						if v := src[(p*inH+oy*k+fy)*inW+ox*k+fx]; v > best {
+							best = v
+						}
+					}
+				}
+				dst[(p*outH+oy)*outW+ox] = best
+			}
+		}
+	}
 	return out
 }
 
@@ -30,6 +89,11 @@ func referenceForward(net *nn.Network, in *tensor.Tensor) *tensor.Tensor {
 			x = referenceDense(x, l.W, l.B, l.Act)
 		case *nn.HalfDense:
 			x = referenceDense(x, l.W.Expand(), l.B, l.Act)
+		case *nn.Conv:
+			x = referenceConv(tensor.Pad2D(x, l.Pad), l.Filters, l.Bias)
+			l.Act.Apply(tensor.Serial, x)
+		case *nn.MaxPool:
+			x = referenceMaxPool(x, l.K)
 		default:
 			x = layer.Forward(tensor.Serial, x)
 		}
@@ -81,11 +145,13 @@ func TestPaperModelsForwardBitIdenticalToMatMulSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, spec := range models.PaperModels() {
 		net := spec.MustBuild(1)
-		in := identityInput(rng, append([]int{2}, spec.InputShape...)...)
-		want := referenceForward(net, in)
-		for _, pool := range identityPools {
-			if !net.Forward(pool, in).Equal(want) {
-				t.Errorf("%s: Forward on pool(%d,%d) differs from the MatMul sequence", spec.Name, pool.Workers(), pool.GroupSize())
+		for _, batch := range []int{2, 8} {
+			in := identityInput(rng, append([]int{batch}, spec.InputShape...)...)
+			want := referenceForward(net, in)
+			for _, pool := range identityPools {
+				if !net.Forward(pool, in).Equal(want) {
+					t.Errorf("%s batch %d: Forward on pool(%d,%d) differs from the reference sequence", spec.Name, batch, pool.Workers(), pool.GroupSize())
+				}
 			}
 		}
 	}

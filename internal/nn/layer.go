@@ -116,9 +116,7 @@ func NewConvPad(rng *rand.Rand, inC, outC, k, pad int, act tensor.Activation) *C
 
 // Forward implements Layer.
 func (l *Conv) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.Conv2D(pool, tensor.Pad2D(in, l.Pad), l.Filters, l.Bias)
-	l.Act.Apply(pool, out)
-	return out
+	return tensor.Conv2DAct(pool, tensor.Pad2D(in, l.Pad), l.Filters, l.Bias, l.Act)
 }
 
 // OutputShape implements Layer.
@@ -126,8 +124,8 @@ func (l *Conv) OutputShape(in []int) []int {
 	if len(in) != 3 {
 		panic(fmt.Sprintf("nn: Conv input must be [C H W], got %v", in))
 	}
-	k := l.Filters.Dim(2)
-	return []int{l.Filters.Dim(0), in[1] + 2*l.Pad - k + 1, in[2] + 2*l.Pad - k + 1}
+	kH, kW := l.Filters.Dim(2), l.Filters.Dim(3)
+	return []int{l.Filters.Dim(0), in[1] + 2*l.Pad - kH + 1, in[2] + 2*l.Pad - kW + 1}
 }
 
 // FlopsPerSample implements Layer.

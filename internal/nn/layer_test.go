@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -106,6 +107,24 @@ func TestConvForwardShapeAndAccounting(t *testing.T) {
 	}
 	if got := c.ParamBytes(); got != (8*3*3*3+8)*4 {
 		t.Fatalf("ParamBytes = %d", got)
+	}
+}
+
+// A Conv holding non-square filters must report the shape Forward
+// produces: OutputShape once used the filter height for both axes.
+func TestConvOutputShapeMatchesForwardForNonSquareFilters(t *testing.T) {
+	for _, k := range [][2]int{{2, 3}, {3, 2}} {
+		for _, pad := range []int{0, 1} {
+			c := &Conv{Filters: tensor.New(4, 3, k[0], k[1]), Bias: tensor.New(4), Act: tensor.ReLU, Pad: pad}
+			got := c.OutputShape([]int{3, 7, 9})
+			out := c.Forward(tensor.Serial, tensor.New(2, 3, 7, 9))
+			if want := out.Shape()[1:]; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+				t.Errorf("%dx%d filters, pad %d: OutputShape = %v, Forward produces %v", k[0], k[1], pad, got, want)
+			}
+			if want := fmt.Sprintf("conv(%dx%dx3→4,relu)", k[0], k[1]); c.Name() != want {
+				t.Errorf("Name = %q, want %q", c.Name(), want)
+			}
+		}
 	}
 }
 

@@ -63,7 +63,8 @@ func BenchmarkMatMulParallel1024(b *testing.B) {
 	}
 }
 
-func BenchmarkConv2DDirect(b *testing.B) {
+// cifar-10's first layer through the two conv lowerings.
+func benchConvLowering(b *testing.B, conv func(pool *Pool, input, filters, bias *Tensor) *Tensor) {
 	rng := rand.New(rand.NewSource(2))
 	in := randTensor(rng, 8, 3, 32, 32)
 	f := randTensor(rng, 32, 3, 3, 3)
@@ -71,28 +72,59 @@ func BenchmarkConv2DDirect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2D(Default, in, f, bias)
+		benchSink = conv(Default, in, f, bias)
 	}
 }
 
-func BenchmarkConv2DIm2Col(b *testing.B) {
+func BenchmarkConv2DDirect(b *testing.B) { benchConvLowering(b, Conv2D) }
+func BenchmarkConv2DIm2Col(b *testing.B) { benchConvLowering(b, Conv2DIm2Col) }
+
+// The shapes http_cnn_b8 runs: mnist-cnn's two padded convs (ReLU
+// fused) and two max-pools at batch 8, on the pools the scheduler's CPU
+// (GroupSize 4096) and iGPU (256) devices hand to the kernels.
+var cnnPools = []struct {
+	name string
+	pool *Pool
+}{{"Serial", Serial}, {"Group256", NewPool(0, 256)}, {"Group4096", NewPool(0, 4096)}}
+
+func benchMnistConv(b *testing.B, inC, size int) {
 	rng := rand.New(rand.NewSource(2))
-	in := randTensor(rng, 8, 3, 32, 32)
-	f := randTensor(rng, 32, 3, 3, 3)
-	bias := randTensor(rng, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2DIm2Col(Default, in, f, bias)
+	in, f, bias := randTensor(rng, 8, inC, size, size), randTensor(rng, 32, inC, 3, 3), randTensor(rng, 32)
+	for _, p := range cnnPools {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = Conv2DAct(p.pool, in, f, bias, ReLU)
+			}
+		})
 	}
 }
+
+func BenchmarkConv2DMnistCNN1(b *testing.B) { benchMnistConv(b, 1, 30) }
+func BenchmarkConv2DMnistCNN2(b *testing.B) { benchMnistConv(b, 32, 16) }
+
+func benchMnistMaxPool(b *testing.B, size int) {
+	in := randTensor(rand.New(rand.NewSource(3)), 8, 32, size, size)
+	for _, p := range cnnPools {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = MaxPool2D(p.pool, in, 2)
+			}
+		})
+	}
+}
+
+func BenchmarkMaxPool2DMnistCNN1(b *testing.B) { benchMnistMaxPool(b, 28) }
+func BenchmarkMaxPool2DMnistCNN2(b *testing.B) { benchMnistMaxPool(b, 14) }
 
 func BenchmarkMaxPool2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	in := randTensor(rng, 8, 32, 32, 32)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxPool2D(Default, in, 2)
+		benchSink = MaxPool2D(Default, in, 2)
 	}
 }
 

@@ -10,9 +10,30 @@ import "fmt"
 //	bias:    [outC] (may be nil)
 //	output:  [batch, outC, outH, outW], outH = inH-kH+1, outW = inW-kW+1
 //
-// Work is partitioned over (batch × outC) slices, mirroring the paper's
-// per-filter, per-sample OpenCL parallelisation.
+// It is Conv2DAct with the Identity activation.
 func Conv2D(pool *Pool, input, filters, bias *Tensor) *Tensor {
+	return Conv2DAct(pool, input, filters, bias, Identity)
+}
+
+// Conv2DAct computes the convolution layer out = act(Conv2D(input,
+// filters) + bias), with the shapes documented on Conv2D.
+//
+// This is the paper's CNN kernel: a work-item is one output element,
+// batch·outC·outH·outW of them. They are split along (sample, filter)
+// into groups of GroupSize/(outH·outW) filters of one sample, in whole
+// tiles of four and at least one tile, so no output element is shared
+// between workers and a group never spans two samples. A call small
+// enough for Pool.inline runs on the caller.
+//
+// Every output is one float32 accumulator: the bias, then += in·w over
+// the input channel, the filter row and the filter column, each
+// ascending; the activation is applied to a tile's planes right after
+// they are written. The result is the same to the bit on every pool.
+// Speed comes from keeping four filters' accumulators in flight against
+// one input window, never from splitting or reordering a sum; zero taps
+// are not skipped, so 0·Inf yields NaN. Softmax, which needs rank-2
+// rows, panics as it does in Apply.
+func Conv2DAct(pool *Pool, input, filters, bias *Tensor, act Activation) *Tensor {
 	if input.Rank() != 4 || filters.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D needs rank-4 input and filters, got %v, %v", input.Shape(), filters.Shape()))
 	}
@@ -29,45 +50,99 @@ func Conv2D(pool *Pool, input, filters, bias *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Conv2D bias shape %v, want [%d]", bias.Shape(), outC))
 	}
 	out := New(batch, outC, outH, outW)
-	in, fd, od := input.data, filters.data, out.data
-
-	inPlane := inH * inW
-	inVol := inC * inPlane
-	fPlane := kH * kW
-	fVol := inC * fPlane
-	outPlane := outH * outW
-	outVol := outC * outPlane
-
-	pool.For(batch*outC, func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			b, oc := w/outC, w%outC
-			src := in[b*inVol : (b+1)*inVol]
-			filt := fd[oc*fVol : (oc+1)*fVol]
-			dst := od[b*outVol+oc*outPlane : b*outVol+(oc+1)*outPlane]
-			var bv float32
-			if bias != nil {
-				bv = bias.data[oc]
-			}
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					sum := bv
-					for c := 0; c < inC; c++ {
-						plane := src[c*inPlane:]
-						ftab := filt[c*fPlane:]
-						for fy := 0; fy < kH; fy++ {
-							srow := plane[(oy+fy)*inW+ox:]
-							frow := ftab[fy*kW:]
-							for fx := 0; fx < kW; fx++ {
-								sum += srow[fx] * frow[fx]
-							}
-						}
-					}
-					dst[oy*outW+ox] = sum
-				}
-			}
+	if act == Softmax {
+		act.Apply(pool, out) // rank 4: panics, as Conv2D followed by Apply does
+	}
+	if pool.inline(out.Len()) {
+		for b := 0; b < batch; b++ {
+			convFilters(out, input, filters, bias, act, b, 0, outC) // no closure: the call allocates out and nothing else
+		}
+		return out
+	}
+	per := pool.perGroup(outH*outW, 4)
+	perSample := (outC + per - 1) / per // groups per sample
+	pool.forGroups(batch*perSample, 1, func(lo, hi int) {
+		for g := lo; g < hi; g++ {
+			first := g % perSample * per
+			convFilters(out, input, filters, bias, act, g/perSample, first, min(first+per, outC))
 		}
 	})
 	return out
+}
+
+// convFilters fills planes [lo, hi) of sample b of out: tiles of four
+// filters sharing each input load, then one filter at a time for the
+// (hi-lo) mod 4 left over.
+func convFilters(out, in, filters, bias *Tensor, act Activation, b, lo, hi int) {
+	inC, inW := in.shape[1], in.shape[3]
+	kH, kW := filters.shape[2], filters.shape[3]
+	outC, outH, outW := out.shape[1], out.shape[2], out.shape[3]
+	inPlane, outPlane := in.shape[2]*inW, outH*outW
+	fVol := inC * kH * kW
+	src := in.data[b*inC*inPlane : (b+1)*inC*inPlane]
+	fd := filters.data
+	var bv [4]float32
+
+	oc := lo
+	for ; oc+4 <= hi; oc += 4 {
+		f0 := fd[oc*fVol:][:fVol]
+		f1 := fd[(oc+1)*fVol:][:fVol]
+		f2 := fd[(oc+2)*fVol:][:fVol]
+		f3 := fd[(oc+3)*fVol:][:fVol]
+		if bias != nil {
+			copy(bv[:], bias.data[oc:oc+4])
+		}
+		tile := out.data[(b*outC+oc)*outPlane : (b*outC+oc+4)*outPlane]
+		d0, d1, d2, d3 := tile[:outPlane], tile[outPlane:2*outPlane], tile[2*outPlane:3*outPlane], tile[3*outPlane:]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				s0, s1, s2, s3 := bv[0], bv[1], bv[2], bv[3]
+				p := 0
+				for c := 0; c < inC; c++ {
+					for fy := 0; fy < kH; fy++ {
+						row := src[c*inPlane+(oy+fy)*inW+ox:][:kW]
+						w0, w1, w2, w3 := f0[p:][:kW], f1[p:][:kW], f2[p:][:kW], f3[p:][:kW]
+						for fx, v := range row {
+							s0 += v * w0[fx]
+							s1 += v * w1[fx]
+							s2 += v * w2[fx]
+							s3 += v * w3[fx]
+						}
+						p += kW
+					}
+				}
+				i := oy*outW + ox
+				d0[i], d1[i], d2[i], d3[i] = s0, s1, s2, s3
+			}
+		}
+		act.elementwise(tile)
+	}
+	for ; oc < hi; oc++ {
+		filt := fd[oc*fVol:][:fVol]
+		var bias0 float32
+		if bias != nil {
+			bias0 = bias.data[oc]
+		}
+		dst := out.data[(b*outC+oc)*outPlane : (b*outC+oc+1)*outPlane]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				sum := bias0
+				p := 0
+				for c := 0; c < inC; c++ {
+					for fy := 0; fy < kH; fy++ {
+						row := src[c*inPlane+(oy+fy)*inW+ox:][:kW]
+						w := filt[p:][:kW]
+						for fx, v := range row {
+							sum += v * w[fx]
+						}
+						p += kW
+					}
+				}
+				dst[oy*outW+ox] = sum
+			}
+		}
+		act.elementwise(dst)
+	}
 }
 
 // MaxPool2D applies non-overlapping max pooling with a square window of
@@ -89,30 +164,36 @@ func MaxPool2D(pool *Pool, input *Tensor, k int) *Tensor {
 		panic(fmt.Sprintf("tensor: MaxPool2D window %d larger than input %dx%d", k, inH, inW))
 	}
 	out := New(batch, ch, outH, outW)
-	in, od := input.data, out.data
-	inPlane, outPlane := inH*inW, outH*outW
+	if pool.inline(out.Len()) {
+		maxPoolPlanes(out, input, k, 0, batch*ch)
+		return out
+	}
+	pool.forGroups(batch*ch, pool.perGroup(outH*outW, 1), func(lo, hi int) { maxPoolPlanes(out, input, k, lo, hi) })
+	return out
+}
 
-	pool.For(batch*ch, func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			src := in[w*inPlane : (w+1)*inPlane]
-			dst := od[w*outPlane : (w+1)*outPlane]
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					best := src[oy*k*inW+ox*k]
-					for fy := 0; fy < k; fy++ {
-						row := src[(oy*k+fy)*inW+ox*k:]
-						for fx := 0; fx < k; fx++ {
-							if row[fx] > best {
-								best = row[fx]
-							}
+// maxPoolPlanes fills (sample, channel) planes [lo, hi) of out.
+func maxPoolPlanes(out, in *Tensor, k, lo, hi int) {
+	inW, outH, outW := in.shape[3], out.shape[2], out.shape[3]
+	inPlane, outPlane := in.shape[2]*inW, outH*outW
+	for w := lo; w < hi; w++ {
+		src := in.data[w*inPlane : (w+1)*inPlane]
+		dst := out.data[w*outPlane : (w+1)*outPlane]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				best := src[oy*k*inW+ox*k]
+				for fy := 0; fy < k; fy++ {
+					row := src[(oy*k+fy)*inW+ox*k:]
+					for fx := 0; fx < k; fx++ {
+						if row[fx] > best {
+							best = row[fx]
 						}
 					}
-					dst[oy*outW+ox] = best
 				}
+				dst[oy*outW+ox] = best
 			}
 		}
-	})
-	return out
+	}
 }
 
 // Im2Col unrolls convolution windows of input [batch, C, H, W] into a

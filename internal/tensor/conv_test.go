@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -211,4 +212,202 @@ func TestPropertyConvOnes(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// referenceConv2D is the five nested loops Conv2D ran before the
+// four-filter kernel: one output at a time, bias first, then c, fy, fx
+// ascending.
+func referenceConv2D(input, filters, bias *Tensor) *Tensor {
+	batch, inC, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
+	outC, kH, kW := filters.Dim(0), filters.Dim(2), filters.Dim(3)
+	outH, outW := inH-kH+1, inW-kW+1
+	out := New(batch, outC, outH, outW)
+	in, fd, od := input.data, filters.data, out.data
+
+	inPlane := inH * inW
+	inVol := inC * inPlane
+	fPlane := kH * kW
+	fVol := inC * fPlane
+	outPlane := outH * outW
+	outVol := outC * outPlane
+
+	for w := 0; w < batch*outC; w++ {
+		b, oc := w/outC, w%outC
+		src := in[b*inVol : (b+1)*inVol]
+		filt := fd[oc*fVol : (oc+1)*fVol]
+		dst := od[b*outVol+oc*outPlane : b*outVol+(oc+1)*outPlane]
+		var bv float32
+		if bias != nil {
+			bv = bias.data[oc]
+		}
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				sum := bv
+				for c := 0; c < inC; c++ {
+					plane := src[c*inPlane:]
+					ftab := filt[c*fPlane:]
+					for fy := 0; fy < kH; fy++ {
+						srow := plane[(oy+fy)*inW+ox:]
+						frow := ftab[fy*kW:]
+						for fx := 0; fx < kW; fx++ {
+							sum += srow[fx] * frow[fx]
+						}
+					}
+				}
+				dst[oy*outW+ox] = sum
+			}
+		}
+	}
+	return out
+}
+
+// referenceMaxPool2D is MaxPool2D's loop before the plane split.
+func referenceMaxPool2D(input *Tensor, k int) *Tensor {
+	batch, ch, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
+	outH, outW := inH/k, inW/k
+	out := New(batch, ch, outH, outW)
+	in, od := input.data, out.data
+	inPlane, outPlane := inH*inW, outH*outW
+
+	for w := 0; w < batch*ch; w++ {
+		src := in[w*inPlane : (w+1)*inPlane]
+		dst := od[w*outPlane : (w+1)*outPlane]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				best := src[oy*k*inW+ox*k]
+				for fy := 0; fy < k; fy++ {
+					row := src[(oy*k+fy)*inW+ox*k:]
+					for fx := 0; fx < k; fx++ {
+						if row[fx] > best {
+							best = row[fx]
+						}
+					}
+				}
+				dst[oy*outW+ox] = best
+			}
+		}
+	}
+	return out
+}
+
+var (
+	cnnIdentityPools = []*Pool{Serial, NewPool(2, 64), NewPool(3, 1), NewPool(2, 256), NewPool(2, 4096)}
+	convActivations  = []Activation{Identity, ReLU, Tanh, Sigmoid}
+)
+
+// cnnInput mixes the serving benchmark's k/1000 pattern with exact
+// zeros (what Pad2D adds, and what a zero-skipping kernel would treat
+// differently) and negatives.
+func cnnInput(rng *rand.Rand, shape ...int) *Tensor {
+	t := New(shape...)
+	for i := range t.data {
+		switch rng.Intn(8) {
+		case 0:
+		case 1:
+			t.data[i] = -float32(1+rng.Intn(999)) / 1000
+		default:
+			t.data[i] = float32(1+rng.Intn(999)) / 1000
+		}
+	}
+	return t
+}
+
+func checkConv2D(t *testing.T, in, f, bias *Tensor, act Activation) {
+	t.Helper()
+	want := referenceConv2D(in, f, bias)
+	act.Apply(Serial, want)
+	for _, pool := range cnnIdentityPools {
+		if got := Conv2DAct(pool, in, f, bias, act); !sameBits(got, want) {
+			t.Fatalf("Conv2DAct in %v filters %v bias %v %s on pool(%d,%d) differs from the single-accumulator loop + Apply",
+				in.Shape(), f.Shape(), bias != nil, act, pool.Workers(), pool.GroupSize())
+		}
+	}
+	if act == Identity {
+		if got := Conv2D(cnnIdentityPools[1], in, f, bias); !sameBits(got, want) {
+			t.Fatalf("Conv2D in %v filters %v differs from the single-accumulator loop", in.Shape(), f.Shape())
+		}
+	}
+}
+
+func TestConv2DBitIdenticalToSingleAccumulatorLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+
+	// Every tile tail (outC mod 4), one and many input channels, square
+	// and non-square filters, the benchmark's batch; the activation and
+	// the bias rotate so the large shapes are not run eight times over.
+	idx := 0
+	for _, outC := range []int{1, 2, 3, 4, 5, 7, 32} {
+		for _, inC := range []int{1, 3, 32} {
+			for _, k := range [][2]int{{1, 1}, {3, 3}, {2, 3}, {5, 5}} {
+				for _, batch := range []int{1, 3, 8} {
+					in := cnnInput(rng, batch, inC, 5+rng.Intn(4), 5+rng.Intn(4))
+					f := randTensor(rng, outC, inC, k[0], k[1])
+					bias := randTensor(rng, outC)
+					if idx%3 == 2 {
+						bias = nil
+					}
+					checkConv2D(t, in, f, bias, convActivations[idx%len(convActivations)])
+					idx++
+				}
+			}
+		}
+	}
+	// mnist-cnn's two layers as http_cnn_b8 runs them.
+	checkConv2D(t, cnnInput(rng, 8, 1, 30, 30), randTensor(rng, 32, 1, 3, 3), randTensor(rng, 32), ReLU)
+	checkConv2D(t, cnnInput(rng, 8, 32, 16, 16), randTensor(rng, 32, 32, 3, 3), randTensor(rng, 32), ReLU)
+
+	for i := 0; i < 40; i++ {
+		kH, kW := 1+rng.Intn(4), 1+rng.Intn(4)
+		in := cnnInput(rng, 1+rng.Intn(4), 1+rng.Intn(5), kH+rng.Intn(9), kW+rng.Intn(9))
+		f := randTensor(rng, 1+rng.Intn(13), in.Dim(1), kH, kW)
+		for _, act := range convActivations {
+			checkConv2D(t, in, f, randTensor(rng, f.Dim(0)), act)
+		}
+		checkConv2D(t, in, f, nil, ReLU)
+	}
+}
+
+func TestConv2DActSoftmaxPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Conv2DAct with Softmax did not panic")
+		}
+	}()
+	Conv2DAct(Serial, New(1, 1, 3, 3), New(1, 1, 2, 2), nil, Softmax)
+}
+
+func TestMaxPool2DBitIdenticalToPlaneLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	negZero := float32(math.Copysign(0, -1))
+	check := func(in *Tensor, k int) {
+		t.Helper()
+		want := referenceMaxPool2D(in, k)
+		for _, pool := range cnnIdentityPools {
+			if got := MaxPool2D(pool, in, k); !sameBits(got, want) {
+				t.Fatalf("MaxPool2D in %v k %d on pool(%d,%d) differs from the plane loop", in.Shape(), k, pool.Workers(), pool.GroupSize())
+			}
+		}
+	}
+	for _, k := range []int{1, 2, 3} {
+		for _, batch := range []int{1, 3, 8} {
+			for _, ch := range []int{1, 5, 32} {
+				// Ragged: H and W are rarely multiples of k. Windows of
+				// signed zeros: `>` keeps the first, the max builtin
+				// would prefer +0.
+				in := cnnInput(rng, batch, ch, 3+rng.Intn(12), 3+rng.Intn(12))
+				for i := range in.data {
+					switch rng.Intn(6) {
+					case 0:
+						in.data[i] = negZero
+					case 1:
+						in.data[i] = 0
+					}
+				}
+				check(in, k)
+			}
+		}
+	}
+	check(cnnInput(rng, 8, 32, 28, 28), 2)
+	check(cnnInput(rng, 8, 32, 14, 14), 2)
+	check(FromSlice([]float32{negZero, 0, 0, negZero, 0, negZero, negZero, 0}, 1, 2, 2, 2), 2)
 }

@@ -10,11 +10,8 @@ import "fmt"
 // is one (sample, neuron) pair and walks that neuron's weight row. The
 // m·n work-items are split along neurons into groups of GroupSize, so
 // the partitioning does not depend on the batch having many rows and no
-// output element is shared between workers. A worker retires four
-// work-items per step, so a layer of at most 4·GroupSize work-items is
-// under GroupSize steps in all and runs inline: handing half of that to
-// a second goroutine gains little and ties the call's latency to how
-// promptly the host wakes another CPU.
+// output element is shared between workers. A layer small enough for
+// Pool.inline runs on the caller.
 //
 // Every output is one float32 accumulator summed over p = 0..k-1 in
 // ascending order, then + bias, then the activation: to the bit the
@@ -35,16 +32,10 @@ func Linear(pool *Pool, in, w, bias *Tensor, act Activation) *Tensor {
 	if m == 0 {
 		return out
 	}
-	if pool.workers == 1 || m*n <= 4*pool.groupSize {
+	if pool.inline(m * n) {
 		linearNeurons(out, in, w, bias, act, 0, n) // no closure: the call allocates out and nothing else
 	} else {
-		// Neurons per group, in whole tiles of four so that only the
-		// last group has a tail.
-		per := (pool.groupSize / m) &^ 3
-		if per < 4 {
-			per = 4
-		}
-		pool.forGroups(n, per, func(lo, hi int) { linearNeurons(out, in, w, bias, act, lo, hi) })
+		pool.forGroups(n, pool.perGroup(m, 4), func(lo, hi int) { linearNeurons(out, in, w, bias, act, lo, hi) })
 	}
 	if act == Softmax {
 		act.Apply(pool, out)

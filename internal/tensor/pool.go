@@ -85,6 +85,25 @@ func (p *Pool) forGroups(n, size int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// inline reports whether a kernel of the given number of work-items
+// runs on the caller: always with one worker, and when the kernel is at
+// most 4·GroupSize work-items — a worker retires up to four per step,
+// so that is about GroupSize steps in all, and handing half of it to a
+// second goroutine gains little and ties the call's latency to how
+// promptly the host wakes another CPU. Kernels test it before building
+// the closure forGroups takes, so an inline call allocates no closure.
+func (p *Pool) inline(items int) bool {
+	return p.workers == 1 || items <= 4*p.groupSize
+}
+
+// perGroup converts GroupSize into a kernel's own unit (a neuron, a
+// filter plane, a pooling plane) of items work-items each: how many
+// units make one group, in whole tiles and at least one tile, so that
+// only a range's last group has a partial tile.
+func (p *Pool) perGroup(items, tile int) int {
+	return max(p.groupSize/items/tile, 1) * tile
+}
+
 // ForEach executes fn(i) for every i in [0, n) using For.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	p.For(n, func(lo, hi int) {
