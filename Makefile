@@ -45,7 +45,7 @@ BENCHTIME ?= 2s
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkPipelineServe -benchtime=$(BENCHTIME) ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkClusterServe -benchtime=$(BENCHTIME) ./internal/cluster/
-	$(GO) test -run=NONE -bench='Conv2D|MaxPool2D|Linear' -benchtime=$(BENCHTIME) ./internal/tensor/
+	$(GO) test -run=NONE -bench='Conv|MaxPool2D|Linear' -benchtime=$(BENCHTIME) ./internal/tensor/
 	$(GO) test -run=NONE -bench=Forward -benchtime=$(BENCHTIME) ./internal/nn/
 
 # The serving benchmark (BENCHMARK.json) is a Go module of its own, so

@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bomw/internal/opencl"
+	"bomw/internal/tensor"
 )
 
 // countingInjector attaches a fault injector with an empty plan on every
@@ -262,6 +265,65 @@ func TestPipelineHedgeCompletesOnBackupDevice(t *testing.T) {
 	// The cancelled loser never executed: only the hedge touched a device.
 	if execs := fi.Stats(); execs[prim].Executions != 0 || totalExecutions(fi) != 1 {
 		t.Fatalf("executions = %+v, want exactly one (the hedge), none on %s", execs, prim)
+	}
+}
+
+// TestHedgeAndPrimaryShareOneInputTensor: a batch of one request hands
+// that request's tensor to the runtime uncopied, so a hedge and the
+// primary it races read the same tensor. That is safe only because
+// nothing on the path writes an input: under -race a write would be
+// reported against the other attempt's reads, and with or without the
+// detector the tensor must come back bit for bit.
+func TestHedgeAndPrimaryShareOneInputTensor(t *testing.T) {
+	s := smallScheduler(t, Config{MaxQueueDelay: -1})
+	fi := countingInjector(s)
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Hedge: true})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	held := false
+	var mu sync.Mutex
+	p.testExecHook = func(string) {
+		mu.Lock()
+		first := !held
+		held = true
+		mu.Unlock()
+		for first && p.hedges.Load() == 0 && ctx.Err() == nil { // hold the primary until the hedge is on its way to a device
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	in := tensor.New(64, 784) // ≈ 10 ms of mnist-small on either attempt: time to overlap
+	for i := range in.Data() {
+		in.Data()[i] = float32(1+i%999) / 1000
+	}
+	before := in.Clone()
+	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Input: in, Deadline: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fut.Wait(ctx)
+	if err != nil || c.Err != nil {
+		t.Fatalf("hedged request failed: %v / %v", err, c.Err)
+	}
+	p.Close()
+
+	net, err := s.Dispatcher().Network("mnist-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := net.Classify(tensor.Serial, before); !reflect.DeepEqual(c.Classes, want) {
+		t.Errorf("classes = %v, want %v", c.Classes, want)
+	}
+	for i, v := range in.Data() {
+		if math.Float32bits(v) != math.Float32bits(before.Data()[i]) {
+			t.Fatalf("input element %d changed from %v to %v while it was served", i, before.Data()[i], v)
+		}
+	}
+	if st := p.Stats(); st.HedgesLaunched != 1 {
+		t.Errorf("hedges launched = %d, want 1", st.HedgesLaunched)
+	}
+	if n := totalExecutions(fi); n < 1 || n > 2 {
+		t.Errorf("executions = %d, want the hedge and at most the primary", n)
 	}
 }
 

@@ -1641,9 +1641,14 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 
 // concatInputs stacks the requests' input tensors along dim 0. Shapes
 // were validated against the model spec at Submit, so per-sample layouts
-// agree.
+// agree. A batch of one request is that request's tensor itself: inputs
+// are only read from here on, so a primary and a hedged attempt may hold
+// the same one.
 func concatInputs(reqs []*pipeReq, size int) *tensor.Tensor {
 	first := reqs[0].req.Input
+	if len(reqs) == 1 {
+		return first
+	}
 	per := first.Len() / first.Dim(0)
 	flat := make([]float32, 0, size*per)
 	for _, r := range reqs {

@@ -525,3 +525,19 @@ func TestPipelinePlayDrivesTrace(t *testing.T) {
 		t.Fatalf("degenerate replay: %+v", res)
 	}
 }
+
+// A batch of one request is that request's tensor, not a copy of it;
+// two requests are stacked in order.
+func TestConcatInputsPassesASingleRequestThrough(t *testing.T) {
+	a, b := simpleSamples(3), simpleSamples(2)
+	b.Data()[0] = 42
+	one := &pipeReq{req: PipelineRequest{Input: a}, size: 3}
+	two := &pipeReq{req: PipelineRequest{Input: b}, size: 2}
+	if got := concatInputs([]*pipeReq{one}, 3); got != a {
+		t.Error("a batch of one request was copied")
+	}
+	got := concatInputs([]*pipeReq{one, two}, 5)
+	if got.Dim(0) != 5 || got.Dim(1) != 4 || got.At(3, 0) != 42 || got.At(0, 1) != a.At(0, 1) {
+		t.Errorf("stacked batch = %v", got)
+	}
+}

@@ -45,12 +45,27 @@ func TestDenseForwardAllocatesOnlyItsOutput(t *testing.T) {
 	}
 }
 
-func TestMnistSmallForwardAllocationBudget(t *testing.T) {
-	net := mnistSmallSpec.MustBuild(1)
-	in := tensor.New(1, 784)
-	in.Fill(0.5)
-	if bytes := bytesPerRun(20, func() { benchSink = net.Forward(tensor.Serial, in) }); bytes >= 16<<10 {
-		t.Errorf("mnist-small batch-1 Forward allocates %d B, want under 16 KB (three output tensors are 6.4 KB)", bytes)
+// The floor the plan sets: once an arena of the batch size exists, a
+// Forward allocates its [batch, classes] output tensor — a header and
+// the data — and nothing else, on every paper model. Before the plan,
+// mnist-cnn at batch 8 made 54 allocations for 1571 KB here.
+func TestForwardAllocatesOnlyItsOutput(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops a quarter of what is Put, so arenas are remade")
+	}
+	for _, spec := range paperSpecs {
+		net := spec.MustBuild(1)
+		for _, batch := range []int{1, 8} {
+			in := tensor.New(append([]int{batch}, spec.InputShape...)...)
+			in.Fill(0.5)
+			forward := func() { benchSink = net.Forward(tensor.Serial, in) }
+			if allocs := testing.AllocsPerRun(3, forward); allocs > 2 {
+				t.Errorf("%s batch %d: Forward makes %v allocations, want at most 2", spec.Name, batch, allocs)
+			}
+			if bytes, budget := bytesPerRun(3, forward), uint64(4*batch*spec.Classes+256); bytes > budget {
+				t.Errorf("%s batch %d: Forward allocates %d B, want at most %d (the output and 256 B)", spec.Name, batch, bytes, budget)
+			}
+		}
 	}
 }
 
@@ -70,15 +85,6 @@ func TestConvForwardAllocatesOnlyPaddedInputAndOutput(t *testing.T) {
 	})
 	if forward := testing.AllocsPerRun(20, func() { benchSink = c.Forward(tensor.Serial, in) }); forward != tensors {
 		t.Errorf("Conv.Forward makes %v allocations, its padded input and output tensors alone %v", forward, tensors)
-	}
-}
-
-func TestMnistCNNForwardAllocationBudget(t *testing.T) {
-	net := mnistCNNSpec.MustBuild(1)
-	in := tensor.New(8, 1, 28, 28)
-	in.Fill(0.5)
-	if bytes := bytesPerRun(5, func() { benchSink = net.Forward(tensor.Serial, in) }); bytes > 1600<<10 {
-		t.Errorf("mnist-cnn batch-8 Forward allocates %d B, want at most 1.6 MB (its activations are 1571 KB)", bytes)
 	}
 }
 

@@ -29,30 +29,42 @@ func benchForward(b *testing.B, spec *Spec, batch int) {
 	}
 }
 
-func BenchmarkForwardSimple64(b *testing.B) {
-	benchForward(b, &Spec{Name: "simple", Kind: FFNN, InputShape: []int{4},
-		Hidden: []int{6, 6}, Classes: 3, Act: tensor.ReLU}, 64)
-}
+// The five paper models (internal/models imports this package, so the
+// specs are spelled out), at batch 1 and 8 — http_cnn_b8's batch — and
+// mnist-small at http_mnist_b64's as well.
+var (
+	simpleSpec = &Spec{Name: "simple", Kind: FFNN, InputShape: []int{4},
+		Hidden: []int{6, 6}, Classes: 3, Act: tensor.ReLU}
+	mnistSmallSpec = &Spec{Name: "mnist-small", Kind: FFNN, InputShape: []int{784},
+		Hidden: []int{784, 800}, Classes: 10, Act: tensor.ReLU}
+	mnistDeepSpec = &Spec{Name: "mnist-deep", Kind: FFNN, InputShape: []int{784},
+		Hidden: []int{784, 2500, 2000, 1500, 1000, 500}, Classes: 10, Act: tensor.ReLU}
+	mnistCNNSpec = &Spec{Name: "mnist-cnn", Kind: CNN, InputShape: []int{1, 28, 28},
+		Hidden: []int{128}, Classes: 10, Act: tensor.ReLU,
+		VGGBlocks: 2, ConvsPerBlock: 1, Filters: 32, FilterSize: 3, PoolSize: 2, SamePad: true}
+	cifar10Spec = &Spec{Name: "cifar-10", Kind: CNN, InputShape: []int{3, 32, 32},
+		Hidden: []int{128}, Classes: 10, Act: tensor.ReLU,
+		VGGBlocks: 3, ConvsPerBlock: 2, Filters: 32, FilterSize: 3, PoolSize: 2, SamePad: true}
 
-var mnistSmallSpec = &Spec{Name: "mnist-small", Kind: FFNN, InputShape: []int{784},
-	Hidden: []int{784, 800}, Classes: 10, Act: tensor.ReLU}
+	paperSpecs = []*Spec{simpleSpec, mnistSmallSpec, mnistDeepSpec, mnistCNNSpec, cifar10Spec}
+)
 
+func BenchmarkForwardSimple1(b *testing.B)      { benchForward(b, simpleSpec, 1) }
+func BenchmarkForwardSimple8(b *testing.B)      { benchForward(b, simpleSpec, 8) }
 func BenchmarkForwardMnistSmall1(b *testing.B)  { benchForward(b, mnistSmallSpec, 1) }
+func BenchmarkForwardMnistSmall8(b *testing.B)  { benchForward(b, mnistSmallSpec, 8) }
 func BenchmarkForwardMnistSmall64(b *testing.B) { benchForward(b, mnistSmallSpec, 64) }
-
-var mnistCNNSpec = &Spec{Name: "mnist-cnn", Kind: CNN, InputShape: []int{1, 28, 28},
-	Hidden: []int{128}, Classes: 10, Act: tensor.ReLU,
-	VGGBlocks: 2, ConvsPerBlock: 1, Filters: 32, FilterSize: 3, PoolSize: 2, SamePad: true}
-
-func BenchmarkForwardMnistCNN8(b *testing.B)  { benchForward(b, mnistCNNSpec, 8) } // http_cnn_b8's batch
-func BenchmarkForwardMnistCNN16(b *testing.B) { benchForward(b, mnistCNNSpec, 16) }
+func BenchmarkForwardMnistDeep1(b *testing.B)   { benchForward(b, mnistDeepSpec, 1) }
+func BenchmarkForwardMnistDeep8(b *testing.B)   { benchForward(b, mnistDeepSpec, 8) }
+func BenchmarkForwardMnistCNN1(b *testing.B)    { benchForward(b, mnistCNNSpec, 1) }
+func BenchmarkForwardMnistCNN8(b *testing.B)    { benchForward(b, mnistCNNSpec, 8) }
+func BenchmarkForwardCifar10x1(b *testing.B)    { benchForward(b, cifar10Spec, 1) }
+func BenchmarkForwardCifar10x8(b *testing.B)    { benchForward(b, cifar10Spec, 8) }
 
 func BenchmarkBuildMnistDeep(b *testing.B) {
-	spec := &Spec{Name: "mnist-deep", Kind: FFNN, InputShape: []int{784},
-		Hidden: []int{784, 2500, 2000, 1500, 1000, 500}, Classes: 10, Act: tensor.ReLU}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec.MustBuild(int64(i))
+		mnistDeepSpec.MustBuild(int64(i))
 	}
 }

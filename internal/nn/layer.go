@@ -21,10 +21,18 @@ import (
 // Layer is one stage of a network's forward pass. Implementations must be
 // safe for concurrent Forward calls (weights are read-only after build).
 type Layer interface {
-	// Forward computes the layer output for a batch held in in.
+	// Forward computes the layer output for a batch held in in: a new
+	// tensor, then the same code as ForwardInto.
 	Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor
+	// ForwardInto computes the layer output into out, which the caller
+	// owns and has shaped [batch, OutputShape...]; every element of the
+	// output is overwritten. Feature maps [batch, C, H, W] may be larger
+	// by a border on every spatial side — the zero padding of the
+	// convolution that reads them — which the layer leaves untouched.
+	ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor)
 	// OutputShape returns the per-sample output shape for a given
-	// per-sample input shape (batch dimension excluded).
+	// per-sample input shape (batch dimension excluded). It panics if
+	// the layer cannot take that input.
 	OutputShape(in []int) []int
 	// FlopsPerSample returns the floating-point operations needed for one
 	// sample with the given per-sample input shape.
@@ -69,8 +77,22 @@ func (l *Dense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 	return tensor.Linear(pool, in, l.W, l.B, l.Act)
 }
 
+// ForwardInto implements Layer.
+func (l *Dense) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
+	tensor.LinearInto(pool, out, in, l.W, l.B, l.Act)
+}
+
 // OutputShape implements Layer.
-func (l *Dense) OutputShape(in []int) []int { return []int{l.Out()} }
+func (l *Dense) OutputShape(in []int) []int { return denseShape(l, in, l.In(), l.Out()) }
+
+// denseShape is OutputShape for the fully connected layers: the input
+// must be exactly the fanIn features the weights expect.
+func denseShape(l Layer, in []int, fanIn, fanOut int) []int {
+	if len(in) != 1 || in[0] != fanIn {
+		panic(fmt.Sprintf("nn: %s needs [%d] features per sample, got %v", l.Name(), fanIn, in))
+	}
+	return []int{fanOut}
+}
 
 // FlopsPerSample implements Layer: a multiply-accumulate per weight plus
 // bias add and activation.
@@ -119,10 +141,20 @@ func (l *Conv) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 	return tensor.Conv2DAct(pool, tensor.Pad2D(in, l.Pad), l.Filters, l.Bias, l.Act)
 }
 
+// ForwardInto implements Layer. Unlike Forward it adds no padding: in
+// already carries the layer's border of Pad zeros, [batch, C, H+2·Pad,
+// W+2·Pad], which is how the layer before it left it.
+func (l *Conv) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
+	tensor.ConvPoolInto(pool, out, in, l.Filters, l.Bias, l.Act, 1)
+}
+
 // OutputShape implements Layer.
 func (l *Conv) OutputShape(in []int) []int {
 	if len(in) != 3 {
 		panic(fmt.Sprintf("nn: Conv input must be [C H W], got %v", in))
+	}
+	if in[0] != l.Filters.Dim(1) {
+		panic(fmt.Sprintf("nn: %s needs %d input channels, got %v", l.Name(), l.Filters.Dim(1), in))
 	}
 	kH, kW := l.Filters.Dim(2), l.Filters.Dim(3)
 	return []int{l.Filters.Dim(0), in[1] + 2*l.Pad - kH + 1, in[2] + 2*l.Pad - kW + 1}
@@ -155,10 +187,18 @@ func (l *MaxPool) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 	return tensor.MaxPool2D(pool, in, l.K)
 }
 
+// ForwardInto implements Layer.
+func (l *MaxPool) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
+	tensor.MaxPool2DInto(pool, out, in, l.K)
+}
+
 // OutputShape implements Layer.
 func (l *MaxPool) OutputShape(in []int) []int {
 	if len(in) != 3 {
 		panic(fmt.Sprintf("nn: MaxPool input must be [C H W], got %v", in))
+	}
+	if l.K <= 0 {
+		panic(fmt.Sprintf("nn: MaxPool window must be positive, got %d", l.K))
 	}
 	return []int{in[0], in[1] / l.K, in[2] / l.K}
 }
@@ -183,6 +223,16 @@ type Flatten struct{}
 func (Flatten) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 	batch := in.Dim(0)
 	return in.Reshape(batch, in.Len()/batch)
+}
+
+// ForwardInto implements Layer: the same values in the same order. A
+// Network never calls it — its plan reads the buffer under the new shape
+// instead.
+func (Flatten) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
+	if out.Len() != in.Len() {
+		panic(fmt.Sprintf("nn: flatten of %v into %v", in.Shape(), out.Shape()))
+	}
+	copy(out.Data(), in.Data())
 }
 
 // OutputShape implements Layer.

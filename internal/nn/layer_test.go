@@ -174,6 +174,21 @@ func TestFlattenLayer(t *testing.T) {
 	}
 }
 
+func TestFlattenForwardIntoCopiesInOrder(t *testing.T) {
+	in := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8}, 2, 1, 2, 2)
+	out := tensor.New(2, 4)
+	Flatten{}.ForwardInto(tensor.Serial, in, out)
+	if !out.Equal(Flatten{}.Forward(tensor.Serial, in)) {
+		t.Fatalf("ForwardInto = %v", out)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a flatten into the wrong volume was accepted")
+		}
+	}()
+	Flatten{}.ForwardInto(tensor.Serial, in, tensor.New(2, 3))
+}
+
 func TestLayerNames(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, c := range []struct {

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"bomw/internal/tensor"
 )
@@ -15,28 +16,30 @@ type Network struct {
 	inputShape []int // per-sample shape, e.g. [4] for Iris, [1 28 28] for MNIST
 	layers     []Layer
 	classes    int
+
+	plan *plan
+	// arenas holds the idle *arena values of this network: a pass takes
+	// one for itself, so no arena is ever visible to two passes, and the
+	// garbage collector reclaims the ones nobody has asked for lately.
+	arenas sync.Pool
 }
 
-// NewNetwork assembles a network. inputShape is the per-sample shape
-// (without the batch dimension). It validates that every layer's input
-// shape matches its predecessor's output.
+// NewNetwork assembles a network and compiles its plan. inputShape is the
+// per-sample shape (without the batch dimension). It panics unless every
+// layer can take its predecessor's output: a dense fan-in equal to the
+// volume before it, a convolution's channels, no dimension that vanishes.
 func NewNetwork(name string, inputShape []int, layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: network needs at least one layer")
 	}
-	shape := append([]int(nil), inputShape...)
-	for _, l := range layers {
-		shape = l.OutputShape(shape) // panics on incompatible shapes
+	inputShape = append([]int(nil), inputShape...)
+	plan, out := compile(name, inputShape, layers)
+	if len(out) != 1 {
+		panic(fmt.Sprintf("nn: network %q must end in a rank-1 per-sample output, got %v", name, out))
 	}
-	if len(shape) != 1 {
-		panic(fmt.Sprintf("nn: network %q must end in a rank-1 per-sample output, got %v", name, shape))
-	}
-	return &Network{
-		name:       name,
-		inputShape: append([]int(nil), inputShape...),
-		layers:     layers,
-		classes:    shape[0],
-	}
+	n := &Network{name: name, inputShape: inputShape, layers: layers, classes: out[0], plan: plan}
+	n.arenas.New = func() any { return new(arena) }
+	return n
 }
 
 // Name returns the network's name.
@@ -61,8 +64,11 @@ func (n *Network) SampleBytes() int64 {
 	return sz
 }
 
-// Forward runs a classification pass over a batch. The input must have
-// shape [batch, inputShape...].
+// Forward runs a classification pass over a batch: the plan's steps over
+// an arena the pass has to itself, then a copy of the [batch, classes]
+// output into a new tensor, the pass's only allocation once an arena of
+// that batch size exists. The input must have shape [batch,
+// inputShape...] and is only read.
 func (n *Network) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 	if in.Dim(0) <= 0 || in.Rank() != len(n.inputShape)+1 {
 		panic(fmt.Sprintf("nn: %s expects input rank %d (batch + %v), got %v",
@@ -73,12 +79,16 @@ func (n *Network) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 			panic(fmt.Sprintf("nn: %s expects per-sample shape %v, got %v", n.name, n.inputShape, in.Shape()[1:]))
 		}
 	}
-	x := in
-	for _, l := range n.layers {
-		x = l.Forward(pool, x)
-	}
-	return x
+	a := n.arenas.Get().(*arena)
+	out := tensor.New(in.Dim(0), n.classes)
+	copy(out.Data(), n.plan.run(pool, a, in).Data())
+	n.releaseArena(a)
+	return out
 }
+
+// releaseArena returns a to the idle arenas once its pass has copied the
+// output out of it; the caller must not touch a afterwards.
+func (n *Network) releaseArena(a *arena) { n.arenas.Put(a) }
 
 // Classify runs Forward and reduces each row to its argmax class index.
 func (n *Network) Classify(pool *tensor.Pool, in *tensor.Tensor) []int {

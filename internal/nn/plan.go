@@ -1,0 +1,165 @@
+package nn
+
+import (
+	"fmt"
+
+	"bomw/internal/tensor"
+)
+
+// A plan is a Network compiled for execution: an ordered list of kernel
+// steps over the buffers of an arena, fixed when the network is built.
+//
+// Every step but the first reads the buffer the step before it wrote, so
+// a buffer has one writer and one reader. A buffer read by a padded
+// convolution is laid out with that convolution's border around every
+// plane, [C, H+2·Pad, W+2·Pad] per sample; its writer fills the
+// interior and nothing ever writes the border, which is zero from the
+// arena's allocation on — the padding copy is gone and every border tap
+// still multiplies a stored zero. A convolution followed by a max-pool is
+// one step (tensor.ConvPoolInto), a Flatten is no step at all: the next
+// layer reads the same buffer through a view of the flattened shape.
+type plan struct {
+	steps []step
+	views []view
+	bufs  []int // per-sample float32 volume of each arena buffer, border included
+}
+
+// step is one kernel launch: run reads views[in] and fills views[out].
+type step struct {
+	name    string
+	run     func(pool *tensor.Pool, in, out *tensor.Tensor)
+	in, out int
+}
+
+// view is one tensor shape over a buffer.
+type view struct {
+	buf   int   // index into plan.bufs, or inputBuf
+	shape []int // per-sample, border included
+}
+
+// inputBuf stands for the caller's input tensor, which the first step
+// reads in place.
+const inputBuf = -1
+
+// compile checks that the layers chain from inputShape — each layer's
+// OutputShape panics on an input it cannot take, and no dimension may
+// vanish on the way — and lays out the plan. It returns the per-sample
+// output shape with it.
+func compile(name string, inputShape []int, layers []Layer) (*plan, []int) {
+	p := &plan{}
+	shape := inputShape
+	checkShape(name, "input", shape)
+	cur := p.view(inputBuf, shape, 0)
+	for i := 0; i < len(layers); i++ {
+		l := layers[i]
+		if _, ok := l.(Flatten); ok {
+			shape = l.OutputShape(shape)
+			cur = p.view(p.views[cur].buf, shape, 0) // its writer left no border: a Flatten is not a padded conv
+			continue
+		}
+		conv, _ := l.(*Conv)
+		if conv != nil && conv.Pad > 0 && p.views[cur].buf == inputBuf {
+			// The caller's tensor has no border: copy it into one that has.
+			cur = p.step("pad", func(_ *tensor.Pool, in, out *tensor.Tensor) { tensor.Pad2DInto(out, in) },
+				cur, shape, conv.Pad)
+		}
+		stepName, run := l.Name(), l.ForwardInto
+		shape = l.OutputShape(shape)
+		checkShape(name, l.Name(), shape)
+		if conv != nil && i+1 < len(layers) {
+			if mp, ok := layers[i+1].(*MaxPool); ok {
+				stepName += "+" + mp.Name()
+				run = func(pool *tensor.Pool, in, out *tensor.Tensor) {
+					tensor.ConvPoolInto(pool, out, in, conv.Filters, conv.Bias, conv.Act, mp.K)
+				}
+				shape = mp.OutputShape(shape)
+				checkShape(name, mp.Name(), shape)
+				i++
+			}
+		}
+		border := 0
+		if i+1 < len(layers) && len(shape) == 3 {
+			if next, ok := layers[i+1].(*Conv); ok {
+				border = next.Pad
+			}
+		}
+		cur = p.step(stepName, run, cur, shape, border)
+	}
+	return p, shape
+}
+
+func checkShape(network, layer string, shape []int) {
+	for _, d := range shape {
+		if d <= 0 {
+			panic(fmt.Sprintf("nn: network %q: %s has the per-sample shape %v", network, layer, shape))
+		}
+	}
+}
+
+// view adds a view of buf with the given per-sample shape, whose planes
+// carry a border of that many elements, and returns its index.
+func (p *plan) view(buf int, shape []int, border int) int {
+	shape = append([]int(nil), shape...)
+	if border > 0 {
+		shape[1] += 2 * border
+		shape[2] += 2 * border
+	}
+	p.views = append(p.views, view{buf: buf, shape: shape})
+	return len(p.views) - 1
+}
+
+// step adds a step that reads view in and writes a new buffer of the
+// given per-sample shape and border; it returns the view of that buffer.
+func (p *plan) step(name string, run func(*tensor.Pool, *tensor.Tensor, *tensor.Tensor), in int, shape []int, border int) int {
+	out := p.view(len(p.bufs), shape, border)
+	vol := 1
+	for _, d := range p.views[out].shape {
+		vol *= d
+	}
+	p.bufs = append(p.bufs, vol)
+	p.steps = append(p.steps, step{name: name, run: run, in: in, out: out})
+	return out
+}
+
+// An arena is the activation memory of one forward pass at a time: the
+// plan's buffers, each laid out sample after sample so that the first
+// n·volume elements serve a batch of n, and one tensor header per view.
+// Buffers are allocated — zeroed, which is what writes the borders —
+// when the arena first meets a batch larger than it holds; a pass
+// overwrites every interior element of the samples it uses and no
+// border, so whatever an earlier, larger batch left behind is never read.
+type arena struct {
+	samples int // the batch the buffers hold
+	bufs    [][]float32
+	views   []*tensor.Tensor
+}
+
+// run executes the plan over a for the batch in in and returns the view
+// holding the output, which is a's until the caller has copied it out.
+func (p *plan) run(pool *tensor.Pool, a *arena, in *tensor.Tensor) *tensor.Tensor {
+	batch := in.Dim(0)
+	if a.views == nil {
+		a.bufs = make([][]float32, len(p.bufs))
+		a.views = make([]*tensor.Tensor, len(p.views))
+		for i, v := range p.views {
+			a.views[i] = tensor.New(append([]int{0}, v.shape...)...)
+		}
+	}
+	if batch > a.samples {
+		for i, vol := range p.bufs {
+			a.bufs[i] = make([]float32, batch*vol)
+		}
+		a.samples = batch
+	}
+	for i, v := range p.views {
+		data := in.Data()
+		if v.buf != inputBuf {
+			data = a.bufs[v.buf]
+		}
+		a.views[i].Rebind(data, batch)
+	}
+	for _, s := range p.steps {
+		s.run(pool, a.views[s.in], a.views[s.out])
+	}
+	return a.views[len(a.views)-1]
+}

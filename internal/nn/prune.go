@@ -68,14 +68,20 @@ func Sparsify(d *Dense) *SparseDense {
 
 // Forward implements Layer.
 func (l *SparseDense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.MatMulCSR(pool, in, l.W)
-	tensor.AddBiasRows(pool, out, l.B)
-	l.Act.Apply(pool, out)
+	out := tensor.New(in.Dim(0), l.W.Rows)
+	l.ForwardInto(pool, in, out)
 	return out
 }
 
+// ForwardInto implements Layer.
+func (l *SparseDense) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
+	tensor.MatMulCSRInto(pool, out, in, l.W)
+	tensor.AddBiasRows(pool, out, l.B)
+	l.Act.Apply(pool, out)
+}
+
 // OutputShape implements Layer.
-func (l *SparseDense) OutputShape(in []int) []int { return []int{l.W.Rows} }
+func (l *SparseDense) OutputShape(in []int) []int { return denseShape(l, in, l.W.Cols, l.W.Rows) }
 
 // FlopsPerSample implements Layer: two flops per stored non-zero.
 func (l *SparseDense) FlopsPerSample(in []int) int64 {
@@ -128,8 +134,15 @@ func (l *HalfDense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor
 	return tensor.Linear(pool, in, l.expanded, l.B, l.Act)
 }
 
+// ForwardInto implements Layer.
+func (l *HalfDense) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
+	tensor.LinearInto(pool, out, in, l.expanded, l.B, l.Act)
+}
+
 // OutputShape implements Layer.
-func (l *HalfDense) OutputShape(in []int) []int { return []int{l.W.Shape()[0]} }
+func (l *HalfDense) OutputShape(in []int) []int {
+	return denseShape(l, in, l.W.Shape()[1], l.W.Shape()[0])
+}
 
 // FlopsPerSample implements Layer.
 func (l *HalfDense) FlopsPerSample(in []int) int64 {

@@ -5,22 +5,23 @@ import (
 
 	"bomw/internal/device"
 	"bomw/internal/nn"
-	"bomw/internal/tensor"
 )
 
-// Kernel is one compiled compute kernel: a host function executing the
-// layer math plus the per-launch cost summary for the device models. The
-// paper develops two kernel families — one for FFNN layers, one for CNN
-// layers (§IV-B); here every layer type lowers to its own kernel, with
-// reshape-only layers folded into their successor for free.
+// Kernel is one compiled compute kernel as the device models see it: the
+// per-launch cost summary of one layer. The paper develops two kernel
+// families — one for FFNN layers, one for CNN layers (§IV-B); here every
+// layer type lowers to its own kernel, with reshape-only layers folded
+// into their successor for free. The host math is not per kernel: it is
+// the network's plan (nn.Network.Forward), which the runtime runs once
+// per batch.
 type Kernel struct {
 	Name     string
 	Workload device.Workload
-	Fn       func(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor
 }
 
 // Program is a network compiled for execution through command queues:
-// an ordered kernel pipeline.
+// the network, whose plan computes a batch, and the ordered kernel
+// launches a batch is charged for.
 type Program struct {
 	Net     *nn.Network
 	Kernels []*Kernel
@@ -28,41 +29,21 @@ type Program struct {
 
 // BuildProgram compiles a network into a kernel pipeline. Weight-bearing
 // and pooling layers become kernels; Flatten (a pure reshape on row-major
-// unified buffers) is folded into the next layer's input handling.
+// unified buffers) launches nothing.
 func BuildProgram(net *nn.Network) (*Program, error) {
 	layerLoads := device.LayerWorkloads(net)
 	p := &Program{Net: net}
-	li := 0
-	var pendingReshape []nn.Layer
 	for _, l := range net.Layers() {
 		if _, ok := l.(nn.Flatten); ok {
-			pendingReshape = append(pendingReshape, l)
 			continue
 		}
-		if li >= len(layerLoads) {
+		if len(p.Kernels) == len(layerLoads) {
 			return nil, fmt.Errorf("opencl: layer/workload count mismatch in %s", net.Name())
 		}
-		layer := l
-		reshapes := pendingReshape
-		pendingReshape = nil
-		p.Kernels = append(p.Kernels, &Kernel{
-			Name:     layer.Name(),
-			Workload: layerLoads[li],
-			Fn: func(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
-				x := in
-				for _, r := range reshapes {
-					x = r.Forward(pool, x)
-				}
-				return layer.Forward(pool, x)
-			},
-		})
-		li++
+		p.Kernels = append(p.Kernels, &Kernel{Name: l.Name(), Workload: layerLoads[len(p.Kernels)]})
 	}
-	if len(pendingReshape) != 0 {
-		return nil, fmt.Errorf("opencl: %s ends in a reshape with no consumer", net.Name())
-	}
-	if li != len(layerLoads) {
-		return nil, fmt.Errorf("opencl: compiled %d kernels for %d workloads in %s", li, len(layerLoads), net.Name())
+	if len(p.Kernels) != len(layerLoads) {
+		return nil, fmt.Errorf("opencl: compiled %d kernels for %d workloads in %s", len(p.Kernels), len(layerLoads), net.Name())
 	}
 	return p, nil
 }

@@ -153,29 +153,93 @@ func TestBuildProgramFoldsFlatten(t *testing.T) {
 	}
 }
 
-func TestKernelPipelineMatchesDirectForward(t *testing.T) {
-	for _, spec := range []string{"simple", "mnist-cnn"} {
-		s, err := models.ByName(spec)
+// The runtime charges one launch per kernel and computes the batch with
+// the network's own Forward: there is no second implementation to
+// disagree with it.
+func TestClassifyOutputIsTheNetworksForward(t *testing.T) {
+	rt, err := NewRuntime(testDevices()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"simple", "mnist-cnn"} {
+		s, err := models.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		net := s.MustBuild(7)
-		prog, err := BuildProgram(net)
+		if err := rt.LoadModel(net); err != nil {
+			t.Fatal(err)
+		}
+		prog, err := rt.Program(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := models.Synthesize(s, 6, 3)
-		in := ds.Batch(0, 6)
-		want := net.Forward(tensor.Default, in.Clone())
-
-		dev := NewClDevice(device.New(device.IntelCoreI7_8700()))
-		q := NewQueue(dev)
-		x := in
-		for _, k := range prog.Kernels {
-			x, _ = q.EnqueueNDRangeKernel(0, k, x)
+		in := models.Synthesize(s, 6, 3).Batch(0, 6)
+		for _, d := range rt.Devices() {
+			res, err := rt.Classify(d.Name(), name, in, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Output.Equal(net.Forward(d.Pool, in)) {
+				t.Errorf("%s on %s: Classify output differs from Network.Forward", name, d.Name())
+			}
+			launches := 0
+			for _, ev := range res.Events {
+				if strings.HasPrefix(ev.Name, "clEnqueueNDRangeKernel:") {
+					launches++
+				}
+			}
+			if launches != len(prog.Kernels) {
+				t.Errorf("%s on %s: %d kernel launches logged, want %d", name, d.Name(), launches, len(prog.Kernels))
+			}
 		}
-		if !x.ApproxEqual(want, 1e-5) {
-			t.Fatalf("%s: pipeline output differs from direct forward", spec)
+	}
+}
+
+// Estimate is Classify without the math: for every model and device the
+// two log the same commands at the same virtual times for the same
+// energy, whichever runs.
+func TestClassifyAndEstimateLogTheSameEvents(t *testing.T) {
+	for _, spec := range models.PaperModels() {
+		net := spec.MustBuild(1)
+		in := models.Synthesize(spec, 4, 3).Batch(0, 4)
+		for i := range testDevices() {
+			var logs [2][]*Event
+			var energy [2]float64
+			for side := range logs {
+				rt, err := NewRuntime(testDevices()[i]) // a fresh device: the same clock and boost state on both sides
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.LoadModel(net); err != nil {
+					t.Fatal(err)
+				}
+				dev := rt.Devices()[0].Name()
+				var res *Result
+				for _, at := range []time.Duration{0, time.Millisecond} { // the second batch queues behind the first
+					if side == 0 {
+						res, err = rt.Classify(dev, spec.Name, in, at)
+					} else {
+						res, err = rt.Estimate(dev, spec.Name, 4, at)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					logs[side] = append(logs[side], res.Events...)
+					energy[side] += res.EnergyJ
+				}
+			}
+			dev := testDevices()[i].Name()
+			if len(logs[0]) != len(logs[1]) || energy[0] != energy[1] {
+				t.Fatalf("%s on %s: Classify logged %d events for %g J, Estimate %d for %g J", spec.Name, dev, len(logs[0]), energy[0], len(logs[1]), energy[1])
+			}
+			for j, c := range logs[0] {
+				e := logs[1][j]
+				if c.Name != e.Name || c.Queued != e.Queued || c.Start != e.Start || c.End != e.End || c.Report.EnergyJ() != e.Report.EnergyJ() {
+					t.Errorf("%s on %s: event %d is %s [%v, %v] %g J under Classify, %s [%v, %v] %g J under Estimate",
+						spec.Name, dev, j, c.Name, c.Start, c.End, c.Report.EnergyJ(), e.Name, e.Start, e.End, e.Report.EnergyJ())
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bomw/internal/device"
-	"bomw/internal/tensor"
 )
 
 // MemFlag mirrors the cl_mem_flags subset the paper's implementation uses.
@@ -148,13 +147,12 @@ func (q *Queue) EnqueueMapBuffer(at time.Duration, buf *Buffer) ([]float32, *Eve
 	return buf.data, q.push("clEnqueueMapBuffer", at, rep)
 }
 
-// EnqueueNDRangeKernel launches a compiled kernel over a batch held in
-// in, writing activations to a fresh tensor. The math runs on the host
-// pool; time and energy are charged by the device model.
-func (q *Queue) EnqueueNDRangeKernel(at time.Duration, k *Kernel, in *tensor.Tensor) (*tensor.Tensor, *Event) {
-	out := k.Fn(q.Dev.Pool, in)
-	rep := q.Dev.Sim.ExecuteCompute(max(at, q.last), k.Workload, in.Dim(0))
-	return out, q.push("clEnqueueNDRangeKernel:"+k.Name, at, rep)
+// EnqueueNDRangeKernel launches a compiled kernel over a batch of n
+// samples: time and energy are charged by the device model. The math is
+// not part of the launch — the runtime runs the network's plan once per
+// batch on the device's host pool.
+func (q *Queue) EnqueueNDRangeKernel(at time.Duration, k *Kernel, n int) *Event {
+	return q.push("clEnqueueNDRangeKernel:"+k.Name, at, q.Dev.Sim.ExecuteCompute(max(at, q.last), k.Workload, n))
 }
 
 // Finish blocks (in virtual time) until all enqueued commands complete,

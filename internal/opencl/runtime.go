@@ -223,14 +223,8 @@ func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.D
 		q.push("clEnqueueWriteBuffer", at, dev.Sim.Transfer(max(at, q.last), inBytes))
 	}
 
-	// Kernel pipeline.
-	x := in
 	for _, k := range prog.Kernels {
-		if x != nil {
-			x, _ = q.EnqueueNDRangeKernel(at, k, x)
-		} else {
-			q.push("clEnqueueNDRangeKernel:"+k.Name, at, dev.Sim.ExecuteCompute(max(at, q.last), k.Workload, n))
-		}
+		q.EnqueueNDRangeKernel(at, k, n)
 	}
 
 	// Read results back on discrete devices; mapped output is free.
@@ -252,9 +246,12 @@ func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.D
 		res.Completed += time.Duration(float64(span) * (spike - 1))
 	}
 	r.notify(res.Events)
-	if x != nil {
-		res.Output = x
-		res.Classes = tensor.Argmax(x)
+	if in != nil {
+		// The charge above never depends on a computed value, so it is the
+		// same sequence Estimate logs; the math follows it, still under
+		// the device's submit lock.
+		res.Output = prog.Net.Forward(dev.Pool, in)
+		res.Classes = tensor.Argmax(res.Output)
 	}
 	return res, nil
 }

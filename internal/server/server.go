@@ -43,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -227,13 +228,46 @@ func parsePolicy(s string) (core.Policy, error) {
 	}
 }
 
+// maxClassifyBody bounds a /v1/classify body: room for some nine hundred
+// cifar-10 images at eleven bytes a value, the largest sample any loaded
+// model takes.
+const maxClassifyBody = 32 << 20
+
+// readClassifyBody reads the whole request body, at most maxClassifyBody
+// bytes of it: into a buffer of exactly Content-Length when the client
+// declared one (json.Decoder's doubling buffer allocated three and a
+// half times a 296 KB body to hold it), by io.ReadAll under the same cap
+// when the body is chunked.
+func readClassifyBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxClassifyBody)
+	if r.ContentLength < 0 {
+		return io.ReadAll(body)
+	}
+	if r.ContentLength > maxClassifyBody {
+		return nil, &http.MaxBytesError{Limit: maxClassifyBody}
+	}
+	buf := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
+}
+
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	body, err := readClassifyBody(w, r)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "reading request: %v", err)
+		return
+	}
 	var req ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

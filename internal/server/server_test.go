@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -423,4 +425,64 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 		}
 		prev = secs
 	}
+}
+
+// The classify body is read whole, under a cap, before it is parsed.
+func TestClassifyBodyIsBoundedAndParsedWhole(t *testing.T) {
+	ts := testServer(t)
+	const valid = `{"model":"simple","samples":[[0.1,0.2,0.3,0.4]]}`
+	chunked := func(body string) io.Reader { return struct{ io.Reader }{strings.NewReader(body)} } // no length for http.Post to declare
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"declared length", strings.NewReader(valid), http.StatusOK},
+		{"chunked", chunked(valid), http.StatusOK},
+		{"trailing garbage", strings.NewReader(valid + `{"model":"simple"}`), http.StatusBadRequest},
+		{"trailing garbage, chunked", chunked(valid + "x"), http.StatusBadRequest},
+		{"truncated", strings.NewReader(valid[:len(valid)-1]), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if tc.want == http.StatusOK {
+			var out ClassifyResponse
+			decode(t, resp, &out)
+			if len(out.Classes) != 1 {
+				t.Errorf("%s: classes = %v", tc.name, out.Classes)
+			}
+		} else {
+			resp.Body.Close()
+		}
+	}
+
+	// Over the cap, straight at the handler: a client still writing 32 MB
+	// into a socket the server has answered and closed may see the reset
+	// before the 413.
+	declared := httptest.NewRequest(http.MethodPost, "/v1/classify", strings.NewReader(valid))
+	declared.ContentLength = maxClassifyBody + 1
+	endless := httptest.NewRequest(http.MethodPost, "/v1/classify", io.MultiReader(strings.NewReader(valid), spaces{}))
+	endless.ContentLength = -1
+	for name, req := range map[string]*http.Request{"declared": declared, "chunked": endless} {
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("over the cap, %s: status %d, want 413", name, rec.Code)
+		}
+	}
+}
+
+// spaces is a body that never ends.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }

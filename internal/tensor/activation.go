@@ -61,11 +61,17 @@ func ParseActivation(s string) (Activation, error) {
 }
 
 // Apply applies the activation to t in place, parallelised over the pool.
+// A tensor the pool would not split is handled on the caller without
+// building the closure For takes, so that call allocates nothing.
 func (a Activation) Apply(pool *Pool, t *Tensor) {
 	switch a {
 	case Identity:
 	case ReLU, Tanh, Sigmoid:
 		d := t.data
+		if pool.whole(len(d)) {
+			a.elementwise(d)
+			return
+		}
 		pool.For(len(d), func(lo, hi int) { a.elementwise(d[lo:hi]) })
 	case Softmax:
 		if t.Rank() != 2 {
@@ -73,12 +79,11 @@ func (a Activation) Apply(pool *Pool, t *Tensor) {
 		}
 		m, n := t.Dim(0), t.Dim(1)
 		d := t.data
-		pool.For(m, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row := d[i*n : (i+1)*n]
-				softmaxRow(row)
-			}
-		})
+		if pool.whole(m) {
+			softmaxRows(d, n, 0, m)
+			return
+		}
+		pool.For(m, func(lo, hi int) { softmaxRows(d, n, lo, hi) })
 	default:
 		panic(fmt.Sprintf("tensor: unknown activation %d", int(a)))
 	}
@@ -105,6 +110,23 @@ func (a Activation) elementwise(d []float32) {
 		for i, v := range d {
 			d[i] = float32(1 / (1 + math.Exp(-float64(v))))
 		}
+	}
+}
+
+// relu is elementwise's ReLU on one value, for a kernel that activates
+// an accumulator while it is still in a register: the same v < 0 test,
+// so -0 and NaN pass through as they do there.
+func relu(v float32) float32 {
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+// softmaxRows normalises rows [lo, hi) of d, n values each.
+func softmaxRows(d []float32, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		softmaxRow(d[i*n : (i+1)*n])
 	}
 }
 

@@ -171,3 +171,39 @@ func TestPropertyReLUIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// relu is the one-value form of elementwise's ReLU, for accumulators
+// still in registers: the two must agree on every bit pattern that
+// matters, -0 and NaN included.
+func TestReluMatchesElementwise(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, v := range []float32{0, negZero, 1.5, -1.5, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32} {
+		d := []float32{v}
+		ReLU.elementwise(d)
+		if math.Float32bits(relu(v)) != math.Float32bits(d[0]) {
+			t.Errorf("relu(%v) = %v, elementwise gives %v", v, relu(v), d[0])
+		}
+	}
+}
+
+// A tensor the pool would hand to one worker anyway is activated on the
+// caller without a closure: Linear's softmax rows and every small Apply
+// allocate nothing.
+func TestApplyOfOneGroupAllocatesNothing(t *testing.T) {
+	pool := NewPool(2, 256)
+	x := New(16, 10)
+	for _, act := range []Activation{ReLU, Tanh, Sigmoid, Softmax} {
+		if allocs := testing.AllocsPerRun(10, func() { act.Apply(pool, x) }); allocs != 0 {
+			t.Errorf("%s.Apply of %v on pool(2,256) allocates %v times", act, x.Shape(), allocs)
+		}
+	}
+	// Split or not, the rows come out the same.
+	rng := rand.New(rand.NewSource(5))
+	in := randTensor(rng, 600, 7)
+	want, got := in.Clone(), in.Clone()
+	Softmax.Apply(Serial, want)
+	Softmax.Apply(pool, got)
+	if !sameBits(got, want) {
+		t.Error("softmax over 600 rows on pool(2,256) differs from Serial")
+	}
+}

@@ -103,6 +103,26 @@ func benchMnistConv(b *testing.B, inC, size int) {
 func BenchmarkConv2DMnistCNN1(b *testing.B) { benchMnistConv(b, 1, 30) }
 func BenchmarkConv2DMnistCNN2(b *testing.B) { benchMnistConv(b, 32, 16) }
 
+// The same two layers as the blocks nn's plan runs: conv → ReLU → 2×2
+// max-pool in one pass, into the interior of a buffer that already
+// carries the next convolution's border.
+func benchMnistConvPool(b *testing.B, inC, size, border int) {
+	rng := rand.New(rand.NewSource(2))
+	in, f, bias := randTensor(rng, 8, inC, size, size), randTensor(rng, 32, inC, 3, 3), randTensor(rng, 32)
+	out := New(8, 32, (size-2)/2+2*border, (size-2)/2+2*border)
+	for _, p := range cnnPools {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ConvPoolInto(p.pool, out, in, f, bias, ReLU, 2)
+			}
+		})
+	}
+}
+
+func BenchmarkConvPoolMnistCNN1(b *testing.B) { benchMnistConvPool(b, 1, 30, 1) }
+func BenchmarkConvPoolMnistCNN2(b *testing.B) { benchMnistConvPool(b, 32, 16, 0) }
+
 func benchMnistMaxPool(b *testing.B, size int) {
 	in := randTensor(rand.New(rand.NewSource(3)), 8, 32, size, size)
 	for _, p := range cnnPools {

@@ -327,6 +327,38 @@ func checkConv2D(t *testing.T, in, f, bias *Tensor, act Activation) {
 			t.Fatalf("Conv2D in %v filters %v differs from the single-accumulator loop", in.Shape(), f.Shape())
 		}
 	}
+	// The block kernel: the same map pooled k×k, written into the
+	// interior of a buffer whose border it must not touch.
+	for k := 1; k <= 3 && k <= want.Dim(2) && k <= want.Dim(3); k++ {
+		pooled := referenceMaxPool2D(want, k)
+		border := (k + in.Dim(0)) % 3
+		for _, pool := range cnnIdentityPools {
+			out := bordered(pooled, border)
+			ConvPoolInto(pool, out, in, f, bias, act, k)
+			if !sameBits(out, borderedCopy(pooled, border)) {
+				t.Fatalf("ConvPoolInto in %v filters %v bias %v %s k %d border %d on pool(%d,%d) differs from conv, Apply, max-pool (or wrote its border)",
+					in.Shape(), f.Shape(), bias != nil, act, k, border, pool.Workers(), pool.GroupSize())
+			}
+		}
+	}
+}
+
+// borderSentinel fills what a write-into kernel must overwrite or must
+// leave alone; no kernel under test produces it.
+const borderSentinel = -7.5
+
+// bordered returns a sentinel-filled tensor shaped like t plus a border.
+func bordered(t *Tensor, border int) *Tensor {
+	out := New(t.Dim(0), t.Dim(1), t.Dim(2)+2*border, t.Dim(3)+2*border)
+	out.Fill(borderSentinel)
+	return out
+}
+
+// borderedCopy is bordered with t in the interior.
+func borderedCopy(t *Tensor, border int) *Tensor {
+	out := bordered(t, border)
+	Pad2DInto(out, t)
+	return out
 }
 
 func TestConv2DBitIdenticalToSingleAccumulatorLoop(t *testing.T) {
@@ -367,6 +399,33 @@ func TestConv2DBitIdenticalToSingleAccumulatorLoop(t *testing.T) {
 	}
 }
 
+// The write-into map kernels accept the result's shape plus a symmetric
+// border and nothing else.
+func TestWriteIntoKernelsRejectMisshapenOutputs(t *testing.T) {
+	in, f := New(2, 3, 6, 6), New(4, 3, 3, 3) // conv → [2 4 4 4], pooled by 2 → [2 4 2 2]
+	for name, call := range map[string]func(){
+		"conv: wrong batch":         func() { ConvPoolInto(Serial, New(1, 4, 2, 2), in, f, nil, ReLU, 2) },
+		"conv: wrong channels":      func() { ConvPoolInto(Serial, New(2, 3, 2, 2), in, f, nil, ReLU, 2) },
+		"conv: odd border":          func() { ConvPoolInto(Serial, New(2, 4, 3, 3), in, f, nil, ReLU, 2) },
+		"conv: lopsided border":     func() { ConvPoolInto(Serial, New(2, 4, 4, 6), in, f, nil, ReLU, 2) },
+		"conv: smaller than result": func() { ConvPoolInto(Serial, New(2, 4, 1, 1), in, f, nil, ReLU, 2) },
+		"conv: window of zero":      func() { ConvPoolInto(Serial, New(2, 4, 4, 4), in, f, nil, ReLU, 0) },
+		"conv: window too large":    func() { ConvPoolInto(Serial, New(2, 4, 1, 1), in, f, nil, ReLU, 5) },
+		"pool: wrong shape":         func() { MaxPool2DInto(Serial, New(2, 3, 2, 2), in, 2) },
+		"pad: smaller than input":   func() { Pad2DInto(New(2, 3, 4, 4), in) },
+		"pad: rank":                 func() { Pad2DInto(New(2, 3, 8, 8), New(2, 3, 36)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestConv2DActSoftmaxPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -385,6 +444,11 @@ func TestMaxPool2DBitIdenticalToPlaneLoop(t *testing.T) {
 		for _, pool := range cnnIdentityPools {
 			if got := MaxPool2D(pool, in, k); !sameBits(got, want) {
 				t.Fatalf("MaxPool2D in %v k %d on pool(%d,%d) differs from the plane loop", in.Shape(), k, pool.Workers(), pool.GroupSize())
+			}
+			out := bordered(want, k)
+			MaxPool2DInto(pool, out, in, k)
+			if !sameBits(out, borderedCopy(want, k)) {
+				t.Fatalf("MaxPool2DInto in %v k %d on pool(%d,%d) differs from the plane loop or wrote its border", in.Shape(), k, pool.Workers(), pool.GroupSize())
 			}
 		}
 	}

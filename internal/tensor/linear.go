@@ -21,26 +21,42 @@ import "fmt"
 // reordering a sum. The one difference from MatMul: there is no av == 0
 // skip, so 0·Inf in non-finite weights yields NaN here.
 func Linear(pool *Pool, in, w, bias *Tensor, act Activation) *Tensor {
-	if in.Rank() != 2 || w.Rank() != 2 || in.Dim(1) != w.Dim(1) {
-		panic(fmt.Sprintf("tensor: Linear needs in [m,k] and w [n,k], got %v, %v", in.Shape(), w.Shape()))
-	}
-	m, n := in.Dim(0), w.Dim(0)
-	if bias != nil && (bias.Rank() != 1 || bias.Dim(0) != n) {
-		panic(fmt.Sprintf("tensor: Linear bias shape %v, want [%d]", bias.Shape(), n))
-	}
+	m, n := linearDims(in, w, bias)
 	out := New(m, n)
+	LinearInto(pool, out, in, w, bias, act)
+	return out
+}
+
+// LinearInto is Linear writing into out [m,n], which the caller owns;
+// every element of out is overwritten.
+func LinearInto(pool *Pool, out, in, w, bias *Tensor, act Activation) {
+	m, n := linearDims(in, w, bias)
+	if out.Rank() != 2 || out.Dim(0) != m || out.Dim(1) != n {
+		panic(fmt.Sprintf("tensor: Linear output shape %v, want [%d %d]", out.Shape(), m, n))
+	}
 	if m == 0 {
-		return out
+		return
 	}
 	if pool.inline(m * n) {
-		linearNeurons(out, in, w, bias, act, 0, n) // no closure: the call allocates out and nothing else
+		linearNeurons(out, in, w, bias, act, 0, n) // no closure: an inline call allocates nothing
 	} else {
 		pool.forGroups(n, pool.perGroup(m, 4), func(lo, hi int) { linearNeurons(out, in, w, bias, act, lo, hi) })
 	}
 	if act == Softmax {
 		act.Apply(pool, out)
 	}
-	return out
+}
+
+// linearDims checks Linear's operands and returns the output's [m, n].
+func linearDims(in, w, bias *Tensor) (m, n int) {
+	if in.Rank() != 2 || w.Rank() != 2 || in.Dim(1) != w.Dim(1) {
+		panic(fmt.Sprintf("tensor: Linear needs in [m,k] and w [n,k], got %v, %v", in.Shape(), w.Shape()))
+	}
+	m, n = in.Dim(0), w.Dim(0)
+	if bias != nil && (bias.Rank() != 1 || bias.Dim(0) != n) {
+		panic(fmt.Sprintf("tensor: Linear bias shape %v, want [%d]", bias.Shape(), n))
+	}
+	return m, n
 }
 
 // linearNeurons fills columns [lo, hi) of out: for every sample, the raw

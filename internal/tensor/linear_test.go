@@ -47,6 +47,12 @@ func checkLinear(t *testing.T, pools []*Pool, in, w, bias *Tensor, act Activatio
 	t.Helper()
 	want := linearReference(in, w, bias, act)
 	for _, pool := range pools {
+		into := New(want.Dim(0), want.Dim(1))
+		into.Fill(-7.5) // LinearInto owes every element a value
+		LinearInto(pool, into, in, w, bias, act)
+		if !sameBits(into, want) {
+			t.Fatalf("LinearInto m=%d k=%d n=%d bias=%v %s on pool(%d,%d) differs from the MatMul sequence", in.Dim(0), in.Dim(1), w.Dim(0), bias != nil, act, pool.Workers(), pool.GroupSize())
+		}
 		if got := Linear(pool, in, w, bias, act); !sameBits(got, want) {
 			t.Fatalf("Linear in %v w %v %s on pool(%d,%d) differs from MatMul+Transpose+AddBiasRows+Apply",
 				in.Shape(), w.Shape(), act, pool.Workers(), pool.GroupSize())

@@ -85,6 +85,12 @@ func (p *Pool) forGroups(n, size int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// whole reports whether For(n, fn) is the single call fn(0, n) on the
+// caller, which is how forGroups treats one group or one worker.
+func (p *Pool) whole(n int) bool {
+	return p.workers == 1 || n <= p.groupSize
+}
+
 // inline reports whether a kernel of the given number of work-items
 // runs on the caller: always with one worker, and when the kernel is at
 // most 4·GroupSize work-items — a worker retires up to four per step,

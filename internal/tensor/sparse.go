@@ -64,6 +64,14 @@ func (c *CSRMatrix) Dense() *Tensor {
 // the result is [batch, rows] — the pruned dense-layer forward pass
 // (out = x·Wᵀ with W in CSR). Work is parallel over batch rows.
 func MatMulCSR(pool *Pool, a *Tensor, b *CSRMatrix) *Tensor {
+	out := New(a.Dim(0), b.Rows)
+	MatMulCSRInto(pool, out, a, b)
+	return out
+}
+
+// MatMulCSRInto is MatMulCSR writing into out [batch, rows], which the
+// caller owns; every element of out is overwritten.
+func MatMulCSRInto(pool *Pool, out, a *Tensor, b *CSRMatrix) {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulCSR needs rank-2 input, got %v", a.Shape()))
 	}
@@ -71,7 +79,9 @@ func MatMulCSR(pool *Pool, a *Tensor, b *CSRMatrix) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulCSR inner dimensions differ: %d vs %d", a.Dim(1), b.Cols))
 	}
 	batch := a.Dim(0)
-	out := New(batch, b.Rows)
+	if out.Rank() != 2 || out.Dim(0) != batch || out.Dim(1) != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulCSR output shape %v, want [%d %d]", out.Shape(), batch, b.Rows))
+	}
 	ad, od := a.Data(), out.Data()
 	cols := b.Cols
 	pool.For(batch, func(lo, hi int) {
@@ -87,7 +97,6 @@ func MatMulCSR(pool *Pool, a *Tensor, b *CSRMatrix) *Tensor {
 			}
 		}
 	})
-	return out
 }
 
 // PruneMagnitude zeroes the fraction of smallest-magnitude entries of a

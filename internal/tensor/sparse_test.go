@@ -63,13 +63,20 @@ func TestMatMulCSRMatchesDense(t *testing.T) {
 	if !want.ApproxEqual(got, 1e-4) {
 		t.Fatal("sparse matmul differs from dense")
 	}
+	into := New(7, 13)
+	into.Fill(-7.5) // MatMulCSRInto owes every element a value, all-zero weight rows included
+	MatMulCSRInto(Serial, into, x, NewCSR(w, 0))
+	if !sameBits(into, got) {
+		t.Fatal("MatMulCSRInto differs from MatMulCSR")
+	}
 }
 
 func TestMatMulCSRPanics(t *testing.T) {
 	w := NewCSR(New(3, 4), 0)
 	for i, fn := range []func(){
-		func() { MatMulCSR(Serial, New(2, 5), w) }, // inner mismatch
-		func() { MatMulCSR(Serial, New(5), w) },    // bad rank
+		func() { MatMulCSR(Serial, New(2, 5), w) },                // inner mismatch
+		func() { MatMulCSR(Serial, New(5), w) },                   // bad rank
+		func() { MatMulCSRInto(Serial, New(2, 4), New(2, 4), w) }, // output not [batch, rows]
 	} {
 		func() {
 			defer func() {

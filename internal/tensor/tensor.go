@@ -24,30 +24,60 @@ type Tensor struct {
 // New returns a zero-filled tensor with the given shape. It panics if any
 // dimension is negative.
 func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
+	return header(shape, make([]float32, volume(shape)))
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must equal the shape volume.
 func FromSlice(data []float32, shape ...int) *Tensor {
+	if n := volume(shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), append([]int(nil), shape...), n))
+	}
+	return header(shape, data)
+}
+
+// volume returns the element count of shape, panicking on a negative
+// dimension. The messages here, in FromSlice and in Reshape format a
+// copy of shape: handing shape itself to fmt would move every caller's
+// variadic arguments to the heap, one allocation per tensor made.
+func volume(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
+	return n
+}
+
+// header builds the Tensor over data with its own copy of shape. Up to
+// rank 4 — every tensor the engines make — the copy lives in the same
+// allocation as the struct, so a tensor costs its data and one header.
+func header(shape []int, data []float32) *Tensor {
+	if len(shape) > 4 {
+		return &Tensor{shape: append([]int(nil), shape...), data: data}
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}
+	h := &struct {
+		t    Tensor
+		dims [4]int
+	}{}
+	h.t.shape = h.dims[:copy(h.dims[:], shape)]
+	h.t.data = data
+	return &h.t
+}
+
+// Rebind points t at the first batch samples of data, a buffer laid out
+// sample after sample in t's per-sample shape: dimension 0 becomes batch
+// and nothing is allocated. It is for an owner that keeps one header
+// over a reused buffer (nn's arena) and must not be called on a tensor
+// another goroutine can see.
+func (t *Tensor) Rebind(data []float32, batch int) {
+	n := batch
+	for _, d := range t.shape[1:] {
+		n *= d
+	}
+	t.shape[0], t.data = batch, data[:n]
 }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
@@ -91,7 +121,7 @@ func (t *Tensor) offset(idx []int) int {
 func (t *Tensor) Clone() *Tensor {
 	data := make([]float32, len(t.data))
 	copy(data, t.data)
-	return &Tensor{shape: append([]int(nil), t.shape...), data: data}
+	return header(t.shape, data)
 }
 
 // Reshape returns a view of t with a new shape of equal volume. The data
@@ -102,9 +132,9 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape volume %d to shape %v", len(t.data), shape))
+		panic(fmt.Sprintf("tensor: cannot reshape volume %d to shape %v", len(t.data), append([]int(nil), shape...)))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
+	return header(shape, t.data)
 }
 
 // Row returns a view of row i of a rank-2 tensor.

@@ -176,3 +176,54 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	}
 	return t
 }
+
+// A tensor costs its data and one header: the shape lives in the
+// header's allocation, and the variadic shape stays on the caller's
+// stack.
+func TestNewMakesTwoAllocations(t *testing.T) {
+	data := make([]float32, 24)
+	for name, tc := range map[string]struct {
+		want float64
+		make func() *Tensor
+	}{
+		"New":       {2, func() *Tensor { return New(2, 3, 4) }},
+		"FromSlice": {1, func() *Tensor { return FromSlice(data, 2, 3, 4) }},
+		"Reshape":   {1, func() *Tensor { return benchSink.Reshape(4, 6) }},
+	} {
+		benchSink = New(2, 3, 4)
+		if got := testing.AllocsPerRun(20, func() { benchSink = tc.make() }); got != tc.want {
+			t.Errorf("%s makes %v allocations, want %v", name, got, tc.want)
+		}
+	}
+	if five := New(1, 2, 3, 4, 5); five.Rank() != 5 || five.Len() != 120 || five.Dim(4) != 5 {
+		t.Errorf("rank-5 tensor = %v", five.Shape())
+	}
+}
+
+func TestRebindReslicesInPlace(t *testing.T) {
+	buf := make([]float32, 4*6)
+	for i := range buf {
+		buf[i] = float32(i)
+	}
+	v := New(0, 2, 3)
+	if allocs := testing.AllocsPerRun(10, func() { v.Rebind(buf, 3) }); allocs != 0 {
+		t.Errorf("Rebind allocates %v times", allocs)
+	}
+	if v.Dim(0) != 3 || v.Len() != 18 || v.At(2, 1, 2) != 17 {
+		t.Fatalf("view of 3 samples = %v", v)
+	}
+	v.Set(-1, 0, 0, 0)
+	if buf[0] != -1 {
+		t.Error("the view does not share the buffer")
+	}
+	v.Rebind(buf, 1)
+	if v.Dim(0) != 1 || v.Len() != 6 {
+		t.Fatalf("view of 1 sample = %v", v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a view of more samples than the buffer holds was accepted")
+		}
+	}()
+	v.Rebind(buf, 5)
+}
