@@ -47,6 +47,7 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkClusterServe -benchtime=$(BENCHTIME) ./internal/cluster/
 	$(GO) test -run=NONE -bench='Conv|MaxPool2D|Linear' -benchtime=$(BENCHTIME) ./internal/tensor/
 	$(GO) test -run=NONE -bench=Forward -benchtime=$(BENCHTIME) ./internal/nn/
+	$(GO) test -run=NONE -bench=BenchmarkDecodeClassify -benchtime=$(BENCHTIME) ./internal/server/
 
 # The serving benchmark (BENCHMARK.json) is a Go module of its own, so
 # `go test ./...` never builds it: vet it and run its tests, a 200 ms
@@ -111,12 +112,13 @@ soak-cluster:
 soak-chaos:
 	$(GO) test -count=1 -run 'TestSoakChaos' -v ./internal/cluster/
 
-# Short-budget fuzzing of the binary decoders (state files, traces).
+# Short-budget fuzzing of the decoders of outside input (state files,
+# traces, the /v1/classify request body).
 # Seeds always run in plain `make test`; this target mutates beyond them.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime $(FUZZTIME) ./internal/core/
-	for pkg in ./internal/trace/ ./internal/workload/; do \
+	for pkg in ./internal/trace/ ./internal/workload/ ./internal/server/; do \
 		for f in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz $$f -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 		done; \

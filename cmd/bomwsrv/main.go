@@ -90,6 +90,11 @@ import (
 	"bomw/internal/server"
 )
 
+// readHeaderTimeout is how long a client may take over its request
+// headers: without a limit, one that never finishes them holds a
+// goroutine and a descriptor for as long as it likes.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	loadPath := flag.String("load", "", "load scheduler state instead of training")
@@ -234,7 +239,7 @@ func main() {
 		fmt.Printf("bomwsrv: fault injection armed on nodes %v (base seed %d)\n", faultIdx, *faultSeed)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: api}
+	srv := &http.Server{Addr: *addr, Handler: api, ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

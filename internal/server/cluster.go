@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -48,7 +47,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.handleClusterControl(w, r)
 		return
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "GET or POST required")
+		methodNotAllowed(w, "GET, POST")
 		return
 	}
 	st := s.fleet.Stats()
@@ -128,8 +127,7 @@ type ClusterAction struct {
 // driven cadence, the operator's lever after changing node state.
 func (s *Server) handleClusterControl(w http.ResponseWriter, r *http.Request) {
 	var req ClusterAction
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding cluster action: %v", err)
+	if !decodeBody(w, r, "cluster action", &req) {
 		return
 	}
 	switch req.Action {
@@ -173,8 +171,7 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]interface{}{"nodes": out})
 	case http.MethodPost:
 		var req NodeAction
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding node action: %v", err)
+		if !decodeBody(w, r, "node action", &req) {
 			return
 		}
 		var err error
@@ -202,6 +199,6 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, map[string]string{"node": req.Node, "action": req.Action, "status": "ok"})
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "GET or POST required")
+		methodNotAllowed(w, "GET, POST")
 	}
 }

@@ -40,12 +40,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -160,6 +162,34 @@ func httpErrorReason(w http.ResponseWriter, code int, reason, format string, arg
 	})
 }
 
+// methodNotAllowed answers 405 with the Allow header RFC 9110 §15.5.6
+// requires; allow is the header's value, "GET, POST" for both.
+func methodNotAllowed(w http.ResponseWriter, allow string) {
+	w.Header().Set("Allow", allow)
+	httpError(w, http.StatusMethodNotAllowed, "%s required", strings.ReplaceAll(allow, ", ", " or "))
+}
+
+// maxControlBody bounds the body of the control-plane POSTs
+// (/v1/models, /v1/cluster, /v1/nodes), each a small JSON object.
+const maxControlBody = 1 << 20
+
+// decodeBody unmarshals the whole body of a control-plane POST into v —
+// a body over maxControlBody is a 413, bytes after the object a 400 —
+// and reports whether it did; when not, the error, which names what,
+// is already written.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v interface{}) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBody))
+	if err != nil {
+		httpError(w, bodyErrorStatus(err), "reading %s: %v", what, err)
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		httpError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+		return false
+	}
+	return true
+}
+
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -182,7 +212,16 @@ func retryAfter(backlog time.Duration) string {
 
 // ---- /v1/classify ------------------------------------------------------
 
-// ClassifyRequest is the POST /v1/classify payload.
+// ClassifyRequest is the POST /v1/classify payload. It is the type
+// clients encode with; the server reads the same JSON with its own
+// single-pass decoder (decodeClassify), which takes exactly what
+// json.Unmarshal into this struct takes — keys in any case, the last of
+// a repeated key, unknown fields skipped, null for "absent" on any of
+// the four fields — and differs in one place: a null where a sample or
+// a sample value is expected is a 400 that names the sample, where
+// Unmarshal would leave a 0. null is what JavaScript's JSON.stringify
+// writes for NaN and Infinity, and a client's numeric bug should not be
+// answered with a label.
 type ClassifyRequest struct {
 	Model   string      `json:"model"`
 	Policy  string      `json:"policy"` // best-throughput | lowest-latency | energy-efficiency
@@ -233,73 +272,95 @@ func parsePolicy(s string) (core.Policy, error) {
 // model takes.
 const maxClassifyBody = 32 << 20
 
-// readClassifyBody reads the whole request body, at most maxClassifyBody
-// bytes of it: into a buffer of exactly Content-Length when the client
-// declared one (json.Decoder's doubling buffer allocated three and a
-// half times a 296 KB body to hold it), by io.ReadAll under the same cap
-// when the body is chunked.
-func readClassifyBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, maxClassifyBody)
-	if r.ContentLength < 0 {
-		return io.ReadAll(body)
+// maxPooledBody is the largest body buffer bodyPool keeps: room for a
+// batch of two hundred mnist images, so steady traffic reuses its
+// buffers and one 32 MiB request does not pin 32 MiB for good.
+const maxPooledBody = 1 << 20
+
+// bodyPool holds /v1/classify body buffers between requests. A handler
+// owns its buffer from readClassifyBody to releaseBody, and
+// decodeClassify leaves nothing pointing into it.
+var bodyPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+
+// releaseBody gives a body buffer back once its request is decoded.
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
 	}
+}
+
+// readClassifyBody reads the whole request body, at most maxClassifyBody
+// bytes of it, into a pooled buffer, sized by Content-Length when the
+// client declared one (plus the spare bytes.MinRead that ReadFrom wants
+// before it will find EOF without growing). The caller releases it.
+func readClassifyBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	if r.ContentLength > maxClassifyBody {
 		return nil, &http.MaxBytesError{Limit: maxClassifyBody}
 	}
-	buf := make([]byte, r.ContentLength)
-	_, err := io.ReadFull(body, buf)
-	return buf, err
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if r.ContentLength > 0 {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxClassifyBody)); err != nil {
+		releaseBody(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// bodyErrorStatus maps a body read error to its status: 413 when the
+// body ran over its cap, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	body, err := readClassifyBody(w, r)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "reading request: %v", err)
+		httpError(w, bodyErrorStatus(err), "reading request: %v", err)
 		return
 	}
-	var req ClassifyRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeClassify(body.Bytes())
+	releaseBody(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	pol, err := parsePolicy(req.Policy)
+	pol, err := parsePolicy(req.policy)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Samples) == 0 {
+	if req.rows == 0 {
 		httpError(w, http.StatusBadRequest, "no samples")
 		return
 	}
-	spec, err := s.sched.Dispatcher().Spec(req.Model)
+	spec, err := s.sched.Dispatcher().Spec(req.model)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	// Flatten samples into the model's input tensor.
+	// The decoded values are the model's input tensor once every sample
+	// has the model's width.
 	per := 1
 	for _, d := range spec.InputShape {
 		per *= d
 	}
-	flat := make([]float32, 0, len(req.Samples)*per)
-	for i, sm := range req.Samples {
-		if len(sm) != per {
-			httpError(w, http.StatusBadRequest, "sample %d has %d values, model %s needs %d", i, len(sm), req.Model, per)
-			return
-		}
-		flat = append(flat, sm...)
+	if i, n, wrong := req.wrongRow(per); wrong {
+		httpError(w, http.StatusBadRequest, "sample %d has %d values, model %s needs %d", i, n, req.model, per)
+		return
 	}
-	shape := append([]int{len(req.Samples)}, spec.InputShape...)
-	in := tensor.FromSlice(flat, shape...)
+	shape := append([]int{req.rows}, spec.InputShape...)
+	in := tensor.FromSlice(req.flat, shape...)
 
 	// Hand the request to the routing tier and wait on its future. The
 	// router picks a node per the active policy and fails over past shed
@@ -308,13 +369,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// request at the next stage boundary instead of executing it.
 	var deadline time.Duration
 	switch {
-	case req.TimeoutMS > 0:
-		deadline = time.Duration(req.TimeoutMS) * time.Millisecond
-	case req.TimeoutMS < 0:
+	case req.timeoutMS > 0:
+		deadline = time.Duration(req.timeoutMS) * time.Millisecond
+	case req.timeoutMS < 0:
 		deadline = -1 // explicit SLO opt-out
 	}
 	fut, err := s.fleet.Submit(r.Context(), core.PipelineRequest{
-		Model:    req.Model,
+		Model:    req.model,
 		Policy:   pol,
 		Input:    in,
 		Deadline: deadline,
@@ -370,7 +431,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ClassifyResponse{
-		Model:     req.Model,
+		Model:     req.model,
 		Device:    c.Decision.Device,
 		Policy:    c.Decision.Policy.String(),
 		GPUWarm:   c.Decision.GPUWarm,
@@ -418,8 +479,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]interface{}{"models": s.sched.Dispatcher().Models()})
 	case http.MethodPost:
 		var m ModelSpec
-		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding model spec: %v", err)
+		if !decodeBody(w, r, "model spec", &m) {
 			return
 		}
 		spec, err := m.ToSpec()
@@ -449,7 +509,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusCreated)
 		_ = json.NewEncoder(w).Encode(map[string]string{"loaded": spec.Name})
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "GET or POST required")
+		methodNotAllowed(w, "GET, POST")
 	}
 }
 
@@ -468,7 +528,7 @@ type DeviceStatus struct {
 
 func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	now := s.now()
@@ -505,7 +565,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 // (GET /v1/decisions?n=50).
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	n := 50
@@ -529,7 +589,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // load shed, batch flush triggers and live per-device queue depths.
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	st := s.pipe.Stats()
@@ -558,7 +618,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	st := s.sched.Stats()

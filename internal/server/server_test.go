@@ -486,3 +486,77 @@ func (spaces) Read(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// The three control-plane POSTs read a bounded body and parse all of
+// it: over the cap is a 413 and anything after the object a 400, and
+// in neither case is the action taken.
+func TestControlPostBodiesAreBoundedAndParsedWhole(t *testing.T) {
+	ts := testServer(t)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/models", `{"name":"never-loaded","kind":"ffnn","input_shape":[4],"hidden":[4],"classes":2}`},
+		{"/v1/cluster", `{"action":"sweep"}`},
+		{"/v1/nodes", `{"node":"nope","action":"readmit"}`},
+	} {
+		for name, c := range map[string]struct {
+			body io.Reader
+			want int
+		}{
+			"over the cap":     {io.MultiReader(strings.NewReader(tc.body), io.LimitReader(spaces{}, maxControlBody)), http.StatusRequestEntityTooLarge},
+			"trailing garbage": {strings.NewReader(tc.body + `{"x":1}`), http.StatusBadRequest},
+		} {
+			rec := httptest.NewRecorder()
+			ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, c.body))
+			if rec.Code != c.want {
+				t.Errorf("POST %s, %s: status %d, want %d (%s)", tc.path, name, rec.Code, c.want, strings.TrimSpace(rec.Body.String()))
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed struct {
+		Models []string `json:"models"`
+	}
+	decode(t, resp, &listed)
+	for _, m := range listed.Models {
+		if m == "never-loaded" {
+			t.Error("a refused POST /v1/models loaded its model")
+		}
+	}
+}
+
+// Every endpoint answers a method it does not take with 405 and the
+// Allow header that says which it does (RFC 9110 §15.5.6).
+func TestMethodNotAllowedNamesTheAllowedMethods(t *testing.T) {
+	ts := testServer(t)
+	for path, allow := range map[string]string{
+		"/v1/classify":  "POST",
+		"/v1/models":    "GET, POST",
+		"/v1/devices":   "GET",
+		"/v1/stats":     "GET",
+		"/v1/decisions": "GET",
+		"/v1/pipeline":  "GET",
+		"/v1/cluster":   "GET, POST",
+		"/v1/nodes":     "GET, POST",
+	} {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		decode(t, resp, &out)
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != allow {
+			t.Errorf("PUT %s: status %d, Allow %q; want 405, %q", path, resp.StatusCode, resp.Header.Get("Allow"), allow)
+		}
+		if want := strings.ReplaceAll(allow, ", ", " or ") + " required"; out.Error != want {
+			t.Errorf("PUT %s: error %q, want %q", path, out.Error, want)
+		}
+	}
+}
