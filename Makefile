@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint lint-json lint-sarif race bench bench-check bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test vet vet-portable lint lint-json lint-sarif race bench bench-check bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -15,6 +15,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The port without the assembly (internal/tensor/simd_noasm.go): no
+# runner executes it, so build and vet it — a missing stub, or a Go
+# declaration that drifted from simd_amd64.s, shows here or in vet's
+# asmdecl check above.
+vet-portable:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 # Project-specific invariants go vet cannot see: virtual-clock
 # discipline, lock scope, guarded counters, sentinel errors, context
@@ -45,7 +52,7 @@ BENCHTIME ?= 2s
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkPipelineServe -benchtime=$(BENCHTIME) ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkClusterServe -benchtime=$(BENCHTIME) ./internal/cluster/
-	$(GO) test -run=NONE -bench='Conv|MaxPool2D|Linear' -benchtime=$(BENCHTIME) ./internal/tensor/
+	$(GO) test -run=NONE -bench='Conv|MaxPool2D|Linear|Forward' -benchtime=$(BENCHTIME) ./internal/tensor/
 	$(GO) test -run=NONE -bench=Forward -benchtime=$(BENCHTIME) ./internal/nn/
 	$(GO) test -run=NONE -bench=BenchmarkDecodeClassify -benchtime=$(BENCHTIME) ./internal/server/
 
@@ -113,12 +120,14 @@ soak-chaos:
 	$(GO) test -count=1 -run 'TestSoakChaos' -v ./internal/cluster/
 
 # Short-budget fuzzing of the decoders of outside input (state files,
-# traces, the /v1/classify request body).
+# traces, the /v1/classify request body) and of the vector kernels
+# against the Go kernels they stand in for (internal/tensor; they skip
+# on a host without AVX2).
 # Seeds always run in plain `make test`; this target mutates beyond them.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime $(FUZZTIME) ./internal/core/
-	for pkg in ./internal/trace/ ./internal/workload/ ./internal/server/; do \
+	for pkg in ./internal/trace/ ./internal/workload/ ./internal/server/ ./internal/tensor/; do \
 		for f in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz $$f -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 		done; \

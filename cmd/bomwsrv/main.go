@@ -88,6 +88,7 @@ import (
 	"bomw/internal/models"
 	"bomw/internal/opencl"
 	"bomw/internal/server"
+	"bomw/internal/tensor"
 )
 
 // readHeaderTimeout is how long a client may take over its request
@@ -246,7 +247,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Printf("bomwsrv: %d models loaded on %d node(s), serving on %s\n", len(models.PaperModels()), *nodes, *addr)
+	fmt.Printf("bomwsrv: %d models loaded on %d node(s), serving on %s (%s tensor kernels)\n", len(models.PaperModels()), *nodes, *addr, tensor.KernelISA())
 
 	select {
 	case err := <-errCh:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -596,14 +597,20 @@ type batchWork struct {
 
 	hedgeReqs  []*pipeReq // snapshot for the hedge path (immutable)
 	hedgeTimer *time.Timer
+
+	// stacked backs the input tensor of a batch of several requests
+	// (stackInputs); like reqs it is kept across reuse, so merging two
+	// clients' requests does not allocate a copy of both.
+	stacked []float32
 }
 
 // Pools for the per-batch carriers. Both keep their []*pipeReq backing
-// across reuse — the flush path copy-culls the aggregate's requests into
-// the batchWork's own backing, so steady-state batching allocates
-// neither carriers nor slices. Hedged batches opt out of pooling (the
-// timer closure and its snapshot alias the work), trading a rare
-// allocation for an obviously safe lifecycle.
+// (and the batch its stacked-input backing) across reuse — the flush
+// path copy-culls the aggregate's requests into the batchWork's own
+// backing, so steady-state batching allocates neither carriers nor
+// slices. Hedged batches opt out of pooling (the timer closure and its
+// snapshot alias the work), trading a rare allocation for an obviously
+// safe lifecycle.
 var (
 	aggPool = sync.Pool{New: func() any { return &aggregate{} }}
 	bwPool  = sync.Pool{New: func() any { return &batchWork{} }}
@@ -632,9 +639,9 @@ func clearReqs(s []*pipeReq) {
 
 func getBatchWork() *batchWork {
 	w := bwPool.Get().(*batchWork)
-	reqs := w.reqs[:0] // keep the recycled backing
+	reqs, stacked := w.reqs[:0], w.stacked[:0] // keep the recycled backings
 	*w = batchWork{}
-	w.reqs = reqs
+	w.reqs, w.stacked = reqs, stacked
 	return w
 }
 
@@ -1093,9 +1100,7 @@ func (p *Pipeline) shardLoop(sh *admitShard) {
 				p.armTimers(sh)
 			}
 		case m := <-sh.flushCh:
-			if p.flushKey(sh, m.key, m.gen, p.cfg.Clock()) {
-				p.windowFl.Add(1)
-			}
+			p.flushKey(sh, m.key, m.gen, p.cfg.Clock(), &p.windowFl)
 		case <-sh.nudge:
 			// A worker drained the system: dispatch whatever aggregated
 			// while it was busy instead of waiting out the window.
@@ -1128,9 +1133,7 @@ func (p *Pipeline) idleSweep(sh *admitShard, now time.Duration) {
 		return
 	}
 	for key, agg := range sh.aggs {
-		if p.flushKey(sh, key, agg.gen, now) {
-			p.idleFl.Add(1)
-		}
+		p.flushKey(sh, key, agg.gen, now, &p.idleFl)
 	}
 }
 
@@ -1150,9 +1153,7 @@ func (p *Pipeline) drainShard(sh *admitShard) {
 	}
 	now := p.cfg.Clock()
 	for key, agg := range sh.aggs {
-		if p.flushKey(sh, key, agg.gen, now) {
-			p.drainFl.Add(1)
-		}
+		p.flushKey(sh, key, agg.gen, now, &p.drainFl)
 	}
 }
 
@@ -1191,9 +1192,7 @@ func (p *Pipeline) ingest(sh *admitShard, r *pipeReq, now time.Duration) {
 		// The size trigger fires inline; the work-conserving idle flush
 		// runs as a post-drain sweep (idleSweep) so a burst is judged
 		// whole, not per request.
-		if p.flushKey(sh, key, agg.gen, now) {
-			p.sizeFl.Add(1)
-		}
+		p.flushKey(sh, key, agg.gen, now, &p.sizeFl)
 	}
 }
 
@@ -1250,11 +1249,14 @@ func (p *Pipeline) cullLive(reqs []*pipeReq, now time.Duration) ([]*pipeReq, int
 
 // flushKey dispatches the aggregate identified by (key, gen) on shard
 // sh. Stale generations (already flushed, slot reused) are ignored.
-// Reports whether a batch was actually dispatched.
-func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Duration) bool {
+// trigger is the flush counter of whatever called for the flush; it is
+// counted with the batch, before a worker can see it — a batch that
+// resolves at once must not leave Stats a moment in which every future
+// is done and no flush is on record.
+func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Duration, trigger *atomic.Int64) {
 	agg := sh.aggs[key]
 	if agg == nil || agg.gen != gen {
-		return false
+		return
 	}
 	delete(sh.aggs, key)
 	sh.openAggs.Add(-1)
@@ -1293,7 +1295,7 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Dur
 	live := w.reqs
 	if len(live) == 0 {
 		retireBatchWork(w)
-		return false
+		return
 	}
 
 	// The tightest SLO in the batch drives the device pick: a
@@ -1327,7 +1329,7 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Dur
 			p.releaseReq(r)
 		}
 		retireBatchWork(w)
-		return false
+		return
 	}
 	dq := p.queues[dec.Device]
 	if dq == nil { // defensive: scheduler named an unknown device
@@ -1337,7 +1339,7 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Dur
 			p.releaseReq(r)
 		}
 		retireBatchWork(w)
-		return false
+		return
 	}
 	w.key, w.size, w.flushAt, w.deadline, w.dec = key, size, now, minDL, dec
 	w.charge, w.clkCharge = dq.chargeBatch(size)
@@ -1357,11 +1359,11 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Dur
 	}
 	p.inflight.Add(1)
 	p.batches.Add(1)
+	trigger.Add(1)
 	// A full device queue blocks here: backpressure propagates through
 	// the shard's admit loop into its bounded admission queue, which
 	// sheds.
 	dq.ch <- w
-	return true
 }
 
 // ---- stage 3: per-device workers ---------------------------------------
@@ -1411,14 +1413,18 @@ func (p *Pipeline) stopHedge(w *batchWork) {
 // releasing the attempt's queue charges (dq may be nil when the failover
 // device has no queue) and folding the observed virtual and clock
 // latencies into the queue's per-sample estimates.
-func (p *Pipeline) executeAttempt(dq *deviceQueue, key aggKey, reqs []*pipeReq, size int, dec Decision, virtCharge, clkCharge, clkStart time.Duration) (*opencl.Result, error) {
+//
+// stacked is where a batch of several requests stacks its inputs: the
+// batch's own backing on the worker, which runs its attempts one after
+// the other, nil on the hedge path, which may run beside them.
+func (p *Pipeline) executeAttempt(dq *deviceQueue, key aggKey, reqs []*pipeReq, size int, dec Decision, virtCharge, clkCharge, clkStart time.Duration, stacked *[]float32) (*opencl.Result, error) {
 	now := p.cfg.Clock()
 	var res *opencl.Result
 	var err error
 	if key.estimate {
 		res, err = p.sched.rt.Estimate(dec.Device, key.model, size, now)
 	} else {
-		res, err = p.sched.rt.Classify(dec.Device, key.model, concatInputs(reqs, size), now)
+		res, err = p.sched.rt.Classify(dec.Device, key.model, stackInputs(reqs, size, stacked), now)
 	}
 	var observed time.Duration
 	if err == nil {
@@ -1460,7 +1466,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		return
 	}
 	dec := w.dec
-	res, err := p.executeAttempt(dq, w.key, live, size, dec, w.charge, w.clkCharge, clkStart)
+	res, err := p.executeAttempt(dq, w.key, live, size, dec, w.charge, w.clkCharge, clkStart, &w.stacked)
 	if err != nil {
 		excluded := map[string]bool{dec.Device: true}
 		p.sched.ReportExecution(dec.Device, err)
@@ -1485,7 +1491,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 			if rq != nil {
 				charge, clkCharge = rq.chargeBatch(size)
 			}
-			res, err = p.executeAttempt(rq, w.key, live, size, next, charge, clkCharge, p.cfg.Clock())
+			res, err = p.executeAttempt(rq, w.key, live, size, next, charge, clkCharge, p.cfg.Clock(), &w.stacked)
 			p.sched.ReportExecution(next.Device, err)
 			if err != nil {
 				excluded[next.Device] = true
@@ -1574,7 +1580,7 @@ func (p *Pipeline) hedge(w *batchWork) {
 	if rq != nil {
 		charge, clkCharge = rq.chargeBatch(size)
 	}
-	res, err := p.executeAttempt(rq, w.key, reqs, size, next, charge, clkCharge, now)
+	res, err := p.executeAttempt(rq, w.key, reqs, size, next, charge, clkCharge, now, nil)
 	p.sched.ReportExecution(next.Device, err)
 	if err != nil {
 		return // the primary attempt still owns the batch
@@ -1645,14 +1651,27 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 // are only read from here on, so a primary and a hedged attempt may hold
 // the same one.
 func concatInputs(reqs []*pipeReq, size int) *tensor.Tensor {
+	return stackInputs(reqs, size, nil)
+}
+
+// stackInputs is concatInputs into *stacked, whose backing it reuses and
+// grows; the caller must not share it with a concurrent attempt. nil
+// allocates.
+func stackInputs(reqs []*pipeReq, size int, stacked *[]float32) *tensor.Tensor {
 	first := reqs[0].req.Input
 	if len(reqs) == 1 {
 		return first
 	}
-	per := first.Len() / first.Dim(0)
-	flat := make([]float32, 0, size*per)
+	var flat []float32
+	if stacked != nil {
+		flat = (*stacked)[:0]
+	}
+	flat = slices.Grow(flat, size*(first.Len()/first.Dim(0)))
 	for _, r := range reqs {
 		flat = append(flat, r.req.Input.Data()...)
+	}
+	if stacked != nil {
+		*stacked = flat
 	}
 	shape := append([]int{size}, first.Shape()[1:]...)
 	return tensor.FromSlice(flat, shape...)

@@ -541,3 +541,37 @@ func TestConcatInputsPassesASingleRequestThrough(t *testing.T) {
 		t.Errorf("stacked batch = %v", got)
 	}
 }
+
+// A flush is counted with its batch, before a worker can see the batch:
+// timing-only batches of one request resolve as fast as the host can run
+// them, and with a device queue of one the batcher spends most of a
+// round parked on that queue while the worker resolves what it has
+// already handed over. Whenever every future of a round has resolved,
+// each dispatched batch must already be on record under its trigger.
+func TestFlushIsCountedBeforeItsBatchCanResolve(t *testing.T) {
+	s := testScheduler(t)
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, AdmitShards: 1, DeviceQueueDepth: 1, Window: time.Hour, HoldWindow: true})
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	futs := make([]*Future, 32)
+	for round := 0; round < 200; round++ {
+		for i := range futs {
+			fut, err := p.Submit(ctx, PipelineRequest{Model: "simple", Policy: BestThroughput, Batch: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs[i] = fut
+		}
+		for _, fut := range futs {
+			if _, err := fut.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := p.Stats()
+		if flushes := st.SizeFlushes + st.WindowFlushes + st.IdleFlushes + st.DrainFlushes; flushes != st.Batches {
+			t.Fatalf("round %d: every future resolved, %d batches dispatched, %d flushes on record (%+v)", round, st.Batches, flushes, st)
+		}
+	}
+}

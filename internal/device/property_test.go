@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +9,13 @@ import (
 
 // Property-based checks on the cost models: for arbitrary (bounded)
 // workloads and batch sizes, the physics must stay sane.
+
+// propertyConfig draws a property's inputs from a fixed seed: tier-1
+// runs the same cases every time, and a property that is false
+// somewhere is written down as a named case instead of rolled for.
+func propertyConfig(count int) *quick.Config {
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(1))}
+}
 
 func boundedWorkload(flops, bytes, items uint16) Workload {
 	return Workload{
@@ -38,7 +46,7 @@ func TestPropertyLatencyEnergyPositive(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, propertyConfig(150)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,7 +64,7 @@ func TestPropertyMoreWorkNeverFaster(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, propertyConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +80,7 @@ func TestPropertyColdNeverFasterThanWarm(t *testing.T) {
 		rw := warm.Execute(0, w, n)
 		return rc.Latency >= rw.Latency && rc.EnergyJ() >= rw.EnergyJ()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, propertyConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,18 +100,21 @@ func TestPropertyQueueConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, propertyConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPropertyEnergyAdditiveOverSplit(t *testing.T) {
 	// Charging one batch of 2n must not cost more energy than two
-	// batches of n (fixed costs amortise; never the other way).
+	// batches of n (fixed costs amortise; never the other way) — once a
+	// batch of n fills the device. Below that, utilization, and with it
+	// dynamic power, still rises with the batch: see the case below.
 	f := func(flops, bytes, items uint16, nRaw uint16) bool {
-		n := 1 + int(nRaw)%10000
 		w := boundedWorkload(flops, bytes, items)
 		for _, p := range []Profile{IntelCoreI7_8700(), IntelUHD630()} {
+			saturating := (int64(p.ParallelWidth) + w.AvgLayerWidth - 1) / w.AvgLayerWidth
+			n := max(1+int(nRaw)%10000, int(saturating))
 			whole := New(p).Execute(0, w, 2*n).EnergyJ()
 			d := New(p)
 			split := d.Execute(0, w, n).EnergyJ() + d.Execute(0, w, n).EnergyJ()
@@ -113,9 +124,33 @@ func TestPropertyEnergyAdditiveOverSplit(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, propertyConfig(100)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The exception to the property above, as testing/quick once found it
+// (inputs 0xf8a1, 0xbbc3, 0xa1e, 0x271a: a batch of 11 whose 31 work-
+// items per layer fill a quarter of the UHD 630's 1344 lanes). An
+// unsaturated, memory-bound batch takes time in proportion to its size
+// at a utilization in proportion to its size, so its dynamic energy
+// grows with the square: 22 samples at once are charged more than 11
+// twice. The model is left as it is — no virtual-clock result may move
+// for a test's sake — and the deviation is pinned here.
+func TestEnergyOfAnUnsaturatedBatchIsNotAdditive(t *testing.T) {
+	w := boundedWorkload(0xf8a1, 0xbbc3, 0xa1e)
+	const n = 1 + 0x271a%10000
+	p := IntelUHD630()
+	if int64(n)*w.AvgLayerWidth >= int64(p.ParallelWidth) {
+		t.Fatalf("a batch of %d × %d work-items saturates %s: not the recorded case", n, w.AvgLayerWidth, p.Name)
+	}
+	whole := New(p).Execute(0, w, 2*n).EnergyJ()
+	d := New(p)
+	split := d.Execute(0, w, n).EnergyJ() + d.Execute(0, w, n).EnergyJ()
+	if whole <= split {
+		t.Fatalf("one batch of %d is charged %.6g J, two of %d %.6g J: the recorded exception is gone — restate TestPropertyEnergyAdditiveOverSplit over every n", 2*n, whole, n, split)
+	}
+	t.Logf("one batch of %d: %.6g J; two of %d: %.6g J (×%.3f)", 2*n, whole, n, split, whole/split)
 }
 
 func TestPropertyBoostIntegrateConsistency(t *testing.T) {
@@ -132,7 +167,7 @@ func TestPropertyBoostIntegrateConsistency(t *testing.T) {
 		full, _ := d.boostIntegrate(work, 1)
 		return full == work
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, propertyConfig(200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,6 +13,9 @@ var benchSink *tensor.Tensor
 // benchForward feeds the serving benchmark's input pattern (k/1000,
 // k in 1..999, never zero): an all-zero input took MatMul's av == 0 skip
 // and, after ReLU, kept taking it, which read several times too fast.
+// The rows run the kernels the dispatch rule picks on this host; the
+// same passes pinned to the Go kernels are internal/tensor's
+// BenchmarkForward*/portable.
 func benchForward(b *testing.B, spec *Spec, batch int) {
 	net := spec.MustBuild(1)
 	shape := append([]int{batch}, spec.InputShape...)
@@ -27,6 +30,7 @@ func benchForward(b *testing.B, spec *Spec, batch int) {
 	for i := 0; i < b.N; i++ {
 		benchSink = net.Forward(tensor.Default, in)
 	}
+	b.ReportMetric(float64(batch)*float64(net.FlopsPerSample())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // The five paper models (internal/models imports this package, so the

@@ -186,7 +186,14 @@ func TestPaperModelsForwardBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, spec := range identitySpecs() {
 		net := spec.MustBuild(1)
-		for _, batch := range []int{1, 2, 8} {
+		// 16 and 17 fill the vector kernels' sample lanes twice over, with
+		// and without a ragged last panel; the two MNIST FFNNs, whose
+		// reference is cheap, also run http_mnist_b64's batch.
+		batches := []int{1, 2, 8, 16, 17}
+		if spec.Kind == nn.FFNN && spec.InputShape[0] == 784 {
+			batches = append(batches, 64)
+		}
+		for _, batch := range batches {
 			in := identityInput(rng, append([]int{batch}, spec.InputShape...)...)
 			want := referenceForward(net, in)
 			for _, pool := range identityPools {

@@ -79,7 +79,13 @@ func (l *Dense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 
 // ForwardInto implements Layer.
 func (l *Dense) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
-	tensor.LinearInto(pool, out, in, l.W, l.B, l.Act)
+	l.forwardPanel(pool, in, out, nil)
+}
+
+// forwardPanel is ForwardInto with the plan's scratch for the vector
+// kernel, which only a caller with an arena can offer.
+func (l *Dense) forwardPanel(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32) {
+	tensor.LinearPanelInto(pool, out, in, l.W, l.B, l.Act, panel)
 }
 
 // OutputShape implements Layer.

@@ -18,17 +18,29 @@ import (
 // still multiplies a stored zero. A convolution followed by a max-pool is
 // one step (tensor.ConvPoolInto), a Flatten is no step at all: the next
 // layer reads the same buffer through a view of the flattened shape.
+//
+// One more buffer belongs to no view: the panel, scratch in which a
+// fully connected layer's vector kernel lays the batch out a sample per
+// lane (tensor.LinearPanelInto). Each such step overwrites it before
+// reading it, so one serves them all, sized for the largest.
 type plan struct {
 	steps []step
 	views []view
-	bufs  []int // per-sample float32 volume of each arena buffer, border included
+	bufs  []int    // per-sample float32 volume of each arena buffer, border included
+	dense [][2]int // fan-in and fan-out of every step that takes the panel
 }
 
-// step is one kernel launch: run reads views[in] and fills views[out].
+// step is one kernel launch: run reads views[in] and fills views[out],
+// with the arena's panel for scratch.
 type step struct {
 	name    string
-	run     func(pool *tensor.Pool, in, out *tensor.Tensor)
+	run     func(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32)
 	in, out int
+}
+
+// A panelLayer is a fully connected layer whose kernel can use the panel.
+type panelLayer interface {
+	forwardPanel(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32)
 }
 
 // view is one tensor shape over a buffer.
@@ -60,16 +72,21 @@ func compile(name string, inputShape []int, layers []Layer) (*plan, []int) {
 		conv, _ := l.(*Conv)
 		if conv != nil && conv.Pad > 0 && p.views[cur].buf == inputBuf {
 			// The caller's tensor has no border: copy it into one that has.
-			cur = p.step("pad", func(_ *tensor.Pool, in, out *tensor.Tensor) { tensor.Pad2DInto(out, in) },
+			cur = p.step("pad", func(_ *tensor.Pool, in, out *tensor.Tensor, _ []float32) { tensor.Pad2DInto(out, in) },
 				cur, shape, conv.Pad)
 		}
-		stepName, run := l.Name(), l.ForwardInto
+		stepName, run := l.Name(), func(pool *tensor.Pool, in, out *tensor.Tensor, _ []float32) { l.ForwardInto(pool, in, out) }
+		fanIn := shape[0]
 		shape = l.OutputShape(shape)
 		checkShape(name, l.Name(), shape)
+		if pl, ok := l.(panelLayer); ok {
+			run = pl.forwardPanel
+			p.dense = append(p.dense, [2]int{fanIn, shape[0]})
+		}
 		if conv != nil && i+1 < len(layers) {
 			if mp, ok := layers[i+1].(*MaxPool); ok {
 				stepName += "+" + mp.Name()
-				run = func(pool *tensor.Pool, in, out *tensor.Tensor) {
+				run = func(pool *tensor.Pool, in, out *tensor.Tensor, _ []float32) {
 					tensor.ConvPoolInto(pool, out, in, conv.Filters, conv.Bias, conv.Act, mp.K)
 				}
 				shape = mp.OutputShape(shape)
@@ -110,7 +127,7 @@ func (p *plan) view(buf int, shape []int, border int) int {
 
 // step adds a step that reads view in and writes a new buffer of the
 // given per-sample shape and border; it returns the view of that buffer.
-func (p *plan) step(name string, run func(*tensor.Pool, *tensor.Tensor, *tensor.Tensor), in int, shape []int, border int) int {
+func (p *plan) step(name string, run func(*tensor.Pool, *tensor.Tensor, *tensor.Tensor, []float32), in int, shape []int, border int) int {
 	out := p.view(len(p.bufs), shape, border)
 	vol := 1
 	for _, d := range p.views[out].shape {
@@ -121,17 +138,29 @@ func (p *plan) step(name string, run func(*tensor.Pool, *tensor.Tensor, *tensor.
 	return out
 }
 
+// panelLen returns the panel a batch of the given size wants: the most
+// any of the plan's fully connected steps asks for, which is nothing
+// where all of them run the Go kernel.
+func (p *plan) panelLen(batch int) int {
+	n := 0
+	for _, d := range p.dense {
+		n = max(n, tensor.LinearPanelLen(batch, d[0], d[1]))
+	}
+	return n
+}
+
 // An arena is the activation memory of one forward pass at a time: the
 // plan's buffers, each laid out sample after sample so that the first
-// n·volume elements serve a batch of n, and one tensor header per view.
-// Buffers are allocated — zeroed, which is what writes the borders —
-// when the arena first meets a batch larger than it holds; a pass
-// overwrites every interior element of the samples it uses and no
+// n·volume elements serve a batch of n, one tensor header per view, and
+// the panel. Buffers are allocated — zeroed, which is what writes the
+// borders — when the arena first meets a batch larger than it holds; a
+// pass overwrites every interior element of the samples it uses and no
 // border, so whatever an earlier, larger batch left behind is never read.
 type arena struct {
 	samples int // the batch the buffers hold
 	bufs    [][]float32
 	views   []*tensor.Tensor
+	panel   []float32
 }
 
 // run executes the plan over a for the batch in in and returns the view
@@ -149,6 +178,9 @@ func (p *plan) run(pool *tensor.Pool, a *arena, in *tensor.Tensor) *tensor.Tenso
 		for i, vol := range p.bufs {
 			a.bufs[i] = make([]float32, batch*vol)
 		}
+		if n := p.panelLen(batch); n > 0 {
+			a.panel = make([]float32, n)
+		}
 		a.samples = batch
 	}
 	for i, v := range p.views {
@@ -159,7 +191,7 @@ func (p *plan) run(pool *tensor.Pool, a *arena, in *tensor.Tensor) *tensor.Tenso
 		a.views[i].Rebind(data, batch)
 	}
 	for _, s := range p.steps {
-		s.run(pool, a.views[s.in], a.views[s.out])
+		s.run(pool, a.views[s.in], a.views[s.out], a.panel)
 	}
 	return a.views[len(a.views)-1]
 }

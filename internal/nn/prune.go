@@ -136,7 +136,12 @@ func (l *HalfDense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor
 
 // ForwardInto implements Layer.
 func (l *HalfDense) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
-	tensor.LinearInto(pool, out, in, l.expanded, l.B, l.Act)
+	l.forwardPanel(pool, in, out, nil)
+}
+
+// forwardPanel is ForwardInto with the plan's scratch, as Dense's is.
+func (l *HalfDense) forwardPanel(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32) {
+	tensor.LinearPanelInto(pool, out, in, l.expanded, l.B, l.Act, panel)
 }
 
 // OutputShape implements Layer.

@@ -23,17 +23,35 @@ func BenchmarkMatMulSerial256(b *testing.B) {
 // benchSink keeps the compiler from discarding the measured call.
 var benchSink *Tensor
 
+// reportGFLOPS adds the rate at which the timed loop retired flops
+// floating-point operations per iteration.
+func reportGFLOPS(b *testing.B, flops int64) {
+	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 // The mnist-small 784→800 layer at the benchmark's two batch sizes, on
 // the pools the scheduler's CPU (GroupSize 4096) and iGPU (256) devices
-// hand to the kernel. randTensor has no exact zeros, so the numbers are
-// comparable with MatMul's, whose av == 0 skip never fires either.
+// hand to the kernel, as nn's plan calls it: into a buffer it owns, with
+// the arena's panel. "dispatch" is the kernel the rule picks on this
+// host (KernelISA), "portable" the Go kernel whatever the host.
+// randTensor has no exact zeros, so the numbers are comparable with
+// MatMul's, whose av == 0 skip never fires either.
 func benchLinear(b *testing.B, pool *Pool, m int) {
 	rng := rand.New(rand.NewSource(1))
 	in, w, bias := randTensor(rng, m, 784), randTensor(rng, 800, 784), randTensor(rng, 800)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = Linear(pool, in, w, bias, ReLU)
+	out, panel := New(m, 800), make([]float32, LinearPanelLen(m, 784, 800))
+	flops := int64(m) * 800 * (2*784 + 1 + ReLU.FlopsPerElement())
+	for _, path := range []struct {
+		name  string
+		panel []float32
+	}{{"dispatch", panel}, {"portable", nil}} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				LinearPanelInto(pool, out, in, w, bias, ReLU, path.panel)
+			}
+			reportGFLOPS(b, flops)
+		})
 	}
 }
 
@@ -105,19 +123,32 @@ func BenchmarkConv2DMnistCNN2(b *testing.B) { benchMnistConv(b, 32, 16) }
 
 // The same two layers as the blocks nn's plan runs: conv → ReLU → 2×2
 // max-pool in one pass, into the interior of a buffer that already
-// carries the next convolution's border.
+// carries the next convolution's border. The "portable" row is the Go
+// kernel on the caller, whatever the host; the pools dispatch.
 func benchMnistConvPool(b *testing.B, inC, size, border int) {
 	rng := rand.New(rand.NewSource(2))
 	in, f, bias := randTensor(rng, 8, inC, size, size), randTensor(rng, 32, inC, 3, 3), randTensor(rng, 32)
 	out := New(8, 32, (size-2)/2+2*border, (size-2)/2+2*border)
+	conv := int64(8 * 32 * (size - 2) * (size - 2))
+	flops := conv * int64(2*inC*9+1+int(ReLU.FlopsPerElement())+1) // taps, bias, ReLU, the pool's compare
 	for _, p := range cnnPools {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ConvPoolInto(p.pool, out, in, f, bias, ReLU, 2)
 			}
+			reportGFLOPS(b, flops)
 		})
 	}
+	b.Run("portable", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < 8; s++ {
+				convFilters(out, in, f, bias, ReLU, 2, s, 0, 32)
+			}
+		}
+		reportGFLOPS(b, flops)
+	})
 }
 
 func BenchmarkConvPoolMnistCNN1(b *testing.B) { benchMnistConvPool(b, 1, 30, 1) }

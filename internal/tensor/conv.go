@@ -54,6 +54,11 @@ func Conv2DAct(pool *Pool, input, filters, bias *Tensor, act Activation) *Tensor
 // splitting or reordering a sum; zero taps are not skipped, so 0·Inf
 // yields NaN. Softmax, which needs rank-2 rows, panics as it does in
 // Apply.
+//
+// Where the host and the shape allow (vectorConv) the same accumulators
+// sit eight output columns to a vector register, eight filters in
+// flight, and the groups are whole tiles of eight; convFilters below is
+// what that path is held to.
 func ConvPoolInto(pool *Pool, out, input, filters, bias *Tensor, act Activation, k int) {
 	batch, outC, pH, pW := convDims(input, filters, bias, k)
 	checkInterior("ConvPoolInto", out, batch, outC, pH, pW)
@@ -61,18 +66,22 @@ func ConvPoolInto(pool *Pool, out, input, filters, bias *Tensor, act Activation,
 		act.Apply(pool, out) // rank 4: panics, as Conv2D followed by Apply does
 	}
 	convH, convW := input.Dim(2)-filters.Dim(2)+1, input.Dim(3)-filters.Dim(3)+1
+	kernel, tile := convFilters, 4
+	if vectorConv(convW, outC, filters.Dim(1)*filters.Dim(2)*filters.Dim(3), k, act) {
+		kernel, tile = convFiltersVec, vecTile
+	}
 	if pool.inline(batch * outC * convH * convW) {
 		for b := 0; b < batch; b++ {
-			convFilters(out, input, filters, bias, act, k, b, 0, outC) // no closure: an inline call allocates nothing
+			kernel(out, input, filters, bias, act, k, b, 0, outC) // no closure: an inline call allocates nothing
 		}
 		return
 	}
-	per := pool.perGroup(convH*convW, 4)
+	per := pool.perGroup(convH*convW, tile)
 	perSample := (outC + per - 1) / per // groups per sample
 	pool.forGroups(batch*perSample, 1, func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			first := g % perSample * per
-			convFilters(out, input, filters, bias, act, k, g/perSample, first, min(first+per, outC))
+			kernel(out, input, filters, bias, act, k, g/perSample, first, min(first+per, outC))
 		}
 	})
 }

@@ -1,0 +1,12 @@
+package tensor
+
+// UsePortableKernels makes the dispatch rule answer as it does on a host
+// without AVX2, until the returned function is called. It exists for
+// the benchmarks of package tensor_test, which print the Go kernels'
+// rate beside the dispatched one; nothing may run kernels concurrently
+// with the switch.
+func UsePortableKernels() (restore func()) {
+	was := useAVX2
+	useAVX2 = false
+	return func() { useAVX2 = was }
+}

@@ -20,6 +20,11 @@ import "fmt"
 // accumulators in flight against one input row, never from splitting or
 // reordering a sum. The one difference from MatMul: there is no av == 0
 // skip, so 0·Inf in non-finite weights yields NaN here.
+//
+// Linear and LinearInto run the Go kernel below. LinearPanelInto, given
+// scratch, runs the same sums eight samples to a vector register where
+// the host and the shape allow (vectorLinear); the Go kernel is what
+// that path is held to.
 func Linear(pool *Pool, in, w, bias *Tensor, act Activation) *Tensor {
 	m, n := linearDims(in, w, bias)
 	out := New(m, n)
@@ -30,6 +35,16 @@ func Linear(pool *Pool, in, w, bias *Tensor, act Activation) *Tensor {
 // LinearInto is Linear writing into out [m,n], which the caller owns;
 // every element of out is overwritten.
 func LinearInto(pool *Pool, out, in, w, bias *Tensor, act Activation) {
+	LinearPanelInto(pool, out, in, w, bias, act, nil)
+}
+
+// LinearPanelInto is LinearInto for a caller that brings scratch: panel,
+// at least LinearPanelLen(m, k, n) float32 whose contents do not matter
+// and are overwritten. Where that length is not zero the layer runs on
+// the vector kernel — the batch packed into panel once, a sample per
+// lane, the weights read where they are — and computes the same bits;
+// with less scratch than that, or none, the Go kernel runs.
+func LinearPanelInto(pool *Pool, out, in, w, bias *Tensor, act Activation, panel []float32) {
 	m, n := linearDims(in, w, bias)
 	if out.Rank() != 2 || out.Dim(0) != m || out.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: Linear output shape %v, want [%d %d]", out.Shape(), m, n))
@@ -37,10 +52,17 @@ func LinearInto(pool *Pool, out, in, w, bias *Tensor, act Activation) {
 	if m == 0 {
 		return
 	}
-	if pool.inline(m * n) {
-		linearNeurons(out, in, w, bias, act, 0, n) // no closure: an inline call allocates nothing
+	tile := 4
+	if need := LinearPanelLen(m, in.Dim(1), n); need > 0 && len(panel) >= need {
+		panel, tile = panel[:need], vecTile
+		packPanels(panel, in.data, m, in.Dim(1))
 	} else {
-		pool.forGroups(n, pool.perGroup(m, 4), func(lo, hi int) { linearNeurons(out, in, w, bias, act, lo, hi) })
+		panel = nil
+	}
+	if pool.inline(m * n) {
+		linearGroup(out, in, w, bias, act, panel, 0, n) // no closure: an inline call allocates nothing
+	} else {
+		pool.forGroups(n, pool.perGroup(m, tile), func(lo, hi int) { linearGroup(out, in, w, bias, act, panel, lo, hi) })
 	}
 	if act == Softmax {
 		act.Apply(pool, out)

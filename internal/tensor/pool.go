@@ -102,6 +102,31 @@ func (p *Pool) inline(items int) bool {
 	return p.workers == 1 || items <= 4*p.groupSize
 }
 
+// vectorLinear and vectorConv are the one rule that sends a call to the
+// AVX2 kernels of simd.go instead of the Go kernels: the CPU probe, and
+// a shape that fills a tile. Everything else — another GOARCH, an older
+// CPU, the shapes below — runs the Go kernels, which compute the same
+// bits.
+//
+// Linear's lanes are samples and its tile eight neurons: a batch under
+// eight rows has nothing to fill the lanes with (and at one row the
+// layer is bound by streaming its weights, not by arithmetic), a layer
+// under eight neurons no tile. Nothing smaller needs excluding: packing
+// included, 8×4×8 took 78 ns against the Go kernel's 347 (DESIGN.md §4
+// item 10).
+func vectorLinear(m, k, n int) bool {
+	return useAVX2 && m >= vecTile && n >= vecTile && k > 0
+}
+
+// ConvPoolInto's lanes are eight adjacent output columns of one row and
+// its tile eight filters of fVol taps each; the in-lane pooling scan
+// exists for windows of 1 and 2 — the last block of a row is pulled back
+// to end with it, and 8 is a multiple of nothing else that small — and
+// only Identity and ReLU are applied inside it.
+func vectorConv(convW, outC, fVol, k int, act Activation) bool {
+	return useAVX2 && convW/k*k >= vecTile && outC >= vecTile && fVol > 0 && k <= 2 && (act == Identity || act == ReLU)
+}
+
 // perGroup converts GroupSize into a kernel's own unit (a neuron, a
 // filter plane, a pooling plane) of items work-items each: how many
 // units make one group, in whole tiles and at least one tile, so that

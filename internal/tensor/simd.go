@@ -1,0 +1,113 @@
+package tensor
+
+// The drivers of the vector kernels: Linear and ConvPoolInto tiled onto
+// 8×8 micro-kernels whose eight float32 lanes are adjacent work-items —
+// samples in Linear, output columns in ConvPoolInto (DESIGN.md §4
+// item 10). vectorLinear and vectorConv (pool.go) decide who comes here;
+// the Go kernels in linear.go and conv.go are the reference these are
+// held to, bit for bit, and the only path where useAVX2 is false.
+
+// vecTile is the edge of a micro-kernel tile: the float32 lanes of a YMM
+// register, and the neurons or filters whose accumulators share one
+// load of the lanes' input.
+const vecTile = 8
+
+// useAVX2 is the CPU probe's answer, read by the dispatch rule alone.
+var useAVX2 = probeAVX2()
+
+// KernelISA names the instruction set Linear and ConvPoolInto run their
+// large shapes on in this process: "avx2", or "portable" for the Go
+// kernels alone.
+func KernelISA() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// LinearPanelLen returns how many float32 of scratch LinearPanelInto
+// wants for in [m,k] and w [n,k]: the batch packed into ⌈m/8⌉ panels of
+// [k][8], or 0 where the Go kernel runs.
+func LinearPanelLen(m, k, n int) int {
+	if !vectorLinear(m, k, n) {
+		return 0
+	}
+	return (m + vecTile - 1) / vecTile * vecTile * k
+}
+
+// packPanels lays the batch in [m,k] out for the vector kernel: panel q
+// holds samples 8q…8q+7 — the last one m-8…m-1, overlapping the one
+// before it when 8 does not divide m — as [k][8], a sample per lane.
+func packPanels(panel, in []float32, m, k int) {
+	for q := 0; q*vecTile < m; q++ {
+		i := min(q*vecTile, m-vecTile)
+		dst := panel[q*vecTile*k : (q+1)*vecTile*k]
+		p := 0
+		for ; p+vecTile <= k; p += vecTile {
+			packTile(dst, in, i, p, k)
+		}
+		for ; p < k; p++ {
+			lanes := dst[p*vecTile : (p+1)*vecTile]
+			for l := range lanes {
+				lanes[l] = in[(i+l)*k+p]
+			}
+		}
+	}
+}
+
+// linearGroup fills columns [lo, hi) of out. With a packed batch it
+// tiles them onto the vector kernel: eight neurons at a time, the last
+// tile pulled back to end at hi, each against every panel. Without one,
+// or with fewer than eight neurons — the tail group of a split — it is
+// linearNeurons.
+func linearGroup(out, in, w, bias *Tensor, act Activation, panel []float32, lo, hi int) {
+	if panel == nil || hi-lo < vecTile {
+		linearNeurons(out, in, w, bias, act, lo, hi)
+		return
+	}
+	m, k, n := in.shape[0], in.shape[1], w.shape[0]
+	var bv []float32
+	if bias != nil {
+		bv = bias.data
+	}
+	for j := lo; j < hi; j += vecTile {
+		j := min(j, hi-vecTile)
+		for q := 0; q*vecTile < m; q++ {
+			linearTile(out.data, min(q*vecTile, m-vecTile), j, n, panel[q*vecTile*k:(q+1)*vecTile*k], w.data, k, bv, act == ReLU)
+		}
+	}
+	if act == Tanh || act == Sigmoid {
+		for i := 0; i < m; i++ {
+			act.elementwise(out.data[i*n+lo : i*n+hi])
+		}
+	}
+}
+
+// convFiltersVec is convFilters over the vector kernel, for the blocks
+// vectorConv admits: tiles of eight filters, the last one pulled
+// back to end at hi, one pooled row per call. Fewer than eight filters
+// — the tail group of a split — go to the Go kernel.
+func convFiltersVec(out, in, filters, bias *Tensor, act Activation, k, b, lo, hi int) {
+	if hi-lo < vecTile {
+		convFilters(out, in, filters, bias, act, k, b, lo, hi)
+		return
+	}
+	inC, inW := in.shape[1], in.shape[3]
+	kH, kW := filters.shape[2], filters.shape[3]
+	outC, outW := out.shape[1], out.shape[3]
+	pH, pW := (in.shape[2]-kH+1)/k, (inW-kW+1)/k
+	inPlane, outPlane := in.shape[2]*inW, out.shape[2]*outW
+	origin := (outW - pW) / 2 * (outW + 1) // the interior's first element
+	var bv []float32
+	if bias != nil {
+		bv = bias.data
+	}
+	for oc := lo; oc < hi; oc += vecTile {
+		oc := min(oc, hi-vecTile)
+		for py := 0; py < pH; py++ {
+			convPoolRow(out.data, (b*outC+oc)*outPlane+origin+py*outW, outPlane,
+				in.data, b*inC*inPlane+py*k*inW, inW, inPlane, inC,
+				filters.data, oc, kH, kW, bv, pW, k, act == ReLU)
+		}
+	}
+}

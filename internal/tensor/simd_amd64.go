@@ -1,0 +1,118 @@
+package tensor
+
+// The assembly in simd_amd64.s. A kernel is reached only through the Go
+// wrapper below it, which indexes the last element of every extent the
+// kernel loads or stores — against the slice's length, not its capacity:
+// an arena buffer is longer than the batch using it — before taking a
+// pointer; a kernel never reads past what its wrapper checked to spare
+// itself a tail case.
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv0() (eax uint32)
+
+// probeAVX2 reports whether the vector kernels may run and agree with
+// the Go ones: the CPU has AVX2, the OS saves the YMM state, and this
+// build's compiler did not contract the Go kernels' s += x*w into a
+// fused multiply-add (GOAMD64=v3 does), which rounds once where VMULPS
+// and VADDPS round twice.
+func probeAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xgetbv0()&6 != 6 { // XMM and YMM state enabled in XCR0
+		return false
+	}
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx2 == 0 {
+		return false
+	}
+	// (1+2⁻¹²)² is 1 + 2⁻¹¹ + 2⁻²⁴, which rounds to 1 + 2⁻¹¹: the sum is
+	// zero unless the product went into the add unrounded.
+	return mulAdd(-(1+1.0/2048), 1+1.0/4096, 1+1.0/4096) == 0
+}
+
+//go:noinline
+func mulAdd(s, x, w float32) float32 {
+	s += x * w
+	return s
+}
+
+// linearTileAVX2 loads panel[0 : 8k], the eight rows w[t·wStride/4 :
+// t·wStride/4 + k] and, unless nil, bias[0 : 8]; it stores the eight
+// rows dst[l·dstStride/4 : l·dstStride/4 + 8]. k ≥ 1.
+//
+//go:noescape
+func linearTileAVX2(dst *float32, dstStride uintptr, panel, w *float32, wStride, k uintptr, bias *float32, relu uintptr)
+
+// linearTile fills the 8×8 tile out[i : i+8][j : j+8] of a Linear whose
+// out is [·, n] and w [·, k]: neurons j…j+7 against the samples packed
+// in panel. bias is nil or the layer's.
+func linearTile(out []float32, i, j, n int, panel, w []float32, k int, bias []float32, relu bool) {
+	if k < 1 || i < 0 || j < 0 || j+vecTile > n {
+		panic("tensor: linearTile outside its operands")
+	}
+	dst := i*n + j
+	_, _, _ = out[dst+(vecTile-1)*n+vecTile-1], panel[vecTile*k-1], w[(j+vecTile)*k-1]
+	var b *float32
+	if bias != nil {
+		_ = bias[j+vecTile-1]
+		b = &bias[j]
+	}
+	linearTileAVX2(&out[dst], uintptr(n)*4, &panel[0], &w[j*k], uintptr(k)*4, uintptr(k), b, word(relu))
+}
+
+// packTileAVX2 loads the eight rows in[l·inStride/4 : l·inStride/4 + 8]
+// and stores panel[0 : 64].
+//
+//go:noescape
+func packTileAVX2(panel, in *float32, inStride uintptr)
+
+// packTile transposes in[i : i+8][p : p+8] of a batch [·, k] into
+// panel[8p : 8p+64].
+func packTile(panel, in []float32, i, p, k int) {
+	if i < 0 || p < 0 || p+vecTile > k {
+		panic("tensor: packTile outside its operands")
+	}
+	_, _ = panel[vecTile*p+vecTile*vecTile-1], in[(i+vecTile-1)*k+p+vecTile-1]
+	packTileAVX2(&panel[vecTile*p], &in[i*k+p], uintptr(k)*4)
+}
+
+// convPoolRowAVX2 loads, for every channel c < inC, rows 0 … window+kH-2
+// and columns 0 … cols·window+kW-2 of the plane at in + c·inPlane (rows
+// inW apart), the eight filters f[t·fVol/4 : t·fVol/4 + inC·kH·kW] and,
+// unless nil, bias[0 : 8]; it stores dst[t·dstPlane/4 : t·dstPlane/4 +
+// cols] for t < 8. window is 1 or 2, cols·window ≥ 8, inC, kH, kW ≥ 1.
+//
+//go:noescape
+func convPoolRowAVX2(dst *float32, dstPlane uintptr, in *float32, inW, inPlane, inC uintptr, f *float32, fVol, kH, kW uintptr, bias *float32, cols, window, relu uintptr)
+
+// convPoolRow fills one row of cols pooled outputs in each of the eight
+// planes that start at out[dst], outPlane apart, for filters oc…oc+7:
+// the window×window max-pool of the convolution rows whose input window
+// starts at in[src], for an input of inC planes of inPlane elements in
+// rows of inW.
+func convPoolRow(out []float32, dst, outPlane int, in []float32, src, inW, inPlane, inC int, f []float32, oc, kH, kW int, bias []float32, cols, window int, relu bool) {
+	if inC < 1 || kH < 1 || kW < 1 || window < 1 || window > 2 || cols*window < vecTile || cols*window+kW-1 > inW || dst < 0 || src < 0 || oc < 0 {
+		panic("tensor: convPoolRow outside its operands")
+	}
+	fVol := inC * kH * kW
+	_, _, _ = out[dst+(vecTile-1)*outPlane+cols-1], in[src+(inC-1)*inPlane+(window+kH-2)*inW+cols*window+kW-2], f[(oc+vecTile)*fVol-1]
+	var b *float32
+	if bias != nil {
+		_ = bias[oc+vecTile-1]
+		b = &bias[oc]
+	}
+	convPoolRowAVX2(&out[dst], uintptr(outPlane)*4, &in[src], uintptr(inW)*4, uintptr(inPlane)*4, uintptr(inC),
+		&f[oc*fVol], uintptr(fVol)*4, uintptr(kH), uintptr(kW), b, uintptr(cols), uintptr(window), word(relu))
+}
+
+// word is a bool as the kernels take it.
+func word(b bool) uintptr {
+	if b {
+		return 1
+	}
+	return 0
+}
