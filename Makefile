@@ -50,6 +50,9 @@ race:
 
 BENCHTIME ?= 2s
 bench:
+	$(GO) test -run=NONE -bench='BenchmarkNewScheduler|BenchmarkLoadPaperModels' -benchtime=$(BENCHTIME) ./internal/core/
+	$(GO) test -run=NONE -bench=BenchmarkBuildDataset -benchtime=$(BENCHTIME) ./internal/characterize/
+	$(GO) test -run=NONE -bench=BenchmarkForestFit -benchtime=$(BENCHTIME) ./internal/mlsched/
 	$(GO) test -run=NONE -bench=BenchmarkPipelineServe -benchtime=$(BENCHTIME) ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkClusterServe -benchtime=$(BENCHTIME) ./internal/cluster/
 	$(GO) test -run=NONE -bench='Conv|MaxPool2D|Linear|Forward' -benchtime=$(BENCHTIME) ./internal/tensor/

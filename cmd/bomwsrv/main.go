@@ -158,8 +158,11 @@ func main() {
 		chaos = cluster.NewChaosInjector(plans)
 	}
 
+	// The offline phase, timed: what it cost goes on the start-up line.
+	offline, phase := time.Now(), "trained"
 	var sched *core.Scheduler
 	if *loadPath != "" {
+		phase = "restored"
 		f, err2 := os.Open(*loadPath)
 		if err2 != nil {
 			fmt.Fprintln(os.Stderr, err2)
@@ -175,12 +178,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	trained, loading := time.Since(offline), time.Now()
+	var weightBytes int64
 	for _, spec := range models.PaperModels() {
 		if err := sched.LoadModel(spec, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		if net, err := sched.Dispatcher().Network(spec.Name); err == nil {
+			weightBytes += net.ParamBytes()
+		}
 	}
+	loaded := time.Since(loading)
 
 	if *nodes > 1 {
 		fmt.Printf("bomwsrv: replicating into a %d-node fleet (%s routing)…\n", *nodes, policy.Name())
@@ -247,7 +256,12 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Printf("bomwsrv: %d models loaded on %d node(s), serving on %s (%s tensor kernels)\n", len(models.PaperModels()), *nodes, *addr, tensor.KernelISA())
+	held := fmt.Sprintf("%.1f MB of weights", float64(weightBytes)/1e6)
+	if *nodes > 1 {
+		held += fmt.Sprintf(" (shared by %d nodes)", *nodes)
+	}
+	fmt.Printf("bomwsrv: %s in %.2fs, %d models loaded in %.2fs, %s; serving on %s (%s tensor kernels)\n",
+		phase, trained.Seconds(), len(models.PaperModels()), loaded.Seconds(), held, *addr, tensor.KernelISA())
 
 	select {
 	case err := <-errCh:

@@ -1,12 +1,18 @@
 package characterize
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"bomw/internal/device"
 	"bomw/internal/mlsched"
 	"bomw/internal/models"
 	"bomw/internal/nn"
+	"bomw/internal/opencl"
 )
 
 func TestPaperBatches(t *testing.T) {
@@ -262,5 +268,80 @@ func TestPaperFeatureImportanceClaim(t *testing.T) {
 	if byName["gpu_warm"] <= archMax/2 {
 		t.Fatalf("gpu_warm importance %.3f should be material vs arch features (max %.3f): %v",
 			byName["gpu_warm"], archMax, byName)
+	}
+}
+
+// The sweeper compiles each spec's outline, not a built network: the
+// kernels it charges must be the ones the built network compiles to.
+func TestSweeperChargesTheKernelsOfTheBuiltNetwork(t *testing.T) {
+	s := NewSweeper()
+	for _, spec := range models.AllModels() {
+		got, err := s.programFor(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := s.programFor(spec); again != got {
+			t.Errorf("%s: compiled twice", spec.Name)
+		}
+		want, err := opencl.BuildProgram(spec.MustBuild(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Kernels, want.Kernels) {
+			t.Errorf("%s: the outline compiles to %d kernels that differ from the built network's %d", spec.Name, len(got.Kernels), len(want.Kernels))
+		}
+		if got.Net.SampleBytes() != want.Net.SampleBytes() || got.Net.Classes() != want.Net.Classes() {
+			t.Errorf("%s: outline moves %d B in and %d classes out, built network %d and %d", spec.Name,
+				got.Net.SampleBytes(), got.Net.Classes(), want.Net.SampleBytes(), want.Net.Classes())
+		}
+	}
+}
+
+// The scheduler's training set — every feature row and every policy's
+// labels — hashed at the commit before the sweeper stopped building
+// weights (each spec built with the sweeper's seed, a Program compiled
+// per measurement): characterising from shapes must not move one of
+// its 1512 × (9 + 3) numbers.
+func TestDatasetIsTheOneBuiltNetworksGave(t *testing.T) {
+	for seed, want := range map[int64]string{
+		1: "1460c34892ed90d3262109751b0a4c786e427184ef5ec7ba31448bfda37540ea",
+		2: "8ed7ddbe1360c6f7b786d899baf2b648e0b7ad80876d517cdc5ea4e75a0802be",
+		3: "84036a7078d96a5753866be9ac738b8b11961e18b4881bb71049760559b4c0dc",
+	} {
+		s := &Sweeper{Profiles: device.DefaultProfiles(), Noise: 0.12, Seed: seed}
+		set, err := s.BuildDataset(models.AllModels(), PaperBatches(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var word [8]byte
+		for _, row := range set.X {
+			for _, v := range row {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
+			}
+		}
+		for _, o := range Objectives() {
+			for _, c := range set.Y[o] {
+				binary.LittleEndian.PutUint64(word[:], uint64(c))
+				h.Write(word[:])
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); set.Len() != 1512 || got != want {
+			t.Errorf("seed %d: %d rows hashing to %s, want 1512 rows and %s", seed, set.Len(), got, want)
+		}
+	}
+}
+
+// BenchmarkBuildDataset is the characterisation half of the offline
+// phase: 21 architectures × 18 batch sizes × 2 GPU states × 2 replicas on
+// three devices, ≈ 4500 measurements.
+func BenchmarkBuildDataset(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := &Sweeper{Profiles: device.DefaultProfiles(), Noise: 0.12, Seed: 1}
+		if _, err := s.BuildDataset(models.AllModels(), PaperBatches(), 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

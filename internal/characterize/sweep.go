@@ -55,32 +55,39 @@ type Sweeper struct {
 	Noise float64
 	Seed  int64
 
-	mu   sync.Mutex
-	nets map[string]*nn.Network // spec name → built network (weights are
-	// irrelevant to Estimate-only sweeps, so one build per spec suffices)
+	mu sync.Mutex
+	// progs holds, per spec name, the kernel pipeline compiled from the
+	// spec's outline: a sweep only ever charges (Estimate), and a charge
+	// reads shapes, so no weight is built and every measurement of a spec
+	// loads the same Program into its fresh runtime.
+	progs map[string]*opencl.Program
 }
 
 // NewSweeper builds a sweeper over the paper's three devices.
 func NewSweeper() *Sweeper {
-	return &Sweeper{Profiles: device.DefaultProfiles(), Seed: 1, nets: map[string]*nn.Network{}}
+	return &Sweeper{Profiles: device.DefaultProfiles(), Seed: 1}
 }
 
-// networkFor returns the cached built network for a spec.
-func (s *Sweeper) networkFor(spec *nn.Spec) (*nn.Network, error) {
+// programFor returns the cached compiled outline of a spec.
+func (s *Sweeper) programFor(spec *nn.Spec) (*opencl.Program, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.nets == nil {
-		s.nets = map[string]*nn.Network{}
+	if prog, ok := s.progs[spec.Name]; ok {
+		return prog, nil
 	}
-	if net, ok := s.nets[spec.Name]; ok {
-		return net, nil
-	}
-	net, err := spec.Build(s.Seed)
+	net, err := spec.Outline()
 	if err != nil {
 		return nil, err
 	}
-	s.nets[spec.Name] = net
-	return net, nil
+	prog, err := opencl.BuildProgram(net)
+	if err != nil {
+		return nil, err
+	}
+	if s.progs == nil {
+		s.progs = map[string]*opencl.Program{}
+	}
+	s.progs[spec.Name] = prog
+	return prog, nil
 }
 
 // steadyRuns is how many consecutive batches the sustained-throughput
@@ -91,16 +98,17 @@ const steadyRuns = 3
 // point. Each call uses fresh devices, matching the paper's methodology
 // of controlled per-configuration measurements.
 func (s *Sweeper) Measure(spec *nn.Spec, prof device.Profile, batch int, gpuWarm bool, rep int) (Point, error) {
-	net, err := s.networkFor(spec)
+	prog, err := s.programFor(spec)
 	if err != nil {
 		return Point{}, err
 	}
+	net := prog.Net
 	dev := device.New(prof)
 	rt, err := opencl.NewRuntime(dev)
 	if err != nil {
 		return Point{}, err
 	}
-	if err := rt.LoadModel(net); err != nil {
+	if err := rt.LoadProgram(prog); err != nil {
 		return Point{}, err
 	}
 	if gpuWarm {

@@ -223,8 +223,10 @@ func New(nodes []Node, cfg Config) (*Cluster, error) {
 
 // Build replicates a trained template scheduler into n nodes named
 // node0..node{n-1} — node0 serves on the template itself, the rest on
-// Scheduler.Replica copies (shared classifiers, fresh devices) — and
-// wires them into a cluster on one shared clock. pcfg.Clock is
+// Scheduler.Replica copies (shared classifiers, fresh devices; the
+// template's networks too wherever seed is the one it loaded them with,
+// so n nodes hold the weights once) — and wires them into a cluster on
+// one shared clock. pcfg.Clock is
 // overridden with the cluster clock (cfg.Clock, defaulting to wall time
 // since creation).
 func Build(template *core.Scheduler, n int, seed int64, pcfg core.PipelineConfig, cfg Config) (*Cluster, []*core.Node, error) {

@@ -50,14 +50,39 @@ func BenchmarkEstimate(b *testing.B) {
 	}
 }
 
-func BenchmarkSchedulerConstruction(b *testing.B) {
+// BenchmarkNewScheduler is the paper's offline phase as bomwsrv runs it
+// before its first request: characterise the 21 training architectures
+// and fit one forest per policy.
+func BenchmarkNewScheduler(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(Config{
-			TrainModels: models.PaperModels(),
-			Batches:     []int{8, 512, 8192},
-			Reps:        1,
-		}); err != nil {
+		if _, err := New(Config{TrainModels: models.AllModels()}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadPaperModels is the Fig. 2 cycle for the five paper models
+// on a trained scheduler — a fresh replica of a template that has loaded
+// nothing, so every iteration builds all 53 MB of weights.
+func BenchmarkLoadPaperModels(b *testing.B) {
+	tmpl, err := New(Config{TrainModels: models.PaperModels(), Batches: []int{8, 512}, Reps: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := tmpl.Replica(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, spec := range models.PaperModels() {
+			if err := s.LoadModel(spec, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -28,6 +28,14 @@ import (
 // serialises the trained weights into buffers, and the resulting models
 // are loaded into each of the available processing devices through the
 // OpenCL runtime.
+//
+// The process holds every weight once. On this port the devices run on
+// host memory, so the network the Model Building Module built is the
+// copy each device reads; the serialised buffer is written when someone
+// asks for it (WeightBytes), not staged beside the network for as long
+// as the model is loaded. And a built network is immutable, so the
+// dispatchers of a fleet's nodes register one network between them
+// (Register) instead of one each.
 type Dispatcher struct {
 	rt *opencl.Runtime
 
@@ -38,41 +46,57 @@ type Dispatcher struct {
 	// sync.Map sweet spot.
 	specs sync.Map // model name → *nn.Spec
 
-	mu      sync.Mutex
-	nets    map[string]*nn.Network
-	weights map[string][]byte // serialized weight buffers, per model
+	mu     sync.Mutex
+	models map[string]loadedModel
+}
+
+// loadedModel is one registered model: the network, and the spec and
+// seed it was built from — what a replica needs to tell whether the
+// weights it is asked for are the ones already built.
+type loadedModel struct {
+	spec *nn.Spec
+	seed int64
+	net  *nn.Network
 }
 
 // NewDispatcher wraps a runtime.
 func NewDispatcher(rt *opencl.Runtime) *Dispatcher {
-	return &Dispatcher{
-		rt:      rt,
-		nets:    map[string]*nn.Network{},
-		weights: map[string][]byte{},
-	}
+	return &Dispatcher{rt: rt, models: map[string]loadedModel{}}
 }
 
 // Load performs the full Fig. 2 cycle for one model: build from the spec
-// (1-2), stage the weights into buffers (3-4), and load model plus
-// weights into every device (5).
+// (1-2) and load model plus weights into every device (5). A name that
+// is already loaded is refused before anything is built.
 func (d *Dispatcher) Load(spec *nn.Spec, seed int64) (*nn.Network, error) {
+	if _, dup := d.specs.Load(spec.Name); dup {
+		return nil, fmt.Errorf("core: model %q already loaded", spec.Name)
+	}
 	net, err := spec.Build(seed) // Model Building Module
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer // Weights Building Module
-	if err := net.WriteWeights(&buf); err != nil {
+	if err := d.Register(spec, seed, net); err != nil {
 		return nil, err
 	}
-	if err := d.rt.LoadModel(net); err != nil { // load into devices
-		return nil, err
+	return net, nil
+}
+
+// Register loads a network that is already built — spec.Build(seed), by
+// this dispatcher's caller or by another node's dispatcher — into every
+// device of this runtime. Nothing is copied: every dispatcher a network
+// is registered with serves from the same weights.
+func (d *Dispatcher) Register(spec *nn.Spec, seed int64, net *nn.Network) error {
+	if net.Name() != spec.Name {
+		return fmt.Errorf("core: network %q registered under spec %q", net.Name(), spec.Name)
+	}
+	if err := d.rt.LoadModel(net); err != nil { // load into devices; refuses a loaded name
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.specs.Store(spec.Name, spec)
-	d.nets[spec.Name] = net
-	d.weights[spec.Name] = buf.Bytes()
-	return net, nil
+	d.models[spec.Name] = loadedModel{spec: spec, seed: seed, net: net}
+	return nil
 }
 
 // Spec returns the registered spec for a model. Lock-free: this is the
@@ -88,23 +112,27 @@ func (d *Dispatcher) Spec(model string) (*nn.Spec, error) {
 func (d *Dispatcher) Network(model string) (*nn.Network, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n, ok := d.nets[model]
+	m, ok := d.models[model]
 	if !ok {
 		return nil, fmt.Errorf("core: model %q not loaded", model)
 	}
-	return n, nil
+	return m.net, nil
 }
 
-// WeightBytes returns the staged weight buffer for a model — what the
-// Dispatcher holds after the training phase completes.
+// WeightBytes is the Weights Building Module of Fig. 2: the model's
+// weights serialised into one buffer (nn.Network.ReadWeights reads it
+// back), written afresh for each call.
 func (d *Dispatcher) WeightBytes(model string) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	w, ok := d.weights[model]
-	if !ok {
-		return nil, fmt.Errorf("core: model %q not loaded", model)
+	net, err := d.Network(model)
+	if err != nil {
+		return nil, err
 	}
-	return w, nil
+	// The stream is the parameters plus a few words of shape per tensor.
+	buf := bytes.NewBuffer(make([]byte, 0, net.ParamBytes()+1024))
+	if err := net.WriteWeights(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Models lists loaded model names, sorted so API responses and test
@@ -112,10 +140,23 @@ func (d *Dispatcher) WeightBytes(model string) ([]byte, error) {
 func (d *Dispatcher) Models() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.nets))
-	for n := range d.nets {
+	out := make([]string, 0, len(d.models))
+	for n := range d.models {
 		out = append(out, n)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// loaded snapshots the registered models in name order (models are never
+// unloaded, so every listed name is still there).
+func (d *Dispatcher) loaded() []loadedModel {
+	names := d.Models()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]loadedModel, len(names))
+	for i, name := range names {
+		out[i] = d.models[name]
+	}
 	return out
 }

@@ -14,8 +14,12 @@ import (
 // statistics — the unit of fleet scale-out. The paper's offline phase
 // (characterisation + training, the expensive part of New) runs once on
 // the template; replicas restart instantly, the way LoadState restarts a
-// process from saved forests, and every model loaded on the template is
-// re-built and loaded on the replica with the given weight seed.
+// process from saved forests. Every model loaded on the template is
+// loaded on the replica with the given weight seed: where that is the
+// seed the template built the model from — a fleet, whose nodes must
+// answer alike — the replica registers the template's network, which is
+// immutable, and the process keeps holding those weights once; any other
+// seed builds the replica its own.
 //
 // Devices are rebuilt from the template's profiles in the same order, so
 // the shared classifiers' class labels keep naming the same device slots
@@ -67,13 +71,15 @@ func (s *Scheduler) Replica(seed int64) (*Scheduler, error) {
 	// per-scheduler and must not be shared.
 	r.buildPolicySet()
 	r.dataset = dataset
-	for _, name := range s.disp.Models() {
-		spec, err := s.disp.Spec(name)
-		if err != nil {
-			return nil, fmt.Errorf("core: replicating model %q: %w", name, err)
+	for _, m := range s.disp.loaded() {
+		var err error
+		if m.seed == seed {
+			err = r.disp.Register(m.spec, seed, m.net)
+		} else {
+			err = r.LoadModel(m.spec, seed)
 		}
-		if err := r.LoadModel(spec, seed); err != nil {
-			return nil, fmt.Errorf("core: replicating model %q: %w", name, err)
+		if err != nil {
+			return nil, fmt.Errorf("core: replicating model %q: %w", m.spec.Name, err)
 		}
 	}
 	return r, nil

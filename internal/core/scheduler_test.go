@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"bomw/internal/characterize"
 	"bomw/internal/device"
 	"bomw/internal/models"
+	"bomw/internal/tensor"
 	"bomw/internal/trace"
 )
 
@@ -73,9 +75,20 @@ func TestDispatcherFigure2Cycle(t *testing.T) {
 	if err != nil || net.Name() != "simple" {
 		t.Fatalf("Network: %v", err)
 	}
+	// The Weights Building Module's buffer is written on demand and
+	// carries the weights whole: read into a network drawn from another
+	// seed, it makes that network answer as the loaded one does.
 	w, err := d.WeightBytes("simple")
-	if err != nil || len(w) == 0 {
-		t.Fatalf("WeightBytes: %v (%d bytes)", err, len(w))
+	if err != nil || int64(len(w)) <= net.ParamBytes() {
+		t.Fatalf("WeightBytes: %v (%d bytes for %d of parameters)", err, len(w), net.ParamBytes())
+	}
+	other := spec.MustBuild(99)
+	if err := other.ReadWeights(bytes.NewReader(w)); err != nil {
+		t.Fatalf("reading the weight buffer back: %v", err)
+	}
+	in := simpleSamples(8)
+	if !other.Forward(tensor.Serial, in).Equal(net.Forward(tensor.Serial, in)) {
+		t.Fatal("a network restored from WeightBytes answers differently")
 	}
 	if len(d.Models()) != len(models.PaperModels()) {
 		t.Fatalf("Models = %v", d.Models())

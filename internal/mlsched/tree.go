@@ -1,9 +1,10 @@
 package mlsched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Criterion selects the split-quality function of Table I.
@@ -94,12 +95,7 @@ func (t *Tree) Fit(X [][]float64, y []int) error {
 	t.classes = classes
 	t.importance = make([]float64, len(X[0]))
 	t.nSamples = len(X)
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := newSplitRNG(t.cfg.Seed)
-	t.root = t.grow(X, y, idx, 0, rng)
+	t.root = newGrower(t, X, y).grow(0, len(X), 0)
 	return nil
 }
 
@@ -139,43 +135,120 @@ func (r *splitRNG) next() uint64 {
 
 func (r *splitRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
-func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, rng *splitRNG) *treeNode {
-	counts := make([]int, t.classes)
-	for _, i := range idx {
-		counts[y[i]]++
+// A grower holds one tree's training set the way the split search reads
+// it: feature columns, and per feature the sample indices in ascending
+// order of that feature. Each feature is sorted once, in newGrower; a
+// node owns the same segment [lo, hi) of every order, and applying a
+// split partitions each segment stably, so a child's segments are sorted
+// without sorting again.
+//
+// The order among equal values is whatever the one sort left, and no
+// result depends on it: a threshold is a candidate only between two
+// adjacent values that differ, every sample with the smaller value is
+// then on its left, and a gain is computed from the integer class counts
+// of the two sides. The search therefore picks what a fresh sort per
+// node and feature picks, to the bit.
+type grower struct {
+	t     *Tree
+	y     []int
+	cols  [][]float64 // cols[f][i] is feature f of sample i
+	order [][]int32   // order[f] lists the samples in ascending cols[f], node by node
+	rng   *splitRNG
+
+	// Scratch, reused by every node: a node is done with it before its
+	// children run.
+	goesLeft    []bool // per sample, under the split being applied
+	moved       []int32
+	features    []int
+	leftCounts  []int
+	rightCounts []int
+}
+
+func newGrower(t *Tree, X [][]float64, y []int) *grower {
+	n, nFeatures := len(X), len(X[0])
+	g := &grower{
+		t:           t,
+		y:           y,
+		cols:        make([][]float64, nFeatures),
+		order:       make([][]int32, nFeatures),
+		rng:         newSplitRNG(t.cfg.Seed),
+		goesLeft:    make([]bool, n),
+		moved:       make([]int32, n),
+		features:    make([]int, nFeatures),
+		leftCounts:  make([]int, t.classes),
+		rightCounts: make([]int, t.classes),
 	}
-	major, pure := majority(counts, len(idx))
+	cols := make([]float64, nFeatures*n)
+	order := make([]int32, nFeatures*n)
+	for f := range g.cols {
+		col, ord := cols[f*n:(f+1)*n], order[f*n:(f+1)*n]
+		for i, row := range X {
+			col[i] = row[f]
+			ord[i] = int32(i)
+		}
+		slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		g.cols[f], g.order[f] = col, ord
+	}
+	return g
+}
+
+// grow builds the subtree over the samples in [lo, hi) of every order.
+func (g *grower) grow(lo, hi, depth int) *treeNode {
+	t, total := g.t, hi-lo
+	counts := make([]int, t.classes)
+	for _, i := range g.order[0][lo:hi] {
+		counts[g.y[i]]++
+	}
+	major, pure := majority(counts, total)
 	if depth > t.depth {
 		t.depth = depth
 	}
-	if pure || depth >= t.cfg.MaxDepth || len(idx) < 2*t.cfg.MinSamplesLeaf {
+	if pure || depth >= t.cfg.MaxDepth || total < 2*t.cfg.MinSamplesLeaf {
 		t.leaves++
 		return &treeNode{leaf: true, class: major}
 	}
 
-	feat, thr, gain, ok := t.bestSplit(X, y, idx, counts, rng)
+	feat, thr, gain, ok := g.bestSplit(lo, hi, counts)
 	if !ok {
 		t.leaves++
 		return &treeNode{leaf: true, class: major}
 	}
-	t.importance[feat] += gain * float64(len(idx)) / float64(t.nSamples)
-	var li, ri []int
-	for _, i := range idx {
-		if X[i][feat] <= thr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
+	t.importance[feat] += gain * float64(total) / float64(t.nSamples)
+	// The threshold is a midpoint and may round onto the larger value, so
+	// the sides are counted from the comparison Predict will make, not
+	// taken from the position the search stood at.
+	nl := 0
+	col := g.cols[feat]
+	for _, i := range g.order[0][lo:hi] {
+		left := col[i] <= thr
+		g.goesLeft[i] = left
+		if left {
+			nl++
 		}
 	}
-	if len(li) < t.cfg.MinSamplesLeaf || len(ri) < t.cfg.MinSamplesLeaf {
+	if nl < t.cfg.MinSamplesLeaf || total-nl < t.cfg.MinSamplesLeaf {
 		t.leaves++
 		return &treeNode{leaf: true, class: major}
+	}
+	for _, ord := range g.order {
+		seg := ord[lo:hi]
+		l, r := 0, 0
+		for _, i := range seg {
+			if g.goesLeft[i] {
+				seg[l] = i
+				l++
+			} else {
+				g.moved[r] = i
+				r++
+			}
+		}
+		copy(seg[l:], g.moved[:r])
 	}
 	return &treeNode{
 		feature:   feat,
 		threshold: thr,
-		left:      t.grow(X, y, li, depth+1, rng),
-		right:     t.grow(X, y, ri, depth+1, rng),
+		left:      g.grow(lo, lo+nl, depth+1),
+		right:     g.grow(lo+nl, hi, depth+1),
 	}
 }
 
@@ -214,47 +287,45 @@ func (t *Tree) impurity(counts []int, total int) float64 {
 	}
 }
 
-// bestSplit scans candidate (feature, threshold) pairs for the split with
-// the lowest weighted child impurity.
-func (t *Tree) bestSplit(X [][]float64, y []int, idx []int, parentCounts []int, rng *splitRNG) (feature int, threshold, bestGainOut float64, ok bool) {
-	nFeatures := len(X[0])
-	features := make([]int, nFeatures)
+// bestSplit scans candidate (feature, threshold) pairs of the node over
+// [lo, hi) for the split with the lowest weighted child impurity:
+// features in index order (or the drawn subset's), thresholds in
+// ascending order, a later candidate winning only on a strictly larger
+// gain.
+func (g *grower) bestSplit(lo, hi int, parentCounts []int) (feature int, threshold, bestGainOut float64, ok bool) {
+	t := g.t
+	features := g.features
 	for i := range features {
 		features[i] = i
 	}
-	if t.cfg.MaxFeatures > 0 && t.cfg.MaxFeatures < nFeatures {
+	if nFeatures := len(features); t.cfg.MaxFeatures > 0 && t.cfg.MaxFeatures < nFeatures {
 		// Fisher-Yates prefix for the random subset.
 		for i := 0; i < t.cfg.MaxFeatures; i++ {
-			j := i + rng.intn(nFeatures-i)
+			j := i + g.rng.intn(nFeatures-i)
 			features[i], features[j] = features[j], features[i]
 		}
 		features = features[:t.cfg.MaxFeatures]
 	}
 
-	total := len(idx)
+	total := hi - lo
 	parentImp := t.impurity(parentCounts, total)
 	bestGain := 1e-12
-	type fv struct {
-		v float64
-		y int
-	}
-	vals := make([]fv, total)
-	leftCounts := make([]int, t.classes)
-	rightCounts := make([]int, t.classes)
+	leftCounts, rightCounts := g.leftCounts, g.rightCounts
 
 	for _, f := range features {
-		for k, i := range idx {
-			vals[k] = fv{v: X[i][f], y: y[i]}
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		col, ord := g.cols[f], g.order[f][lo:hi]
 		for c := range leftCounts {
 			leftCounts[c] = 0
 			rightCounts[c] = parentCounts[c]
 		}
+		v := col[ord[0]]
 		for k := 0; k < total-1; k++ {
-			leftCounts[vals[k].y]++
-			rightCounts[vals[k].y]--
-			if vals[k].v == vals[k+1].v {
+			c := g.y[ord[k]]
+			leftCounts[c]++
+			rightCounts[c]--
+			cur, next := v, col[ord[k+1]]
+			v = next
+			if cur == next {
 				continue
 			}
 			nl, nr := k+1, total-k-1
@@ -267,7 +338,7 @@ func (t *Tree) bestSplit(X [][]float64, y []int, idx []int, parentCounts []int, 
 			if gain > bestGain {
 				bestGain = gain
 				feature = f
-				threshold = (vals[k].v + vals[k+1].v) / 2
+				threshold = (cur + next) / 2
 				ok = true
 			}
 		}

@@ -88,8 +88,11 @@ func (l *Dense) forwardPanel(pool *tensor.Pool, in, out *tensor.Tensor, panel []
 	tensor.LinearPanelInto(pool, out, in, l.W, l.B, l.Act, panel)
 }
 
+// dims returns what the layer's cost and shape depend on.
+func (l *Dense) dims() denseDims { return denseDims{in: l.In(), out: l.Out(), act: l.Act} }
+
 // OutputShape implements Layer.
-func (l *Dense) OutputShape(in []int) []int { return denseShape(l, in, l.In(), l.Out()) }
+func (l *Dense) OutputShape(in []int) []int { return l.dims().OutputShape(in) }
 
 // denseShape is OutputShape for the fully connected layers: the input
 // must be exactly the fanIn features the weights expect.
@@ -100,19 +103,14 @@ func denseShape(l Layer, in []int, fanIn, fanOut int) []int {
 	return []int{fanOut}
 }
 
-// FlopsPerSample implements Layer: a multiply-accumulate per weight plus
-// bias add and activation.
-func (l *Dense) FlopsPerSample(in []int) int64 {
-	return int64(2*l.In()+1)*int64(l.Out()) + l.Act.FlopsPerElement()*int64(l.Out())
-}
+// FlopsPerSample implements Layer.
+func (l *Dense) FlopsPerSample(in []int) int64 { return l.dims().FlopsPerSample(in) }
 
 // ParamBytes implements Layer.
 func (l *Dense) ParamBytes() int64 { return l.W.SizeBytes() + l.B.SizeBytes() }
 
 // Name implements Layer.
-func (l *Dense) Name() string {
-	return fmt.Sprintf("dense(%d→%d,%s)", l.In(), l.Out(), l.Act)
-}
+func (l *Dense) Name() string { return l.dims().Name() }
 
 // Conv is a 2-D convolution layer with stride 1 and Pad rows/columns of
 // zero padding per side ("valid" = 0, "same" = (k-1)/2 for odd k), the
@@ -154,34 +152,23 @@ func (l *Conv) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
 	tensor.ConvPoolInto(pool, out, in, l.Filters, l.Bias, l.Act, 1)
 }
 
-// OutputShape implements Layer.
-func (l *Conv) OutputShape(in []int) []int {
-	if len(in) != 3 {
-		panic(fmt.Sprintf("nn: Conv input must be [C H W], got %v", in))
-	}
-	if in[0] != l.Filters.Dim(1) {
-		panic(fmt.Sprintf("nn: %s needs %d input channels, got %v", l.Name(), l.Filters.Dim(1), in))
-	}
-	kH, kW := l.Filters.Dim(2), l.Filters.Dim(3)
-	return []int{l.Filters.Dim(0), in[1] + 2*l.Pad - kH + 1, in[2] + 2*l.Pad - kW + 1}
+// dims returns what the layer's cost and shape depend on.
+func (l *Conv) dims() convDims {
+	f := l.Filters
+	return convDims{inC: f.Dim(1), outC: f.Dim(0), kH: f.Dim(2), kW: f.Dim(3), pad: l.Pad, act: l.Act}
 }
 
+// OutputShape implements Layer.
+func (l *Conv) OutputShape(in []int) []int { return l.dims().OutputShape(in) }
+
 // FlopsPerSample implements Layer.
-func (l *Conv) FlopsPerSample(in []int) int64 {
-	out := l.OutputShape(in)
-	macs := int64(out[0]) * int64(out[1]) * int64(out[2]) *
-		int64(l.Filters.Dim(1)) * int64(l.Filters.Dim(2)) * int64(l.Filters.Dim(3))
-	elems := int64(out[0]) * int64(out[1]) * int64(out[2])
-	return 2*macs + elems*(1+l.Act.FlopsPerElement())
-}
+func (l *Conv) FlopsPerSample(in []int) int64 { return l.dims().FlopsPerSample(in) }
 
 // ParamBytes implements Layer.
 func (l *Conv) ParamBytes() int64 { return l.Filters.SizeBytes() + l.Bias.SizeBytes() }
 
 // Name implements Layer.
-func (l *Conv) Name() string {
-	return fmt.Sprintf("conv(%dx%dx%d→%d,%s)", l.Filters.Dim(2), l.Filters.Dim(3), l.Filters.Dim(1), l.Filters.Dim(0), l.Act)
-}
+func (l *Conv) Name() string { return l.dims().Name() }
 
 // MaxPool is a non-overlapping max-pooling layer with window K.
 type MaxPool struct {

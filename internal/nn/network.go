@@ -17,7 +17,7 @@ type Network struct {
 	layers     []Layer
 	classes    int
 
-	plan *plan
+	plan *plan // nil in an outline (Spec.Outline), which only describes
 	// arenas holds the idle *arena values of this network: a pass takes
 	// one for itself, so no arena is ever visible to two passes, and the
 	// garbage collector reclaims the ones nobody has asked for lately.
@@ -70,6 +70,9 @@ func (n *Network) SampleBytes() int64 {
 // that batch size exists. The input must have shape [batch,
 // inputShape...] and is only read.
 func (n *Network) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
+	if n.plan == nil {
+		panic(noWeights(n.name))
+	}
 	if in.Dim(0) <= 0 || in.Rank() != len(n.inputShape)+1 {
 		panic(fmt.Sprintf("nn: %s expects input rank %d (batch + %v), got %v",
 			n.name, len(n.inputShape)+1, n.inputShape, in.Shape()))

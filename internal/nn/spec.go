@@ -111,22 +111,45 @@ func (s *Spec) Build(seed int64) (*Network, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var layers []Layer
-	switch s.Kind {
-	case FFNN:
-		in := s.InputShape[0]
-		for _, h := range s.Hidden {
-			layers = append(layers, NewDense(rng, in, h, s.Act))
-			in = h
+	return NewNetwork(s.Name, s.InputShape, s.stack(rand.New(rand.NewSource(seed)))...), nil
+}
+
+// Outline is Build without the weights: the same layer stack with every
+// Dense and Conv as its dimensions alone, so no tensor is allocated and
+// nothing is drawn. The outline answers every question about shape and
+// cost exactly as the built network does — which is all the device
+// models, the kernel compiler and a timing-only Estimate ask — and
+// panics on Forward.
+func (s *Spec) Outline() (*Network, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return newOutline(s.Name, s.InputShape, s.stack(nil)), nil
+}
+
+// stack lists the layers of a valid spec in order. The weight-bearing
+// ones draw their weights from rng in that order; with a nil rng they
+// are the dimensions alone.
+func (s *Spec) stack(rng *rand.Rand) []Layer {
+	dense := func(in, out int, act tensor.Activation) Layer {
+		if rng == nil {
+			return denseDims{in: in, out: out, act: act}
 		}
-		layers = append(layers, NewDense(rng, in, s.Classes, tensor.Softmax))
-	case CNN:
+		return NewDense(rng, in, out, act)
+	}
+	var layers []Layer
+	in := s.InputShape[0]
+	if s.Kind == CNN {
 		ch, h, w := s.InputShape[0], s.InputShape[1], s.InputShape[2]
-		shrink := s.FilterSize - 1 - 2*s.convPad()
+		k, pad := s.FilterSize, s.convPad()
+		shrink := k - 1 - 2*pad
 		for b := 0; b < s.VGGBlocks; b++ {
 			for c := 0; c < s.ConvsPerBlock; c++ {
-				layers = append(layers, NewConvPad(rng, ch, s.Filters, s.FilterSize, s.convPad(), s.Act))
+				if rng == nil {
+					layers = append(layers, convDims{inC: ch, outC: s.Filters, kH: k, kW: k, pad: pad, act: s.Act})
+				} else {
+					layers = append(layers, NewConvPad(rng, ch, s.Filters, k, pad, s.Act))
+				}
 				ch = s.Filters
 				h -= shrink
 				w -= shrink
@@ -136,14 +159,13 @@ func (s *Spec) Build(seed int64) (*Network, error) {
 			w /= s.PoolSize
 		}
 		layers = append(layers, Flatten{})
-		in := ch * h * w
-		for _, hd := range s.Hidden {
-			layers = append(layers, NewDense(rng, in, hd, s.Act))
-			in = hd
-		}
-		layers = append(layers, NewDense(rng, in, s.Classes, tensor.Softmax))
+		in = ch * h * w
 	}
-	return NewNetwork(s.Name, s.InputShape, layers...), nil
+	for _, h := range s.Hidden {
+		layers = append(layers, dense(in, h, s.Act))
+		in = h
+	}
+	return append(layers, dense(in, s.Classes, tensor.Softmax))
 }
 
 // MustBuild is Build for statically known-good specs; it panics on error.

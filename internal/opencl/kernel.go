@@ -17,11 +17,16 @@ import (
 type Kernel struct {
 	Name     string
 	Workload device.Workload
+	// event is the name a launch of this kernel carries in the profiling
+	// log, "clEnqueueNDRangeKernel:" + Name: spelt once here, not once
+	// per launch.
+	event string
 }
 
 // Program is a network compiled for execution through command queues:
 // the network, whose plan computes a batch, and the ordered kernel
-// launches a batch is charged for.
+// launches a batch is charged for. It is immutable once built, so one
+// Program may be loaded into any number of runtimes.
 type Program struct {
 	Net     *nn.Network
 	Kernels []*Kernel
@@ -40,7 +45,8 @@ func BuildProgram(net *nn.Network) (*Program, error) {
 		if len(p.Kernels) == len(layerLoads) {
 			return nil, fmt.Errorf("opencl: layer/workload count mismatch in %s", net.Name())
 		}
-		p.Kernels = append(p.Kernels, &Kernel{Name: l.Name(), Workload: layerLoads[len(p.Kernels)]})
+		name := l.Name()
+		p.Kernels = append(p.Kernels, &Kernel{Name: name, Workload: layerLoads[len(p.Kernels)], event: "clEnqueueNDRangeKernel:" + name})
 	}
 	if len(p.Kernels) != len(layerLoads) {
 		return nil, fmt.Errorf("opencl: compiled %d kernels for %d workloads in %s", len(p.Kernels), len(layerLoads), net.Name())

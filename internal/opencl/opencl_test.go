@@ -183,16 +183,58 @@ func TestClassifyOutputIsTheNetworksForward(t *testing.T) {
 			if !res.Output.Equal(net.Forward(d.Pool, in)) {
 				t.Errorf("%s on %s: Classify output differs from Network.Forward", name, d.Name())
 			}
-			launches := 0
+			var launches []string
 			for _, ev := range res.Events {
 				if strings.HasPrefix(ev.Name, "clEnqueueNDRangeKernel:") {
-					launches++
+					launches = append(launches, ev.Name)
 				}
 			}
-			if launches != len(prog.Kernels) {
-				t.Errorf("%s on %s: %d kernel launches logged, want %d", name, d.Name(), launches, len(prog.Kernels))
+			if len(launches) != len(prog.Kernels) {
+				t.Fatalf("%s on %s: %d kernel launches logged, want %d", name, d.Name(), len(launches), len(prog.Kernels))
+			}
+			for i, k := range prog.Kernels {
+				if want := "clEnqueueNDRangeKernel:" + k.Name; launches[i] != want {
+					t.Errorf("%s on %s: launch %d logged as %q, want %q", name, d.Name(), i, launches[i], want)
+				}
 			}
 		}
+	}
+}
+
+// A launch's event name is spelt when the program is compiled, so what a
+// batch allocates does not grow with the number of kernels it launches.
+func TestChargingABatchAllocatesTheSameForAnyKernelCount(t *testing.T) {
+	rt, err := NewRuntime(testDevices()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := rt.Devices()[0].Name()
+	allocs := map[string]float64{}
+	kernels := map[string]int{}
+	for _, name := range []string{"simple", "mnist-cnn"} {
+		s, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.LoadModel(s.MustBuild(1)); err != nil {
+			t.Fatal(err)
+		}
+		prog, err := rt.Program(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels[name] = len(prog.Kernels)
+		allocs[name] = testing.AllocsPerRun(20, func() {
+			if _, err := rt.Estimate(dev, name, 8, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if kernels["simple"] == kernels["mnist-cnn"] {
+		t.Fatalf("both models compile to %d kernels: the comparison says nothing", kernels["simple"])
+	}
+	if allocs["simple"] != allocs["mnist-cnn"] {
+		t.Errorf("Estimate allocates %v times for %d kernels and %v for %d", allocs["simple"], kernels["simple"], allocs["mnist-cnn"], kernels["mnist-cnn"])
 	}
 }
 

@@ -152,7 +152,7 @@ func (q *Queue) EnqueueMapBuffer(at time.Duration, buf *Buffer) ([]float32, *Eve
 // not part of the launch — the runtime runs the network's plan once per
 // batch on the device's host pool.
 func (q *Queue) EnqueueNDRangeKernel(at time.Duration, k *Kernel, n int) *Event {
-	return q.push("clEnqueueNDRangeKernel:"+k.Name, at, q.Dev.Sim.ExecuteCompute(max(at, q.last), k.Workload, n))
+	return q.push(k.event, at, q.Dev.Sim.ExecuteCompute(max(at, q.last), k.Workload, n))
 }
 
 // Finish blocks (in virtual time) until all enqueued commands complete,

@@ -100,12 +100,20 @@ func (r *Runtime) LoadModel(net *nn.Network) error {
 	if err != nil {
 		return err
 	}
+	return r.LoadProgram(prog)
+}
+
+// LoadProgram registers a pipeline BuildProgram has already compiled —
+// LoadModel for a caller that loads one network into many runtimes and
+// compiles it once.
+func (r *Runtime) LoadProgram(prog *Program) error {
+	name := prog.Net.Name()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.programs[net.Name()]; dup {
-		return fmt.Errorf("opencl: model %q already loaded", net.Name())
+	if _, dup := r.programs[name]; dup {
+		return fmt.Errorf("opencl: model %q already loaded", name)
 	}
-	r.programs[net.Name()] = prog
+	r.programs[name] = prog
 	return nil
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -203,5 +204,63 @@ func TestModelLoadReplicatesToEveryNode(t *testing.T) {
 			t.Fatalf("classify %d on fleet-wide model = %d", i, resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestModelLoadIsAllOrNothing: a model one node already has must not be
+// half-loaded onto the nodes before it — that state could never be
+// repaired, every retry stopping at the first node that has the model —
+// and a model no node has lands on every node as one shared network.
+func TestModelLoadIsAllOrNothing(t *testing.T) {
+	sched, err := core.New(core.Config{TrainModels: models.PaperModels(), Batches: []int{8, 512}, Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api, err := NewCluster(sched, 1, core.PipelineConfig{}, 3, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
+	ts := httptest.NewServer(api)
+	defer ts.Close()
+
+	taken := ModelSpec{Name: "taken", Kind: "ffnn", InputShape: []int{4}, Hidden: []int{8}, Classes: 3}
+	spec, err := taken.ToSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := api.Nodes()
+	if err := nodes[2].Scheduler().LoadModel(spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		resp := post(t, ts.URL+"/v1/models", taken)
+		var body map[string]string
+		decode(t, resp, &body)
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(body["error"], "node2") {
+			t.Fatalf("attempt %d: status %d, error %q; want a 409 naming node2", attempt, resp.StatusCode, body["error"])
+		}
+		for _, nd := range nodes[:2] {
+			if _, err := nd.Scheduler().Dispatcher().Spec("taken"); err == nil {
+				t.Fatalf("attempt %d: %s was given a model the fleet refused", attempt, nd.Name())
+			}
+		}
+	}
+
+	free := taken
+	free.Name = "free"
+	resp := post(t, ts.URL+"/v1/models", free)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("loading a model no node has: status %d", resp.StatusCode)
+	}
+	first, err := nodes[0].Scheduler().Dispatcher().Network("free")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range nodes[1:] {
+		if got, err := nd.Scheduler().Dispatcher().Network("free"); err != nil || got != first {
+			t.Errorf("%s: network %p (%v), want node0's %p", nd.Name(), got, err, first)
+		}
 	}
 }

@@ -69,9 +69,8 @@ type Server struct {
 	start time.Time
 	mux   *http.ServeMux
 
-	mu     sync.Mutex
-	seed   int64
-	loaded map[string]bool
+	mu   sync.Mutex // one POST /v1/models at a time
+	seed int64
 }
 
 // New wraps a scheduler with a default serving pipeline — a one-node
@@ -97,10 +96,11 @@ func NewWithConfig(sched *core.Scheduler, seed int64, cfg core.PipelineConfig) *
 // NewCluster stands up an n-node fleet: node0 serves on sched itself and
 // nodes 1..n-1 on Scheduler.Replica copies (shared trained classifiers,
 // fresh devices), all pipelines on the server's virtual clock, behind
-// ccfg.Policy (default round-robin). Replication re-runs model loading
-// per node, so it can fail on a template whose models cannot rebuild.
+// ccfg.Policy (default round-robin). Every model the template loaded with
+// this seed is registered with each node, not rebuilt: the fleet serves
+// from one copy of the weights.
 func NewCluster(sched *core.Scheduler, seed int64, cfg core.PipelineConfig, n int, ccfg cluster.Config) (*Server, error) {
-	s := &Server{sched: sched, start: time.Now(), seed: seed, loaded: map[string]bool{}}
+	s := &Server{sched: sched, start: time.Now(), seed: seed}
 	ccfg.Clock = s.now
 	fleet, nodes, err := cluster.Build(sched, n, seed, cfg, ccfg)
 	if err != nil {
@@ -489,20 +489,29 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.loaded[spec.Name] {
-			httpError(w, http.StatusConflict, "model %q already loaded", spec.Name)
+		// All nodes or none: a model some nodes have and others lack
+		// could never be completed, every retry stopping at the first
+		// node that has it.
+		for _, nd := range s.nodes {
+			if _, err := nd.Scheduler().Dispatcher().Spec(spec.Name); err == nil {
+				httpError(w, http.StatusConflict, "model %q already loaded on %s", spec.Name, nd.Name())
+				return
+			}
+		}
+		// Built once and registered with every node, so the router can
+		// place the model anywhere and the fleet answers identically
+		// regardless of routing — from one copy of the weights.
+		net, err := spec.Build(s.seed)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		// Load on every node so the router can place the model anywhere.
-		// The same seed gives every replica identical weights — the fleet
-		// answers identically regardless of routing.
 		for _, nd := range s.nodes {
-			if err := nd.Scheduler().LoadModel(spec, s.seed); err != nil {
+			if err := nd.Scheduler().Dispatcher().Register(spec, s.seed, net); err != nil {
 				httpError(w, http.StatusConflict, "loading on %s: %v", nd.Name(), err)
 				return
 			}
 		}
-		s.loaded[spec.Name] = true
 		// Content-Type must be set before WriteHeader — headers written
 		// after the status line are silently dropped.
 		w.Header().Set("Content-Type", "application/json")
