@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet vet-portable lint lint-json lint-sarif race bench bench-check bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test vet vet-portable lint lint-json lint-sarif race bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -67,20 +67,6 @@ bench:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# Machine-readable throughput artifact (BENCH_pipeline.json): the same
-# closed-loop workloads as the serve benchmarks, emitted as JSON for
-# dashboards and regression tracking.
-bench-json:
-	$(GO) run ./cmd/benchjson
-
-# Bench-regression gate: re-measure the 16-client closed-loop pipeline
-# point and fail if it drops >20% below the committed baseline. On
-# hardware other than the baseline's (CI runners), run with
-# BENCHGUARD_FLAGS=-warn to report without failing.
-BENCHGUARD_FLAGS ?=
-bench-guard:
-	$(GO) run ./cmd/benchguard $(BENCHGUARD_FLAGS)
-
 # Cluster smoke drill (CI): an 8-node fleet under load survives one
 # mid-run node kill — eviction, failover, no dropped futures.
 smoke-cluster:
@@ -117,8 +103,10 @@ soak-cluster:
 
 # Chaos acceptance soak: the same 16-node seeded incident at full
 # horizon, no race detector — feasible-SLO attainment must stay within
-# 5 points of the no-fault baseline with nonzero hedge wins and
-# straggler migrations, and zero lost futures.
+# 5 points of the no-fault baseline with nonzero hedge wins, the crash
+# windows entered and zero lost futures. Migrations are logged, not
+# asserted (whether work is queued on a node as its window opens is up to
+# the host); TestChaosTripMigration asserts that path deterministically.
 soak-chaos:
 	$(GO) test -count=1 -run 'TestSoakChaos' -v ./internal/cluster/
 

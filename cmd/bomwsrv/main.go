@@ -9,6 +9,7 @@
 // Usage:
 //
 //	bomwsrv -addr :8080
+//	bomwsrv -save sched.state                # train, write the state, exit
 //	bomwsrv -addr :8080 -load sched.state -window 2ms -max-batch 64
 //	bomwsrv -addr :8080 -default-slo 50ms -hedge
 //	bomwsrv -addr :8080 -nodes 64 -route least-loaded
@@ -96,15 +97,28 @@ import (
 // goroutine and a descriptor for as long as it likes.
 const readHeaderTimeout = 10 * time.Second
 
+// drainTimeout is the graceful-shutdown budget: how long in-flight
+// requests get to finish after SIGINT/SIGTERM before the listener is
+// torn down under them.
+const drainTimeout = 10 * time.Second
+
+// saveState writes the trained scheduler to f and closes it. A failed
+// Close is a failed save: a short write can surface only there.
+func saveState(sched *core.Scheduler, f *os.File) error {
+	if err := sched.SaveState(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	loadPath := flag.String("load", "", "load scheduler state instead of training")
+	savePath := flag.String("save", "", "write the trained scheduler state to this file and exit (restart from it with -load)")
 	seed := flag.Int64("seed", 1, "random seed")
 	window := flag.Duration("window", 2*time.Millisecond, "live batching window")
 	maxBatch := flag.Int("max-batch", 64, "live batching size trigger (samples)")
-	queueDepth := flag.Int("queue-depth", 256, "admission queue bound (requests)")
-	deviceDepth := flag.Int("device-queue-depth", 8, "per-device worker queue bound (batches)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	defaultSLO := flag.Duration("default-slo", 0, "latency SLO for requests without timeout_ms (0 disables; requests predicted to miss are rejected 504)")
 	hedge := flag.Bool("hedge", false, "re-submit straggling deadline-carrying batches to the second-best device (first result wins)")
 	faultSpec := flag.String("fault", "", "fault-injection spec, e.g. 'GTX 1080 Ti=err:0.05,outage:30s-45s' (see doc comment)")
@@ -119,9 +133,21 @@ func main() {
 	brownout := flag.Bool("brownout", false, "shed optional work progressively as fleet occupancy climbs (hedges, then SLO-less requests, then batch windows)")
 	flag.Parse()
 
-	// Parse the fault spec, routing policy and fault-node set before the
-	// expensive characterisation run so a typo fails fast; device names
-	// are validated once the scheduler is up.
+	// Open the -save file and parse the fault spec, routing policy and
+	// fault-node set before the expensive characterisation run so a typo
+	// fails fast; device names are validated once the scheduler is up.
+	var saveFile *os.File
+	if *savePath != "" {
+		if *loadPath != "" {
+			fmt.Fprintln(os.Stderr, "bomwsrv: -save writes what training produced; it cannot be combined with -load")
+			os.Exit(1)
+		}
+		var err error
+		if saveFile, err = os.Create(*savePath); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	var faultPlans map[string]opencl.FaultPlan
 	if *faultSpec != "" {
 		var err error
@@ -178,6 +204,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if saveFile != nil {
+		if err := saveState(sched, saveFile); err != nil {
+			fmt.Fprintf(os.Stderr, "bomwsrv: saving scheduler state to %s: %v\n", *savePath, err)
+			os.Exit(1)
+		}
+		fmt.Printf("bomwsrv: scheduler state saved to %s\n", *savePath)
+		return
+	}
 	trained, loading := time.Since(offline), time.Now()
 	var weightBytes int64
 	for _, spec := range models.PaperModels() {
@@ -195,19 +229,17 @@ func main() {
 		fmt.Printf("bomwsrv: replicating into a %d-node fleet (%s routing)…\n", *nodes, policy.Name())
 	}
 	api, err := server.NewCluster(sched, *seed, core.PipelineConfig{
-		Window:           *window,
-		MaxBatch:         *maxBatch,
-		QueueDepth:       *queueDepth,
-		DeviceQueueDepth: *deviceDepth,
-		DefaultSLO:       *defaultSLO,
-		Hedge:            *hedge,
+		Window:     *window,
+		MaxBatch:   *maxBatch,
+		DefaultSLO: *defaultSLO,
+		Hedge:      *hedge,
 	}, *nodes, cluster.Config{
 		Policy:    policy,
 		Seed:      *seed,
 		Chaos:     chaos,
 		NodeHedge: *nodeHedge,
-		Straggler: cluster.StragglerConfig{Enabled: *straggler},
-		Brownout:  cluster.BrownoutConfig{Enabled: *brownout},
+		Straggler: *straggler,
+		Brownout:  *brownout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -271,7 +303,7 @@ func main() {
 		}
 	case <-ctx.Done():
 		fmt.Println("bomwsrv: shutting down, draining in-flight requests…")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			fmt.Fprintf(os.Stderr, "bomwsrv: forced shutdown: %v\n", err)

@@ -19,53 +19,34 @@ import (
 // ladder:
 //
 //	L0  healthy    everything on
-//	L1  ≥ L1 occ   hedges suppressed (pure overhead under pressure)
-//	L2  ≥ L2 occ   SLO-less requests shed with ErrBrownoutShed —
-//	               deadline traffic keeps the capacity that remains
-//	L3  ≥ L3 occ   batch windows widened WindowScale× on every node:
-//	               worse latency, better device efficiency per batch
+//	L1  ≥ 0.70 occ  hedges suppressed (pure overhead under pressure)
+//	L2  ≥ 0.85 occ  SLO-less requests shed with ErrBrownoutShed —
+//	                deadline traffic keeps the capacity that remains
+//	L3  ≥ 0.95 occ  batch windows widened 4× on every node: worse
+//	                latency, better device efficiency per batch
 //
 // Each level implies the ones below it. Levels drop only when the EWMA
-// falls Hysteresis below the level's entry threshold, so the fleet does
-// not flap across a threshold under oscillating load.
+// falls 0.05 below the level's entry threshold, so the fleet does not
+// flap across a threshold under oscillating load.
 
 // ErrBrownoutShed rejects an SLO-less request during brownout level ≥ 2
 // — the fleet is prioritising deadline traffic. HTTP servers translate
 // it to 503 with a Retry-After, like ErrAdmissionFull.
 var ErrBrownoutShed = errors.New("cluster: brownout shed")
 
-// BrownoutConfig parameterises the overload controller.
-type BrownoutConfig struct {
-	// Enabled turns the controller on.
-	Enabled bool
-	// L1, L2, L3 are the occupancy-EWMA entry thresholds of the levels.
-	// Defaults: 0.70, 0.85, 0.95.
-	L1, L2, L3 float64
-	// Hysteresis is how far the EWMA must fall below a level's entry
-	// threshold before the level is left. Defaults to 0.05.
-	Hysteresis float64
-	// WindowScale is the batch-window multiplier applied at level 3.
-	// Defaults to 4.
-	WindowScale float64
-}
+// The overload controller's parameters (Config.Brownout turns it on).
+const (
+	// brownoutHysteresis is how far the EWMA must fall below a level's
+	// entry threshold before the level is left.
+	brownoutHysteresis = 0.05
+	// brownoutWindowScale is the batch-window multiplier applied at
+	// level 3.
+	brownoutWindowScale = 4
+)
 
-func (b *BrownoutConfig) fillDefaults() {
-	if b.L1 <= 0 {
-		b.L1 = 0.70
-	}
-	if b.L2 <= 0 {
-		b.L2 = 0.85
-	}
-	if b.L3 <= 0 {
-		b.L3 = 0.95
-	}
-	if b.Hysteresis <= 0 {
-		b.Hysteresis = 0.05
-	}
-	if b.WindowScale <= 1 {
-		b.WindowScale = 4
-	}
-}
+// brownoutThresholds are the occupancy-EWMA entry thresholds of levels
+// 1, 2 and 3.
+var brownoutThresholds = [3]float64{0.70, 0.85, 0.95}
 
 // windowScaler is the optional node capability level 3 drives; only
 // nodes that can rescale their batching window (core.Node can) are
@@ -120,17 +101,15 @@ func (c *Cluster) brownoutAdmit(req core.PipelineRequest, ms []*member, views []
 
 // brownoutSteer walks the level ladder against the EWMA: up when the
 // next level's threshold is crossed, down when the EWMA has receded
-// Hysteresis below the current level's entry point.
+// brownoutHysteresis below the current level's entry point.
 func (c *Cluster) brownoutSteer(ewma float64) {
-	b := &c.cfg.Brownout
-	entry := [4]float64{0, b.L1, b.L2, b.L3}
 	for {
 		level := c.broLevel.Load()
 		target := level
 		switch {
-		case level < 3 && ewma >= entry[level+1]:
+		case level < 3 && ewma >= brownoutThresholds[level]:
 			target = level + 1
-		case level > 0 && ewma < entry[level]-b.Hysteresis:
+		case level > 0 && ewma < brownoutThresholds[level-1]-brownoutHysteresis:
 			target = level - 1
 		}
 		if target == level {
@@ -142,7 +121,7 @@ func (c *Cluster) brownoutSteer(ewma float64) {
 		c.broTransitions.Add(1)
 		// Level 3 owns the window scale: widen on entry, restore on exit.
 		if target == 3 {
-			c.applyWindowScale(b.WindowScale)
+			c.applyWindowScale(brownoutWindowScale)
 		} else if level == 3 {
 			c.applyWindowScale(1)
 		}
@@ -174,20 +153,19 @@ type BrownoutSnapshot struct {
 
 // Brownout snapshots the overload controller.
 func (c *Cluster) Brownout() BrownoutSnapshot {
-	b := c.cfg.Brownout
 	snap := BrownoutSnapshot{
-		Enabled:       b.Enabled,
+		Enabled:       c.cfg.Brownout,
 		Level:         int(c.broLevel.Load()),
 		OccupancyEWMA: c.brownoutOccupancy(),
 		Sheds:         c.brownoutSheds.Load(),
 		Suppressed:    c.hedgesSuppressed.Load(),
 		Transitions:   c.broTransitions.Load(),
-		Thresholds:    [3]float64{b.L1, b.L2, b.L3},
-		Hysteresis:    b.Hysteresis,
+		Thresholds:    brownoutThresholds,
+		Hysteresis:    brownoutHysteresis,
 		WindowScale:   1,
 	}
 	if snap.Level >= 3 {
-		snap.WindowScale = b.WindowScale
+		snap.WindowScale = brownoutWindowScale
 	}
 	return snap
 }

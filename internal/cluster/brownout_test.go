@@ -13,9 +13,8 @@ import (
 // EWMA values: levels climb at their entry thresholds, fall only after
 // the hysteresis gap, and level 3 owns the batch-window scale.
 func TestBrownoutLadder(t *testing.T) {
-	c, fakes := serveCluster(t, 2, Config{Brownout: BrownoutConfig{Enabled: true}})
+	c, fakes := serveCluster(t, 2, Config{Brownout: true})
 	defer c.Close()
-	b := c.cfg.Brownout // defaults: L1 .70, L2 .85, L3 .95, hysteresis .05
 
 	steps := []struct {
 		ewma      float64
@@ -23,13 +22,13 @@ func TestBrownoutLadder(t *testing.T) {
 		wantScale float64 // expected fake window scale after the step (0 = untouched yet)
 	}{
 		{0.50, 0, 0},
-		{0.72, 1, 0},             // crosses L1
-		{0.68, 1, 0},             // above L1-hyst: holds (no flap)
-		{0.64, 0, 0},             // below L1-hyst: falls
-		{0.96, 3, b.WindowScale}, // walks 0→3 in one call, widens windows
-		{0.92, 3, b.WindowScale}, // above L3-hyst: holds
-		{0.89, 2, 1},             // leaves level 3: windows restored
-		{0.10, 0, 1},             // walks 2→0
+		{0.72, 1, 0}, // crosses L1
+		{0.68, 1, 0}, // above L1-hyst: holds (no flap)
+		{0.64, 0, 0}, // below L1-hyst: falls
+		{0.96, 3, 4}, // walks 0→3 in one call, widens windows
+		{0.92, 3, 4}, // above L3-hyst: holds
+		{0.89, 2, 1}, // leaves level 3: windows restored
+		{0.10, 0, 1}, // walks 2→0
 	}
 	for i, s := range steps {
 		c.brownoutSteer(s.ewma)
@@ -44,7 +43,8 @@ func TestBrownoutLadder(t *testing.T) {
 		t.Fatal("no transitions counted")
 	}
 	snap := c.Brownout()
-	if !snap.Enabled || snap.Level != 0 || snap.WindowScale != 1 {
+	if !snap.Enabled || snap.Level != 0 || snap.WindowScale != 1 ||
+		snap.Thresholds != [3]float64{0.70, 0.85, 0.95} || snap.Hysteresis != 0.05 {
 		t.Fatalf("snapshot after recovery: %+v", snap)
 	}
 }
@@ -53,7 +53,7 @@ func TestBrownoutLadder(t *testing.T) {
 // SLO-less traffic with the typed sentinel while deadline traffic keeps
 // being served.
 func TestBrownoutShedsSLOlessOnly(t *testing.T) {
-	c, fakes := serveCluster(t, 2, Config{Brownout: BrownoutConfig{Enabled: true}})
+	c, fakes := serveCluster(t, 2, Config{Brownout: true})
 	defer c.Close()
 	// Static loads 19/20ths of capacity: the first Submit's occupancy
 	// sample lands at 0.95 and steers straight to level 3.
@@ -84,7 +84,7 @@ func TestBrownoutShedsSLOlessOnly(t *testing.T) {
 // TestBrownoutSuppressesHedges: level ≥ 1 sheds hedges first — the
 // deadline request itself is served, but no backup launches.
 func TestBrownoutSuppressesHedges(t *testing.T) {
-	c, fakes := serveCluster(t, 2, Config{NodeHedge: true, Brownout: BrownoutConfig{Enabled: true}})
+	c, fakes := serveCluster(t, 2, Config{NodeHedge: true, Brownout: true})
 	defer c.Close()
 	fakes[0].load, fakes[0].capacity = 8, 10
 	fakes[1].load, fakes[1].capacity = 8, 10

@@ -59,6 +59,12 @@ var (
 	ErrUnknownNode = errors.New("cluster: unknown node")
 )
 
+// maxAttempts bounds how many nodes one Submit may try: the policy's
+// first choice plus failovers onto the next-ranked nodes when a node
+// sheds (ErrAdmissionFull), predicts an SLO miss (ErrDeadlineInfeasible)
+// or is down.
+const maxAttempts = 3
+
 // Config parameterises the cluster.
 type Config struct {
 	// Policy orders candidate nodes per request. Defaults to round-robin.
@@ -67,11 +73,6 @@ type Config struct {
 	// should be built on the same function. Defaults to wall-clock time
 	// since the cluster was created (the serving mapping).
 	Clock func() time.Duration
-	// MaxAttempts bounds how many nodes one Submit may try: the policy's
-	// first choice plus failovers onto the next-ranked nodes when a node
-	// sheds (ErrAdmissionFull), predicts an SLO miss
-	// (ErrDeadlineInfeasible) or is down. Defaults to 3.
-	MaxAttempts int
 	// EvictAfter is the consecutive hard submit failures (node down,
 	// draining, pipeline closed) after which a node is evicted from
 	// routing. Defaults to 2.
@@ -99,10 +100,10 @@ type Config struct {
 	NodeHedge bool
 	// Straggler enables per-node latency-EWMA straggler detection, the
 	// Suspect probation state and queued-work migration.
-	Straggler StragglerConfig
+	Straggler bool
 	// Brownout enables the fleet overload controller (progressive
 	// shedding of optional work with hysteretic restore).
-	Brownout BrownoutConfig
+	Brownout bool
 }
 
 func (c *Config) fillDefaults() {
@@ -115,17 +116,12 @@ func (c *Config) fillDefaults() {
 		//bomw:wallclock see above: wall time since creation is the default virtual-time mapping
 		c.Clock = func() time.Duration { return time.Since(start) }
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 2
 	}
 	if c.SweepEvery == 0 {
 		c.SweepEvery = 64
 	}
-	c.Straggler.fillDefaults()
-	c.Brownout.fillDefaults()
 }
 
 // member is one node plus the cluster-side routing state around it.
@@ -318,7 +314,7 @@ func routeSLO(req core.PipelineRequest) time.Duration {
 }
 
 // Submit routes one request to a node and admits it there. The policy
-// orders the eligible nodes; the router tries up to MaxAttempts of them,
+// orders the eligible nodes; the router tries up to maxAttempts of them,
 // failing over past nodes that shed (ErrAdmissionFull), predict an SLO
 // miss (ErrDeadlineInfeasible) or are down (evicting the latter after
 // EvictAfter consecutive refusals). Validation errors (unknown model or
@@ -330,7 +326,7 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 	if c.cfg.SweepEvery > 0 && total%c.cfg.SweepEvery == 0 {
 		c.sweep()
 	}
-	if st := &c.cfg.Straggler; st.Enabled && st.ProbeEvery > 0 && total%st.ProbeEvery == 0 {
+	if c.cfg.Straggler && total%probeEvery == 0 {
 		c.probeOneSuspect(req.Model)
 	}
 	size := req.Batch
@@ -342,7 +338,7 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 		c.routeFails.Add(1)
 		return nil, fmt.Errorf("%w: all %d nodes evicted, on probation or in a chaos window", ErrNoHealthyNodes, len(c.members))
 	}
-	if c.cfg.Brownout.Enabled {
+	if c.cfg.Brownout {
 		if err := c.brownoutAdmit(req, ms, views); err != nil {
 			c.routeFails.Add(1)
 			return nil, err
@@ -357,7 +353,7 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 	if c.resilientFor(req) {
 		return c.submitResilient(ctx, req, ms, order)
 	}
-	attempts := c.cfg.MaxAttempts
+	attempts := maxAttempts
 	if attempts > len(order) {
 		attempts = len(order)
 	}
@@ -476,7 +472,7 @@ func (c *Cluster) sweep() {
 			}
 		}
 	}
-	if c.cfg.Straggler.Enabled {
+	if c.cfg.Straggler {
 		c.detectStragglers()
 	}
 }

@@ -27,47 +27,28 @@ import (
 // flapping node earns progressively longer probation instead of
 // readmit-looping through the fleet.
 
-// StragglerConfig parameterises detection and probation.
-type StragglerConfig struct {
-	// Enabled turns straggler detection, probation and migration on.
-	Enabled bool
-	// Factor is the outlier multiple: a node is suspect when its latency
-	// EWMA exceeds Factor × the fleet median (and the p99). Defaults to 3.
-	Factor float64
-	// MinRouted is the minimum number of requests a node must have
-	// accepted before its EWMA is judged — young nodes are not outliers,
-	// they are unmeasured. Defaults to 16.
-	MinRouted int64
-	// ProbeEvery sends one probe to one suspect node per this many
+// Detection and probation parameters (Config.Straggler turns them on).
+const (
+	// stragglerFactor is the outlier multiple: a node is suspect when
+	// its latency EWMA exceeds stragglerFactor × the fleet median (and
+	// the p99).
+	stragglerFactor = 3
+	// stragglerMinRouted is the minimum number of requests a node must
+	// have accepted before its EWMA is judged — young nodes are not
+	// outliers, they are unmeasured.
+	stragglerMinRouted = 16
+	// probeEvery sends one probe to one suspect node per this many
 	// cluster submissions (submission-driven like the sweep, so replay
-	// stays deterministic). Defaults to 32; negative disables probing.
-	ProbeEvery int64
-	// ProbeOK is the consecutive successful probes that clear a first
+	// stays deterministic).
+	probeEvery = 32
+	// probeOK is the consecutive successful probes that clear a first
 	// suspicion. Each re-suspicion doubles the bar (capped at 64) — the
-	// flapping hysteresis guard. Defaults to 2.
-	ProbeOK int
-	// EvictAfterBad is the failed probes after which a suspect is
-	// evicted outright. Defaults to 3.
-	EvictAfterBad int
-}
-
-func (s *StragglerConfig) fillDefaults() {
-	if s.Factor <= 1 {
-		s.Factor = 3
-	}
-	if s.MinRouted <= 0 {
-		s.MinRouted = 16
-	}
-	if s.ProbeEvery == 0 {
-		s.ProbeEvery = 32
-	}
-	if s.ProbeOK <= 0 {
-		s.ProbeOK = 2
-	}
-	if s.EvictAfterBad <= 0 {
-		s.EvictAfterBad = 3
-	}
-}
+	// flapping hysteresis guard.
+	probeOK = 2
+	// evictAfterBad is the failed probes after which a suspect is
+	// evicted outright.
+	evictAfterBad = 3
+)
 
 // probation is one member's Suspect-state bookkeeping, guarded by the
 // member's probMu (never held across a Submit or Wait).
@@ -76,7 +57,7 @@ type probation struct {
 	okProbes  int           // consecutive successful probes this epoch
 	badProbes int           // failed probes this epoch
 	needOK    int           // consecutive ok probes required to clear
-	latBar    time.Duration // Factor × fleet median at suspicion time: the probe pass bar
+	latBar    time.Duration // stragglerFactor × fleet median at suspicion time: the probe pass bar
 }
 
 // detectStragglers runs inside the health sweep: compute the fleet's
@@ -86,7 +67,6 @@ type probation struct {
 // re-judging the rest against fresh numbers next sweep beats suspecting
 // half the fleet on one stale snapshot.
 func (c *Cluster) detectStragglers() {
-	st := &c.cfg.Straggler
 	type cand struct {
 		m   *member
 		lat time.Duration
@@ -96,7 +76,7 @@ func (c *Cluster) detectStragglers() {
 		if m.evicted.Load() || m.suspect.Load() {
 			continue
 		}
-		if m.routed.Load() < st.MinRouted {
+		if m.routed.Load() < stragglerMinRouted {
 			continue
 		}
 		if lat := m.node.AvgLatency(); lat > 0 {
@@ -113,7 +93,7 @@ func (c *Cluster) detectStragglers() {
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 	median := lats[len(lats)/2]
 	p99 := lats[(99*(len(lats)-1)+50)/100]
-	bar := time.Duration(float64(median) * st.Factor)
+	bar := median * stragglerFactor
 	var worst *cand
 	for i := range cands {
 		cd := &cands[i]
@@ -135,7 +115,7 @@ func (c *Cluster) suspectMember(m *member, latBar time.Duration) {
 	m.probMu.Lock()
 	m.prob.epochs++
 	m.prob.okProbes, m.prob.badProbes = 0, 0
-	need := c.cfg.Straggler.ProbeOK
+	need := probeOK
 	for e := 1; e < m.prob.epochs && need < 64; e++ {
 		need *= 2 // flapping hysteresis: each relapse doubles the bar
 	}
@@ -188,7 +168,7 @@ func (c *Cluster) probeOneSuspect(model string) {
 // outcome. A probe passes when it completed without error and within
 // the latency bar captured at suspicion time; needOK consecutive passes
 // clear the suspicion (a FalseSuspect if no probe ever failed), and
-// EvictAfterBad failures evict the node for good — only an operator
+// evictAfterBad failures evict the node for good — only an operator
 // Readmit brings it back (probEvicted pins it against the sweep's
 // auto-readmission, which would otherwise readmit-loop a node whose
 // lifecycle health looks fine but whose latency does not).
@@ -208,7 +188,7 @@ func (c *Cluster) recordProbe(m *member, ok bool, lat time.Duration) {
 	} else {
 		m.prob.badProbes++
 		m.prob.okProbes = 0
-		if m.prob.badProbes >= c.cfg.Straggler.EvictAfterBad {
+		if m.prob.badProbes >= evictAfterBad {
 			evict = true
 		}
 	}

@@ -20,12 +20,12 @@ func stragglerCluster(t *testing.T, lats []time.Duration) (*Cluster, []*fakeNode
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(nodes, Config{Policy: pol, Straggler: StragglerConfig{Enabled: true}})
+	c, err := New(nodes, Config{Policy: pol, Straggler: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range c.members {
-		m.routed.Store(c.cfg.Straggler.MinRouted)
+		m.routed.Store(stragglerMinRouted)
 	}
 	return c, fakes
 }
@@ -69,7 +69,7 @@ func TestDetectStragglersSuspectsOutlier(t *testing.T) {
 func TestDetectStragglersGuards(t *testing.T) {
 	lats := []time.Duration{10 * time.Millisecond, 11 * time.Millisecond, 9 * time.Millisecond, 500 * time.Millisecond}
 	c, _ := stragglerCluster(t, lats)
-	c.members[3].routed.Store(c.cfg.Straggler.MinRouted - 1) // outlier, but young
+	c.members[3].routed.Store(stragglerMinRouted - 1) // outlier, but young
 	c.Sweep()
 	if got := c.Suspects(); len(got) != 0 {
 		t.Fatalf("young outlier suspected: %v", got)
@@ -162,7 +162,7 @@ func TestProbationEvictionPinsAgainstSweep(t *testing.T) {
 	c, _ := stragglerCluster(t, []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond})
 	m := c.members[1]
 	c.suspectMember(m, 30*time.Millisecond)
-	for i := 0; i < c.cfg.Straggler.EvictAfterBad; i++ {
+	for i := 0; i < evictAfterBad; i++ {
 		c.recordProbe(m, false, 0)
 	}
 	if !m.evicted.Load() || !m.probEvicted.Load() {
@@ -195,7 +195,7 @@ func TestProbationEvictionPinsAgainstSweep(t *testing.T) {
 func TestFlappingNodeDoublesProbation(t *testing.T) {
 	c, _ := stragglerCluster(t, []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond})
 	m := c.members[0]
-	base := c.cfg.Straggler.ProbeOK
+	base := probeOK
 	wantNeed := []int{base, base * 2, base * 4}
 	for epoch, want := range wantNeed {
 		c.suspectMember(m, 30*time.Millisecond)
@@ -241,7 +241,7 @@ func TestProbeOneSuspectRoundTrip(t *testing.T) {
 	fakes[2].setServe(0, time.Millisecond, nil)
 	m := c.members[2]
 	c.suspectMember(m, 30*time.Millisecond)
-	need := c.cfg.Straggler.ProbeOK
+	need := probeOK
 	for i := 0; i < need; i++ {
 		c.probeOneSuspect("simple")
 		deadline := time.Now().Add(5 * time.Second)

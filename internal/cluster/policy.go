@@ -39,7 +39,7 @@ func (v NodeView) Predict(model string, batch int, deadline, now time.Duration) 
 
 // Policy orders the eligible nodes for one request. Route returns
 // indices INTO views in preference order; the router tries them in turn
-// (bounded by Config.MaxAttempts), so position 1 is the failover target
+// (bounded by maxAttempts), so position 1 is the failover target
 // of position 0. Implementations must be deterministic given their own
 // state and the inputs — the cluster's seeded-replay guarantee (same
 // trace, same seed ⇒ identical routing decisions) rests on it.

@@ -76,7 +76,7 @@ const (
 // only deadline-carrying requests, and only when a resilience feature
 // is on — everything else keeps the zero-overhead direct path.
 func (c *Cluster) resilientFor(req core.PipelineRequest) bool {
-	return req.Deadline > 0 && (c.cfg.NodeHedge || c.cfg.Straggler.Enabled)
+	return req.Deadline > 0 && (c.cfg.NodeHedge || c.cfg.Straggler)
 }
 
 // submitResilient routes a deadline request through the arbitration
@@ -93,7 +93,7 @@ func (c *Cluster) submitResilient(ctx context.Context, req core.PipelineRequest,
 		tried:   make(map[string]bool, 2),
 		cancels: make(map[*member]context.CancelCauseFunc, 2),
 	}
-	attempts := c.cfg.MaxAttempts
+	attempts := maxAttempts
 	if attempts > len(order) {
 		attempts = len(order)
 	}

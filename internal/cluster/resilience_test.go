@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,7 +225,7 @@ func TestAllAttemptsFailSurfacesError(t *testing.T) {
 // resubmitted on a healthy node — the caller's future resolves with the
 // migrated completion and the loss is accounted benign.
 func TestStragglerMigration(t *testing.T) {
-	c, fakes := serveCluster(t, 2, Config{Straggler: StragglerConfig{Enabled: true}})
+	c, fakes := serveCluster(t, 2, Config{Straggler: true})
 	fakes[0].setServe(time.Hour, time.Millisecond, nil) // queued forever until cancelled
 	fut, err := c.Submit(context.Background(), core.PipelineRequest{
 		Model: "simple", Batch: 1, Deadline: time.Second,
@@ -252,11 +253,56 @@ func TestStragglerMigration(t *testing.T) {
 	}
 }
 
+// TestChaosTripMigration: a deadline request parked on a node when a
+// submission-driven sweep finds that node inside a scripted crash
+// window is cancelled node-side and resubmitted on the survivor — the
+// sweep's chaos trip → migrateFrom path, on a clock the test steps.
+func TestChaosTripMigration(t *testing.T) {
+	var now atomic.Int64
+	c, fakes := serveCluster(t, 2, Config{
+		Straggler:  true, // deadline requests take the arbitration path, which registers them for migration
+		SweepEvery: 1,
+		Clock:      func() time.Duration { return time.Duration(now.Load()) },
+		Chaos: NewChaosInjector([]ChaosPlan{
+			{Node: "node0", Crashes: []ChaosWindow{{Start: time.Second, End: 2 * time.Second}}},
+		}),
+	})
+	fakes[0].setServe(time.Hour, time.Millisecond, nil) // parked until cancelled
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	parked, err := c.Submit(ctx, core.PipelineRequest{Model: "simple", Batch: 1, Deadline: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.ChaosTrips != 0 || fakes[0].acceptCount() != 1 {
+		t.Fatalf("before the window: trips %d, node0 accepted %d; want 0 and 1", st.ChaosTrips, fakes[0].acceptCount())
+	}
+	now.Store(int64(1500 * time.Millisecond)) // inside node0's crash window
+	// This submission's sweep is the one that crosses the window edge.
+	driver, err := c.Submit(ctx, core.PipelineRequest{Model: "simple", Batch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fut := range []*core.Future{parked, driver} {
+		if comp, err := fut.Wait(ctx); err != nil || comp.Err != nil {
+			t.Fatalf("request failed: %v / %v", err, comp.Err)
+		}
+	}
+	c.Close()
+	st := c.Stats()
+	if st.ChaosTrips != 1 || st.Migrations != 1 || st.BenignCancels != 1 {
+		t.Fatalf("trips %d, migrations %d, benign cancels %d; want 1 each", st.ChaosTrips, st.Migrations, st.BenignCancels)
+	}
+	if got := fakes[1].acceptCount(); got != 2 {
+		t.Fatalf("survivor accepted %d, want 2 (the sweep's driver and the migrated request)", got)
+	}
+}
+
 // TestMigrationNoTargetStillResolves: migration with nowhere to go must
 // not strand the caller — the last relay out resolves the detached
 // future with the cancellation it saw.
 func TestMigrationNoTargetStillResolves(t *testing.T) {
-	c, fakes := serveCluster(t, 1, Config{Straggler: StragglerConfig{Enabled: true}})
+	c, fakes := serveCluster(t, 1, Config{Straggler: true})
 	fakes[0].setServe(time.Hour, time.Millisecond, nil)
 	fut, err := c.Submit(context.Background(), core.PipelineRequest{
 		Model: "simple", Batch: 1, Deadline: time.Second,

@@ -119,23 +119,3 @@ func (s *Scheduler) WriteAuditJSON(w io.Writer, n int) error {
 	}
 	return nil
 }
-
-// recordAudit appends a decision to the audit ring when enabled.
-func (s *Scheduler) recordAudit(dec Decision, at time.Duration) {
-	s.mu.Lock()
-	a := s.audit
-	s.mu.Unlock()
-	if a == nil {
-		return
-	}
-	a.record(AuditEntry{
-		At:       at,
-		Model:    dec.Model,
-		Batch:    dec.Batch,
-		Policy:   dec.Policy.String(),
-		Device:   dec.Device,
-		GPUWarm:  dec.GPUWarm,
-		Spilled:  dec.Spilled,
-		Decision: dec.DecisionTime,
-	})
-}

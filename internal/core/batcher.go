@@ -144,14 +144,7 @@ func (s *Scheduler) ReplayBatched(tr trace.Trace, b *Batcher, pol Policy) (Repla
 		if err != nil {
 			return ReplayResult{}, fmt.Errorf("core: batched replay at %v: %w", batch.FlushAt, err)
 		}
-		res.Requests += batch.Requests
-		res.TotalSamples += int64(batch.Size)
-		res.TotalEnergyJ += out.EnergyJ
-		res.Record(batch.Wait() + out.Latency())
-		if out.Completed > res.Makespan {
-			res.Makespan = out.Completed
-		}
-		res.PerDevice[dec.Device] += batch.Requests
+		res.Add(batch.Requests, batch.Size, batch.Wait()+out.Latency(), out.Completed, out.EnergyJ, dec.Device)
 	}
 	return res, nil
 }

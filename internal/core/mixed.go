@@ -61,14 +61,7 @@ func (s *Scheduler) ReplayMixed(reqs []MixedRequest) (MixedReplayResult, error) 
 			out.PerPolicy[req.Policy] = pr
 		}
 		for _, r := range []*ReplayResult{&out.Total, pr} {
-			r.Requests++
-			r.TotalSamples += int64(req.Batch)
-			r.TotalEnergyJ += res.EnergyJ
-			r.Record(res.Latency())
-			if res.Completed > r.Makespan {
-				r.Makespan = res.Completed
-			}
-			r.PerDevice[dec.Device]++
+			r.Add(1, req.Batch, res.Latency(), res.Completed, res.EnergyJ, dec.Device)
 		}
 	}
 	return out, nil

@@ -130,6 +130,13 @@ type Pipeline struct {
 	testExecHook func(device string)
 }
 
+// maxAttempts bounds how many devices one batch may try: the first
+// execution plus failover retries. On an execution error the batch
+// re-Selects with every failed device excluded and runs on the
+// next-ranked device, so one bad device degrades throughput instead of
+// failing requests; the paper's system has three devices.
+const maxAttempts = 3
+
 // PipelineConfig parameterises the serving pipeline.
 type PipelineConfig struct {
 	// Window is the maximum time the oldest request of a live batch may
@@ -165,12 +172,6 @@ type PipelineConfig struct {
 	// to wall-clock time since the pipeline was created (the serving
 	// mapping internal/server uses).
 	Clock func() time.Duration
-	// MaxAttempts bounds how many devices one batch may try: the first
-	// execution plus failover retries. On an execution error the batch
-	// re-Selects with every failed device excluded and runs on the
-	// next-ranked device, so one bad device degrades throughput instead
-	// of failing requests. Defaults to 3.
-	MaxAttempts int
 	// RetryBackoff is the wall-clock pause before each failover attempt,
 	// doubling per attempt. Defaults to 1 ms; negative disables backoff.
 	RetryBackoff time.Duration
@@ -227,9 +228,6 @@ func (c *PipelineConfig) fillDefaults() {
 		start := time.Now()
 		//bomw:wallclock see above: wall time since creation is the default virtual-time mapping
 		c.Clock = func() time.Duration { return time.Since(start) }
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = time.Millisecond
@@ -1470,7 +1468,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 	if err != nil {
 		excluded := map[string]bool{dec.Device: true}
 		p.sched.ReportExecution(dec.Device, err)
-		for attempt := 1; err != nil && attempt < p.cfg.MaxAttempts; attempt++ {
+		for attempt := 1; err != nil && attempt < maxAttempts; attempt++ {
 			if p.cfg.RetryBackoff > 0 {
 				//bomw:wallclock failover backoff pauses the real worker goroutine; a virtual-clock sleep would not give the device time to recover
 				time.Sleep(p.cfg.RetryBackoff << (attempt - 1))
@@ -1645,18 +1643,13 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 	return resolved
 }
 
-// concatInputs stacks the requests' input tensors along dim 0. Shapes
+// stackInputs stacks the requests' input tensors along dim 0. Shapes
 // were validated against the model spec at Submit, so per-sample layouts
 // agree. A batch of one request is that request's tensor itself: inputs
 // are only read from here on, so a primary and a hedged attempt may hold
-// the same one.
-func concatInputs(reqs []*pipeReq, size int) *tensor.Tensor {
-	return stackInputs(reqs, size, nil)
-}
-
-// stackInputs is concatInputs into *stacked, whose backing it reuses and
-// grows; the caller must not share it with a concurrent attempt. nil
-// allocates.
+// the same one. A larger batch is stacked into *stacked, whose backing it
+// reuses and grows; the caller must not share it with a concurrent
+// attempt. nil allocates.
 func stackInputs(reqs []*pipeReq, size int, stacked *[]float32) *tensor.Tensor {
 	first := reqs[0].req.Input
 	if len(reqs) == 1 {
@@ -1758,14 +1751,7 @@ func (p *Pipeline) Play(ctx context.Context, tr trace.Trace, pol Policy, speedup
 				}
 				return
 			}
-			res.Requests++
-			res.TotalSamples += int64(batch)
-			res.TotalEnergyJ += c.EnergyJ
-			res.Record(c.Latency)
-			if c.Completed > res.Makespan {
-				res.Makespan = c.Completed
-			}
-			res.PerDevice[c.Decision.Device]++
+			res.Add(1, batch, c.Latency, c.Completed, c.EnergyJ, c.Decision.Device)
 		}()
 	}
 	wg.Wait() // every submitted future has resolved past this point

@@ -59,16 +59,29 @@ func (r ReplayResult) Percentile(p float64) time.Duration {
 	return sorted[idx]
 }
 
-// Record folds one request latency into the aggregate (sum, max, and the
-// percentile population). Exported so external harnesses — the scenario
-// layer's percentile cross-check in particular — can build a
-// ReplayResult from their own latency samples.
-func (r *ReplayResult) Record(lat time.Duration) {
+// Add folds one execution into the aggregate: the requests it served
+// (one, or every request a batch aggregated), its samples and energy,
+// its latency (sum, max and the percentile population), the makespan
+// it may extend and the device it ran on ("" when the backend does not
+// say). Every replay loop and the scenario harness account through it.
+func (r *ReplayResult) Add(requests, samples int, lat, completed time.Duration, energyJ float64, device string) {
+	r.Requests += requests
+	r.TotalSamples += int64(samples)
+	r.TotalEnergyJ += energyJ
 	r.SumLatency += lat
 	if lat > r.MaxLatency {
 		r.MaxLatency = lat
 	}
 	r.latencies = append(r.latencies, lat)
+	if completed > r.Makespan {
+		r.Makespan = completed
+	}
+	if device != "" {
+		if r.PerDevice == nil {
+			r.PerDevice = map[string]int{}
+		}
+		r.PerDevice[device] += requests
+	}
 }
 
 // SamplesPerSecond returns sustained throughput over the makespan.
@@ -107,14 +120,7 @@ func (s *Scheduler) Replay(tr trace.Trace, pol Policy) (ReplayResult, error) {
 		if err := s.Observe(dec, out); err != nil {
 			return ReplayResult{}, err
 		}
-		res.Requests++
-		res.TotalSamples += int64(req.Batch)
-		res.TotalEnergyJ += out.EnergyJ
-		res.Record(out.Latency())
-		if out.Completed > res.Makespan {
-			res.Makespan = out.Completed
-		}
-		res.PerDevice[dec.Device]++
+		res.Add(1, req.Batch, out.Latency(), out.Completed, out.EnergyJ, dec.Device)
 	}
 	res.Spills = s.Stats().Spills - before
 	return res, nil
@@ -141,14 +147,7 @@ func (s *Scheduler) ReplayStatic(tr trace.Trace, devName string) (ReplayResult, 
 		if err != nil {
 			return ReplayResult{}, fmt.Errorf("core: static replay at %v: %w", req.At, err)
 		}
-		res.Requests++
-		res.TotalSamples += int64(req.Batch)
-		res.TotalEnergyJ += out.EnergyJ
-		res.Record(out.Latency())
-		if out.Completed > res.Makespan {
-			res.Makespan = out.Completed
-		}
-		res.PerDevice[devName]++
+		res.Add(1, req.Batch, out.Latency(), out.Completed, out.EnergyJ, devName)
 	}
 	return res, nil
 }
@@ -180,14 +179,7 @@ func (s *Scheduler) OracleReplay(tr trace.Trace, pol Policy) (ReplayResult, erro
 		if err != nil {
 			return ReplayResult{}, err
 		}
-		res.Requests++
-		res.TotalSamples += int64(req.Batch)
-		res.TotalEnergyJ += out.EnergyJ
-		res.Record(out.Latency())
-		if out.Completed > res.Makespan {
-			res.Makespan = out.Completed
-		}
-		res.PerDevice[bestName]++
+		res.Add(1, req.Batch, out.Latency(), out.Completed, out.EnergyJ, bestName)
 	}
 	return res, nil
 }

@@ -56,7 +56,6 @@ func (s *Scheduler) Replica(seed int64) (*Scheduler, error) {
 		disp:        NewDispatcher(rt),
 		devices:     devs,
 		classifiers: classifiers,
-		cvMetrics:   map[Policy]mlsched.Metrics{},
 		health:      newHealthMonitor(),
 		stats:       Stats{PerDevice: map[string]int{}, PerPolicy: map[Policy]int{}},
 	}

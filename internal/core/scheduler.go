@@ -55,9 +55,6 @@ type Config struct {
 	// §I "application overloads"). Defaults to 100 ms. Negative
 	// disables spilling.
 	MaxQueueDelay time.Duration
-	// EvaluateCV additionally cross-validates every policy's classifier
-	// on the training set and records the metrics (slower construction).
-	EvaluateCV bool
 }
 
 func (c *Config) fillDefaults() {
@@ -132,7 +129,6 @@ type Scheduler struct {
 	dgpu    *device.Device // nil when no boosted device is present
 
 	classifiers map[Policy]mlsched.Classifier
-	cvMetrics   map[Policy]mlsched.Metrics
 	dataset     *characterize.LabeledSet
 	health      *healthMonitor
 	audit       *auditLog
@@ -181,7 +177,6 @@ func New(cfg Config) (*Scheduler, error) {
 		disp:        NewDispatcher(rt),
 		devices:     cfg.Devices,
 		classifiers: map[Policy]mlsched.Classifier{},
-		cvMetrics:   map[Policy]mlsched.Metrics{},
 		health:      newHealthMonitor(),
 		stats:       Stats{PerDevice: map[string]int{}, PerPolicy: map[Policy]int{}},
 	}
@@ -209,14 +204,6 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("core: training %s classifier: %w", pol, err)
 		}
 		s.classifiers[pol] = c
-		if cfg.EvaluateCV {
-			m, err := mlsched.CrossValidate(func() mlsched.Classifier { return cfg.BuildClassifier(cfg.Seed) },
-				s.dataset.X, s.dataset.Y[pol], 5, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			s.cvMetrics[pol] = m
-		}
 	}
 	s.buildPolicySet()
 	return s, nil
@@ -236,10 +223,6 @@ func (s *Scheduler) Dataset() *characterize.LabeledSet {
 	defer s.mu.Unlock()
 	return s.dataset
 }
-
-// CVMetrics returns per-policy cross-validation metrics (only populated
-// when Config.EvaluateCV was set; written only at construction).
-func (s *Scheduler) CVMetrics() map[Policy]mlsched.Metrics { return s.cvMetrics }
 
 // Classifier returns the trained selector for a policy. Like the
 // internal classifierFor, the map read must hold the scheduler lock:
@@ -619,9 +602,9 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 	audit := s.audit
 	s.mu.Unlock()
 	if audit != nil {
-		// Inlined recordAudit: the audit pointer was fetched under the
-		// stats lock above, sparing a third mutex round-trip per decision
-		// when auditing is (as almost always) disabled.
+		// The audit pointer was fetched under the stats lock above,
+		// sparing a third mutex round-trip per decision when auditing
+		// is (as almost always) disabled.
 		audit.record(AuditEntry{
 			At:       now,
 			Model:    d.Model,

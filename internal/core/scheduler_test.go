@@ -739,7 +739,7 @@ func TestStringRenderers(t *testing.T) {
 		SumLatency: 3 * time.Millisecond, MaxLatency: 2 * time.Millisecond,
 		TotalEnergyJ: 1.5, Spills: 1,
 		PerDevice: map[string]int{"b": 1, "a": 2}}
-	r.Record(time.Millisecond)
+	r.Add(0, 0, time.Millisecond, 0, 0, "")
 	rs := r.String()
 	for _, want := range []string{"3 requests", "30 samples", "1.5 J", "1 spills", "a:2 b:1"} {
 		if !strings.Contains(rs, want) {

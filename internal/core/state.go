@@ -74,7 +74,6 @@ func LoadState(cfg Config, r io.Reader) (*Scheduler, error) {
 		disp:        NewDispatcher(rt),
 		devices:     cfg.Devices,
 		classifiers: map[Policy]mlsched.Classifier{},
-		cvMetrics:   map[Policy]mlsched.Metrics{},
 		health:      newHealthMonitor(),
 		stats:       Stats{PerDevice: map[string]int{}, PerPolicy: map[Policy]int{}},
 	}

@@ -81,8 +81,8 @@ func BenchmarkMatMulParallel1024(b *testing.B) {
 	}
 }
 
-// cifar-10's first layer through the two conv lowerings.
-func benchConvLowering(b *testing.B, conv func(pool *Pool, input, filters, bias *Tensor) *Tensor) {
+// cifar-10's first layer through the direct convolution.
+func BenchmarkConv2DDirect(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	in := randTensor(rng, 8, 3, 32, 32)
 	f := randTensor(rng, 32, 3, 3, 3)
@@ -90,12 +90,9 @@ func benchConvLowering(b *testing.B, conv func(pool *Pool, input, filters, bias 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = conv(Default, in, f, bias)
+		benchSink = Conv2D(Default, in, f, bias)
 	}
 }
-
-func BenchmarkConv2DDirect(b *testing.B) { benchConvLowering(b, Conv2D) }
-func BenchmarkConv2DIm2Col(b *testing.B) { benchConvLowering(b, Conv2DIm2Col) }
 
 // The shapes http_cnn_b8 runs: mnist-cnn's two padded convs (ReLU
 // fused) and two max-pools at batch 8, on the pools the scheduler's CPU

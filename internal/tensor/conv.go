@@ -306,67 +306,3 @@ func maxPoolPlanes(out, in *Tensor, k, lo, hi int) {
 		}
 	}
 }
-
-// Im2Col unrolls convolution windows of input [batch, C, H, W] into a
-// matrix of shape [batch*outH*outW, C*kH*kW], so that Conv2D can be
-// expressed as a single MatMul against flattened filters. This is the
-// classic GPU-friendly lowering; bomw uses it as the "column-major
-// friendly" alternative the paper evaluated.
-func Im2Col(input *Tensor, kH, kW int) *Tensor {
-	if input.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col needs rank-4 input, got %v", input.Shape()))
-	}
-	batch, ch, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
-	outH, outW := inH-kH+1, inW-kW+1
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col window %dx%d larger than input %dx%d", kH, kW, inH, inW))
-	}
-	cols := New(batch*outH*outW, ch*kH*kW)
-	in, cd := input.data, cols.data
-	inPlane := inH * inW
-	inVol := ch * inPlane
-	rowLen := ch * kH * kW
-
-	r := 0
-	for b := 0; b < batch; b++ {
-		src := in[b*inVol : (b+1)*inVol]
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				dst := cd[r*rowLen : (r+1)*rowLen]
-				p := 0
-				for c := 0; c < ch; c++ {
-					plane := src[c*inPlane:]
-					for fy := 0; fy < kH; fy++ {
-						copy(dst[p:p+kW], plane[(oy+fy)*inW+ox:])
-						p += kW
-					}
-				}
-				r++
-			}
-		}
-	}
-	return cols
-}
-
-// Conv2DIm2Col computes the same result as Conv2D via the im2col+matmul
-// lowering. Used in tests as a cross-check and by benchmarks comparing
-// the two data layouts.
-func Conv2DIm2Col(pool *Pool, input, filters, bias *Tensor) *Tensor {
-	batch := input.Dim(0)
-	outC, kH, kW := filters.Dim(0), filters.Dim(2), filters.Dim(3)
-	outH, outW := input.Dim(2)-kH+1, input.Dim(3)-kW+1
-	cols := Im2Col(input, kH, kW)                  // [batch*outH*outW, C*kH*kW]
-	w := filters.Reshape(outC, filters.Len()/outC) // [outC, C*kH*kW]
-	prod := Linear(pool, cols, w, bias, Identity)  // [batch*outH*outW, outC]
-	out := New(batch, outC, outH, outW)            // transpose back to NCHW
-	plane := outH * outW
-	for b := 0; b < batch; b++ {
-		for i := 0; i < plane; i++ {
-			row := prod.Row(b*plane + i)
-			for oc, v := range row {
-				out.data[b*outC*plane+oc*plane+i] = v
-			}
-		}
-	}
-	return out
-}

@@ -79,41 +79,6 @@ func TestConv2DParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestConv2DIm2ColMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, shape := range [][2][4]int{
-		{{1, 1, 5, 5}, {1, 1, 3, 3}},
-		{{2, 3, 8, 8}, {4, 3, 3, 3}},
-		{{1, 2, 6, 7}, {3, 2, 2, 4}},
-	} {
-		in := randTensor(rng, shape[0][0], shape[0][1], shape[0][2], shape[0][3])
-		f := randTensor(rng, shape[1][0], shape[1][1], shape[1][2], shape[1][3])
-		bias := randTensor(rng, shape[1][0])
-		direct := Conv2D(Default, in, f, bias)
-		lowered := Conv2DIm2Col(Default, in, f, bias)
-		if !direct.ApproxEqual(lowered, 1e-3) {
-			t.Fatalf("im2col lowering mismatch for %v", shape)
-		}
-	}
-}
-
-func TestIm2ColShape(t *testing.T) {
-	in := New(2, 3, 5, 5)
-	cols := Im2Col(in, 3, 3)
-	if cols.Dim(0) != 2*3*3 || cols.Dim(1) != 3*3*3 {
-		t.Fatalf("Im2Col shape = %v, want [18 27]", cols.Shape())
-	}
-}
-
-func TestIm2ColPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Im2Col with oversized window did not panic")
-		}
-	}()
-	Im2Col(New(1, 1, 2, 2), 3, 3)
-}
-
 func TestMaxPool2DKnownValues(t *testing.T) {
 	in := FromSlice([]float32{
 		1, 2, 5, 6,

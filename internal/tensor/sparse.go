@@ -60,27 +60,20 @@ func (c *CSRMatrix) Dense() *Tensor {
 	return t
 }
 
-// MatMulCSR computes C = A·Bᵀ where B is sparse: A is [batch, cols] and
-// the result is [batch, rows] — the pruned dense-layer forward pass
-// (out = x·Wᵀ with W in CSR). Work is parallel over batch rows.
-func MatMulCSR(pool *Pool, a *Tensor, b *CSRMatrix) *Tensor {
-	out := New(a.Dim(0), b.Rows)
-	MatMulCSRInto(pool, out, a, b)
-	return out
-}
-
-// MatMulCSRInto is MatMulCSR writing into out [batch, rows], which the
-// caller owns; every element of out is overwritten.
+// MatMulCSRInto computes C = A·Bᵀ where B is sparse: A is [batch, cols]
+// and out is [batch, rows] — the pruned dense-layer forward pass
+// (out = x·Wᵀ with W in CSR). The caller owns out; every element of it
+// is overwritten. Work is parallel over batch rows.
 func MatMulCSRInto(pool *Pool, out, a *Tensor, b *CSRMatrix) {
 	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulCSR needs rank-2 input, got %v", a.Shape()))
+		panic(fmt.Sprintf("tensor: MatMulCSRInto needs rank-2 input, got %v", a.Shape()))
 	}
 	if a.Dim(1) != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulCSR inner dimensions differ: %d vs %d", a.Dim(1), b.Cols))
+		panic(fmt.Sprintf("tensor: MatMulCSRInto inner dimensions differ: %d vs %d", a.Dim(1), b.Cols))
 	}
 	batch := a.Dim(0)
 	if out.Rank() != 2 || out.Dim(0) != batch || out.Dim(1) != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulCSR output shape %v, want [%d %d]", out.Shape(), batch, b.Rows))
+		panic(fmt.Sprintf("tensor: MatMulCSRInto output shape %v, want [%d %d]", out.Shape(), batch, b.Rows))
 	}
 	ad, od := a.Data(), out.Data()
 	cols := b.Cols

@@ -59,23 +59,21 @@ func TestMatMulCSRMatchesDense(t *testing.T) {
 	}
 	x := randTensor(rng, 7, 9)
 	want := MatMul(Serial, x, Transpose(w))
-	got := MatMulCSR(NewPool(4, 2), x, NewCSR(w, 0))
-	if !want.ApproxEqual(got, 1e-4) {
-		t.Fatal("sparse matmul differs from dense")
-	}
-	into := New(7, 13)
-	into.Fill(-7.5) // MatMulCSRInto owes every element a value, all-zero weight rows included
-	MatMulCSRInto(Serial, into, x, NewCSR(w, 0))
-	if !sameBits(into, got) {
-		t.Fatal("MatMulCSRInto differs from MatMulCSR")
+	for _, pool := range []*Pool{Serial, NewPool(4, 2)} {
+		got := New(7, 13)
+		got.Fill(-7.5) // MatMulCSRInto owes every element a value, all-zero weight rows included
+		MatMulCSRInto(pool, got, x, NewCSR(w, 0))
+		if !want.ApproxEqual(got, 1e-4) {
+			t.Fatal("sparse matmul differs from dense")
+		}
 	}
 }
 
 func TestMatMulCSRPanics(t *testing.T) {
 	w := NewCSR(New(3, 4), 0)
 	for i, fn := range []func(){
-		func() { MatMulCSR(Serial, New(2, 5), w) },                // inner mismatch
-		func() { MatMulCSR(Serial, New(5), w) },                   // bad rank
+		func() { MatMulCSRInto(Serial, New(2, 3), New(2, 5), w) }, // inner mismatch
+		func() { MatMulCSRInto(Serial, New(2, 3), New(5), w) },    // bad rank
 		func() { MatMulCSRInto(Serial, New(2, 4), New(2, 4), w) }, // output not [batch, rows]
 	} {
 		func() {

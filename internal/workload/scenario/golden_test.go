@@ -21,33 +21,46 @@ var update = flag.Bool("update", false, "rewrite the golden scenario reports")
 func TestGoldenReports(t *testing.T) {
 	cases := []struct {
 		file string
-		run  func(t *testing.T) (Report, error)
+		run  func(t *testing.T) (any, error)
 	}{
-		{"node_single-stream.json", func(t *testing.T) (Report, error) {
+		{"node_single-stream.json", func(t *testing.T) (any, error) {
 			p := baseParams()
 			p.Kind = SingleStream
 			return Run(freshNode(t), p)
 		}},
-		{"node_multi-stream.json", func(t *testing.T) (Report, error) {
+		{"node_multi-stream.json", func(t *testing.T) (any, error) {
 			p := baseParams()
 			p.Kind = MultiStream
 			return Run(freshNode(t), p)
 		}},
-		{"node_server.json", func(t *testing.T) (Report, error) {
+		{"node_server.json", func(t *testing.T) (any, error) {
 			p := baseParams()
 			p.Kind = Server
 			return Run(freshNode(t), p)
 		}},
-		{"node_offline.json", func(t *testing.T) (Report, error) {
+		{"node_offline.json", func(t *testing.T) (any, error) {
 			p := baseParams()
 			p.Kind = Offline
 			return Run(freshNode(t), p)
 		}},
-		{"fleet4_server.json", func(t *testing.T) (Report, error) {
+		{"fleet4_server.json", func(t *testing.T) (any, error) {
 			p := baseParams()
 			p.Kind = Server
 			p.TargetRate = 2000 // enough offered load to exercise routing
 			return Run(freshFleet(t, 4), p)
+		}},
+		// The max rate one node sustains under a 20 ms SLO at 0.99
+		// attainment (ROADMAP's 3760 qps), with the probe trail.
+		{"node_server_search.json", func(t *testing.T) (any, error) {
+			b := freshNode(t)
+			p := baseParams()
+			p.Kind = Server
+			p.Queries = 256
+			p.Seed = 1
+			return FindMaxRate(func(rate float64) (Report, error) {
+				p.TargetRate = rate
+				return Run(b, p)
+			}, 10, 1e6, 0.99, 8)
 		}},
 	}
 	for _, tc := range cases {

@@ -60,10 +60,10 @@ func RunLive(ctx context.Context, t LiveTarget, p Params, speedup float64) (Repo
 	return Report{}, fmt.Errorf("scenario: unknown scenario kind %q", p.Kind)
 }
 
-// record folds one live completion into the collector and the
+// record folds one live completion into the result and the
 // dropped/expired/failed tallies. It returns true when the query
 // completed successfully.
-func record(col *collector, c core.Completion, samples int, expired, failed *int) bool {
+func record(res *core.ReplayResult, c core.Completion, samples int, expired, failed *int) bool {
 	if c.Err != nil {
 		if errors.Is(c.Err, core.ErrDeadlineExceeded) {
 			*expired++
@@ -72,12 +72,12 @@ func record(col *collector, c core.Completion, samples int, expired, failed *int
 		}
 		return false
 	}
-	col.add(c.Latency, c.Completed, samples, c.EnergyJ, c.Decision.Device)
+	res.Add(1, samples, c.Latency, c.Completed, c.EnergyJ, c.Decision.Device)
 	return true
 }
 
 func runLiveStream(ctx context.Context, t LiveTarget, p Params) (Report, error) {
-	col := newCollector()
+	var res core.ReplayResult
 	var expired, failed int
 	for q := 0; q < p.Queries; q++ {
 		fut, err := t.Target.Submit(ctx, core.PipelineRequest{
@@ -90,9 +90,9 @@ func runLiveStream(ctx context.Context, t LiveTarget, p Params) (Report, error) 
 		if err != nil {
 			return Report{}, fmt.Errorf("scenario %s query %d: %w", p.Kind, q, err)
 		}
-		record(col, c, p.Batch, &expired, &failed)
+		record(&res, c, p.Batch, &expired, &failed)
 	}
-	r := col.report(p.Kind, t.Name, p)
+	r := report(res, p.Kind, t.Name, p)
 	r.Expired, r.Failed = expired, failed
 	return r, nil
 }
@@ -103,7 +103,7 @@ func runLiveStream(ctx context.Context, t LiveTarget, p Params) (Report, error) 
 // shed query (ErrAdmissionFull) waits for the oldest outstanding future
 // and retries.
 func runLiveOffline(ctx context.Context, t LiveTarget, p Params) (Report, error) {
-	col := newCollector()
+	var res core.ReplayResult
 	var expired, failed, dropped int
 	var pending []*core.Future
 	drainOne := func() error {
@@ -112,7 +112,7 @@ func runLiveOffline(ctx context.Context, t LiveTarget, p Params) (Report, error)
 		if err != nil {
 			return err
 		}
-		record(col, c, p.Batch, &expired, &failed)
+		record(&res, c, p.Batch, &expired, &failed)
 		return nil
 	}
 	for q := 0; q < p.Queries; q++ {
@@ -142,7 +142,7 @@ func runLiveOffline(ctx context.Context, t LiveTarget, p Params) (Report, error)
 			return Report{}, fmt.Errorf("scenario offline: %w", err)
 		}
 	}
-	r := col.report(Offline, t.Name, p)
+	r := report(res, Offline, t.Name, p)
 	r.Dropped, r.Expired, r.Failed = dropped, expired, failed
 	return r, nil
 }
@@ -165,7 +165,7 @@ func runLiveServer(ctx context.Context, t LiveTarget, p Params, speedup float64)
 		speedup = 1
 	}
 
-	col := newCollector()
+	var res core.ReplayResult
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var expired, failed, dropped, inSLO int
@@ -198,7 +198,7 @@ func runLiveServer(ctx context.Context, t LiveTarget, p Params, speedup float64)
 				failed++
 				return
 			}
-			if record(col, c, samples, &expired, &failed) && c.Latency <= p.SLO {
+			if record(&res, c, samples, &expired, &failed) && c.Latency <= p.SLO {
 				inSLO++
 			}
 		}(req.Batch)
@@ -208,7 +208,7 @@ func runLiveServer(ctx context.Context, t LiveTarget, p Params, speedup float64)
 		return Report{}, fmt.Errorf("scenario server: %w", submitErr)
 	}
 
-	r := col.report(Server, t.Name, p)
+	r := report(res, Server, t.Name, p)
 	r.Dropped, r.Expired, r.Failed = dropped, expired, failed
 	r.TargetRate = round3(p.TargetRate)
 	r.SLOMS = round3(float64(p.SLO) / float64(time.Millisecond))

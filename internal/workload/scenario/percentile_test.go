@@ -1,97 +1,57 @@
 package scenario
 
 import (
-	"sort"
 	"testing"
 	"time"
 
 	"bomw/internal/core"
 )
 
-// Two percentile implementations exist on purpose — the scenario
-// collector works on a pre-sorted slice, ReplayResult sorts a copy per
-// call — but they must encode the same convention (idx =
-// ceil(q/100·n)−1 on the sorted population). This suite runs both over
-// shared vectors so a drift in either is caught at the boundary where
-// MLPerf-style reports and replay summaries would silently disagree.
-
-var percentileVectors = []struct {
-	name string
-	lats []time.Duration
-}{
-	{"n=1", []time.Duration{42 * time.Millisecond}},
-	{"two distinct", []time.Duration{1 * time.Millisecond, 9 * time.Millisecond}},
-	{"all ties", []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}},
-	{"ties at tail", []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 7 * time.Millisecond, 7 * time.Millisecond, 7 * time.Millisecond}},
-	{"unsorted input", []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}},
-	{"hundred", func() []time.Duration {
-		out := make([]time.Duration, 100)
-		for i := range out {
-			out[i] = time.Duration(i+1) * time.Millisecond
-		}
-		return out
-	}()},
-}
-
-var percentilePoints = []float64{0, 1, 25, 50, 90, 99, 100}
-
-func TestPercentileConventionsAgree(t *testing.T) {
-	for _, v := range percentileVectors {
-		var res core.ReplayResult
-		for _, l := range v.lats {
-			res.Record(l)
-		}
-		res.Requests = len(v.lats)
-		sorted := append([]time.Duration(nil), v.lats...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, q := range percentilePoints {
-			replay := res.Percentile(q)
-			scen := percentile(sorted, q)
-			if replay != scen {
-				t.Errorf("%s p%v: ReplayResult.Percentile = %v, scenario.percentile = %v", v.name, q, replay, scen)
-			}
-		}
+// population builds the ReplayResult a scenario would have accumulated
+// from these latencies.
+func population(lats ...time.Duration) core.ReplayResult {
+	var res core.ReplayResult
+	for _, l := range lats {
+		res.Add(1, 1, l, l, 0, "")
 	}
+	return res
 }
 
 func TestPercentileEdgeValues(t *testing.T) {
-	// Pin the convention itself, not just cross-implementation
-	// agreement: a single sample answers every percentile, p=0 is the
-	// minimum, p=100 the maximum, and out-of-range p clamps.
-	one := []time.Duration{42 * time.Millisecond}
-	var res core.ReplayResult
-	res.Record(one[0])
+	// Pin the convention (idx = ceil(p/100·n)−1 on the sorted
+	// population) that replay summaries and scenario reports share: a
+	// single sample answers every percentile, p=0 is the minimum, p=100
+	// the maximum, and out-of-range p clamps.
+	one := population(42 * time.Millisecond)
 	for _, q := range []float64{0, 50, 100} {
-		if got := res.Percentile(q); got != one[0] {
-			t.Errorf("n=1 p%v = %v, want %v", q, got, one[0])
-		}
-		if got := percentile(one, q); got != one[0] {
-			t.Errorf("scenario n=1 p%v = %v, want %v", q, got, one[0])
+		if got := one.Percentile(q); got != 42*time.Millisecond {
+			t.Errorf("n=1 p%v = %v, want %v", q, got, 42*time.Millisecond)
 		}
 	}
 
-	var multi core.ReplayResult
-	lats := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
-	for _, l := range lats {
-		multi.Record(l)
+	lats := []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
+	multi := population(lats...)
+	for _, c := range []struct {
+		p    float64
+		want time.Duration
+	}{
+		{0, lats[1]},   // the minimum
+		{50, lats[2]},  // ceil(1.5)−1 = 1 of the sorted three
+		{100, lats[0]}, // the maximum
+		{-5, lats[1]},  // clamps to p0
+		{250, lats[0]}, // clamps to p100
+	} {
+		if got := multi.Percentile(c.p); got != c.want {
+			t.Errorf("p%v = %v, want %v", c.p, got, c.want)
+		}
 	}
-	if got := multi.Percentile(0); got != lats[0] {
-		t.Errorf("p0 = %v, want the minimum %v", got, lats[0])
-	}
-	if got := multi.Percentile(100); got != lats[2] {
-		t.Errorf("p100 = %v, want the maximum %v", got, lats[2])
-	}
-	if got := multi.Percentile(-5); got != lats[0] {
-		t.Errorf("p<0 = %v, want clamp to minimum %v", got, lats[0])
-	}
-	if got := multi.Percentile(250); got != lats[2] {
-		t.Errorf("p>100 = %v, want clamp to maximum %v", got, lats[2])
-	}
-	var empty core.ReplayResult
-	if got := empty.Percentile(50); got != 0 {
+	if got := population().Percentile(50); got != 0 {
 		t.Errorf("empty population p50 = %v, want 0", got)
 	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("scenario empty population p50 = %v, want 0", got)
+
+	// The report reads the same function.
+	rep := report(multi, Server, "test", Params{})
+	if rep.Latency.P50US != 20000 || rep.Latency.P99US != 30000 || rep.Latency.MaxUS != 30000 || rep.Latency.MeanUS != 20000 {
+		t.Errorf("report percentiles = %+v", rep.Latency)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bomw/internal/core"
 	"bomw/internal/workload"
 )
 
@@ -49,31 +50,31 @@ func RunAll(b Backend, base Params) ([]Report, error) {
 // each completion, so latency is pure service time — no queueing by
 // construction.
 func runStream(b Backend, p Params) (Report, error) {
-	col := newCollector()
+	var res core.ReplayResult
 	clock := time.Duration(0)
 	for q := 0; q < p.Queries; q++ {
 		ex, err := b.Run(p.Model, p.Batch, p.Policy, clock)
 		if err != nil {
 			return Report{}, fmt.Errorf("scenario %s query %d: %w", p.Kind, q, err)
 		}
-		col.add(ex.Completed-clock, ex.Completed, p.Batch, ex.EnergyJ, ex.Device)
+		res.Add(1, p.Batch, ex.Completed-clock, ex.Completed, ex.EnergyJ, ex.Device)
 		clock = ex.Completed
 	}
-	return col.report(p.Kind, b.Name(), p), nil
+	return report(res, p.Kind, b.Name(), p), nil
 }
 
 // runOffline issues the whole backlog at t=0; the device busy horizon
 // provides the queueing, and samples/s over the makespan is the metric.
 func runOffline(b Backend, p Params) (Report, error) {
-	col := newCollector()
+	var res core.ReplayResult
 	for q := 0; q < p.Queries; q++ {
 		ex, err := b.Run(p.Model, p.Batch, p.Policy, 0)
 		if err != nil {
 			return Report{}, fmt.Errorf("scenario offline query %d: %w", q, err)
 		}
-		col.add(ex.Completed, ex.Completed, p.Batch, ex.EnergyJ, ex.Device)
+		res.Add(1, p.Batch, ex.Completed, ex.Completed, ex.EnergyJ, ex.Device)
 	}
-	return col.report(Offline, b.Name(), p), nil
+	return report(res, Offline, b.Name(), p), nil
 }
 
 // runServer replays the compiled arrival stream (Poisson by default, or
@@ -89,7 +90,7 @@ func runServer(b Backend, p Params) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("scenario server: compiling arrivals: %w", err)
 	}
-	col := newCollector()
+	var res core.ReplayResult
 	inSLO := 0
 	for i, ev := range tr {
 		ex, err := b.Run(ev.Model, ev.Batch, p.Policy, ev.At)
@@ -100,9 +101,9 @@ func runServer(b Backend, p Params) (Report, error) {
 		if p.SLO <= 0 || lat <= p.SLO {
 			inSLO++
 		}
-		col.add(lat, ex.Completed, ev.Batch, ex.EnergyJ, ex.Device)
+		res.Add(1, ev.Batch, lat, ex.Completed, ex.EnergyJ, ex.Device)
 	}
-	r := col.report(Server, b.Name(), p)
+	r := report(res, Server, b.Name(), p)
 	r.TargetRate = round3(p.TargetRate)
 	r.SLOMS = round3(float64(p.SLO) / float64(time.Millisecond))
 	if len(tr) > 0 {

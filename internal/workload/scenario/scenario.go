@@ -30,7 +30,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"bomw/internal/core"
@@ -203,82 +202,37 @@ type Report struct {
 	PerDevice map[string]int `json:"per_device,omitempty"`
 }
 
-// collector accumulates per-query completions into a Report.
-type collector struct {
-	lats      []time.Duration
-	samples   int64
-	energyJ   float64
-	makespan  time.Duration
-	perDevice map[string]int
-}
-
-func newCollector() *collector {
-	return &collector{perDevice: map[string]int{}}
-}
-
-func (c *collector) add(lat, completed time.Duration, samples int, energyJ float64, device string) {
-	c.lats = append(c.lats, lat)
-	c.samples += int64(samples)
-	c.energyJ += energyJ
-	if completed > c.makespan {
-		c.makespan = completed
-	}
-	if device != "" {
-		c.perDevice[device]++
-	}
-}
-
-// percentile returns the q-th percentile of the sorted population,
-// matching ReplayResult.Percentile's convention.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
 // round3 stabilises derived float fields for byte-stable reports.
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
-// report folds the collected completions into the Report shape.
-func (c *collector) report(kind Kind, target string, p Params) Report {
+// report renders the completions a scenario accumulated, one
+// ReplayResult.Add per completed query, in the Report shape.
+func report(res core.ReplayResult, kind Kind, target string, p Params) Report {
 	r := Report{
 		Scenario:   string(kind),
 		Target:     target,
 		Model:      p.Model,
 		Policy:     p.Policy.String(),
 		Seed:       p.Seed,
-		Queries:    len(c.lats),
-		Samples:    c.samples,
-		MakespanUS: c.makespan.Microseconds(),
-		EnergyJ:    round3(c.energyJ),
+		Queries:    res.Requests,
+		Samples:    res.TotalSamples,
+		MakespanUS: res.Makespan.Microseconds(),
+		EnergyJ:    round3(res.TotalEnergyJ),
+		PerDevice:  res.PerDevice,
 	}
-	if len(c.perDevice) > 0 {
-		r.PerDevice = c.perDevice
-	}
-	if len(c.lats) == 0 {
+	if res.Requests == 0 {
 		return r
 	}
-	sorted := append([]time.Duration(nil), c.lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, l := range sorted {
-		sum += l
-	}
 	r.Latency = Percentiles{
-		MeanUS: (sum / time.Duration(len(sorted))).Microseconds(),
-		P50US:  percentile(sorted, 50).Microseconds(),
-		P90US:  percentile(sorted, 90).Microseconds(),
-		P99US:  percentile(sorted, 99).Microseconds(),
-		MaxUS:  sorted[len(sorted)-1].Microseconds(),
+		MeanUS: res.AvgLatency().Microseconds(),
+		P50US:  res.Percentile(50).Microseconds(),
+		P90US:  res.Percentile(90).Microseconds(),
+		P99US:  res.Percentile(99).Microseconds(),
+		MaxUS:  res.MaxLatency.Microseconds(),
 	}
-	if c.makespan > 0 {
-		r.QPS = round3(float64(len(c.lats)) / c.makespan.Seconds())
-		r.SamplesPerS = round3(float64(c.samples) / c.makespan.Seconds())
+	if res.Makespan > 0 {
+		r.QPS = round3(float64(res.Requests) / res.Makespan.Seconds())
+		r.SamplesPerS = round3(res.SamplesPerSecond())
 	}
 	return r
 }
