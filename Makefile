@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet vet-portable lint lint-json lint-sarif race bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test vet vet-portable lint lint-json lint-sarif race stepped bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -47,6 +47,15 @@ test:
 
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...
+
+# The stepped-clock tests, fifty times under the race detector (seconds):
+# the five timers of the serving path — batching window, device hedge,
+# retry backoff, recovery prober, node hedge — and the accounting
+# identities, each driven by stepping a core.ManualClock. They neither
+# sleep nor poll, so a failure here is an ordering bug, not a slow host.
+stepped:
+	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestPipelineHedgeCompletesOnBackupDevice' ./internal/core/
+	$(GO) test -race -count=50 -run 'TestClusterHedgeReactive' ./internal/cluster/
 
 BENCHTIME ?= 2s
 bench:

@@ -265,10 +265,22 @@ type (
 	Future = core.Future
 	// PipelineStats is a snapshot of pipeline counters and queue depths.
 	PipelineStats = core.PipelineStats
+	// Clock is what PipelineConfig.Clock and ClusterConfig.Clock take: the
+	// serving path's one source of now and of timers.
+	Clock = core.Clock
+	// ManualClock is a Clock a test steps with Advance.
+	ManualClock = core.ManualClock
 )
 
 // NewPipeline starts a serving pipeline over a trained scheduler.
 func NewPipeline(s *Scheduler, cfg PipelineConfig) *Pipeline { return core.NewPipeline(s, cfg) }
+
+// The two clocks: wall time since the call (the default), and one that
+// stands still until stepped.
+var (
+	WallClock      = core.WallClock
+	NewManualClock = core.NewManualClock
+)
 
 // Pipeline admission errors.
 var (

@@ -54,45 +54,56 @@ func chaosTemplate(t testing.TB) *core.Scheduler {
 }
 
 // chaosRun drives a 16-node resilient fleet (node hedging + straggler
-// probation on) under closed-loop client load until the virtual clock
-// passes the chaos horizon. Returns client-side SLO attainment and the
-// final fleet stats.
-func chaosRun(t *testing.T, tmpl *core.Scheduler, ci *ChaosInjector, fleetSize, clients int, horizon, deadline time.Duration) (float64, FleetStats) {
+// probation on) under closed-loop client load until the fleet's wall
+// clock passes the chaos horizon. Returns client-side SLO attainment and
+// the final fleet stats. plans scripts the incident from virtual 0; nil
+// runs the no-fault baseline.
+func chaosRun(t *testing.T, tmpl *core.Scheduler, plans []ChaosPlan, fleetSize, clients int, horizon, deadline time.Duration) (float64, FleetStats) {
 	t.Helper()
 	pol, err := PolicyByName("least-loaded", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gated clock: virtual time holds at 0 until the fleet is fully
-	// built and armed, so chaos windows (scripted from virtual 0) can't
-	// expire during replica construction — which takes multiple seconds
-	// under the race detector.
-	var startNanos atomic.Int64
+	clk := core.WallClock()
 	cfg := Config{
 		Policy:     pol,
 		SweepEvery: 50,
 		NodeHedge:  true,
 		Straggler:  true,
-		Chaos:      ci,
-		Clock: func() time.Duration {
-			s := startNanos.Load()
-			if s == 0 {
-				return 0
-			}
-			return time.Duration(time.Now().UnixNano() - s)
-		},
+		Clock:      clk,
 	}
-	c, nodes, err := Build(tmpl, fleetSize, 1, core.PipelineConfig{
+	_, nodes, err := Build(tmpl, fleetSize, 1, core.PipelineConfig{
 		Window: 200 * time.Microsecond, MaxBatch: 32,
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if ci != nil {
-		armSlowPlans(nodes, ci, 9)
+	// Building the replicas takes seconds under the race detector, and
+	// the clock has been running since before it: the incident is
+	// anchored where the clock stands once the fleet is built and armed,
+	// so no scripted window can expire during construction. Build's own
+	// cluster is left aside for one whose chaos plan carries that origin.
+	members := make([]Node, len(nodes))
+	for i, nd := range nodes {
+		members[i] = nd
 	}
-	startNanos.Store(time.Now().UnixNano())
+	origin := clk.Now()
+	if plans != nil {
+		anchored := make([]ChaosPlan, len(plans))
+		for i, p := range plans {
+			anchored[i] = ChaosPlan{Node: p.Node, SlowFactor: p.SlowFactor}
+			for _, w := range p.Crashes {
+				anchored[i].Crashes = append(anchored[i].Crashes, ChaosWindow{Start: origin + w.Start, End: origin + w.End})
+			}
+		}
+		cfg.Chaos = NewChaosInjector(anchored)
+		armSlowPlans(nodes, cfg.Chaos, 9)
+	}
+	c, err := New(members, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -100,12 +111,12 @@ func chaosRun(t *testing.T, tmpl *core.Scheduler, ci *ChaosInjector, fleetSize, 
 	var attempts, ok, failed atomic.Int64
 	errCh := make(chan error, clients)
 	var wg sync.WaitGroup
-	until := horizon + 300*time.Millisecond
+	until := origin + horizon + 300*time.Millisecond
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for k := 0; c.Clock()() < until; k++ {
+			for k := 0; clk.Now() < until; k++ {
 				attempts.Add(1)
 				fut, err := c.Submit(ctx, core.PipelineRequest{
 					Model:    mods[(i+k)%len(mods)],
@@ -195,7 +206,7 @@ func TestSoakChaos(t *testing.T) {
 	}
 
 	baseAtt, baseSt := chaosRun(t, tmpl, nil, fleetSize, clients, horizon, deadline)
-	chaosAtt, chaosSt := chaosRun(t, tmpl, NewChaosInjector(plans), fleetSize, clients, horizon, deadline)
+	chaosAtt, chaosSt := chaosRun(t, tmpl, plans, fleetSize, clients, horizon, deadline)
 	t.Logf("baseline: attainment %.4f, submits %d", baseAtt, baseSt.Submits)
 	t.Logf("chaos:    attainment %.4f, submits %d", chaosAtt, chaosSt.Submits)
 	t.Logf("chaos counters: hedges %d won %d, migrations %d, suspicions %d, probations %d, falseSuspects %d, probes %d, trips %d, recoveries %d, benignCancels %d",
@@ -241,7 +252,7 @@ func TestChaosSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st := chaosRun(t, tmpl, NewChaosInjector(plans), fleetSize, 8, horizon, 2*time.Millisecond)
+	_, st := chaosRun(t, tmpl, plans, fleetSize, 8, horizon, 2*time.Millisecond)
 	assertNoLostFutures(t, st)
 	if st.ChaosTrips == 0 {
 		t.Fatal("no crash window was ever entered")

@@ -70,9 +70,9 @@ type Config struct {
 	// Policy orders candidate nodes per request. Defaults to round-robin.
 	Policy Policy
 	// Clock is the fleet's shared virtual clock. Every node's pipeline
-	// should be built on the same function. Defaults to wall-clock time
-	// since the cluster was created (the serving mapping).
-	Clock func() time.Duration
+	// should be built on the same one. Defaults to core.WallClock() —
+	// wall time since the cluster was created (the serving mapping).
+	Clock core.Clock
 	// EvictAfter is the consecutive hard submit failures (node down,
 	// draining, pipeline closed) after which a node is evicted from
 	// routing. Defaults to 2.
@@ -95,7 +95,7 @@ type Config struct {
 	Chaos *ChaosInjector
 	// NodeHedge enables cluster-aware hedging: a deadline request whose
 	// slack halves with no completion (predicted at submit, or observed
-	// by the wall-clock trigger) launches a backup submission on the
+	// by a timer on Clock) launches a backup submission on the
 	// next-best node; the first result wins and the loser is cancelled.
 	NodeHedge bool
 	// Straggler enables per-node latency-EWMA straggler detection, the
@@ -111,10 +111,7 @@ func (c *Config) fillDefaults() {
 		c.Policy = NewRoundRobin()
 	}
 	if c.Clock == nil {
-		//bomw:wallclock the default fleet clock IS the wall clock anchored at cluster creation, mirroring PipelineConfig.Clock; simulated callers inject their own
-		start := time.Now()
-		//bomw:wallclock see above: wall time since creation is the default virtual-time mapping
-		c.Clock = func() time.Duration { return time.Since(start) }
+		c.Clock = core.WallClock()
 	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 2
@@ -262,8 +259,8 @@ func (c *Cluster) Policy() string { return c.cfg.Policy.Name() }
 // Chaos returns the scripted chaos injector, nil when none is armed.
 func (c *Cluster) Chaos() *ChaosInjector { return c.cfg.Chaos }
 
-// Clock returns the fleet's shared virtual clock.
-func (c *Cluster) Clock() func() time.Duration { return c.cfg.Clock }
+// Clock returns a reader of the fleet's shared virtual clock.
+func (c *Cluster) Clock() func() time.Duration { return c.cfg.Clock.Now }
 
 // Size returns the fleet size (including evicted nodes).
 func (c *Cluster) Size() int { return len(c.members) }
@@ -283,7 +280,7 @@ func (c *Cluster) NodeNames() []string {
 func (c *Cluster) eligible() ([]*member, []NodeView) {
 	var now time.Duration
 	if c.cfg.Chaos != nil {
-		now = c.cfg.Clock()
+		now = c.cfg.Clock.Now()
 	}
 	ms := make([]*member, 0, len(c.members))
 	views := make([]NodeView, 0, len(c.members))
@@ -348,10 +345,16 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 		Model: req.Model,
 		Batch: size,
 		SLO:   routeSLO(req),
-		Now:   c.cfg.Clock(),
+		Now:   c.cfg.Clock.Now(),
 	}, views)
+	// What one attempt on a member is depends on the path: the direct
+	// path admits on the node and returns the node's own future; a
+	// deadline request in a resilient cluster launches the first attempt
+	// of a submission (resilience.go) and returns its detached future,
+	// with a hedge armed behind it.
+	attempt := func(m *member) (*core.Future, error) { return m.node.Submit(ctx, req) }
 	if c.resilientFor(req) {
-		return c.submitResilient(ctx, req, ms, order)
+		attempt = c.newSubmission(ctx, req).primary
 	}
 	attempts := maxAttempts
 	if attempts > len(order) {
@@ -364,7 +367,7 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 			continue // defensive: policy returned an out-of-range position
 		}
 		m := ms[pos]
-		fut, err := m.node.Submit(ctx, req)
+		fut, err := attempt(m)
 		if err == nil {
 			m.hardFails.Store(0)
 			m.routed.Add(1)
@@ -458,7 +461,7 @@ func (c *Cluster) sweep() {
 		}
 	}
 	if ci := c.cfg.Chaos; ci != nil {
-		now := c.cfg.Clock()
+		now := c.cfg.Clock.Now()
 		for _, m := range c.members {
 			down, _ := ci.DownAt(m.node.Name(), now)
 			switch {
@@ -587,7 +590,7 @@ func (c *Cluster) Close() {
 // from it.
 func (c *Cluster) ReadmissionHint() time.Duration {
 	if ci := c.cfg.Chaos; ci != nil {
-		if d := ci.NextRecovery(c.cfg.Clock()); d > 0 {
+		if d := ci.NextRecovery(c.cfg.Clock.Now()); d > 0 {
 			return d
 		}
 	}
@@ -705,7 +708,7 @@ func (c *Cluster) Stats() FleetStats {
 	st.BrownoutSheds = c.brownoutSheds.Load()
 	var chaosNow time.Duration
 	if c.cfg.Chaos != nil {
-		chaosNow = c.cfg.Clock()
+		chaosNow = c.cfg.Clock.Now()
 	}
 	for _, m := range c.members {
 		ns := m.node.Stats()

@@ -24,7 +24,7 @@ func fakeFleet(t *testing.T, n int, cfg Config) (*Cluster, []*fakeNode) {
 		nodes[i] = fakes[i]
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = func() time.Duration { return 0 }
+		cfg.Clock = core.NewManualClock()
 	}
 	c, err := New(nodes, cfg)
 	if err != nil {
@@ -307,7 +307,7 @@ func TestClusterSmoke(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < perClient; k++ {
-				if accepted.Load() == killAt {
+				if accepted.Load() >= killAt {
 					killOnce.Do(func() {
 						if err := c.Kill("node3"); err != nil {
 							errCh <- err

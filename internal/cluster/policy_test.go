@@ -398,7 +398,7 @@ func TestRoutingDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(clusterNodes, Config{Policy: pol, Clock: func() time.Duration { return 0 }})
+		c, err := New(clusterNodes, Config{Policy: pol, Clock: core.NewManualClock()})
 		if err != nil {
 			t.Fatal(err)
 		}

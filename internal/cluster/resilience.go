@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bomw/internal/core"
 )
@@ -26,7 +25,7 @@ import (
 //
 // Hedging: when half a request's slack is spent with no completion —
 // predicted at submit time from the primary node's own completion
-// estimate, or observed live by a wall-clock timer — a backup
+// estimate, or observed live by a timer on the fleet clock — a backup
 // submission launches on the next-best node.
 //
 // Migration: the sweep cancels the pending (queued, not yet executing)
@@ -60,7 +59,7 @@ type submission struct {
 	tried   map[string]bool                     // node names already attempted
 	cancels map[*member]context.CancelCauseFunc // live attempts' cancels
 	hedged  bool                                // a hedge was launched
-	timer   *time.Timer                         // reactive hedge trigger, if armed
+	timer   core.Timer                          // reactive hedge trigger, if armed
 }
 
 // attemptKind labels why an attempt launched (primary, hedge, migrate).
@@ -79,13 +78,10 @@ func (c *Cluster) resilientFor(req core.PipelineRequest) bool {
 	return req.Deadline > 0 && (c.cfg.NodeHedge || c.cfg.Straggler)
 }
 
-// submitResilient routes a deadline request through the arbitration
-// path. The failover loop over the policy order is the same as the
-// direct path's; the difference is what a successful admission returns:
-// the shared detached future, with the node attempt registered for
-// migration and (optionally) a hedge armed behind it.
-func (c *Cluster) submitResilient(ctx context.Context, req core.PipelineRequest, ms []*member, order []int) (*core.Future, error) {
-	s := &submission{
+// newSubmission opens the arbitration state of one deadline request;
+// Submit's failover loop then tries primary on the policy's order.
+func (c *Cluster) newSubmission(ctx context.Context, req core.PipelineRequest) *submission {
+	return &submission{
 		ctx:     ctx,
 		c:       c,
 		req:     req,
@@ -93,42 +89,17 @@ func (c *Cluster) submitResilient(ctx context.Context, req core.PipelineRequest,
 		tried:   make(map[string]bool, 2),
 		cancels: make(map[*member]context.CancelCauseFunc, 2),
 	}
-	attempts := maxAttempts
-	if attempts > len(order) {
-		attempts = len(order)
+}
+
+// primary is the arbitration path's attempt on m: what a successful
+// admission returns is the shared detached future, with the node attempt
+// registered for migration and (optionally) a hedge armed behind it.
+func (s *submission) primary(m *member) (*core.Future, error) {
+	if err := s.launch(m, attemptPrimary); err != nil {
+		return nil, err
 	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		pos := order[i]
-		if pos < 0 || pos >= len(ms) {
-			continue
-		}
-		m := ms[pos]
-		err := s.launch(m, attemptPrimary)
-		if err == nil {
-			m.hardFails.Store(0)
-			m.routed.Add(1)
-			if i > 0 {
-				m.rerouted.Add(1)
-			}
-			s.armHedge(m)
-			return s.det, nil
-		}
-		lastErr = err
-		switch {
-		case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, core.ErrDeadlineInfeasible):
-			continue
-		case errors.Is(err, core.ErrNodeDraining), errors.Is(err, core.ErrNodeDown), errors.Is(err, core.ErrPipelineClosed):
-			if m.hardFails.Add(1) >= c.cfg.EvictAfter {
-				c.evict(m)
-			}
-			continue
-		default:
-			return nil, err
-		}
-	}
-	c.routeFails.Add(1)
-	return nil, lastErr
+	s.armHedge(m)
+	return s.det, nil
 }
 
 // launch submits one attempt on m under a cancellable child context and
@@ -246,7 +217,7 @@ func (c *Cluster) pickUntried(s *submission, from *member) *member {
 		Model: s.req.Model,
 		Batch: s.req.Batch,
 		SLO:   routeSLO(s.req),
-		Now:   c.cfg.Clock(),
+		Now:   c.cfg.Clock.Now(),
 	}, views)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,10 +236,9 @@ func (c *Cluster) pickUntried(s *submission, from *member) *member {
 
 // armHedge decides how the backup launches behind the primary on m:
 // when the primary's own completion estimate already eats more than
-// half the slack, hedge immediately (the virtual clock will not ring a
-// wall timer in simulation — prediction is the honest trigger there);
-// otherwise arm the classic wall-clock trigger at half the slack for
-// live serving, where a straggler stalls in real time.
+// half the slack, hedge immediately; otherwise arm the classic trigger
+// at half the slack on the fleet clock, for the straggler whose stall
+// no estimate foresaw.
 func (s *submission) armHedge(m *member) {
 	c := s.c
 	if !c.cfg.NodeHedge {
@@ -282,16 +252,14 @@ func (s *submission) armHedge(m *member) {
 	if s.req.Input != nil && s.req.Input.Rank() >= 1 {
 		size = s.req.Input.Dim(0)
 	}
-	feasible, pred, err := m.node.FeasibleWithin(s.req.Model, size, s.req.Deadline, c.cfg.Clock())
+	feasible, pred, err := m.node.FeasibleWithin(s.req.Model, size, s.req.Deadline, c.cfg.Clock.Now())
 	if err == nil && (!feasible || pred > s.req.Deadline/2) {
 		s.fireHedge(m)
 		return
 	}
 	s.mu.Lock()
 	if !s.det.Resolved() {
-		primary := m
-		//bomw:wallclock reactive hedging races real stragglers: in live serving the half-slack trigger must fire on the wall clock the straggler is stuck on
-		s.timer = time.AfterFunc(s.req.Deadline/2, func() { s.fireHedge(primary) })
+		s.timer = c.cfg.Clock.AfterFunc(s.req.Deadline/2, func() { s.fireHedge(m) })
 	}
 	s.mu.Unlock()
 }

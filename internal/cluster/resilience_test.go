@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,10 +67,9 @@ func TestChaosWindowBlocksRoutingAndHintsRecovery(t *testing.T) {
 	ci := NewChaosInjector([]ChaosPlan{
 		{Node: "node0", Crashes: []ChaosWindow{{Start: 0, End: 2 * time.Second}}},
 	})
-	c, _ := serveCluster(t, 1, Config{
-		Chaos: ci,
-		Clock: func() time.Duration { return 500 * time.Millisecond },
-	})
+	clk := core.NewManualClock()
+	clk.Advance(500 * time.Millisecond)
+	c, _ := serveCluster(t, 1, Config{Chaos: ci, Clock: clk})
 	defer c.Close()
 	_, err := c.Submit(context.Background(), core.PipelineRequest{Model: "simple", Batch: 1})
 	if !errors.Is(err, ErrNoHealthyNodes) {
@@ -118,29 +116,41 @@ func TestClusterHedgePredictive(t *testing.T) {
 	}
 }
 
-// TestClusterHedgeReactive: the primary predicts comfortably but stalls
-// on the wall clock, so the half-slack timer fires the backup.
+// TestClusterHedgeReactive: the primary predicts comfortably but stalls,
+// so the half-slack timer fires the backup — at Deadline/2 on the fleet
+// clock, which the test steps, and not one nanosecond before.
 func TestClusterHedgeReactive(t *testing.T) {
-	c, fakes := serveCluster(t, 2, Config{NodeHedge: true})
-	fakes[0].predict = time.Millisecond                      // prediction sees no danger
-	fakes[0].setServe(10*time.Second, time.Millisecond, nil) // reality disagrees
+	const deadline = 60 * time.Millisecond
+	clk := core.NewManualClock()
+	c, fakes := serveCluster(t, 2, Config{NodeHedge: true, Clock: clk})
+	fakes[0].predict = time.Millisecond                 // prediction sees no danger
+	fakes[0].setServe(time.Hour, time.Millisecond, nil) // reality disagrees: parked until cancelled
 	fakes[1].predict = time.Millisecond
 	fut, err := c.Submit(context.Background(), core.PipelineRequest{
-		Model: "simple", Batch: 1, Deadline: 60 * time.Millisecond,
+		Model: "simple", Batch: 1, Deadline: deadline,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	comp, err := fut.Wait(ctx)
+	clk.Advance(deadline/2 - 1)
+	if st := c.Stats(); st.NodeHedges != 0 || fut.Resolved() {
+		t.Fatalf("before half the slack: NodeHedges=%d resolved=%t, want 0 and false", st.NodeHedges, fut.Resolved())
+	}
+	clk.Advance(1) // the trigger runs on this goroutine: the backup is launched when Advance returns
+	if st := c.Stats(); st.NodeHedges != 1 {
+		t.Fatalf("at half the slack: NodeHedges=%d, want 1", st.NodeHedges)
+	}
+	comp, err := fut.Wait(context.Background())
 	if err != nil || comp.Err != nil {
 		t.Fatalf("reactively hedged request failed: %v / %v", err, comp.Err)
 	}
-	c.Close()
+	c.Close() // settles the cancelled primary's relay before reading counters
 	st := c.Stats()
-	if st.NodeHedges != 1 || st.NodeHedgesWon != 1 {
-		t.Fatalf("NodeHedges=%d Won=%d, want 1 and 1", st.NodeHedges, st.NodeHedgesWon)
+	if st.NodeHedges != 1 || st.NodeHedgesWon != 1 || st.BenignCancels != 1 {
+		t.Fatalf("NodeHedges=%d Won=%d BenignCancels=%d, want 1 each", st.NodeHedges, st.NodeHedgesWon, st.BenignCancels)
+	}
+	if got := fakes[1].acceptCount(); got != 1 {
+		t.Fatalf("hedge target accepted %d, want 1", got)
 	}
 }
 
@@ -258,11 +268,11 @@ func TestStragglerMigration(t *testing.T) {
 // window is cancelled node-side and resubmitted on the survivor — the
 // sweep's chaos trip → migrateFrom path, on a clock the test steps.
 func TestChaosTripMigration(t *testing.T) {
-	var now atomic.Int64
+	clk := core.NewManualClock()
 	c, fakes := serveCluster(t, 2, Config{
 		Straggler:  true, // deadline requests take the arbitration path, which registers them for migration
 		SweepEvery: 1,
-		Clock:      func() time.Duration { return time.Duration(now.Load()) },
+		Clock:      clk,
 		Chaos: NewChaosInjector([]ChaosPlan{
 			{Node: "node0", Crashes: []ChaosWindow{{Start: time.Second, End: 2 * time.Second}}},
 		}),
@@ -277,7 +287,7 @@ func TestChaosTripMigration(t *testing.T) {
 	if st := c.Stats(); st.ChaosTrips != 0 || fakes[0].acceptCount() != 1 {
 		t.Fatalf("before the window: trips %d, node0 accepted %d; want 0 and 1", st.ChaosTrips, fakes[0].acceptCount())
 	}
-	now.Store(int64(1500 * time.Millisecond)) // inside node0's crash window
+	clk.Advance(1500 * time.Millisecond) // inside node0's crash window
 	// This submission's sweep is the one that crosses the window edge.
 	driver, err := c.Submit(ctx, core.PipelineRequest{Model: "simple", Batch: 1})
 	if err != nil {

@@ -121,9 +121,9 @@ func TestPipelineRejectsInfeasibleDeadline(t *testing.T) {
 // ErrDeadlineExceeded and never reaches a device's execute path — proven
 // by fault-injector execution counters staying flat.
 func TestPipelineCullsExpiredBeforeExecute(t *testing.T) {
-	s := smallScheduler(t, Config{MaxQueueDelay: -1})
-	fi := countingInjector(s)
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, DisableAdmissionControl: true})
+	s, fi := steppedScheduler(t)
+	clk := NewManualClock()
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, DisableAdmissionControl: true, Clock: clk})
 	release := make(chan struct{})
 	p.testExecHook = func(string) { <-release }
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -144,7 +144,7 @@ func TestPipelineCullsExpiredBeforeExecute(t *testing.T) {
 		}
 		futs = append(futs, fut)
 	}
-	time.Sleep(50 * time.Millisecond) // every 10 ms SLO is now long gone
+	clk.Advance(50 * time.Millisecond) // every 10 ms SLO is now long gone
 	close(release)
 
 	for i, fut := range futs {
@@ -176,19 +176,25 @@ func TestPipelineCullsExpiredBeforeExecute(t *testing.T) {
 // expires during the retry backoff, the request must be culled — not
 // retried on a second device.
 func TestPipelineNoRetryAfterDeadline(t *testing.T) {
-	s := smallScheduler(t, Config{MaxQueueDelay: -1})
-	fi := countingInjector(s)
+	s, fi := steppedScheduler(t)
 	for _, name := range s.Devices() {
 		fi.SetPlan(name, opencl.FaultPlan{ErrorRate: 1})
 	}
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: 60 * time.Millisecond})
+	clk := NewManualClock()
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: 60 * time.Millisecond, Clock: clk})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// Feasible at admission (idle queues), expired by the time the 60 ms
 	// backoff after the failed first attempt has elapsed.
-	c, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 4, Deadline: 20 * time.Millisecond})
+	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 4, Deadline: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.BlockUntil(1) // the first attempt failed and its worker is in the backoff
+	clk.Advance(60 * time.Millisecond)
+	c, err := fut.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,34 +215,38 @@ func TestPipelineNoRetryAfterDeadline(t *testing.T) {
 
 // TestPipelineHedgeCompletesOnBackupDevice: with hedging on, a batch
 // straggling on its primary device is re-executed on the second-best
-// device once half its slack is spent; the hedge's result resolves the
-// future and the primary — released later — skips execution entirely
-// (the loser is cancelled).
+// device once half its slack is spent on the clock — and not one
+// nanosecond before; the hedge's result resolves the future and the
+// primary — released later — skips execution entirely (the loser is
+// cancelled).
 func TestPipelineHedgeCompletesOnBackupDevice(t *testing.T) {
-	s := smallScheduler(t, Config{MaxQueueDelay: -1})
-	fi := countingInjector(s)
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Hedge: true})
+	const slo = 100 * time.Millisecond
+	s, fi := steppedScheduler(t)
+	clk := NewManualClock()
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Hedge: true, Clock: clk})
+	held := make(chan string, 1)
 	release := make(chan struct{})
-	var mu sync.Mutex
-	primary := ""
 	p.testExecHook = func(dev string) {
-		mu.Lock()
-		if primary == "" {
-			primary = dev
-			mu.Unlock()
-			<-release // hold only the first (primary) batch
-			return
-		}
-		mu.Unlock()
+		held <- dev // only the primary batch ever reaches a worker
+		<-release
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8, Deadline: 100 * time.Millisecond})
+	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8, Deadline: slo})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := fut.Wait(ctx) // resolves via the hedge while the primary is held
+	prim := <-held // the hedge was armed at flush, before the worker saw the batch
+	clk.Advance(slo/2 - 1)
+	if st := p.Stats(); st.HedgesLaunched != 0 || st.Completed != 0 {
+		t.Fatalf("before half the slack: launched %d completed %d, want 0 and 0", st.HedgesLaunched, st.Completed)
+	}
+	clk.Advance(1) // the hedge runs on this goroutine: it has delivered when Advance returns
+	if st := p.Stats(); st.HedgesLaunched != 1 {
+		t.Fatalf("at half the slack: launched %d, want 1", st.HedgesLaunched)
+	}
+	c, err := fut.Wait(ctx) // resolved by the hedge while the primary is still held
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +259,6 @@ func TestPipelineHedgeCompletesOnBackupDevice(t *testing.T) {
 	if !c.Hedged {
 		t.Fatalf("completion not marked hedged: %+v", c)
 	}
-	mu.Lock()
-	prim := primary
-	mu.Unlock()
 	if c.Decision.Device == prim {
 		t.Fatalf("hedge reported completion on the held primary %s", prim)
 	}

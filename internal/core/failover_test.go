@@ -268,9 +268,9 @@ func waitForDrain(t *testing.T, p *Pipeline) {
 
 // TestPipelinePlaySurvivesDeviceOutage is the acceptance scenario: one
 // device fails at a 100% error rate mid-run (a scripted outage window on
-// the virtual clock), yet a replayed trace completes every admitted
-// request via failover, the failed device is quarantined, and after the
-// window it is probed and re-admitted.
+// the pipeline clock, which the test steps), yet a replayed trace
+// completes every admitted request via failover, the failed device is
+// quarantined, and after the window it is probed and re-admitted.
 func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	// Spill adaptation is disabled so routing stays pinned to the
 	// ranked-best device until the failure domain (not queue occupancy)
@@ -278,43 +278,53 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	s := smallScheduler(t, Config{MaxQueueDelay: -1})
 	fi := opencl.NewFaultInjector(3)
 	s.Runtime().SetFaultInjector(fi)
-	start := time.Now()
-	clock := func() time.Duration { return time.Since(start) }
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 64, ProbeInterval: 5 * time.Millisecond, RetryBackoff: -1, Clock: clock})
+	const probeEvery = 5 * time.Millisecond
+	clk := NewManualClock()
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 64, ProbeInterval: probeEvery, RetryBackoff: -1, Clock: clk})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	// Learn the hot device for this workload, then script an outage that
-	// starts mid-run and ends before the trace does. The pipeline's
-	// virtual clock is wall time since `start`, so the window is anchored
-	// to the clock reading observed after warmup (warmup wall time — model
-	// ranking included — would otherwise race past a fixed window).
+	// starts mid-run and ends before the trace does.
 	warmup, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 64})
 	if err != nil || warmup.Err != nil {
 		t.Fatalf("warmup: %v / %v", err, warmup.Err)
 	}
 	failed := warmup.Decision.Device
-	now := clock()
-	fi.SetPlan(failed, opencl.FaultPlan{Outages: []opencl.OutageWindow{
-		{Start: now + 100*time.Millisecond, End: now + 450*time.Millisecond},
-	}})
+	outage := opencl.OutageWindow{Start: 100 * time.Millisecond, End: 450 * time.Millisecond}
+	fi.SetPlan(failed, opencl.FaultPlan{Outages: []opencl.OutageWindow{outage}})
 
-	// ~400 requests over ~0.8 s of wall time straddle the outage.
+	// ~400 requests over ~0.8 s of trace time straddle the outage. Play
+	// paces arrivals on the wall clock, which the pipeline no longer
+	// reads, so the trace is played in three compressed stretches —
+	// before, inside and after the window — with the clock stepped to
+	// each in between.
 	tr, err := trace.Poisson(400, 500, []string{"mnist-small"}, []int{64}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Play(ctx, tr, BestThroughput, 1)
-	if err != nil {
-		t.Fatalf("outage leaked to a client: %v", err)
+	var played, dropped int
+	play := func(from, to time.Duration) {
+		t.Helper()
+		var part trace.Trace
+		for _, r := range tr {
+			if r.At >= from && r.At < to {
+				part = append(part, r)
+			}
+		}
+		res, err := p.Play(ctx, part, BestThroughput, 1e6)
+		if err != nil {
+			t.Fatalf("outage leaked to a client: %v", err)
+		}
+		if res.Requests+res.Dropped != len(part) {
+			t.Fatalf("requests %d + dropped %d ≠ trace stretch %d", res.Requests, res.Dropped, len(part))
+		}
+		played, dropped = played+res.Requests, dropped+res.Dropped
 	}
-	if res.Requests+res.Dropped != len(tr) {
-		t.Fatalf("requests %d + dropped %d ≠ trace %d", res.Requests, res.Dropped, len(tr))
-	}
-	if res.Requests == 0 {
-		t.Fatal("every request was dropped")
-	}
+	play(0, outage.Start)
+	clk.Advance(outage.Start + 50*time.Millisecond - clk.Now())
+	play(outage.Start, outage.End)
 	st := p.Stats()
 	if st.ExecFailures != 0 {
 		t.Fatalf("exec failures = %d: %d batches failed clients despite failover", st.ExecFailures, st.ExecFailures)
@@ -322,20 +332,32 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatalf("the outage never triggered a retry — fault not exercised (pipeline %+v, faults %+v)", st, fi.Stats())
 	}
-	sst := s.Stats()
-	if sst.Quarantines == 0 {
-		t.Fatalf("outage never quarantined %s: %+v", failed, sst)
+	if sst := s.Stats(); sst.Quarantines == 0 || sst.Readmissions != 0 {
+		t.Fatalf("inside the outage: %+v, want %s quarantined and not yet re-admitted", sst, failed)
 	}
-	// The prober re-admits the device once the outage window has passed.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Readmissions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("recovered device never re-admitted: %+v", s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
+
+	// The prober re-admits the device on its first tick past the window.
+	// BlockUntil waits for the prober goroutine to be back at its timer
+	// (no stretch is open, so its timer is the only one armed).
+	clk.Advance(outage.End - clk.Now())
+	clk.BlockUntil(1)
+	clk.Advance(probeEvery)
+	clk.BlockUntil(1)
+	if sst := s.Stats(); sst.Readmissions == 0 {
+		t.Fatalf("recovered device never re-admitted: %+v", sst)
 	}
 	if q := s.Quarantined(); len(q) != 0 {
 		t.Fatalf("still quarantined after recovery: %v", q)
+	}
+	play(outage.End, tr[len(tr)-1].At+1)
+	if played+dropped != len(tr) {
+		t.Fatalf("requests %d + dropped %d ≠ trace %d", played, dropped, len(tr))
+	}
+	if played == 0 {
+		t.Fatal("every request was dropped")
+	}
+	if st := p.Stats(); st.ExecFailures != 0 {
+		t.Fatalf("exec failures = %d after recovery", st.ExecFailures)
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 //
 // (2) Live batching: arriving requests aggregate per (model, policy)
 // under the offline Batcher's Window/MaxBatch semantics, but flushed by
-// wall-clock timers and size triggers instead of offline trace folding.
+// clock timers and size triggers instead of offline trace folding.
 // The batching front-end is sharded: each (model, policy) aggregation
 // key hashes to one of AdmitShards independent admit loops, so distinct
 // models batch and flush in parallel instead of funnelling through one
@@ -75,7 +75,6 @@ type Pipeline struct {
 	shardWG   sync.WaitGroup
 
 	closing chan struct{} // Close() was called: drain and stop
-	done    chan struct{} // fully drained: releases window timers
 	drained chan struct{}
 
 	// closeMu gates admission against Close: Submit holds the read side
@@ -140,8 +139,8 @@ const maxAttempts = 3
 // PipelineConfig parameterises the serving pipeline.
 type PipelineConfig struct {
 	// Window is the maximum time the oldest request of a live batch may
-	// wait before the batch is flushed (the Batcher.Window semantics on
-	// a wall-clock timer). Defaults to 2 ms.
+	// wait before the batch is flushed (the Batcher.Window semantics,
+	// measured from its arrival stamp on Clock). Defaults to 2 ms.
 	Window time.Duration
 	// MaxBatch flushes a batch as soon as it aggregates this many
 	// samples (the Batcher.MaxBatch semantics). Defaults to 64.
@@ -168,11 +167,11 @@ type PipelineConfig struct {
 	// the offline Batcher exactly. Default false: a request arriving
 	// into an idle system dispatches immediately.
 	HoldWindow bool
-	// Clock supplies the virtual time requests are charged at. Defaults
-	// to wall-clock time since the pipeline was created (the serving
-	// mapping internal/server uses).
-	Clock func() time.Duration
-	// RetryBackoff is the wall-clock pause before each failover attempt,
+	// Clock supplies the virtual time requests are charged at and rings
+	// every timer that acts on it (window, hedge, backoff, prober).
+	// Defaults to WallClock() — wall time since the pipeline was created.
+	Clock Clock
+	// RetryBackoff is the pause on Clock before each failover attempt,
 	// doubling per attempt. Defaults to 1 ms; negative disables backoff.
 	RetryBackoff time.Duration
 	// ProbeInterval is how often the recovery prober re-tests
@@ -224,10 +223,7 @@ func (c *PipelineConfig) fillDefaults() {
 		c.AdmitShards++
 	}
 	if c.Clock == nil {
-		//bomw:wallclock the default serving clock IS the wall clock, anchored at pipeline creation; simulated callers inject their own Clock
-		start := time.Now()
-		//bomw:wallclock see above: wall time since creation is the default virtual-time mapping
-		c.Clock = func() time.Duration { return time.Since(start) }
+		c.Clock = WallClock()
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = time.Millisecond
@@ -515,51 +511,26 @@ type aggKey struct {
 }
 
 type aggregate struct {
-	gen        uint64
-	reqs       []*pipeReq
-	size       int
-	firstAt    time.Duration
-	timerArmed bool
-	wt         *windowTimer // reusable window timer; survives pool cycles
-}
-
-// windowTimer is a reusable window-flush timer. The fields below t are
-// rewritten by the owning shard goroutine only while the timer is
-// provably disarmed (freshly allocated, or Stop returned true), so the
-// fire callback — synchronised with the arming Reset by the runtime
-// timer machinery — always reads the values of its own arming. A timer
-// whose Stop returns false has a callback in flight reading the old
-// values; it is abandoned (the callback's flush message goes stale via
-// the generation check) and the aggregate allocates a fresh one.
-type windowTimer struct {
-	t   *time.Timer
-	p   *Pipeline
-	sh  *admitShard
-	key aggKey
-	gen uint64
-}
-
-func (wt *windowTimer) fire() {
-	select {
-	case wt.sh.flushCh <- flushMsg{key: wt.key, gen: wt.gen}:
-	case <-wt.p.done:
-	}
-}
-
-type flushMsg struct {
-	key aggKey
-	gen uint64
+	reqs    []*pipeReq
+	size    int
+	firstAt time.Duration
 }
 
 // admitShard is one independent admission/batching loop. All state below
 // the channels is loop-local: only this shard's goroutine touches it.
 type admitShard struct {
-	admit   chan *pipeReq
-	flushCh chan flushMsg
-	nudge   chan struct{} // worker → shard: system went idle
+	admit chan *pipeReq
+	wake  chan struct{} // window timer → shard: an aggregate's window may have elapsed
+	nudge chan struct{} // worker → shard: system went idle
 
 	aggs map[aggKey]*aggregate
-	gen  uint64
+
+	// timer is the shard's one window timer, created on first use and
+	// Reset from then on; wakeAt is the clock time it is armed for (zero:
+	// stopped). A wake is a hint, never a command — the loop flushes what
+	// is due on the clock — so a stale one needs no cancelling.
+	timer  Timer
+	wakeAt time.Duration
 
 	// openAggs mirrors len(aggs) for readers outside the shard goroutine
 	// (batchDone's nudge filter). Best-effort: a stale read costs at most
@@ -594,7 +565,7 @@ type batchWork struct {
 	clkCharge time.Duration // clock occupancy charged to the device queue
 
 	hedgeReqs  []*pipeReq // snapshot for the hedge path (immutable)
-	hedgeTimer *time.Timer
+	hedgeTimer Timer
 
 	// stacked backs the input tensor of a batch of several requests
 	// (stackInputs); like reqs it is kept across reuse, so merging two
@@ -614,9 +585,9 @@ var (
 	bwPool  = sync.Pool{New: func() any { return &batchWork{} }}
 )
 
-func getAggregate(gen uint64, firstAt time.Duration) *aggregate {
+func getAggregate(firstAt time.Duration) *aggregate {
 	a := aggPool.Get().(*aggregate)
-	a.gen, a.firstAt, a.size, a.timerArmed = gen, firstAt, 0, false
+	a.firstAt, a.size = firstAt, 0
 	a.reqs = a.reqs[:0] // backing retained from the previous cycle
 	return a
 }
@@ -748,7 +719,6 @@ func NewPipeline(sched *Scheduler, cfg PipelineConfig) *Pipeline {
 		sched:   sched,
 		cfg:     cfg,
 		closing: make(chan struct{}),
-		done:    make(chan struct{}),
 		drained: make(chan struct{}),
 		queues:  map[string]*deviceQueue{},
 	}
@@ -762,10 +732,10 @@ func NewPipeline(sched *Scheduler, cfg PipelineConfig) *Pipeline {
 	p.shardMask = uint32(cfg.AdmitShards - 1)
 	for i := range p.shards {
 		p.shards[i] = &admitShard{
-			admit:   make(chan *pipeReq, perShard),
-			flushCh: make(chan flushMsg),
-			nudge:   make(chan struct{}, 1),
-			aggs:    map[aggKey]*aggregate{},
+			admit: make(chan *pipeReq, perShard),
+			wake:  make(chan struct{}, 1),
+			nudge: make(chan struct{}, 1),
+			aggs:  map[aggKey]*aggregate{},
 		}
 	}
 	for _, name := range sched.Devices() {
@@ -791,17 +761,18 @@ func NewPipeline(sched *Scheduler, cfg PipelineConfig) *Pipeline {
 	return p
 }
 
-// prober periodically re-tests quarantined devices so recovered hardware
-// rejoins the schedulable set without operator action.
+// prober re-tests quarantined devices every ProbeInterval on the clock so
+// recovered hardware rejoins the schedulable set without operator action.
 func (p *Pipeline) prober() {
 	defer p.workers.Done()
-	//bomw:wallclock recovery probing is a live serving activity: quarantined hardware is re-tested on real time, not simulated time
-	tick := time.NewTicker(p.cfg.ProbeInterval)
-	defer tick.Stop()
+	tick := make(chan struct{}, 1)
+	t := p.cfg.Clock.AfterFunc(p.cfg.ProbeInterval, func() { tick <- struct{}{} })
+	defer t.Stop()
 	for {
 		select {
-		case <-tick.C:
-			p.sched.ProbeQuarantined(p.cfg.Clock())
+		case <-tick:
+			p.sched.ProbeQuarantined(p.cfg.Clock.Now())
+			t.Reset(p.cfg.ProbeInterval)
 		case <-p.closing:
 			return
 		}
@@ -881,7 +852,7 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 	}
 	slo := p.slo(req)
 	if slo > 0 && !p.cfg.DisableAdmissionControl {
-		feasible, predicted, ferr := p.sched.FeasibleWithin(req.Model, size, slo, p.cfg.Clock())
+		feasible, predicted, ferr := p.sched.FeasibleWithin(req.Model, size, slo, p.cfg.Clock.Now())
 		if ferr != nil {
 			return nil, ferr
 		}
@@ -905,7 +876,7 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 		return nil, ErrPipelineClosed
 	}
 	if slo > 0 {
-		r.at = p.cfg.Clock()
+		r.at = p.cfg.Clock.Now()
 		r.deadline = r.at + slo
 	} else {
 		// No deadline math needs the arrival time here: defer the stamp
@@ -975,7 +946,6 @@ func (p *Pipeline) Close() {
 	// signal idleness on the buffered nudge channels; nothing reads them
 	// anymore, which is fine — sends are non-blocking.
 	p.workers.Wait()
-	close(p.done) // release pending window timers
 	close(p.drained)
 	p.sched.SetQueueProbe(nil)
 }
@@ -1010,8 +980,9 @@ func (p *Pipeline) AvgLatency() time.Duration {
 // SetWindowScale rescales the live batching window to scale×cfg.Window,
 // clamped to [1, 8]. The brownout controller widens the window under
 // fleet overload (bigger batches, better device efficiency, worse
-// latency) and restores it on recovery. Aggregates already armed keep
-// their old window; new arrivals see the new one.
+// latency) and restores it on recovery. The scale applies at each
+// shard's next wake: open aggregates are judged against the new window
+// from then on.
 func (p *Pipeline) SetWindowScale(scale float64) {
 	if scale < 1 {
 		scale = 1
@@ -1080,7 +1051,7 @@ func (p *Pipeline) shardLoop(sh *admitShard) {
 			// Greedy burst drain: one clock read covers every request
 			// already queued behind this one — under load the shard pays
 			// one Clock() per wake-up instead of one per request.
-			now := p.cfg.Clock()
+			now := p.cfg.Clock.Now()
 			p.ingest(sh, r, now)
 			sh.drainAdmit(p, now)
 			if len(sh.aggs) != 0 && !p.cfg.HoldWindow && p.idle() {
@@ -1094,15 +1065,13 @@ func (p *Pipeline) shardLoop(sh *admitShard) {
 				sh.drainAdmit(p, now)
 			}
 			p.idleSweep(sh, now)
-			if len(sh.aggs) != 0 {
-				p.armTimers(sh)
-			}
-		case m := <-sh.flushCh:
-			p.flushKey(sh, m.key, m.gen, p.cfg.Clock(), &p.windowFl)
+			p.windowSweep(sh, now)
+		case <-sh.wake:
+			p.windowSweep(sh, p.cfg.Clock.Now())
 		case <-sh.nudge:
 			// A worker drained the system: dispatch whatever aggregated
 			// while it was busy instead of waiting out the window.
-			p.idleSweep(sh, p.cfg.Clock())
+			p.idleSweep(sh, p.cfg.Clock.Now())
 		case <-p.closing:
 			p.drainShard(sh)
 			return
@@ -1130,8 +1099,8 @@ func (p *Pipeline) idleSweep(sh *admitShard, now time.Duration) {
 	if len(sh.aggs) == 0 || p.cfg.HoldWindow || !p.idle() {
 		return
 	}
-	for key, agg := range sh.aggs {
-		p.flushKey(sh, key, agg.gen, now, &p.idleFl)
+	for key := range sh.aggs {
+		p.flushKey(sh, key, now, &p.idleFl)
 	}
 }
 
@@ -1143,15 +1112,15 @@ func (p *Pipeline) drainShard(sh *admitShard) {
 	for {
 		select {
 		case r := <-sh.admit:
-			p.ingest(sh, r, p.cfg.Clock())
+			p.ingest(sh, r, p.cfg.Clock.Now())
 			continue
 		default:
 		}
 		break
 	}
-	now := p.cfg.Clock()
-	for key, agg := range sh.aggs {
-		p.flushKey(sh, key, agg.gen, now, &p.drainFl)
+	now := p.cfg.Clock.Now()
+	for key := range sh.aggs {
+		p.flushKey(sh, key, now, &p.drainFl)
 	}
 }
 
@@ -1179,8 +1148,7 @@ func (p *Pipeline) ingest(sh *admitShard, r *pipeReq, now time.Duration) {
 	key := r.key
 	agg := sh.aggs[key]
 	if agg == nil {
-		sh.gen++
-		agg = getAggregate(sh.gen, r.at)
+		agg = getAggregate(r.at)
 		sh.aggs[key] = agg
 		sh.openAggs.Add(1)
 	}
@@ -1190,32 +1158,43 @@ func (p *Pipeline) ingest(sh *admitShard, r *pipeReq, now time.Duration) {
 		// The size trigger fires inline; the work-conserving idle flush
 		// runs as a post-drain sweep (idleSweep) so a burst is judged
 		// whole, not per request.
-		p.flushKey(sh, key, agg.gen, now, &p.sizeFl)
+		p.flushKey(sh, key, now, &p.sizeFl)
 	}
 }
 
-// armTimers arms the window timer of every aggregate still open after a
-// burst drain. Arming happens here, not per ingest: an aggregate that
-// forms and flushes within one burst (the common closed-loop rhythm)
-// never touches a timer at all, and the ones that do survive arm exactly
-// once. Armed timers are cancelled on flush and reused across pool
-// cycles, so steady-state batching neither allocates timers nor lets
-// stale ones fire through the runtime timer wheel.
-func (p *Pipeline) armTimers(sh *admitShard) {
+// windowSweep flushes every open aggregate whose oldest request has
+// waited out the window on the clock, and leaves the shard's timer armed
+// for the earliest of the rest. It runs after a burst drain, not per
+// ingest — an aggregate that forms and flushes within one burst (the
+// common closed-loop rhythm) never touches the timer — and on every wake.
+func (p *Pipeline) windowSweep(sh *admitShard, now time.Duration) {
+	if len(sh.aggs) == 0 {
+		return
+	}
+	var next time.Duration
+	window := p.window()
 	for key, agg := range sh.aggs {
-		if agg.timerArmed {
-			continue
+		due := agg.firstAt + window
+		if due <= now {
+			p.flushKey(sh, key, now, &p.windowFl)
+		} else if next == 0 || due < next {
+			next = due
 		}
-		agg.timerArmed = true
-		if wt := agg.wt; wt != nil {
-			wt.p, wt.sh, wt.key, wt.gen = p, sh, key, agg.gen
-			wt.t.Reset(p.window())
-		} else {
-			wt = &windowTimer{p: p, sh: sh, key: key, gen: agg.gen}
-			agg.wt = wt
-			//bomw:wallclock live batching flushes on real elapsed time — the Window SLO is a wall-clock bound on aggregation delay
-			wt.t = time.AfterFunc(p.window(), wt.fire)
-		}
+	}
+	if next == 0 || (sh.wakeAt > now && sh.wakeAt <= next) {
+		return // nothing left open, or a wake is already due by then
+	}
+	sh.wakeAt = next
+	d := next - p.cfg.Clock.Now() // now may be a burst old: arming is rare, so it reads the clock afresh
+	if sh.timer == nil {
+		sh.timer = p.cfg.Clock.AfterFunc(d, func() {
+			select {
+			case sh.wake <- struct{}{}:
+			default:
+			}
+		})
+	} else {
+		sh.timer.Reset(d)
 	}
 }
 
@@ -1245,30 +1224,20 @@ func (p *Pipeline) cullLive(reqs []*pipeReq, now time.Duration) ([]*pipeReq, int
 	return live, size
 }
 
-// flushKey dispatches the aggregate identified by (key, gen) on shard
-// sh. Stale generations (already flushed, slot reused) are ignored.
-// trigger is the flush counter of whatever called for the flush; it is
-// counted with the batch, before a worker can see it — a batch that
-// resolves at once must not leave Stats a moment in which every future
-// is done and no flush is on record.
-func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Duration, trigger *atomic.Int64) {
+// flushKey dispatches shard sh's open aggregate for key. trigger is the
+// flush counter of whatever called for the flush; it is counted with the
+// batch, before a worker can see it — a batch that resolves at once must
+// not leave Stats a moment in which every future is done and no flush is
+// on record.
+func (p *Pipeline) flushKey(sh *admitShard, key aggKey, now time.Duration, trigger *atomic.Int64) {
 	agg := sh.aggs[key]
-	if agg == nil || agg.gen != gen {
-		return
-	}
 	delete(sh.aggs, key)
 	sh.openAggs.Add(-1)
-	if agg.timerArmed {
-		// Cancel the pending window timer so it neither fires a stale
-		// flush nor churns the runtime timer wheel. Stop failing means
-		// the fire callback is already in flight with this arming's
-		// values — abandon the timer (the callback's message goes stale
-		// the moment the map entry above is gone) and let the next cycle
-		// allocate a fresh one.
-		if !agg.wt.t.Stop() {
-			agg.wt = nil
-		}
-		agg.timerArmed = false
+	if len(sh.aggs) == 0 && sh.wakeAt != 0 {
+		// Nothing left to wake for: take the timer off the runtime's
+		// wheel rather than let it ring into an empty shard.
+		sh.timer.Stop()
+		sh.wakeAt = 0
 	}
 
 	// Copy-cull the aggregate's requests into the batch carrier's own
@@ -1350,10 +1319,7 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Dur
 		for _, r := range w.hedgeReqs {
 			r.retain()
 		}
-		slack := minDL - now
-		work := w
-		//bomw:wallclock hedging races real stragglers: the half-slack trigger must fire on the wall clock the straggler is stuck on
-		w.hedgeTimer = time.AfterFunc(slack/2, func() { p.hedge(work) })
+		w.hedgeTimer = p.cfg.Clock.AfterFunc((minDL-now)/2, func() { p.hedge(w) })
 	}
 	p.inflight.Add(1)
 	p.batches.Add(1)
@@ -1393,6 +1359,19 @@ func (p *Pipeline) batchDone() {
 	}
 }
 
+// pause blocks the calling worker for d on the pipeline clock — the
+// failover backoff. Close cuts it short: a draining pipeline retries at
+// once rather than wait on a clock nobody may be advancing.
+func (p *Pipeline) pause(d time.Duration) {
+	woke := make(chan struct{})
+	t := p.cfg.Clock.AfterFunc(d, func() { close(woke) })
+	select {
+	case <-woke:
+	case <-p.closing:
+		t.Stop()
+	}
+}
+
 // stopHedge disarms a pending hedge. When Stop reports the timer never
 // fired (and now never will), the hedge function is guaranteed not to
 // run, so this path owns — and releases — the snapshot's references;
@@ -1416,7 +1395,7 @@ func (p *Pipeline) stopHedge(w *batchWork) {
 // batch's own backing on the worker, which runs its attempts one after
 // the other, nil on the hedge path, which may run beside them.
 func (p *Pipeline) executeAttempt(dq *deviceQueue, key aggKey, reqs []*pipeReq, size int, dec Decision, virtCharge, clkCharge, clkStart time.Duration, stacked *[]float32) (*opencl.Result, error) {
-	now := p.cfg.Clock()
+	now := p.cfg.Clock.Now()
 	var res *opencl.Result
 	var err error
 	if key.estimate {
@@ -1429,7 +1408,7 @@ func (p *Pipeline) executeAttempt(dq *deviceQueue, key aggKey, reqs []*pipeReq, 
 		observed = res.Latency()
 	}
 	if dq != nil {
-		dq.completeBatch(virtCharge, clkCharge, observed, p.cfg.Clock()-clkStart, size)
+		dq.completeBatch(virtCharge, clkCharge, observed, p.cfg.Clock.Now()-clkStart, size)
 	}
 	return res, err
 }
@@ -1448,11 +1427,11 @@ func (p *Pipeline) executeAttempt(dq *deviceQueue, key aggKey, reqs []*pipeReq, 
 // execute path, and in particular is never retried on a second device
 // after its SLO has passed.
 func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
-	clkStart := p.cfg.Clock()
+	clkStart := p.cfg.Clock.Now()
 	if p.testExecHook != nil {
 		p.testExecHook(dq.name)
 	}
-	live, size := p.cullLive(w.reqs, p.cfg.Clock())
+	live, size := p.cullLive(w.reqs, p.cfg.Clock.Now())
 	if size == 0 {
 		// Everything died (or a hedge won) while queued: release the
 		// charge without spending device time — the "cancelled loser"
@@ -1470,16 +1449,15 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		p.sched.ReportExecution(dec.Device, err)
 		for attempt := 1; err != nil && attempt < maxAttempts; attempt++ {
 			if p.cfg.RetryBackoff > 0 {
-				//bomw:wallclock failover backoff pauses the real worker goroutine; a virtual-clock sleep would not give the device time to recover
-				time.Sleep(p.cfg.RetryBackoff << (attempt - 1))
+				p.pause(p.cfg.RetryBackoff << (attempt - 1))
 			}
 			// Deadlines keep ticking through failures and backoff; an
 			// expired request must not fail over to another device.
-			live, size = p.cullLive(live, p.cfg.Clock())
+			live, size = p.cullLive(live, p.cfg.Clock.Now())
 			if size == 0 {
 				break
 			}
-			next, serr := p.sched.SelectExcluding(w.key.model, size, w.key.pol, p.cfg.Clock(), excluded)
+			next, serr := p.sched.SelectExcluding(w.key.model, size, w.key.pol, p.cfg.Clock.Now(), excluded)
 			if serr != nil {
 				break // nowhere left to fail over to
 			}
@@ -1489,7 +1467,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 			if rq != nil {
 				charge, clkCharge = rq.chargeBatch(size)
 			}
-			res, err = p.executeAttempt(rq, w.key, live, size, next, charge, clkCharge, p.cfg.Clock(), &w.stacked)
+			res, err = p.executeAttempt(rq, w.key, live, size, next, charge, clkCharge, p.cfg.Clock.Now(), &w.stacked)
 			p.sched.ReportExecution(next.Device, err)
 			if err != nil {
 				excluded[next.Device] = true
@@ -1555,7 +1533,7 @@ func (p *Pipeline) hedge(w *batchWork) {
 		return // the drain path resolves everything; don't race shutdown
 	default:
 	}
-	now := p.cfg.Clock()
+	now := p.cfg.Clock.Now()
 	var reqs []*pipeReq
 	size := 0
 	for _, r := range w.hedgeReqs {

@@ -348,7 +348,7 @@ func TestPipelineTracksDeviceOccupancy(t *testing.T) {
 	if _, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 65536}); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := s.Select("mnist-small", 65536, BestThroughput, p.cfg.Clock())
+	dec, err := s.Select("mnist-small", 65536, BestThroughput, p.cfg.Clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

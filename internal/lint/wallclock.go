@@ -42,8 +42,9 @@ var analyzerWallclock = &Analyzer{
 	Doc: "forbid wall-clock reads (time.Now, time.Sleep, timers, ...) in virtual-clock packages\n" +
 		"(internal/opencl, internal/device, internal/core, internal/cluster, internal/trace,\n" +
 		"internal/workload — but not internal/workload/scenario, whose live mode paces real time);\n" +
-		"intentional wall-clock sites — the serving pipeline's timers, trace replay, the\n" +
-		"cluster's default serving clock — carry a //bomw:wallclock <justification> directive",
+		"serving code takes its time from the injected core.Clock; the intentional wall-clock\n" +
+		"sites — core.WallClock, the scheduler's DecisionTime, trace replay — carry a\n" +
+		"//bomw:wallclock <justification> directive",
 	Run: runWallclock,
 }
 

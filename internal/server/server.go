@@ -66,7 +66,7 @@ type Server struct {
 	pipe  *core.Pipeline
 	fleet *cluster.Cluster
 	nodes []*core.Node
-	start time.Time
+	clock core.Clock // the fleet's clock: wall time since the server was created
 	mux   *http.ServeMux
 
 	mu   sync.Mutex // one POST /v1/models at a time
@@ -100,8 +100,8 @@ func NewWithConfig(sched *core.Scheduler, seed int64, cfg core.PipelineConfig) *
 // this seed is registered with each node, not rebuilt: the fleet serves
 // from one copy of the weights.
 func NewCluster(sched *core.Scheduler, seed int64, cfg core.PipelineConfig, n int, ccfg cluster.Config) (*Server, error) {
-	s := &Server{sched: sched, start: time.Now(), seed: seed}
-	ccfg.Clock = s.now
+	s := &Server{sched: sched, clock: core.WallClock(), seed: seed}
+	ccfg.Clock = s.clock
 	fleet, nodes, err := cluster.Build(sched, n, seed, cfg, ccfg)
 	if err != nil {
 		return nil, err
@@ -139,9 +139,6 @@ func (s *Server) Close() { s.fleet.Close() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// now maps wall time onto the scheduler's virtual clock.
-func (s *Server) now() time.Duration { return time.Since(s.start) }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
 	w.Header().Set("Content-Type", "application/json")
@@ -540,7 +537,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	now := s.now()
+	now := s.clock.Now()
 	quarantined := map[string]bool{}
 	for _, name := range s.sched.Quarantined() {
 		quarantined[name] = true
@@ -648,7 +645,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"quarantines":  st.Quarantines,
 		"readmissions": st.Readmissions,
 		"quarantined":  quarantined,
-		"uptime_us":    s.now().Microseconds(),
+		"uptime_us":    s.clock.Now().Microseconds(),
 		// Deadline/overload posture: what admission control rejected,
 		// what was culled, and how hedging performed.
 		"slo": map[string]int64{
