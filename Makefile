@@ -24,7 +24,7 @@ vet-portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 # Project-specific invariants go vet cannot see: virtual-clock
-# discipline, lock scope, guarded counters, sentinel errors, context
+# discipline, lock scope, sentinel errors, context
 # placement, atomic-access consistency, pool lifecycle, goroutine
 # ownership, lock ordering. See internal/lint and DESIGN.md "Static
 # analysis".

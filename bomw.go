@@ -265,6 +265,9 @@ type (
 	Future = core.Future
 	// PipelineStats is a snapshot of pipeline counters and queue depths.
 	PipelineStats = core.PipelineStats
+	// Ledger is the request accounting PipelineStats, a fleet's node rows
+	// and its totals all embed.
+	Ledger = core.Ledger
 	// Clock is what PipelineConfig.Clock and ClusterConfig.Clock take: the
 	// serving path's one source of now and of timers.
 	Clock = core.Clock

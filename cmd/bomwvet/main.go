@@ -1,6 +1,6 @@
 // Command bomwvet runs bomw's project-specific static-analysis suite —
 // the invariants `go vet` cannot see: virtual-clock discipline, lock
-// scope, guarded counters, sentinel-error hygiene, context placement,
+// scope, sentinel-error hygiene, context placement,
 // atomic-access consistency, sync.Pool lifecycle, goroutine ownership,
 // and lock ordering. See internal/lint for the analyzers and the
 // //bomw: directive syntax.

@@ -597,93 +597,83 @@ func (c *Cluster) ReadmissionHint() time.Duration {
 	return time.Second
 }
 
-// NodeSnapshot is one node's row in the fleet stats.
+// NodeSnapshot is one node's row in the fleet stats; its JSON form is
+// the /v1/cluster per_node row.
 type NodeSnapshot struct {
-	Name    string
-	State   string
-	Evicted bool
+	Name    string `json:"name"`
+	State   string `json:"state"`
+	Evicted bool   `json:"evicted"`
 	// Suspect marks a node on latency probation (no routed traffic,
 	// probe traffic only); ChaosDown marks a node inside a scripted
 	// crash window right now.
-	Suspect   bool
-	ChaosDown bool
-	// AvgLatency is the node's delivered-batch completion-latency EWMA.
-	AvgLatency time.Duration
+	Suspect   bool `json:"suspect"`
+	ChaosDown bool `json:"chaos_down"`
+	// AvgLatencyUs is the node's delivered-batch completion-latency
+	// EWMA, in microseconds.
+	AvgLatencyUs int64 `json:"avg_latency_us"`
 	// Routed/Rerouted count router decisions that landed here; Rerouted
 	// is the subset accepted after a higher-ranked node refused.
-	Routed   int64
-	Rerouted int64
-	// Pipeline accounting (per node).
-	Submitted  int64
-	Completed  int64
-	Shed       int64
-	Infeasible int64
-	Cancelled  int64
-	Expired    int64
-	Failed     int64
-	Batches    int64
-	InFlight   int64
-	// SLOAttainment is ok completions over admitted requests (1 when
-	// nothing was admitted yet).
-	SLOAttainment float64
+	Routed   int64 `json:"routed"`
+	Rerouted int64 `json:"rerouted"`
+	// Ledger is the node pipeline's accounting.
+	core.Ledger
+	// SLOAttainment is the ledger's Attainment.
+	SLOAttainment float64 `json:"slo_attainment"`
 	// Device failure domain, aggregated.
-	Devices            int
-	QuarantinedDevices int
-	DegradedDevices    int
+	Devices            int `json:"devices"`
+	QuarantinedDevices int `json:"quarantined_devices"`
+	DegradedDevices    int `json:"degraded_devices"`
+}
+
+// Resilience is the fleet's resilience activity (PR 9): cluster-aware
+// hedging, straggler probation and migration.
+type Resilience struct {
+	NodeHedges       int64 `json:"node_hedges"`       // backup submissions launched on another node
+	NodeHedgesWon    int64 `json:"node_hedges_won"`   // hedges whose result won the caller's future
+	HedgesSuppressed int64 `json:"hedges_suppressed"` // hedges skipped under brownout
+	Migrations       int64 `json:"migrations"`        // queued submissions re-routed off degraded nodes
+	Suspicions       int64 `json:"suspicions"`        // Healthy → Suspect transitions
+	Probations       int64 `json:"probations"`        // Suspect → Healthy clears
+	FalseSuspects    int64 `json:"false_suspects"`    // clears where no probe ever failed
+	Probes           int64 `json:"probes"`            // probe requests judged
+	BenignCancels    int64 `json:"benign_cancels"`    // node-side cancels of hedge losers / migrated work
+}
+
+// ChaosCounts are the scripted crash-window edges the fleet has crossed.
+type ChaosCounts struct {
+	ChaosTrips      int64 `json:"trips"`      // crash-window entries
+	ChaosRecoveries int64 `json:"recoveries"` // crash-window exits
 }
 
 // FleetStats aggregates the fleet: routing activity, membership, and the
-// sum of every node's serving counters.
+// sum of every node's serving counters. Its JSON form is the body of
+// /v1/cluster, which adds the suspects' names, the chaos plans and the
+// brownout controller's snapshot.
 type FleetStats struct {
-	Policy string
-	Nodes  int
-	Ready  int
+	Policy string `json:"policy"`
+	Nodes  int    `json:"nodes"`
+	Ready  int    `json:"ready"`
 
-	Submits       int64 // routing attempts (Submit calls)
-	RouteFailures int64 // submits no node accepted
-	Evictions     int64
-	Readmissions  int64
+	Submits       int64 `json:"submits"`        // routing attempts (Submit calls)
+	RouteFailures int64 `json:"route_failures"` // submits no node accepted
+	Evictions     int64 `json:"evictions"`
+	Readmissions  int64 `json:"readmissions"`
 
-	// Resilience activity (PR 9): cluster-aware hedging, straggler
-	// probation/migration, chaos windows and brownout shedding.
-	NodeHedges       int64 // backup submissions launched on another node
-	NodeHedgesWon    int64 // hedges whose result won the caller's future
-	HedgesSuppressed int64 // hedges skipped under brownout
-	Migrations       int64 // queued submissions re-routed off degraded nodes
-	Suspicions       int64 // Healthy → Suspect transitions
-	Probations       int64 // Suspect → Healthy clears
-	FalseSuspects    int64 // clears where no probe ever failed
-	Probes           int64 // probe requests judged
-	ChaosTrips       int64 // crash-window entries
-	ChaosRecoveries  int64 // crash-window exits
-	BenignCancels    int64 // node-side cancels of hedge losers / migrated work
-	Suspects         int   // members currently on probation
-	BrownoutLevel    int
-	BrownoutSheds    int64
+	Resilience  `json:"resilience"`
+	ChaosCounts `json:"chaos"`
+	// Suspects counts members on probation (Cluster.Suspects names
+	// them); BrownoutLevel and BrownoutSheds repeat Cluster.Brownout's
+	// Level and Sheds. The wire carries all three in those forms.
+	Suspects      int   `json:"-"`
+	BrownoutLevel int   `json:"-"`
+	BrownoutSheds int64 `json:"-"`
 
-	// Aggregated serving counters (sums over nodes).
-	Submitted  int64
-	Completed  int64
-	Shed       int64
-	Infeasible int64
-	Cancelled  int64
-	Expired    int64
-	Failed     int64
-	Batches    int64
-	InFlight   int64
+	// Ledger sums the nodes' ledgers.
+	core.Ledger
 	// SLOAttainment is fleet-wide ok completions over admitted requests.
-	SLOAttainment float64
+	SLOAttainment float64 `json:"slo_attainment"`
 
-	PerNode []NodeSnapshot
-}
-
-// attainment folds (submitted, cancelled+expired+failed) into a goodput
-// ratio, defaulting to 1 when nothing was admitted.
-func attainment(submitted, bad int64) float64 {
-	if submitted <= 0 {
-		return 1
-	}
-	return float64(submitted-bad) / float64(submitted)
+	PerNode []NodeSnapshot `json:"per_node"`
 }
 
 // Stats snapshots the fleet.
@@ -713,25 +703,16 @@ func (c *Cluster) Stats() FleetStats {
 	for _, m := range c.members {
 		ns := m.node.Stats()
 		h := m.node.Health()
-		p := ns.Pipeline
 		snap := NodeSnapshot{
 			Name:               ns.Name,
 			State:              ns.State.String(),
 			Evicted:            m.evicted.Load(),
 			Suspect:            m.suspect.Load(),
-			AvgLatency:         m.node.AvgLatency(),
+			AvgLatencyUs:       m.node.AvgLatency().Microseconds(),
 			Routed:             m.routed.Load(),
 			Rerouted:           m.rerouted.Load(),
-			Submitted:          p.Submitted,
-			Completed:          p.Completed,
-			Shed:               p.Shed,
-			Infeasible:         p.Infeasible,
-			Cancelled:          p.Cancelled,
-			Expired:            p.Expired,
-			Failed:             p.Failed,
-			Batches:            p.Batches,
-			InFlight:           p.InFlight,
-			SLOAttainment:      attainment(p.Submitted, p.Cancelled+p.Expired+p.Failed),
+			Ledger:             ns.Pipeline.Ledger,
+			SLOAttainment:      ns.Pipeline.Attainment(),
 			Devices:            h.Devices,
 			QuarantinedDevices: h.Quarantined,
 			DegradedDevices:    h.Degraded,
@@ -745,15 +726,7 @@ func (c *Cluster) Stats() FleetStats {
 		if !snap.Evicted && !snap.Suspect && !snap.ChaosDown {
 			st.Ready++
 		}
-		st.Submitted += p.Submitted
-		st.Completed += p.Completed
-		st.Shed += p.Shed
-		st.Infeasible += p.Infeasible
-		st.Cancelled += p.Cancelled
-		st.Expired += p.Expired
-		st.Failed += p.Failed
-		st.Batches += p.Batches
-		st.InFlight += p.InFlight
+		st.Add(snap.Ledger)
 		st.PerNode = append(st.PerNode, snap)
 	}
 	// Hedge losers and migrated-away submissions resolve as node-side
@@ -764,6 +737,9 @@ func (c *Cluster) Stats() FleetStats {
 	if benign > st.Cancelled {
 		benign = st.Cancelled // racing snapshot: never go negative
 	}
-	st.SLOAttainment = attainment(st.Submitted-benign, st.Cancelled+st.Expired+st.Failed-benign)
+	goodput := st.Ledger
+	goodput.Submitted -= benign
+	goodput.Cancelled -= benign
+	st.SLOAttainment = goodput.Attainment()
 	return st
 }

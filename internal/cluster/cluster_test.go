@@ -454,3 +454,44 @@ func TestSoakClusterTwoKills(t *testing.T) {
 		t.Fatalf("fleet dropped futures through the kills: %+v", faultStats)
 	}
 }
+
+// TestLedgerRollsUp: the fleet's embedded ledger is the field-wise sum of
+// its node rows', each row carries its node's ledger and attainment
+// unchanged, and an empty ledger attains 1.
+func TestLedgerRollsUp(t *testing.T) {
+	if got := (core.Ledger{}).Attainment(); got != 1 {
+		t.Fatalf("zero ledger attainment = %v, want 1", got)
+	}
+	c, fakes := serveCluster(t, 4, Config{})
+	defer c.Close()
+	var want core.Ledger
+	for i, f := range fakes {
+		k := int64(i + 1)
+		// A distinct value in every field of every node: a sum that mixes
+		// two fields up, or drops one, cannot come out right.
+		f.ledger = core.Ledger{
+			Submitted: 1000 * k, Shed: 2 * k, Infeasible: 3 * k, Cancelled: 5 * k, Expired: 7 * k,
+			Failed: 11 * k, Completed: 990 * k, Batches: 13 * k, InFlight: 17 * k,
+		}
+		want.Add(f.ledger)
+	}
+	if want != (core.Ledger{
+		Submitted: 10000, Shed: 20, Infeasible: 30, Cancelled: 50, Expired: 70,
+		Failed: 110, Completed: 9900, Batches: 130, InFlight: 170,
+	}) {
+		t.Fatalf("Add is not field-wise: %+v", want)
+	}
+	st := c.Stats()
+	if st.Ledger != want {
+		t.Fatalf("fleet ledger = %+v, want the rows' sum %+v", st.Ledger, want)
+	}
+	for i, row := range st.PerNode {
+		if row.Ledger != fakes[i].ledger || row.SLOAttainment != fakes[i].ledger.Attainment() {
+			t.Fatalf("per_node[%d] = %+v, want ledger %+v", i, row, fakes[i].ledger)
+		}
+	}
+	// (1000 − 5 − 7 − 11) / 1000 on every node, so fleet-wide too.
+	if st.SLOAttainment != 0.977 || st.PerNode[0].SLOAttainment != 0.977 {
+		t.Fatalf("attainment = %v fleet / %v node0, want 0.977", st.SLOAttainment, st.PerNode[0].SLOAttainment)
+	}
+}

@@ -209,9 +209,10 @@ func (c *Cluster) recordProbe(m *member, ok bool, lat time.Duration) {
 	}
 }
 
-// Suspects lists the names of members currently on probation.
+// Suspects lists the names of members currently on probation — empty,
+// never nil: it goes on the wire as it is.
 func (c *Cluster) Suspects() []string {
-	var out []string
+	out := []string{}
 	for _, m := range c.members {
 		if m.suspect.Load() {
 			out = append(out, m.node.Name())

@@ -20,7 +20,8 @@ type fakeNode struct {
 	predict time.Duration // FeasibleWithin's predicted completion latency
 	predErr error
 
-	capacity int64 // Capacity() when > 0 (else 64)
+	capacity int64       // Capacity() when > 0 (else 64)
+	ledger   core.Ledger // Stats() reports it as the pipeline's
 
 	mu       sync.Mutex
 	err      error // returned by Submit when set
@@ -132,7 +133,7 @@ func (f *fakeNode) FeasibleWithin(_ string, _ int, deadline, _ time.Duration) (b
 func (f *fakeNode) QueueDelay() time.Duration { return f.predict }
 
 func (f *fakeNode) Stats() core.NodeStats {
-	return core.NodeStats{Name: f.name, State: core.NodeReady}
+	return core.NodeStats{Name: f.name, State: core.NodeReady, Pipeline: core.PipelineStats{Ledger: f.ledger}}
 }
 
 func (f *fakeNode) Health() core.NodeHealth {

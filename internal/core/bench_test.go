@@ -86,3 +86,17 @@ func BenchmarkLoadPaperModels(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNodeHealth is the cluster tier's per-member health read: it
+// runs per eligible member on every Cluster.QueueDelay and every sweep.
+func BenchmarkNodeHealth(b *testing.B) {
+	n := NewNode("node0", benchSched(b), PipelineConfig{ProbeInterval: -1})
+	defer n.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h := n.Health(); !h.Ready {
+			b.Fatalf("health = %+v", h)
+		}
+	}
+}

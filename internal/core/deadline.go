@@ -184,10 +184,8 @@ func (s *Scheduler) SelectWithDeadline(model string, batch int, deadline time.Du
 		Met:        met,
 		Candidates: meeting,
 	}
-	s.mu.Lock()
-	s.stats.Decisions++
-	s.stats.PerDevice[dec.Device]++
-	s.mu.Unlock()
+	s.decisions.Add(1)
+	s.perDevice[chosen.class].Add(1)
 	return dec, nil
 }
 

@@ -54,6 +54,9 @@ const (
 	NodeKilled
 )
 
+// MarshalText puts the state on the wire by name ("state":"ready").
+func (s NodeState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // String names the state for stats and API responses.
 func (s NodeState) String() string {
 	switch s {
@@ -95,18 +98,18 @@ type NodeStats struct {
 // device-level quarantine/degradation (PR 3's failure domain) rolled up
 // to node granularity.
 type NodeHealth struct {
-	State NodeState
+	State NodeState `json:"state"`
 	// Devices is the node's device count; Quarantined and Degraded count
 	// how many of them are currently fenced off or flagged as suffering
 	// interference.
-	Devices     int
-	Quarantined int
-	Degraded    int
+	Devices     int `json:"devices"`
+	Quarantined int `json:"quarantined_devices"`
+	Degraded    int `json:"degraded_devices"`
 	// ExecFailures counts batches that exhausted every failover attempt.
-	ExecFailures int64
+	ExecFailures int64 `json:"exec_failures"`
 	// Ready reports the node is schedulable: lifecycle-Ready with at
 	// least one non-quarantined device.
-	Ready bool
+	Ready bool `json:"ready"`
 }
 
 // NewNode wraps a scheduler and a freshly started pipeline into a node.
@@ -210,21 +213,20 @@ func (n *Node) Stats() NodeStats {
 // Health rolls the node's device-level failure domain up to node
 // granularity for the cluster's health aggregation.
 func (n *Node) Health() NodeHealth {
-	h := NodeHealth{State: n.State()}
-	quarantined := map[string]bool{}
-	for _, d := range n.sched.Quarantined() {
-		quarantined[d] = true
+	h := NodeHealth{
+		State:        n.State(),
+		Devices:      len(n.sched.devices),
+		ExecFailures: n.pipe.execFails.Load(),
 	}
-	for _, name := range n.sched.Devices() {
-		h.Devices++
-		if quarantined[name] {
+	mon := n.sched.monitor()
+	for _, d := range n.sched.devices {
+		if mon.isQuarantined(d.Name()) {
 			h.Quarantined++
 		}
-		if _, degraded := n.sched.DeviceHealth(name); degraded {
+		if mon.degraded(d.Name()) {
 			h.Degraded++
 		}
 	}
-	h.ExecFailures = n.pipe.Stats().ExecFailures
 	h.Ready = h.State == NodeReady && h.Quarantined < h.Devices
 	return h
 }

@@ -416,29 +416,21 @@ func (f *Future) Wait(ctx context.Context) (Completion, error) {
 // where ok is Completed minus the three error buckets — every admitted
 // request resolves into exactly one of the four outcomes.
 type PipelineStats struct {
-	Submitted  int64 // requests accepted into admission
-	Shed       int64 // requests rejected with ErrAdmissionFull
-	Infeasible int64 // requests rejected with ErrDeadlineInfeasible (admission control)
-	Cancelled  int64 // admitted requests culled: context ended before execution
-	Expired    int64 // admitted requests culled: deadline passed before execution
-	Failed     int64 // admitted requests resolved with an execution error
-	Completed  int64 // futures resolved (including failures and culls)
+	Ledger
 
-	Batches       int64 // aggregated batches dispatched
-	SizeFlushes   int64 // flushed by the MaxBatch trigger
-	WindowFlushes int64 // flushed by the Window timer
-	IdleFlushes   int64 // flushed by the work-conserving idle fast-path
-	DrainFlushes  int64 // flushed during Close
+	SizeFlushes   int64 `json:"size_flushes"`   // flushed by the MaxBatch trigger
+	WindowFlushes int64 `json:"window_flushes"` // flushed by the Window timer
+	IdleFlushes   int64 `json:"idle_flushes"`   // flushed by the work-conserving idle fast-path
+	DrainFlushes  int64 `json:"drain_flushes"`  // flushed during Close
 
-	Retries      int64 // failover re-executions after a device error
-	Failovers    int64 // batches completed on a device other than the one that failed them
-	ExecFailures int64 // batches that exhausted every attempt and failed their requests
+	Retries      int64 `json:"retries"`       // failover re-executions after a device error
+	Failovers    int64 `json:"failovers"`     // batches completed on a device other than the one that failed them
+	ExecFailures int64 `json:"exec_failures"` // batches that exhausted every attempt and failed their requests
 
-	HedgesLaunched int64 // hedged executions submitted to a backup device
-	HedgesWon      int64 // hedged executions that resolved at least one request first
+	HedgesLaunched int64 `json:"hedges_launched"` // hedged executions submitted to a backup device
+	HedgesWon      int64 `json:"hedges_won"`      // hedged executions that resolved at least one request first
 
-	InFlight int64          // batches queued or executing now
-	Depth    map[string]int // per-device batches queued or executing
+	Depth map[string]int `json:"device_depth"` // per-device batches queued or executing
 }
 
 // pipeReq is one admitted request moving through the stages.
@@ -1015,14 +1007,17 @@ func (p *Pipeline) QueueDelay() time.Duration {
 // Stats snapshots pipeline activity.
 func (p *Pipeline) Stats() PipelineStats {
 	st := PipelineStats{
-		Submitted:      p.submitted.Load(),
-		Shed:           p.shed.Load(),
-		Infeasible:     p.infeasible.Load(),
-		Cancelled:      p.cancelled.Load(),
-		Expired:        p.expired.Load(),
-		Failed:         p.failed.Load(),
-		Completed:      p.completed.Load(),
-		Batches:        p.batches.Load(),
+		Ledger: Ledger{
+			Submitted:  p.submitted.Load(),
+			Shed:       p.shed.Load(),
+			Infeasible: p.infeasible.Load(),
+			Cancelled:  p.cancelled.Load(),
+			Expired:    p.expired.Load(),
+			Failed:     p.failed.Load(),
+			Completed:  p.completed.Load(),
+			Batches:    p.batches.Load(),
+			InFlight:   p.inflight.Load(),
+		},
 		SizeFlushes:    p.sizeFl.Load(),
 		WindowFlushes:  p.windowFl.Load(),
 		IdleFlushes:    p.idleFl.Load(),
@@ -1032,7 +1027,6 @@ func (p *Pipeline) Stats() PipelineStats {
 		ExecFailures:   p.execFails.Load(),
 		HedgesLaunched: p.hedges.Load(),
 		HedgesWon:      p.hedgeWins.Load(),
-		InFlight:       p.inflight.Load(),
 		Depth:          map[string]int{},
 	}
 	for name, dq := range p.queues {

@@ -5,7 +5,6 @@ import (
 
 	"bomw/internal/device"
 	"bomw/internal/mlsched"
-	"bomw/internal/opencl"
 )
 
 // Replica builds a fresh scheduler that shares this scheduler's trained
@@ -33,10 +32,6 @@ func (s *Scheduler) Replica(seed int64) (*Scheduler, error) {
 	for _, d := range s.devices {
 		devs = append(devs, device.New(d.Profile()))
 	}
-	rt, err := opencl.NewRuntime(devs...)
-	if err != nil {
-		return nil, err
-	}
 	// Snapshot the template's retrainable state under its lock: Retrain
 	// swaps cfg.TrainModels, the classifier map and the dataset on
 	// another goroutine, and the replica must see one consistent
@@ -50,21 +45,11 @@ func (s *Scheduler) Replica(seed int64) (*Scheduler, error) {
 	dataset := s.dataset
 	s.mu.Unlock()
 	cfg.Devices = devs
-	r := &Scheduler{
-		cfg:         cfg,
-		rt:          rt,
-		disp:        NewDispatcher(rt),
-		devices:     devs,
-		classifiers: classifiers,
-		health:      newHealthMonitor(),
-		stats:       Stats{PerDevice: map[string]int{}, PerPolicy: map[Policy]int{}},
+	r, err := newScheduler(cfg)
+	if err != nil {
+		return nil, err
 	}
-	for _, d := range devs {
-		if d.Profile().HasBoost {
-			r.dgpu = d
-			break
-		}
-	}
+	r.classifiers = classifiers
 	// The replica gets its own (empty) decision cache: cached rankings
 	// embed fencing context read live anyway, but cache epochs are
 	// per-scheduler and must not be shared.

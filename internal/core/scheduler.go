@@ -113,10 +113,17 @@ type Stats struct {
 	// Readmissions counts quarantined devices re-admitted after a
 	// successful execution (normally a recovery probe).
 	Readmissions int64
-	// Quarantined lists the devices currently fenced off, sorted.
+	// Quarantined lists the devices currently fenced off, sorted — empty,
+	// never nil (it goes on the wire as it is).
 	Quarantined []string
-	PerDevice   map[string]int
-	PerPolicy   map[Policy]int
+	// PerDevice counts decisions by chosen device; a device never chosen
+	// has no entry.
+	PerDevice map[string]int
+	// PerPolicy counts classifier-ranked decisions only (Select,
+	// SelectCached, SelectExcluding). A SelectWithDeadline decision ranks
+	// by predicted latency and energy, not by a policy's classifier, and
+	// has no entry here: Decisions − Σ PerPolicy is their number.
+	PerPolicy map[Policy]int
 }
 
 // Scheduler is the online adaptive scheduler of Fig. 5.
@@ -148,8 +155,15 @@ type Scheduler struct {
 	decHits   atomic.Int64
 	decMisses atomic.Int64
 
+	// Decision counters. A writer bumps decisions first and Stats reads
+	// it last, so no snapshot shows more spills, per-device or
+	// per-policy decisions than decisions.
+	decisions atomic.Int64
+	spills    atomic.Int64
+	perDevice []atomic.Int64                     // by device class
+	perPolicy [EnergyEfficiency + 1]atomic.Int64 // by Policy
+
 	mu         sync.Mutex
-	stats      Stats
 	queueProbe func(device string) time.Duration
 
 	// shadowMu guards the memoised shadow-cost table deadline prediction
@@ -158,15 +172,10 @@ type Scheduler struct {
 	shadowCache map[shadowKey]shadowCost
 }
 
-// New characterises the devices over the training models, trains one
-// classifier per policy, and returns a ready scheduler. Construction is
-// the paper's offline phase (≈26 s on the testbed; a couple of seconds
-// here).
-func New(cfg Config) (*Scheduler, error) {
-	cfg.fillDefaults()
-	if len(cfg.TrainModels) == 0 {
-		return nil, fmt.Errorf("core: Config.TrainModels is required")
-	}
+// newScheduler assembles an untrained scheduler over cfg.Devices — the
+// part New, LoadState and Replica share. The caller supplies the
+// classifiers and then calls buildPolicySet.
+func newScheduler(cfg Config) (*Scheduler, error) {
 	rt, err := opencl.NewRuntime(cfg.Devices...)
 	if err != nil {
 		return nil, err
@@ -178,13 +187,29 @@ func New(cfg Config) (*Scheduler, error) {
 		devices:     cfg.Devices,
 		classifiers: map[Policy]mlsched.Classifier{},
 		health:      newHealthMonitor(),
-		stats:       Stats{PerDevice: map[string]int{}, PerPolicy: map[Policy]int{}},
+		perDevice:   make([]atomic.Int64, len(cfg.Devices)),
 	}
 	for _, d := range cfg.Devices {
 		if d.Profile().HasBoost {
 			s.dgpu = d
 			break
 		}
+	}
+	return s, nil
+}
+
+// New characterises the devices over the training models, trains one
+// classifier per policy, and returns a ready scheduler. Construction is
+// the paper's offline phase (≈26 s on the testbed; a couple of seconds
+// here).
+func New(cfg Config) (*Scheduler, error) {
+	cfg.fillDefaults()
+	if len(cfg.TrainModels) == 0 {
+		return nil, fmt.Errorf("core: Config.TrainModels is required")
+	}
+	s, err := newScheduler(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	// Characterise on shadow devices built from the same profiles so the
@@ -516,6 +541,7 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 	s.mu.Lock()
 	probe := s.queueProbe
 	health := s.health
+	audit := s.audit
 	s.mu.Unlock()
 
 	// Failure domain: drop excluded devices outright, and fence off
@@ -592,19 +618,13 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 		//bomw:wallclock real elapsed classification time, paired with the caller's t0
 		d.DecisionTime = time.Since(t0)
 	}
-	s.mu.Lock()
-	s.stats.Decisions++
+	s.decisions.Add(1)
 	if spilled {
-		s.stats.Spills++
+		s.spills.Add(1)
 	}
-	s.stats.PerDevice[d.Device]++
-	s.stats.PerPolicy[pol]++
-	audit := s.audit
-	s.mu.Unlock()
+	s.perDevice[choice].Add(1)
+	s.perPolicy[pol].Add(1)
 	if audit != nil {
-		// The audit pointer was fetched under the stats lock above,
-		// sparing a third mutex round-trip per decision when auditing
-		// is (as almost always) disabled.
 		audit.record(AuditEntry{
 			At:       now,
 			Model:    d.Model,
@@ -649,23 +669,22 @@ func (s *Scheduler) Estimate(model string, batch int, pol Policy, now time.Durat
 
 // Stats returns a snapshot of scheduler activity.
 func (s *Scheduler) Stats() Stats {
-	s.mu.Lock()
-	h := s.health
-	out := Stats{
-		Decisions: s.stats.Decisions,
-		Spills:    s.stats.Spills,
-		PerDevice: map[string]int{},
-		PerPolicy: map[Policy]int{},
+	out := Stats{PerDevice: map[string]int{}, PerPolicy: map[Policy]int{}}
+	for class := range s.perDevice {
+		if n := s.perDevice[class].Load(); n > 0 {
+			out.PerDevice[s.devices[class].Name()] = int(n)
+		}
 	}
-	for k, v := range s.stats.PerDevice {
-		out.PerDevice[k] = v
+	for pol := range s.perPolicy {
+		if n := s.perPolicy[pol].Load(); n > 0 {
+			out.PerPolicy[Policy(pol)] = int(n)
+		}
 	}
-	for k, v := range s.stats.PerPolicy {
-		out.PerPolicy[k] = v
-	}
-	s.mu.Unlock()
+	out.Spills = int(s.spills.Load())
+	out.Decisions = int(s.decisions.Load())
 	out.DecisionCacheHits = s.decHits.Load()
 	out.DecisionCacheMisses = s.decMisses.Load()
+	h := s.monitor()
 	out.Quarantines, out.Readmissions = h.counters()
 	out.Quarantined = h.quarantinedList()
 	sort.Strings(out.Quarantined)

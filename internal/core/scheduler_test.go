@@ -275,6 +275,100 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestSchedulerCountersConcurrent is what stands where the stats lock
+// stood: every Select path counts with atomics, so concurrent decisions
+// lose no increment, the totals agree with each other, and a snapshot
+// taken mid-run is never ahead of its own Decisions (a writer bumps
+// decisions first, Stats reads it last). Run under -race by `make race`.
+func TestSchedulerCountersConcurrent(t *testing.T) {
+	s := testScheduler(t)
+	const workers, perWorker = 8, 2000
+	before := s.Stats()
+
+	sumOf := func(m map[string]int) (n int) {
+		for _, v := range m {
+			n += v
+		}
+		return n
+	}
+	done := make(chan struct{})
+	var snaps sync.WaitGroup
+	snaps.Add(1)
+	go func() {
+		defer snaps.Done()
+		last := before.Decisions
+		for {
+			st := s.Stats()
+			if per := sumOf(st.PerDevice); per > st.Decisions || st.Spills > st.Decisions {
+				t.Errorf("torn snapshot: Σ per-device %d, spills %d, decisions %d", per, st.Spills, st.Decisions)
+			}
+			if st.Decisions < last {
+				t.Errorf("decisions went backwards: %d after %d", st.Decisions, last)
+			}
+			last = st.Decisions
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+
+	exclude := map[string]bool{s.Devices()[0]: true}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				batch := 1 << uint((i+w)%12)
+				pol := Policy(i % 3)
+				var err error
+				switch i % 4 {
+				case 0:
+					_, err = s.Select("simple", batch, pol, 0)
+				case 1:
+					_, err = s.SelectCached("mnist-small", batch, pol, 0)
+				case 2:
+					_, err = s.SelectExcluding("simple", batch, pol, 0, exclude)
+				case 3:
+					_, err = s.SelectWithDeadline("simple", batch, time.Second, 0)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	snaps.Wait()
+
+	const calls, perKind = workers * perWorker, workers * perWorker / 4
+	after := s.Stats()
+	if got := after.Decisions - before.Decisions; got != calls {
+		t.Fatalf("decisions grew by %d over %d calls", got, calls)
+	}
+	if got := sumOf(after.PerDevice) - sumOf(before.PerDevice); got != calls {
+		t.Fatalf("Σ per-device grew by %d over %d calls", got, calls)
+	}
+	perPolicy := 0
+	for pol, n := range after.PerPolicy {
+		perPolicy += n - before.PerPolicy[pol]
+	}
+	if perPolicy != calls-perKind {
+		t.Fatalf("Σ per-policy grew by %d, want %d: every decision but the %d deadline ones", perPolicy, calls-perKind, perKind)
+	}
+	if after.Spills > after.Decisions {
+		t.Fatalf("spills %d > decisions %d", after.Spills, after.Decisions)
+	}
+	lookups := after.DecisionCacheHits + after.DecisionCacheMisses - before.DecisionCacheHits - before.DecisionCacheMisses
+	if lookups != perKind {
+		t.Fatalf("decision-cache hits+misses grew by %d over %d SelectCached calls", lookups, perKind)
+	}
+}
+
 func TestPredictionAccuracyOnTrainedModels(t *testing.T) {
 	// §VI headline: the scheduler predicts the optimal device with
 	// ≈92.5% accuracy for models it has been trained on.

@@ -8,7 +8,6 @@ import (
 
 	"bomw/internal/characterize"
 	"bomw/internal/mlsched"
-	"bomw/internal/opencl"
 )
 
 // Scheduler state persistence: the offline phase (characterisation +
@@ -64,24 +63,9 @@ func (s *Scheduler) SaveState(w io.Writer) error {
 // cfg.TrainModels is ignored.
 func LoadState(cfg Config, r io.Reader) (*Scheduler, error) {
 	cfg.fillDefaults()
-	rt, err := opencl.NewRuntime(cfg.Devices...)
+	s, err := newScheduler(cfg)
 	if err != nil {
 		return nil, err
-	}
-	s := &Scheduler{
-		cfg:         cfg,
-		rt:          rt,
-		disp:        NewDispatcher(rt),
-		devices:     cfg.Devices,
-		classifiers: map[Policy]mlsched.Classifier{},
-		health:      newHealthMonitor(),
-		stats:       Stats{PerDevice: map[string]int{}, PerPolicy: map[Policy]int{}},
-	}
-	for _, d := range cfg.Devices {
-		if d.Profile().HasBoost {
-			s.dgpu = d
-			break
-		}
 	}
 	var magic, count uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {

@@ -304,3 +304,41 @@ func bodyIsBounded(body *ast.BlockStmt) bool {
 	})
 	return bounded
 }
+
+// receiverOf returns a method's receiver name and (pointer-stripped)
+// type name; both empty for a plain function.
+func receiverOf(fn *ast.FuncDecl) (name, typ string) {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return "", ""
+	}
+	field := fn.Recv.List[0]
+	t := field.Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		typ = id.Name
+	}
+	if len(field.Names) > 0 {
+		name = field.Names[0].Name
+	}
+	return name, typ
+}
+
+// namedTypeName resolves the named type of an expression ("" when
+// unknown), looking through pointers.
+func namedTypeName(pass *Pass, e ast.Expr) string {
+	tv, ok := pass.Pkg.Info.Types[e]
+	if !ok || tv.Type == nil {
+		return ""
+	}
+	t := tv.Type
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	return named.Obj().Name()
+}

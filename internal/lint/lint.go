@@ -5,8 +5,6 @@
 //
 //   - wallclock: virtual-clock packages must not read the wall clock
 //   - lockscope: a held mutex must not span a blocking operation
-//   - counters:  Stats/PipelineStats fields mutate only under the
-//     owner's mutex, inside the owner's methods
 //   - senterr:   sentinel errors compare with errors.Is and wrap with %w
 //   - ctxparam:  no context.Context in struct fields; ctx comes first
 //   - atomics:   a field accessed via sync/atomic anywhere is accessed
@@ -146,7 +144,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		analyzerWallclock,
 		analyzerLockscope,
-		analyzerCounters,
 		analyzerSenterr,
 		analyzerCtxparam,
 		analyzerAtomics,

@@ -5,35 +5,26 @@ import (
 	"net/http"
 
 	"bomw/internal/cluster"
+	"bomw/internal/core"
 )
 
 // ---- /v1/cluster and /v1/nodes -----------------------------------------
 
-// nodeJSON flattens one NodeSnapshot for the wire.
-func nodeJSON(n cluster.NodeSnapshot) map[string]interface{} {
-	return map[string]interface{}{
-		"name":                n.Name,
-		"state":               n.State,
-		"evicted":             n.Evicted,
-		"suspect":             n.Suspect,
-		"chaos_down":          n.ChaosDown,
-		"avg_latency_us":      n.AvgLatency.Microseconds(),
-		"routed":              n.Routed,
-		"rerouted":            n.Rerouted,
-		"submitted":           n.Submitted,
-		"completed":           n.Completed,
-		"shed":                n.Shed,
-		"infeasible":          n.Infeasible,
-		"cancelled":           n.Cancelled,
-		"expired":             n.Expired,
-		"failed":              n.Failed,
-		"batches":             n.Batches,
-		"in_flight":           n.InFlight,
-		"slo_attainment":      n.SLOAttainment,
-		"devices":             n.Devices,
-		"quarantined_devices": n.QuarantinedDevices,
-		"degraded_devices":    n.DegradedDevices,
-	}
+// clusterWire is the GET /v1/cluster body: the fleet snapshot as its
+// struct serialises, its resilience and chaos blocks shadowed by ones
+// that add what a second source knows, and the brownout snapshot.
+type clusterWire struct {
+	cluster.FleetStats
+	Resilience struct {
+		cluster.Resilience
+		Suspects []string `json:"suspects"` // members on probation, by name
+	} `json:"resilience"`
+	Chaos struct {
+		Enabled bool `json:"enabled"`
+		cluster.ChaosCounts
+		Plans []cluster.ChaosPlan `json:"plans"`
+	} `json:"chaos"`
+	Brownout cluster.BrownoutSnapshot `json:"brownout"`
 }
 
 // handleCluster exposes fleet-wide statistics — routing activity,
@@ -51,67 +42,15 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.fleet.Stats()
-	perNode := make([]map[string]interface{}, 0, len(st.PerNode))
-	for _, n := range st.PerNode {
-		perNode = append(perNode, nodeJSON(n))
-	}
-	suspects := s.fleet.Suspects()
-	if suspects == nil {
-		suspects = []string{}
-	}
-	bro := s.fleet.Brownout()
-	out := map[string]interface{}{
-		"policy":         st.Policy,
-		"nodes":          st.Nodes,
-		"ready":          st.Ready,
-		"submits":        st.Submits,
-		"route_failures": st.RouteFailures,
-		"evictions":      st.Evictions,
-		"readmissions":   st.Readmissions,
-		"submitted":      st.Submitted,
-		"completed":      st.Completed,
-		"shed":           st.Shed,
-		"infeasible":     st.Infeasible,
-		"cancelled":      st.Cancelled,
-		"expired":        st.Expired,
-		"failed":         st.Failed,
-		"batches":        st.Batches,
-		"in_flight":      st.InFlight,
-		"slo_attainment": st.SLOAttainment,
-		"resilience": map[string]interface{}{
-			"node_hedges":       st.NodeHedges,
-			"node_hedges_won":   st.NodeHedgesWon,
-			"hedges_suppressed": st.HedgesSuppressed,
-			"migrations":        st.Migrations,
-			"suspicions":        st.Suspicions,
-			"probations":        st.Probations,
-			"false_suspects":    st.FalseSuspects,
-			"probes":            st.Probes,
-			"benign_cancels":    st.BenignCancels,
-			"suspects":          suspects,
-		},
-		"brownout": map[string]interface{}{
-			"enabled":        bro.Enabled,
-			"level":          bro.Level,
-			"occupancy_ewma": bro.OccupancyEWMA,
-			"sheds":          bro.Sheds,
-			"transitions":    bro.Transitions,
-			"window_scale":   bro.WindowScale,
-			"thresholds":     bro.Thresholds,
-			"hysteresis":     bro.Hysteresis,
-		},
-		"per_node": perNode,
-	}
-	chaos := map[string]interface{}{
-		"enabled":    false,
-		"trips":      st.ChaosTrips,
-		"recoveries": st.ChaosRecoveries,
-	}
+	out := clusterWire{FleetStats: st, Brownout: s.fleet.Brownout()}
+	out.Resilience.Resilience = st.Resilience
+	out.Resilience.Suspects = s.fleet.Suspects()
+	out.Chaos.ChaosCounts = st.ChaosCounts
+	out.Chaos.Plans = []cluster.ChaosPlan{}
 	if ci := s.fleet.Chaos(); ci != nil {
-		chaos["enabled"] = true
-		chaos["plans"] = ci.Plans()
+		out.Chaos.Enabled = true
+		out.Chaos.Plans = ci.Plans()
 	}
-	out["chaos"] = chaos
 	writeJSON(w, out)
 }
 
@@ -147,6 +86,14 @@ type NodeAction struct {
 	Action string `json:"action"` // drain | evict | readmit | kill
 }
 
+// nodeWire is one GET /v1/nodes row: a node's health summary beside its
+// name and instantaneous load.
+type nodeWire struct {
+	Name string `json:"name"`
+	Load int64  `json:"load"`
+	core.NodeHealth
+}
+
 // handleNodes lists per-node state and health (GET) and applies
 // lifecycle actions (POST): drain (stop routing, complete accepted work),
 // evict (stop routing only), readmit (resume routing a healthy node),
@@ -154,21 +101,11 @@ type NodeAction struct {
 func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		var out []map[string]interface{}
-		for _, nd := range s.nodes {
-			h := nd.Health()
-			out = append(out, map[string]interface{}{
-				"name":                nd.Name(),
-				"state":               h.State.String(),
-				"ready":               h.Ready,
-				"load":                nd.Load(),
-				"devices":             h.Devices,
-				"quarantined_devices": h.Quarantined,
-				"degraded_devices":    h.Degraded,
-				"exec_failures":       h.ExecFailures,
-			})
+		out := make([]nodeWire, len(s.nodes))
+		for i, nd := range s.nodes {
+			out[i] = nodeWire{Name: nd.Name(), Load: nd.Load(), NodeHealth: nd.Health()}
 		}
-		writeJSON(w, map[string]interface{}{"nodes": out})
+		writeJSON(w, map[string][]nodeWire{"nodes": out})
 	case http.MethodPost:
 		var req NodeAction
 		if !decodeBody(w, r, "node action", &req) {

@@ -598,28 +598,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	st := s.pipe.Stats()
-	writeJSON(w, map[string]interface{}{
-		"submitted":       st.Submitted,
-		"shed":            st.Shed,
-		"infeasible":      st.Infeasible,
-		"cancelled":       st.Cancelled,
-		"expired":         st.Expired,
-		"failed":          st.Failed,
-		"completed":       st.Completed,
-		"batches":         st.Batches,
-		"size_flushes":    st.SizeFlushes,
-		"window_flushes":  st.WindowFlushes,
-		"idle_flushes":    st.IdleFlushes,
-		"drain_flushes":   st.DrainFlushes,
-		"retries":         st.Retries,
-		"failovers":       st.Failovers,
-		"exec_failures":   st.ExecFailures,
-		"hedges_launched": st.HedgesLaunched,
-		"hedges_won":      st.HedgesWon,
-		"in_flight":       st.InFlight,
-		"device_depth":    st.Depth,
-	})
+	writeJSON(w, s.pipe.Stats())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -632,10 +611,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for pol, n := range st.PerPolicy {
 		perPolicy[pol.String()] = n
 	}
-	quarantined := st.Quarantined
-	if quarantined == nil {
-		quarantined = []string{}
-	}
 	pst := s.pipe.Stats()
 	writeJSON(w, map[string]interface{}{
 		"decisions":    st.Decisions,
@@ -644,7 +619,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"per_policy":   perPolicy,
 		"quarantines":  st.Quarantines,
 		"readmissions": st.Readmissions,
-		"quarantined":  quarantined,
+		"quarantined":  st.Quarantined,
 		"uptime_us":    s.clock.Now().Microseconds(),
 		// Deadline/overload posture: what admission control rejected,
 		// what was culled, and how hedging performed.
