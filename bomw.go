@@ -290,6 +290,10 @@ var (
 	// ErrAdmissionFull signals load shedding: the bounded admission
 	// queue is full and the caller should back off and retry.
 	ErrAdmissionFull = core.ErrAdmissionFull
+	// ErrFutureClaimed is Future.Wait's answer once another Wait has
+	// received the completion, or is receiving it: a future is waited
+	// once.
+	ErrFutureClaimed = core.ErrFutureClaimed
 	// ErrPipelineClosed rejects work submitted after Close.
 	ErrPipelineClosed = core.ErrPipelineClosed
 	// ErrNoEligibleDevice reports that an exclusion set (failed or

@@ -48,6 +48,7 @@ func BenchmarkClusterServe(b *testing.B) {
 					}
 				}()
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {

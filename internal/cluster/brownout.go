@@ -75,11 +75,11 @@ func (c *Cluster) brownoutOccupancy() float64 {
 // EWMA fold tolerates a lost sample under contention (a smoothed signal
 // does not care), while level transitions go through a CAS so each one
 // applies exactly once.
-func (c *Cluster) brownoutAdmit(req core.PipelineRequest, ms []*member, views []NodeView) error {
+func (c *Cluster) brownoutAdmit(req core.PipelineRequest, views []NodeView) error {
 	var load, capacity int64
-	for i, m := range ms {
-		load += views[i].Load
-		capacity += m.node.Capacity()
+	for _, v := range views {
+		load += v.Load
+		capacity += v.node.Capacity()
 	}
 	if capacity <= 0 {
 		return nil

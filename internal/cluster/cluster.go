@@ -274,16 +274,35 @@ func (c *Cluster) NodeNames() []string {
 	return out
 }
 
-// eligible snapshots the current routing set as policy views: members
-// that are not evicted, not on probation, and not inside a chaos crash
-// window right now.
-func (c *Cluster) eligible() ([]*member, []NodeView) {
+// routeScratch is one routing decision's working set: the eligible
+// views and the policy's order over them. It is pooled, so a Submit
+// allocates neither.
+type routeScratch struct {
+	views []NodeView
+	order []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return &routeScratch{} }}
+
+func getScratch() *routeScratch { return scratchPool.Get().(*routeScratch) }
+
+// putScratch recycles a scratch, dropping its node references so a
+// pooled scratch does not pin a closed fleet.
+func putScratch(sc *routeScratch) {
+	clear(sc.views)
+	sc.views, sc.order = sc.views[:0], sc.order[:0]
+	scratchPool.Put(sc)
+}
+
+// eligible fills sc.views with the current routing set: members that
+// are not evicted, not on probation, and not inside a chaos crash window
+// right now. A view's member is c.members[view.Index].
+func (c *Cluster) eligible(sc *routeScratch) []NodeView {
 	var now time.Duration
 	if c.cfg.Chaos != nil {
 		now = c.cfg.Clock.Now()
 	}
-	ms := make([]*member, 0, len(c.members))
-	views := make([]NodeView, 0, len(c.members))
+	views := sc.views[:0]
 	for _, m := range c.members {
 		if m.evicted.Load() || m.suspect.Load() {
 			continue
@@ -293,10 +312,10 @@ func (c *Cluster) eligible() ([]*member, []NodeView) {
 				continue
 			}
 		}
-		ms = append(ms, m)
 		views = append(views, NodeView{Index: m.idx, Name: m.node.Name(), Load: m.node.Load(), node: m.node})
 	}
-	return ms, views
+	sc.views = views
+	return views
 }
 
 // slo mirrors the node pipelines' SLO resolution for routing purposes:
@@ -330,13 +349,15 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 	if req.Input != nil && req.Input.Rank() >= 1 {
 		size = req.Input.Dim(0)
 	}
-	ms, views := c.eligible()
-	if len(ms) == 0 {
+	sc := getScratch()
+	defer putScratch(sc)
+	views := c.eligible(sc)
+	if len(views) == 0 {
 		c.routeFails.Add(1)
 		return nil, fmt.Errorf("%w: all %d nodes evicted, on probation or in a chaos window", ErrNoHealthyNodes, len(c.members))
 	}
 	if c.cfg.Brownout {
-		if err := c.brownoutAdmit(req, ms, views); err != nil {
+		if err := c.brownoutAdmit(req, views); err != nil {
 			c.routeFails.Add(1)
 			return nil, err
 		}
@@ -346,7 +367,8 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 		Batch: size,
 		SLO:   routeSLO(req),
 		Now:   c.cfg.Clock.Now(),
-	}, views)
+	}, views, sc.order)
+	sc.order = order // keep a grown backing for the scratch's next use
 	// What one attempt on a member is depends on the path: the direct
 	// path admits on the node and returns the node's own future; a
 	// deadline request in a resilient cluster launches the first attempt
@@ -363,10 +385,10 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		pos := order[i]
-		if pos < 0 || pos >= len(ms) {
+		if pos < 0 || pos >= len(views) {
 			continue // defensive: policy returned an out-of-range position
 		}
-		m := ms[pos]
+		m := c.members[views[pos].Index]
 		fut, err := attempt(m)
 		if err == nil {
 			m.hardFails.Store(0)
@@ -399,14 +421,15 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 // retried request could plausibly find room anywhere. Zero when no node
 // is ready (callers apply their own floor).
 func (c *Cluster) QueueDelay() time.Duration {
-	ms, _ := c.eligible()
+	sc := getScratch()
+	defer putScratch(sc)
 	var best time.Duration
 	found := false
-	for _, m := range ms {
-		if !m.node.Health().Ready {
+	for _, v := range c.eligible(sc) {
+		if !v.node.Health().Ready {
 			continue
 		}
-		if d := m.node.QueueDelay(); !found || d < best {
+		if d := v.node.QueueDelay(); !found || d < best {
 			best, found = d, true
 		}
 	}

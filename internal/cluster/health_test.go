@@ -46,9 +46,8 @@ func TestDetectStragglersSuspectsOutlier(t *testing.T) {
 	if n := c.suspicions.Load(); n != 1 {
 		t.Fatalf("suspicions = %d, want 1", n)
 	}
-	ms, _ := c.eligible()
-	for _, m := range ms {
-		if m.node.Name() == "node5" {
+	for _, v := range c.eligible(&routeScratch{}) {
+		if v.Name == "node5" {
 			t.Fatal("suspect node5 still in the routing set")
 		}
 	}
@@ -183,9 +182,8 @@ func TestProbationEvictionPinsAgainstSweep(t *testing.T) {
 	if m.evicted.Load() || m.probEvicted.Load() {
 		t.Fatal("operator Readmit did not clear the pin")
 	}
-	ms, _ := c.eligible()
-	if len(ms) != 3 {
-		t.Fatalf("eligible after Readmit = %d nodes, want 3", len(ms))
+	if n := len(c.eligible(&routeScratch{})); n != 3 {
+		t.Fatalf("eligible after Readmit = %d nodes, want 3", n)
 	}
 }
 

@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -37,15 +38,17 @@ func (v NodeView) Predict(model string, batch int, deadline, now time.Duration) 
 	return predicted, err
 }
 
-// Policy orders the eligible nodes for one request. Route returns
-// indices INTO views in preference order; the router tries them in turn
-// (bounded by maxAttempts), so position 1 is the failover target
-// of position 0. Implementations must be deterministic given their own
-// state and the inputs — the cluster's seeded-replay guarantee (same
-// trace, same seed ⇒ identical routing decisions) rests on it.
+// Policy orders the eligible nodes for one request. Route appends
+// indices INTO views, in preference order, to order[:0] and returns the
+// result — the router passes a pooled buffer, so routing allocates
+// nothing once it has grown. The router tries them in turn (bounded by
+// maxAttempts), so position 1 is the failover target of position 0.
+// Implementations must be deterministic given their own state and the
+// inputs — the cluster's seeded-replay guarantee (same trace, same seed
+// ⇒ identical routing decisions) rests on it.
 type Policy interface {
 	Name() string
-	Route(req Request, views []NodeView) []int
+	Route(req Request, views []NodeView, order []int) []int
 }
 
 // PolicyByName builds a routing policy from its CLI/API name:
@@ -87,15 +90,15 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (*RoundRobin) Name() string { return "round-robin" }
 
 // Route implements Policy.
-func (p *RoundRobin) Route(_ Request, views []NodeView) []int {
+func (p *RoundRobin) Route(_ Request, views []NodeView, order []int) []int {
+	order = order[:0]
 	n := len(views)
 	if n == 0 {
-		return nil
+		return order
 	}
 	start := int((p.cursor.Add(1) - 1) % uint64(n))
-	order := make([]int, n)
-	for i := range order {
-		order[i] = (start + i) % n
+	for i := 0; i < n; i++ {
+		order = append(order, (start+i)%n)
 	}
 	return order
 }
@@ -109,14 +112,14 @@ type LeastLoaded struct{}
 func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Route implements Policy.
-func (LeastLoaded) Route(_ Request, views []NodeView) []int {
-	order := identity(len(views))
-	sort.SliceStable(order, func(a, b int) bool {
-		va, vb := views[order[a]], views[order[b]]
+func (LeastLoaded) Route(_ Request, views []NodeView, order []int) []int {
+	order = identity(order, len(views))
+	slices.SortStableFunc(order, func(a, b int) int {
+		va, vb := views[a], views[b]
 		if va.Load != vb.Load {
-			return va.Load < vb.Load
+			return cmp.Compare(va.Load, vb.Load)
 		}
-		return va.Index < vb.Index
+		return cmp.Compare(va.Index, vb.Index)
 	})
 	return order
 }
@@ -138,18 +141,17 @@ type ModelAffinity struct {
 func (ModelAffinity) Name() string { return "model-affinity" }
 
 // Route implements Policy.
-func (p ModelAffinity) Route(req Request, views []NodeView) []int {
+func (p ModelAffinity) Route(req Request, views []NodeView, order []int) []int {
 	scores := make([]uint64, len(views))
 	for i, v := range views {
 		scores[i] = rendezvousScore(req.Model, v.Name, p.Seed)
 	}
-	order := identity(len(views))
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := scores[order[a]], scores[order[b]]
-		if sa != sb {
-			return sa > sb
+	order = identity(order, len(views))
+	slices.SortStableFunc(order, func(a, b int) int {
+		if sa, sb := scores[a], scores[b]; sa != sb {
+			return cmp.Compare(sb, sa)
 		}
-		return views[order[a]].Index < views[order[b]].Index
+		return cmp.Compare(views[a].Index, views[b].Index)
 	})
 	return order
 }
@@ -187,7 +189,7 @@ func (WeightedScoring) Name() string { return "weighted-scoring" }
 const scoreHorizon = time.Hour
 
 // Route implements Policy.
-func (WeightedScoring) Route(req Request, views []NodeView) []int {
+func (WeightedScoring) Route(req Request, views []NodeView, order []int) []int {
 	deadline := req.SLO
 	if deadline <= 0 {
 		deadline = scoreHorizon
@@ -203,25 +205,25 @@ func (WeightedScoring) Route(req Request, views []NodeView) []int {
 		}
 		slack[i] = deadline - predicted
 	}
-	order := identity(len(views))
-	sort.SliceStable(order, func(a, b int) bool {
-		va, vb := views[order[a]], views[order[b]]
-		sa, sb := slack[order[a]], slack[order[b]]
-		if sa != sb {
-			return sa > sb
+	order = identity(order, len(views))
+	slices.SortStableFunc(order, func(a, b int) int {
+		va, vb := views[a], views[b]
+		if sa, sb := slack[a], slack[b]; sa != sb {
+			return cmp.Compare(sb, sa)
 		}
 		if va.Load != vb.Load {
-			return va.Load < vb.Load
+			return cmp.Compare(va.Load, vb.Load)
 		}
-		return va.Index < vb.Index
+		return cmp.Compare(va.Index, vb.Index)
 	})
 	return order
 }
 
-func identity(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+// identity appends 0..n-1 to order[:0].
+func identity(order []int, n int) []int {
+	order = order[:0]
+	for i := 0; i < n; i++ {
+		order = append(order, i)
 	}
 	return order
 }

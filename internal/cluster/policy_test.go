@@ -193,8 +193,9 @@ func TestRoundRobinFairness(t *testing.T) {
 	p := NewRoundRobin()
 	views := fakeViews(newFakeNode("a", 0), newFakeNode("b", 0), newFakeNode("c", 0), newFakeNode("d", 0))
 	counts := make([]int, len(views))
+	var order []int
 	for k := 0; k < 40; k++ {
-		order := p.Route(Request{Model: "simple"}, views)
+		order = p.Route(Request{Model: "simple"}, views, order) // reused, as the router reuses its pooled buffer
 		if len(order) != len(views) {
 			t.Fatalf("order %v does not cover the fleet", order)
 		}
@@ -233,7 +234,7 @@ func TestLeastLoadedUnderSkew(t *testing.T) {
 			for i, l := range tc.loads {
 				fakes[i] = newFakeNode(fmt.Sprintf("n%d", i), l)
 			}
-			got := LeastLoaded{}.Route(Request{Model: "simple"}, fakeViews(fakes...))
+			got := LeastLoaded{}.Route(Request{Model: "simple"}, fakeViews(fakes...), nil)
 			if !orderEq(got, tc.want) {
 				t.Fatalf("Route(%v) = %v, want %v", tc.loads, got, tc.want)
 			}
@@ -253,9 +254,9 @@ func TestModelAffinityStableHomes(t *testing.T) {
 	// Same model, same fleet: the home never moves, regardless of load.
 	homes := map[string]int{}
 	for _, m := range models {
-		first := p.Route(Request{Model: m}, views)[0]
+		first := p.Route(Request{Model: m}, views, nil)[0]
 		for k := 0; k < 5; k++ {
-			if got := p.Route(Request{Model: m}, views)[0]; got != first {
+			if got := p.Route(Request{Model: m}, views, nil)[0]; got != first {
 				t.Fatalf("model %q home moved %d -> %d", m, first, got)
 			}
 		}
@@ -280,7 +281,7 @@ func TestModelAffinityStableHomes(t *testing.T) {
 	}
 	reduced := fakeViews(surviving...)
 	for _, m := range models {
-		got := reduced[p.Route(Request{Model: m}, reduced)[0]].Name
+		got := reduced[p.Route(Request{Model: m}, reduced, nil)[0]].Name
 		if homes[m] == dead {
 			continue // this model had to move
 		}
@@ -292,7 +293,7 @@ func TestModelAffinityStableHomes(t *testing.T) {
 	// but must itself be stable.
 	q := ModelAffinity{Seed: 8}
 	for _, m := range models {
-		a, b := q.Route(Request{Model: m}, views)[0], q.Route(Request{Model: m}, views)[0]
+		a, b := q.Route(Request{Model: m}, views, nil)[0], q.Route(Request{Model: m}, views, nil)[0]
 		if a != b {
 			t.Fatalf("seed-8 home for %q unstable: %d vs %d", m, a, b)
 		}
@@ -354,7 +355,7 @@ func TestWeightedScoringSlackOrderAndTieBreaks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := WeightedScoring{}.Route(tc.req, fakeViews(tc.fakes...))
+			got := WeightedScoring{}.Route(tc.req, fakeViews(tc.fakes...), nil)
 			if !orderEq(got, tc.want) {
 				t.Fatalf("Route = %v, want %v", got, tc.want)
 			}

@@ -209,8 +209,10 @@ func (s *submission) migrate(from *member) error {
 // pickUntried routes among eligible members this submission has not
 // tried, excluding from. Returns nil when the fleet has no candidate.
 func (c *Cluster) pickUntried(s *submission, from *member) *member {
-	ms, views := c.eligible()
-	if len(ms) == 0 {
+	sc := getScratch()
+	defer putScratch(sc)
+	views := c.eligible(sc)
+	if len(views) == 0 {
 		return nil
 	}
 	order := c.cfg.Policy.Route(Request{
@@ -218,14 +220,15 @@ func (c *Cluster) pickUntried(s *submission, from *member) *member {
 		Batch: s.req.Batch,
 		SLO:   routeSLO(s.req),
 		Now:   c.cfg.Clock.Now(),
-	}, views)
+	}, views, sc.order)
+	sc.order = order // keep a grown backing for the scratch's next use
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, pos := range order {
-		if pos < 0 || pos >= len(ms) {
+		if pos < 0 || pos >= len(views) {
 			continue
 		}
-		m := ms[pos]
+		m := c.members[views[pos].Index]
 		if m == from || s.tried[m.node.Name()] {
 			continue
 		}

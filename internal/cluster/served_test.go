@@ -1,0 +1,168 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"bomw/internal/core"
+	"bomw/internal/tensor"
+)
+
+// TestPooledFutureReuseRace hammers the served path — Cluster.Submit and
+// the public Wait, as the HTTP handler and the benchmark drive it — with
+// concurrent completions, mid-flight cancellations and stale handles.
+// Run under -race this is the regression test for the slot-reuse
+// invariant: a completion slot recycled while a stale waiter or stage
+// still touches it shows up as a data race, and a stale completion
+// leaking into a recycled slot shows up as a BatchSize mismatch — each
+// goroutine submits a unique batch size with MaxBatch 1, so every
+// request is its own batch and must come back with exactly its own size.
+// Spent handles go to one more goroutine that Waits each of them twice
+// while their slots serve other requests: both Waits must find the
+// future claimed, never another request's completion.
+func TestPooledFutureReuseRace(t *testing.T) {
+	c := realCluster(t, 2, Config{}, core.PipelineConfig{MaxBatch: 1, QueueDepth: 4096})
+	defer c.Close()
+
+	const goroutines = 8
+	const iters = 150
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines+1)
+	spent := make(chan *core.Future, 64) // slack, so clients seldom wait on the one stale-waiter
+	stale := make(chan struct{})
+	go func() {
+		defer close(stale)
+		var staleErr error
+		for fut := range spent { // drained to the end, so no client blocks on a failure
+			for i := 0; i < 2 && staleErr == nil; i++ {
+				if _, err := fut.Wait(context.Background()); !errors.Is(err, core.ErrFutureClaimed) {
+					staleErr = fmt.Errorf("Wait %d on a spent handle = %v, want ErrFutureClaimed", i+1, err)
+				}
+			}
+		}
+		if staleErr != nil {
+			errs <- staleErr
+		}
+	}()
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		size := g + 1 // per-goroutine tag, echoed back as BatchSize
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				ctx := context.Background()
+				var cancel context.CancelFunc
+				if i%3 == 0 {
+					// A third of the waits race a cancellation against the
+					// completion — the abandoned-wait path under load.
+					ctx, cancel = context.WithTimeout(ctx, 50*time.Microsecond)
+				}
+				fut, err := c.Submit(ctx, core.PipelineRequest{Model: "mnist-small", Policy: core.BestThroughput, Batch: size})
+				comp := core.Completion{}
+				if err == nil {
+					comp, err = fut.Wait(ctx)
+					if errors.Is(err, context.DeadlineExceeded) {
+						// The abandoned handle kept its slot: a fresh Wait
+						// still receives this request's own completion.
+						comp, err = fut.Wait(context.Background())
+					}
+				}
+				if cancel != nil {
+					cancel()
+				}
+				if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, core.ErrAdmissionFull) {
+					continue // refused at Submit
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				spent <- fut
+				if comp.Err != nil {
+					if errors.Is(comp.Err, context.DeadlineExceeded) || errors.Is(comp.Err, context.Canceled) {
+						continue
+					}
+					errs <- comp.Err
+					return
+				}
+				if comp.BatchSize != size {
+					errs <- fmt.Errorf("stale completion: submitted batch %d, received BatchSize %d — a recycled slot delivered another request's result", size, comp.BatchSize)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(spent)
+	<-stale
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// oneSample is a one-sample input for the simple model.
+func oneSample(i int) *tensor.Tensor {
+	return tensor.FromSlice([]float32{5.1, 3.5, 1.4, float32(i%3) * 0.2}, 1, 4)
+}
+
+// TestServedBurstAllocations is the served path's allocation budget: a
+// burst of 64 one-sample requests through a 1-node fleet's Submit and
+// Wait — lib_simple_burst's loop — allocates each request its 24-byte
+// Future handle and little else. The slots, pipeline carriers and
+// routing scratch are pooled, and the labels are sliced out of the
+// batch's. The parent of this gate allocated ≈ 456 objects per burst.
+func TestServedBurstAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	c := realCluster(t, 1, Config{}, core.PipelineConfig{})
+	defer c.Close()
+	ctx := context.Background()
+	var inputs [64]*tensor.Tensor
+	for i := range inputs {
+		inputs[i] = oneSample(i)
+	}
+	var futs [64]*core.Future
+	burst := func() {
+		for i := range futs {
+			fut, err := c.Submit(ctx, core.PipelineRequest{Model: "simple", Input: inputs[i], Deadline: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs[i] = fut
+		}
+		for i, fut := range futs {
+			if comp, err := fut.Wait(ctx); err != nil || comp.Err != nil || len(comp.Classes) != 1 {
+				t.Fatalf("request %d: %v / %v, classes %v", i, err, comp.Err, comp.Classes)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		burst() // warm the pools, the decision cache and the shard's timer
+	}
+	n := testing.AllocsPerRun(20, burst)
+	t.Logf("a burst of 64 allocates %.0f objects", n)
+	if n > 96 {
+		t.Fatalf("a burst of 64 allocates %.0f objects, want ≤ 96", n)
+	}
+}
+
+// TestRouteAllocatesNothing: the cheap policies order the fleet into the
+// router's buffer without allocating.
+func TestRouteAllocatesNothing(t *testing.T) {
+	views := fakeViews(newFakeNode("a", 3), newFakeNode("b", 0), newFakeNode("c", 2), newFakeNode("d", 0))
+	for _, p := range []Policy{NewRoundRobin(), LeastLoaded{}} {
+		order := make([]int, 0, len(views))
+		n := testing.AllocsPerRun(100, func() {
+			order = p.Route(Request{Model: "simple"}, views, order)
+		})
+		if n != 0 || len(order) != len(views) {
+			t.Errorf("%s: Route allocates %.1f objects and orders %v", p.Name(), n, order)
+		}
+	}
+}

@@ -282,10 +282,10 @@ func steppedIdentities(s *Scheduler, fi *opencl.FaultInjector, seed int64, realI
 	}
 	var ok, failed, cancelled, expired int64
 	for i, fut := range futs {
-		if len(fut.ch) != 1 {
-			return fmt.Errorf("future %d holds %d completions after Close, want exactly one", i, len(fut.ch))
+		if len(fut.s.ch) != 1 {
+			return fmt.Errorf("future %d holds %d completions after Close, want exactly one", i, len(fut.s.ch))
 		}
-		switch c := <-fut.ch; {
+		switch c := <-fut.s.ch; {
 		case c.Err == nil:
 			ok++
 			if realInputs && len(c.Classes) == 0 {

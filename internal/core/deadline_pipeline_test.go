@@ -63,13 +63,14 @@ func TestPipelineSubmitRejectsCancelledContext(t *testing.T) {
 // can always be retried with a fresh context and still observe it.
 func TestFutureWaitRaceNeverLosesCompletion(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		fut := &Future{ch: make(chan Completion, 1)}
+		slot := getSlot()
+		fut := &Future{s: slot}
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			fut.ch <- Completion{BatchSize: 42}
+			slot.ch <- Completion{BatchSize: 42} // the pipeline's finish: it holds the slot, not the handle
 		}()
 		go func() {
 			defer wg.Done()

@@ -205,7 +205,7 @@ func TestPipelineCloseWaitsForQueuedBatches(t *testing.T) {
 	<-closed
 	// The future must already be resolved — no waiting allowed.
 	select {
-	case c := <-fut.ch:
+	case c := <-fut.s.ch:
 		if c.Err != nil {
 			t.Fatalf("held batch failed: %v", c.Err)
 		}

@@ -166,7 +166,7 @@ func (n *Node) Do(ctx context.Context, req PipelineRequest) (Completion, error) 
 	if err != nil {
 		return Completion{}, err
 	}
-	return fut.waitRelease(ctx)
+	return fut.Wait(ctx)
 }
 
 // FeasibleWithin predicts whether this node can complete a batch within

@@ -250,6 +250,10 @@ var (
 	// whose SLO expired before (or while) it could be executed; the
 	// request is culled without spending device time.
 	ErrDeadlineExceeded = errors.New("core: request deadline exceeded")
+	// ErrFutureClaimed is returned by Future.Wait when another Wait
+	// already received the future's completion or is receiving it now: a
+	// future is waited once.
+	ErrFutureClaimed = errors.New("core: future already claimed by another Wait")
 )
 
 // PipelineRequest is one classification job entering the pipeline.
@@ -274,7 +278,9 @@ type Completion struct {
 	// request (shared by every request aggregated into the batch).
 	Decision Decision
 	// Classes holds this request's labels (nil for timing-only
-	// requests) — the request's slice of the aggregated batch output.
+	// requests): its sub-slice of the batch's label vector, with capacity
+	// clipped to its own length, so appending copies instead of
+	// overwriting another request's labels.
 	Classes []int
 	// BatchSize is the total sample count of the aggregated batch.
 	BatchSize int
@@ -295,36 +301,53 @@ type Completion struct {
 	Err error
 }
 
-// Future resolves to a Completion exactly once.
+// Future resolves to a Completion exactly once, and is waited once.
 //
-// Futures are pooled. The pool-safety invariant: a future returns to the
-// pool only through the caller that consumed its completion
-// (waitRelease), so a resolved future is never recycled while any waiter
-// still selects on it — an abandoned Wait (context cancelled) pins its
-// future out of the pool forever rather than risk handing the next
-// request's completion to a stale waiter. The generation counter makes
-// an (erroneous) second release of the same handle a no-op instead of a
-// double-free.
+// A Future is a small caller-owned handle over a pooled completion slot
+// (futureSlot). The pipeline sends into the slot; the Wait that receives
+// the completion detaches the slot from the handle and returns it to the
+// pool, so every caller that waits recycles. The handle itself is not
+// pooled: a caller may keep it after its Wait, and a kept handle over a
+// recycled slot would receive the next request's completion. A Wait cut
+// short by its context keeps the slot, and a later Wait still receives
+// the completion.
 type Future struct {
-	ch  chan Completion
-	gen atomic.Uint64
+	s *futureSlot
+	// waiting is one-waiter ownership of s: a Wait holds it while it
+	// receives, so a concurrent Wait fails with ErrFutureClaimed instead
+	// of racing the first for the slot.
+	waiting atomic.Bool
 
 	// detached marks a future created by NewDetachedFuture: it is
 	// resolved through Resolve (cluster-tier arbitration over racing node
-	// submissions) instead of the pipeline's finish path, and it never
-	// enters the pool — its resolved flag would otherwise leak into a
-	// recycled pipeline future.
+	// submissions) instead of the pipeline's finish path, and its slot is
+	// not pooled.
 	detached bool
 	resolved atomic.Bool
 }
 
-// NewDetachedFuture returns an unpooled future the caller resolves via
-// Resolve. The cluster tier's hedging and migration paths use it to
-// present one future over several racing node submissions: whichever
-// underlying completion arrives first is Resolve()d into it, and the
-// caller waits on it exactly like a pipeline future.
+// futureSlot is the pooled completion buffer behind a Future; finish
+// sends into it once.
+type futureSlot struct {
+	ch chan Completion
+}
+
+var slotPool = sync.Pool{New: func() any { return &futureSlot{ch: make(chan Completion, 1)} }}
+
+func getSlot() *futureSlot { return slotPool.Get().(*futureSlot) }
+
+// releaseSlot returns an empty slot to the pool: one whose completion a
+// Wait received, or one Submit never issued (shed, closed pipeline).
+// Nobody may send to or receive from s afterwards.
+func releaseSlot(s *futureSlot) { slotPool.Put(s) }
+
+// NewDetachedFuture returns a future the caller resolves via Resolve.
+// The cluster tier's hedging and migration paths use it to present one
+// future over several racing node submissions: whichever underlying
+// completion arrives first is Resolve()d into it, and the caller waits
+// on it exactly like a pipeline future.
 func NewDetachedFuture() *Future {
-	return &Future{ch: make(chan Completion, 1), detached: true}
+	return &Future{s: &futureSlot{ch: make(chan Completion, 1)}, detached: true}
 }
 
 // Resolve delivers c to a detached future exactly once, reporting
@@ -339,7 +362,7 @@ func (f *Future) Resolve(c Completion) bool {
 	if !f.resolved.CompareAndSwap(false, true) {
 		return false
 	}
-	f.ch <- c // buffered(1); the CAS above makes delivery exactly-once
+	f.s.ch <- c // buffered(1); the CAS above makes delivery exactly-once
 	return true
 }
 
@@ -348,62 +371,44 @@ func (f *Future) Resolve(c Completion) bool {
 // their pipeReq's done flag, which this does not observe.
 func (f *Future) Resolved() bool { return f.resolved.Load() }
 
-var futurePool = sync.Pool{New: func() any { return &Future{ch: make(chan Completion, 1)} }}
-
-func getFuture() *Future { return futurePool.Get().(*Future) }
-
-// waitRelease waits like Wait and, on a successful receive, returns the
-// future to the pool. Callers must be the future's sole consumer and
-// must not touch f afterwards — this is the internal fast path behind
-// Do, Node.Do and Play. A ctx abort leaves the future un-pooled: a
-// resolution may still be in flight, and the caller may legitimately
-// Wait again.
-func (f *Future) waitRelease(ctx context.Context) (Completion, error) {
-	gen := f.gen.Load()
-	if ctx.Done() == nil {
-		// Background-ish context: nothing to race the completion
-		// against, so skip selectgo for a plain channel receive. This is
-		// the hot closed-loop serving path.
-		c := <-f.ch
-		if !f.detached && f.gen.CompareAndSwap(gen, gen+1) {
-			futurePool.Put(f)
-		}
-		return c, nil
-	}
-	select {
-	case c := <-f.ch:
-		// Sole-consumer contract holds and the buffered slot is empty:
-		// the future can serve the next request. The CAS loses only if
-		// another (buggy) release of this generation beat us — then the
-		// pool already owns f and putting it again would double-issue it.
-		// Detached futures never enter the pool (their resolved flag
-		// would leak into a recycled pipeline future).
-		if !f.detached && f.gen.CompareAndSwap(gen, gen+1) {
-			futurePool.Put(f)
-		}
-		return c, nil
-	case <-ctx.Done():
-		return Completion{}, ctx.Err()
-	}
-}
-
 // Wait blocks until the request completes or ctx is done. A ctx error
 // abandons the wait but does not recall work already queued — the
 // pipeline culls the request at the next stage boundary and resolves
 // the future with the context error; a Wait with a fresh context still
 // observes that completion (delivery is never lost to an abandoned
-// wait). A future consumed through Wait is never recycled, so holding
-// or re-Waiting it stays safe indefinitely.
+// wait). Once a Wait has received the completion, the future is spent:
+// a later Wait — like one racing a Wait in progress — returns
+// ErrFutureClaimed at once.
 func (f *Future) Wait(ctx context.Context) (Completion, error) {
-	if ctx.Done() == nil {
-		return <-f.ch, nil
+	if !f.waiting.CompareAndSwap(false, true) {
+		return Completion{}, ErrFutureClaimed
 	}
-	select {
-	case c := <-f.ch:
-		return c, nil
-	case <-ctx.Done():
-		return Completion{}, ctx.Err()
+	s := f.s
+	if s == nil {
+		f.waiting.Store(false)
+		return Completion{}, ErrFutureClaimed
 	}
+	var c Completion
+	if done := ctx.Done(); done == nil {
+		// Nothing to race the completion against: a plain receive, not
+		// a select. This is the hot closed-loop serving path.
+		c = <-s.ch
+	} else {
+		select {
+		case c = <-s.ch:
+		case <-done:
+			f.waiting.Store(false)
+			return Completion{}, ctx.Err()
+		}
+	}
+	// The slot is empty and its one send has happened: detach it so this
+	// handle can never see the slot's next request, then recycle it.
+	f.s = nil
+	if !f.detached {
+		releaseSlot(s)
+	}
+	f.waiting.Store(false)
+	return c, nil
 }
 
 // PipelineStats snapshots pipeline activity.
@@ -441,8 +446,8 @@ type PipelineStats struct {
 // only when every holder has released it, and every release site runs
 // after the request's future was resolved (finish) — so a pooled
 // pipeReq is never resurrected under a stage that still reads it. The
-// Future is NOT reset with the pipeReq: it detaches at release and is
-// recycled separately by whoever consumes the completion.
+// completion slot is NOT recycled with the pipeReq: it detaches at
+// release and is recycled separately by the Wait that receives from it.
 type pipeReq struct {
 	//bomw:ctxparam pipeReq is the per-request carrier: stages observe this request's cancellation at every queue boundary, so the ctx travels with it
 	ctx      context.Context
@@ -451,7 +456,7 @@ type pipeReq struct {
 	at       time.Duration // virtual arrival
 	deadline time.Duration // absolute SLO expiry on the pipeline clock; 0 = none
 	size     int
-	fut      *Future
+	slot     *futureSlot
 	done     atomic.Bool  // future resolved (guards exactly-once delivery)
 	refs     atomic.Int32 // holders: flow path + hedge snapshot
 }
@@ -477,7 +482,7 @@ func (p *Pipeline) releaseReq(r *pipeReq) {
 		r.req = PipelineRequest{}
 		r.key = aggKey{}
 		r.at, r.deadline, r.size = 0, 0, 0
-		r.fut = nil
+		r.slot = nil
 		reqPool.Put(r)
 	}
 }
@@ -858,13 +863,14 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 	r := getPipeReq()
 	r.ctx, r.req, r.size = ctx, req, size
 	r.key = aggKey{model: req.Model, pol: req.Policy, estimate: req.Input == nil}
-	r.fut = getFuture()
+	slot := getSlot() // captured before the hand-off: r may be recycled the instant the shard owns it
+	r.slot = slot
 	sh := p.shardFor(r.key)
 	p.closeMu.RLock()
 	if p.closed {
 		p.closeMu.RUnlock()
-		recycleUnissued(r.fut)
 		p.releaseReq(r)
+		releaseSlot(slot)
 		return nil, ErrPipelineClosed
 	}
 	if slo > 0 {
@@ -876,39 +882,29 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 		// request in the burst instead of one read per Submit.
 		r.at = -1
 	}
-	fut := r.fut // capture before the hand-off: r may be recycled the instant the shard owns it
 	select {
 	case sh.admit <- r:
 		p.submitted.Add(1)
 		p.closeMu.RUnlock()
-		return fut, nil
+		return &Future{s: slot}, nil
 	default:
 		p.shed.Add(1)
 		p.closeMu.RUnlock()
-		recycleUnissued(fut)
 		p.releaseReq(r)
+		releaseSlot(slot) // never issued: empty, and nobody can be waiting on it
 		return nil, ErrAdmissionFull
 	}
 }
 
-// recycleUnissued returns a future that was never handed to a caller
-// (Submit failed before issuing it): its buffered slot is empty and
-// nobody can be waiting, so it goes straight back to the pool.
-func recycleUnissued(f *Future) {
-	gen := f.gen.Load()
-	if f.gen.CompareAndSwap(gen, gen+1) {
-		futurePool.Put(f)
-	}
-}
-
 // Do submits a request and waits for its completion — the synchronous
-// convenience the HTTP handlers and benchmarks use.
+// convenience for callers that hold one pipeline (node tests, the
+// pipeline benchmarks). HTTP serves through Cluster.Submit + Wait.
 func (p *Pipeline) Do(ctx context.Context, req PipelineRequest) (Completion, error) {
 	fut, err := p.Submit(ctx, req)
 	if err != nil {
 		return Completion{}, err
 	}
-	return fut.waitRelease(ctx)
+	return fut.Wait(ctx)
 }
 
 // Close stops admission, flushes every open aggregate, drains the
@@ -1585,7 +1581,10 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 		c.EnergyJ = energyPer * float64(r.size)
 		c.Classes = nil
 		if res.Classes != nil {
-			c.Classes = append([]int(nil), res.Classes[off:off+r.size]...)
+			// Argmax is fresh per batch, so each request is handed its
+			// own sub-slice; the clipped capacity keeps an append from
+			// reaching into the next request's labels.
+			c.Classes = res.Classes[off : off+r.size : off+r.size]
 		}
 		off += r.size
 		if p.finish(r, &c) {
@@ -1659,7 +1658,7 @@ func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
 	default:
 		p.failed.Add(1)
 	}
-	r.fut.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
+	r.slot.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
 	p.completed.Add(1)
 	return true
 }
@@ -1707,7 +1706,7 @@ func (p *Pipeline) Play(ctx context.Context, tr trace.Trace, pol Policy, speedup
 		batch := req.Batch
 		go func() {
 			defer wg.Done()
-			c, err := fut.waitRelease(ctx)
+			c, err := fut.Wait(ctx)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil || c.Err != nil {

@@ -41,6 +41,7 @@ func BenchmarkPipelineServe(b *testing.B) {
 					}
 				}()
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {

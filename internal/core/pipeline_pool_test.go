@@ -3,18 +3,17 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
 
-// The pool-safety invariant under test: a resolved future must never be
-// reused while a waiter exists. Structurally, only waitRelease — the
-// sole consumer that actually received the completion — may return a
-// future to the pool; an abandoned wait (context cancelled while the
-// request is still in flight) pins the future out of the pool forever,
-// because a resolution may still be racing toward it.
+// The pool-safety invariant under test: a completion slot is recycled
+// only by the Wait that received its completion, after detaching it from
+// the handle — so a slot is never reissued while a waiter can still
+// receive from it, and a stale handle never sees the slot's next
+// request. An abandoned wait (context cancelled while the request is
+// still in flight) keeps the slot with its handle, because a resolution
+// may still be racing toward it.
 
 func TestAbandonedWaitPinsFutureOutOfPool(t *testing.T) {
 	s := testScheduler(t)
@@ -27,19 +26,19 @@ func TestAbandonedWaitPinsFutureOutOfPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen0 := fut.gen.Load()
+	slot := fut.s
 	cancel()
-	if _, werr := fut.waitRelease(ctx); !errors.Is(werr, context.Canceled) {
-		t.Fatalf("abandoned waitRelease returned %v, want context.Canceled", werr)
+	if _, werr := fut.Wait(ctx); !errors.Is(werr, context.Canceled) {
+		t.Fatalf("abandoned Wait returned %v, want context.Canceled", werr)
 	}
-	if g := fut.gen.Load(); g != gen0 {
-		t.Fatalf("abandoned wait advanced the generation (%d → %d): future was pooled with a waiter outstanding", gen0, g)
+	if fut.s != slot {
+		t.Fatal("abandoned Wait detached the slot: it could be pooled with a resolution still in flight")
 	}
 
 	// Close drains the pipeline: the cancelled request is culled and its
-	// future resolves. The abandoned future must still deliver that
-	// resolution to a later Wait — delivery is never lost to an
-	// abandoned wait, and public Wait never recycles.
+	// slot receives the completion. The abandoned handle still delivers
+	// it to a later Wait — delivery is never lost to an abandoned wait —
+	// and that Wait is the one that recycles.
 	p.Close()
 	c, werr := fut.Wait(context.Background())
 	if werr != nil {
@@ -48,8 +47,8 @@ func TestAbandonedWaitPinsFutureOutOfPool(t *testing.T) {
 	if !errors.Is(c.Err, context.Canceled) {
 		t.Fatalf("culled request resolved with %v, want context.Canceled", c.Err)
 	}
-	if g := fut.gen.Load(); g != gen0 {
-		t.Fatalf("public Wait advanced the generation (%d → %d)", gen0, g)
+	if fut.s != nil {
+		t.Fatal("the Wait that received the completion kept the slot")
 	}
 }
 
@@ -62,77 +61,167 @@ func TestConsumedFutureRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen0 := fut.gen.Load()
-	c, err := fut.waitRelease(context.Background())
+	slot := fut.s
+	c, err := fut.Wait(context.Background())
 	if err != nil || c.Err != nil {
-		t.Fatalf("waitRelease: %v / %v", err, c.Err)
+		t.Fatalf("Wait: %v / %v", err, c.Err)
 	}
-	// The successful consumer bumped the generation exactly once — the
-	// release happened, and a (buggy) second release of the same handle
-	// would CAS-fail instead of double-issuing the future.
-	if g := fut.gen.Load(); g != gen0+1 {
-		t.Fatalf("consumed future generation %d, want %d", g, gen0+1)
+	// The consumer detached the slot before recycling it, and left it
+	// empty: its next request starts from a clean buffer, and this handle
+	// can never reach it again.
+	if fut.s != nil {
+		t.Fatal("consumed future still references its slot")
+	}
+	if len(slot.ch) != 0 {
+		t.Fatalf("recycled slot holds %d completions, want 0", len(slot.ch))
 	}
 }
 
-// TestPooledFutureReuseRace hammers the pooled Submit/Do path with
-// concurrent completions and mid-flight cancellations. Run under -race
-// this is the regression test for the reuse invariant: a future (or
-// pipeReq) recycled while a stale waiter or stage still touches it shows
-// up as a data race, and a stale completion leaking into a recycled
-// future shows up as a BatchSize mismatch — each goroutine submits a
-// unique batch size with MaxBatch 1, so every request is its own batch
-// and must come back with exactly its own size.
-func TestPooledFutureReuseRace(t *testing.T) {
-	s := testScheduler(t)
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, QueueDepth: 4096})
-	defer p.Close()
-
-	const goroutines = 8
-	const iters = 150
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		size := g + 1 // per-goroutine tag, echoed back as BatchSize
+// TestFutureContract pins the handle's rules: a future delivers once, to
+// one waiter; the rest learn at once that it is claimed.
+func TestFutureContract(t *testing.T) {
+	// waitOrHang fails the test if a Wait that must not block does.
+	waitOrHang := func(t *testing.T, f *Future) (Completion, error) {
+		t.Helper()
+		type result struct {
+			c   Completion
+			err error
+		}
+		done := make(chan result, 1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				ctx := context.Background()
-				var cancel context.CancelFunc
-				if i%3 == 0 {
-					// A third of the waits race a cancellation against the
-					// completion — the abandoned-wait path under load.
-					ctx, cancel = context.WithTimeout(ctx, 50*time.Microsecond)
-				}
-				c, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: size})
-				if cancel != nil {
-					cancel()
-				}
-				if err != nil {
-					if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrAdmissionFull) {
-						continue
-					}
-					errs <- err
-					return
-				}
-				if c.Err != nil {
-					if errors.Is(c.Err, context.DeadlineExceeded) || errors.Is(c.Err, context.Canceled) {
-						continue
-					}
-					errs <- c.Err
-					return
-				}
-				if c.BatchSize != size {
-					errs <- fmt.Errorf("stale completion: submitted batch %d, received BatchSize %d — a recycled future delivered another request's result", size, c.BatchSize)
-					return
+			c, err := f.Wait(context.Background())
+			done <- result{c, err}
+		}()
+		select {
+		case r := <-done:
+			return r.c, r.err
+		case <-time.After(10 * time.Second):
+			t.Fatal("Wait blocked")
+			return Completion{}, nil
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"second Wait is claimed", func(t *testing.T) {
+			slot := getSlot()
+			f := &Future{s: slot}
+			slot.ch <- Completion{BatchSize: 3}
+			if c, err := f.Wait(context.Background()); err != nil || c.BatchSize != 3 {
+				t.Fatalf("first Wait = %+v, %v", c, err)
+			}
+			if _, err := waitOrHang(t, f); !errors.Is(err, ErrFutureClaimed) {
+				t.Fatalf("second Wait = %v, want ErrFutureClaimed", err)
+			}
+		}},
+		{"concurrent Waits: one completion, one claimed", func(t *testing.T) {
+			slot := getSlot()
+			f := &Future{s: slot}
+			type result struct {
+				c   Completion
+				err error
+			}
+			out := make(chan result, 2)
+			for i := 0; i < 2; i++ {
+				go func() {
+					c, err := f.Wait(context.Background())
+					out <- result{c, err}
+				}()
+			}
+			slot.ch <- Completion{BatchSize: 7}
+			got, claimed := 0, 0
+			for i := 0; i < 2; i++ {
+				switch r := <-out; {
+				case r.err == nil && r.c.BatchSize == 7:
+					got++
+				case errors.Is(r.err, ErrFutureClaimed):
+					claimed++
+				default:
+					t.Fatalf("unexpected Wait result %+v, %v", r.c, r.err)
 				}
 			}
-		}()
+			if got != 1 || claimed != 1 {
+				t.Fatalf("%d completions and %d claimed, want 1 and 1", got, claimed)
+			}
+		}},
+		{"cancelled Wait, then a fresh Wait delivers", func(t *testing.T) {
+			slot := getSlot()
+			f := &Future{s: slot}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := f.Wait(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled Wait = %v, want context.Canceled", err)
+			}
+			if f.s != slot {
+				t.Fatal("cancelled Wait gave up the slot")
+			}
+			slot.ch <- Completion{BatchSize: 5}
+			if c, err := waitOrHang(t, f); err != nil || c.BatchSize != 5 {
+				t.Fatalf("fresh Wait = %+v, %v", c, err)
+			}
+		}},
+		{"detached future resolves once", func(t *testing.T) {
+			f := NewDetachedFuture()
+			if !f.Resolve(Completion{BatchSize: 1}) || f.Resolve(Completion{BatchSize: 2}) {
+				t.Fatal("Resolve did not win exactly once")
+			}
+			if c, err := f.Wait(context.Background()); err != nil || c.BatchSize != 1 {
+				t.Fatalf("Wait = %+v, %v", c, err)
+			}
+			if _, err := waitOrHang(t, f); !errors.Is(err, ErrFutureClaimed) {
+				t.Fatalf("second Wait = %v, want ErrFutureClaimed", err)
+			}
+		}},
+		{"unissued slots return to the pool", func(t *testing.T) {
+			if raceEnabled {
+				t.Skip("sync.Pool drops Puts at random under -race")
+			}
+			// A held worker backs the pipeline up until admission sheds;
+			// from then on every Submit sheds, and a closed pipeline
+			// refuses outright. Neither may allocate a handle, and both
+			// must hand the slot back: a lost slot shows as the pool's
+			// New (a slot and its channel) on every call.
+			s := smallScheduler(t, Config{MaxQueueDelay: -1})
+			release := make(chan struct{})
+			p := NewPipeline(s, PipelineConfig{MaxBatch: 1, QueueDepth: 2, DeviceQueueDepth: 1, ProbeInterval: -1})
+			p.testExecHook = func(string) { <-release }
+			ctx := context.Background()
+			req := PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8}
+			var futs []*Future
+			for i := 0; ; i++ {
+				fut, err := p.Submit(ctx, req)
+				if errors.Is(err, ErrAdmissionFull) {
+					break
+				}
+				if err != nil || i == 20 {
+					t.Fatalf("admission never filled: submit %d = %v", i, err)
+				}
+				futs = append(futs, fut)
+			}
+			submit := func(want error) float64 {
+				return testing.AllocsPerRun(100, func() {
+					if fut, err := p.Submit(ctx, req); !errors.Is(err, want) || fut != nil {
+						t.Fatalf("Submit = %v, %v; want nil, %v", fut, err, want)
+					}
+				})
+			}
+			if n := submit(ErrAdmissionFull); n != 0 {
+				t.Errorf("a shed Submit allocates %.1f objects, want 0", n)
+			}
+			close(release)
+			p.Close()
+			if n := submit(ErrPipelineClosed); n != 0 {
+				t.Errorf("a Submit to a closed pipeline allocates %.1f objects, want 0", n)
+			}
+			for i, fut := range futs {
+				if c, err := fut.Wait(ctx); err != nil || c.Err != nil {
+					t.Fatalf("accepted request %d: %v / %v", i, err, c.Err)
+				}
+			}
+		}},
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, tc.run)
 	}
 }

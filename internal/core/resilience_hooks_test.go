@@ -61,17 +61,16 @@ func TestDetachedFutureRacingResolvers(t *testing.T) {
 	if len(winners) != 1 {
 		t.Fatalf("%d resolvers won, want exactly 1", len(winners))
 	}
-	c, err := f.waitRelease(context.Background())
+	c, err := f.Wait(context.Background())
 	if err != nil {
-		t.Fatalf("waitRelease: %v", err)
+		t.Fatalf("Wait: %v", err)
 	}
 	if c.BatchSize != winners[0] {
 		t.Fatalf("waiter saw %d, winner was %d", c.BatchSize, winners[0])
 	}
-	// waitRelease must NOT have pooled the detached future: its resolved
-	// flag stays set, which would corrupt a recycled pipeline future.
-	if !f.detached || !f.Resolved() {
-		t.Fatalf("detached future mutated by waitRelease: detached=%v resolved=%v", f.detached, f.Resolved())
+	// Wait leaves the arbitration state alone: a late resolver still loses.
+	if !f.detached || !f.Resolved() || f.Resolve(Completion{}) {
+		t.Fatalf("detached future mutated by Wait: detached=%v resolved=%v", f.detached, f.Resolved())
 	}
 }
 
@@ -84,7 +83,7 @@ func TestResolveOnPipelineFuturePanics(t *testing.T) {
 			t.Fatal("Resolve on a pooled pipeline future did not panic")
 		}
 	}()
-	f := getFuture()
+	f := &Future{s: getSlot()} // what Submit issues
 	f.Resolve(Completion{})
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // poollife machine-checks the PR-8 sync.Pool lifecycle that keeps the
-// hot path's pooled carriers (pipeReq, Future, batchWork, aggregate)
-// from resurrecting under a stage that still reads them:
+// hot path's pooled carriers (pipeReq, futureSlot, batchWork, aggregate,
+// routeScratch) from resurrecting under a stage that still reads them:
 //
 //  1. no use after Put — once a pooled pointer is Put, the function
 //     must not touch it again on that path: the pool may already have
@@ -40,13 +40,16 @@ var analyzerPoollife = &Analyzer{
 }
 
 // poolRecyclers maps a pooled type name to the functions allowed to Put
-// it back. Seeded with the serving pipeline's carriers; extend it when
-// a new pooled type earns a recycler.
+// it back. Seeded with the serving path's carriers; extend it when a new
+// pooled type earns a recycler. A completion slot is recycled by
+// Future.Wait, but through releaseSlot: registering "Wait" itself would
+// make every wg.Wait() a hand-off of wg.
 var poolRecyclers = map[string][]string{
-	"pipeReq":   {"releaseReq"},
-	"Future":    {"waitRelease", "recycleUnissued"},
-	"batchWork": {"retireBatchWork"},
-	"aggregate": {"putAggregate"},
+	"pipeReq":      {"releaseReq"},
+	"futureSlot":   {"releaseSlot"},
+	"batchWork":    {"retireBatchWork"},
+	"aggregate":    {"putAggregate"},
+	"routeScratch": {"putScratch"},
 }
 
 // recyclerNameRe is the fallback for pooled types not in poolRecyclers:
@@ -55,7 +58,7 @@ var recyclerNameRe = regexp.MustCompile(`(?i)^(put|release|recycle|retire|free|d
 
 // recyclerFuncNames flattens poolRecyclers for wrapper-call tracking:
 // production code rarely calls pool.Put directly — it hands the pointer
-// to the recycler (`releaseReq(r)`, `fut.waitRelease()`), and from the
+// to the recycler (`releaseReq(r)`, `releaseSlot(s)`), and from the
 // caller's side that hand-off relinquishes the reference just as hard
 // as a Put would.
 var recyclerFuncNames = func() map[string]bool {
@@ -215,7 +218,7 @@ func poolPutCall(pools map[string]poolVar, call *ast.CallExpr) (poolVar, ast.Exp
 
 // poolRecyclerHandoff matches a call that hands a pooled pointer to a
 // configured recycler — `releaseReq(r)` or method form
-// `fut.waitRelease()` — and returns the identifier whose reference is
+// `s.releaseSlot()` — and returns the identifier whose reference is
 // relinquished by the call. Package-qualified selectors are excluded:
 // the receiver must be a value, not an import name.
 func poolRecyclerHandoff(pass *Pass, call *ast.CallExpr) (*ast.Ident, string, bool) {
@@ -232,7 +235,7 @@ func poolRecyclerHandoff(pass *Pass, call *ast.CallExpr) (*ast.Ident, string, bo
 		}
 		// With arguments, the relinquished pointer is the argument
 		// (`p.releaseReq(r)` retires r, not the pipeline receiver);
-		// without, it is the receiver (`fut.waitRelease()`).
+		// without, it is the receiver (`s.releaseSlot()`).
 		if len(call.Args) >= 1 {
 			if id, ok := call.Args[0].(*ast.Ident); ok {
 				return id, fun.Sel.Name, true

@@ -102,20 +102,32 @@ func mint(s *scratch) {
 	scratchPool.Put(s) // want "scratchPool.Put in mint, which is not a recycler"
 }
 
-// Future mirrors the serving pipeline's second pooled carrier so the
-// method-form recycler hand-off (fut.waitRelease()) is exercised too.
-type Future struct {
+// futureSlot mirrors the serving pipeline's completion slot; its
+// recycler is a method here so the method-form hand-off
+// (s.releaseSlot()) is exercised too.
+type futureSlot struct {
 	seq uint64
 }
 
-var futPool = sync.Pool{
-	New: func() any { return &Future{} },
+var slotPool = sync.Pool{
+	New: func() any { return &futureSlot{} },
 }
 
-// waitRelease is one of Future's designated recyclers.
-func (f *Future) waitRelease() {
-	f.seq++
-	futPool.Put(f)
+// releaseSlot is futureSlot's designated recycler.
+func (s *futureSlot) releaseSlot() {
+	s.seq++
+	slotPool.Put(s)
+}
+
+// waitGroup has a Wait that is no recycler: waiting on it is not a
+// hand-off, so reading it afterwards is clean.
+type waitGroup struct{ n int }
+
+func (wg *waitGroup) Wait() {}
+
+func waitThenRead(wg *waitGroup) int {
+	wg.Wait()
+	return wg.n
 }
 
 // handoff relinquishes r to the recycler, then touches it: from the
@@ -134,9 +146,9 @@ func handoffTwice(r *pipeReq) {
 
 // handoffMethod relinquishes via the method-form recycler and then
 // reads the receiver.
-func handoffMethod(f *Future) uint64 {
-	f.waitRelease()
-	return f.seq // want "f used after being returned to its pool"
+func handoffMethod(s *futureSlot) uint64 {
+	s.releaseSlot()
+	return s.seq // want "s used after being returned to its pool"
 }
 
 // handoffDeferred is clean: a deferred hand-off runs at function exit,
