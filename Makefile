@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet vet-portable lint lint-json lint-sarif race stepped bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test test-v3 vet vet-portable lint lint-json lint-sarif race stepped bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -44,6 +44,15 @@ lint-sarif:
 
 test:
 	$(GO) test ./...
+
+# The kernel packages built for x86-64-v3, where the compiler may
+# contract the Go kernels' s += x*w into a fused multiply-add. Wherever
+# it does, the CPU probe must turn both vector paths off
+# (TestProbeTurnsVectorKernelsOffWhereGoFuses); wherever it does not
+# (go1.24 fuses only math.FMA), the vector kernels stay on and are held
+# to the v3 Go kernels bit for bit. Either way every test must pass.
+test-v3:
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/nn/
 
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -177,27 +179,49 @@ func TestFutureContract(t *testing.T) {
 			if raceEnabled {
 				t.Skip("sync.Pool drops Puts at random under -race")
 			}
-			// A held worker backs the pipeline up until admission sheds;
-			// from then on every Submit sheds, and a closed pipeline
-			// refuses outright. Neither may allocate a handle, and both
-			// must hand the slot back: a lost slot shows as the pool's
-			// New (a slot and its channel) on every call.
+			// A held worker backs the pipeline up until admission sheds
+			// for good; from then on every Submit sheds, and a closed
+			// pipeline refuses outright. Neither may allocate a handle,
+			// and both must hand the slot back: a lost slot shows as the
+			// pool's New (a slot and its channel) on every call.
 			s := smallScheduler(t, Config{MaxQueueDelay: -1})
-			release := make(chan struct{})
-			p := NewPipeline(s, PipelineConfig{MaxBatch: 1, QueueDepth: 2, DeviceQueueDepth: 1, ProbeInterval: -1})
-			p.testExecHook = func(string) { <-release }
+			release, held := make(chan struct{}), make(chan struct{})
+			var hold sync.Once
+			const deviceDepth = 1
+			p := NewPipeline(s, PipelineConfig{MaxBatch: 1, QueueDepth: 2, DeviceQueueDepth: deviceDepth, ProbeInterval: -1})
+			p.testExecHook = func(string) {
+				hold.Do(func() { close(held) })
+				<-release
+			}
 			ctx := context.Background()
 			req := PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8}
-			var futs []*Future
-			for i := 0; ; i++ {
+			fut, err := p.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs := []*Future{fut}
+			<-held
+			// Full is a state, not a sample: the worker holds one batch,
+			// its queue the next deviceDepth, and the shard is stuck
+			// sending one more — InFlight counts all three, and a shard
+			// that cannot send never drains admission again. A shed seen
+			// only after that is admission full for good; one seen before
+			// may be a request the shard was still moving.
+			for deadline := time.Now().Add(10 * time.Second); ; {
+				stuck := p.Stats().InFlight == deviceDepth+2
 				fut, err := p.Submit(ctx, req)
-				if errors.Is(err, ErrAdmissionFull) {
+				if errors.Is(err, ErrAdmissionFull) && stuck {
 					break
 				}
-				if err != nil || i == 20 {
-					t.Fatalf("admission never filled: submit %d = %v", i, err)
+				if err == nil {
+					futs = append(futs, fut)
+				} else if !errors.Is(err, ErrAdmissionFull) {
+					t.Fatalf("submit %d = %v", len(futs), err)
 				}
-				futs = append(futs, fut)
+				if time.Now().After(deadline) {
+					t.Fatalf("admission never filled for good: %d admitted, %+v", len(futs), p.Stats().Ledger)
+				}
+				runtime.Gosched()
 			}
 			submit := func(want error) float64 {
 				return testing.AllocsPerRun(100, func() {

@@ -41,18 +41,18 @@ func benchLinear(b *testing.B, pool *Pool, m int) {
 	in, w, bias := randTensor(rng, m, 784), randTensor(rng, 800, 784), randTensor(rng, 800)
 	out, panel := New(m, 800), make([]float32, LinearPanelLen(m, 784, 800))
 	flops := int64(m) * 800 * (2*784 + 1 + ReLU.FlopsPerElement())
-	for _, path := range []struct {
-		name  string
-		panel []float32
-	}{{"dispatch", panel}, {"portable", nil}} {
-		b.Run(path.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				LinearPanelInto(pool, out, in, w, bias, ReLU, path.panel)
-			}
-			reportGFLOPS(b, flops)
-		})
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			LinearPanelInto(pool, out, in, w, bias, ReLU, panel)
+		}
+		reportGFLOPS(b, flops)
 	}
+	b.Run("dispatch", run)
+	b.Run("portable", func(b *testing.B) {
+		defer UsePortableKernels()()
+		run(b)
+	})
 }
 
 func BenchmarkLinearSerial1x784x800(b *testing.B)      { benchLinear(b, Serial, 1) }

@@ -37,5 +37,6 @@ func benchForward(b *testing.B, spec *nn.Spec, batch int) {
 	})
 }
 
+func BenchmarkForwardMnistSmall1(b *testing.B)  { benchForward(b, models.MnistSmall(), 1) }
 func BenchmarkForwardMnistSmall64(b *testing.B) { benchForward(b, models.MnistSmall(), 64) }
 func BenchmarkForwardMnistCNN8(b *testing.B)    { benchForward(b, models.MnistCNN(), 8) }

@@ -21,10 +21,11 @@ import "fmt"
 // reordering a sum. The one difference from MatMul: there is no av == 0
 // skip, so 0·Inf in non-finite weights yields NaN here.
 //
-// Linear and LinearInto run the Go kernel below. LinearPanelInto, given
-// scratch, runs the same sums eight samples to a vector register where
-// the host and the shape allow (vectorLinear); the Go kernel is what
-// that path is held to.
+// Where the host and the shape allow, the same sums run eight to a
+// vector register: under eight samples eight neurons a register
+// (neuronLanes), on every entry point; from eight samples up eight
+// samples a register (vectorLinear), for LinearPanelInto given scratch.
+// The Go kernel below is what both are held to.
 func Linear(pool *Pool, in, w, bias *Tensor, act Activation) *Tensor {
 	m, n := linearDims(in, w, bias)
 	out := New(m, n)
@@ -41,9 +42,11 @@ func LinearInto(pool *Pool, out, in, w, bias *Tensor, act Activation) {
 // LinearPanelInto is LinearInto for a caller that brings scratch: panel,
 // at least LinearPanelLen(m, k, n) float32 whose contents do not matter
 // and are overwritten. Where that length is not zero the layer runs on
-// the vector kernel — the batch packed into panel once, a sample per
-// lane, the weights read where they are — and computes the same bits;
-// with less scratch than that, or none, the Go kernel runs.
+// the sample-lane kernel — the batch packed into panel once, a sample
+// per lane, the weights read where they are — and computes the same
+// bits; with less scratch than that the Go kernel runs. The neuron-lane
+// kernel of a batch under eight samples needs no scratch, and
+// LinearPanelLen asks for none.
 func LinearPanelInto(pool *Pool, out, in, w, bias *Tensor, act Activation, panel []float32) {
 	m, n := linearDims(in, w, bias)
 	if out.Rank() != 2 || out.Dim(0) != m || out.Dim(1) != n {
@@ -52,12 +55,15 @@ func LinearPanelInto(pool *Pool, out, in, w, bias *Tensor, act Activation, panel
 	if m == 0 {
 		return
 	}
-	tile := 4
-	if need := LinearPanelLen(m, in.Dim(1), n); need > 0 && len(panel) >= need {
+	k, tile := in.Dim(1), 4
+	if need := LinearPanelLen(m, k, n); need > 0 && len(panel) >= need {
 		panel, tile = panel[:need], vecTile
-		packPanels(panel, in.data, m, in.Dim(1))
+		packPanels(panel, in.data, m, k)
 	} else {
 		panel = nil
+	}
+	if neuronLanes(m, k, n) {
+		tile = vecTile
 	}
 	if pool.inline(m * n) {
 		linearGroup(out, in, w, bias, act, panel, 0, n) // no closure: an inline call allocates nothing

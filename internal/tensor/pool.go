@@ -109,13 +109,21 @@ func (p *Pool) inline(items int) bool {
 // bits.
 //
 // Linear's lanes are samples and its tile eight neurons: a batch under
-// eight rows has nothing to fill the lanes with (and at one row the
-// layer is bound by streaming its weights, not by arithmetic), a layer
-// under eight neurons no tile. Nothing smaller needs excluding: packing
-// included, 8×4×8 took 78 ns against the Go kernel's 347 (DESIGN.md §4
-// item 10).
+// eight rows has nothing to fill the lanes with, a layer under eight
+// neurons no tile. Nothing smaller needs excluding: packing included,
+// 8×4×8 took 78 ns against the Go kernel's 347 (DESIGN.md §4 item 10).
 func vectorLinear(m, k, n int) bool {
 	return useAVX2 && m >= vecTile && n >= vecTile && k > 0
+}
+
+// neuronLanes is Linear's rule under eight samples, where a lane is a
+// neuron instead: one sample row at a time against a tile of eight
+// neurons, four inputs per step. Without it each dot product is one
+// scalar add chain, about one multiply-add per cycle whatever the
+// weights' cache level; a layer under eight neurons has no tile, and
+// one under four inputs no step.
+func neuronLanes(m, k, n int) bool {
+	return useAVX2 && m < vecTile && n >= vecTile && k >= 4
 }
 
 // ConvPoolInto's lanes are eight adjacent output columns of one row and

@@ -1,11 +1,12 @@
 package tensor
 
 // The drivers of the vector kernels: Linear and ConvPoolInto tiled onto
-// 8×8 micro-kernels whose eight float32 lanes are adjacent work-items —
-// samples in Linear, output columns in ConvPoolInto (DESIGN.md §4
-// item 10). vectorLinear and vectorConv (pool.go) decide who comes here;
-// the Go kernels in linear.go and conv.go are the reference these are
-// held to, bit for bit, and the only path where useAVX2 is false.
+// micro-kernels whose eight float32 lanes are adjacent work-items —
+// samples in Linear from eight samples up, neurons below that, output
+// columns in ConvPoolInto (DESIGN.md §4 item 10). vectorLinear,
+// neuronLanes and vectorConv (pool.go) decide who comes here; the Go
+// kernels in linear.go and conv.go are the reference these are held to,
+// bit for bit, and the only path where useAVX2 is false.
 
 // vecTile is the edge of a micro-kernel tile: the float32 lanes of a YMM
 // register, and the neurons or filters whose accumulators share one
@@ -14,6 +15,22 @@ const vecTile = 8
 
 // useAVX2 is the CPU probe's answer, read by the dispatch rule alone.
 var useAVX2 = probeAVX2()
+
+// goKernelsFuse reports whether this build's compiler contracts the Go
+// kernels' s += x*w into a fused multiply-add (GOAMD64=v3 permits it;
+// go1.24 fuses only math.FMA on amd64), which rounds once where the
+// vector kernels' VMULPS and VADDPS round twice.
+// (1+2⁻¹²)² is 1 + 2⁻¹¹ + 2⁻²⁴, which rounds to 1 + 2⁻¹¹: the sum is
+// zero unless the product went into the add unrounded.
+func goKernelsFuse() bool {
+	return mulAdd(-(1+1.0/2048), 1+1.0/4096, 1+1.0/4096) != 0
+}
+
+//go:noinline
+func mulAdd(s, x, w float32) float32 {
+	s += x * w
+	return s
+}
 
 // KernelISA names the instruction set Linear and ConvPoolInto run their
 // large shapes on in this process: "avx2", or "portable" for the Go
@@ -27,7 +44,7 @@ func KernelISA() string {
 
 // LinearPanelLen returns how many float32 of scratch LinearPanelInto
 // wants for in [m,k] and w [n,k]: the batch packed into ⌈m/8⌉ panels of
-// [k][8], or 0 where the Go kernel runs.
+// [k][8] where the sample-lane kernel runs, else 0.
 func LinearPanelLen(m, k, n int) int {
 	if !vectorLinear(m, k, n) {
 		return 0
@@ -56,16 +73,22 @@ func packPanels(panel, in []float32, m, k int) {
 }
 
 // linearGroup fills columns [lo, hi) of out. With a packed batch it
-// tiles them onto the vector kernel: eight neurons at a time, the last
-// tile pulled back to end at hi, each against every panel. Without one,
-// or with fewer than eight neurons — the tail group of a split — it is
+// tiles them onto the sample-lane kernel: eight neurons at a time, the
+// last tile pulled back to end at hi, each against every panel. Under
+// eight samples, where neuronLanes admits the layer, the same tiles go
+// to the neuron-lane kernel instead (linearNeuronTiles). Otherwise, and
+// with fewer than eight neurons — the tail group of a split — it is
 // linearNeurons.
 func linearGroup(out, in, w, bias *Tensor, act Activation, panel []float32, lo, hi int) {
+	m, k, n := in.shape[0], in.shape[1], w.shape[0]
+	if hi-lo >= vecTile && neuronLanes(m, k, n) {
+		linearNeuronTiles(out, in, w, bias, act, lo, hi)
+		return
+	}
 	if panel == nil || hi-lo < vecTile {
 		linearNeurons(out, in, w, bias, act, lo, hi)
 		return
 	}
-	m, k, n := in.shape[0], in.shape[1], w.shape[0]
 	var bv []float32
 	if bias != nil {
 		bv = bias.data
@@ -80,6 +103,40 @@ func linearGroup(out, in, w, bias *Tensor, act Activation, panel []float32, lo, 
 		for i := 0; i < m; i++ {
 			act.elementwise(out.data[i*n+lo : i*n+hi])
 		}
+	}
+}
+
+// linearNeuronTiles fills columns [lo, hi), at least eight, of out a
+// neuron per lane: eight neurons at a time, the last tile pulled back to
+// end at hi, each against every sample row while its weights are in L1.
+// The kernel sums each dot product's four-input blocks and this finishes
+// the k mod 4 terms in the same order and roundings, then — as
+// linearNeurons does, over each row's segment — bias and activation.
+func linearNeuronTiles(out, in, w, bias *Tensor, act Activation, lo, hi int) {
+	m, k, n := in.shape[0], in.shape[1], w.shape[0]
+	body := k &^ 3
+	for j := lo; j < hi; j += vecTile {
+		j := min(j, hi-vecTile)
+		for i := 0; i < m; i++ {
+			x, dst := in.data[i*k:(i+1)*k], out.data[i*n+j:i*n+j+vecTile]
+			neuronTile(dst, x, w.data, j, k)
+			for t := range dst {
+				s := dst[t]
+				for p, v := range x[body:] {
+					s += v * w.data[(j+t)*k+body+p]
+				}
+				dst[t] = s
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		seg := out.data[i*n+lo : i*n+hi]
+		if bias != nil {
+			for x, b := range bias.data[lo:hi] {
+				seg[x] += b
+			}
+		}
+		act.elementwise(seg)
 	}
 }
 

@@ -11,10 +11,8 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax uint32)
 
 // probeAVX2 reports whether the vector kernels may run and agree with
-// the Go ones: the CPU has AVX2, the OS saves the YMM state, and this
-// build's compiler did not contract the Go kernels' s += x*w into a
-// fused multiply-add (GOAMD64=v3 does), which rounds once where VMULPS
-// and VADDPS round twice.
+// the Go ones: the CPU has AVX2, the OS saves the YMM state, and the Go
+// kernels of this build do not fuse (goKernelsFuse).
 func probeAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -29,15 +27,7 @@ func probeAVX2() bool {
 	if _, ebx, _, _ := cpuid(7, 0); ebx&avx2 == 0 {
 		return false
 	}
-	// (1+2⁻¹²)² is 1 + 2⁻¹¹ + 2⁻²⁴, which rounds to 1 + 2⁻¹¹: the sum is
-	// zero unless the product went into the add unrounded.
-	return mulAdd(-(1+1.0/2048), 1+1.0/4096, 1+1.0/4096) == 0
-}
-
-//go:noinline
-func mulAdd(s, x, w float32) float32 {
-	s += x * w
-	return s
+	return !goKernelsFuse()
 }
 
 // linearTileAVX2 loads panel[0 : 8k], the eight rows w[t·wStride/4 :
@@ -62,6 +52,26 @@ func linearTile(out []float32, i, j, n int, panel, w []float32, k int, bias []fl
 		b = &bias[j]
 	}
 	linearTileAVX2(&out[dst], uintptr(n)*4, &panel[0], &w[j*k], uintptr(k)*4, uintptr(k), b, word(relu))
+}
+
+// neuronTileAVX2 loads x[0 : 4·blocks] and the eight rows
+// w[t·wStride/4 : t·wStride/4 + 4·blocks]; it stores dst[0 : 8].
+// blocks ≥ 1.
+//
+//go:noescape
+func neuronTileAVX2(dst, x, w *float32, wStride, blocks uintptr)
+
+// neuronTile sets dst[t], t < 8, to the sum over p < 4⌊k/4⌋ of
+// x[p]·w[(j+t)·k + p], p ascending: neurons j…j+7 of a Linear whose w is
+// [·, k] against the sample x, the first four-input blocks of each dot
+// product.
+func neuronTile(dst, x, w []float32, j, k int) {
+	blocks := k / 4
+	if blocks < 1 || j < 0 {
+		panic("tensor: neuronTile outside its operands")
+	}
+	_, _, _ = dst[vecTile-1], x[4*blocks-1], w[(j+vecTile-1)*k+4*blocks-1]
+	neuronTileAVX2(&dst[0], &x[0], &w[j*k], uintptr(k)*4, uintptr(blocks))
 }
 
 // packTileAVX2 loads the eight rows in[l·inStride/4 : l·inStride/4 + 8]

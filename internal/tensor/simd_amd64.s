@@ -167,6 +167,64 @@ linearStore:
 	VZEROUPPER
 	RET
 
+// LANE is one work-item step in eight lanes whose weights differ: acc
+// (Y15) += x·w, the product rounded before the add. x is one input,
+// broadcast; col holds the eight neurons' weights for it.
+#define LANE(x, col) \
+	VBROADCASTSS x, Y8; \
+	VMULPS       col, Y8, Y8; \
+	VADDPS       Y8, Y15, Y15
+
+// func neuronTileAVX2(dst, x, w *float32, wStride, blocks uintptr)
+//
+// One sample against eight neurons of Linear, a neuron per lane: the sum
+// over p < 4·blocks of x[p]·w[t][p] in lane t of Y15. Each block of four
+// inputs loads the eight weight rows as stored, rows t and t+4 in the
+// two halves of one register, and transposes the two 4×4 blocks in
+// lane — the first half of TRANSPOSE8 — into four columns whose lane t
+// is neuron t; then, p ascending, one broadcast input times its column
+// into the one accumulator. wStride is in bytes.
+TEXT ·neuronTileAVX2(SB), NOSPLIT, $0-40
+	MOVQ   x+8(FP), AX
+	MOVQ   w+16(FP), SI
+	MOVQ   wStride+24(FP), R9
+	MOVQ   blocks+32(FP), CX
+	LEAQ   (R9)(R9*2), R10
+	LEAQ   (SI)(R9*4), DI
+	VXORPS Y15, Y15, Y15
+
+neuronBlock:
+	VMOVUPS     (SI), X0
+	VINSERTF128 $1, (DI), Y0, Y0
+	VMOVUPS     (SI)(R9*1), X1
+	VINSERTF128 $1, (DI)(R9*1), Y1, Y1
+	VMOVUPS     (SI)(R9*2), X2
+	VINSERTF128 $1, (DI)(R9*2), Y2, Y2
+	VMOVUPS     (SI)(R10*1), X3
+	VINSERTF128 $1, (DI)(R10*1), Y3, Y3
+	VUNPCKLPS   Y1, Y0, Y4
+	VUNPCKHPS   Y1, Y0, Y5
+	VUNPCKLPS   Y3, Y2, Y6
+	VUNPCKHPS   Y3, Y2, Y7
+	VSHUFPS     $0x44, Y6, Y4, Y0
+	VSHUFPS     $0xEE, Y6, Y4, Y1
+	VSHUFPS     $0x44, Y7, Y5, Y2
+	VSHUFPS     $0xEE, Y7, Y5, Y3
+	LANE(0(AX), Y0)
+	LANE(4(AX), Y1)
+	LANE(8(AX), Y2)
+	LANE(12(AX), Y3)
+	ADDQ        $16, AX
+	ADDQ        $16, SI
+	ADDQ        $16, DI
+	DECQ        CX
+	JNZ         neuronBlock
+
+	MOVQ    dst+0(FP), R8
+	VMOVUPS Y15, (R8)
+	VZEROUPPER
+	RET
+
 // func packTileAVX2(panel, in *float32, inStride uintptr)
 //
 // Eight samples × eight features of the batch, transposed into a panel:

@@ -11,6 +11,10 @@ func linearTile(out []float32, i, j, n int, panel, w []float32, k int, bias []fl
 	panic("tensor: no vector kernels on this port")
 }
 
+func neuronTile(dst, x, w []float32, j, k int) {
+	panic("tensor: no vector kernels on this port")
+}
+
 func packTile(panel, in []float32, i, p, k int) {
 	panic("tensor: no vector kernels on this port")
 }

@@ -161,14 +161,16 @@ func TestLinearVectorKernelBitIdenticalToGoKernel(t *testing.T) {
 	skipWithoutVectorKernels(t)
 	rng := rand.New(rand.NewSource(19))
 	ops := newKernelOperands(t, 40*70, 20*70, 20, 40*20, 40*70)
-	// Every m, k and n of the issue's ranges; bias, activation, pool and
-	// special values rotate through the shapes, coprime with their counts,
-	// so every combination meets every tile tail.
+	// Every m, k and n of these ranges; bias, activation, pool and special
+	// values rotate through the shapes, coprime with their counts, so every
+	// combination meets every tile tail and every k mod 4 of the neuron
+	// lanes. Under eight samples every shape runs, whichever kernel it
+	// takes.
 	idx := 0
 	for m := 1; m <= 40; m++ {
 		for k := 1; k <= 70; k++ {
 			for n := 1; n <= 20; n++ {
-				if !vectorLinear(m, k, n) && idx%16 != 0 {
+				if m >= vecTile && !vectorLinear(m, k, n) && idx%16 != 0 {
 					idx++
 					continue // the Go kernel against itself: a sample is enough
 				}
@@ -177,7 +179,8 @@ func TestLinearVectorKernelBitIdenticalToGoKernel(t *testing.T) {
 			}
 		}
 	}
-	// The benchmark's layers, ragged batches around them.
+	// The benchmark's layers, ragged batches around them; mnist-small's
+	// three at every batch the neuron lanes take.
 	big := newKernelOperands(t, 65*800, 800*784, 800, 65*800, 72*800)
 	for _, m := range []int{8, 17, 64, 65} {
 		for i, pool := range kernelPools {
@@ -185,10 +188,18 @@ func TestLinearVectorKernelBitIdenticalToGoKernel(t *testing.T) {
 			linearCase(t, big, rng, pool, m, 800, 10, i%2 == 0, Softmax, false)
 		}
 	}
+	for m := 1; m < vecTile; m++ {
+		for _, pool := range kernelPools {
+			linearCase(t, big, rng, pool, m, 784, 784, true, ReLU, false)
+			linearCase(t, big, rng, pool, m, 784, 800, true, ReLU, false)
+			linearCase(t, big, rng, pool, m, 800, 10, true, Softmax, false)
+		}
+	}
 }
 
 func FuzzLinearKernels(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(64), uint8(8), uint8(1), uint8(0))
+	f.Add(int64(4), uint8(0), uint8(98), uint8(12), uint8(1), uint8(7))
 	f.Add(int64(2), uint8(17), uint8(33), uint8(19), uint8(4), uint8(7))
 	f.Add(int64(3), uint8(40), uint8(70), uint8(20), uint8(2), uint8(2))
 	ops := newKernelOperands(f, 64*128, 64*128, 64, 64*64, 64*128)
@@ -323,15 +334,19 @@ func TestPackPanelsLayout(t *testing.T) {
 	}
 }
 
-// The rule, on the shapes the issue names: what must stay on the Go
-// kernels stays there whatever the CPU.
+// The rule: what must stay on the Go kernels stays there whatever the
+// CPU — a layer under eight neurons at any batch, simple's 4→6→6→3
+// among them, and a neuron-lane layer under four inputs — and no batch
+// under eight samples asks for a panel.
 func TestVectorRuleKeepsSmallShapesOnGoKernels(t *testing.T) {
-	for _, s := range [][3]int{{1, 784, 800}, {7, 784, 800}, {8, 4, 6}, {8, 6, 6}, {8, 6, 3}, {64, 4, 6}, {8, 784, 7}} {
-		if vectorLinear(s[0], s[1], s[2]) {
-			t.Errorf("vectorLinear(%d, %d, %d): a batch under 8 rows or a layer under 8 neurons must run the Go kernel", s[0], s[1], s[2])
+	for _, s := range [][3]int{{1, 4, 6}, {1, 6, 6}, {1, 6, 3}, {8, 4, 6}, {8, 6, 6}, {8, 6, 3}, {64, 4, 6}, {1, 784, 7}, {7, 784, 7}, {8, 784, 7}, {1, 3, 800}, {7, 3, 8}} {
+		if vectorLinear(s[0], s[1], s[2]) || neuronLanes(s[0], s[1], s[2]) {
+			t.Errorf("Linear %d×%d×%d takes a vector kernel: a layer under 8 neurons, or one under 4 inputs at under 8 samples, must run the Go kernel", s[0], s[1], s[2])
 		}
+	}
+	for _, s := range [][3]int{{1, 784, 800}, {7, 784, 800}, {1, 3, 800}, {7, 4, 6}} {
 		if n := LinearPanelLen(s[0], s[1], s[2]); n != 0 {
-			t.Errorf("LinearPanelLen(%d, %d, %d) = %d, want 0 where the Go kernel runs", s[0], s[1], s[2], n)
+			t.Errorf("LinearPanelLen(%d, %d, %d) = %d, want 0 under 8 samples", s[0], s[1], s[2], n)
 		}
 	}
 	for _, c := range []struct {
@@ -346,5 +361,23 @@ func TestVectorRuleKeepsSmallShapesOnGoKernels(t *testing.T) {
 		if !vectorLinear(8, 1568, 128) || !vectorLinear(64, 784, 800) || !vectorConv(14, 32, 288, 2, ReLU) || !vectorConv(28, 32, 9, 2, ReLU) {
 			t.Error("the benchmark's layers must take the vector kernels where the CPU has them")
 		}
+		for _, s := range [][3]int{{1, 784, 784}, {1, 784, 800}, {7, 784, 800}, {1, 800, 10}, {1, 4, 8}} {
+			if !neuronLanes(s[0], s[1], s[2]) || vectorLinear(s[0], s[1], s[2]) {
+				t.Errorf("Linear %d×%d×%d must take the neuron lanes where the CPU has them", s[0], s[1], s[2])
+			}
+		}
+	}
+}
+
+// Where this build's Go kernels fuse s += x*w (a GOAMD64=v3 build may:
+// `make test-v3`), no vector kernel may run — each of them rounds the
+// product — and every test of package tensor holds on the Go kernels
+// alone.
+func TestProbeTurnsVectorKernelsOffWhereGoFuses(t *testing.T) {
+	if !goKernelsFuse() {
+		t.Skip("the Go kernels round every product in this build: the vector kernels may run")
+	}
+	if useAVX2 || vectorLinear(64, 784, 800) || neuronLanes(1, 784, 800) || vectorConv(28, 32, 9, 2, ReLU) {
+		t.Fatal("the Go kernels fuse in this build, yet a vector kernel may run")
 	}
 }
