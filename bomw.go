@@ -369,12 +369,9 @@ var RoutingPolicyByName = cluster.PolicyByName
 // delivering requests on a channel as live traffic would arrive.
 var PlayTrace = trace.Play
 
-// MixedRequest tags a request with its application's policy for
-// multi-tenant replays.
-type MixedRequest = core.MixedRequest
-
-// MixTrace tags each request of a trace with a per-model policy.
-var MixTrace = core.MixTrace
+// Play offers a trace open-loop to a live Pipeline, Node or Cluster and
+// accounts every arrival as completed, dropped, expired or failed.
+var Play = core.Play
 
 // DeadlineDecision is the outcome of an SLO-constrained selection.
 type DeadlineDecision = core.DeadlineDecision

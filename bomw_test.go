@@ -180,7 +180,7 @@ func TestPublicSpecJSON(t *testing.T) {
 	}
 }
 
-func TestPublicMixedReplayAndDeadline(t *testing.T) {
+func TestPublicDeadlineAndAudit(t *testing.T) {
 	sched, err := NewScheduler(Config{
 		TrainModels: PaperModels(),
 		Batches:     []int{8, 512, 8192},
@@ -198,19 +198,6 @@ func TestPublicMixedReplayAndDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr, err := PoissonTrace(20, 100, []string{"simple", "mnist-small"}, []int{8, 512}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := MixTrace(tr, map[string]Policy{"simple": LowestLatency})
-	res, err := sched.ReplayMixed(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total.Requests != 20 {
-		t.Fatalf("mixed replay served %d", res.Total.Requests)
-	}
-	sched.ResetDevices()
 	dec, err := sched.SelectWithDeadline("mnist-small", 512, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)

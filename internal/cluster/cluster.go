@@ -65,6 +65,10 @@ var (
 // or is down.
 const maxAttempts = 3
 
+// evictAfter is the consecutive hard submit failures (node down,
+// draining, pipeline closed) after which a node is evicted from routing.
+const evictAfter = 2
+
 // Config parameterises the cluster.
 type Config struct {
 	// Policy orders candidate nodes per request. Defaults to round-robin.
@@ -73,10 +77,6 @@ type Config struct {
 	// should be built on the same one. Defaults to core.WallClock() —
 	// wall time since the cluster was created (the serving mapping).
 	Clock core.Clock
-	// EvictAfter is the consecutive hard submit failures (node down,
-	// draining, pipeline closed) after which a node is evicted from
-	// routing. Defaults to 2.
-	EvictAfter int64
 	// SweepEvery runs the health sweep once per this many submissions:
 	// nodes whose NodeHealth reports not-Ready (killed, drained, or all
 	// devices quarantined) are evicted, and evicted nodes that report
@@ -112,9 +112,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = core.WallClock()
-	}
-	if c.EvictAfter <= 0 {
-		c.EvictAfter = 2
 	}
 	if c.SweepEvery == 0 {
 		c.SweepEvery = 64
@@ -318,10 +315,10 @@ func (c *Cluster) eligible(sc *routeScratch) []NodeView {
 	return views
 }
 
-// slo mirrors the node pipelines' SLO resolution for routing purposes:
-// the request's own deadline when positive, no SLO otherwise. (Per-model
-// defaults live inside each node's pipeline config; the router only sees
-// the explicit deadline.)
+// routeSLO mirrors the node pipelines' SLO resolution for routing
+// purposes: the request's own deadline when positive, no SLO otherwise.
+// (The default SLO lives inside each node's pipeline config; the router
+// only sees the explicit deadline.)
 func routeSLO(req core.PipelineRequest) time.Duration {
 	if req.Deadline > 0 {
 		return req.Deadline
@@ -333,7 +330,7 @@ func routeSLO(req core.PipelineRequest) time.Duration {
 // orders the eligible nodes; the router tries up to maxAttempts of them,
 // failing over past nodes that shed (ErrAdmissionFull), predict an SLO
 // miss (ErrDeadlineInfeasible) or are down (evicting the latter after
-// EvictAfter consecutive refusals). Validation errors (unknown model or
+// evictAfter consecutive refusals). Validation errors (unknown model or
 // policy, bad batch) are identical on every replica and surface
 // immediately. On success the returned future resolves exactly once —
 // the node pipeline's contract, unchanged by routing.
@@ -404,7 +401,7 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 			// Overload, not failure: another node may have room.
 			continue
 		case errors.Is(err, core.ErrNodeDraining), errors.Is(err, core.ErrNodeDown), errors.Is(err, core.ErrPipelineClosed):
-			if m.hardFails.Add(1) >= c.cfg.EvictAfter {
+			if m.hardFails.Add(1) >= evictAfter {
 				c.evict(m)
 			}
 			continue

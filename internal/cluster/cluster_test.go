@@ -11,6 +11,7 @@ import (
 
 	"bomw/internal/core"
 	"bomw/internal/models"
+	"bomw/internal/trace"
 )
 
 // ---- router behaviour over scripted fakes ------------------------------
@@ -53,7 +54,7 @@ func TestSubmitFailsOverPastSheddingNode(t *testing.T) {
 }
 
 func TestSubmitEvictsNodeAfterConsecutiveHardFailures(t *testing.T) {
-	c, fakes := fakeFleet(t, 3, Config{EvictAfter: 2, SweepEvery: -1})
+	c, fakes := fakeFleet(t, 3, Config{SweepEvery: -1})
 	fakes[0].setErr(core.ErrNodeDown)
 	for k := 0; k < 6; k++ {
 		if _, err := c.Submit(context.Background(), core.PipelineRequest{Model: "simple", Batch: 4}); err != nil {
@@ -210,6 +211,31 @@ func realCluster(t testing.TB, n int, cfg Config, pcfg core.PipelineConfig) *Clu
 		t.Fatal(err)
 	}
 	return c
+}
+
+// core.Play drives the routing tier like a pipeline: a burst offered
+// open-loop to a fleet with shallow admission queues lands every arrival
+// in exactly one of completed, dropped, expired and failed.
+func TestPlayAccountsEveryArrivalOnCluster(t *testing.T) {
+	c := realCluster(t, 3, Config{}, core.PipelineConfig{QueueDepth: 8, MaxBatch: 16})
+	defer c.Close()
+	tr, err := trace.Poisson(300, 1000, []string{"simple", "mnist-small"}, []int{1, 8}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := core.Play(ctx, c, tr, core.BestThroughput, 250*time.Millisecond, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Requests + res.Dropped + res.Expired + res.Failed; got != len(tr) {
+		t.Fatalf("requests %d + dropped %d + expired %d + failed %d ≠ trace %d",
+			res.Requests, res.Dropped, res.Expired, res.Failed, len(tr))
+	}
+	if res.Requests == 0 || res.Failed != 0 {
+		t.Fatalf("ledger %+v: want completions and no failures", res)
+	}
 }
 
 // TestClusterDrainUnderLoad is the drain-ordering regression test at the

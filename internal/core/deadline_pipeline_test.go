@@ -381,25 +381,24 @@ func TestFeasibleWithinSeesLoad(t *testing.T) {
 }
 
 // TestPipelineModelSLODefaults: requests without an explicit Deadline
-// inherit the per-model or pipeline-wide default, and Deadline < 0 opts
-// out entirely.
+// inherit the pipeline-wide default, their own Deadline overrides it,
+// and Deadline < 0 opts out entirely.
 func TestPipelineModelSLODefaults(t *testing.T) {
 	s := smallScheduler(t, Config{MaxQueueDelay: -1})
 	p := NewPipeline(s, PipelineConfig{
 		ProbeInterval: -1,
 		DefaultSLO:    time.Nanosecond, // impossible: everything using the default is rejected
-		ModelSLO:      map[string]time.Duration{"mnist-small": time.Minute},
 	})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// mnist-small rides its generous per-model SLO.
-	c, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8})
+	// A request's own generous Deadline wins over the default.
+	c, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8, Deadline: time.Minute})
 	if err != nil || c.Err != nil {
-		t.Fatalf("per-model SLO: %v / %v", err, c.Err)
+		t.Fatalf("own deadline: %v / %v", err, c.Err)
 	}
-	// mnist-mlp falls back to the impossible pipeline default.
+	// Without one, mnist-deep falls back to the impossible pipeline default.
 	_, err = p.Submit(ctx, PipelineRequest{Model: "mnist-deep", Policy: BestThroughput, Batch: 8})
 	if !errors.Is(err, ErrDeadlineInfeasible) {
 		t.Fatalf("default SLO not applied: err = %v", err)

@@ -234,7 +234,7 @@ func TestPipelinePlayWaitsForInflightOnSubmitError(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Play(context.Background(), tr, BestThroughput, 1)
+		_, err := Play(context.Background(), p, tr, BestThroughput, 0, 1)
 		done <- err
 	}()
 	<-entered // the first request is executing (held); the second will fail Submit
@@ -313,12 +313,15 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 				part = append(part, r)
 			}
 		}
-		res, err := p.Play(ctx, part, BestThroughput, 1e6)
+		res, err := Play(ctx, p, part, BestThroughput, 0, 1e6)
 		if err != nil {
-			t.Fatalf("outage leaked to a client: %v", err)
+			t.Fatal(err)
 		}
-		if res.Requests+res.Dropped != len(part) {
-			t.Fatalf("requests %d + dropped %d ≠ trace stretch %d", res.Requests, res.Dropped, len(part))
+		if res.Failed != 0 {
+			t.Fatalf("outage leaked to %d clients", res.Failed)
+		}
+		if got := res.Requests + res.Dropped + res.Expired; got != len(part) {
+			t.Fatalf("requests %d + dropped %d + expired %d ≠ trace stretch %d", res.Requests, res.Dropped, res.Expired, len(part))
 		}
 		played, dropped = played+res.Requests, dropped+res.Dropped
 	}

@@ -12,7 +12,6 @@ import (
 
 	"bomw/internal/opencl"
 	"bomw/internal/tensor"
-	"bomw/internal/trace"
 )
 
 // Pipeline is the concurrent serving path over a trained scheduler — the
@@ -25,8 +24,8 @@ import (
 // the queue is full, Submit fails fast with ErrAdmissionFull instead of
 // letting latency collapse — the MLPerf "Server scenario" response to
 // overload. Every request carries a context for deadlines/cancellation,
-// and may carry a latency SLO (PipelineRequest.Deadline, with per-model
-// defaults in PipelineConfig): admission control rejects SLO-carrying
+// and may carry a latency SLO (PipelineRequest.Deadline, with a default
+// in PipelineConfig): admission control rejects SLO-carrying
 // requests that are already predicted to miss their deadline given the
 // live queue state and the scheduler's latency model
 // (ErrDeadlineInfeasible), so overload sheds doomed work first.
@@ -183,8 +182,6 @@ type PipelineConfig struct {
 	// Deadline of their own (measured from admission on the pipeline
 	// clock). Zero disables the default: such requests have no SLO.
 	DefaultSLO time.Duration
-	// ModelSLO overrides DefaultSLO per model name.
-	ModelSLO map[string]time.Duration
 	// DisableAdmissionControl turns off predicted-miss rejection: every
 	// SLO-carrying request is admitted regardless of feasibility and
 	// only culled once its deadline actually passes. Default off
@@ -266,9 +263,8 @@ type PipelineRequest struct {
 	Input *tensor.Tensor
 	Batch int
 	// Deadline is the request's latency SLO, measured from admission on
-	// the pipeline clock. Zero falls back to the pipeline's per-model /
-	// default SLO (PipelineConfig.ModelSLO / DefaultSLO); negative
-	// explicitly opts out of any SLO.
+	// the pipeline clock. Zero falls back to the pipeline's
+	// PipelineConfig.DefaultSLO; negative explicitly opts out of any SLO.
 	Deadline time.Duration
 }
 
@@ -789,15 +785,11 @@ func (p *Pipeline) probeQueue(device string) time.Duration {
 }
 
 // slo resolves the effective SLO of a request: its own Deadline, else
-// the per-model default, else the pipeline default; negative opts out.
+// the pipeline default; negative opts out.
 func (p *Pipeline) slo(req PipelineRequest) time.Duration {
 	d := req.Deadline
 	if d == 0 {
-		if m, ok := p.cfg.ModelSLO[req.Model]; ok {
-			d = m
-		} else {
-			d = p.cfg.DefaultSLO
-		}
+		d = p.cfg.DefaultSLO
 	}
 	if d < 0 {
 		return 0
@@ -1661,79 +1653,4 @@ func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
 	r.slot.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
 	p.completed.Add(1)
 	return true
-}
-
-// ---- driving the pipeline from trace generators ------------------------
-
-// Play drives a request trace through the live pipeline, replaying
-// arrivals on the wall clock compressed by speedup (e.g. 100 plays a
-// 10 s trace in 0.1 s) and waiting for every completion. Requests are
-// timing-only (the Estimate path), matching Scheduler.Replay, but unlike
-// Replay they flow through admission, live batching and the device
-// queues — requests shed at admission (queue full or SLO infeasible)
-// are counted in Dropped, and admitted requests culled for a passed
-// deadline are counted in Expired. Devices are not reset: Play observes
-// the system as it is, like live traffic.
-func (p *Pipeline) Play(ctx context.Context, tr trace.Trace, pol Policy, speedup float64) (ReplayResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res := ReplayResult{PerDevice: map[string]int{}}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	playCtx, stopPlay := context.WithCancel(ctx)
-	defer stopPlay()
-	arrivals := trace.Play(playCtx, tr, speedup)
-	var submitErr error
-	for req := range arrivals {
-		fut, err := p.Submit(ctx, PipelineRequest{Model: req.Model, Policy: pol, Batch: req.Batch})
-		if errors.Is(err, ErrAdmissionFull) || errors.Is(err, ErrDeadlineInfeasible) {
-			res.Dropped++
-			continue
-		}
-		if err != nil {
-			// Stop playback but do NOT return yet: completions of
-			// already-submitted requests are still being written, and
-			// abandoning wg would leak those goroutines mid-write.
-			submitErr = err
-			stopPlay()
-			for range arrivals { // release the playback goroutine
-			}
-			break
-		}
-		wg.Add(1)
-		batch := req.Batch
-		go func() {
-			defer wg.Done()
-			c, err := fut.Wait(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil || c.Err != nil {
-				if c.Err != nil && errors.Is(c.Err, ErrDeadlineExceeded) {
-					res.Expired++
-					return
-				}
-				if firstErr == nil {
-					firstErr = err
-					if firstErr == nil {
-						firstErr = c.Err
-					}
-				}
-				return
-			}
-			res.Add(1, batch, c.Latency, c.Completed, c.EnergyJ, c.Decision.Device)
-		}()
-	}
-	wg.Wait() // every submitted future has resolved past this point
-	if submitErr != nil {
-		return ReplayResult{}, submitErr
-	}
-	if firstErr != nil {
-		return ReplayResult{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return ReplayResult{}, err
-	}
-	return res, nil
 }

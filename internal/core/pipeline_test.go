@@ -125,6 +125,36 @@ func TestPipelineAggregatesConcurrentRequests(t *testing.T) {
 	if st.Batches != 1 || st.WindowFlushes != 1 {
 		t.Fatalf("stats = %+v, want one window-flushed batch", st)
 	}
+
+	// Two policies on one model share the window but never a batch:
+	// aggregates are keyed by (model, policy), so each request is decided
+	// under its own policy.
+	p.Close()
+	p = NewPipeline(s, PipelineConfig{Window: 50 * time.Millisecond, MaxBatch: 1024, HoldWindow: true})
+	defer p.Close()
+	pols := []Policy{LowestLatency, EnergyEfficiency}
+	for i, pol := range pols {
+		fut, err := p.Submit(ctx, PipelineRequest{Model: "simple", Policy: pol, Input: simpleSamples(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs[i] = fut
+	}
+	for i, fut := range futs[:len(pols)] {
+		c, err := fut.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Err != nil {
+			t.Fatal(c.Err)
+		}
+		if c.Decision.Policy != pols[i] || c.BatchSize != 2 {
+			t.Fatalf("%v request served in a batch of %d decided under %v", pols[i], c.BatchSize, c.Decision.Policy)
+		}
+	}
+	if st := p.Stats(); st.Batches != 2 {
+		t.Fatalf("stats = %+v, want one batch per policy", st)
+	}
 }
 
 func TestPipelineSizeTriggerFlushesEarly(t *testing.T) {
@@ -504,12 +534,16 @@ func TestPipelinePlayDrivesTrace(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := p.Play(ctx, tr, BestThroughput, 100)
+	res, err := Play(ctx, p, tr, BestThroughput, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Requests+res.Dropped != len(tr) {
-		t.Fatalf("requests %d + dropped %d ≠ trace %d", res.Requests, res.Dropped, len(tr))
+	if got := res.Requests + res.Dropped + res.Expired + res.Failed; got != len(tr) {
+		t.Fatalf("requests %d + dropped %d + expired %d + failed %d ≠ trace %d",
+			res.Requests, res.Dropped, res.Expired, res.Failed, len(tr))
+	}
+	if res.Failed != 0 {
+		t.Fatalf("%d requests failed on a healthy pipeline", res.Failed)
 	}
 	if res.Requests == 0 {
 		t.Fatal("every request was dropped")

@@ -1,18 +1,26 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"bomw/internal/opencl"
 	"bomw/internal/trace"
 )
 
-// ReplayResult aggregates one trace replay.
+// ReplayResult is the ledger every replay fills, offline or live: each
+// offered request lands in exactly one of Requests, Dropped, Expired and
+// Failed. Offline replays (Scheduler.Replay, the scenario harness's
+// virtual runs) admit and complete everything, so only live runs —
+// Play and the scenario harness's RunLive, through Record — fill the
+// other three.
 type ReplayResult struct {
-	Requests     int
+	Requests     int // completed successfully
 	TotalSamples int64
 	Makespan     time.Duration // completion of the last request
 	TotalEnergyJ float64
@@ -20,13 +28,15 @@ type ReplayResult struct {
 	MaxLatency   time.Duration
 	PerDevice    map[string]int
 	Spills       int
-	// Dropped counts requests shed at admission — only live pipeline
-	// replays (Pipeline.Play) populate it; offline replays admit all.
+	// Dropped counts requests shed at admission (ErrAdmissionFull,
+	// ErrDeadlineInfeasible).
 	Dropped int
 	// Expired counts admitted requests culled because their SLO passed
-	// before execution — only Pipeline.Play under a configured
-	// DefaultSLO/ModelSLO populates it.
-	Expired   int
+	// before execution (ErrDeadlineExceeded).
+	Expired int
+	// Failed counts admitted requests that resolved with any other error,
+	// or whose wait was abandoned.
+	Failed    int
 	latencies []time.Duration
 }
 
@@ -82,6 +92,106 @@ func (r *ReplayResult) Add(requests, samples int, lat, completed time.Duration, 
 		}
 		r.PerDevice[device] += requests
 	}
+}
+
+// Record folds one live outcome into the ledger: a completion through
+// Add, a shed Submit (carried as Completion{Err: err}) into Dropped, a
+// deadline cull into Expired and any other error into Failed.
+func (r *ReplayResult) Record(c Completion, samples int) {
+	switch {
+	case c.Err == nil:
+		r.Add(1, samples, c.Latency, c.Completed, c.EnergyJ, c.Decision.Device)
+	case IsShed(c.Err):
+		r.Dropped++
+	case errors.Is(c.Err, ErrDeadlineExceeded):
+		r.Expired++
+	default:
+		r.Failed++
+	}
+}
+
+// WithinSLO counts the recorded latencies at or under slo: the numerator
+// of a Server run's SLO attainment.
+func (r ReplayResult) WithinSLO(slo time.Duration) int {
+	n := 0
+	for _, lat := range r.latencies {
+		if lat <= slo {
+			n++
+		}
+	}
+	return n
+}
+
+// IsShed reports whether a Submit error is load shedding — a counted
+// miss the caller may retry — rather than a failure.
+func IsShed(err error) bool {
+	return errors.Is(err, ErrAdmissionFull) || errors.Is(err, ErrDeadlineInfeasible)
+}
+
+// Submitter is the live serving surface an open loop drives: *Pipeline,
+// *Node and *cluster.Cluster satisfy it with their Submit methods.
+type Submitter interface {
+	Submit(ctx context.Context, req PipelineRequest) (*Future, error)
+}
+
+// Play drives a request trace open-loop through a live target: arrivals
+// replay on the wall clock compressed by speedup (100 plays a 10 s trace
+// in 0.1 s), each is submitted timing-only under pol with the given
+// Deadline (0: the target's default SLO, negative: none), and every
+// completion is waited for concurrently and recorded. Unlike
+// Scheduler.Replay the requests flow through admission, live batching
+// and the device queues, and devices are not reset: Play observes the
+// system as it is, like live traffic. A Submit error other than shedding
+// stops playback and is returned once every admitted request resolved.
+func Play(ctx context.Context, target Submitter, tr trace.Trace, pol Policy, deadline time.Duration, speedup float64) (ReplayResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var res ReplayResult
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	record := func(c Completion, samples int) {
+		mu.Lock()
+		res.Record(c, samples)
+		mu.Unlock()
+	}
+	playCtx, stopPlay := context.WithCancel(ctx)
+	defer stopPlay()
+	arrivals := trace.Play(playCtx, tr, speedup)
+	var submitErr error
+	for req := range arrivals {
+		fut, err := target.Submit(ctx, PipelineRequest{Model: req.Model, Policy: pol, Batch: req.Batch, Deadline: deadline})
+		if err != nil {
+			if IsShed(err) {
+				record(Completion{Err: err}, req.Batch)
+				continue
+			}
+			// Stop playback but do NOT return yet: completions of
+			// already-submitted requests are still being recorded.
+			submitErr = err
+			stopPlay()
+			for range arrivals { // release the playback goroutine
+			}
+			break
+		}
+		wg.Add(1)
+		go func(samples int) {
+			defer wg.Done()
+			c, err := fut.Wait(ctx)
+			if err != nil {
+				c.Err = err
+			}
+			record(c, samples)
+		}(req.Batch)
+	}
+	wg.Wait() // every submitted future has resolved past this point
+	if submitErr != nil {
+		return ReplayResult{}, submitErr
+	}
+	if err := ctx.Err(); err != nil {
+		return ReplayResult{}, err
+	}
+	return res, nil
 }
 
 // SamplesPerSecond returns sustained throughput over the makespan.

@@ -226,8 +226,8 @@ type ClassifyRequest struct {
 	// TimeoutMS is the request's latency SLO in milliseconds, measured
 	// from admission. Positive values enable deadline enforcement
 	// (admission-control rejection, pre-execution culling, optional
-	// hedging); 0 uses the server's per-model/default SLO; negative
-	// opts out of any SLO.
+	// hedging); 0 uses the server's default SLO; negative opts out of
+	// any SLO.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 

@@ -91,23 +91,12 @@ func runServer(b Backend, p Params) (Report, error) {
 		return Report{}, fmt.Errorf("scenario server: compiling arrivals: %w", err)
 	}
 	var res core.ReplayResult
-	inSLO := 0
 	for i, ev := range tr {
 		ex, err := b.Run(ev.Model, ev.Batch, p.Policy, ev.At)
 		if err != nil {
 			return Report{}, fmt.Errorf("scenario server query %d: %w", i, err)
 		}
-		lat := ex.Completed - ev.At
-		if p.SLO <= 0 || lat <= p.SLO {
-			inSLO++
-		}
-		res.Add(1, ev.Batch, lat, ex.Completed, ex.EnergyJ, ex.Device)
+		res.Add(1, ev.Batch, ex.Completed-ev.At, ex.Completed, ex.EnergyJ, ex.Device)
 	}
-	r := report(res, Server, b.Name(), p)
-	r.TargetRate = round3(p.TargetRate)
-	r.SLOMS = round3(float64(p.SLO) / float64(time.Millisecond))
-	if len(tr) > 0 {
-		r.Attainment = round3(float64(inSLO) / float64(len(tr)))
-	}
-	return r, nil
+	return serverReport(res, b.Name(), p, len(tr)), nil
 }

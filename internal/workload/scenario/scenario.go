@@ -14,12 +14,15 @@
 //     tests pin. NewSchedulerBackend wraps one node; NewFleetBackend
 //     wraps N scheduler replicas behind least-outstanding routing.
 //
-//   - The live mode (RunLive over a Submitter) drives a real
-//     core.Pipeline or cluster.Cluster: arrivals paced by trace.Play,
-//     admission control, live batching, shedding, deadline culling and
-//     failover all in the loop. Latencies are still measured on the
-//     target's virtual clock, but goroutine interleaving makes live
-//     reports statistical rather than byte-stable.
+//   - The live mode (RunLive over a core.Submitter) drives a real
+//     core.Pipeline, core.Node or cluster.Cluster: the Server scenario's
+//     arrivals go through core.Play, the open loop the library's own
+//     trace replays use, so admission control, live batching, shedding,
+//     deadline culling and failover are all in the loop. Every query
+//     lands in one outcome of core.ReplayResult's ledger. Latencies are
+//     still measured on the target's virtual clock, but goroutine
+//     interleaving makes live reports statistical rather than
+//     byte-stable.
 //
 // The Server scenario additionally has a binary-search driver
 // (FindMaxRate) that finds the highest offered rate whose report still
@@ -205,8 +208,8 @@ type Report struct {
 // round3 stabilises derived float fields for byte-stable reports.
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
-// report renders the completions a scenario accumulated, one
-// ReplayResult.Add per completed query, in the Report shape.
+// report renders the ledger a scenario filled — one ReplayResult.Add
+// per completed query, plus the live runs' misses — in the Report shape.
 func report(res core.ReplayResult, kind Kind, target string, p Params) Report {
 	r := Report{
 		Scenario:   string(kind),
@@ -216,6 +219,9 @@ func report(res core.ReplayResult, kind Kind, target string, p Params) Report {
 		Seed:       p.Seed,
 		Queries:    res.Requests,
 		Samples:    res.TotalSamples,
+		Dropped:    res.Dropped,
+		Expired:    res.Expired,
+		Failed:     res.Failed,
 		MakespanUS: res.Makespan.Microseconds(),
 		EnergyJ:    round3(res.TotalEnergyJ),
 		PerDevice:  res.PerDevice,
@@ -233,6 +239,18 @@ func report(res core.ReplayResult, kind Kind, target string, p Params) Report {
 	if res.Makespan > 0 {
 		r.QPS = round3(float64(res.Requests) / res.Makespan.Seconds())
 		r.SamplesPerS = round3(res.SamplesPerSecond())
+	}
+	return r
+}
+
+// serverReport is report plus the Server scenario's fields: the offered
+// rate, the SLO and attainment over the offered queries.
+func serverReport(res core.ReplayResult, target string, p Params, offered int) Report {
+	r := report(res, Server, target, p)
+	r.TargetRate = round3(p.TargetRate)
+	r.SLOMS = round3(float64(p.SLO) / float64(time.Millisecond))
+	if offered > 0 {
+		r.Attainment = round3(float64(res.WithinSLO(p.SLO)) / float64(offered))
 	}
 	return r
 }

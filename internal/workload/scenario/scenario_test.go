@@ -428,3 +428,16 @@ func TestLiveScenariosOnCluster(t *testing.T) {
 		})
 	}
 }
+
+// An Offline live run on a model the target does not serve is a harness
+// error, not a report with every query dropped.
+func TestLiveOfflineUnknownModelErrors(t *testing.T) {
+	p := baseParams()
+	p.Kind = Offline
+	p.Model = "no-such-model"
+	p.Queries = 4
+	target := LiveTarget{Name: "pipeline", Target: livePipeline(t)}
+	if r, err := RunLive(context.Background(), target, p, 1); err == nil {
+		t.Fatalf("unknown model gave a report: %+v", r)
+	}
+}
