@@ -345,9 +345,9 @@ var (
 	ErrNodeDraining = core.ErrNodeDraining
 	// ErrNodeDown rejects work submitted to a drained or killed node.
 	ErrNodeDown = core.ErrNodeDown
-	// ErrNoReadyNodes signals fleet-wide load shedding: every node is
+	// ErrNoHealthyNodes signals fleet-wide load shedding: every node is
 	// evicted from routing.
-	ErrNoReadyNodes = cluster.ErrNoReadyNodes
+	ErrNoHealthyNodes = cluster.ErrNoHealthyNodes
 )
 
 // NewNode wraps a scheduler and a fresh pipeline into a serving node.

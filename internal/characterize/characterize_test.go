@@ -226,9 +226,6 @@ func TestMeasureConfigAndLoss(t *testing.T) {
 			}
 		}
 	}
-	if cm.TimeOf(0) != cm.Points[0].Latency {
-		t.Fatal("TimeOf mismatch")
-	}
 	// At batch 4096 with a warm GPU, mnist-small throughput is a dGPU win.
 	if best := cm.Best(BestThroughput); cm.Points[best].Kind != device.DiscreteGPU {
 		t.Fatalf("throughput winner at 4K warm should be the dGPU, got %s", cm.Points[best].Device)

@@ -2,7 +2,6 @@ package characterize
 
 import (
 	"fmt"
-	"time"
 
 	"bomw/internal/device"
 	"bomw/internal/nn"
@@ -225,6 +224,3 @@ func (cm ConfigMetrics) LossVersusIdeal(o Objective, c int) float64 {
 		return (cv - iv) / cv
 	}
 }
-
-// TimeOf is a helper naming the latency of class c.
-func (cm ConfigMetrics) TimeOf(c int) time.Duration { return cm.Points[c].Latency }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"bomw/internal/device"
 )
 
-// CSV export/import of the labelled training corpus, so the dataset the
+// CSV export of the labelled training corpus, so the dataset the
 // scheduler trains on can be inspected, versioned and reused by external
 // tooling — the reproducible artefact behind Tables I-III.
 
@@ -43,68 +41,4 @@ func (s *LabeledSet) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a dataset previously written by WriteCSV. Device names
-// and kinds are not stored in the CSV; callers supply the class order
-// (devices[i] is class i).
-func ReadCSV(r io.Reader, devices []string, kinds []device.Kind) (*LabeledSet, error) {
-	if len(devices) == 0 || len(devices) != len(kinds) {
-		return nil, fmt.Errorf("characterize: need matching device names and kinds")
-	}
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("characterize: reading CSV: %w", err)
-	}
-	if len(rows) < 2 {
-		return nil, fmt.Errorf("characterize: CSV needs a header and at least one row")
-	}
-	header := rows[0]
-	nPolicies := len(Objectives())
-	nFeatures := len(header) - 3 - nPolicies
-	if nFeatures <= 0 {
-		return nil, fmt.Errorf("characterize: CSV header has %d columns, too few", len(header))
-	}
-	set := &LabeledSet{
-		FeatureNames: append([]string(nil), header[3:3+nFeatures]...),
-		Devices:      append([]string(nil), devices...),
-		Kinds:        append([]device.Kind(nil), kinds...),
-		Y:            map[Objective][]int{},
-	}
-	for ri, row := range rows[1:] {
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("characterize: CSV row %d has %d columns, want %d", ri+1, len(row), len(header))
-		}
-		batch, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, fmt.Errorf("characterize: CSV row %d batch: %w", ri+1, err)
-		}
-		warm, err := strconv.ParseBool(row[2])
-		if err != nil {
-			return nil, fmt.Errorf("characterize: CSV row %d gpu_warm: %w", ri+1, err)
-		}
-		feats := make([]float64, nFeatures)
-		for j := 0; j < nFeatures; j++ {
-			feats[j], err = strconv.ParseFloat(row[3+j], 64)
-			if err != nil {
-				return nil, fmt.Errorf("characterize: CSV row %d feature %d: %w", ri+1, j, err)
-			}
-		}
-		set.Models = append(set.Models, row[0])
-		set.Batches = append(set.Batches, batch)
-		set.GPUWarm = append(set.GPUWarm, warm)
-		set.X = append(set.X, feats)
-		for oi, o := range Objectives() {
-			label, err := strconv.Atoi(row[3+nFeatures+oi])
-			if err != nil {
-				return nil, fmt.Errorf("characterize: CSV row %d label %s: %w", ri+1, o, err)
-			}
-			if label < 0 || label >= len(devices) {
-				return nil, fmt.Errorf("characterize: CSV row %d label %d out of range", ri+1, label)
-			}
-			set.Y[o] = append(set.Y[o], label)
-		}
-	}
-	return set, nil
 }

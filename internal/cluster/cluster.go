@@ -52,9 +52,6 @@ var (
 	// translate it to 503 with a Retry-After derived from
 	// ReadmissionHint.
 	ErrNoHealthyNodes = errors.New("cluster: no healthy nodes")
-	// ErrNoReadyNodes is the pre-PR-9 name of ErrNoHealthyNodes, kept as
-	// an alias so existing errors.Is call sites keep matching.
-	ErrNoReadyNodes = ErrNoHealthyNodes
 	// ErrUnknownNode names a node the cluster does not have.
 	ErrUnknownNode = errors.New("cluster: unknown node")
 )

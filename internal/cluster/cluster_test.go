@@ -99,8 +99,8 @@ func TestSubmitNoReadyNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := c.Submit(context.Background(), core.PipelineRequest{Model: "simple", Batch: 4})
-	if !errors.Is(err, ErrNoReadyNodes) {
-		t.Fatalf("err = %v, want ErrNoReadyNodes", err)
+	if !errors.Is(err, ErrNoHealthyNodes) {
+		t.Fatalf("err = %v, want ErrNoHealthyNodes", err)
 	}
 	if st := c.Stats(); st.RouteFailures != 1 {
 		t.Fatalf("route failure not accounted: %+v", st)
@@ -263,7 +263,7 @@ func TestClusterDrainUnderLoad(t *testing.T) {
 			for k := 0; k < perClient; k++ {
 				fut, err := c.Submit(ctx, core.PipelineRequest{Model: "simple", Policy: core.BestThroughput, Batch: 4})
 				switch {
-				case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, ErrNoReadyNodes),
+				case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, ErrNoHealthyNodes),
 					errors.Is(err, core.ErrNodeDraining), errors.Is(err, core.ErrNodeDown):
 					refused.Add(1)
 					continue
@@ -342,7 +342,7 @@ func TestClusterSmoke(t *testing.T) {
 				}
 				fut, err := c.Submit(ctx, core.PipelineRequest{Model: "simple", Policy: core.BestThroughput, Batch: 4})
 				switch {
-				case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, ErrNoReadyNodes),
+				case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, ErrNoHealthyNodes),
 					errors.Is(err, core.ErrNodeDraining), errors.Is(err, core.ErrNodeDown):
 					continue
 				case err != nil:
@@ -435,7 +435,7 @@ func TestSoakClusterTwoKills(t *testing.T) {
 					})
 					switch {
 					case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, core.ErrDeadlineInfeasible),
-						errors.Is(err, ErrNoReadyNodes), errors.Is(err, core.ErrNodeDraining),
+						errors.Is(err, ErrNoHealthyNodes), errors.Is(err, core.ErrNodeDraining),
 						errors.Is(err, core.ErrNodeDown):
 						failed.Add(1)
 						continue

@@ -71,11 +71,6 @@ func PolicyByName(name string, seed int64) (Policy, error) {
 	}
 }
 
-// PolicyNames lists the built-in routing policies.
-func PolicyNames() []string {
-	return []string{"round-robin", "least-loaded", "model-affinity", "weighted-scoring"}
-}
-
 // RoundRobin rotates a cursor over the eligible nodes: request k starts
 // at position k mod n and wraps, so load spreads uniformly regardless of
 // node state, and the failover order continues the rotation.

@@ -52,9 +52,6 @@ func TestMassEvictionReturnsErrNoHealthyNodes(t *testing.T) {
 	if !errors.Is(err, ErrNoHealthyNodes) {
 		t.Fatalf("Submit = %v, want ErrNoHealthyNodes", err)
 	}
-	if !errors.Is(err, ErrNoReadyNodes) {
-		t.Fatalf("pre-PR-9 alias broken: %v is not ErrNoReadyNodes", err)
-	}
 	if hint := c.ReadmissionHint(); hint <= 0 {
 		t.Fatalf("ReadmissionHint = %v, want > 0", hint)
 	}

@@ -135,15 +135,15 @@ type Scheduler struct {
 	devices []*device.Device
 	dgpu    *device.Device // nil when no boosted device is present
 
+	// classifiers is written only while the scheduler is built (New,
+	// LoadState, Replica) and is read-only once it is shared.
 	classifiers map[Policy]mlsched.Classifier
-	dataset     *characterize.LabeledSet
 	health      *healthMonitor
 	audit       *auditLog
 
 	// policyMask is the immutable set of trained policies as a bitmask,
 	// written once at construction and read lock-free on the admission
-	// hot path (Retrain refits the same policy keys, so the set never
-	// changes afterwards). A bit test beats a map probe per Submit.
+	// hot path. A bit test beats a map probe per Submit.
 	policyMask uint64
 
 	// Decision memoisation (SelectCached): (model, policy, batch bucket,
@@ -163,6 +163,9 @@ type Scheduler struct {
 	perDevice []atomic.Int64                     // by device class
 	perPolicy [EnergyEfficiency + 1]atomic.Int64 // by Policy
 
+	// mu guards the fields that can be swapped while the scheduler
+	// serves: health (ResetDevices), audit (EnableAudit) and queueProbe
+	// (SetQueueProbe).
 	mu         sync.Mutex
 	queueProbe func(device string) time.Duration
 
@@ -218,14 +221,14 @@ func New(cfg Config) (*Scheduler, error) {
 	for _, d := range cfg.Devices {
 		sweeper.Profiles = append(sweeper.Profiles, d.Profile())
 	}
-	s.dataset, err = sweeper.BuildDataset(cfg.TrainModels, cfg.Batches, cfg.Reps)
+	set, err := sweeper.BuildDataset(cfg.TrainModels, cfg.Batches, cfg.Reps)
 	if err != nil {
 		return nil, err
 	}
 
 	for _, pol := range characterize.Objectives() {
 		c := cfg.BuildClassifier(cfg.Seed)
-		if err := c.Fit(s.dataset.X, s.dataset.Y[pol]); err != nil {
+		if err := c.Fit(set.X, set.Y[pol]); err != nil {
 			return nil, fmt.Errorf("core: training %s classifier: %w", pol, err)
 		}
 		s.classifiers[pol] = c
@@ -240,24 +243,8 @@ func (s *Scheduler) Runtime() *opencl.Runtime { return s.rt }
 // Dispatcher exposes the Fig. 2 dispatcher.
 func (s *Scheduler) Dispatcher() *Dispatcher { return s.disp }
 
-// Dataset returns the training corpus the scheduler was fitted on.
-// Retrain swaps the corpus concurrently, so the read takes the
-// scheduler lock.
-func (s *Scheduler) Dataset() *characterize.LabeledSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dataset
-}
-
-// Classifier returns the trained selector for a policy. Like the
-// internal classifierFor, the map read must hold the scheduler lock:
-// Retrain swaps the map entries concurrently, and an unlocked read
-// races the swap (a concurrent map read/write can hard-fault the
-// runtime, not just return a stale forest).
-func (s *Scheduler) Classifier(p Policy) mlsched.Classifier {
-	c, _ := s.classifierFor(p)
-	return c
-}
+// Classifier returns the trained selector for a policy.
+func (s *Scheduler) Classifier(p Policy) mlsched.Classifier { return s.classifiers[p] }
 
 // Devices lists device names in class order — the classifier's label
 // order, which is fixed at construction and therefore deterministic
@@ -278,58 +265,6 @@ func (s *Scheduler) LoadModel(spec *nn.Spec, seed int64) error {
 	return err
 }
 
-// Retrain extends the characterisation corpus with additional measured
-// architectures and refits every policy's classifier — the paper's
-// "able to learn and extract knowledge from a dataset" property (§V-A):
-// when a new model family matters enough, measure it and fold it in.
-// Existing decisions statistics and device state are preserved.
-func (s *Scheduler) Retrain(extra []*nn.Spec) error {
-	if len(extra) == 0 {
-		return fmt.Errorf("core: Retrain needs at least one new architecture")
-	}
-	s.mu.Lock()
-	base := append([]*nn.Spec(nil), s.cfg.TrainModels...)
-	s.mu.Unlock()
-	seen := map[string]bool{}
-	for _, spec := range base {
-		seen[spec.Name] = true
-	}
-	specs := base
-	for _, spec := range extra {
-		if seen[spec.Name] {
-			return fmt.Errorf("core: architecture %q already in the training corpus", spec.Name)
-		}
-		seen[spec.Name] = true
-		specs = append(specs, spec)
-	}
-	sweeper := &characterize.Sweeper{Noise: s.cfg.Noise, Seed: s.cfg.Seed}
-	for _, d := range s.cfg.Devices {
-		sweeper.Profiles = append(sweeper.Profiles, d.Profile())
-	}
-	set, err := sweeper.BuildDataset(specs, s.cfg.Batches, s.cfg.Reps)
-	if err != nil {
-		return err
-	}
-	fresh := map[Policy]mlsched.Classifier{}
-	for _, pol := range characterize.Objectives() {
-		c := s.cfg.BuildClassifier(s.cfg.Seed)
-		if err := c.Fit(set.X, set.Y[pol]); err != nil {
-			return fmt.Errorf("core: retraining %s classifier: %w", pol, err)
-		}
-		fresh[pol] = c
-	}
-	// Commit atomically only after every policy retrained.
-	s.mu.Lock()
-	s.cfg.TrainModels = specs
-	s.dataset = set
-	for pol, c := range fresh {
-		s.classifiers[pol] = c
-	}
-	s.mu.Unlock()
-	s.invalidateDecisions() // cached rankings came from the old forests
-	return nil
-}
-
 // SetQueueProbe installs a callback reporting the estimated additional
 // delay queued ahead of new work on a device, beyond the device
 // simulator's committed busy horizon. The serving pipeline registers
@@ -343,19 +278,9 @@ func (s *Scheduler) SetQueueProbe(fn func(device string) time.Duration) {
 	s.invalidateDecisions()
 }
 
-// classifierFor returns the trained selector for a policy under the
-// scheduler lock (Retrain swaps classifiers concurrently).
-func (s *Scheduler) classifierFor(p Policy) (mlsched.Classifier, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.classifiers[p]
-	return c, ok
-}
-
 // hasPolicy reports whether a trained classifier exists for the policy.
 // It reads the immutable policy mask lock-free — this sits on the Submit
-// hot path, and Retrain never changes which policies are trained, only
-// the classifiers behind them.
+// hot path.
 func (s *Scheduler) hasPolicy(p Policy) bool {
 	return uint64(p) < 64 && s.policyMask&(1<<uint64(p)) != 0
 }
@@ -414,7 +339,7 @@ func (s *Scheduler) SelectExcluding(model string, batch int, pol Policy, now tim
 	if err != nil {
 		return Decision{}, err
 	}
-	clf, ok := s.classifierFor(pol)
+	clf, ok := s.classifiers[pol]
 	if !ok {
 		return Decision{}, fmt.Errorf("core: unknown policy %v", pol)
 	}
@@ -459,9 +384,8 @@ func bucketBatch(n int) int {
 
 // invalidateDecisions bumps the decision-cache epoch, lazily discarding
 // every memoised ranking. It runs on the events that can change what the
-// cached layer computed: Retrain (new classifiers), ResetDevices (fresh
-// health state), SetQueueProbe (new occupancy source) and quarantine or
-// readmission transitions. Queue occupancy itself never needs an epoch:
+// cached layer computed: ResetDevices (fresh health state), SetQueueProbe
+// (new occupancy source) and quarantine or readmission transitions. Queue occupancy itself never needs an epoch:
 // the spill adaptation reads it live on every decision.
 func (s *Scheduler) invalidateDecisions() { s.decEpoch.Add(1) }
 
@@ -498,7 +422,7 @@ func (s *Scheduler) SelectCached(model string, batch int, pol Policy, now time.D
 	if err != nil {
 		return Decision{}, err
 	}
-	clf, ok := s.classifierFor(pol)
+	clf, ok := s.classifiers[pol]
 	if !ok {
 		return Decision{}, fmt.Errorf("core: unknown policy %v", pol)
 	}

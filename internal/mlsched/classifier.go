@@ -30,15 +30,6 @@ type Classifier interface {
 // it to train one instance per fold.
 type Builder func() Classifier
 
-// PredictBatch applies a classifier to many rows.
-func PredictBatch(c Classifier, X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, x := range X {
-		out[i] = c.Predict(x)
-	}
-	return out
-}
-
 // validateXY checks the common Fit preconditions and returns the number
 // of classes (max label + 1).
 func validateXY(X [][]float64, y []int) (classes int, err error) {

@@ -7,6 +7,15 @@ import (
 
 // blobs generates a separable 3-class dataset: Gaussian clusters around
 // distinct centroids in nf dimensions.
+// predictAll applies a classifier to every row.
+func predictAll(c Classifier, X [][]float64) []int {
+	out := make([]int, len(X))
+	for i, x := range X {
+		out[i] = c.Predict(x)
+	}
+	return out
+}
+
 func blobs(n, nf int, seed int64) ([][]float64, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	centroids := [][]float64{}
@@ -52,7 +61,7 @@ func accuracyOn(t *testing.T, c Classifier, X [][]float64, y []int) float64 {
 	if err := c.Fit(X, y); err != nil {
 		t.Fatalf("%s: Fit: %v", c.Name(), err)
 	}
-	m, err := Evaluate(y, PredictBatch(c, X), 3)
+	m, err := Evaluate(y, predictAll(c, X), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +94,8 @@ func TestTreeBeatsLinearOnXOR(t *testing.T) {
 	if err := lin.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	mt, _ := Evaluate(y, PredictBatch(tree, X), 2)
-	ml, _ := Evaluate(y, PredictBatch(lin, X), 2)
+	mt, _ := Evaluate(y, predictAll(tree, X), 2)
+	ml, _ := Evaluate(y, predictAll(lin, X), 2)
 	if mt.Accuracy < 0.9 {
 		t.Fatalf("tree should solve XOR, got %.2f", mt.Accuracy)
 	}
@@ -138,7 +147,7 @@ func TestRandomBaselineNearChance(t *testing.T) {
 	if err := r.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := Evaluate(y, PredictBatch(r, X), 3)
+	m, _ := Evaluate(y, predictAll(r, X), 3)
 	if m.Accuracy < 0.25 || m.Accuracy > 0.42 {
 		t.Fatalf("random baseline accuracy %.2f, want near 1/3 (paper: 41%%)", m.Accuracy)
 	}
@@ -183,7 +192,7 @@ func TestTreeCriteriaBothWork(t *testing.T) {
 		if err := tree.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		m, _ := Evaluate(y, PredictBatch(tree, X), 3)
+		m, _ := Evaluate(y, predictAll(tree, X), 3)
 		if m.Accuracy < 0.9 {
 			t.Fatalf("criterion %s accuracy %.2f", crit, m.Accuracy)
 		}

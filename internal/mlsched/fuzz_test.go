@@ -24,7 +24,7 @@ func FuzzReadTree(f *testing.F) {
 	f.Add([]byte{0x44, 0x54, 0x4d, 0x42})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := ReadTree(bytes.NewReader(data))
+		restored, err := readTree(data)
 		if err != nil {
 			return
 		}

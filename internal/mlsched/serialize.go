@@ -104,15 +104,6 @@ func writeNode(bw *binWriter, n *treeNode) {
 	writeNode(bw, n.right)
 }
 
-// ReadTree deserialises a tree written by Serialize.
-func ReadTree(r io.Reader) (*Tree, error) {
-	t, err := readTreeFrom(bufio.NewReader(r))
-	if err != nil {
-		return nil, fmt.Errorf("mlsched: reading tree: %w", err)
-	}
-	return t, nil
-}
-
 // maxNodeDepth caps recursion on corrupted streams.
 const maxNodeDepth = 64
 

@@ -1,9 +1,13 @@
 package mlsched
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
+
+// readTree parses a tree the way ReadForest parses each of its members.
+func readTree(b []byte) (*Tree, error) { return readTreeFrom(bufio.NewReader(bytes.NewReader(b))) }
 
 func TestTreeSerializationRoundTrip(t *testing.T) {
 	X, y := blobs(200, 5, 30)
@@ -15,7 +19,7 @@ func TestTreeSerializationRoundTrip(t *testing.T) {
 	if err := tree.Serialize(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadTree(bytes.NewReader(buf.Bytes()))
+	restored, err := readTree(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestSerializeUntrainedRejected(t *testing.T) {
 }
 
 func TestDeserializeCorruptStreams(t *testing.T) {
-	if _, err := ReadTree(bytes.NewReader([]byte{1, 2, 3})); err == nil {
+	if _, err := readTree([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated tree accepted")
 	}
 	if _, err := ReadForest(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})); err == nil {
@@ -90,7 +94,7 @@ func TestDeserializeCorruptStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := ReadTree(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	if _, err := readTree(raw[:len(raw)/2]); err == nil {
 		t.Fatal("truncated tree body accepted")
 	}
 	// Flip the magic of a valid forest.
@@ -154,7 +158,7 @@ func TestDeserializeRejectsOutOfRangeNodes(t *testing.T) {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0xff
 		mut[off+1] ^= 0x30
-		restored, err := ReadTree(bytes.NewReader(mut))
+		restored, err := readTree(mut)
 		if err != nil {
 			continue
 		}

@@ -65,17 +65,3 @@ func Synthesize(spec *nn.Spec, n int, seed int64) *Dataset {
 	}
 	return &Dataset{Name: spec.Name, X: x, Y: y, Classes: spec.Classes}
 }
-
-// IrisLike returns a 4-feature, 3-class dataset shaped like the UCI Iris
-// data used to train the Simple model.
-func IrisLike(n int, seed int64) *Dataset { return Synthesize(Simple(), n, seed) }
-
-// MnistLike returns 784-feature, 10-class rows shaped like flattened MNIST
-// digits.
-func MnistLike(n int, seed int64) *Dataset { return Synthesize(MnistSmall(), n, seed) }
-
-// MnistImageLike returns [1,28,28] 10-class images for the CNN models.
-func MnistImageLike(n int, seed int64) *Dataset { return Synthesize(MnistCNN(), n, seed) }
-
-// CifarLike returns [3,32,32] 10-class images shaped like CIFAR-10.
-func CifarLike(n int, seed int64) *Dataset { return Synthesize(Cifar10(), n, seed) }

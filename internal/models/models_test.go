@@ -202,7 +202,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 }
 
 func TestDatasetBatch(t *testing.T) {
-	d := IrisLike(10, 1)
+	d := Synthesize(Simple(), 10, 1)
 	b := d.Batch(2, 5)
 	if b.Dim(0) != 3 || b.Dim(1) != 4 {
 		t.Fatalf("Batch shape = %v", b.Shape())
@@ -224,7 +224,7 @@ func TestSyntheticSeparability(t *testing.T) {
 	// A dataset with per-class centroids should let even an untrained
 	// nearest-centroid rule beat random guessing comfortably — sanity
 	// check that the generator produces class structure.
-	d := IrisLike(150, 3)
+	d := Synthesize(Simple(), 150, 3)
 	per := 4
 	centroids := make([][]float32, d.Classes)
 	counts := make([]int, d.Classes)
@@ -266,13 +266,13 @@ func TestSyntheticSeparability(t *testing.T) {
 }
 
 func TestDatasetHelpers(t *testing.T) {
-	if d := MnistLike(5, 1); d.X.Dim(1) != 784 {
-		t.Fatalf("MnistLike shape %v", d.X.Shape())
+	if d := Synthesize(MnistSmall(), 5, 1); d.X.Dim(1) != 784 {
+		t.Fatalf("mnist-small shape %v", d.X.Shape())
 	}
-	if d := MnistImageLike(5, 1); d.X.Rank() != 4 {
-		t.Fatalf("MnistImageLike rank %d", d.X.Rank())
+	if d := Synthesize(MnistCNN(), 5, 1); d.X.Rank() != 4 {
+		t.Fatalf("mnist-cnn rank %d", d.X.Rank())
 	}
-	if d := CifarLike(5, 1); d.X.Dim(1) != 3 || d.X.Dim(2) != 32 {
-		t.Fatalf("CifarLike shape %v", d.X.Shape())
+	if d := Synthesize(Cifar10(), 5, 1); d.X.Dim(1) != 3 || d.X.Dim(2) != 32 {
+		t.Fatalf("cifar10 shape %v", d.X.Shape())
 	}
 }

@@ -123,13 +123,8 @@ type Conv struct {
 	Pad     int
 }
 
-// NewConv builds a valid-padding convolution layer with He-uniform weights
-// drawn from rng.
-func NewConv(rng *rand.Rand, inC, outC, k int, act tensor.Activation) *Conv {
-	return NewConvPad(rng, inC, outC, k, 0, act)
-}
-
-// NewConvPad builds a convolution layer with explicit zero padding.
+// NewConvPad builds a convolution layer with pad rings of zero padding (0
+// for a valid convolution) and He-uniform weights drawn from rng.
 func NewConvPad(rng *rand.Rand, inC, outC, k, pad int, act tensor.Activation) *Conv {
 	f := tensor.New(outC, inC, k, k)
 	limit := float32(math.Sqrt(6 / float64(inC*k*k)))

@@ -86,7 +86,7 @@ func TestDenseAccounting(t *testing.T) {
 }
 
 func TestConvForwardShapeAndAccounting(t *testing.T) {
-	c := NewConv(rand.New(rand.NewSource(4)), 3, 8, 3, tensor.ReLU)
+	c := NewConvPad(rand.New(rand.NewSource(4)), 3, 8, 3, 0, tensor.ReLU)
 	in := tensor.New(2, 3, 10, 10)
 	out := c.Forward(tensor.Serial, in)
 	want := []int{2, 8, 8, 8}
@@ -129,7 +129,7 @@ func TestConvOutputShapeMatchesForwardForNonSquareFilters(t *testing.T) {
 }
 
 func TestConvReLUClampsNegatives(t *testing.T) {
-	c := NewConv(rand.New(rand.NewSource(5)), 1, 1, 1, tensor.ReLU)
+	c := NewConvPad(rand.New(rand.NewSource(5)), 1, 1, 1, 0, tensor.ReLU)
 	c.Filters.Data()[0] = -1
 	in := tensor.New(1, 1, 2, 2)
 	in.Fill(1)
@@ -196,7 +196,7 @@ func TestLayerNames(t *testing.T) {
 		want  string
 	}{
 		{NewDense(rng, 4, 6, tensor.ReLU), "dense(4→6,relu)"},
-		{NewConv(rng, 1, 32, 3, tensor.ReLU), "conv(3x3x1→32,relu)"},
+		{NewConvPad(rng, 1, 32, 3, 0, tensor.ReLU), "conv(3x3x1→32,relu)"},
 		{&MaxPool{K: 2}, "maxpool(2x2)"},
 		{Flatten{}, "flatten"},
 	} {

@@ -149,10 +149,10 @@ func TestNewNetworkRejectsStacksThatDoNotChain(t *testing.T) {
 			nn.NewNetwork("bad", []int{1, 2, 2}, nn.NewDense(rng, 4, 3, tensor.Softmax))
 		},
 		"conv channels differ from the input's": func() {
-			nn.NewNetwork("bad", []int{1, 8, 8}, nn.NewConv(rng, 3, 4, 3, tensor.ReLU), nn.Flatten{}, nn.NewDense(rng, 144, 2, tensor.Softmax))
+			nn.NewNetwork("bad", []int{1, 8, 8}, nn.NewConvPad(rng, 3, 4, 3, 0, tensor.ReLU), nn.Flatten{}, nn.NewDense(rng, 144, 2, tensor.Softmax))
 		},
 		"filter larger than the plane": func() {
-			nn.NewNetwork("bad", []int{1, 2, 2}, nn.NewConv(rng, 1, 4, 3, tensor.ReLU), nn.Flatten{})
+			nn.NewNetwork("bad", []int{1, 2, 2}, nn.NewConvPad(rng, 1, 4, 3, 0, tensor.ReLU), nn.Flatten{})
 		},
 		"pool window larger than the plane": func() {
 			nn.NewNetwork("bad", []int{1, 7, 7}, &nn.MaxPool{K: 9}, nn.Flatten{})

@@ -23,14 +23,6 @@ type PruneStats struct {
 	FlopsAfter  int64
 }
 
-// Sparsity returns the fraction of zeroed weights.
-func (s PruneStats) Sparsity() float64 {
-	if s.WeightsTotal == 0 {
-		return 0
-	}
-	return float64(s.WeightsZero) / float64(s.WeightsTotal)
-}
-
 // Prune zeroes the smallest-magnitude fraction of every Dense layer's
 // weights in place. Convolutions are left untouched (filter pruning is a
 // different technique). Returns per-network statistics.

@@ -16,7 +16,7 @@ func TestPruneStatsAndFlops(t *testing.T) {
 	if stats.LayersPruned != 3 {
 		t.Fatalf("pruned %d layers, want 3", stats.LayersPruned)
 	}
-	if s := stats.Sparsity(); s < 0.45 || s > 0.55 {
+	if s := float64(stats.WeightsZero) / float64(stats.WeightsTotal); s < 0.45 || s > 0.55 {
 		t.Fatalf("sparsity %.2f, want ≈0.5", s)
 	}
 	if stats.FlopsAfter >= stats.FlopsBefore {

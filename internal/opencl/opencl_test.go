@@ -66,73 +66,59 @@ func TestCreateContextValidation(t *testing.T) {
 	}
 }
 
-func TestBufferCreateAndSizes(t *testing.T) {
-	ctx, _ := CreateContext(NewClDevice(testDevices()[0]))
-	b, err := ctx.CreateBuffer(ReadOnly, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 100 || b.Bytes() != 400 {
-		t.Fatalf("buffer len %d bytes %d", b.Len(), b.Bytes())
-	}
-	if _, err := ctx.CreateBuffer(ReadWrite, 0); err == nil {
-		t.Fatal("zero-size buffer accepted")
-	}
-}
-
+// TestWriteReadBufferRoundTrip runs a real batch on the discrete GPU:
+// the input crosses PCIe before the kernels and the results cross back
+// after them, each transfer charged and in queue order.
 func TestWriteReadBufferRoundTrip(t *testing.T) {
-	dgpu := NewClDevice(device.New(device.NvidiaGTX1080Ti()))
-	ctx, _ := CreateContext(dgpu)
-	q := NewQueue(dgpu)
-	buf, _ := ctx.CreateBuffer(ReadWrite, 4)
-	evW, err := q.EnqueueWriteBuffer(0, buf, []float32{1, 2, 3, 4})
+	rt, err := NewRuntime(device.New(device.NvidiaGTX1080Ti()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evW.Duration() <= 0 {
-		t.Fatal("discrete write should take time")
+	if err := rt.LoadModel(models.Simple().MustBuild(1)); err != nil {
+		t.Fatal(err)
 	}
-	out := make([]float32, 4)
-	evR, err := q.EnqueueReadBuffer(0, buf, out)
+	res, err := rt.Classify("GTX 1080 Ti", "simple", tensor.New(4, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0] != 1 || out[3] != 4 {
-		t.Fatalf("round trip = %v", out)
+	write, read := res.Events[0], res.Events[len(res.Events)-1]
+	if write.Name != "clEnqueueWriteBuffer" || write.Duration() <= 0 {
+		t.Fatalf("first command %s took %v, want a charged write", write.Name, write.Duration())
 	}
-	if evR.Start < evW.End {
-		t.Fatal("in-order queue violated: read started before write ended")
+	if read.Name != "clEnqueueReadBuffer" || read.Duration() <= 0 {
+		t.Fatalf("last command %s took %v, want a charged read", read.Name, read.Duration())
 	}
-	if _, err := q.EnqueueWriteBuffer(0, buf, make([]float32, 5)); err == nil {
-		t.Fatal("oversized write accepted")
+	if read.Start < res.Events[len(res.Events)-2].End {
+		t.Fatal("in-order queue violated: read started before the last kernel ended")
 	}
-	if _, err := q.EnqueueReadBuffer(0, buf, make([]float32, 5)); err == nil {
-		t.Fatal("oversized read accepted")
+	if len(res.Classes) != 4 {
+		t.Fatalf("%d classes read back, want 4", len(res.Classes))
 	}
 }
 
+// TestMapBufferZeroCopyOnUnified: on unified memory the input is mapped
+// for free and nothing is read back (§IV-B).
 func TestMapBufferZeroCopyOnUnified(t *testing.T) {
-	cpu := NewClDevice(device.New(device.IntelCoreI7_8700()))
-	ctx, _ := CreateContext(cpu)
-	buf, _ := ctx.CreateBuffer(ReadOnly, 8)
-	q := NewQueue(cpu)
-	ptr, ev := q.EnqueueMapBuffer(time.Millisecond, buf)
-	if ev.Duration() != 0 {
-		t.Fatalf("unified map took %v, want 0 (§IV-B)", ev.Duration())
-	}
-	ptr[0] = 42
-	out := make([]float32, 8)
-	if _, err := q.EnqueueReadBuffer(time.Millisecond, buf, out); err != nil {
+	rt, err := NewRuntime(testDevices()...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0] != 42 {
-		t.Fatal("map did not alias buffer memory")
+	if err := rt.LoadModel(models.Simple().MustBuild(1)); err != nil {
+		t.Fatal(err)
 	}
-
-	dgpu := NewClDevice(device.New(device.NvidiaGTX1080Ti()))
-	qd := NewQueue(dgpu)
-	if _, ev := qd.EnqueueMapBuffer(0, buf); ev.Duration() <= 0 {
-		t.Fatal("discrete map should cost a transfer")
+	for _, dev := range []string{"i7-8700 CPU", "UHD Graphics 630"} {
+		res, err := rt.Estimate(dev, "simple", 64, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev := res.Events[0]; ev.Name != "clEnqueueMapBuffer" || ev.Duration() != 0 {
+			t.Fatalf("%s: first command %s took %v, want a free map", dev, ev.Name, ev.Duration())
+		}
+		for _, ev := range res.Events {
+			if ev.Name == "clEnqueueReadBuffer" {
+				t.Fatalf("%s: unified memory read its output back", dev)
+			}
+		}
 	}
 }
 

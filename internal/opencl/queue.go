@@ -1,48 +1,10 @@
 package opencl
 
 import (
-	"fmt"
 	"time"
 
 	"bomw/internal/device"
 )
-
-// MemFlag mirrors the cl_mem_flags subset the paper's implementation uses.
-type MemFlag int
-
-const (
-	// ReadWrite buffers hold activations.
-	ReadWrite MemFlag = iota
-	// ReadOnly buffers hold inputs and weights.
-	ReadOnly
-	// WriteOnly buffers hold results.
-	WriteOnly
-)
-
-// Buffer is a device memory object. On unified-memory devices the host
-// slice *is* the device memory (clEnqueueMapBuffer zero-copy, §IV-B); on
-// discrete devices writes and reads cross the PCIe model. Data is staged
-// in a page-locked fashion: the runtime copies into the buffer's backing
-// store once, as the paper copies into page-locked buffers to avoid page
-// swapping during DMA.
-type Buffer struct {
-	Flags MemFlag
-	data  []float32
-}
-
-// CreateBuffer allocates a buffer of n float32 elements.
-func (c *Context) CreateBuffer(flags MemFlag, n int) (*Buffer, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("opencl: buffer size must be positive, got %d", n)
-	}
-	return &Buffer{Flags: flags, data: make([]float32, n)}, nil
-}
-
-// Len returns the buffer length in elements.
-func (b *Buffer) Len() int { return len(b.data) }
-
-// Bytes returns the buffer size in bytes.
-func (b *Buffer) Bytes() int64 { return int64(len(b.data)) * 4 }
 
 // Event records the lifetime of one enqueued command, in the style of
 // clGetEventProfilingInfo (QUEUED / START / END).
@@ -86,9 +48,6 @@ func (q *Queue) Reserve(n int) {
 // Events returns the profiling log of all commands in enqueue order.
 func (q *Queue) Events() []*Event { return q.events }
 
-// Last returns the completion time of the most recent command.
-func (q *Queue) Last() time.Duration { return q.last }
-
 func (q *Queue) push(name string, queued time.Duration, rep device.Report) *Event {
 	var ev *Event
 	if len(q.buf) < cap(q.buf) {
@@ -109,42 +68,6 @@ func (q *Queue) push(name string, queued time.Duration, rep device.Report) *Even
 		q.last = ev.End
 	}
 	return ev
-}
-
-// EnqueueWriteBuffer copies host data into a buffer at virtual time at,
-// charging a PCIe transfer on discrete devices and nothing on unified
-// memory.
-func (q *Queue) EnqueueWriteBuffer(at time.Duration, buf *Buffer, data []float32) (*Event, error) {
-	if len(data) > len(buf.data) {
-		return nil, fmt.Errorf("opencl: write of %d elements into buffer of %d", len(data), len(buf.data))
-	}
-	copy(buf.data, data)
-	rep := q.Dev.Sim.Transfer(max(at, q.last), int64(len(data))*4)
-	return q.push("clEnqueueWriteBuffer", at, rep), nil
-}
-
-// EnqueueReadBuffer copies a buffer back to host memory.
-func (q *Queue) EnqueueReadBuffer(at time.Duration, buf *Buffer, out []float32) (*Event, error) {
-	if len(out) > len(buf.data) {
-		return nil, fmt.Errorf("opencl: read of %d elements from buffer of %d", len(out), len(buf.data))
-	}
-	copy(out, buf.data)
-	rep := q.Dev.Sim.Transfer(max(at, q.last), int64(len(out))*4)
-	return q.push("clEnqueueReadBuffer", at, rep), nil
-}
-
-// EnqueueMapBuffer maps a buffer into host address space. On unified
-// memory this is free (the paper's clEnqueueMapBuffer path); on discrete
-// devices it degenerates to a transfer of the full buffer, as the OpenCL
-// spec requires the mapped region to be coherent.
-func (q *Queue) EnqueueMapBuffer(at time.Duration, buf *Buffer) ([]float32, *Event) {
-	var rep device.Report
-	if q.Dev.UnifiedMemory() {
-		rep = device.Report{Device: q.Dev.Name(), Model: "map", Start: max(at, q.last)}
-	} else {
-		rep = q.Dev.Sim.Transfer(max(at, q.last), buf.Bytes())
-	}
-	return buf.data, q.push("clEnqueueMapBuffer", at, rep)
 }
 
 // EnqueueNDRangeKernel launches a compiled kernel over a batch of n

@@ -27,7 +27,6 @@ type Runtime struct {
 
 	mu       sync.Mutex
 	programs map[string]*Program // model name → compiled pipeline
-	observer func(device.Report)
 	faults   *FaultInjector
 }
 
@@ -45,27 +44,6 @@ func (r *Runtime) FaultInjector() *FaultInjector {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.faults
-}
-
-// SetObserver installs a callback invoked once per executed command with
-// its device report — the hook the power instrumentation (internal/power)
-// uses to build its activity trace. Pass nil to detach.
-func (r *Runtime) SetObserver(fn func(device.Report)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observer = fn
-}
-
-func (r *Runtime) notify(events []*Event) {
-	r.mu.Lock()
-	fn := r.observer
-	r.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	for _, ev := range events {
-		fn(ev.Report)
-	}
 }
 
 // NewRuntime discovers platforms over the simulated devices and prepares
@@ -253,7 +231,6 @@ func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.D
 		span := res.Completed - res.Events[0].Start
 		res.Completed += time.Duration(float64(span) * (spike - 1))
 	}
-	r.notify(res.Events)
 	if in != nil {
 		// The charge above never depends on a computed value, so it is the
 		// same sequence Estimate logs; the math follows it, still under

@@ -9,44 +9,10 @@ import "bomw/internal/device"
 // the discrete GPU entirely.
 type Accountant struct{}
 
-// ComponentsFor names the hardware components charged when executing on a
-// device of the given kind.
-func (Accountant) ComponentsFor(k device.Kind) []string {
-	switch k {
-	case device.CPU:
-		return []string{"cpu-package"}
-	case device.IntegratedGPU:
-		return []string{"cpu-package", "igpu"}
-	case device.DiscreteGPU, device.Accelerator:
-		return []string{"cpu-package", "board"}
-	default:
-		return nil
-	}
-}
-
 // EnergyOf returns the total Joules of a report under the paper's
 // accounting: the device's own energy plus host-assist energy. (The
 // device models already bake this split into their reports; the
 // accountant makes the methodology explicit and testable.)
 func (Accountant) EnergyOf(rep device.Report) float64 {
 	return rep.DeviceEnergyJ + rep.HostEnergyJ
-}
-
-// Efficiency summarises a run for the Fig. 4 metric: Joules per sample
-// and per input bit.
-type Efficiency struct {
-	JoulesPerBatch  float64
-	JoulesPerSample float64
-	JoulesPerBit    float64
-}
-
-// EfficiencyOf computes the Fig. 4 metrics for one report.
-func (a Accountant) EfficiencyOf(rep device.Report, sampleBytes int64) Efficiency {
-	e := a.EnergyOf(rep)
-	bits := float64(rep.Batch) * float64(sampleBytes) * 8
-	return Efficiency{
-		JoulesPerBatch:  e,
-		JoulesPerSample: e / float64(rep.Batch),
-		JoulesPerBit:    e / bits,
-	}
 }

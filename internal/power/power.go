@@ -4,9 +4,10 @@
 //
 // On the paper's testbed the readings come from nvidia-smi (GTX 1080 Ti)
 // and Intel Processor Counter Monitor (CPU package, including the iGPU).
-// Here, the same interfaces are fed by the device models: every simulated
-// execution contributes a (start, end, power) interval to a Recorder, and
-// sampler types expose nvidia-smi-like and PCM-like views over it.
+// Here, the same interfaces are fed by the device models: every execution
+// report a caller records contributes a (start, end, power) interval to a
+// Recorder, and sampler types expose nvidia-smi-like and PCM-like views
+// over it.
 package power
 
 import (
@@ -52,9 +53,6 @@ func (r *Recorder) Register(name string, idleWatts float64) {
 	r.idleWatts[name] = idleWatts
 }
 
-// RegisterProfile registers a device profile.
-func (r *Recorder) RegisterProfile(p device.Profile) { r.Register(p.Name, p.IdleWatts) }
-
 // Record adds an execution report's device activity to the trace.
 func (r *Recorder) Record(rep device.Report) {
 	if rep.Latency <= 0 {
@@ -69,17 +67,6 @@ func (r *Recorder) Record(rep device.Report) {
 		Watts:  rep.DeviceEnergyJ / rep.Latency.Seconds(),
 	})
 	r.sorted[rep.Device] = false
-}
-
-// RecordInterval adds a raw interval (used for host-assist accounting).
-func (r *Recorder) RecordInterval(iv Interval) {
-	if iv.End <= iv.Start {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.intervals[iv.Device] = append(r.intervals[iv.Device], iv)
-	r.sorted[iv.Device] = false
 }
 
 func (r *Recorder) sortLocked(dev string) []Interval {
@@ -138,37 +125,6 @@ func (r *Recorder) EnergyBetween(dev string, t0, t1 time.Duration) float64 {
 	}
 	total += idle * ((t1 - t0) - covered).Seconds()
 	return total
-}
-
-// Devices lists registered device names in sorted order.
-func (r *Recorder) Devices() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.idleWatts))
-	for n := range r.idleWatts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Sample is one power reading, as a monitoring loop would emit.
-type Sample struct {
-	T     time.Duration
-	Watts float64
-}
-
-// Series samples a device's power every period over [t0, t1), like
-// `nvidia-smi --loop-ms` or `pcm 1`.
-func (r *Recorder) Series(dev string, t0, t1, period time.Duration) []Sample {
-	if period <= 0 {
-		panic("power: sampling period must be positive")
-	}
-	var out []Sample
-	for t := t0; t < t1; t += period {
-		out = append(out, Sample{T: t, Watts: r.PowerAt(dev, t)})
-	}
-	return out
 }
 
 // NvidiaSMI mimics the nvidia-smi power-management query interface over a

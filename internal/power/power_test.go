@@ -6,15 +6,24 @@ import (
 	"testing"
 	"time"
 
+	"bomw/internal/core"
 	"bomw/internal/device"
+	"bomw/internal/models"
+	"bomw/internal/opencl"
+	"bomw/internal/trace"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// record adds an execution of dev over [start, end) that drew watts.
+func record(r *Recorder, dev string, start, end time.Duration, watts float64) {
+	r.Record(device.Report{Device: dev, Start: start, Latency: end - start, DeviceEnergyJ: watts * (end - start).Seconds()})
+}
+
 func recorderWithOneInterval() *Recorder {
 	r := NewRecorder()
 	r.Register("gpu", 50)
-	r.RecordInterval(Interval{Device: "gpu", Start: ms(100), End: ms(200), Watts: 200})
+	record(r, "gpu", ms(100), ms(200), 200)
 	return r
 }
 
@@ -53,7 +62,7 @@ func TestEnergyBetweenMixesIdleAndActive(t *testing.T) {
 
 func TestRecordFromDeviceReport(t *testing.T) {
 	r := NewRecorder()
-	r.RegisterProfile(device.NvidiaGTX1080Ti())
+	r.Register(device.NvidiaGTX1080Ti().Name, device.NvidiaGTX1080Ti().IdleWatts)
 	d := device.New(device.NvidiaGTX1080Ti())
 	rep := d.Execute(0, device.Workload{
 		Model: "m", FlopsPerSample: 1e6, SampleBytes: 64, OutputBytes: 8,
@@ -73,38 +82,11 @@ func TestRecordFromDeviceReport(t *testing.T) {
 	r.Record(device.Report{Device: name})
 }
 
-func TestSeriesSampling(t *testing.T) {
-	r := recorderWithOneInterval()
-	s := r.Series("gpu", 0, ms(300), ms(50))
-	if len(s) != 6 {
-		t.Fatalf("series length = %d, want 6", len(s))
-	}
-	if s[0].Watts != 50 || s[3].Watts != 200 {
-		t.Fatalf("series values wrong: %+v", s)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive period did not panic")
-		}
-	}()
-	r.Series("gpu", 0, ms(10), 0)
-}
-
-func TestDevicesSorted(t *testing.T) {
-	r := NewRecorder()
-	r.Register("zeta", 1)
-	r.Register("alpha", 1)
-	got := r.Devices()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("Devices() = %v", got)
-	}
-}
-
 func TestOverlappingIntervalsTakeMax(t *testing.T) {
 	r := NewRecorder()
 	r.Register("d", 10)
-	r.RecordInterval(Interval{Device: "d", Start: 0, End: ms(100), Watts: 50})
-	r.RecordInterval(Interval{Device: "d", Start: ms(50), End: ms(150), Watts: 80})
+	record(r, "d", 0, ms(100), 50)
+	record(r, "d", ms(50), ms(150), 80)
 	if got := r.PowerAt("d", ms(75)); got != 80 {
 		t.Fatalf("overlapping power = %g, want max 80", got)
 	}
@@ -129,8 +111,8 @@ func TestPCMPackageAggregation(t *testing.T) {
 	r := NewRecorder()
 	r.Register("cpu", 8)
 	r.Register("igpu", 2)
-	r.RecordInterval(Interval{Device: "cpu", Start: 0, End: ms(100), Watts: 60})
-	r.RecordInterval(Interval{Device: "igpu", Start: 0, End: ms(100), Watts: 18})
+	record(r, "cpu", 0, time.Second, 60)
+	record(r, "igpu", 0, time.Second, 18)
 	pcm := &PCM{Rec: r, CPU: "cpu", IGPU: "igpu"}
 	if got := pcm.PackagePower(ms(50)); got != 78 {
 		t.Fatalf("PackagePower = %g, want 78", got)
@@ -144,33 +126,110 @@ func TestPCMPackageAggregation(t *testing.T) {
 	}
 }
 
-func TestAccountantComponents(t *testing.T) {
-	var a Accountant
-	if c := a.ComponentsFor(device.CPU); len(c) != 1 || c[0] != "cpu-package" {
-		t.Fatalf("CPU components = %v", c)
-	}
-	if c := a.ComponentsFor(device.IntegratedGPU); len(c) != 2 {
-		t.Fatalf("iGPU components = %v", c)
-	}
-	if c := a.ComponentsFor(device.DiscreteGPU); len(c) != 2 || c[1] != "board" {
-		t.Fatalf("dGPU components = %v (must include the host)", c)
-	}
-	if a.ComponentsFor(device.Kind(99)) != nil {
-		t.Fatal("unknown kind should have no components")
-	}
-}
-
 func TestAccountantEfficiency(t *testing.T) {
 	var a Accountant
 	rep := device.Report{Batch: 100, DeviceEnergyJ: 4, HostEnergyJ: 1, Latency: time.Second}
 	if a.EnergyOf(rep) != 5 {
 		t.Fatalf("EnergyOf = %g, want 5", a.EnergyOf(rep))
 	}
-	eff := a.EfficiencyOf(rep, 125) // 100 samples × 1000 bits
-	if eff.JoulesPerBatch != 5 || eff.JoulesPerSample != 0.05 {
-		t.Fatalf("efficiency = %+v", eff)
+}
+
+// recordResult feeds every command of a runtime result into r, as the
+// paper's nvidia-smi and PCM loops see the device executing them.
+func recordResult(r *Recorder, res *opencl.Result) {
+	for _, ev := range res.Events {
+		r.Record(ev.Report)
 	}
-	if math.Abs(eff.JoulesPerBit-5e-5) > 1e-12 {
-		t.Fatalf("JoulesPerBit = %g", eff.JoulesPerBit)
+}
+
+func TestMonitorRecordsExecutions(t *testing.T) {
+	rt, err := opencl.NewRuntime(
+		device.New(device.IntelCoreI7_8700()),
+		device.New(device.NvidiaGTX1080Ti()),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.LoadModel(models.MnistSmall().MustBuild(1)); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder()
+	for _, d := range rt.Devices() {
+		rec.Register(d.Name(), d.Sim.Profile().IdleWatts)
+	}
+	res, err := rt.Estimate("GTX 1080 Ti", "mnist-small", 8192, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordResult(rec, res)
+	mid := res.Submitted + res.Latency()/2
+	if p := rec.PowerAt("GTX 1080 Ti", mid); p <= device.NvidiaGTX1080Ti().IdleWatts {
+		t.Fatalf("mid-run board power %g should exceed idle", p)
+	}
+	after := res.Completed + time.Second
+	if p := rec.PowerAt("GTX 1080 Ti", after); p != device.NvidiaGTX1080Ti().IdleWatts {
+		t.Fatalf("post-run power %g should be the idle floor", p)
+	}
+	smi := &NvidiaSMI{Rec: rec, Device: "GTX 1080 Ti", Limit: 250}
+	if q := smi.Query(mid); !strings.Contains(q, "/ 250W") {
+		t.Fatalf("smi query = %q", q)
+	}
+	pcm := &PCM{Rec: rec, CPU: "i7-8700 CPU"}
+	if pcm.PackagePower(mid) <= 0 {
+		t.Fatal("PCM should read the CPU idle floor at least")
+	}
+}
+
+func TestMonitorOverSchedulerReplay(t *testing.T) {
+	// End-to-end instrumentation: replay a trace through a scheduler,
+	// record every command it executed, and verify the power trace shows
+	// device activity where executions happened.
+	sched, err := core.New(core.Config{
+		TrainModels: models.PaperModels(),
+		Batches:     []int{8, 8192, 65536},
+		Reps:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.LoadModel(models.MnistSmall(), 1); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder()
+	for _, d := range sched.Runtime().Devices() {
+		rec.Register(d.Name(), d.Sim.Profile().IdleWatts)
+	}
+	tr, err := trace.Poisson(20, 100, []string{"mnist-small"}, []int{8192, 65536}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var makespan time.Duration
+	for _, req := range tr {
+		res, _, err := sched.Estimate(req.Model, req.Batch, core.BestThroughput, req.At)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordResult(rec, res)
+		makespan = max(makespan, res.Completed)
+	}
+	// Some device must have drawn above-idle power during the replay.
+	active := false
+	for _, name := range sched.Devices() {
+		idle := rec.PowerAt(name, makespan+time.Hour)
+		for at := time.Duration(0); at < makespan; at += makespan / 200 {
+			if rec.PowerAt(name, at) > idle+1 {
+				active = true
+			}
+		}
+	}
+	if !active {
+		t.Fatal("recorder saw no device activity over a 20-request replay")
+	}
+	var total float64
+	for _, name := range sched.Devices() {
+		total += rec.EnergyBetween(name, 0, makespan)
+	}
+	if total <= 0 {
+		t.Fatal("integrated energy non-positive")
 	}
 }

@@ -55,19 +55,6 @@ func Collect(pts []characterize.Point, model string) ModelView {
 	return v
 }
 
-// Models lists the distinct model names in first-seen order.
-func Models(pts []characterize.Point) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, p := range pts {
-		if !seen[p.Model] {
-			seen[p.Model] = true
-			out = append(out, p.Model)
-		}
-	}
-	return out
-}
-
 // Fig3Table renders one model's throughput/power/latency table.
 func Fig3Table(v ModelView) string {
 	var b strings.Builder

@@ -57,13 +57,6 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-func TestModels(t *testing.T) {
-	got := Models(samplePoints())
-	if len(got) != 2 || got[0] != "m1" || got[1] != "m2" {
-		t.Fatalf("Models = %v", got)
-	}
-}
-
 func TestFig3Table(t *testing.T) {
 	out := Fig3Table(Collect(samplePoints(), "m1"))
 	for _, want := range []string{"--- m1 ---", "gpu (idle)", "gpu (warm)", "Gbit/s", "3.000", "80.0"} {

@@ -143,15 +143,6 @@ func (p *Pool) perGroup(items, tile int) int {
 	return max(p.groupSize/items/tile, 1) * tile
 }
 
-// ForEach executes fn(i) for every i in [0, n) using For.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	p.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // Serial is a pool that always runs inline; useful for tests and for
 // modelling a single compute unit.
 var Serial = &Pool{workers: 1, groupSize: 1 << 30}

@@ -58,15 +58,6 @@ func TestForSingleGroupRunsInline(t *testing.T) {
 	}
 }
 
-func TestForEachVisitsAll(t *testing.T) {
-	p := NewPool(4, 8)
-	var sum int64
-	p.ForEach(101, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	if sum != 101*100/2 {
-		t.Fatalf("ForEach sum = %d, want %d", sum, 101*100/2)
-	}
-}
-
 func TestSerialPoolInline(t *testing.T) {
 	if Serial.Workers() != 1 {
 		t.Fatal("Serial should have one worker")

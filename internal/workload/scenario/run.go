@@ -29,22 +29,6 @@ func Run(b Backend, p Params) (Report, error) {
 	return Report{}, fmt.Errorf("scenario: unknown scenario kind %q", p.Kind)
 }
 
-// RunAll executes every scenario (in Kinds order) with shared base
-// parameters, filling in each scenario's Kind.
-func RunAll(b Backend, base Params) ([]Report, error) {
-	var out []Report
-	for _, k := range Kinds() {
-		p := base
-		p.Kind = k
-		r, err := Run(b, p)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", k, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // runStream is SingleStream and MultiStream: issue one query of p.Batch
 // samples, wait for it, issue the next. The virtual clock advances to
 // each completion, so latency is pure service time — no queueing by

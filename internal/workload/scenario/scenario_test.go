@@ -131,14 +131,20 @@ func TestRunAllScenariosVirtual(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			reports, err := RunAll(tc.b, baseParams())
-			if err != nil {
-				t.Fatal(err)
+			byKind := map[string]Report{}
+			for _, k := range Kinds() {
+				p := baseParams()
+				p.Kind = k
+				r, err := Run(tc.b, p)
+				if err != nil {
+					t.Fatalf("%s: %v", k, err)
+				}
+				byKind[r.Scenario] = r
 			}
-			if len(reports) != len(Kinds()) {
-				t.Fatalf("got %d reports, want %d", len(reports), len(Kinds()))
+			if len(byKind) != len(Kinds()) {
+				t.Fatalf("got %d reports, want %d", len(byKind), len(Kinds()))
 			}
-			for _, r := range reports {
+			for _, r := range byKind {
 				if r.Target != tc.b.Name() {
 					t.Errorf("%s: target %q, want %q", r.Scenario, r.Target, tc.b.Name())
 				}
@@ -152,10 +158,6 @@ func TestRunAllScenariosVirtual(t *testing.T) {
 				if l.P50US <= 0 || r.MakespanUS <= 0 || r.SamplesPerS <= 0 || r.EnergyJ <= 0 {
 					t.Errorf("%s: degenerate report: %+v", r.Scenario, r)
 				}
-			}
-			byKind := map[string]Report{}
-			for _, r := range reports {
-				byKind[r.Scenario] = r
 			}
 			// Offline batches 64 samples per query; it must move samples
 			// faster than one-at-a-time SingleStream.
