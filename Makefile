@@ -68,9 +68,11 @@ stepped:
 
 BENCHTIME ?= 2s
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkNewScheduler|BenchmarkLoadPaperModels' -benchtime=$(BENCHTIME) ./internal/core/
-	$(GO) test -run=NONE -bench=BenchmarkBuildDataset -benchtime=$(BENCHTIME) ./internal/characterize/
-	$(GO) test -run=NONE -bench=BenchmarkForestFit -benchtime=$(BENCHTIME) ./internal/mlsched/
+	# The cold-start benchmarks at one CPU (lib_simple_burst sets up on one)
+	# and two (the HTTP workloads do).
+	$(GO) test -run=NONE -bench='BenchmarkNewScheduler|BenchmarkLoadPaperModels' -cpu 1,2 -benchtime=$(BENCHTIME) ./internal/core/
+	$(GO) test -run=NONE -bench=BenchmarkBuildDataset -cpu 1,2 -benchtime=$(BENCHTIME) ./internal/characterize/
+	$(GO) test -run=NONE -bench=BenchmarkForestFit -cpu 1,2 -benchtime=$(BENCHTIME) ./internal/mlsched/
 	$(GO) test -run=NONE -bench=BenchmarkPipelineServe -benchtime=$(BENCHTIME) ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkClusterServe -benchtime=$(BENCHTIME) ./internal/cluster/
 	$(GO) test -run=NONE -bench='Conv|MaxPool2D|Linear|Forward' -benchtime=$(BENCHTIME) ./internal/tensor/

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"bomw/internal/device"
@@ -300,13 +302,23 @@ func TestSweeperChargesTheKernelsOfTheBuiltNetwork(t *testing.T) {
 // per measurement): characterising from shapes must not move one of
 // its 1512 × (9 + 3) numbers.
 func TestDatasetIsTheOneBuiltNetworksGave(t *testing.T) {
-	for seed, want := range map[int64]string{
-		1: "1460c34892ed90d3262109751b0a4c786e427184ef5ec7ba31448bfda37540ea",
-		2: "8ed7ddbe1360c6f7b786d899baf2b648e0b7ad80876d517cdc5ea4e75a0802be",
-		3: "84036a7078d96a5753866be9ac738b8b11961e18b4881bb71049760559b4c0dc",
+	for _, tc := range []struct {
+		procs int
+		seed  int64
+		want  string
+	}{
+		{1, 1, "1460c34892ed90d3262109751b0a4c786e427184ef5ec7ba31448bfda37540ea"},
+		{1, 2, "8ed7ddbe1360c6f7b786d899baf2b648e0b7ad80876d517cdc5ea4e75a0802be"},
+		{1, 3, "84036a7078d96a5753866be9ac738b8b11961e18b4881bb71049760559b4c0dc"},
+		{4, 1, "1460c34892ed90d3262109751b0a4c786e427184ef5ec7ba31448bfda37540ea"},
+		{4, 2, "8ed7ddbe1360c6f7b786d899baf2b648e0b7ad80876d517cdc5ea4e75a0802be"},
+		{4, 3, "84036a7078d96a5753866be9ac738b8b11961e18b4881bb71049760559b4c0dc"},
 	} {
+		seed, want := tc.seed, tc.want
 		s := &Sweeper{Profiles: device.DefaultProfiles(), Noise: 0.12, Seed: seed}
+		prev := runtime.GOMAXPROCS(tc.procs)
 		set, err := s.BuildDataset(models.AllModels(), PaperBatches(), 2)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,8 +337,26 @@ func TestDatasetIsTheOneBuiltNetworksGave(t *testing.T) {
 			}
 		}
 		if got := fmt.Sprintf("%x", h.Sum(nil)); set.Len() != 1512 || got != want {
-			t.Errorf("seed %d: %d rows hashing to %s, want 1512 rows and %s", seed, set.Len(), got, want)
+			t.Errorf("GOMAXPROCS %d, seed %d: %d rows hashing to %s, want 1512 rows and %s", tc.procs, seed, set.Len(), got, want)
 		}
+	}
+}
+
+// A spec that fails to compile is BuildDataset's error — the first one
+// in configuration order, whichever worker met which first — and no
+// half-measured row is labelled or returned.
+func TestBuildDatasetReturnsTheFirstErrorInConfigurationOrder(t *testing.T) {
+	good := models.AllModels()
+	specs := []*nn.Spec{good[0], {Name: "broken-first", Kind: nn.FFNN, InputShape: []int{4}}, good[1], {Name: "broken-second", Kind: nn.FFNN, InputShape: []int{4}}}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for i := 0; i < 10; i++ {
+			set, err := NewSweeper().BuildDataset(specs, []int{2, 64}, 2)
+			if set != nil || err == nil || !strings.Contains(err.Error(), "broken-first") {
+				t.Errorf("GOMAXPROCS %d: BuildDataset = %v, %v; want no set and broken-first's error", procs, set, err)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

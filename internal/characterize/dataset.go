@@ -2,6 +2,10 @@ package characterize
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"bomw/internal/device"
 	"bomw/internal/nn"
@@ -99,6 +103,11 @@ func (s *LabeledSet) ClassShares(o Objective) []float64 {
 // best device per policy. With the 21 training architectures, the paper's
 // batch grid and reps = 2 this lands at ≈1500 samples, matching the
 // paper's augmented dataset size (§V-B).
+//
+// GOMAXPROCS workers measure the configurations; the rows are appended
+// in configuration order afterwards. Each measurement seeds its noise
+// from its own configuration, so the set does not depend on which worker
+// measured what, and an error is the first in configuration order.
 func (s *Sweeper) BuildDataset(specs []*nn.Spec, batches []int, reps int) (*LabeledSet, error) {
 	if reps <= 0 {
 		reps = 1
@@ -111,29 +120,61 @@ func (s *Sweeper) BuildDataset(specs []*nn.Spec, batches []int, reps int) (*Labe
 		set.Devices = append(set.Devices, p.Name)
 		set.Kinds = append(set.Kinds, p.Kind)
 	}
+	type config struct {
+		spec  *nn.Spec
+		batch int
+		warm  bool
+		rep   int
+	}
+	var configs []config
 	for _, spec := range specs {
-		desc := spec.Descriptor()
 		for _, batch := range batches {
 			for _, warm := range []bool{false, true} {
 				for rep := 0; rep < reps; rep++ {
-					pts := make([]Point, len(s.Profiles))
-					for di, prof := range s.Profiles {
-						gpuWarm := warm && prof.HasBoost
-						p, err := s.Measure(spec, prof, batch, gpuWarm, rep)
-						if err != nil {
-							return nil, err
-						}
-						pts[di] = p
+					configs = append(configs, config{spec, batch, warm, rep})
+				}
+			}
+		}
+	}
+
+	objectives := Objectives()
+	labels := make([]int, len(configs)*len(objectives)) // labels[i*len(objectives)+k]: config i's best device for objective k
+	errs := make([]error, len(configs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(configs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(0)) // re-seeded per measurement
+			pts := make([]Point, len(s.Profiles))
+			for i := int(next.Add(1) - 1); i < len(configs); i = int(next.Add(1) - 1) {
+				c := configs[i]
+				for di, prof := range s.Profiles {
+					if pts[di], errs[i] = s.measure(c.spec, prof, c.batch, c.warm && prof.HasBoost, c.rep, rng); errs[i] != nil {
+						break
 					}
-					set.X = append(set.X, Features(desc, batch, warm))
-					set.Models = append(set.Models, spec.Name)
-					set.Batches = append(set.Batches, batch)
-					set.GPUWarm = append(set.GPUWarm, warm)
-					for _, o := range Objectives() {
-						set.Y[o] = append(set.Y[o], bestDevice(pts, o))
+				}
+				if errs[i] == nil {
+					for k, o := range objectives {
+						labels[i*len(objectives)+k] = bestDevice(pts, o)
 					}
 				}
 			}
+		}()
+	}
+	wg.Wait()
+
+	for i, c := range configs {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		set.X = append(set.X, Features(c.spec.Descriptor(), c.batch, c.warm))
+		set.Models = append(set.Models, c.spec.Name)
+		set.Batches = append(set.Batches, c.batch)
+		set.GPUWarm = append(set.GPUWarm, c.warm)
+		for k, o := range objectives {
+			set.Y[o] = append(set.Y[o], labels[i*len(objectives)+k])
 		}
 	}
 	return set, nil

@@ -98,6 +98,13 @@ const steadyRuns = 3
 // point. Each call uses fresh devices, matching the paper's methodology
 // of controlled per-configuration measurements.
 func (s *Sweeper) Measure(spec *nn.Spec, prof device.Profile, batch int, gpuWarm bool, rep int) (Point, error) {
+	return s.measure(spec, prof, batch, gpuWarm, rep, nil)
+}
+
+// measure is Measure drawing its noise from rng, re-seeded for the
+// configuration (the stream rand.NewSource would start); a nil rng is a
+// fresh one. A sweep worker passes the one it keeps.
+func (s *Sweeper) measure(spec *nn.Spec, prof device.Profile, batch int, gpuWarm bool, rep int, rng *rand.Rand) (Point, error) {
 	prog, err := s.programFor(spec)
 	if err != nil {
 		return Point{}, err
@@ -133,7 +140,12 @@ func (s *Sweeper) Measure(spec *nn.Spec, prof device.Profile, batch int, gpuWarm
 	steady := last.Latency()
 	energy := first.EnergyJ
 	if s.Noise > 0 {
-		rng := rand.New(rand.NewSource(s.Seed ^ hashConfig(spec.Name, prof.Name, batch, gpuWarm, rep)))
+		seed := s.Seed ^ hashConfig(spec.Name, prof.Name, batch, gpuWarm, rep)
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed)
+		}
 		latency = jitterDuration(rng, latency, s.Noise)
 		steady = jitterDuration(rng, steady, s.Noise)
 		energy *= jitterFactor(rng, s.Noise)

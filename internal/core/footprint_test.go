@@ -7,8 +7,10 @@ import (
 	"runtime"
 	"testing"
 
+	"bomw/internal/device"
 	"bomw/internal/models"
 	"bomw/internal/nn"
+	"bomw/internal/opencl"
 	"bomw/internal/tensor"
 )
 
@@ -72,6 +74,36 @@ func TestDefaultSchedulerStateIsByteIdentical(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(state.Bytes())); got != want {
 			t.Errorf("seed %d: SaveState hashes to %s (%d bytes), want %s", seed, got, state.Len(), want)
+		}
+	}
+}
+
+// The weights LoadModel draws for the five paper models with seed 1,
+// hashed at the commit before NewDense and NewConvPad stopped calling
+// rand.Float32 per weight: drawing them inline must not move one bit.
+func TestPaperModelWeightsAreByteIdentical(t *testing.T) {
+	want := map[string]string{
+		"simple":      "aa7b48f7d9678e73879b36d7f754cbeddaaeb8c86b66eb005ba5b3c12e1834e3",
+		"mnist-small": "702738f9c2a2c0f8c8128de15135b3945768428c57b89bc5d860100e7b164b23",
+		"mnist-deep":  "096583285c1d085e88b8a6d4c85de03b9585ae805fa7d9362b41141959fd2755",
+		"mnist-cnn":   "2eca90a2103bf62a813d154c80624eb88ed49ceae921b30a4da84d2417faf817",
+		"cifar-10":    "ea86b244c775ed0e1a2ecbc3035e9fa6ed587d4f45043a6a0d276136a50068f1",
+	}
+	rt, err := opencl.NewRuntime(device.New(device.DefaultProfiles()[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(rt)
+	for _, spec := range models.PaperModels() {
+		if _, err := d.Load(spec, 1); err != nil {
+			t.Fatal(err)
+		}
+		w, err := d.WeightBytes(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(w)); got != want[spec.Name] {
+			t.Errorf("%s: weights hash to %s, want %s", spec.Name, got, want[spec.Name])
 		}
 	}
 }

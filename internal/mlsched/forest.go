@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ForestConfig holds the random-forest hyperparameters of Table I.
@@ -64,8 +65,11 @@ func (f *Forest) Name() string { return "Random Forest" }
 func (f *Forest) Trees() int { return len(f.trees) }
 
 // Fit implements Classifier: each tree trains on a bootstrap resample of
-// the data with feature subsampling at every split. Trees train in
-// parallel, mirroring the paper's parallelised fold training (§V-C).
+// the data with feature subsampling at every split. The data is sorted
+// once for every tree, and GOMAXPROCS workers grow the trees, mirroring
+// the paper's parallelised fold training (§V-C). Tree t's resample and
+// subsampling draws come from seeds that depend on t alone, so which
+// worker grows it changes nothing.
 func (f *Forest) Fit(X [][]float64, y []int) error {
 	classes, err := validateXY(X, y)
 	if err != nil {
@@ -78,44 +82,38 @@ func (f *Forest) Fit(X [][]float64, y []int) error {
 		maxFeat = 0
 	}
 
+	set := newTrainingSet(X, y)
 	f.trees = make([]*Tree, f.cfg.NEstimators)
-	var firstErr error
-	var mu sync.Mutex
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < f.cfg.NEstimators; t++ {
+	for w := min(runtime.GOMAXPROCS(0), len(f.trees)); w > 0; w-- {
 		wg.Add(1)
-		go func(t int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(f.cfg.Seed + int64(t)*7919))
-			bx := make([][]float64, n)
-			by := make([]int, n)
-			for i := 0; i < n; i++ {
-				j := rng.Intn(n)
-				bx[i], by[i] = X[j], y[j]
-			}
-			tree := NewTree(TreeConfig{
-				MaxDepth:       f.cfg.MaxDepth,
-				Criterion:      f.cfg.Criterion,
-				MinSamplesLeaf: f.cfg.MinSamplesLeaf,
-				MaxFeatures:    maxFeat,
-				Seed:           f.cfg.Seed + int64(t)*104729,
-			})
-			if err := tree.Fit(bx, by); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			mult := make([]int32, n) // mult[j]: how often the resample drew row j
+			for t := int(next.Add(1) - 1); t < len(f.trees); t = int(next.Add(1) - 1) {
+				clear(mult)
+				rng := rand.New(rand.NewSource(f.cfg.Seed + int64(t)*7919))
+				treeClasses := 0
+				for range n {
+					j := rng.Intn(n)
+					mult[j]++
+					treeClasses = max(treeClasses, y[j]+1)
 				}
-				mu.Unlock()
-				return
+				tree := NewTree(TreeConfig{
+					MaxDepth:       f.cfg.MaxDepth,
+					Criterion:      f.cfg.Criterion,
+					MinSamplesLeaf: f.cfg.MinSamplesLeaf,
+					MaxFeatures:    maxFeat,
+					Seed:           f.cfg.Seed + int64(t)*104729,
+				})
+				tree.fit(set, mult, treeClasses)
+				f.trees[t] = tree
 			}
-			f.trees[t] = tree
-		}(t)
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // Predict implements Classifier by majority vote.

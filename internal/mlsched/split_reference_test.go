@@ -189,7 +189,11 @@ func TestBestSplitMatchesTheSortPerNodeReference(t *testing.T) {
 
 		tree := NewTree(cfg)
 		tree.classes = classes
-		f, thr, gain, ok := newGrower(tree, X, y).bestSplit(0, len(X), counts)
+		once := make([]int32, len(X))
+		for i := range once {
+			once[i] = 1
+		}
+		f, thr, gain, ok := newGrower(tree, newTrainingSet(X, y), once, len(X)).bestSplit(0, len(X), counts)
 
 		if f != rf || ok != rok || math.Float64bits(thr) != math.Float64bits(rthr) || math.Float64bits(gain) != math.Float64bits(rgain) {
 			t.Fatalf("trial %d (%d×%d, %+v): split (%d, %v, %v, %v), reference (%d, %v, %v, %v)",
@@ -228,6 +232,98 @@ func TestFitMatchesTheSortPerNodeReferenceToTheByte(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("trial %d (%d×%d, %+v): tree %v differs from the reference's %v", trial, len(X), len(X[0]), cfg, tree, ref)
 		}
+	}
+}
+
+// referenceForestFit is the forest fit before the training set was
+// sorted once per forest: each tree materialises its bootstrap resample
+// as rows and fits it with Tree.Fit, which sorts the resample itself.
+func referenceForestFit(f *Forest, X [][]float64, y []int) error {
+	classes, err := validateXY(X, y)
+	if err != nil {
+		return err
+	}
+	f.classes = classes
+	n := len(X)
+	maxFeat := int(math.Ceil(math.Sqrt(float64(len(X[0])))))
+	if f.AllFeatures {
+		maxFeat = 0
+	}
+	f.trees = make([]*Tree, f.cfg.NEstimators)
+	for t := range f.trees {
+		rng := rand.New(rand.NewSource(f.cfg.Seed + int64(t)*7919))
+		bx, by := make([][]float64, n), make([]int, n)
+		for i := range bx {
+			j := rng.Intn(n)
+			bx[i], by[i] = X[j], y[j]
+		}
+		tree := NewTree(TreeConfig{
+			MaxDepth:       f.cfg.MaxDepth,
+			Criterion:      f.cfg.Criterion,
+			MinSamplesLeaf: f.cfg.MinSamplesLeaf,
+			MaxFeatures:    maxFeat,
+			Seed:           f.cfg.Seed + int64(t)*104729,
+		})
+		if err := tree.Fit(bx, by); err != nil {
+			return err
+		}
+		f.trees[t] = tree
+	}
+	return nil
+}
+
+// Forest.Fit grows every tree from the one sorted training set and the
+// tree's row multiplicities; the reference materialises each resample.
+// Tie-heavy sets, both subsampling settings, and a set whose highest
+// class sits on one row, so that some bootstraps miss it and their trees
+// have fewer classes than the forest.
+func TestForestFitMatchesTreesFitOnTheMaterialisedResample(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	missed := 0
+	for trial := 0; trial < 60; trial++ {
+		X, y := tiedDataset(rng)
+		if trial%3 == 0 { // the highest class on one row only
+			top := 0
+			for _, c := range y {
+				top = max(top, c)
+			}
+			y[rng.Intn(len(y))] = top + 1
+		}
+		cfg := ForestConfig{
+			NEstimators:    1 + rng.Intn(12),
+			MaxDepth:       1 + rng.Intn(12),
+			Criterion:      Criterion(rng.Intn(2)),
+			MinSamplesLeaf: 1 + rng.Intn(5),
+			Seed:           rng.Int63(),
+		}
+		for _, all := range []bool{false, true} {
+			got, want := NewForest(cfg), NewForest(cfg)
+			got.AllFeatures, want.AllFeatures = all, all
+			if err := got.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+			if err := referenceForestFit(want, X, y); err != nil {
+				t.Fatal(err)
+			}
+			var gb, wb bytes.Buffer
+			if err := got.Serialize(&gb); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Serialize(&wb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Fatalf("trial %d (%d×%d, %+v, AllFeatures %v): forest differs from the materialised resamples'", trial, len(X), len(X[0]), cfg, all)
+			}
+			for _, tree := range got.trees {
+				if tree.classes < got.classes {
+					missed++
+				}
+			}
+		}
+	}
+	if missed == 0 {
+		t.Fatal("no bootstrap missed the highest class: the case is not exercised")
 	}
 }
 

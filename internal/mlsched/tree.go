@@ -92,11 +92,25 @@ func (t *Tree) Fit(X [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	t.classes = classes
-	t.importance = make([]float64, len(X[0]))
-	t.nSamples = len(X)
-	t.root = newGrower(t, X, y).grow(0, len(X), 0)
+	once := make([]int32, len(X))
+	for i := range once {
+		once[i] = 1
+	}
+	t.fit(newTrainingSet(X, y), once, classes)
 	return nil
+}
+
+// fit grows the tree over the resample of set in which row j appears
+// mult[j] times; classes is the resample's largest label + 1.
+func (t *Tree) fit(set *trainingSet, mult []int32, classes int) {
+	n := 0
+	for _, m := range mult {
+		n += int(m)
+	}
+	t.classes = classes
+	t.importance = make([]float64, len(set.cols))
+	t.nSamples = n
+	t.root = newGrower(t, set, mult, n).grow(0, n, 0)
 }
 
 // FeatureImportance returns the normalised mean-decrease-in-impurity per
@@ -135,59 +149,89 @@ func (r *splitRNG) next() uint64 {
 
 func (r *splitRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// A grower holds one tree's training set the way the split search reads
-// it: feature columns, and per feature the sample indices in ascending
-// order of that feature. Each feature is sorted once, in newGrower; a
+// A trainingSet is X and y the way the split search reads them: feature
+// columns, and per feature the rows in ascending order of that feature.
+// It is sorted once, in newTrainingSet, however many trees grow from it,
+// and only read after that.
+type trainingSet struct {
+	y     []int
+	cols  [][]float64 // cols[f][j] is feature f of row j
+	order [][]int32   // order[f] lists the rows in ascending cols[f]
+}
+
+func newTrainingSet(X [][]float64, y []int) *trainingSet {
+	n, nFeatures := len(X), len(X[0])
+	s := &trainingSet{y: y, cols: make([][]float64, nFeatures), order: make([][]int32, nFeatures)}
+	cols := make([]float64, nFeatures*n)
+	order := make([]int32, nFeatures*n)
+	for f := range s.cols {
+		col, ord := cols[f*n:(f+1)*n], order[f*n:(f+1)*n]
+		for j, row := range X {
+			col[j] = row[f]
+			ord[j] = int32(j)
+		}
+		slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		s.cols[f], s.order[f] = col, ord
+	}
+	return s
+}
+
+// A grower holds one tree's resample of a trainingSet the way the split
+// search reads it: per feature, the resample's rows in ascending order of
+// that feature, a row drawn k times listed k times. newGrower derives
+// them from the set's orders in one pass per feature, without sorting. A
 // node owns the same segment [lo, hi) of every order, and applying a
 // split partitions each segment stably, so a child's segments are sorted
-// without sorting again.
+// without sorting again. The copies of a row have equal values, so a
+// split sends them all to one side.
 //
-// The order among equal values is whatever the one sort left, and no
-// result depends on it: a threshold is a candidate only between two
+// The order among equal values is whatever the set's one sort left, and
+// no result depends on it: a threshold is a candidate only between two
 // adjacent values that differ, every sample with the smaller value is
 // then on its left, and a gain is computed from the integer class counts
 // of the two sides. The search therefore picks what a fresh sort per
 // node and feature picks, to the bit.
 type grower struct {
 	t     *Tree
-	y     []int
-	cols  [][]float64 // cols[f][i] is feature f of sample i
-	order [][]int32   // order[f] lists the samples in ascending cols[f], node by node
+	y     []int       // the set's
+	cols  [][]float64 // the set's
+	order [][]int32   // order[f] lists the resample's rows in ascending cols[f], node by node
 	rng   *splitRNG
 
 	// Scratch, reused by every node: a node is done with it before its
 	// children run.
-	goesLeft    []bool // per sample, under the split being applied
+	goesLeft    []bool // per row, under the split being applied
 	moved       []int32
 	features    []int
 	leftCounts  []int
 	rightCounts []int
 }
 
-func newGrower(t *Tree, X [][]float64, y []int) *grower {
-	n, nFeatures := len(X), len(X[0])
+// newGrower prepares t's search over the resample of set in which row j
+// appears mult[j] times, n rows in all.
+func newGrower(t *Tree, set *trainingSet, mult []int32, n int) *grower {
+	nFeatures := len(set.cols)
 	g := &grower{
 		t:           t,
-		y:           y,
-		cols:        make([][]float64, nFeatures),
+		y:           set.y,
+		cols:        set.cols,
 		order:       make([][]int32, nFeatures),
 		rng:         newSplitRNG(t.cfg.Seed),
-		goesLeft:    make([]bool, n),
+		goesLeft:    make([]bool, len(mult)),
 		moved:       make([]int32, n),
 		features:    make([]int, nFeatures),
 		leftCounts:  make([]int, t.classes),
 		rightCounts: make([]int, t.classes),
 	}
-	cols := make([]float64, nFeatures*n)
 	order := make([]int32, nFeatures*n)
-	for f := range g.cols {
-		col, ord := cols[f*n:(f+1)*n], order[f*n:(f+1)*n]
-		for i, row := range X {
-			col[i] = row[f]
-			ord[i] = int32(i)
+	for f, rows := range set.order {
+		ord := order[f*n : f*n : (f+1)*n]
+		for _, j := range rows {
+			for k := mult[j]; k > 0; k-- {
+				ord = append(ord, j)
+			}
 		}
-		slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
-		g.cols[f], g.order[f] = col, ord
+		g.order[f] = ord
 	}
 	return g
 }

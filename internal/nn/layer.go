@@ -55,12 +55,28 @@ type Dense struct {
 // from rng.
 func NewDense(rng *rand.Rand, in, out int, act tensor.Activation) *Dense {
 	w := tensor.New(out, in)
-	limit := float32(math.Sqrt(6 / float64(in+out)))
-	d := w.Data()
-	for i := range d {
-		d[i] = (rng.Float32()*2 - 1) * limit
-	}
+	drawUniform(rng, w.Data(), float32(math.Sqrt(6/float64(in+out))))
 	return &Dense{W: w, B: tensor.New(out), Act: act}
+}
+
+// drawUniform sets every d[i] to (rng.Float32()*2 - 1) * limit. It is
+// math/rand's Float32 spelled out over rng.Int63 — the same draws and the
+// same two retries, so a seed gives the weights it always gave — without
+// the two calls Float32 and Float64 cost per weight.
+func drawUniform(rng *rand.Rand, d []float32, limit float32) {
+	for i := range d {
+		var f float32
+		for {
+			f64 := float64(rng.Int63()) / (1 << 63)
+			if f64 == 1 { // Float64 draws again
+				continue
+			}
+			if f = float32(f64); f != 1 { // and so does Float32
+				break
+			}
+		}
+		d[i] = (f*2 - 1) * limit
+	}
 }
 
 // In returns the layer fan-in.
@@ -127,11 +143,7 @@ type Conv struct {
 // for a valid convolution) and He-uniform weights drawn from rng.
 func NewConvPad(rng *rand.Rand, inC, outC, k, pad int, act tensor.Activation) *Conv {
 	f := tensor.New(outC, inC, k, k)
-	limit := float32(math.Sqrt(6 / float64(inC*k*k)))
-	d := f.Data()
-	for i := range d {
-		d[i] = (rng.Float32()*2 - 1) * limit
-	}
+	drawUniform(rng, f.Data(), float32(math.Sqrt(6/float64(inC*k*k))))
 	return &Conv{Filters: f, Bias: tensor.New(outC), Act: act, Pad: pad}
 }
 
