@@ -62,8 +62,10 @@ race:
 # retry backoff, recovery prober, node hedge — and the accounting
 # identities, each driven by stepping a core.ManualClock. They neither
 # sleep nor poll, so a failure here is an ordering bug, not a slow host.
+# The admission path rides along: one key filling every admission slot,
+# and the future contract over shed and closed-pipeline submits.
 stepped:
-	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestPipelineHedgeCompletesOnBackupDevice' ./internal/core/
+	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestPipelineHedgeCompletesOnBackupDevice|TestOneKeyFillsEveryAdmissionSlot|TestFutureContract' ./internal/core/
 	$(GO) test -race -count=50 -run 'TestClusterHedgeReactive' ./internal/cluster/
 
 BENCHTIME ?= 2s

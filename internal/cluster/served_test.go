@@ -143,7 +143,7 @@ func TestServedBurstAllocations(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		burst() // warm the pools, the decision cache and the shard's timer
+		burst() // warm the pools, the decision cache and the batching loop's timer
 	}
 	n := testing.AllocsPerRun(20, burst)
 	t.Logf("a burst of 64 allocates %.0f objects", n)

@@ -145,13 +145,17 @@ func (s *Scheduler) Observe(dec Decision, res *opencl.Result) error {
 	if len(res.Events) == 0 {
 		return fmt.Errorf("core: Observe needs a result with profiling events (device %s, model %s)", res.Device, res.Model)
 	}
-	shadow, err := s.shadowExpect(dec)
+	// The uncontended expectation reads through the memoised shadow-cost
+	// table (deadline.go): Observe runs once per served batch, and
+	// rebuilding a shadow runtime per call would dominate the pipeline's
+	// completion path.
+	shadow, err := s.shadowCost(dec.Device, dec.Model, dec.Batch, 0)
 	if err != nil {
 		return err
 	}
 	// Exclude queueing: interference shows in execution, not arrival.
 	observed := res.Completed - res.Events[0].Start
-	s.monitor().observe(dec.Device, shadow, observed)
+	s.monitor().observe(dec.Device, shadow.latency, observed)
 	return nil
 }
 
@@ -207,24 +211,6 @@ func (s *Scheduler) ProbeQuarantined(now time.Duration) []string {
 	}
 	sort.Strings(readmitted)
 	return readmitted
-}
-
-// shadowRequest converts a decision back into the request it served.
-func shadowRequest(dec Decision) shadowReq {
-	return shadowReq{Model: dec.Model, Batch: dec.Batch, At: 0}
-}
-
-// shadowExpect returns the uncontended expected latency for a decision.
-// It reads through the memoised shadow-cost table (deadline.go): Observe
-// runs once per served batch, and rebuilding a shadow runtime per call
-// would dominate the pipeline's completion path.
-func (s *Scheduler) shadowExpect(dec Decision) (time.Duration, error) {
-	req := shadowRequest(dec)
-	c, err := s.shadowCost(dec.Device, req.Model, req.Batch, req.At)
-	if err != nil {
-		return 0, err
-	}
-	return c.latency, nil
 }
 
 // DeviceHealth reports the monitor's current slowdown estimate and

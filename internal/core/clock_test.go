@@ -80,23 +80,23 @@ func TestManualClockFiresInDeadlineOrder(t *testing.T) {
 // TestSteppedWindowFlush: the batching window is measured from the
 // aggregate's arrival stamp on the pipeline clock. A held aggregate
 // flushes when its oldest request has waited exactly Window — not a
-// nanosecond earlier — and the shard's one timer re-arms for the next
-// open aggregate, whose request was stamped at Submit (it carries an
-// SLO) however much later the shard got to it.
+// nanosecond earlier — and the batching loop's one timer re-arms for the
+// next open aggregate, whose request was stamped at Submit (it carries an
+// SLO) however much later the loop got to it.
 func TestSteppedWindowFlush(t *testing.T) {
 	const window = 2 * time.Millisecond
 	ctx := context.Background()
 	clk := NewManualClock()
-	p := NewPipeline(testScheduler(t), PipelineConfig{HoldWindow: true, Window: window, AdmitShards: 1, ProbeInterval: -1, Clock: clk})
+	p := NewPipeline(testScheduler(t), PipelineConfig{HoldWindow: true, Window: window, ProbeInterval: -1, Clock: clk})
 	defer p.Close()
 	clk.Advance(7 * time.Millisecond) // t0 is not the origin: a window counted from anywhere else shows
 	first, err := p.Submit(ctx, PipelineRequest{Model: "simple", Policy: LowestLatency, Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.BlockUntil(1) // the shard has stamped the request t0 and armed its wake
+	clk.BlockUntil(1) // the loop has stamped the request t0 and armed its wake
 	clk.Advance(window / 2)
-	// A second key on the same shard, half a window younger.
+	// A second key, half a window younger.
 	second, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: LowestLatency, Batch: 1, Deadline: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,6 @@ func steppedIdentities(s *Scheduler, fi *opencl.FaultInjector, seed int64, realI
 		HoldWindow:       rng.Intn(2) == 0,
 		QueueDepth:       4, // small queues: backoffs and held windows back up into shedding
 		DeviceQueueDepth: 1,
-		AdmitShards:      1 + rng.Intn(2),
 		Clock:            clk,
 	}
 	dev := s.Devices()[rng.Intn(len(s.Devices()))]

@@ -124,7 +124,7 @@ func TestPipelineRejectsInfeasibleDeadline(t *testing.T) {
 func TestPipelineCullsExpiredBeforeExecute(t *testing.T) {
 	s, fi := steppedScheduler(t)
 	clk := NewManualClock()
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, DisableAdmissionControl: true, Clock: clk})
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Clock: clk})
 	release := make(chan struct{})
 	p.testExecHook = func(string) { <-release }
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

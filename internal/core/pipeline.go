@@ -32,13 +32,11 @@ import (
 //
 // (2) Live batching: arriving requests aggregate per (model, policy)
 // under the offline Batcher's Window/MaxBatch semantics, but flushed by
-// clock timers and size triggers instead of offline trace folding.
-// The batching front-end is sharded: each (model, policy) aggregation
-// key hashes to one of AdmitShards independent admit loops, so distinct
-// models batch and flush in parallel instead of funnelling through one
-// global goroutine, while every request stream for one key still lands
-// on a single shard — per-key aggregation and dispatch order are
-// identical to the unsharded pipeline. The batcher is work-conserving
+// clock timers and size triggers instead of offline trace folding. One
+// batching loop owns every aggregate: it drains the admission queue in
+// bursts and dispatches each flushed batch to its device's worker, so
+// per-key aggregation and dispatch order are those of the paper's single
+// request stream. The batcher is work-conserving
 // (concurrency-aware): while the system is idle a request dispatches
 // immediately; batches only form while earlier work is in flight, so
 // batching cost is paid exactly when it buys device efficiency (§IV-C:
@@ -66,18 +64,28 @@ type Pipeline struct {
 	sched *Scheduler
 	cfg   PipelineConfig
 
-	// shards are the parallel admission/batching loops; an aggregation
-	// key always hashes to the same shard (shardMask is len(shards)-1,
-	// a power of two).
-	shards    []*admitShard
-	shardMask uint32
-	shardWG   sync.WaitGroup
+	// admit is the bounded admission queue (capacity QueueDepth) the
+	// batching loop drains; wake and nudge are buffered(1) hints to it.
+	admit chan *pipeReq
+	wake  chan struct{} // window timer → loop: an aggregate's window may have elapsed
+	nudge chan struct{} // worker → loop: system went idle
+
+	// aggs, timer and wakeAt are the batching loop's own state: only its
+	// goroutine touches them. timer is the loop's one window timer,
+	// created on first use and Reset from then on; wakeAt is the clock
+	// time it is armed for (zero: stopped). A wake is a hint, never a
+	// command — the loop flushes what is due on the clock — so a stale
+	// one needs no cancelling.
+	aggs   map[aggKey]*aggregate
+	timer  Timer
+	wakeAt time.Duration
 
 	closing chan struct{} // Close() was called: drain and stop
+	batched chan struct{} // the batching loop flushed its last aggregate and exited
 	drained chan struct{}
 
 	// closeMu gates admission against Close: Submit holds the read side
-	// across its shard hand-off (many submitters in parallel), Close
+	// across its admission send (many submitters in parallel), Close
 	// takes the write side once to flip closed.
 	closeMu sync.RWMutex
 	closed  bool
@@ -99,9 +107,9 @@ type Pipeline struct {
 	// accounted elsewhere.
 	latEWMA atomic.Int64
 
-	// capacity is the admission budget (per-shard depth summed), computed
-	// once at construction — the denominator of the cluster brownout
-	// controller's occupancy ratio.
+	// capacity is the occupancy budget Capacity reports, computed once at
+	// construction — the denominator of the cluster brownout controller's
+	// occupancy ratio.
 	capacity int64
 
 	submitted  atomic.Int64
@@ -145,18 +153,9 @@ type PipelineConfig struct {
 	// samples (the Batcher.MaxBatch semantics). Defaults to 64.
 	MaxBatch int
 	// QueueDepth bounds the admission queue; a full queue sheds load
-	// (Submit returns ErrAdmissionFull). Defaults to 256. The depth is
-	// divided across AdmitShards (at least one slot per shard), so a
-	// single hot model sheds at roughly QueueDepth/AdmitShards queued
-	// requests — backpressure stays proportional to the paths actually
-	// congested instead of letting one model consume the whole budget.
+	// (Submit returns ErrAdmissionFull). Defaults to 256. Every model and
+	// policy shares the one queue, so a single hot key may fill all of it.
 	QueueDepth int
-	// AdmitShards is the number of parallel admission/batching loops.
-	// Aggregation keys (model, policy, estimate-vs-classify) hash to a
-	// shard, so requests for one key always meet the same batcher while
-	// distinct models admit and flush concurrently. Rounded up to a
-	// power of two; defaults to GOMAXPROCS capped at 8.
-	AdmitShards int
 	// DeviceQueueDepth bounds each device's worker queue; full device
 	// queues exert backpressure on batch flushing, which in turn fills
 	// admission. Defaults to 8.
@@ -182,11 +181,6 @@ type PipelineConfig struct {
 	// Deadline of their own (measured from admission on the pipeline
 	// clock). Zero disables the default: such requests have no SLO.
 	DefaultSLO time.Duration
-	// DisableAdmissionControl turns off predicted-miss rejection: every
-	// SLO-carrying request is admitted regardless of feasibility and
-	// only culled once its deadline actually passes. Default off
-	// (admission control active).
-	DisableAdmissionControl bool
 	// Hedge enables deadline hedging: when half an SLO-carrying batch's
 	// slack has elapsed and it has not completed, the batch is
 	// re-executed on the second-best device and the first result wins
@@ -208,16 +202,6 @@ func (c *PipelineConfig) fillDefaults() {
 	}
 	if c.DeviceQueueDepth <= 0 {
 		c.DeviceQueueDepth = 8
-	}
-	if c.AdmitShards <= 0 {
-		c.AdmitShards = runtime.GOMAXPROCS(0)
-		if c.AdmitShards > 8 {
-			c.AdmitShards = 8
-		}
-	}
-	// Round up to a power of two so shard selection is a mask, not a mod.
-	for c.AdmitShards&(c.AdmitShards-1) != 0 {
-		c.AdmitShards++
 	}
 	if c.Clock == nil {
 		c.Clock = WallClock()
@@ -509,43 +493,6 @@ type aggregate struct {
 	firstAt time.Duration
 }
 
-// admitShard is one independent admission/batching loop. All state below
-// the channels is loop-local: only this shard's goroutine touches it.
-type admitShard struct {
-	admit chan *pipeReq
-	wake  chan struct{} // window timer → shard: an aggregate's window may have elapsed
-	nudge chan struct{} // worker → shard: system went idle
-
-	aggs map[aggKey]*aggregate
-
-	// timer is the shard's one window timer, created on first use and
-	// Reset from then on; wakeAt is the clock time it is armed for (zero:
-	// stopped). A wake is a hint, never a command — the loop flushes what
-	// is due on the clock — so a stale one needs no cancelling.
-	timer  Timer
-	wakeAt time.Duration
-
-	// openAggs mirrors len(aggs) for readers outside the shard goroutine
-	// (batchDone's nudge filter). Best-effort: a stale read costs at most
-	// one skipped opportunistic nudge, never a stuck aggregate.
-	openAggs atomic.Int32
-}
-
-// shardFor hashes an aggregation key to its shard (FNV-1a over the model
-// name, mixed with policy and path). Same key → same shard, always: the
-// per-key batching semantics are those of a single admit loop.
-func (p *Pipeline) shardFor(key aggKey) *admitShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key.model); i++ {
-		h = (h ^ uint32(key.model[i])) * 16777619
-	}
-	h ^= uint32(key.pol) * 0x9e3779b1
-	if key.estimate {
-		h ^= 0x85ebca6b
-	}
-	return p.shards[h&p.shardMask]
-}
-
 // batchWork is one flushed batch travelling to a device worker.
 type batchWork struct {
 	key       aggKey
@@ -701,7 +648,7 @@ func (dq *deviceQueue) queued() int {
 }
 
 // NewPipeline builds and starts the serving pipeline over a scheduler:
-// AdmitShards admit/batching goroutines plus one worker per device. The
+// one admission/batching goroutine plus one worker per device. The
 // pipeline registers its queue occupancy with the scheduler so spill
 // decisions (Config.MaxQueueDelay) observe real queued work; only one
 // pipeline should serve a scheduler at a time. Call Close to drain and
@@ -709,28 +656,19 @@ func (dq *deviceQueue) queued() int {
 func NewPipeline(sched *Scheduler, cfg PipelineConfig) *Pipeline {
 	cfg.fillDefaults()
 	p := &Pipeline{
-		sched:   sched,
-		cfg:     cfg,
-		closing: make(chan struct{}),
-		drained: make(chan struct{}),
-		queues:  map[string]*deviceQueue{},
+		sched:    sched,
+		cfg:      cfg,
+		admit:    make(chan *pipeReq, cfg.QueueDepth),
+		wake:     make(chan struct{}, 1),
+		nudge:    make(chan struct{}, 1),
+		aggs:     map[aggKey]*aggregate{},
+		closing:  make(chan struct{}),
+		batched:  make(chan struct{}),
+		drained:  make(chan struct{}),
+		queues:   map[string]*deviceQueue{},
+		capacity: int64(cfg.QueueDepth),
 	}
 	p.windowNow.Store(int64(cfg.Window))
-	perShard := cfg.QueueDepth / cfg.AdmitShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	p.capacity = int64(perShard * cfg.AdmitShards)
-	p.shards = make([]*admitShard, cfg.AdmitShards)
-	p.shardMask = uint32(cfg.AdmitShards - 1)
-	for i := range p.shards {
-		p.shards[i] = &admitShard{
-			admit: make(chan *pipeReq, perShard),
-			wake:  make(chan struct{}, 1),
-			nudge: make(chan struct{}, 1),
-			aggs:  map[aggKey]*aggregate{},
-		}
-	}
 	for _, name := range sched.Devices() {
 		dq := &deviceQueue{name: name, ch: make(chan *batchWork, cfg.DeviceQueueDepth)}
 		p.queues[name] = dq
@@ -747,10 +685,7 @@ func NewPipeline(sched *Scheduler, cfg PipelineConfig) *Pipeline {
 		p.workers.Add(1)
 		go p.prober()
 	}
-	for _, sh := range p.shards {
-		p.shardWG.Add(1)
-		go p.shardLoop(sh)
-	}
+	go p.batchLoop()
 	return p
 }
 
@@ -840,7 +775,7 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 		}
 	}
 	slo := p.slo(req)
-	if slo > 0 && !p.cfg.DisableAdmissionControl {
+	if slo > 0 {
 		feasible, predicted, ferr := p.sched.FeasibleWithin(req.Model, size, slo, p.cfg.Clock.Now())
 		if ferr != nil {
 			return nil, ferr
@@ -855,9 +790,8 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 	r := getPipeReq()
 	r.ctx, r.req, r.size = ctx, req, size
 	r.key = aggKey{model: req.Model, pol: req.Policy, estimate: req.Input == nil}
-	slot := getSlot() // captured before the hand-off: r may be recycled the instant the shard owns it
+	slot := getSlot() // captured before the hand-off: r may be recycled the instant the loop owns it
 	r.slot = slot
-	sh := p.shardFor(r.key)
 	p.closeMu.RLock()
 	if p.closed {
 		p.closeMu.RUnlock()
@@ -870,12 +804,12 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 		r.deadline = r.at + slo
 	} else {
 		// No deadline math needs the arrival time here: defer the stamp
-		// to the shard's burst drain, where one clock read covers every
-		// request in the burst instead of one read per Submit.
+		// to the batching loop's burst drain, where one clock read covers
+		// every request in the burst instead of one read per Submit.
 		r.at = -1
 	}
 	select {
-	case sh.admit <- r:
+	case p.admit <- r:
 		p.submitted.Add(1)
 		p.closeMu.RUnlock()
 		return &Future{s: slot}, nil
@@ -913,17 +847,17 @@ func (p *Pipeline) Close() {
 	p.closed = true
 	p.closeMu.Unlock()
 	// No Submit can be mid-send past this point (sends happen under the
-	// read lock), so once the shards observe closing and self-drain,
-	// admission is empty for good.
+	// read lock), so once the batching loop observes closing and
+	// self-drains, admission is empty for good.
 	close(p.closing)
-	p.shardWG.Wait()
+	<-p.batched
 	for _, dq := range p.queues {
 		close(dq.ch)
 	}
 	// Wait for the workers to finish every queued batch (and the prober
 	// to exit) before reporting the pipeline drained: the Close contract
 	// is that every accepted request's future has resolved. Workers still
-	// signal idleness on the buffered nudge channels; nothing reads them
+	// signal idleness on the buffered nudge channel; nothing reads it
 	// anymore, which is fine — sends are non-blocking.
 	p.workers.Wait()
 	close(p.drained)
@@ -936,11 +870,7 @@ func (p *Pipeline) Close() {
 // decision, so it deliberately avoids the locks and map allocation of
 // Stats.
 func (p *Pipeline) Load() int64 {
-	n := p.inflight.Load()
-	for _, sh := range p.shards {
-		n += int64(len(sh.admit))
-	}
-	return n
+	return p.inflight.Load() + int64(len(p.admit))
 }
 
 // Capacity is the pipeline's occupancy budget: admission slots plus
@@ -960,9 +890,9 @@ func (p *Pipeline) AvgLatency() time.Duration {
 // SetWindowScale rescales the live batching window to scale×cfg.Window,
 // clamped to [1, 8]. The brownout controller widens the window under
 // fleet overload (bigger batches, better device efficiency, worse
-// latency) and restores it on recovery. The scale applies at each
-// shard's next wake: open aggregates are judged against the new window
-// from then on.
+// latency) and restores it on recovery. The scale applies at the
+// batching loop's next sweep: open aggregates are judged against the new
+// window from then on.
 func (p *Pipeline) SetWindowScale(scale float64) {
 	if scale < 1 {
 		scale = 1
@@ -1023,51 +953,51 @@ func (p *Pipeline) Stats() PipelineStats {
 	return st
 }
 
-// ---- stage 2: the sharded admit/batching loops -------------------------
+// ---- stage 2: the admit/batching loop ----------------------------------
 
-func (p *Pipeline) shardLoop(sh *admitShard) {
-	defer p.shardWG.Done()
+func (p *Pipeline) batchLoop() {
+	defer close(p.batched)
 	for {
 		select {
-		case r := <-sh.admit:
+		case r := <-p.admit:
 			// Greedy burst drain: one clock read covers every request
-			// already queued behind this one — under load the shard pays
+			// already queued behind this one — under load the loop pays
 			// one Clock() per wake-up instead of one per request.
 			now := p.cfg.Clock.Now()
-			p.ingest(sh, r, now)
-			sh.drainAdmit(p, now)
-			if len(sh.aggs) != 0 && !p.cfg.HoldWindow && p.idle() {
+			p.ingest(r, now)
+			p.drainAdmit(now)
+			if len(p.aggs) != 0 && !p.cfg.HoldWindow && p.idle() {
 				// The system looks drained, but "idle" here often means
-				// the shard outran a wave of clients that are runnable
+				// the loop outran a wave of clients that are runnable
 				// and about to submit (on few cores, the admission send
-				// readies this shard ahead of them). Yield once so their
+				// readies this loop ahead of them). Yield once so their
 				// requests land, then re-drain — the difference between
 				// dispatching a splintered batch and a full one.
 				runtime.Gosched()
-				sh.drainAdmit(p, now)
+				p.drainAdmit(now)
 			}
-			p.idleSweep(sh, now)
-			p.windowSweep(sh, now)
-		case <-sh.wake:
-			p.windowSweep(sh, p.cfg.Clock.Now())
-		case <-sh.nudge:
+			p.idleSweep(now)
+			p.windowSweep(now)
+		case <-p.wake:
+			p.windowSweep(p.cfg.Clock.Now())
+		case <-p.nudge:
 			// A worker drained the system: dispatch whatever aggregated
 			// while it was busy instead of waiting out the window.
-			p.idleSweep(sh, p.cfg.Clock.Now())
+			p.idleSweep(p.cfg.Clock.Now())
 		case <-p.closing:
-			p.drainShard(sh)
+			p.drainOnClose()
 			return
 		}
 	}
 }
 
-// drainAdmit greedily ingests everything already queued on the shard's
+// drainAdmit greedily ingests everything already queued on the
 // admission channel.
-func (sh *admitShard) drainAdmit(p *Pipeline, now time.Duration) {
+func (p *Pipeline) drainAdmit(now time.Duration) {
 	for {
 		select {
-		case r := <-sh.admit:
-			p.ingest(sh, r, now)
+		case r := <-p.admit:
+			p.ingest(r, now)
 		default:
 			return
 		}
@@ -1077,48 +1007,32 @@ func (sh *admitShard) drainAdmit(p *Pipeline, now time.Duration) {
 // idleSweep is the work-conserving flush: once nothing is in flight and
 // nothing is queued, every open aggregate dispatches immediately instead
 // of waiting out its window.
-func (p *Pipeline) idleSweep(sh *admitShard, now time.Duration) {
-	if len(sh.aggs) == 0 || p.cfg.HoldWindow || !p.idle() {
+func (p *Pipeline) idleSweep(now time.Duration) {
+	if len(p.aggs) == 0 || p.cfg.HoldWindow || !p.idle() {
 		return
 	}
-	for key := range sh.aggs {
-		p.flushKey(sh, key, now, &p.idleFl)
+	for key := range p.aggs {
+		p.flushKey(key, now, &p.idleFl)
 	}
 }
 
-// drainShard empties this shard's admission queue and flushes its open
-// aggregates. By the time closing is observable, Submit can no longer
+// drainOnClose empties the admission queue and flushes every open
+// aggregate. By the time closing is observable, Submit can no longer
 // send (Close flipped closed under the write lock first), so one
 // non-blocking sweep drains admission for good.
-func (p *Pipeline) drainShard(sh *admitShard) {
-	for {
-		select {
-		case r := <-sh.admit:
-			p.ingest(sh, r, p.cfg.Clock.Now())
-			continue
-		default:
-		}
-		break
-	}
+func (p *Pipeline) drainOnClose() {
 	now := p.cfg.Clock.Now()
-	for key := range sh.aggs {
-		p.flushKey(sh, key, now, &p.drainFl)
+	p.drainAdmit(now)
+	for key := range p.aggs {
+		p.flushKey(key, now, &p.drainFl)
 	}
 }
 
 func (p *Pipeline) idle() bool {
-	if p.inflight.Load() != 0 {
-		return false
-	}
-	for _, sh := range p.shards {
-		if len(sh.admit) != 0 {
-			return false
-		}
-	}
-	return true
+	return p.inflight.Load() == 0 && len(p.admit) == 0
 }
 
-func (p *Pipeline) ingest(sh *admitShard, r *pipeReq, now time.Duration) {
+func (p *Pipeline) ingest(r *pipeReq, now time.Duration) {
 	if r.at < 0 {
 		r.at = now // deferred arrival stamp (no-SLO fast path in Submit)
 	}
@@ -1128,11 +1042,10 @@ func (p *Pipeline) ingest(sh *admitShard, r *pipeReq, now time.Duration) {
 		return
 	}
 	key := r.key
-	agg := sh.aggs[key]
+	agg := p.aggs[key]
 	if agg == nil {
 		agg = getAggregate(r.at)
-		sh.aggs[key] = agg
-		sh.openAggs.Add(1)
+		p.aggs[key] = agg
 	}
 	agg.reqs = append(agg.reqs, r)
 	agg.size += r.size
@@ -1140,43 +1053,43 @@ func (p *Pipeline) ingest(sh *admitShard, r *pipeReq, now time.Duration) {
 		// The size trigger fires inline; the work-conserving idle flush
 		// runs as a post-drain sweep (idleSweep) so a burst is judged
 		// whole, not per request.
-		p.flushKey(sh, key, now, &p.sizeFl)
+		p.flushKey(key, now, &p.sizeFl)
 	}
 }
 
 // windowSweep flushes every open aggregate whose oldest request has
-// waited out the window on the clock, and leaves the shard's timer armed
+// waited out the window on the clock, and leaves the loop's timer armed
 // for the earliest of the rest. It runs after a burst drain, not per
 // ingest — an aggregate that forms and flushes within one burst (the
 // common closed-loop rhythm) never touches the timer — and on every wake.
-func (p *Pipeline) windowSweep(sh *admitShard, now time.Duration) {
-	if len(sh.aggs) == 0 {
+func (p *Pipeline) windowSweep(now time.Duration) {
+	if len(p.aggs) == 0 {
 		return
 	}
 	var next time.Duration
 	window := p.window()
-	for key, agg := range sh.aggs {
+	for key, agg := range p.aggs {
 		due := agg.firstAt + window
 		if due <= now {
-			p.flushKey(sh, key, now, &p.windowFl)
+			p.flushKey(key, now, &p.windowFl)
 		} else if next == 0 || due < next {
 			next = due
 		}
 	}
-	if next == 0 || (sh.wakeAt > now && sh.wakeAt <= next) {
+	if next == 0 || (p.wakeAt > now && p.wakeAt <= next) {
 		return // nothing left open, or a wake is already due by then
 	}
-	sh.wakeAt = next
+	p.wakeAt = next
 	d := next - p.cfg.Clock.Now() // now may be a burst old: arming is rare, so it reads the clock afresh
-	if sh.timer == nil {
-		sh.timer = p.cfg.Clock.AfterFunc(d, func() {
+	if p.timer == nil {
+		p.timer = p.cfg.Clock.AfterFunc(d, func() {
 			select {
-			case sh.wake <- struct{}{}:
+			case p.wake <- struct{}{}:
 			default:
 			}
 		})
 	} else {
-		sh.timer.Reset(d)
+		p.timer.Reset(d)
 	}
 }
 
@@ -1206,20 +1119,19 @@ func (p *Pipeline) cullLive(reqs []*pipeReq, now time.Duration) ([]*pipeReq, int
 	return live, size
 }
 
-// flushKey dispatches shard sh's open aggregate for key. trigger is the
-// flush counter of whatever called for the flush; it is counted with the
+// flushKey dispatches the open aggregate for key. trigger is the flush
+// counter of whatever called for the flush; it is counted with the
 // batch, before a worker can see it — a batch that resolves at once must
 // not leave Stats a moment in which every future is done and no flush is
 // on record.
-func (p *Pipeline) flushKey(sh *admitShard, key aggKey, now time.Duration, trigger *atomic.Int64) {
-	agg := sh.aggs[key]
-	delete(sh.aggs, key)
-	sh.openAggs.Add(-1)
-	if len(sh.aggs) == 0 && sh.wakeAt != 0 {
+func (p *Pipeline) flushKey(key aggKey, now time.Duration, trigger *atomic.Int64) {
+	agg := p.aggs[key]
+	delete(p.aggs, key)
+	if len(p.aggs) == 0 && p.wakeAt != 0 {
 		// Nothing left to wake for: take the timer off the runtime's
-		// wheel rather than let it ring into an empty shard.
-		sh.timer.Stop()
-		sh.wakeAt = 0
+		// wheel rather than let it ring into an empty loop.
+		p.timer.Stop()
+		p.wakeAt = 0
 	}
 
 	// Copy-cull the aggregate's requests into the batch carrier's own
@@ -1307,8 +1219,7 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, now time.Duration, trigg
 	p.batches.Add(1)
 	trigger.Add(1)
 	// A full device queue blocks here: backpressure propagates through
-	// the shard's admit loop into its bounded admission queue, which
-	// sheds.
+	// the batching loop into the bounded admission queue, which sheds.
 	dq.ch <- w
 }
 
@@ -1321,22 +1232,20 @@ func (p *Pipeline) worker(dq *deviceQueue) {
 	}
 }
 
-// batchDone retires one in-flight batch, waking the batchers when the
-// system went idle.
+// batchDone retires one in-flight batch, waking the batching loop when
+// the system went idle.
 func (p *Pipeline) batchDone() {
 	if p.inflight.Add(-1) == 0 {
-		// Wake every shard: nothing left to amortise against, and any of
-		// them may be sitting on an open aggregate. The nudge is sent
-		// even to shards with nothing open — pre-readying the shard here
-		// keeps the next admission send from goready-ing it into the
-		// scheduler's run-next slot ahead of the other just-completed
-		// clients, which would drain a one-request burst and collapse
-		// batching into a serialized request-per-batch regime.
-		for _, sh := range p.shards {
-			select {
-			case sh.nudge <- struct{}{}:
-			default:
-			}
+		// Wake the loop: nothing left to amortise against, and it may be
+		// sitting on an open aggregate. The nudge is sent even when
+		// nothing is open — pre-readying the loop here keeps the next
+		// admission send from goready-ing it into the scheduler's
+		// run-next slot ahead of the other just-completed clients, which
+		// would drain a one-request burst and collapse batching into a
+		// serialized request-per-batch regime.
+		select {
+		case p.nudge <- struct{}{}:
+		default:
 		}
 	}
 }

@@ -185,44 +185,10 @@ func TestFutureContract(t *testing.T) {
 			// and both must hand the slot back: a lost slot shows as the
 			// pool's New (a slot and its channel) on every call.
 			s := smallScheduler(t, Config{MaxQueueDelay: -1})
-			release, held := make(chan struct{}), make(chan struct{})
-			var hold sync.Once
-			const deviceDepth = 1
-			p := NewPipeline(s, PipelineConfig{MaxBatch: 1, QueueDepth: 2, DeviceQueueDepth: deviceDepth, ProbeInterval: -1})
-			p.testExecHook = func(string) {
-				hold.Do(func() { close(held) })
-				<-release
-			}
+			p := NewPipeline(s, PipelineConfig{MaxBatch: 1, QueueDepth: 2, DeviceQueueDepth: 1, ProbeInterval: -1})
 			ctx := context.Background()
 			req := PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8}
-			fut, err := p.Submit(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			futs := []*Future{fut}
-			<-held
-			// Full is a state, not a sample: the worker holds one batch,
-			// its queue the next deviceDepth, and the shard is stuck
-			// sending one more — InFlight counts all three, and a shard
-			// that cannot send never drains admission again. A shed seen
-			// only after that is admission full for good; one seen before
-			// may be a request the shard was still moving.
-			for deadline := time.Now().Add(10 * time.Second); ; {
-				stuck := p.Stats().InFlight == deviceDepth+2
-				fut, err := p.Submit(ctx, req)
-				if errors.Is(err, ErrAdmissionFull) && stuck {
-					break
-				}
-				if err == nil {
-					futs = append(futs, fut)
-				} else if !errors.Is(err, ErrAdmissionFull) {
-					t.Fatalf("submit %d = %v", len(futs), err)
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("admission never filled for good: %d admitted, %+v", len(futs), p.Stats().Ledger)
-				}
-				runtime.Gosched()
-			}
+			futs, release := holdAndFill(t, p, req)
 			submit := func(want error) float64 {
 				return testing.AllocsPerRun(100, func() {
 					if fut, err := p.Submit(ctx, req); !errors.Is(err, want) || fut != nil {
@@ -233,7 +199,7 @@ func TestFutureContract(t *testing.T) {
 			if n := submit(ErrAdmissionFull); n != 0 {
 				t.Errorf("a shed Submit allocates %.1f objects, want 0", n)
 			}
-			close(release)
+			release()
 			p.Close()
 			if n := submit(ErrPipelineClosed); n != 0 {
 				t.Errorf("a Submit to a closed pipeline allocates %.1f objects, want 0", n)
@@ -247,5 +213,55 @@ func TestFutureContract(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// holdAndFill holds p's device workers on their first batch and submits
+// req until admission is full for good. It returns the admitted futures
+// and the func that lets the workers go, which must run before Close.
+// p must batch one request at a time (MaxBatch 1) over a scheduler that
+// does not spill, so that every batch queues on one device.
+//
+// Full is a state, not a sample: the worker holds one batch, its queue
+// DeviceQueueDepth more, and the batching loop is stuck sending one more
+// — InFlight counts all of them, and a loop that cannot send never drains
+// admission again. A shed seen only after that is admission full for
+// good; one seen before may be a request the loop was still moving.
+func holdAndFill(t *testing.T, p *Pipeline, req PipelineRequest) ([]*Future, func()) {
+	t.Helper()
+	release, held := make(chan struct{}), make(chan struct{})
+	var hold, free sync.Once
+	p.testExecHook = func(string) {
+		hold.Do(func() { close(held) })
+		<-release
+	}
+	let := func() { free.Do(func() { close(release) }) }
+	fatalf := func(format string, args ...any) {
+		let() // a held worker would wedge the caller's Close
+		t.Fatalf(format, args...)
+	}
+	ctx := context.Background()
+	fut, err := p.Submit(ctx, req)
+	if err != nil {
+		fatalf("first submit: %v", err)
+	}
+	futs := []*Future{fut}
+	<-held
+	stuck := int64(p.cfg.DeviceQueueDepth + 2)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		full := p.Stats().InFlight == stuck
+		fut, err := p.Submit(ctx, req)
+		if errors.Is(err, ErrAdmissionFull) && full {
+			return futs, let
+		}
+		if err == nil {
+			futs = append(futs, fut)
+		} else if !errors.Is(err, ErrAdmissionFull) {
+			fatalf("submit %d = %v", len(futs), err)
+		}
+		if time.Now().After(deadline) {
+			fatalf("admission never filled for good: %d admitted, %+v", len(futs), p.Stats().Ledger)
+		}
+		runtime.Gosched()
 	}
 }

@@ -584,7 +584,7 @@ func TestConcatInputsPassesASingleRequestThrough(t *testing.T) {
 // each dispatched batch must already be on record under its trigger.
 func TestFlushIsCountedBeforeItsBatchCanResolve(t *testing.T) {
 	s := testScheduler(t)
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, AdmitShards: 1, DeviceQueueDepth: 1, Window: time.Hour, HoldWindow: true})
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, DeviceQueueDepth: 1, Window: time.Hour, HoldWindow: true})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -606,6 +606,34 @@ func TestFlushIsCountedBeforeItsBatchCanResolve(t *testing.T) {
 		st := p.Stats()
 		if flushes := st.SizeFlushes + st.WindowFlushes + st.IdleFlushes + st.DrainFlushes; flushes != st.Batches {
 			t.Fatalf("round %d: every future resolved, %d batches dispatched, %d flushes on record (%+v)", round, st.Batches, flushes, st)
+		}
+	}
+}
+
+// One aggregation key may fill every admission slot: the admission queue
+// is the pipeline's, not a share of it. Once admission is full for good
+// (holdAndFill), the held worker, its queue and the batching loop hold
+// DeviceQueueDepth+2 requests past the QueueDepth admitted ones — every
+// one of them the same key's.
+func TestOneKeyFillsEveryAdmissionSlot(t *testing.T) {
+	s := smallScheduler(t, Config{MaxQueueDelay: -1})
+	const queueDepth, deviceDepth = 16, 1
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, QueueDepth: queueDepth, DeviceQueueDepth: deviceDepth, ProbeInterval: -1})
+	defer p.Close()
+	futs, release := holdAndFill(t, p, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8})
+	defer release() // runs before Close: the held worker must let go
+	const want = queueDepth + deviceDepth + 2
+	if st := p.Stats(); st.Submitted != want || len(futs) != want {
+		t.Fatalf("one key admitted %d (%d futures) before admission was full for good, want QueueDepth %d + %d held past it",
+			st.Submitted, len(futs), queueDepth, deviceDepth+2)
+	}
+	if load := p.Load(); load != want {
+		t.Errorf("Load = %d with admission full, want %d", load, want)
+	}
+	release()
+	for i, fut := range futs {
+		if c, err := fut.Wait(context.Background()); err != nil || c.Err != nil {
+			t.Fatalf("accepted request %d: %v / %v", i, err, c.Err)
 		}
 	}
 }

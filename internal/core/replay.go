@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"bomw/internal/device"
 	"bomw/internal/opencl"
 	"bomw/internal/trace"
 )
@@ -305,18 +306,18 @@ type shadowReq struct {
 // shadowEstimate measures one request on a fresh copy of the named
 // device, mirroring its current warm state, without touching live state.
 func (s *Scheduler) shadowEstimate(devName string, req shadowReq) (*opencl.Result, error) {
-	var live *deviceRef
+	var live *device.Device
 	for _, d := range s.devices {
 		if d.Name() == devName {
-			live = &deviceRef{d}
+			live = d
 			break
 		}
 	}
 	if live == nil {
 		return nil, fmt.Errorf("core: unknown device %q", devName)
 	}
-	shadow := live.freshCopy()
-	if live.d.StateAt(req.At).Warm {
+	shadow := device.New(live.Profile())
+	if live.StateAt(req.At).Warm {
 		shadow.Warm(0)
 	}
 	rt, err := opencl.NewRuntime(shadow)
