@@ -63,9 +63,11 @@ race:
 # identities, each driven by stepping a core.ManualClock. They neither
 # sleep nor poll, so a failure here is an ordering bug, not a slow host.
 # The admission path rides along: one key filling every admission slot,
-# and the future contract over shed and closed-pipeline submits.
+# the future contract over shed and closed-pipeline submits, the node
+# lifecycle behind the pipeline's one admission gate, and the ledger
+# counting a completion before its Wait can return.
 stepped:
-	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestPipelineHedgeCompletesOnBackupDevice|TestOneKeyFillsEveryAdmissionSlot|TestFutureContract' ./internal/core/
+	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestPipelineHedgeCompletesOnBackupDevice|TestOneKeyFillsEveryAdmissionSlot|TestFutureContract|TestNode|TestCompletionIsCountedBeforeItIsDelivered' ./internal/core/
 	$(GO) test -race -count=50 -run 'TestClusterHedgeReactive' ./internal/cluster/
 
 BENCHTIME ?= 2s

@@ -365,10 +365,6 @@ func BuildCluster(template *Scheduler, n int, seed int64, pcfg PipelineConfig, c
 // round-robin, least-loaded, model-affinity or weighted-scoring.
 var RoutingPolicyByName = cluster.PolicyByName
 
-// PlayTrace replays a trace's arrival process on the wall clock,
-// delivering requests on a channel as live traffic would arrive.
-var PlayTrace = trace.Play
-
 // Play offers a trace open-loop to a live Pipeline, Node or Cluster and
 // accounts every arrival as completed, dropped, expired or failed.
 var Play = core.Play

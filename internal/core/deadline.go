@@ -68,7 +68,7 @@ func (s *Scheduler) shadowCost(devName, model string, batch int, at time.Duratio
 		return c, nil
 	}
 	s.shadowMu.Unlock()
-	res, err := s.shadowEstimate(devName, shadowReq{Model: model, Batch: batch, At: at})
+	res, err := s.shadowEstimate(devName, model, batch, at)
 	if err != nil {
 		return shadowCost{}, err
 	}

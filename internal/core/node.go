@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
-// A Node is one serving box: a scheduler, its serving pipeline, its
-// device set and its health state, behind the narrow surface the cluster
+// A Node is one serving box: a named Pipeline (its scheduler, device
+// set and health state with it) behind the narrow surface the cluster
 // tier routes over. The paper schedules inference inside one
 // CPU+iGPU+dGPU machine; the Node makes that machine a replaceable unit,
 // so a fleet of them can sit behind a routing front-end
@@ -23,21 +22,12 @@ import (
 // the node refuses all new work with ErrNodeDown; work it had already
 // accepted still resolves (the simulation cannot abandon a future — the
 // exactly-once contract of the pipeline holds even through a kill).
-// State transitions are serialised, so a Submit racing a Drain either
-// completes its hand-off to the pipeline (and the drain resolves it) or
-// observes the draining state and fails fast — a request is never
-// silently dropped between router and node.
+// The lifecycle is the pipeline's own (see Pipeline.Submit and Close):
+// the node adds only its name, to routing and to refusals, and has no
+// lock or state of its own.
 type Node struct {
-	name  string
-	sched *Scheduler
-	pipe  *Pipeline
-
-	// mu serialises state transitions against in-flight Submits: Submit
-	// holds the read side across its pipeline hand-off, Drain/Kill take
-	// the write side to flip the state, so after the flip no new request
-	// can be midway into a pipeline that is about to close.
-	mu    sync.RWMutex
-	state NodeState
+	*Pipeline
+	name string
 }
 
 // NodeState is a node's lifecycle position.
@@ -73,14 +63,22 @@ func (s NodeState) String() string {
 	}
 }
 
-// Sentinel errors of the node lifecycle.
+// Sentinel errors of the node lifecycle. Both are also
+// ErrPipelineClosed, so a bare pipeline's callers keep matching.
 var (
 	// ErrNodeDraining rejects work submitted to a draining node; the
 	// router should pick another node.
-	ErrNodeDraining = errors.New("core: node draining")
+	ErrNodeDraining error = refusal("core: node draining")
 	// ErrNodeDown rejects work submitted to a drained or killed node.
-	ErrNodeDown = errors.New("core: node down")
+	ErrNodeDown error = refusal("core: node down")
 )
+
+// refusal is a lifecycle sentinel: its own message over a closed
+// pipeline.
+type refusal string
+
+func (e refusal) Error() string { return string(e) }
+func (refusal) Unwrap() error   { return ErrPipelineClosed }
 
 // NodeStats snapshots one node's serving activity.
 type NodeStats struct {
@@ -118,11 +116,7 @@ type NodeHealth struct {
 // Scheduler.Replica. cfg.Clock should be the fleet's shared virtual
 // clock so every replica charges time on the same axis.
 func NewNode(name string, sched *Scheduler, cfg PipelineConfig) *Node {
-	return &Node{
-		name:  name,
-		sched: sched,
-		pipe:  NewPipeline(sched, cfg),
-	}
+	return &Node{Pipeline: NewPipeline(sched, cfg), name: name}
 }
 
 // Name returns the node's fleet-unique name.
@@ -132,41 +126,15 @@ func (n *Node) Name() string { return n.name }
 // injection and device introspection; routing goes through Submit.
 func (n *Node) Scheduler() *Scheduler { return n.sched }
 
-// Pipeline exposes the node's serving pipeline.
-func (n *Node) Pipeline() *Pipeline { return n.pipe }
-
-// State reports the node's lifecycle position.
-func (n *Node) State() NodeState {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.state
-}
-
 // Submit admits one request into the node's pipeline. A node that is not
-// Ready fails fast with ErrNodeDraining or ErrNodeDown so the router can
-// fail over; the hand-off to the pipeline happens under the state lock's
-// read side, so a concurrent Drain never closes the pipeline midway
-// through an accept — an accepted future always resolves.
+// Ready fails fast with ErrNodeDraining or ErrNodeDown, named after the
+// node, so the router can fail over.
 func (n *Node) Submit(ctx context.Context, req PipelineRequest) (*Future, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	switch n.state {
-	case NodeReady:
-	case NodeDraining:
-		return nil, fmt.Errorf("%w: %s", ErrNodeDraining, n.name)
-	default:
-		return nil, fmt.Errorf("%w: %s is %s", ErrNodeDown, n.name, n.state)
+	fut, err := n.Pipeline.Submit(ctx, req)
+	if errors.Is(err, ErrPipelineClosed) {
+		return nil, fmt.Errorf("%w: %s", err, n.name)
 	}
-	return n.pipe.Submit(ctx, req)
-}
-
-// Do submits a request and waits for its completion.
-func (n *Node) Do(ctx context.Context, req PipelineRequest) (Completion, error) {
-	fut, err := n.Submit(ctx, req)
-	if err != nil {
-		return Completion{}, err
-	}
-	return fut.Wait(ctx)
+	return fut, err
 }
 
 // FeasibleWithin predicts whether this node can complete a batch within
@@ -177,33 +145,13 @@ func (n *Node) FeasibleWithin(model string, batch int, deadline, now time.Durati
 	return n.sched.FeasibleWithin(model, batch, deadline, now)
 }
 
-// Load is the node's instantaneous occupancy (admission queue plus
-// batches in flight) — the least-loaded router's signal.
-func (n *Node) Load() int64 { return n.pipe.Load() }
-
-// QueueDelay is the node pipeline's backlog estimate — the delay new
-// work would observe behind already-queued batches on its worst device.
-func (n *Node) QueueDelay() time.Duration { return n.pipe.QueueDelay() }
-
-// Capacity is the node pipeline's occupancy budget — the denominator of
-// the cluster brownout controller's fleet occupancy ratio.
-func (n *Node) Capacity() int64 { return n.pipe.Capacity() }
-
-// AvgLatency is the node pipeline's delivered-batch completion-latency
-// EWMA — the cluster tier's per-node straggler signal.
-func (n *Node) AvgLatency() time.Duration { return n.pipe.AvgLatency() }
-
-// SetWindowScale rescales the node's live batching window (brownout
-// level 3: trade latency for batch efficiency under fleet overload).
-func (n *Node) SetWindowScale(scale float64) { n.pipe.SetWindowScale(scale) }
-
 // Stats snapshots the node's serving activity.
 func (n *Node) Stats() NodeStats {
 	ss := n.sched.Stats()
 	return NodeStats{
 		Name:        n.name,
 		State:       n.State(),
-		Pipeline:    n.pipe.Stats(),
+		Pipeline:    n.Pipeline.Stats(),
 		Decisions:   ss.Decisions,
 		Spills:      ss.Spills,
 		Quarantined: ss.Quarantined,
@@ -216,7 +164,7 @@ func (n *Node) Health() NodeHealth {
 	h := NodeHealth{
 		State:        n.State(),
 		Devices:      len(n.sched.devices),
-		ExecFailures: n.pipe.execFails.Load(),
+		ExecFailures: n.execFails.Load(),
 	}
 	mon := n.sched.monitor()
 	for _, d := range n.sched.devices {
@@ -231,66 +179,16 @@ func (n *Node) Health() NodeHealth {
 	return h
 }
 
-// transition flips the node into next and reports whether the caller won
-// the transition (and therefore owns the pipeline close that follows).
-// Terminal states never transition again.
-func (n *Node) transition(next NodeState) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch n.state {
-	case NodeDrained, NodeKilled:
-		return false
-	case NodeDraining:
-		// A concurrent Drain owns the close; Kill may still escalate the
-		// label but must not close twice.
-		if next == NodeKilled {
-			n.state = next
-		}
-		return false
-	}
-	n.state = next
-	return true
-}
-
-// settle records the post-close resting state unless a Kill escalated
-// the node while it was draining.
-func (n *Node) settle(final NodeState) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.state == NodeDraining {
-		n.state = final
-	}
-}
-
 // Drain stops admission and completes everything already accepted:
 // after Drain returns, every future the node ever handed out has
-// resolved and the node is Drained. Drain is idempotent and safe to call
-// concurrently with Submits — the state flips first, so the router sees
-// ErrNodeDraining and fails over while the accepted tail completes.
-func (n *Node) Drain() {
-	if n.transition(NodeDraining) {
-		n.pipe.Close()
-		n.settle(NodeDrained)
-		return
-	}
-	// Someone else owns the close; wait for it so Drain's "everything
-	// resolved" contract holds for every caller, then record the resting
-	// state (settle is a no-op unless the node is still Draining, so a
-	// concurrent Kill's escalation survives).
-	n.pipe.Close()
-	n.settle(NodeDrained)
-}
+// resolved and the node is Drained (or Killed, if a Kill overtook the
+// drain). Drain is idempotent and safe to call concurrently with
+// Submits — the state flips first, so the router sees ErrNodeDraining
+// and fails over while the accepted tail completes.
+func (n *Node) Drain() { n.shutdown(NodeDrained) }
 
 // Kill fail-stops the node for failure drills: new work is refused with
 // ErrNodeDown immediately, and the already-accepted tail resolves (the
-// pipeline's exactly-once future contract survives the kill).
-func (n *Node) Kill() {
-	if n.transition(NodeKilled) {
-		n.pipe.Close()
-		return
-	}
-	n.pipe.Close()
-}
-
-// Close drains the node (the io.Closer-shaped alias Drain).
-func (n *Node) Close() { n.Drain() }
+// pipeline's exactly-once future contract survives the kill). A drained
+// node stays Drained.
+func (n *Node) Kill() { n.shutdown(NodeKilled) }

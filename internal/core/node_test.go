@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,20 +64,148 @@ func TestNodeDrainRefusesNewWorkAndSettles(t *testing.T) {
 	n.Close() // alias, also idempotent
 }
 
+// holdDrain starts a Drain that cannot finish: one accepted request is
+// held in its device worker, so the node stays Draining until the
+// returned release is called. release lets the worker go and waits for
+// the drain and the held request.
+func holdDrain(t *testing.T, n *Node) (release func()) {
+	t.Helper()
+	free, held := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	n.testExecHook = func(string) {
+		hold.Do(func() { close(held) })
+		<-free
+	}
+	fut, err := n.Submit(context.Background(), PipelineRequest{Model: "simple", Batch: 4})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	<-held
+	drained := make(chan struct{})
+	go func() { n.Drain(); close(drained) }()
+	for n.State() == NodeReady {
+		runtime.Gosched()
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(free)
+			<-drained
+			if c, err := fut.Wait(context.Background()); err != nil || c.Err != nil {
+				t.Errorf("held request: %v / %v", err, c.Err)
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
 func TestNodeDrainingRejectsSubmit(t *testing.T) {
-	s := testScheduler(t)
-	n := NewNode("node0", s, PipelineConfig{ProbeInterval: -1})
-	// Enter the draining state without closing the pipeline: the window a
-	// router-facing Submit can race into.
-	if !n.transition(NodeDraining) {
-		t.Fatal("transition to draining refused")
+	n := NewNode("node0", testScheduler(t), PipelineConfig{ProbeInterval: -1})
+	release := holdDrain(t, n)
+	if st := n.State(); st != NodeDraining {
+		t.Fatalf("state while the tail is held = %v, want draining", st)
 	}
-	if _, err := n.Submit(context.Background(), PipelineRequest{Model: "simple", Batch: 4}); !errors.Is(err, ErrNodeDraining) {
-		t.Fatalf("Submit while draining = %v, want ErrNodeDraining", err)
+	_, err := n.Submit(context.Background(), PipelineRequest{Model: "simple", Batch: 4})
+	if !errors.Is(err, ErrNodeDraining) || !errors.Is(err, ErrPipelineClosed) {
+		t.Fatalf("Submit while draining = %v, want ErrNodeDraining and ErrPipelineClosed", err)
 	}
-	n.Drain() // completes the close and settles
-	if n.State() != NodeDrained {
-		t.Fatalf("state = %v, want drained", n.State())
+	if !strings.Contains(err.Error(), "node0") {
+		t.Fatalf("refusal %q does not name the node", err)
+	}
+	release()
+	if st := n.State(); st != NodeDrained {
+		t.Fatalf("state = %v, want drained", st)
+	}
+	_, err = n.Submit(context.Background(), PipelineRequest{Model: "simple", Batch: 4})
+	if !errors.Is(err, ErrNodeDown) || !errors.Is(err, ErrPipelineClosed) || !strings.Contains(err.Error(), "node0") {
+		t.Fatalf("Submit after drain = %v, want ErrNodeDown and ErrPipelineClosed naming node0", err)
+	}
+}
+
+// A node that is not Ready refuses before it validates or runs deadline
+// admission control: the router fails over on the lifecycle sentinel,
+// whatever the request.
+func TestNodeDrainingRefusesBeforeValidation(t *testing.T) {
+	n := NewNode("node0", testScheduler(t), PipelineConfig{ProbeInterval: -1})
+	holdDrain(t, n)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx context.Context
+		req PipelineRequest
+	}{
+		"unknown model":       {context.Background(), PipelineRequest{Model: "no-such-model", Batch: 1}},
+		"zero batch":          {context.Background(), PipelineRequest{Model: "simple"}},
+		"cancelled context":   {cancelled, PipelineRequest{Model: "simple", Batch: 1}},
+		"infeasible deadline": {context.Background(), PipelineRequest{Model: "simple", Batch: 1, Deadline: time.Nanosecond}},
+	} {
+		if _, err := n.Submit(tc.ctx, tc.req); !errors.Is(err, ErrNodeDraining) {
+			t.Errorf("%s to a draining node = %v, want ErrNodeDraining", name, err)
+		}
+	}
+}
+
+// A Kill overtakes a drain in progress: the node is Killed at once, and
+// stays Killed after the drain's tail resolves. Both calls return only
+// after every accepted future has resolved.
+func TestNodeKillOvertakesDrain(t *testing.T) {
+	n := NewNode("node0", testScheduler(t), PipelineConfig{ProbeInterval: -1})
+	release := holdDrain(t, n)
+	killed := make(chan struct{})
+	go func() { n.Kill(); close(killed) }()
+	for n.State() == NodeDraining {
+		runtime.Gosched()
+	}
+	if st := n.State(); st != NodeKilled {
+		t.Fatalf("state after a kill overtook the drain = %v, want killed", st)
+	}
+	if _, err := n.Submit(context.Background(), PipelineRequest{Model: "simple", Batch: 1}); !errors.Is(err, ErrNodeDown) || !errors.Is(err, ErrPipelineClosed) {
+		t.Fatalf("Submit after kill = %v, want ErrNodeDown and ErrPipelineClosed", err)
+	}
+	select {
+	case <-killed:
+		t.Fatal("Kill returned while the drain it joined still held an accepted request")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-killed
+	if st := n.State(); st != NodeKilled {
+		t.Fatalf("state after the drain finished = %v, want killed", st)
+	}
+}
+
+// A caller that joins a shutdown already running waits for it: when
+// Close returns, every accepted future has resolved and been counted.
+func TestNodeCloseWaitsForRunningDrain(t *testing.T) {
+	n := NewNode("node0", testScheduler(t), PipelineConfig{ProbeInterval: -1})
+	release := holdDrain(t, n)
+	closed := make(chan struct{})
+	go func() { n.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while the drain it joined still held an accepted request")
+	case <-time.After(20 * time.Millisecond):
+	}
+	go release()
+	<-closed
+	if st := n.Stats().Pipeline; st.Completed != st.Submitted {
+		t.Fatalf("Close returned before the accepted tail resolved: %+v", st.Ledger)
+	}
+	if st := n.State(); st != NodeDrained {
+		t.Fatalf("state = %v, want drained", st)
+	}
+}
+
+func TestNodeKillAfterDrainStaysDrained(t *testing.T) {
+	n := NewNode("node0", testScheduler(t), PipelineConfig{ProbeInterval: -1})
+	n.Drain()
+	n.Kill()
+	if st := n.State(); st != NodeDrained {
+		t.Fatalf("state after kill-post-drain = %v, want drained", st)
+	}
+	if _, err := n.Submit(context.Background(), PipelineRequest{Model: "simple", Batch: 1}); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Submit = %v, want ErrNodeDown", err)
 	}
 }
 

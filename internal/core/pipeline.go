@@ -60,6 +60,11 @@ import (
 // aggregated batches are split back into per-request class slices with
 // proportional energy accounting. Every future resolves exactly once,
 // even when hedged executions race the primary.
+//
+// The pipeline owns the node lifecycle (NodeState): it is Ready until
+// Close — or, under a Node, Drain or Kill — shuts it down, and one
+// read-write lock gates every Submit against that shutdown. A Node is
+// a named Pipeline.
 type Pipeline struct {
 	sched *Scheduler
 	cfg   PipelineConfig
@@ -84,11 +89,13 @@ type Pipeline struct {
 	batched chan struct{} // the batching loop flushed its last aggregate and exited
 	drained chan struct{}
 
-	// closeMu gates admission against Close: Submit holds the read side
-	// across its admission send (many submitters in parallel), Close
-	// takes the write side once to flip closed.
+	// closeMu is the one admission gate of the lifecycle: Submit holds
+	// the read side from its state check through its admission send
+	// (many submitters in parallel), shutdown takes the write side to
+	// move state, so once state leaves Ready no request is midway into
+	// admission.
 	closeMu sync.RWMutex
-	closed  bool
+	state   NodeState
 
 	queues   map[string]*deviceQueue
 	inflight atomic.Int64   // batches queued or executing
@@ -732,13 +739,24 @@ func (p *Pipeline) slo(req PipelineRequest) time.Duration {
 	return d
 }
 
-// Submit admits one request. It never blocks: a full admission queue
-// sheds the request with ErrAdmissionFull, a request predicted to miss
-// its SLO is rejected with ErrDeadlineInfeasible, a closed pipeline
-// returns ErrPipelineClosed, and validation failures (including an
-// already-cancelled context) surface immediately. On success the
-// returned future resolves exactly once.
+// Submit admits one request. It never blocks: a pipeline that is not
+// Ready refuses first, with ErrNodeDraining while it drains and
+// ErrNodeDown once it has stopped (both are ErrPipelineClosed); then
+// validation failures (including an already-cancelled context) surface,
+// a request predicted to miss its SLO is rejected with
+// ErrDeadlineInfeasible, and a full admission queue sheds the request
+// with ErrAdmissionFull. On success the returned future resolves exactly
+// once.
 func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, error) {
+	p.closeMu.RLock()
+	defer p.closeMu.RUnlock()
+	switch p.state {
+	case NodeReady:
+	case NodeDraining:
+		return nil, ErrNodeDraining
+	default:
+		return nil, ErrNodeDown
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -792,13 +810,6 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 	r.key = aggKey{model: req.Model, pol: req.Policy, estimate: req.Input == nil}
 	slot := getSlot() // captured before the hand-off: r may be recycled the instant the loop owns it
 	r.slot = slot
-	p.closeMu.RLock()
-	if p.closed {
-		p.closeMu.RUnlock()
-		p.releaseReq(r)
-		releaseSlot(slot)
-		return nil, ErrPipelineClosed
-	}
 	if slo > 0 {
 		r.at = p.cfg.Clock.Now()
 		r.deadline = r.at + slo
@@ -811,11 +822,9 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 	select {
 	case p.admit <- r:
 		p.submitted.Add(1)
-		p.closeMu.RUnlock()
 		return &Future{s: slot}, nil
 	default:
 		p.shed.Add(1)
-		p.closeMu.RUnlock()
 		p.releaseReq(r)
 		releaseSlot(slot) // never issued: empty, and nobody can be waiting on it
 		return nil, ErrAdmissionFull
@@ -834,18 +843,38 @@ func (p *Pipeline) Do(ctx context.Context, req PipelineRequest) (Completion, err
 }
 
 // Close stops admission, flushes every open aggregate, drains the
-// device queues and waits for all in-flight work to complete. Every
-// accepted request's future resolves before Close returns. Close is
-// idempotent.
-func (p *Pipeline) Close() {
+// device queues and waits for all in-flight work to complete: the
+// pipeline ends Drained. Every accepted request's future resolves before
+// Close returns. Close is idempotent.
+func (p *Pipeline) Close() { p.shutdown(NodeDrained) }
+
+// State reports the pipeline's lifecycle position.
+func (p *Pipeline) State() NodeState {
+	p.closeMu.RLock()
+	defer p.closeMu.RUnlock()
+	return p.state
+}
+
+// shutdown is the one way out of Ready, ending in final (NodeDrained or
+// NodeKilled). A drain refuses new work with ErrNodeDraining until the
+// accepted tail has resolved; a kill refuses with ErrNodeDown at once,
+// and overtakes a drain in progress. The first caller runs the close;
+// every other waits for it, so each returns only once every accepted
+// future has resolved. A stopped pipeline keeps its resting state.
+func (p *Pipeline) shutdown(final NodeState) {
 	p.closeMu.Lock()
-	if p.closed {
-		p.closeMu.Unlock()
+	owner := p.state == NodeReady
+	switch {
+	case owner && final == NodeDrained:
+		p.state = NodeDraining
+	case owner, p.state == NodeDraining && final == NodeKilled:
+		p.state = NodeKilled
+	}
+	p.closeMu.Unlock()
+	if !owner {
 		<-p.drained
 		return
 	}
-	p.closed = true
-	p.closeMu.Unlock()
 	// No Submit can be mid-send past this point (sends happen under the
 	// read lock), so once the batching loop observes closing and
 	// self-drains, admission is empty for good.
@@ -860,8 +889,13 @@ func (p *Pipeline) Close() {
 	// signal idleness on the buffered nudge channel; nothing reads it
 	// anymore, which is fine — sends are non-blocking.
 	p.workers.Wait()
-	close(p.drained)
 	p.sched.SetQueueProbe(nil)
+	p.closeMu.Lock()
+	if p.state == NodeDraining {
+		p.state = NodeDrained
+	}
+	p.closeMu.Unlock()
+	close(p.drained)
 }
 
 // Load is the pipeline's instantaneous occupancy — requests waiting in
@@ -1018,7 +1052,7 @@ func (p *Pipeline) idleSweep(now time.Duration) {
 
 // drainOnClose empties the admission queue and flushes every open
 // aggregate. By the time closing is observable, Submit can no longer
-// send (Close flipped closed under the write lock first), so one
+// send (shutdown moved state under the write lock first), so one
 // non-blocking sweep drains admission for good.
 func (p *Pipeline) drainOnClose() {
 	now := p.cfg.Clock.Now()
@@ -1559,7 +1593,9 @@ func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
 	default:
 		p.failed.Add(1)
 	}
-	r.slot.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
+	// Count before delivering: a client whose Wait has returned must
+	// read a ledger that already holds its request.
 	p.completed.Add(1)
+	r.slot.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
 	return true
 }

@@ -637,3 +637,25 @@ func TestOneKeyFillsEveryAdmissionSlot(t *testing.T) {
 		}
 	}
 }
+
+// A completion is on the ledger before it is delivered: once Wait has
+// returned, Completed already counts the request. Each Do below is the
+// only request in flight, so after it Completed must equal Submitted.
+func TestCompletionIsCountedBeforeItIsDelivered(t *testing.T) {
+	p := NewPipeline(testScheduler(t), PipelineConfig{ProbeInterval: -1})
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	uncounted := 0
+	for i := 0; i < 2000; i++ {
+		if _, err := p.Do(ctx, PipelineRequest{Model: "simple", Policy: BestThroughput, Batch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Stats(); st.Completed != st.Submitted {
+			uncounted++
+		}
+	}
+	if uncounted != 0 {
+		t.Fatalf("%d of 2000 Waits returned before their completion was counted", uncounted)
+	}
+}

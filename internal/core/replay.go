@@ -135,18 +135,24 @@ type Submitter interface {
 	Submit(ctx context.Context, req PipelineRequest) (*Future, error)
 }
 
-// Play drives a request trace open-loop through a live target: arrivals
-// replay on the wall clock compressed by speedup (100 plays a 10 s trace
-// in 0.1 s), each is submitted timing-only under pol with the given
-// Deadline (0: the target's default SLO, negative: none), and every
-// completion is waited for concurrently and recorded. Unlike
+// Play drives a request trace open-loop through a live target: each
+// arrival waits for its time on a WallClock started at the call,
+// compressed by speedup (100 plays a 10 s trace in 0.1 s; values ≤ 0
+// play in real time), and is submitted timing-only under pol with the
+// given Deadline (0: the target's default SLO, negative: none); every
+// completion is waited for concurrently and recorded. A slow Submit
+// delays the arrivals behind it, as a real ingest socket would. Unlike
 // Scheduler.Replay the requests flow through admission, live batching
 // and the device queues, and devices are not reset: Play observes the
 // system as it is, like live traffic. A Submit error other than shedding
-// stops playback and is returned once every admitted request resolved.
+// stops playback and is returned once every admitted request resolved;
+// so is the error of a ctx that ends playback early.
 func Play(ctx context.Context, target Submitter, tr trace.Trace, pol Policy, deadline time.Duration, speedup float64) (ReplayResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if speedup <= 0 {
+		speedup = 1
 	}
 	var res ReplayResult
 	var mu sync.Mutex
@@ -156,11 +162,25 @@ func Play(ctx context.Context, target Submitter, tr trace.Trace, pol Policy, dea
 		res.Record(c, samples)
 		mu.Unlock()
 	}
-	playCtx, stopPlay := context.WithCancel(ctx)
-	defer stopPlay()
-	arrivals := trace.Play(playCtx, tr, speedup)
+	clk := WallClock()
+	due := make(chan struct{}, 1)
+	var timer Timer
 	var submitErr error
-	for req := range arrivals {
+play:
+	for _, req := range tr {
+		if wait := time.Duration(float64(req.At)/speedup) - clk.Now(); wait > 0 {
+			if timer == nil {
+				timer = clk.AfterFunc(wait, func() { due <- struct{}{} })
+				defer timer.Stop() // once: later waits Reset this timer
+			} else {
+				timer.Reset(wait)
+			}
+			select {
+			case <-due:
+			case <-ctx.Done():
+				break play
+			}
+		}
 		fut, err := target.Submit(ctx, PipelineRequest{Model: req.Model, Policy: pol, Batch: req.Batch, Deadline: deadline})
 		if err != nil {
 			if IsShed(err) {
@@ -170,9 +190,6 @@ func Play(ctx context.Context, target Submitter, tr trace.Trace, pol Policy, dea
 			// Stop playback but do NOT return yet: completions of
 			// already-submitted requests are still being recorded.
 			submitErr = err
-			stopPlay()
-			for range arrivals { // release the playback goroutine
-			}
 			break
 		}
 		wg.Add(1)
@@ -272,18 +289,17 @@ func (s *Scheduler) OracleReplay(tr trace.Trace, pol Policy) (ReplayResult, erro
 	res := ReplayResult{PerDevice: map[string]int{}}
 	for _, req := range tr {
 		bestName := ""
-		var best *opencl.Result
-		// Probe each device on a snapshot: measure without committing by
-		// replaying on clones. Devices cannot be cloned cheaply, so the
-		// oracle instead measures each device in isolation from reset
-		// state — an idealised (queue-free) bound.
+		var best shadowCost
+		// Each device's memoised uncontended cost from its warm state: an
+		// idealised (queue-free) bound, measured without touching live
+		// state.
 		for _, d := range s.devices {
-			shadow, err := s.shadowEstimate(d.Name(), shadowReq{Model: req.Model, Batch: req.Batch})
+			c, err := s.shadowCost(d.Name(), req.Model, req.Batch, 0)
 			if err != nil {
 				return ReplayResult{}, err
 			}
-			if best == nil || betterResult(pol, shadow, best) {
-				best, bestName = shadow, d.Name()
+			if bestName == "" || betterCost(pol, c, best) {
+				best, bestName = c, d.Name()
 			}
 		}
 		out, err := s.rt.Estimate(bestName, req.Model, req.Batch, req.At)
@@ -295,17 +311,9 @@ func (s *Scheduler) OracleReplay(tr trace.Trace, pol Policy) (ReplayResult, erro
 	return res, nil
 }
 
-// shadowReq is the minimal request shape shadow measurements need; both
-// trace.Request and decisions convert into it.
-type shadowReq struct {
-	Model string
-	Batch int
-	At    time.Duration
-}
-
 // shadowEstimate measures one request on a fresh copy of the named
 // device, mirroring its current warm state, without touching live state.
-func (s *Scheduler) shadowEstimate(devName string, req shadowReq) (*opencl.Result, error) {
+func (s *Scheduler) shadowEstimate(devName, model string, batch int, at time.Duration) (*opencl.Result, error) {
 	var live *device.Device
 	for _, d := range s.devices {
 		if d.Name() == devName {
@@ -317,28 +325,28 @@ func (s *Scheduler) shadowEstimate(devName string, req shadowReq) (*opencl.Resul
 		return nil, fmt.Errorf("core: unknown device %q", devName)
 	}
 	shadow := device.New(live.Profile())
-	if live.StateAt(req.At).Warm {
+	if live.StateAt(at).Warm {
 		shadow.Warm(0)
 	}
 	rt, err := opencl.NewRuntime(shadow)
 	if err != nil {
 		return nil, err
 	}
-	net, err := s.disp.Network(req.Model)
+	net, err := s.disp.Network(model)
 	if err != nil {
 		return nil, err
 	}
 	if err := rt.LoadModel(net); err != nil {
 		return nil, err
 	}
-	return rt.Estimate(devName, req.Model, req.Batch, 0)
+	return rt.Estimate(devName, model, batch, 0)
 }
 
-func betterResult(pol Policy, a, b *opencl.Result) bool {
+func betterCost(pol Policy, a, b shadowCost) bool {
 	switch pol {
 	case EnergyEfficiency:
-		return a.EnergyJ < b.EnergyJ
+		return a.energy < b.energy
 	default: // throughput and latency both favour faster completion here
-		return a.Latency() < b.Latency()
+		return a.latency < b.latency
 	}
 }

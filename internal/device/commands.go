@@ -66,8 +66,7 @@ func (d *Device) ExecuteCompute(at time.Duration, w Workload, n int) Report {
 		start = d.busyUntil
 	}
 	d.coolLocked(start)
-	d.coolHeatLocked(start - d.lastEnd)
-	frac0 := d.clockFracLocked()
+	frac0 := d.clockFrac(d.boostBusy)
 
 	launch := time.Duration(w.Kernels) * d.prof.KernelLaunch
 	util := d.utilization(w, n)
@@ -125,6 +124,7 @@ func (d *Device) Transfer(at time.Duration, bytes int64) Report {
 	if d.prof.PCIeGBs > 0 && bytes > 0 {
 		secs := (float64(bytes) + float64(d.prof.PCIeRampBytes)) / (d.prof.PCIeGBs * 1e9)
 		dur = d.prof.PCIeLatency + time.Duration(secs*float64(time.Second))
+		d.coolLocked(start) // the idle gap ends here: the device moves lastEnd below
 	}
 	rep := Report{
 		Device:        d.prof.Name,
@@ -135,7 +135,7 @@ func (d *Device) Transfer(at time.Duration, bytes int64) Report {
 		Latency:       dur,
 		DeviceEnergyJ: d.prof.IdleWatts * dur.Seconds(),
 		HostEnergyJ:   d.prof.HostWatts * dur.Seconds(),
-		ClockFrac:     d.clockFracLocked(),
+		ClockFrac:     d.clockFrac(d.boostBusy),
 	}
 	d.busyUntil = start + dur
 	if dur > 0 {

@@ -103,8 +103,7 @@ func (d *Device) Execute(at time.Duration, w Workload, n int) Report {
 		start = d.busyUntil
 	}
 	d.coolLocked(start)
-	d.coolHeatLocked(start - d.lastEnd)
-	frac0 := d.clockFracLocked()
+	frac0 := d.clockFrac(d.boostBusy)
 
 	transfer := d.transferTime(w, n)
 	launch := time.Duration(w.Kernels) * d.prof.KernelLaunch
@@ -247,31 +246,40 @@ func (d *Device) boostStretchOf(d0 time.Duration, frac0 float64) time.Duration {
 	return time.Duration(float64(d0) / frac0)
 }
 
-// coolLocked decays boost credit for the idle gap before now.
+// coolLocked commits the idle gap before now — boost credit and heat
+// both decay — and moves lastEnd to now, so the gap is cooled once.
+// Every method that moves lastEnd calls it first.
 func (d *Device) coolLocked(now time.Duration) {
-	if !d.prof.HasBoost || d.boostBusy == 0 {
+	if now <= d.lastEnd {
 		return
 	}
+	d.boostBusy = d.cooledBoostLocked(now)
+	d.coolHeatLocked(now - d.lastEnd)
+	d.lastEnd = now
+}
+
+// cooledBoostLocked is the boost credit left after the idle gap before
+// now, without storing it.
+func (d *Device) cooledBoostLocked(now time.Duration) time.Duration {
 	idle := now - d.lastEnd
-	if idle <= 0 {
-		return
+	if !d.prof.HasBoost || d.boostBusy == 0 || idle <= 0 {
+		return d.boostBusy
 	}
 	f := 1 - idle.Seconds()/d.prof.Cooldown.Seconds()
 	if f <= 0 {
-		d.boostBusy = 0
-		return
+		return 0
 	}
-	d.boostBusy = time.Duration(float64(d.boostBusy) * f)
+	return time.Duration(float64(d.boostBusy) * f)
 }
 
-// clockFracLocked returns the current clock fraction in [IdleClock, 1].
-func (d *Device) clockFracLocked() float64 {
+// clockFrac returns the clock fraction in [IdleClock, 1] that boost
+// credit buys.
+func (d *Device) clockFrac(boost time.Duration) float64 {
 	if !d.prof.HasBoost {
 		return 1
 	}
-	f := d.prof.IdleClock + (1-d.prof.IdleClock)*
-		math.Min(1, d.boostBusy.Seconds()/d.prof.WarmupBusy.Seconds())
-	return f
+	return d.prof.IdleClock + (1-d.prof.IdleClock)*
+		math.Min(1, boost.Seconds()/d.prof.WarmupBusy.Seconds())
 }
 
 // State is the device condition a scheduler can probe (the paper's
@@ -282,13 +290,14 @@ type State struct {
 	BusyUntil time.Duration
 }
 
-// StateAt probes the device state at virtual time now. The probe itself is
-// free; schedulers that model probe cost should charge Profile.PCIeLatency.
+// StateAt probes the device state at virtual time now. The probe is a
+// pure read: it cools the idle gap in its answer, not in the device, so
+// repeated probes agree. It is also free; schedulers that model probe
+// cost should charge Profile.PCIeLatency.
 func (d *Device) StateAt(now time.Duration) State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.coolLocked(now)
-	f := d.clockFracLocked()
+	f := d.clockFrac(d.cooledBoostLocked(now))
 	return State{Warm: f >= 0.95, ClockFrac: f, BusyUntil: d.busyUntil}
 }
 

@@ -170,6 +170,39 @@ func TestBoostCoolsWhenIdle(t *testing.T) {
 	}
 }
 
+// The state probe is a read: probing a warmed device again at the same
+// instant gives the same answer, and probing does not cool it.
+func TestStateAtIsAPureRead(t *testing.T) {
+	d := New(NvidiaGTX1080Ti())
+	d.Warm(0)
+	at := d.Profile().Cooldown / 10
+	first := d.StateAt(at)
+	for i := 0; i < 3; i++ {
+		if st := d.StateAt(at); st != first {
+			t.Fatalf("probe %d at %v = %+v, first probe %+v", i+2, at, st, first)
+		}
+	}
+	if first.ClockFrac >= 1 || first.ClockFrac <= d.Profile().IdleClock {
+		t.Fatalf("probe after %v idle = %.3f, want partly cooled clocks", at, first.ClockFrac)
+	}
+}
+
+// A transfer ends the idle gap before it: the cooling of that gap is
+// committed, so a kernel after a long idle spell and its input transfer
+// starts cold — the runtime's write-then-kernel sequence on a dGPU.
+func TestTransferCommitsIdleCooling(t *testing.T) {
+	d := New(NvidiaGTX1080Ti())
+	p := d.Profile()
+	d.Warm(0)
+	idle := 5 * p.Cooldown
+	tr := d.Transfer(idle, 1<<20)
+	rep := d.ExecuteCompute(tr.Start+tr.Latency, testWorkload(), 1)
+	if rep.ClockFrac != p.IdleClock || rep.StartedWarm {
+		t.Fatalf("kernel after %v idle and a transfer started at clock %.3f (warm %v), want cold at %.3f",
+			idle, rep.ClockFrac, rep.StartedWarm, p.IdleClock)
+	}
+}
+
 func TestBoostConvergenceForLongRuns(t *testing.T) {
 	// For executions much longer than the warm-up, cold and warm latency
 	// must converge (the better-than-linear growth of Fig. 3b).

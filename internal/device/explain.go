@@ -49,7 +49,7 @@ func Explain(p Profile, w Workload, n int, warm bool) Breakdown {
 		traffic += float64(int64(n)*w.WeightBytes) / p.WeightReuse
 	}
 	tMem := time.Duration(traffic / (p.MemBandwidthGBs * 1e9) * float64(time.Second))
-	frac := d.clockFracLocked()
+	frac := d.clockFrac(d.boostBusy)
 	d.mu.Unlock()
 
 	bound := "compute"

@@ -43,7 +43,7 @@ var analyzerWallclock = &Analyzer{
 		"(internal/opencl, internal/device, internal/core, internal/cluster, internal/trace,\n" +
 		"internal/workload — but not internal/workload/scenario, whose live mode paces real time);\n" +
 		"serving code takes its time from the injected core.Clock; the intentional wall-clock\n" +
-		"sites — core.WallClock, the scheduler's DecisionTime, trace replay — carry a\n" +
+		"sites — core.WallClock and the scheduler's DecisionTime — carry a\n" +
 		"//bomw:wallclock <justification> directive",
 	Run: runWallclock,
 }

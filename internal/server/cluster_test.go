@@ -19,39 +19,53 @@ var (
 )
 
 // fleetServer stands up a shared 4-node fleet behind least-loaded
-// routing for the cluster endpoint tests.
+// routing for the cluster endpoint tests. Tests that kill or drain a
+// node take a newFleet of their own instead: those are terminal.
 func fleetServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	fleetOnce.Do(func() {
-		sched, err := core.New(core.Config{
-			TrainModels: models.PaperModels(),
-			Batches:     []int{8, 512, 8192, 65536},
-			Reps:        1,
-		})
-		if err != nil {
-			fleetErr = err
-			return
-		}
-		if err := sched.LoadModel(models.Simple(), 1); err != nil {
-			fleetErr = err
-			return
-		}
-		pol, err := cluster.PolicyByName("least-loaded", 1)
-		if err != nil {
-			fleetErr = err
-			return
-		}
-		api, err := NewCluster(sched, 1, core.PipelineConfig{}, 4, cluster.Config{Policy: pol})
-		if err != nil {
-			fleetErr = err
-			return
-		}
-		fleetSrv = httptest.NewServer(api)
-	})
+	fleetOnce.Do(func() { fleetSrv, _, fleetErr = buildFleet() })
 	if fleetErr != nil {
 		t.Fatal(fleetErr)
 	}
 	return fleetSrv
+}
+
+// newFleet stands up a 4-node least-loaded fleet for one test and
+// closes it when the test ends.
+func newFleet(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts, api, err := buildFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ts.Close()
+		api.Close()
+	})
+	return ts
+}
+
+func buildFleet() (*httptest.Server, *Server, error) {
+	sched, err := core.New(core.Config{
+		TrainModels: models.PaperModels(),
+		Batches:     []int{8, 512, 8192, 65536},
+		Reps:        1,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := sched.LoadModel(models.Simple(), 1); err != nil {
+		return nil, nil, err
+	}
+	pol, err := cluster.PolicyByName("least-loaded", 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	api, err := NewCluster(sched, 1, core.PipelineConfig{}, 4, cluster.Config{Policy: pol})
+	if err != nil {
+		return nil, nil, err
+	}
+	return httptest.NewServer(api), api, nil
 }
 
 func classifyOK(t *testing.T, url string) ClassifyResponse {
@@ -102,7 +116,7 @@ func TestClusterEndpointReportsFleet(t *testing.T) {
 }
 
 func TestNodesEndpointListsAndActs(t *testing.T) {
-	ts := fleetServer(t)
+	ts := newFleet(t) // kills node2: a fleet of its own
 
 	resp, err := http.Get(ts.URL + "/v1/nodes")
 	if err != nil {
@@ -182,8 +196,9 @@ func TestNodesEndpointListsAndActs(t *testing.T) {
 // router picks.
 func TestModelLoadReplicatesToEveryNode(t *testing.T) {
 	ts := fleetServer(t)
+	name := freshModelName("fleet-mlp")
 	resp := post(t, ts.URL+"/v1/models", ModelSpec{
-		Name:       "fleet-mlp",
+		Name:       name,
 		Kind:       "ffnn",
 		InputShape: []int{4},
 		Hidden:     []int{8},
@@ -199,7 +214,7 @@ func TestModelLoadReplicatesToEveryNode(t *testing.T) {
 	}
 	// Enough classifications to touch several nodes under routing.
 	for i := 0; i < 8; i++ {
-		resp := post(t, ts.URL+"/v1/classify", ClassifyRequest{Model: "fleet-mlp", Samples: samples})
+		resp := post(t, ts.URL+"/v1/classify", ClassifyRequest{Model: name, Samples: samples})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("classify %d on fleet-wide model = %d", i, resp.StatusCode)
 		}

@@ -15,8 +15,9 @@ import (
 // setting Content-Type, so the JSON body shipped without one.
 func TestModelLoadResponseContentType(t *testing.T) {
 	ts := testServer(t)
+	name := freshModelName("content-type-probe")
 	resp := post(t, ts.URL+"/v1/models", ModelSpec{
-		Name:       "content-type-probe",
+		Name:       name,
 		Kind:       "ffnn",
 		InputShape: []int{8},
 		Hidden:     []int{16},
@@ -31,7 +32,7 @@ func TestModelLoadResponseContentType(t *testing.T) {
 	}
 	var body map[string]string
 	decode(t, resp, &body)
-	if body["loaded"] != "content-type-probe" {
+	if body["loaded"] != name {
 		t.Fatalf("201 body = %v", body)
 	}
 }

@@ -108,7 +108,7 @@ func NewCluster(sched *core.Scheduler, seed int64, cfg core.PipelineConfig, n in
 	}
 	s.fleet = fleet
 	s.nodes = nodes
-	s.pipe = nodes[0].Pipeline()
+	s.pipe = nodes[0].Pipeline
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/classify", s.handleClassify)
 	s.mux.HandleFunc("/v1/models", s.handleModels)

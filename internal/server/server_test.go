@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +46,15 @@ func testServer(t *testing.T) *httptest.Server {
 		t.Fatal(srvErr)
 	}
 	return srv
+}
+
+var modelSeq atomic.Int64
+
+// freshModelName names a model no earlier load into a shared fixture
+// used: loads are permanent, so a fixed name would conflict (409) the
+// second time a test runs in one process (go test -count=2).
+func freshModelName(base string) string {
+	return fmt.Sprintf("%s-%d", base, modelSeq.Add(1))
 }
 
 func post(t *testing.T, url string, body interface{}) *http.Response {
@@ -125,7 +135,7 @@ func TestClassifyErrors(t *testing.T) {
 func TestDynamicModelLoading(t *testing.T) {
 	ts := testServer(t)
 	spec := ModelSpec{
-		Name:       "live-ffnn",
+		Name:       freshModelName("live-ffnn"),
 		Kind:       "ffnn",
 		InputShape: []int{16},
 		Hidden:     []int{32, 16},
@@ -153,16 +163,16 @@ func TestDynamicModelLoading(t *testing.T) {
 	decode(t, getResp, &list)
 	found := false
 	for _, m := range list.Models {
-		if m == "live-ffnn" {
+		if m == spec.Name {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("live-ffnn missing from %v", list.Models)
+		t.Fatalf("%s missing from %v", spec.Name, list.Models)
 	}
 	sample := make([]float32, 16)
 	resp = post(t, ts.URL+"/v1/classify", ClassifyRequest{
-		Model: "live-ffnn", Samples: [][]float32{sample},
+		Model: spec.Name, Samples: [][]float32{sample},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify on dynamic model: status %d", resp.StatusCode)

@@ -17,7 +17,7 @@ import (
 // sorted by arrival time with a stable tie-break on client order.
 //
 // The sort is load-bearing, not cosmetic: every trace consumer —
-// trace.Play's paced replay, Summarize, RateOver's bucket indexing, the
+// core.Play's paced replay, Summarize, RateOver's bucket indexing, the
 // replay engines — validates or assumes monotonically ordered arrivals,
 // and an interleaved multi-client merge is exactly the input that used
 // to violate it. Compile owns the ordering so no caller can trip it.

@@ -7,7 +7,7 @@
 // weighted model/batch mixes — heavy-tailed request populations
 // included. Compile expands the spec into one time-ordered trace.Trace,
 // so the output feeds everything that already consumes traces:
-// trace.Play, Scheduler.Replay, core.Play and the cluster tier.
+// Scheduler.Replay, core.Play and the cluster tier.
 //
 // Everything is deterministic in Spec.Seed: the same spec and seed
 // produce byte-identical traces, which is what makes the MLPerf-style
