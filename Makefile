@@ -58,8 +58,8 @@ race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...
 
 # The stepped-clock tests, fifty times under the race detector (seconds):
-# the five timers of the serving path — batching window, device hedge,
-# retry backoff, recovery prober, node hedge — and the accounting
+# the four timers of the serving path — batching window, retry backoff,
+# recovery prober, node hedge — and the accounting
 # identities, each driven by stepping a core.ManualClock. They neither
 # sleep nor poll, so a failure here is an ordering bug, not a slow host.
 # The admission path rides along: one key filling every admission slot,
@@ -67,7 +67,7 @@ race:
 # lifecycle behind the pipeline's one admission gate, and the ledger
 # counting a completion before its Wait can return.
 stepped:
-	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestPipelineHedgeCompletesOnBackupDevice|TestOneKeyFillsEveryAdmissionSlot|TestFutureContract|TestNode|TestCompletionIsCountedBeforeItIsDelivered' ./internal/core/
+	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestOneKeyFillsEveryAdmissionSlot|TestFutureContract|TestNode|TestCompletionIsCountedBeforeItIsDelivered' ./internal/core/
 	$(GO) test -race -count=50 -run 'TestClusterHedgeReactive' ./internal/cluster/
 
 BENCHTIME ?= 2s

@@ -11,7 +11,7 @@
 //	bomwsrv -addr :8080
 //	bomwsrv -save sched.state                # train, write the state, exit
 //	bomwsrv -addr :8080 -load sched.state -window 2ms -max-batch 64
-//	bomwsrv -addr :8080 -default-slo 50ms -hedge
+//	bomwsrv -addr :8080 -default-slo 50ms
 //	bomwsrv -addr :8080 -nodes 64 -route least-loaded
 //
 //	curl -s localhost:8080/v1/devices
@@ -25,8 +25,7 @@
 // latency SLO. Admission control rejects requests predicted to miss it
 // (504, reason deadline_infeasible); admitted requests whose SLO passes
 // before execution are culled without touching a device (504, reason
-// deadline_exceeded); -hedge re-submits straggling batches to the
-// second-best device and takes the first result.
+// deadline_exceeded).
 //
 // Fault injection (failure-domain drills): -fault scripts deterministic
 // device faults on the virtual clock (wall time since start). The spec
@@ -120,7 +119,6 @@ func main() {
 	window := flag.Duration("window", 2*time.Millisecond, "live batching window")
 	maxBatch := flag.Int("max-batch", 64, "live batching size trigger (samples)")
 	defaultSLO := flag.Duration("default-slo", 0, "latency SLO for requests without timeout_ms (0 disables; requests predicted to miss are rejected 504)")
-	hedge := flag.Bool("hedge", false, "re-submit straggling deadline-carrying batches to the second-best device (first result wins)")
 	faultSpec := flag.String("fault", "", "fault-injection spec, e.g. 'GTX 1080 Ti=err:0.05,outage:30s-45s' (see doc comment)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for fault-injection draws")
 	nodes := flag.Int("nodes", 1, "fleet size: serving-node replicas behind the router")
@@ -232,7 +230,6 @@ func main() {
 		Window:     *window,
 		MaxBatch:   *maxBatch,
 		DefaultSLO: *defaultSLO,
-		Hedge:      *hedge,
 	}, *nodes, cluster.Config{
 		Policy:    policy,
 		Seed:      *seed,

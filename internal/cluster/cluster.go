@@ -40,6 +40,8 @@ type Node interface {
 	Capacity() int64
 	Stats() core.NodeStats
 	Health() core.NodeHealth
+	// Drain and Kill may race: the node orders them itself, and a Kill
+	// overtakes a drain in progress.
 	Drain()
 	Kill()
 }
@@ -124,11 +126,6 @@ type member struct {
 	hardFails atomic.Int64 // consecutive down/draining submit failures
 	routed    atomic.Int64 // requests this node accepted
 	rerouted  atomic.Int64 // requests accepted after another node refused
-
-	// lifeMu serialises operator lifecycle transitions (Drain/Kill) on
-	// this member, so a Kill landing on an already-draining node orders
-	// strictly behind the drain instead of racing it.
-	lifeMu sync.Mutex
 
 	// Probation state (the Suspect health state; see health.go).
 	suspect     atomic.Bool // on probation: no routed traffic, probes only
@@ -521,8 +518,6 @@ func (c *Cluster) Drain(name string) error {
 		return err
 	}
 	c.evict(m)
-	m.lifeMu.Lock()
-	defer m.lifeMu.Unlock()
 	m.node.Drain()
 	return nil
 }
@@ -562,17 +557,14 @@ func (c *Cluster) Readmit(name string) error {
 
 // Kill fail-stops a node (the failure drill): it is evicted from routing
 // and refuses all new work immediately; requests it had already accepted
-// still resolve. A Kill landing while the node drains serialises behind
-// the drain through the member's lifecycle mutex — the transitions land
-// in a strict order instead of racing into the node.
+// still resolve. A Kill landing while the node drains overtakes the
+// drain, as Node.Kill does: the node ends Killed.
 func (c *Cluster) Kill(name string) error {
 	m, err := c.findMember(name)
 	if err != nil {
 		return err
 	}
 	c.evict(m)
-	m.lifeMu.Lock()
-	defer m.lifeMu.Unlock()
 	m.node.Kill()
 	return nil
 }
@@ -587,8 +579,6 @@ func (c *Cluster) Close() {
 			wg.Add(1)
 			go func(m *member) {
 				defer wg.Done()
-				m.lifeMu.Lock()
-				defer m.lifeMu.Unlock()
 				m.node.Drain()
 			}(m)
 		}

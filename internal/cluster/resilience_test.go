@@ -333,10 +333,10 @@ func TestMigrationNoTargetStillResolves(t *testing.T) {
 	}
 }
 
-// TestClusterKillRacesDrain is the satellite -race regression at the
-// fleet tier: Kill and Drain land on the same node concurrently under
-// live traffic, serialise through the member's lifecycle mutex, and the
-// fleet keeps every future it handed out.
+// TestClusterKillRacesDrain is the -race regression at the fleet tier:
+// Kill and Drain land on the same node concurrently under live traffic,
+// the node's own lifecycle gate orders them, and the fleet keeps every
+// future it handed out.
 func TestClusterKillRacesDrain(t *testing.T) {
 	pol, _ := PolicyByName("least-loaded", 1)
 	c := realCluster(t, 3, Config{Policy: pol, SweepEvery: 25}, core.PipelineConfig{

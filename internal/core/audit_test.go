@@ -7,8 +7,20 @@ import (
 	"testing"
 )
 
+// auditScheduler is a private replica of the shared fixture: audit,
+// once enabled, stays on, so an audit test that enabled it on the shared
+// scheduler would make every later test record decisions.
+func auditScheduler(t *testing.T) *Scheduler {
+	t.Helper()
+	s, err := testScheduler(t).Replica(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestAuditDisabledByDefault(t *testing.T) {
-	s := testScheduler(t)
+	s := auditScheduler(t)
 	if _, err := s.Select("simple", 8, LowestLatency, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +30,7 @@ func TestAuditDisabledByDefault(t *testing.T) {
 }
 
 func TestAuditRecordsDecisions(t *testing.T) {
-	s := testScheduler(t)
+	s := auditScheduler(t)
 	s.EnableAudit(8)
 	for i := 0; i < 5; i++ {
 		if _, err := s.Select("mnist-small", 512<<i, BestThroughput, 0); err != nil {
@@ -48,7 +60,7 @@ func TestAuditRecordsDecisions(t *testing.T) {
 }
 
 func TestAuditRingWraps(t *testing.T) {
-	s := testScheduler(t)
+	s := auditScheduler(t)
 	s.EnableAudit(4)
 	for i := 0; i < 10; i++ {
 		if _, err := s.Select("simple", 8, LowestLatency, 0); err != nil {
@@ -65,7 +77,7 @@ func TestAuditRingWraps(t *testing.T) {
 }
 
 func TestAuditJSONExport(t *testing.T) {
-	s := testScheduler(t)
+	s := auditScheduler(t)
 	s.EnableAudit(16)
 	if _, err := s.Select("mnist-small", 4096, EnergyEfficiency, 0); err != nil {
 		t.Fatal(err)

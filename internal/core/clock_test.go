@@ -220,7 +220,6 @@ func steppedIdentities(s *Scheduler, fi *opencl.FaultInjector, seed int64, realI
 	rng := rand.New(rand.NewSource(seed))
 	clk := NewManualClock()
 	cfg := PipelineConfig{
-		Hedge:            rng.Intn(2) == 0,
 		DefaultSLO:       []time.Duration{0, 150 * time.Microsecond, 50 * time.Millisecond}[rng.Intn(3)],
 		HoldWindow:       rng.Intn(2) == 0,
 		QueueDepth:       4, // small queues: backoffs and held windows back up into shedding

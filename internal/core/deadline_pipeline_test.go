@@ -214,104 +214,25 @@ func TestPipelineNoRetryAfterDeadline(t *testing.T) {
 	}
 }
 
-// TestPipelineHedgeCompletesOnBackupDevice: with hedging on, a batch
-// straggling on its primary device is re-executed on the second-best
-// device once half its slack is spent on the clock — and not one
-// nanosecond before; the hedge's result resolves the future and the
-// primary — released later — skips execution entirely (the loser is
-// cancelled).
-func TestPipelineHedgeCompletesOnBackupDevice(t *testing.T) {
-	const slo = 100 * time.Millisecond
-	s, fi := steppedScheduler(t)
-	clk := NewManualClock()
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Hedge: true, Clock: clk})
-	held := make(chan string, 1)
-	release := make(chan struct{})
-	p.testExecHook = func(dev string) {
-		held <- dev // only the primary batch ever reaches a worker
-		<-release
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8, Deadline: slo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prim := <-held // the hedge was armed at flush, before the worker saw the batch
-	clk.Advance(slo/2 - 1)
-	if st := p.Stats(); st.HedgesLaunched != 0 || st.Completed != 0 {
-		t.Fatalf("before half the slack: launched %d completed %d, want 0 and 0", st.HedgesLaunched, st.Completed)
-	}
-	clk.Advance(1) // the hedge runs on this goroutine: it has delivered when Advance returns
-	if st := p.Stats(); st.HedgesLaunched != 1 {
-		t.Fatalf("at half the slack: launched %d, want 1", st.HedgesLaunched)
-	}
-	c, err := fut.Wait(ctx) // resolved by the hedge while the primary is still held
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	p.Close()
-
-	if c.Err != nil {
-		t.Fatalf("hedged request failed: %v", c.Err)
-	}
-	if !c.Hedged {
-		t.Fatalf("completion not marked hedged: %+v", c)
-	}
-	if c.Decision.Device == prim {
-		t.Fatalf("hedge reported completion on the held primary %s", prim)
-	}
-	st := p.Stats()
-	if st.HedgesLaunched != 1 || st.HedgesWon != 1 {
-		t.Fatalf("hedge counters = launched %d won %d, want 1/1", st.HedgesLaunched, st.HedgesWon)
-	}
-	if st.Expired != 0 || st.Failed != 0 {
-		t.Fatalf("stats = %+v, want a clean hedged success", st)
-	}
-	// The cancelled loser never executed: only the hedge touched a device.
-	if execs := fi.Stats(); execs[prim].Executions != 0 || totalExecutions(fi) != 1 {
-		t.Fatalf("executions = %+v, want exactly one (the hedge), none on %s", execs, prim)
-	}
-}
-
-// TestHedgeAndPrimaryShareOneInputTensor: a batch of one request hands
-// that request's tensor to the runtime uncopied, so a hedge and the
-// primary it races read the same tensor. That is safe only because
-// nothing on the path writes an input: under -race a write would be
-// reported against the other attempt's reads, and with or without the
-// detector the tensor must come back bit for bit.
-func TestHedgeAndPrimaryShareOneInputTensor(t *testing.T) {
+// TestServedInputTensorIsLeftUnchanged: a batch of one request hands
+// that request's tensor to the runtime uncopied, which is safe only
+// because nothing on the path writes an input. The served request must
+// get net.Classify's classes, and the tensor must come back bit for bit.
+func TestServedInputTensorIsLeftUnchanged(t *testing.T) {
 	s := smallScheduler(t, Config{MaxQueueDelay: -1})
 	fi := countingInjector(s)
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Hedge: true})
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	held := false
-	var mu sync.Mutex
-	p.testExecHook = func(string) {
-		mu.Lock()
-		first := !held
-		held = true
-		mu.Unlock()
-		for first && p.hedges.Load() == 0 && ctx.Err() == nil { // hold the primary until the hedge is on its way to a device
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
 
-	in := tensor.New(64, 784) // ≈ 10 ms of mnist-small on either attempt: time to overlap
+	in := tensor.New(64, 784)
 	for i := range in.Data() {
 		in.Data()[i] = float32(1+i%999) / 1000
 	}
 	before := in.Clone()
-	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Input: in, Deadline: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := fut.Wait(ctx)
+	c, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Input: in, Deadline: 100 * time.Millisecond})
 	if err != nil || c.Err != nil {
-		t.Fatalf("hedged request failed: %v / %v", err, c.Err)
+		t.Fatalf("request failed: %v / %v", err, c.Err)
 	}
 	p.Close()
 
@@ -327,11 +248,8 @@ func TestHedgeAndPrimaryShareOneInputTensor(t *testing.T) {
 			t.Fatalf("input element %d changed from %v to %v while it was served", i, before.Data()[i], v)
 		}
 	}
-	if st := p.Stats(); st.HedgesLaunched != 1 {
-		t.Errorf("hedges launched = %d, want 1", st.HedgesLaunched)
-	}
-	if n := totalExecutions(fi); n < 1 || n > 2 {
-		t.Errorf("executions = %d, want the hedge and at most the primary", n)
+	if n := totalExecutions(fi); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
 	}
 }
 

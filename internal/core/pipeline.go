@@ -52,14 +52,11 @@ import (
 // *real* queued work instead of only the device simulator's committed
 // busy horizon. Deadline-carrying batches are routed through
 // SelectWithDeadline so the device pick honours the tightest SLO in the
-// batch, and an optional hedge (PipelineConfig.Hedge) re-submits a
-// straggling batch to the second-best device when half its slack is
-// spent, taking whichever result lands first.
+// batch.
 //
 // (4) Completion: results are delivered through per-request futures;
 // aggregated batches are split back into per-request class slices with
-// proportional energy accounting. Every future resolves exactly once,
-// even when hedged executions race the primary.
+// proportional energy accounting. Every future resolves exactly once.
 //
 // The pipeline owns the node lifecycle (NodeState): it is Ready until
 // Close — or, under a Node, Drain or Kill — shuts it down, and one
@@ -134,8 +131,6 @@ type Pipeline struct {
 	retries    atomic.Int64
 	failovers  atomic.Int64
 	execFails  atomic.Int64
-	hedges     atomic.Int64
-	hedgeWins  atomic.Int64
 
 	// testExecHook, when set, runs in each device worker before a batch
 	// executes — tests use it to hold workers and fill queues
@@ -173,7 +168,7 @@ type PipelineConfig struct {
 	// into an idle system dispatches immediately.
 	HoldWindow bool
 	// Clock supplies the virtual time requests are charged at and rings
-	// every timer that acts on it (window, hedge, backoff, prober).
+	// every timer that acts on it (window, backoff, prober).
 	// Defaults to WallClock() — wall time since the pipeline was created.
 	Clock Clock
 	// RetryBackoff is the pause on Clock before each failover attempt,
@@ -188,13 +183,6 @@ type PipelineConfig struct {
 	// Deadline of their own (measured from admission on the pipeline
 	// clock). Zero disables the default: such requests have no SLO.
 	DefaultSLO time.Duration
-	// Hedge enables deadline hedging: when half an SLO-carrying batch's
-	// slack has elapsed and it has not completed, the batch is
-	// re-executed on the second-best device and the first result wins
-	// (the "hedged requests" tail-tolerance pattern). The loser is
-	// discarded; if the primary never started, it skips execution
-	// entirely. Default off.
-	Hedge bool
 }
 
 func (c *PipelineConfig) fillDefaults() {
@@ -280,9 +268,6 @@ type Completion struct {
 	Completed time.Duration
 	// EnergyJ is this request's proportional share of the batch energy.
 	EnergyJ float64
-	// Hedged reports that a hedged execution on a backup device
-	// produced this result, not the primary pick.
-	Hedged bool
 	// Err is non-nil when the request failed (cancelled, expired,
 	// execution error); all other fields may be zero then.
 	Err error
@@ -419,22 +404,17 @@ type PipelineStats struct {
 	Failovers    int64 `json:"failovers"`     // batches completed on a device other than the one that failed them
 	ExecFailures int64 `json:"exec_failures"` // batches that exhausted every attempt and failed their requests
 
-	HedgesLaunched int64 `json:"hedges_launched"` // hedged executions submitted to a backup device
-	HedgesWon      int64 `json:"hedges_won"`      // hedged executions that resolved at least one request first
-
 	Depth map[string]int `json:"device_depth"` // per-device batches queued or executing
 }
 
 // pipeReq is one admitted request moving through the stages.
 //
-// pipeReqs are pooled and reference-counted. The flow path (aggregate →
-// batch → worker) owns one reference from Submit; a hedge snapshot
-// retains one more per request it copies. A request returns to the pool
-// only when every holder has released it, and every release site runs
-// after the request's future was resolved (finish) — so a pooled
-// pipeReq is never resurrected under a stage that still reads it. The
-// completion slot is NOT recycled with the pipeReq: it detaches at
-// release and is recycled separately by the Wait that receives from it.
+// pipeReqs are pooled. A request has one owner from Submit on, the flow
+// path (aggregate → batch → worker), and every site that releases it runs
+// after its future was resolved (finish) — so a pooled pipeReq is never
+// resurrected under a stage that still reads it. The completion slot is
+// NOT recycled with the pipeReq: it detaches at release and is recycled
+// separately by the Wait that receives from it.
 type pipeReq struct {
 	//bomw:ctxparam pipeReq is the per-request carrier: stages observe this request's cancellation at every queue boundary, so the ctx travels with it
 	ctx      context.Context
@@ -444,34 +424,26 @@ type pipeReq struct {
 	deadline time.Duration // absolute SLO expiry on the pipeline clock; 0 = none
 	size     int
 	slot     *futureSlot
-	done     atomic.Bool  // future resolved (guards exactly-once delivery)
-	refs     atomic.Int32 // holders: flow path + hedge snapshot
+	done     atomic.Bool // future resolved (guards exactly-once delivery)
 }
 
 var reqPool = sync.Pool{New: func() any { return &pipeReq{} }}
 
 func getPipeReq() *pipeReq {
 	r := reqPool.Get().(*pipeReq)
-	r.refs.Store(1)
 	r.done.Store(false)
 	return r
 }
 
-// retain adds a holder (the hedge snapshot path).
-func (r *pipeReq) retain() { r.refs.Add(1) }
-
-// releaseReq drops one holder; the last one clears the request and
-// returns it to the pool. Callers must have finished (or observed
-// someone else finish) the request's future before releasing.
+// releaseReq clears the request and returns it to the pool. Callers
+// must have finished the request's future before releasing.
 func (p *Pipeline) releaseReq(r *pipeReq) {
-	if r.refs.Add(-1) == 0 {
-		r.ctx = nil
-		r.req = PipelineRequest{}
-		r.key = aggKey{}
-		r.at, r.deadline, r.size = 0, 0, 0
-		r.slot = nil
-		reqPool.Put(r)
-	}
+	r.ctx = nil
+	r.req = PipelineRequest{}
+	r.key = aggKey{}
+	r.at, r.deadline, r.size = 0, 0, 0
+	r.slot = nil
+	reqPool.Put(r)
 }
 
 // dead reports whether the request must be culled at virtual time now
@@ -511,9 +483,6 @@ type batchWork struct {
 	charge    time.Duration // virtual occupancy charged to the device queue
 	clkCharge time.Duration // clock occupancy charged to the device queue
 
-	hedgeReqs  []*pipeReq // snapshot for the hedge path (immutable)
-	hedgeTimer Timer
-
 	// stacked backs the input tensor of a batch of several requests
 	// (stackInputs); like reqs it is kept across reuse, so merging two
 	// clients' requests does not allocate a copy of both.
@@ -524,9 +493,7 @@ type batchWork struct {
 // (and the batch its stacked-input backing) across reuse — the flush
 // path copy-culls the aggregate's requests into the batchWork's own
 // backing, so steady-state batching allocates neither carriers nor
-// slices. Hedged batches opt out of pooling (the timer closure and its
-// snapshot alias the work), trading a rare allocation for an obviously
-// safe lifecycle.
+// slices.
 var (
 	aggPool = sync.Pool{New: func() any { return &aggregate{} }}
 	bwPool  = sync.Pool{New: func() any { return &batchWork{} }}
@@ -561,13 +528,8 @@ func getBatchWork() *batchWork {
 	return w
 }
 
-// retireBatchWork recycles a finished batch. Hedged batches are left to
-// the GC: the hedge timer closure and its snapshot may still hold the
-// work.
+// retireBatchWork recycles a finished batch.
 func retireBatchWork(w *batchWork) {
-	if w.hedgeTimer != nil {
-		return
-	}
 	clearReqs(w.reqs)
 	w.reqs = w.reqs[:0]
 	bwPool.Put(w)
@@ -970,16 +932,14 @@ func (p *Pipeline) Stats() PipelineStats {
 			Batches:    p.batches.Load(),
 			InFlight:   p.inflight.Load(),
 		},
-		SizeFlushes:    p.sizeFl.Load(),
-		WindowFlushes:  p.windowFl.Load(),
-		IdleFlushes:    p.idleFl.Load(),
-		DrainFlushes:   p.drainFl.Load(),
-		Retries:        p.retries.Load(),
-		Failovers:      p.failovers.Load(),
-		ExecFailures:   p.execFails.Load(),
-		HedgesLaunched: p.hedges.Load(),
-		HedgesWon:      p.hedgeWins.Load(),
-		Depth:          map[string]int{},
+		SizeFlushes:   p.sizeFl.Load(),
+		WindowFlushes: p.windowFl.Load(),
+		IdleFlushes:   p.idleFl.Load(),
+		DrainFlushes:  p.drainFl.Load(),
+		Retries:       p.retries.Load(),
+		Failovers:     p.failovers.Load(),
+		ExecFailures:  p.execFails.Load(),
+		Depth:         map[string]int{},
 	}
 	for name, dq := range p.queues {
 		st.Depth[name] = dq.queued()
@@ -1127,30 +1087,22 @@ func (p *Pipeline) windowSweep(now time.Duration) {
 	}
 }
 
-// cullLive filters reqs down to the ones still worth executing at
-// virtual time now, resolving dead ones (context ended, deadline
-// passed) with their error and skipping requests another path already
-// resolved. Dropped requests lose the flow path's reference here. The
-// returned slice reuses reqs' backing array.
-func (p *Pipeline) cullLive(reqs []*pipeReq, now time.Duration) ([]*pipeReq, int) {
-	live := reqs[:0]
+// cullLive appends to dst the requests of reqs still worth executing at
+// virtual time now, and their total size; dead ones (context ended,
+// deadline passed) resolve with their error and are released here. dst
+// may be reqs[:0], filtering in place.
+func (p *Pipeline) cullLive(dst, reqs []*pipeReq, now time.Duration) ([]*pipeReq, int) {
 	size := 0
 	for _, r := range reqs {
-		if r.done.Load() {
-			// A hedged execution already resolved it; the flow path is
-			// finished with this request.
-			p.releaseReq(r)
-			continue
-		}
 		if err := r.dead(now); err != nil {
 			p.finish(r, &Completion{Err: err})
 			p.releaseReq(r)
 			continue
 		}
-		live = append(live, r)
+		dst = append(dst, r)
 		size += r.size
 	}
-	return live, size
+	return dst, size
 }
 
 // flushKey dispatches the open aggregate for key. trigger is the flush
@@ -1172,20 +1124,8 @@ func (p *Pipeline) flushKey(key aggKey, now time.Duration, trigger *atomic.Int64
 	// backing — requests that died while aggregating resolve here,
 	// before any device time — then recycle the aggregate immediately.
 	w := getBatchWork()
-	size := 0
-	for _, r := range agg.reqs {
-		if r.done.Load() {
-			p.releaseReq(r)
-			continue
-		}
-		if err := r.dead(now); err != nil {
-			p.finish(r, &Completion{Err: err})
-			p.releaseReq(r)
-			continue
-		}
-		w.reqs = append(w.reqs, r)
-		size += r.size
-	}
+	var size int
+	w.reqs, size = p.cullLive(w.reqs, agg.reqs, now)
 	putAggregate(agg)
 	live := w.reqs
 	if len(live) == 0 {
@@ -1238,17 +1178,6 @@ func (p *Pipeline) flushKey(key aggKey, now time.Duration, trigger *atomic.Int64
 	}
 	w.key, w.size, w.flushAt, w.deadline, w.dec = key, size, now, minDL, dec
 	w.charge, w.clkCharge = dq.chargeBatch(size)
-	if p.cfg.Hedge && minDL > 0 {
-		// Snapshot the request list: the worker compacts w.reqs in place
-		// while the hedge goroutine reads its own copy. Each snapshotted
-		// request is retained for the hedge path; the batch itself opts
-		// out of pooling (retireBatchWork skips hedged work).
-		w.hedgeReqs = append([]*pipeReq(nil), live...)
-		for _, r := range w.hedgeReqs {
-			r.retain()
-		}
-		w.hedgeTimer = p.cfg.Clock.AfterFunc((minDL-now)/2, func() { p.hedge(w) })
-	}
 	p.inflight.Add(1)
 	p.batches.Add(1)
 	trigger.Add(1)
@@ -1297,36 +1226,20 @@ func (p *Pipeline) pause(d time.Duration) {
 	}
 }
 
-// stopHedge disarms a pending hedge. When Stop reports the timer never
-// fired (and now never will), the hedge function is guaranteed not to
-// run, so this path owns — and releases — the snapshot's references;
-// otherwise hedge() is running (or already ran) and its deferred
-// release owns them. Exactly one path releases.
-func (p *Pipeline) stopHedge(w *batchWork) {
-	if w.hedgeTimer != nil && w.hedgeTimer.Stop() {
-		for i, r := range w.hedgeReqs {
-			p.releaseReq(r)
-			w.hedgeReqs[i] = nil
-		}
-	}
-}
-
-// executeAttempt runs one batch attempt on the device dec names,
-// releasing the attempt's queue charges (dq may be nil when the failover
-// device has no queue) and folding the observed virtual and clock
-// latencies into the queue's per-sample estimates.
-//
-// stacked is where a batch of several requests stacks its inputs: the
-// batch's own backing on the worker, which runs its attempts one after
-// the other, nil on the hedge path, which may run beside them.
-func (p *Pipeline) executeAttempt(dq *deviceQueue, key aggKey, reqs []*pipeReq, size int, dec Decision, virtCharge, clkCharge, clkStart time.Duration, stacked *[]float32) (*opencl.Result, error) {
+// executeAttempt runs one attempt of batch w — its live requests reqs,
+// size samples — on the device dec names, releasing the attempt's queue
+// charges (dq may be nil when the failover device has no queue) and
+// folding the observed virtual and clock latencies into the queue's
+// per-sample estimates. A batch of several requests stacks its inputs
+// into w's own backing: the worker runs its attempts one after the other.
+func (p *Pipeline) executeAttempt(dq *deviceQueue, w *batchWork, reqs []*pipeReq, size int, dec Decision, virtCharge, clkCharge, clkStart time.Duration) (*opencl.Result, error) {
 	now := p.cfg.Clock.Now()
 	var res *opencl.Result
 	var err error
-	if key.estimate {
-		res, err = p.sched.rt.Estimate(dec.Device, key.model, size, now)
+	if w.key.estimate {
+		res, err = p.sched.rt.Estimate(dec.Device, w.key.model, size, now)
 	} else {
-		res, err = p.sched.rt.Classify(dec.Device, key.model, stackInputs(reqs, size, stacked), now)
+		res, err = p.sched.rt.Classify(dec.Device, w.key.model, stackInputs(reqs, size, &w.stacked), now)
 	}
 	var observed time.Duration
 	if err == nil {
@@ -1356,19 +1269,17 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 	if p.testExecHook != nil {
 		p.testExecHook(dq.name)
 	}
-	live, size := p.cullLive(w.reqs, p.cfg.Clock.Now())
+	live, size := p.cullLive(w.reqs[:0], w.reqs, p.cfg.Clock.Now())
 	if size == 0 {
-		// Everything died (or a hedge won) while queued: release the
-		// charge without spending device time — the "cancelled loser"
-		// path of a hedge that fired before the primary started.
+		// Everything died while queued: release the charge without
+		// spending device time.
 		dq.completeBatch(w.charge, w.clkCharge, 0, 0, 0)
-		p.stopHedge(w)
 		p.batchDone()
 		retireBatchWork(w)
 		return
 	}
 	dec := w.dec
-	res, err := p.executeAttempt(dq, w.key, live, size, dec, w.charge, w.clkCharge, clkStart, &w.stacked)
+	res, err := p.executeAttempt(dq, w, live, size, dec, w.charge, w.clkCharge, clkStart)
 	if err != nil {
 		excluded := map[string]bool{dec.Device: true}
 		p.sched.ReportExecution(dec.Device, err)
@@ -1378,7 +1289,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 			}
 			// Deadlines keep ticking through failures and backoff; an
 			// expired request must not fail over to another device.
-			live, size = p.cullLive(live, p.cfg.Clock.Now())
+			live, size = p.cullLive(live[:0], live, p.cfg.Clock.Now())
 			if size == 0 {
 				break
 			}
@@ -1392,7 +1303,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 			if rq != nil {
 				charge, clkCharge = rq.chargeBatch(size)
 			}
-			res, err = p.executeAttempt(rq, w.key, live, size, next, charge, clkCharge, p.cfg.Clock.Now(), &w.stacked)
+			res, err = p.executeAttempt(rq, w, live, size, next, charge, clkCharge, p.cfg.Clock.Now())
 			p.sched.ReportExecution(next.Device, err)
 			if err != nil {
 				excluded[next.Device] = true
@@ -1404,7 +1315,6 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 	} else {
 		p.sched.ReportExecution(dec.Device, nil)
 	}
-	p.stopHedge(w)
 	if size == 0 {
 		// Every surviving request expired or was cancelled during the
 		// retry loop; their futures are resolved and their flow
@@ -1426,79 +1336,16 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		retireBatchWork(w)
 		return
 	}
-	p.deliver(live, size, w.flushAt, dec, res, false)
+	p.deliver(live, size, w.flushAt, dec, res)
 	for _, r := range live {
 		p.releaseReq(r)
 	}
 	retireBatchWork(w)
 }
 
-// hedge re-executes a straggling deadline-carrying batch on the
-// second-best device — the tail-tolerance "hedged requests" pattern:
-// armed at flush time to fire once half the batch's slack has elapsed,
-// it races the primary execution and whichever result lands first
-// resolves the futures (per-request exactly-once delivery arbitrates).
-// If the primary had not started yet, it finds every request resolved
-// at dequeue and skips execution entirely — the hedge effectively
-// cancelled it.
-func (p *Pipeline) hedge(w *batchWork) {
-	// This path owns the snapshot's references (stopHedge only releases
-	// when it disarms the timer before it fires); drop them on every
-	// exit so the requests can return to the pool.
-	defer func() {
-		for i, r := range w.hedgeReqs {
-			if r != nil {
-				p.releaseReq(r)
-				w.hedgeReqs[i] = nil
-			}
-		}
-	}()
-	select {
-	case <-p.closing:
-		return // the drain path resolves everything; don't race shutdown
-	default:
-	}
-	now := p.cfg.Clock.Now()
-	var reqs []*pipeReq
-	size := 0
-	for _, r := range w.hedgeReqs {
-		if r.done.Load() || r.dead(now) != nil {
-			continue // resolved, cancelled or expired: not worth hedging
-		}
-		reqs = append(reqs, r)
-		size += r.size
-	}
-	if size == 0 {
-		return
-	}
-	next, err := p.sched.SelectExcluding(w.key.model, size, w.key.pol, now, map[string]bool{w.dec.Device: true})
-	if err != nil {
-		return // single-device system or everything excluded: no backup
-	}
-	p.hedges.Add(1)
-	rq := p.queues[next.Device]
-	var charge, clkCharge time.Duration
-	if rq != nil {
-		charge, clkCharge = rq.chargeBatch(size)
-	}
-	res, err := p.executeAttempt(rq, w.key, reqs, size, next, charge, clkCharge, now, nil)
-	p.sched.ReportExecution(next.Device, err)
-	if err != nil {
-		return // the primary attempt still owns the batch
-	}
-	next.Policy = w.key.pol
-	if n := p.deliver(reqs, size, w.flushAt, next, res, true); n > 0 {
-		p.hedgeWins.Add(1)
-		_ = p.sched.Observe(next, res)
-	}
-}
-
 // deliver splits a batch result back into per-request completions
-// (stage 4), reporting how many futures this call actually resolved —
-// racing hedged and primary executions each call deliver, and the
-// per-request done flag lets exactly one win each future.
-func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec Decision, res *opencl.Result, hedged bool) int {
-	resolved := 0
+// (stage 4).
+func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec Decision, res *opencl.Result) {
 	off := 0
 	// One completion template per batch, patched per request — the
 	// Decision payload (strings, feature slice header) copies once here
@@ -1507,7 +1354,6 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 		Decision:  dec,
 		BatchSize: size,
 		Completed: res.Completed,
-		Hedged:    hedged,
 	}
 	energyPer := res.EnergyJ / float64(size)
 	for _, r := range reqs {
@@ -1522,67 +1368,52 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 			c.Classes = res.Classes[off : off+r.size : off+r.size]
 		}
 		off += r.size
-		if p.finish(r, &c) {
-			resolved++
+		p.finish(r, &c)
+	}
+	// Fold the batch's worst request latency (oldest arrival →
+	// completion) into the straggler EWMA, α = 1/8. A plain load/store
+	// race between two workers loses at most one sample — fine for a
+	// smoothed signal — and keeps this off the hot path's lock budget.
+	worst := int64(res.Completed - reqs[0].at)
+	for _, r := range reqs {
+		if l := int64(res.Completed - r.at); l > worst {
+			worst = l
 		}
 	}
-	if resolved > 0 {
-		// Fold the batch's worst request latency (oldest arrival →
-		// completion) into the straggler EWMA, α = 1/8. A plain
-		// load/store race between two workers loses at most one sample —
-		// fine for a smoothed signal — and keeps this off the hot path's
-		// lock budget.
-		worst := int64(res.Completed - reqs[0].at)
-		for _, r := range reqs {
-			if l := int64(res.Completed - r.at); l > worst {
-				worst = l
-			}
-		}
-		if worst > 0 {
-			if prev := p.latEWMA.Load(); prev == 0 {
-				p.latEWMA.Store(worst)
-			} else {
-				p.latEWMA.Store(prev + (worst-prev)/8)
-			}
+	if worst > 0 {
+		if prev := p.latEWMA.Load(); prev == 0 {
+			p.latEWMA.Store(worst)
+		} else {
+			p.latEWMA.Store(prev + (worst-prev)/8)
 		}
 	}
-	return resolved
 }
 
 // stackInputs stacks the requests' input tensors along dim 0. Shapes
 // were validated against the model spec at Submit, so per-sample layouts
 // agree. A batch of one request is that request's tensor itself: inputs
-// are only read from here on, so a primary and a hedged attempt may hold
-// the same one. A larger batch is stacked into *stacked, whose backing it
-// reuses and grows; the caller must not share it with a concurrent
-// attempt. nil allocates.
+// are only read from here on. A larger batch is stacked into *stacked,
+// whose backing it reuses and grows.
 func stackInputs(reqs []*pipeReq, size int, stacked *[]float32) *tensor.Tensor {
 	first := reqs[0].req.Input
 	if len(reqs) == 1 {
 		return first
 	}
-	var flat []float32
-	if stacked != nil {
-		flat = (*stacked)[:0]
-	}
-	flat = slices.Grow(flat, size*(first.Len()/first.Dim(0)))
+	flat := slices.Grow((*stacked)[:0], size*(first.Len()/first.Dim(0)))
 	for _, r := range reqs {
 		flat = append(flat, r.req.Input.Data()...)
 	}
-	if stacked != nil {
-		*stacked = flat
-	}
+	*stacked = flat
 	shape := append([]int{size}, first.Shape()[1:]...)
 	return tensor.FromSlice(flat, shape...)
 }
 
 // finish resolves one request's future exactly once, classifying the
-// outcome into the stats buckets (ok / Failed / Cancelled / Expired).
-// Reports whether this call won the resolution; a loser's completion is
-// discarded.
-func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
+// outcome into the stats buckets (ok / Failed / Cancelled / Expired). A
+// second finish of the same request is discarded.
+func (p *Pipeline) finish(r *pipeReq, c *Completion) {
 	if !r.done.CompareAndSwap(false, true) {
-		return false
+		return
 	}
 	switch {
 	case c.Err == nil:
@@ -1597,5 +1428,4 @@ func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
 	// read a ledger that already holds its request.
 	p.completed.Add(1)
 	r.slot.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
-	return true
 }

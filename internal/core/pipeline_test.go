@@ -567,10 +567,11 @@ func TestConcatInputsPassesASingleRequestThrough(t *testing.T) {
 	b.Data()[0] = 42
 	one := &pipeReq{req: PipelineRequest{Input: a}, size: 3}
 	two := &pipeReq{req: PipelineRequest{Input: b}, size: 2}
-	if got := stackInputs([]*pipeReq{one}, 3, nil); got != a {
+	var stacked []float32
+	if got := stackInputs([]*pipeReq{one}, 3, &stacked); got != a {
 		t.Error("a batch of one request was copied")
 	}
-	got := stackInputs([]*pipeReq{one, two}, 5, nil)
+	got := stackInputs([]*pipeReq{one, two}, 5, &stacked)
 	if got.Dim(0) != 5 || got.Dim(1) != 4 || got.At(3, 0) != 42 || got.At(0, 1) != a.At(0, 1) {
 		t.Errorf("stacked batch = %v", got)
 	}

@@ -246,9 +246,6 @@ type ClassifyResponse struct {
 	BatchSize int `json:"batch_size"`
 	// WaitUS is the aggregation delay the request paid before dispatch.
 	WaitUS int64 `json:"wait_us"`
-	// Hedged reports the result came from a hedged execution on a backup
-	// device rather than the primary pick.
-	Hedged bool `json:"hedged,omitempty"`
 }
 
 func parsePolicy(s string) (core.Policy, error) {
@@ -438,7 +435,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		EnergyJ:   c.EnergyJ,
 		BatchSize: c.BatchSize,
 		WaitUS:    c.Wait.Microseconds(),
-		Hedged:    c.Hedged,
 	})
 }
 
@@ -621,14 +617,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"readmissions": st.Readmissions,
 		"quarantined":  st.Quarantined,
 		"uptime_us":    s.clock.Now().Microseconds(),
-		// Deadline/overload posture: what admission control rejected,
-		// what was culled, and how hedging performed.
+		// Deadline/overload posture: what admission control rejected
+		// and what was culled.
 		"slo": map[string]int64{
-			"infeasible":      pst.Infeasible,
-			"culled":          pst.Cancelled,
-			"expired":         pst.Expired,
-			"hedges_launched": pst.HedgesLaunched,
-			"hedges_won":      pst.HedgesWon,
+			"infeasible": pst.Infeasible,
+			"culled":     pst.Cancelled,
+			"expired":    pst.Expired,
 		},
 	})
 }
