@@ -60,16 +60,17 @@
 //
 //	bomwsrv -nodes 16 -route least-loaded \
 //	  -chaos 'crash:2:3,slow:2:4' -chaos-seed 7 \
-//	  -node-hedge -straggler -brownout -default-slo 50ms
+//	  -node-hedge -straggler -default-slo 50ms
 //
 // -node-hedge launches a backup submission on the next-best node when a
 // deadline request's slack half-expires; -straggler puts latency-outlier
 // nodes on probation (probe traffic only) and migrates their queued
-// work; -brownout sheds optional work progressively as fleet occupancy
-// climbs instead of 503-ing at the knee. The same -chaos-seed replays
-// the same incident. Watch the "resilience", "chaos" and "brownout"
-// blocks of /v1/cluster; POST {"action":"sweep"} there to force a
-// health sweep.
+// work. Overload is shed where it arises: each node's admission queue
+// refuses work when full (503 with Retry-After) and deadline admission
+// control refuses requests no device can serve in time. The same
+// -chaos-seed replays the same incident. Watch the "resilience" and
+// "chaos" blocks of /v1/cluster; POST {"action":"sweep"} there to force
+// a health sweep.
 package main
 
 import (
@@ -128,7 +129,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for chaos plan generation (same seed replays the same incident)")
 	nodeHedge := flag.Bool("node-hedge", false, "hedge deadline requests onto the next-best node when half their slack is spent")
 	straggler := flag.Bool("straggler", false, "detect straggling nodes (latency-EWMA outliers), probation them and migrate their queued work")
-	brownout := flag.Bool("brownout", false, "shed optional work progressively as fleet occupancy climbs (hedges, then SLO-less requests, then batch windows)")
 	flag.Parse()
 
 	// Open the -save file and parse the fault spec, routing policy and
@@ -236,7 +236,6 @@ func main() {
 		Chaos:     chaos,
 		NodeHedge: *nodeHedge,
 		Straggler: *straggler,
-		Brownout:  *brownout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

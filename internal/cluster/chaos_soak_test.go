@@ -239,7 +239,8 @@ func fleetNamesForTest(n int) []string {
 
 // TestChaosSmoke is the CI drill behind `make smoke-chaos`: the same
 // 16-node seeded incident at a shorter horizon under the race detector,
-// with brownout also armed so every resilience path runs concurrently.
+// with node hedging and straggler probation armed (chaosRun's fleet) so
+// both resilience paths run concurrently.
 // Asserts invariants only (accounting, no wedged clients, windows
 // entered); the attainment bar is the soak's job.
 func TestChaosSmoke(t *testing.T) {

@@ -35,9 +35,6 @@ type Node interface {
 	// AvgLatency is the node's delivered-batch completion-latency EWMA —
 	// the fleet straggler signal. Zero until the node has served.
 	AvgLatency() time.Duration
-	// Capacity is the node's occupancy budget (the denominator that
-	// turns Load into the brownout controller's occupancy ratio).
-	Capacity() int64
 	Stats() core.NodeStats
 	Health() core.NodeHealth
 	// Drain and Kill may race: the node orders them itself, and a Kill
@@ -100,9 +97,6 @@ type Config struct {
 	// Straggler enables per-node latency-EWMA straggler detection, the
 	// Suspect probation state and queued-work migration.
 	Straggler bool
-	// Brownout enables the fleet overload controller (progressive
-	// shedding of optional work with hysteretic restore).
-	Brownout bool
 }
 
 func (c *Config) fillDefaults() {
@@ -162,24 +156,17 @@ type Cluster struct {
 	relays sync.WaitGroup
 
 	// Resilience counters (see resilience.go / health.go).
-	nodeHedges       atomic.Int64 // backup submissions launched on another node
-	nodeHedgeWins    atomic.Int64 // hedges whose result resolved the caller's future
-	hedgesSuppressed atomic.Int64 // hedges skipped by brownout level ≥ 1
-	migrations       atomic.Int64 // queued submissions re-routed off a degraded node
-	suspicions       atomic.Int64 // Healthy → Suspect transitions
-	probations       atomic.Int64 // Suspect → Healthy clears
-	falseSuspects    atomic.Int64 // clears where no probe ever failed
-	probes           atomic.Int64 // probe requests judged
-	probeCursor      atomic.Int64 // round-robin cursor over suspects
-	chaosTrips       atomic.Int64 // crash-window entries observed
-	chaosRecoveries  atomic.Int64 // crash-window exits observed
-	benignCancels    atomic.Int64 // node-side cancels of hedge losers / migrated work
-
-	// Brownout controller state (see brownout.go).
-	broLevel       atomic.Int32
-	broOcc         atomic.Uint64 // occupancy EWMA as float64 bits
-	brownoutSheds  atomic.Int64
-	broTransitions atomic.Int64
+	nodeHedges      atomic.Int64 // backup submissions launched on another node
+	nodeHedgeWins   atomic.Int64 // hedges whose result resolved the caller's future
+	migrations      atomic.Int64 // queued submissions re-routed off a degraded node
+	suspicions      atomic.Int64 // Healthy → Suspect transitions
+	probations      atomic.Int64 // Suspect → Healthy clears
+	falseSuspects   atomic.Int64 // clears where no probe ever failed
+	probes          atomic.Int64 // probe requests judged
+	probeCursor     atomic.Int64 // round-robin cursor over suspects
+	chaosTrips      atomic.Int64 // crash-window entries observed
+	chaosRecoveries atomic.Int64 // crash-window exits observed
+	benignCancels   atomic.Int64 // node-side cancels of hedge losers / migrated work
 }
 
 // New builds a cluster over pre-built nodes. Node names must be unique —
@@ -346,12 +333,6 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 	if len(views) == 0 {
 		c.routeFails.Add(1)
 		return nil, fmt.Errorf("%w: all %d nodes evicted, on probation or in a chaos window", ErrNoHealthyNodes, len(c.members))
-	}
-	if c.cfg.Brownout {
-		if err := c.brownoutAdmit(req, views); err != nil {
-			c.routeFails.Add(1)
-			return nil, err
-		}
 	}
 	order := c.cfg.Policy.Route(Request{
 		Model: req.Model,
@@ -635,15 +616,14 @@ type NodeSnapshot struct {
 // Resilience is the fleet's resilience activity (PR 9): cluster-aware
 // hedging, straggler probation and migration.
 type Resilience struct {
-	NodeHedges       int64 `json:"node_hedges"`       // backup submissions launched on another node
-	NodeHedgesWon    int64 `json:"node_hedges_won"`   // hedges whose result won the caller's future
-	HedgesSuppressed int64 `json:"hedges_suppressed"` // hedges skipped under brownout
-	Migrations       int64 `json:"migrations"`        // queued submissions re-routed off degraded nodes
-	Suspicions       int64 `json:"suspicions"`        // Healthy → Suspect transitions
-	Probations       int64 `json:"probations"`        // Suspect → Healthy clears
-	FalseSuspects    int64 `json:"false_suspects"`    // clears where no probe ever failed
-	Probes           int64 `json:"probes"`            // probe requests judged
-	BenignCancels    int64 `json:"benign_cancels"`    // node-side cancels of hedge losers / migrated work
+	NodeHedges    int64 `json:"node_hedges"`     // backup submissions launched on another node
+	NodeHedgesWon int64 `json:"node_hedges_won"` // hedges whose result won the caller's future
+	Migrations    int64 `json:"migrations"`      // queued submissions re-routed off degraded nodes
+	Suspicions    int64 `json:"suspicions"`      // Healthy → Suspect transitions
+	Probations    int64 `json:"probations"`      // Suspect → Healthy clears
+	FalseSuspects int64 `json:"false_suspects"`  // clears where no probe ever failed
+	Probes        int64 `json:"probes"`          // probe requests judged
+	BenignCancels int64 `json:"benign_cancels"`  // node-side cancels of hedge losers / migrated work
 }
 
 // ChaosCounts are the scripted crash-window edges the fleet has crossed.
@@ -654,8 +634,7 @@ type ChaosCounts struct {
 
 // FleetStats aggregates the fleet: routing activity, membership, and the
 // sum of every node's serving counters. Its JSON form is the body of
-// /v1/cluster, which adds the suspects' names, the chaos plans and the
-// brownout controller's snapshot.
+// /v1/cluster, which adds the suspects' names and the chaos plans.
 type FleetStats struct {
 	Policy string `json:"policy"`
 	Nodes  int    `json:"nodes"`
@@ -669,11 +648,8 @@ type FleetStats struct {
 	Resilience  `json:"resilience"`
 	ChaosCounts `json:"chaos"`
 	// Suspects counts members on probation (Cluster.Suspects names
-	// them); BrownoutLevel and BrownoutSheds repeat Cluster.Brownout's
-	// Level and Sheds. The wire carries all three in those forms.
-	Suspects      int   `json:"-"`
-	BrownoutLevel int   `json:"-"`
-	BrownoutSheds int64 `json:"-"`
+	// them); the wire carries it in that form.
+	Suspects int `json:"-"`
 
 	// Ledger sums the nodes' ledgers.
 	core.Ledger
@@ -692,7 +668,6 @@ func (c *Cluster) Stats() FleetStats {
 	st.Readmissions = c.readmissions.Load()
 	st.NodeHedges = c.nodeHedges.Load()
 	st.NodeHedgesWon = c.nodeHedgeWins.Load()
-	st.HedgesSuppressed = c.hedgesSuppressed.Load()
 	st.Migrations = c.migrations.Load()
 	st.Suspicions = c.suspicions.Load()
 	st.Probations = c.probations.Load()
@@ -701,8 +676,6 @@ func (c *Cluster) Stats() FleetStats {
 	st.ChaosTrips = c.chaosTrips.Load()
 	st.ChaosRecoveries = c.chaosRecoveries.Load()
 	st.BenignCancels = c.benignCancels.Load()
-	st.BrownoutLevel = int(c.broLevel.Load())
-	st.BrownoutSheds = c.brownoutSheds.Load()
 	var chaosNow time.Duration
 	if c.cfg.Chaos != nil {
 		chaosNow = c.cfg.Clock.Now()

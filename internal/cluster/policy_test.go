@@ -20,8 +20,7 @@ type fakeNode struct {
 	predict time.Duration // FeasibleWithin's predicted completion latency
 	predErr error
 
-	capacity int64       // Capacity() when > 0 (else 64)
-	ledger   core.Ledger // Stats() reports it as the pipeline's
+	ledger core.Ledger // Stats() reports it as the pipeline's
 
 	mu       sync.Mutex
 	err      error // returned by Submit when set
@@ -41,7 +40,6 @@ type fakeNode struct {
 	serveWait time.Duration
 	serveLat  time.Duration
 	serveErr  error
-	scale     float64 // last SetWindowScale value (windowScaler)
 }
 
 func newFakeNode(name string, load int64) *fakeNode {
@@ -55,13 +53,6 @@ func (f *fakeNode) AvgLatency() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.avgLat
-}
-
-func (f *fakeNode) Capacity() int64 {
-	if f.capacity > 0 {
-		return f.capacity
-	}
-	return 64
 }
 
 func (f *fakeNode) setAvgLatency(d time.Duration) {
@@ -109,18 +100,6 @@ func (f *fakeNode) setServe(wait, lat time.Duration, err error) {
 	f.serveWait = wait
 	f.serveLat = lat
 	f.serveErr = err
-}
-
-func (f *fakeNode) SetWindowScale(scale float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.scale = scale
-}
-
-func (f *fakeNode) windowScale() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.scale
 }
 
 func (f *fakeNode) FeasibleWithin(_ string, _ int, deadline, _ time.Duration) (bool, time.Duration, error) {

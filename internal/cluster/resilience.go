@@ -247,10 +247,6 @@ func (s *submission) armHedge(m *member) {
 	if !c.cfg.NodeHedge {
 		return
 	}
-	if c.brownoutLevel() >= 1 {
-		c.hedgesSuppressed.Add(1) // brownout L1: hedges are the first optional work to go
-		return
-	}
 	size := s.req.Batch
 	if s.req.Input != nil && s.req.Input.Rank() >= 1 {
 		size = s.req.Input.Dim(0)
@@ -272,10 +268,6 @@ func (s *submission) armHedge(m *member) {
 func (s *submission) fireHedge(primary *member) {
 	c := s.c
 	if s.det.Resolved() || s.ctx.Err() != nil {
-		return
-	}
-	if c.brownoutLevel() >= 1 {
-		c.hedgesSuppressed.Add(1)
 		return
 	}
 	s.mu.Lock()

@@ -98,23 +98,12 @@ type Pipeline struct {
 	inflight atomic.Int64   // batches queued or executing
 	workers  sync.WaitGroup // device workers + recovery prober still running
 
-	// windowNow is the live batching window in nanoseconds. It starts at
-	// cfg.Window and is rescaled at run time by SetWindowScale — the
-	// fleet brownout controller widens it under overload to trade
-	// latency for batch efficiency, and restores it on recovery.
-	windowNow atomic.Int64
-
 	// latEWMA tracks the virtual completion latency (arrival →
 	// completion) as an EWMA over delivered batches, in nanoseconds —
 	// the per-node straggler signal the cluster tier compares across the
 	// fleet. Only successful deliveries fold in; failures and culls are
 	// accounted elsewhere.
 	latEWMA atomic.Int64
-
-	// capacity is the occupancy budget Capacity reports, computed once at
-	// construction — the denominator of the cluster brownout controller's
-	// occupancy ratio.
-	capacity int64
 
 	submitted  atomic.Int64
 	shed       atomic.Int64
@@ -625,25 +614,20 @@ func (dq *deviceQueue) queued() int {
 func NewPipeline(sched *Scheduler, cfg PipelineConfig) *Pipeline {
 	cfg.fillDefaults()
 	p := &Pipeline{
-		sched:    sched,
-		cfg:      cfg,
-		admit:    make(chan *pipeReq, cfg.QueueDepth),
-		wake:     make(chan struct{}, 1),
-		nudge:    make(chan struct{}, 1),
-		aggs:     map[aggKey]*aggregate{},
-		closing:  make(chan struct{}),
-		batched:  make(chan struct{}),
-		drained:  make(chan struct{}),
-		queues:   map[string]*deviceQueue{},
-		capacity: int64(cfg.QueueDepth),
+		sched:   sched,
+		cfg:     cfg,
+		admit:   make(chan *pipeReq, cfg.QueueDepth),
+		wake:    make(chan struct{}, 1),
+		nudge:   make(chan struct{}, 1),
+		aggs:    map[aggKey]*aggregate{},
+		closing: make(chan struct{}),
+		batched: make(chan struct{}),
+		drained: make(chan struct{}),
+		queues:  map[string]*deviceQueue{},
 	}
-	p.windowNow.Store(int64(cfg.Window))
 	for _, name := range sched.Devices() {
 		dq := &deviceQueue{name: name, ch: make(chan *batchWork, cfg.DeviceQueueDepth)}
 		p.queues[name] = dq
-		// Each device contributes its queue slots plus the one executing
-		// batch to the occupancy Load can legitimately report.
-		p.capacity += int64(cfg.DeviceQueueDepth + 1)
 	}
 	sched.SetQueueProbe(p.probeQueue)
 	for _, dq := range p.queues {
@@ -869,38 +853,12 @@ func (p *Pipeline) Load() int64 {
 	return p.inflight.Load() + int64(len(p.admit))
 }
 
-// Capacity is the pipeline's occupancy budget: admission slots plus
-// device queue slots plus one executing batch per device — the
-// denominator that turns Load into the occupancy ratio the fleet
-// brownout controller thresholds on.
-func (p *Pipeline) Capacity() int64 { return p.capacity }
-
 // AvgLatency is the EWMA of delivered-batch completion latency (oldest
 // arrival → completion, virtual time). It is the cluster tier's
 // per-node straggler signal: a node whose EWMA is a fleet-p99 outlier
 // goes on probation. Zero until the first batch delivers.
 func (p *Pipeline) AvgLatency() time.Duration {
 	return time.Duration(p.latEWMA.Load())
-}
-
-// SetWindowScale rescales the live batching window to scale×cfg.Window,
-// clamped to [1, 8]. The brownout controller widens the window under
-// fleet overload (bigger batches, better device efficiency, worse
-// latency) and restores it on recovery. The scale applies at the
-// batching loop's next sweep: open aggregates are judged against the new
-// window from then on.
-func (p *Pipeline) SetWindowScale(scale float64) {
-	if scale < 1 {
-		scale = 1
-	} else if scale > 8 {
-		scale = 8
-	}
-	p.windowNow.Store(int64(float64(p.cfg.Window) * scale))
-}
-
-// window is the live batching window (cfg.Window × the current scale).
-func (p *Pipeline) window() time.Duration {
-	return time.Duration(p.windowNow.Load())
 }
 
 // QueueDelay estimates the delay new work would observe behind already
@@ -1061,9 +1019,8 @@ func (p *Pipeline) windowSweep(now time.Duration) {
 		return
 	}
 	var next time.Duration
-	window := p.window()
 	for key, agg := range p.aggs {
-		due := agg.firstAt + window
+		due := agg.firstAt + p.cfg.Window
 		if due <= now {
 			p.flushKey(key, now, &p.windowFl)
 		} else if next == 0 || due < next {

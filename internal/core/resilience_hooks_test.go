@@ -87,30 +87,6 @@ func TestResolveOnPipelineFuturePanics(t *testing.T) {
 	f.Resolve(Completion{})
 }
 
-// TestSetWindowScaleClampsAndApplies checks the brownout controller's
-// batching-window lever: scale multiplies cfg.Window, clamps to [1, 8],
-// and restores exactly.
-func TestSetWindowScaleClampsAndApplies(t *testing.T) {
-	s := testScheduler(t)
-	p := NewPipeline(s, PipelineConfig{ProbeInterval: -1, Window: 2 * time.Millisecond})
-	defer p.Close()
-	if got := p.window(); got != 2*time.Millisecond {
-		t.Fatalf("initial window = %v, want 2ms", got)
-	}
-	p.SetWindowScale(3)
-	if got := p.window(); got != 6*time.Millisecond {
-		t.Fatalf("scaled window = %v, want 6ms", got)
-	}
-	p.SetWindowScale(0.25) // below the floor: clamps to 1×
-	if got := p.window(); got != 2*time.Millisecond {
-		t.Fatalf("restored window = %v, want 2ms", got)
-	}
-	p.SetWindowScale(100) // above the ceiling: clamps to 8×
-	if got := p.window(); got != 16*time.Millisecond {
-		t.Fatalf("clamped window = %v, want 16ms", got)
-	}
-}
-
 // TestAvgLatencyTracksDeliveries checks the straggler signal: zero
 // before any delivery, positive and bounded by the observed worst
 // completion latency after traffic.
@@ -120,9 +96,6 @@ func TestAvgLatencyTracksDeliveries(t *testing.T) {
 	defer n.Close()
 	if got := n.AvgLatency(); got != 0 {
 		t.Fatalf("AvgLatency before traffic = %v, want 0", got)
-	}
-	if n.Capacity() <= 0 {
-		t.Fatalf("Capacity = %d, want positive", n.Capacity())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

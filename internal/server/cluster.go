@@ -12,7 +12,7 @@ import (
 
 // clusterWire is the GET /v1/cluster body: the fleet snapshot as its
 // struct serialises, its resilience and chaos blocks shadowed by ones
-// that add what a second source knows, and the brownout snapshot.
+// that add what a second source knows.
 type clusterWire struct {
 	cluster.FleetStats
 	Resilience struct {
@@ -24,13 +24,12 @@ type clusterWire struct {
 		cluster.ChaosCounts
 		Plans []cluster.ChaosPlan `json:"plans"`
 	} `json:"chaos"`
-	Brownout cluster.BrownoutSnapshot `json:"brownout"`
 }
 
 // handleCluster exposes fleet-wide statistics — routing activity,
 // membership churn, aggregated serving counters, the per-node rows, and
-// the resilience tier (hedging/migration counters, scripted chaos state,
-// brownout controller) — and accepts operator control POSTs.
+// the resilience tier (hedging/migration counters, scripted chaos
+// state) — and accepts operator control POSTs.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -42,7 +41,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.fleet.Stats()
-	out := clusterWire{FleetStats: st, Brownout: s.fleet.Brownout()}
+	out := clusterWire{FleetStats: st}
 	out.Resilience.Resilience = st.Resilience
 	out.Resilience.Suspects = s.fleet.Suspects()
 	out.Chaos.ChaosCounts = st.ChaosCounts

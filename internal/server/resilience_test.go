@@ -11,8 +11,8 @@ import (
 )
 
 // TestClusterEndpointResilienceBlocks: /v1/cluster carries the
-// resilience, chaos and brownout blocks, and the control POST runs a
-// health sweep.
+// resilience and chaos blocks, and the control POST runs a health
+// sweep.
 func TestClusterEndpointResilienceBlocks(t *testing.T) {
 	ts := fleetServer(t)
 	resp, err := http.Get(ts.URL + "/v1/cluster")
@@ -30,12 +30,6 @@ func TestClusterEndpointResilienceBlocks(t *testing.T) {
 			Enabled bool  `json:"enabled"`
 			Trips   int64 `json:"trips"`
 		} `json:"chaos"`
-		Brownout struct {
-			Enabled     bool       `json:"enabled"`
-			Level       int        `json:"level"`
-			Thresholds  [3]float64 `json:"thresholds"`
-			WindowScale float64    `json:"window_scale"`
-		} `json:"brownout"`
 		PerNode []struct {
 			Suspect      bool  `json:"suspect"`
 			ChaosDown    bool  `json:"chaos_down"`
@@ -48,12 +42,6 @@ func TestClusterEndpointResilienceBlocks(t *testing.T) {
 	}
 	if st.Chaos.Enabled {
 		t.Fatal("chaos reported enabled with no injector armed")
-	}
-	if st.Brownout.Enabled || st.Brownout.Level != 0 {
-		t.Fatalf("brownout block = %+v, want disabled at level 0", st.Brownout)
-	}
-	if st.Brownout.WindowScale != 1 {
-		t.Fatalf("brownout window_scale = %v, want 1 outside level 3", st.Brownout.WindowScale)
 	}
 	if len(st.PerNode) != 4 {
 		t.Fatalf("per_node rows = %d, want 4", len(st.PerNode))

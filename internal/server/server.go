@@ -384,12 +384,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", retryAfter(s.fleet.ReadmissionHint()))
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
-	case errors.Is(err, cluster.ErrBrownoutShed):
-		// Brownout level ≥ 2: the fleet is deliberately shedding SLO-less
-		// work to keep deadline traffic inside its SLOs.
-		w.Header().Set("Retry-After", retryAfter(s.fleet.QueueDelay()))
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
 	case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, core.ErrPipelineClosed),
 		errors.Is(err, core.ErrNodeDraining), errors.Is(err, core.ErrNodeDown):
 		// Load shedding / no capacity: every node the policy offered shed

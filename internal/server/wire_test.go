@@ -83,7 +83,7 @@ func TestWireKeys(t *testing.T) {
 		Crashes: []cluster.ChaosWindow{{Start: time.Hour, End: 2 * time.Hour}},
 	}})
 	api, err := NewCluster(sched, 1, core.PipelineConfig{}, 4, cluster.Config{
-		NodeHedge: true, Straggler: true, Brownout: true, Chaos: chaos,
+		NodeHedge: true, Straggler: true, Chaos: chaos,
 	})
 	if err != nil {
 		t.Fatal(err)
