@@ -257,7 +257,9 @@ type (
 	Pipeline = core.Pipeline
 	// PipelineConfig bounds the pipeline's queues and batching window.
 	PipelineConfig = core.PipelineConfig
-	// PipelineRequest is one unit of admitted work.
+	// PipelineRequest is one unit of admitted work. Its Input is read
+	// until the request's future resolves or Submit refuses it, and
+	// never after: the caller may then reuse the tensor.
 	PipelineRequest = core.PipelineRequest
 	// Completion is the resolved outcome of a pipelined request.
 	Completion = core.Completion

@@ -314,7 +314,12 @@ func routeSLO(req core.PipelineRequest) time.Duration {
 // evictAfter consecutive refusals). Validation errors (unknown model or
 // policy, bad batch) are identical on every replica and surface
 // immediately. On success the returned future resolves exactly once —
-// the node pipeline's contract, unchanged by routing.
+// the node pipeline's contract, unchanged by routing — and so does
+// core.PipelineRequest.Input's: no node reads req.Input once the future
+// has resolved or Submit has returned an error. A deadline request in a
+// resilient cluster is the one that would break it, a losing hedge or
+// a migrated attempt reading on after the winner resolved the future,
+// so its submission reads a private copy of the input instead.
 func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.Future, error) {
 	total := c.submits.Add(1)
 	if c.cfg.SweepEvery > 0 && total%c.cfg.SweepEvery == 0 {

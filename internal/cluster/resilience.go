@@ -79,8 +79,15 @@ func (c *Cluster) resilientFor(req core.PipelineRequest) bool {
 }
 
 // newSubmission opens the arbitration state of one deadline request;
-// Submit's failover loop then tries primary on the policy's order.
+// Submit's failover loop then tries primary on the policy's order. The
+// submission's attempts read a copy of the input: a losing attempt may
+// still be executing when the winner resolves the caller's future, and
+// from then on the caller's input is the caller's again
+// (core.PipelineRequest.Input).
 func (c *Cluster) newSubmission(ctx context.Context, req core.PipelineRequest) *submission {
+	if req.Input != nil {
+		req.Input = req.Input.Clone()
+	}
 	return &submission{
 		ctx:     ctx,
 		c:       c,

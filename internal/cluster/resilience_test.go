@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,5 +390,79 @@ func TestClusterKillRacesDrain(t *testing.T) {
 	st := c.Stats()
 	if st.Completed != st.Submitted {
 		t.Fatalf("fleet lost futures across the race: %+v", st)
+	}
+}
+
+// executingNode is a node whose one request is already executing: it
+// reads the request's input over and over, whatever its context says,
+// until stop is set, then completes with an hour's latency. It is the
+// losing primary of a hedge race that has started on the device and
+// cannot be culled.
+type executingNode struct {
+	*fakeNode
+	stop  atomic.Bool
+	reads atomic.Int64
+}
+
+func (n *executingNode) Submit(_ context.Context, req core.PipelineRequest) (*core.Future, error) {
+	fut := core.NewDetachedFuture()
+	go func() {
+		for {
+			var sum float32
+			for _, v := range req.Input.Data() {
+				sum += v
+			}
+			n.reads.Add(1)
+			if n.stop.Load() {
+				break
+			}
+		}
+		fut.Resolve(core.Completion{Latency: time.Hour})
+	}()
+	return fut, nil
+}
+
+// TestHedgeLoserReadsItsOwnInput: a resilient submission's attempts read
+// a copy of the input. The primary is executing when the hedge wins, so
+// when the caller's Wait returns the loser is still reading; the caller
+// then overwrites its input at once, as a server recycling its decode
+// buffers does. Under -race, an attempt reading the caller's tensor
+// itself is reported here. The loser's completion is discarded.
+func TestHedgeLoserReadsItsOwnInput(t *testing.T) {
+	fakes := []*fakeNode{newFakeNode("node0", 0), newFakeNode("node1", 1)}
+	fakes[0].predict = 40 * time.Millisecond // > deadline/2: the hedge launches at once
+	fakes[1].predict = time.Millisecond
+	fakes[1].setServe(0, time.Millisecond, nil)
+	primary := &executingNode{fakeNode: fakes[0]}
+	pol, err := PolicyByName("least-loaded", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New([]Node{primary, fakes[1]}, Config{NodeHedge: true, Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := oneSample(0)
+	fut, err := c.Submit(context.Background(), core.PipelineRequest{Model: "simple", Input: in, Deadline: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := fut.Wait(context.Background())
+	if err != nil || comp.Err != nil {
+		t.Fatalf("hedged request failed: %v / %v", err, comp.Err)
+	}
+	for i := range in.Data() {
+		in.Data()[i] = -1
+	}
+	for after := primary.reads.Load(); primary.reads.Load() < after+2; {
+		runtime.Gosched() // the loser reads on after the caller took its input back
+	}
+	primary.stop.Store(true)
+	c.Close() // settles the loser's relay
+	if comp.Latency != time.Millisecond {
+		t.Fatalf("the caller got latency %v, want the hedge's 1ms: the loser's completion was not discarded", comp.Latency)
+	}
+	if st := c.Stats(); st.NodeHedges != 1 || st.NodeHedgesWon != 1 {
+		t.Fatalf("NodeHedges=%d Won=%d, want 1 and 1", st.NodeHedges, st.NodeHedgesWon)
 	}
 }

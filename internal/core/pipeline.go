@@ -228,6 +228,14 @@ type PipelineRequest struct {
 	// Input carries real samples (batch on dim 0). When nil the request
 	// is timing-only and Batch gives the sample count — the Estimate
 	// fast path replays and benchmarks use.
+	//
+	// The pipeline reads Input and never writes it. It reads it until
+	// the request's future resolves, or until Submit returns an error,
+	// and never after: a caller may reuse the tensor and its data once
+	// its Wait has returned the completion, or once Submit has refused
+	// the request. A Wait abandoned by its context returns early, while
+	// the batch may still be reading, so the input is not the caller's
+	// again then.
 	Input *tensor.Tensor
 	Batch int
 	// Deadline is the request's latency SLO, measured from admission on
@@ -692,7 +700,9 @@ func (p *Pipeline) slo(req PipelineRequest) time.Duration {
 // a request predicted to miss its SLO is rejected with
 // ErrDeadlineInfeasible, and a full admission queue sheds the request
 // with ErrAdmissionFull. On success the returned future resolves exactly
-// once.
+// once. Either way the caller gets req.Input back: the pipeline reads it
+// until the future resolves, or not at all once Submit has refused it
+// (PipelineRequest.Input).
 func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, error) {
 	p.closeMu.RLock()
 	defer p.closeMu.RUnlock()
