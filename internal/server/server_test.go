@@ -16,6 +16,7 @@ import (
 
 	"bomw/internal/core"
 	"bomw/internal/models"
+	"bomw/internal/nn"
 )
 
 var (
@@ -36,9 +37,11 @@ func testServer(t *testing.T) *httptest.Server {
 			srvErr = err
 			return
 		}
-		if err := sched.LoadModel(models.Simple(), 1); err != nil {
-			srvErr = err
-			return
+		for _, m := range []*nn.Spec{models.Simple(), models.MnistSmall()} {
+			if err := sched.LoadModel(m, 1); err != nil {
+				srvErr = err
+				return
+			}
 		}
 		srv = httptest.NewServer(New(sched, 1))
 	})
