@@ -55,7 +55,7 @@ test-v3:
 	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/nn/
 
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...
+	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/fault/... ./internal/workload/...
 
 # The stepped-clock tests, fifty times under the race detector (seconds):
 # the four timers of the serving path — batching window, retry backoff,
@@ -135,14 +135,14 @@ soak-chaos:
 	$(GO) test -count=1 -run 'TestSoakChaos' -v ./internal/cluster/
 
 # Short-budget fuzzing of the decoders of outside input (state files,
-# traces, the /v1/classify request body) and of the vector kernels
+# traces, the /v1/classify request body, the -faults spec) and of the vector kernels
 # against the Go kernels they stand in for (internal/tensor; they skip
 # on a host without AVX2).
 # Seeds always run in plain `make test`; this target mutates beyond them.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime $(FUZZTIME) ./internal/core/
-	for pkg in ./internal/trace/ ./internal/workload/ ./internal/server/ ./internal/tensor/; do \
+	for pkg in ./internal/trace/ ./internal/workload/ ./internal/server/ ./internal/tensor/ ./internal/fault/; do \
 		for f in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz $$f -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 		done; \

@@ -287,27 +287,10 @@ func benchFig6(b *testing.B, pol core.Policy) {
 	batches := []int{8, 128, 2048, 32768}
 	var acc, loss float64
 	for i := 0; i < b.N; i++ {
-		correct, total := 0, 0
-		loss = 0
-		for _, spec := range models.UnseenModels() {
-			for _, batch := range batches {
-				for _, warm := range []bool{false, true} {
-					cm, err := sw.MeasureConfig(spec, batch, warm, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					feats := characterize.Features(spec.Descriptor(), batch, warm)
-					pred := s.Classifier(pol).Predict(feats)
-					total++
-					if pred == cm.Best(pol) {
-						correct++
-					}
-					loss += cm.LossVersusIdeal(pol, pred)
-				}
-			}
+		var err error
+		if acc, loss, err = sw.Score(models.UnseenModels(), batches, pol, s.Classifier(pol).Predict); err != nil {
+			b.Fatal(err)
 		}
-		acc = float64(correct) / float64(total)
-		loss /= float64(total)
 	}
 	b.ReportMetric(100*acc, "acc%")
 	b.ReportMetric(100*loss, "loss%")

@@ -39,6 +39,7 @@ import (
 	"bomw/internal/cluster"
 	"bomw/internal/core"
 	"bomw/internal/device"
+	"bomw/internal/fault"
 	"bomw/internal/mlsched"
 	"bomw/internal/models"
 	"bomw/internal/nn"
@@ -158,27 +159,31 @@ type Runtime = opencl.Runtime
 // NewRuntime discovers platforms over simulated devices.
 func NewRuntime(devices ...*Device) (*Runtime, error) { return opencl.NewRuntime(devices...) }
 
-// Deterministic fault injection for failure-domain drills: scripted
-// per-device error rates, latency spikes and outage windows on the
-// virtual clock. Attach with Runtime.SetFaultInjector; the serving
-// pipeline retries faulted batches on the next-ranked device and
-// quarantines devices that fail persistently.
+// Deterministic fault injection for failure-domain drills: one seeded
+// plan of device errors, latency spikes and outages and node down
+// windows and slowdowns on the virtual clock. Arm it on a fleet with
+// ClusterConfig.Faults, or on one runtime with Runtime.SetFaults; the
+// serving pipeline retries faulted batches on the next-ranked device
+// and quarantines devices that fail persistently, and the router skips
+// a node inside a down window.
 type (
-	// FaultInjector scripts deterministic device faults.
-	FaultInjector = opencl.FaultInjector
-	// FaultPlan is one device's scripted failure behaviour.
-	FaultPlan = opencl.FaultPlan
-	// OutageWindow is a virtual-time interval in which every execution fails.
-	OutageWindow = opencl.OutageWindow
-	// FaultStats counts a device's injected faults.
-	FaultStats = opencl.FaultStats
+	// FaultPlan is a seeded list of scripted faults.
+	FaultPlan = fault.Plan
+	// Fault is one scripted fault: a target, a window and an effect.
+	Fault = fault.Fault
+	// FaultInjector evaluates a fault plan.
+	FaultInjector = fault.Injector
 	// DeviceFault is the error returned by injected failures.
 	DeviceFault = opencl.DeviceFault
 )
 
-// NewFaultInjector builds a fault injector whose draws derive
-// deterministically from seed.
-var NewFaultInjector = opencl.NewFaultInjector
+var (
+	// ParseFaults builds a plan from a fault spec (see fault.Parse for
+	// the grammar) for a fleet with the given node names.
+	ParseFaults = fault.Parse
+	// NewFaultInjector builds the injector that evaluates a plan.
+	NewFaultInjector = fault.NewInjector
+)
 
 // Characterisation (Figs. 3-4) and dataset building (§V-B).
 type (

@@ -27,39 +27,39 @@
 // before execution are culled without touching a device (504, reason
 // deadline_exceeded).
 //
-// Fault injection (failure-domain drills): -fault scripts deterministic
-// device faults on the virtual clock (wall time since start). The spec
-// is semicolon-separated per-device clauses, each a comma-separated list
-// of faults:
+// Fault injection (failure-domain drills): -faults scripts one
+// deterministic fault plan on the virtual clock (wall time since
+// start), and -fault-seed seeds it. The spec is semicolon-separated
+// clauses. A target=effect clause scripts faults on a node ("*" for
+// every node), or on one device of it after a "/":
 //
-//	bomwsrv -fault 'GTX 1080 Ti=err:0.05'                   5% execution errors
-//	bomwsrv -fault 'UHD Graphics 630=spike:0.2:4'           20% of runs ×4 slower
-//	bomwsrv -fault 'i7-8700 CPU=outage:30s-45s,err:0.01'    full outage window + errors
-//	bomwsrv -fault 'A=err:1;B=spike:0.5:8' -fault-seed 7    two devices, seeded draws
+//	bomwsrv -faults 'node0/GTX 1080 Ti=err:0.05'                5% execution errors
+//	bomwsrv -faults 'node0/UHD Graphics 630=spike:0.2:4'        20% of runs ×4 slower
+//	bomwsrv -faults 'node0/i7-8700 CPU=outage:30s-45s,err:0.01' full outage window + errors
+//	bomwsrv -faults '*/A=err:1; node0/B=spike:0.5:8' -fault-seed 7
 //
 // Faulted batches fail over to the next-ranked device; persistent
 // failures quarantine the device (watch /v1/devices and /v1/stats) until
-// a recovery probe re-admits it.
+// a recovery probe re-admits it. Every node draws from its own stream
+// (the seed plus the node's index), so "*" does not fault the replicas
+// in lockstep.
 //
 // Fleet mode: -nodes N replicates the trained scheduler into N serving
-// nodes (shared classifiers, fresh devices) behind the -route policy
-// (round-robin, least-loaded, model-affinity or weighted-scoring).
-// Requests route per the policy with automatic failover; /v1/cluster and
-// /v1/nodes expose fleet stats and node lifecycle (drain/evict/
-// readmit/kill). -fault-nodes picks which nodes the -fault spec arms
-// (default node 0; "all" arms every node with per-node seeds), so a
-// fleet can drill node-level failure:
+// nodes node0..node{N-1} (shared classifiers, fresh devices) behind the
+// -route policy (round-robin, least-loaded, model-affinity or
+// weighted-scoring). Requests route per the policy with automatic
+// failover; /v1/cluster and /v1/nodes expose fleet stats and node
+// lifecycle (drain/evict/readmit/kill). Node faults drill node-level
+// failure: down:start-end fail-stops a node for a window and slow:k
+// runs it k× slower; crash and slow clauses script a seeded incident
+// of them — crash:N[:flaps] gives N nodes flaps down windows each
+// (default 2), slow:N[:k] slows N other nodes (default 4×), and
+// horizon/crashlen place the windows (default 10s and horizon/8):
 //
 //	bomwsrv -nodes 8 -route least-loaded \
-//	  -fault 'GTX 1080 Ti=outage:30s-5m' -fault-nodes 0,3
-//
-// Fleet resilience: -chaos scripts deterministic *node-level* faults on
-// the virtual clock — seeded crash windows (flapping restarts) and
-// always-slow nodes — and the resilience flags turn on the counters
-// that absorb them:
-//
+//	  -faults 'node0/GTX 1080 Ti=outage:30s-5m; node3=down:10s-20s,err:0.1'
 //	bomwsrv -nodes 16 -route least-loaded \
-//	  -chaos 'crash:2:3,slow:2:4' -chaos-seed 7 \
+//	  -faults 'crash:2:3,slow:2:4,horizon:2m' -fault-seed 7 \
 //	  -node-hedge -straggler -default-slo 50ms
 //
 // -node-hedge launches a backup submission on the next-best node when a
@@ -68,9 +68,9 @@
 // work. Overload is shed where it arises: each node's admission queue
 // refuses work when full (503 with Retry-After) and deadline admission
 // control refuses requests no device can serve in time. The same
-// -chaos-seed replays the same incident. Watch the "resilience" and
-// "chaos" blocks of /v1/cluster; POST {"action":"sweep"} there to force
-// a health sweep.
+// -fault-seed replays the same incident. Watch the "resilience" and
+// "chaos" blocks of /v1/cluster (the latter carries the plan); POST
+// {"action":"sweep"} there to force a health sweep.
 package main
 
 import (
@@ -81,13 +81,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
 	"bomw/internal/cluster"
 	"bomw/internal/core"
+	"bomw/internal/fault"
 	"bomw/internal/models"
-	"bomw/internal/opencl"
 	"bomw/internal/server"
 	"bomw/internal/tensor"
 )
@@ -120,20 +121,17 @@ func main() {
 	window := flag.Duration("window", 2*time.Millisecond, "live batching window")
 	maxBatch := flag.Int("max-batch", 64, "live batching size trigger (samples)")
 	defaultSLO := flag.Duration("default-slo", 0, "latency SLO for requests without timeout_ms (0 disables; requests predicted to miss are rejected 504)")
-	faultSpec := flag.String("fault", "", "fault-injection spec, e.g. 'GTX 1080 Ti=err:0.05,outage:30s-45s' (see doc comment)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for fault-injection draws")
+	faultSpec := flag.String("faults", "", "fault plan, e.g. 'node0/GTX 1080 Ti=err:0.05; crash:2:3,slow:2:4' (see doc comment)")
+	faultSeed := flag.Int64("fault-seed", 1, "fault plan seed: which nodes crash and slow clauses pick, and every error and spike draw")
 	nodes := flag.Int("nodes", 1, "fleet size: serving-node replicas behind the router")
 	route := flag.String("route", "round-robin", "routing policy: round-robin, least-loaded, model-affinity or weighted-scoring")
-	faultNodes := flag.String("fault-nodes", "0", "comma-separated node indices the -fault spec arms, or 'all' (per-node seeds)")
-	chaosSpec := flag.String("chaos", "", "node-level chaos spec, e.g. 'crash:2:3,slow:2:4,horizon:2m' (see doc comment)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for chaos plan generation (same seed replays the same incident)")
 	nodeHedge := flag.Bool("node-hedge", false, "hedge deadline requests onto the next-best node when half their slack is spent")
 	straggler := flag.Bool("straggler", false, "detect straggling nodes (latency-EWMA outliers), probation them and migrate their queued work")
 	flag.Parse()
 
-	// Open the -save file and parse the fault spec, routing policy and
-	// fault-node set before the expensive characterisation run so a typo
-	// fails fast; device names are validated once the scheduler is up.
+	// Open the -save file and parse the routing policy and fault plan
+	// before the expensive characterisation run so a typo fails fast;
+	// device names are validated once the scheduler is up.
 	var saveFile *os.File
 	if *savePath != "" {
 		if *loadPath != "" {
@@ -146,40 +144,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var faultPlans map[string]opencl.FaultPlan
-	if *faultSpec != "" {
-		var err error
-		if faultPlans, err = parseFaultSpec(*faultSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	policy, err := cluster.PolicyByName(*route, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	faultIdx, err := parseNodeSet(*faultNodes, *nodes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Chaos plans are a pure function of (seed, fleet size, spec), and
-	// node names are deterministic — generate before the fleet exists so
-	// a bad spec fails before the characterisation run.
-	var chaos *cluster.ChaosInjector
-	if *chaosSpec != "" {
-		ccfg, err := parseChaosSpec(*chaosSpec, *chaosSeed)
+	// Node names are deterministic, so the plan is parsed — and its
+	// crash and slow clauses drawn — before the fleet exists.
+	var faults *fault.Injector
+	if *faultSpec != "" {
+		plan, err := fault.Parse(*faultSpec, *faultSeed, cluster.FleetNames(*nodes))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		plans, err := cluster.GenerateChaosPlans(fleetNames(*nodes), ccfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		chaos = cluster.NewChaosInjector(plans)
+		faults = fault.NewInjector(plan)
 	}
 
 	// The offline phase, timed: what it cost goes on the start-up line.
@@ -223,6 +202,14 @@ func main() {
 	}
 	loaded := time.Since(loading)
 
+	if faults != nil {
+		for _, f := range faults.Plan().Faults {
+			if f.Device != "" && !slices.Contains(sched.Devices(), f.Device) {
+				fmt.Fprintf(os.Stderr, "bomwsrv: -faults names unknown device %q (have %v)\n", f.Device, sched.Devices())
+				os.Exit(1)
+			}
+		}
+	}
 	if *nodes > 1 {
 		fmt.Printf("bomwsrv: replicating into a %d-node fleet (%s routing)…\n", *nodes, policy.Name())
 	}
@@ -233,7 +220,7 @@ func main() {
 	}, *nodes, cluster.Config{
 		Policy:    policy,
 		Seed:      *seed,
-		Chaos:     chaos,
+		Faults:    faults,
 		NodeHedge: *nodeHedge,
 		Straggler: *straggler,
 	})
@@ -241,40 +228,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if chaos != nil {
-		slowed := applySlowPlans(api.Nodes(), chaos, *chaosSeed)
-		crashed := 0
-		for _, p := range chaos.Plans() {
-			if len(p.Crashes) > 0 {
-				crashed++
+	if faults != nil {
+		var down, slow []string
+		for _, f := range faults.Plan().Faults {
+			switch {
+			case f.Effect == fault.Down && !slices.Contains(down, f.Node):
+				down = append(down, f.Node)
+			case f.Effect == fault.Slow:
+				slow = append(slow, f.Node)
 			}
 		}
-		fmt.Printf("bomwsrv: chaos armed (seed %d): %d node(s) with crash windows, slow nodes %v\n",
-			*chaosSeed, crashed, slowed)
-	}
-
-	if len(faultPlans) > 0 {
-		known := map[string]bool{}
-		for _, name := range sched.Devices() {
-			known[name] = true
-		}
-		for dev := range faultPlans {
-			if !known[dev] {
-				fmt.Fprintf(os.Stderr, "bomwsrv: -fault names unknown device %q (have %v)\n", dev, sched.Devices())
-				os.Exit(1)
-			}
-		}
-		// Per-node injectors with decorrelated seeds: node i draws from
-		// faultSeed+i, so "all" does not fault every replica in lockstep.
-		fleet := api.Nodes()
-		for _, idx := range faultIdx {
-			fi := opencl.NewFaultInjector(*faultSeed + int64(idx))
-			for dev, plan := range faultPlans {
-				fi.SetPlan(dev, plan)
-			}
-			fleet[idx].Scheduler().Runtime().SetFaultInjector(fi)
-		}
-		fmt.Printf("bomwsrv: fault injection armed on nodes %v (base seed %d)\n", faultIdx, *faultSeed)
+		fmt.Printf("bomwsrv: %d fault(s) armed (seed %d): down windows on %v, slow nodes %v\n",
+			len(faults.Plan().Faults), *faultSeed, down, slow)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: api, ReadHeaderTimeout: readHeaderTimeout}

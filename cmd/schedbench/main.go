@@ -89,26 +89,12 @@ func evalOne(sched *core.Scheduler, sw *characterize.Sweeper, spec *nn.Spec, bat
 func printSummary(sched *core.Scheduler, sw *characterize.Sweeper, seed int64) {
 	batches := characterize.PaperBatches()
 	score := func(specs []*nn.Spec, pol core.Policy) (acc, avgLoss float64) {
-		correct, total, loss := 0, 0, 0.0
-		for _, spec := range specs {
-			for _, b := range batches {
-				for _, warm := range []bool{false, true} {
-					cm, err := sw.MeasureConfig(spec, b, warm, 0)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-					feats := characterize.Features(spec.Descriptor(), b, warm)
-					pred := sched.Classifier(pol).Predict(feats)
-					total++
-					if pred == cm.Best(pol) {
-						correct++
-					}
-					loss += cm.LossVersusIdeal(pol, pred)
-				}
-			}
+		acc, avgLoss, err := sw.Score(specs, batches, pol, sched.Classifier(pol).Predict)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		return float64(correct) / float64(total), loss / float64(total)
+		return acc, avgLoss
 	}
 
 	fmt.Println("\n== §VI summary ==")

@@ -265,3 +265,28 @@ func (cm ConfigMetrics) LossVersusIdeal(o Objective, c int) float64 {
 		return (cv - iv) / cv
 	}
 }
+
+// Score grades a device predictor the way §VI does: over every spec ×
+// batch × GPU state (idle, then warm), acc is the share of
+// configurations where predict names the objective's best device and
+// loss the mean LossVersusIdeal of its picks.
+func (s *Sweeper) Score(specs []*nn.Spec, batches []int, o Objective, predict func(features []float64) int) (acc, loss float64, err error) {
+	correct, total := 0, 0
+	for _, spec := range specs {
+		for _, b := range batches {
+			for _, warm := range []bool{false, true} {
+				cm, err := s.MeasureConfig(spec, b, warm, 0)
+				if err != nil {
+					return 0, 0, err
+				}
+				pred := predict(Features(spec.Descriptor(), b, warm))
+				total++
+				if pred == cm.Best(o) {
+					correct++
+				}
+				loss += cm.LossVersusIdeal(o, pred)
+			}
+		}
+	}
+	return float64(correct) / float64(total), loss / float64(total), nil
+}

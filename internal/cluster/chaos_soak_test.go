@@ -10,30 +10,13 @@ import (
 	"time"
 
 	"bomw/internal/core"
+	"bomw/internal/fault"
 	"bomw/internal/models"
-	"bomw/internal/opencl"
 )
 
-// armSlowPlans mirrors bomwsrv's chaos applier: every device of a
-// slow-plan node gets an always-on latency spike so the node is
-// genuinely slower end to end on the virtual clock.
-func armSlowPlans(nodes []*core.Node, ci *ChaosInjector, seed int64) {
-	for i, nd := range nodes {
-		p, ok := ci.Plan(nd.Name())
-		if !ok || p.SlowFactor <= 1 {
-			continue
-		}
-		fi := opencl.NewFaultInjector(seed + int64(i))
-		for _, dev := range nd.Scheduler().Devices() {
-			fi.SetPlan(dev, opencl.FaultPlan{SpikeRate: 1, SpikeFactor: p.SlowFactor})
-		}
-		nd.Scheduler().Runtime().SetFaultInjector(fi)
-	}
-}
-
-// chaosTemplate builds a soak-local template scheduler: slow plans arm
-// fault injectors on node schedulers (node0 shares the template's), so
-// the package-shared template must not be used here.
+// chaosTemplate builds a soak-local template scheduler: a fault plan is
+// armed on node runtimes (node0 shares the template's), so the
+// package-shared template must not be used here.
 func chaosTemplate(t testing.TB) *core.Scheduler {
 	t.Helper()
 	tmpl, err := core.New(core.Config{
@@ -56,9 +39,9 @@ func chaosTemplate(t testing.TB) *core.Scheduler {
 // chaosRun drives a 16-node resilient fleet (node hedging + straggler
 // probation on) under closed-loop client load until the fleet's wall
 // clock passes the chaos horizon. Returns client-side SLO attainment and
-// the final fleet stats. plans scripts the incident from virtual 0; nil
-// runs the no-fault baseline.
-func chaosRun(t *testing.T, tmpl *core.Scheduler, plans []ChaosPlan, fleetSize, clients int, horizon, deadline time.Duration) (float64, FleetStats) {
+// the final fleet stats. spec scripts the incident from virtual 0 with
+// seed 9; empty runs the no-fault baseline.
+func chaosRun(t *testing.T, tmpl *core.Scheduler, spec string, fleetSize, clients int, horizon, deadline time.Duration) (float64, FleetStats) {
 	t.Helper()
 	pol, err := PolicyByName("least-loaded", 1)
 	if err != nil {
@@ -82,22 +65,23 @@ func chaosRun(t *testing.T, tmpl *core.Scheduler, plans []ChaosPlan, fleetSize, 
 	// the clock has been running since before it: the incident is
 	// anchored where the clock stands once the fleet is built and armed,
 	// so no scripted window can expire during construction. Build's own
-	// cluster is left aside for one whose chaos plan carries that origin.
+	// cluster is left aside for one whose fault plan carries that origin.
 	members := make([]Node, len(nodes))
 	for i, nd := range nodes {
 		members[i] = nd
 	}
 	origin := clk.Now()
-	if plans != nil {
-		anchored := make([]ChaosPlan, len(plans))
-		for i, p := range plans {
-			anchored[i] = ChaosPlan{Node: p.Node, SlowFactor: p.SlowFactor}
-			for _, w := range p.Crashes {
-				anchored[i].Crashes = append(anchored[i].Crashes, ChaosWindow{Start: origin + w.Start, End: origin + w.End})
+	if spec != "" {
+		plan, err := fault.Parse(spec, 9, FleetNames(fleetSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range plan.Faults {
+			if f := &plan.Faults[i]; f.End != 0 {
+				f.Start, f.End = origin+f.Start, origin+f.End
 			}
 		}
-		cfg.Chaos = NewChaosInjector(anchored)
-		armSlowPlans(nodes, cfg.Chaos, 9)
+		cfg.Faults = fault.NewInjector(plan)
 	}
 	c, err := New(members, cfg)
 	if err != nil {
@@ -198,15 +182,8 @@ func TestSoakChaos(t *testing.T) {
 	horizon := 2500 * time.Millisecond
 	deadline := 2 * time.Millisecond
 	tmpl := chaosTemplate(t)
-	plans, err := GenerateChaosPlans(fleetNamesForTest(fleetSize), ChaosConfig{
-		Seed: 9, Crash: 2, Slow: 2, Horizon: horizon, Flaps: 2, SlowFactor: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	baseAtt, baseSt := chaosRun(t, tmpl, nil, fleetSize, clients, horizon, deadline)
-	chaosAtt, chaosSt := chaosRun(t, tmpl, plans, fleetSize, clients, horizon, deadline)
+	baseAtt, baseSt := chaosRun(t, tmpl, "", fleetSize, clients, horizon, deadline)
+	chaosAtt, chaosSt := chaosRun(t, tmpl, fmt.Sprintf("crash:2:2,slow:2:16,horizon:%v", horizon), fleetSize, clients, horizon, deadline)
 	t.Logf("baseline: attainment %.4f, submits %d", baseAtt, baseSt.Submits)
 	t.Logf("chaos:    attainment %.4f, submits %d", chaosAtt, chaosSt.Submits)
 	t.Logf("chaos counters: hedges %d won %d, migrations %d, suspicions %d, probations %d, falseSuspects %d, probes %d, trips %d, recoveries %d, benignCancels %d",
@@ -227,16 +204,6 @@ func TestSoakChaos(t *testing.T) {
 	assertNoLostFutures(t, chaosSt)
 }
 
-// fleetNamesForTest matches Build's node0..node{n-1} naming so seeded
-// plans land on real fleet members.
-func fleetNamesForTest(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("node%d", i)
-	}
-	return names
-}
-
 // TestChaosSmoke is the CI drill behind `make smoke-chaos`: the same
 // 16-node seeded incident at a shorter horizon under the race detector,
 // with node hedging and straggler probation armed (chaosRun's fleet) so
@@ -247,13 +214,7 @@ func TestChaosSmoke(t *testing.T) {
 	const fleetSize = 16
 	horizon := 800 * time.Millisecond
 	tmpl := chaosTemplate(t)
-	plans, err := GenerateChaosPlans(fleetNamesForTest(fleetSize), ChaosConfig{
-		Seed: 9, Crash: 2, Slow: 2, Horizon: horizon, Flaps: 2, SlowFactor: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st := chaosRun(t, tmpl, plans, fleetSize, 8, horizon, 2*time.Millisecond)
+	_, st := chaosRun(t, tmpl, fmt.Sprintf("crash:2:2,slow:2:16,horizon:%v", horizon), fleetSize, 8, horizon, 2*time.Millisecond)
 	assertNoLostFutures(t, st)
 	if st.ChaosTrips == 0 {
 		t.Fatal("no crash window was ever entered")

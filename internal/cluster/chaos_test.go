@@ -1,113 +1,147 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
+
+	"bomw/internal/fault"
 )
 
-func chaosNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = "node" + string(rune('0'+i/10)) + string(rune('0'+i%10))
-	}
-	return names
-}
-
 // TestChaosPlansDeterministic is the replay property every soak rests
-// on: the same (seed, fleet, config) produces byte-identical plans, and
-// a different seed picks a different incident.
+// on: the same (seed, fleet, spec) produces byte-identical plans, and a
+// different seed picks a different incident.
 func TestChaosPlansDeterministic(t *testing.T) {
-	names := chaosNames(16)
-	cfg := ChaosConfig{Seed: 7, Crash: 2, Slow: 2}
-	a, err := GenerateChaosPlans(names, cfg)
+	names := FleetNames(16)
+	first, err := fault.Parse("crash:2,slow:2", 7, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateChaosPlans(names, cfg)
+	want, err := json.Marshal(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different plans:\n%+v\n%+v", a, b)
+	for i := 0; i < 20; i++ {
+		again, err := fault.Parse("crash:2,slow:2", 7, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("generation %d differs:\n%s\n%s", i, got, want)
+		}
 	}
-	c, err := GenerateChaosPlans(names, ChaosConfig{Seed: 8, Crash: 2, Slow: 2})
+	other, err := fault.Parse("crash:2,slow:2", 8, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a, c) {
+	if reflect.DeepEqual(first.Faults, other.Faults) {
 		t.Fatal("seeds 7 and 8 scripted the identical incident")
 	}
 }
 
-// TestChaosPlansShape checks the structural invariants: the requested
-// node counts, distinct targets, and per-flap crash windows that are
-// sorted, non-overlapping, and inside the horizon.
-func TestChaosPlansShape(t *testing.T) {
-	names := chaosNames(16)
-	cfg := ChaosConfig{Seed: 42, Crash: 3, Slow: 2, Horizon: 8 * time.Second, Flaps: 4}
-	plans, err := GenerateChaosPlans(names, cfg)
+// TestChaosPlansPinned holds the seeded generator to the incident the
+// chaos soak rides (seed 9, 16 nodes, 2 nodes crashing twice, 2 slowed
+// 16×, 2.5 s horizon): these are the nodes and windows it has always
+// drawn, and TestSoakChaos's bars were set against them.
+func TestChaosPlansPinned(t *testing.T) {
+	plan, err := fault.Parse("crash:2:2,slow:2:16,horizon:2.5s", 9, FleetNames(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) != 5 {
-		t.Fatalf("want 5 plans, got %d", len(plans))
+	want := []fault.Fault{
+		{Node: "node11", Start: 743568571, End: 1056068571, Effect: fault.Down},
+		{Node: "node11", Start: 2073201831, End: 2385701831, Effect: fault.Down},
+		{Node: "node13", Start: 859190928, End: 1171690928, Effect: fault.Down},
+		{Node: "node13", Start: 2078819959, End: 2391319959, Effect: fault.Down},
+		{Node: "node10", Effect: fault.Slow, Factor: 16},
+		{Node: "node1", Effect: fault.Slow, Factor: 16},
 	}
-	seen := map[string]bool{}
-	var crashed, slowed int
-	for _, p := range plans {
-		if seen[p.Node] {
-			t.Fatalf("node %s picked twice", p.Node)
-		}
-		seen[p.Node] = true
-		if !strings.HasPrefix(p.Node, "node") {
-			t.Fatalf("plan names unknown node %q", p.Node)
-		}
-		switch {
-		case len(p.Crashes) > 0:
-			crashed++
-			if p.SlowFactor != 0 {
-				t.Fatalf("node %s is both crashed and slowed", p.Node)
+	if plan.Seed != 9 || !reflect.DeepEqual(plan.Faults, want) {
+		t.Fatalf("generated %+v, want seed 9 and %+v", plan, want)
+	}
+}
+
+// TestChaosPlansShape checks the structural invariants: the requested
+// node counts, distinct targets, and per-flap down windows that are
+// sorted, non-overlapping, and inside the horizon.
+func TestChaosPlansShape(t *testing.T) {
+	const (
+		crash, flaps, slow = 3, 4, 2
+		horizon            = 8 * time.Second
+	)
+	plan, err := fault.Parse("crash:3:4, slow:2, horizon:8s", 42, FleetNames(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Faults) != crash*flaps+slow {
+		t.Fatalf("want %d faults, got %d", crash*flaps+slow, len(plan.Faults))
+	}
+	windows := map[string][]fault.Fault{}
+	slowed := map[string]bool{}
+	for _, f := range plan.Faults {
+		switch f.Effect {
+		case fault.Down:
+			windows[f.Node] = append(windows[f.Node], f)
+		case fault.Slow:
+			if slowed[f.Node] || f.Factor != 4 {
+				t.Fatalf("slow fault %+v: node picked twice or factor not the default 4", f)
 			}
-			if len(p.Crashes) != cfg.Flaps {
-				t.Fatalf("node %s: %d flaps, want %d", p.Node, len(p.Crashes), cfg.Flaps)
-			}
-			for i, w := range p.Crashes {
-				if w.Start < 0 || w.End <= w.Start || w.End > cfg.Horizon {
-					t.Fatalf("node %s window %d out of bounds: %+v", p.Node, i, w)
-				}
-				if i > 0 && w.Start < p.Crashes[i-1].End {
-					t.Fatalf("node %s windows overlap: %+v then %+v", p.Node, p.Crashes[i-1], w)
-				}
-			}
-		case p.SlowFactor > 1:
-			slowed++
+			slowed[f.Node] = true
 		default:
-			t.Fatalf("plan for %s scripts nothing: %+v", p.Node, p)
+			t.Fatalf("generated a %s fault: %+v", f.Effect, f)
 		}
 	}
-	if crashed != cfg.Crash || slowed != cfg.Slow {
-		t.Fatalf("got %d crashed, %d slowed; want %d, %d", crashed, slowed, cfg.Crash, cfg.Slow)
+	if len(windows) != crash || len(slowed) != slow {
+		t.Fatalf("got %d crashed, %d slowed; want %d, %d", len(windows), len(slowed), crash, slow)
+	}
+	for node, ws := range windows {
+		if slowed[node] {
+			t.Fatalf("node %s is both crashed and slowed", node)
+		}
+		if len(ws) != flaps {
+			t.Fatalf("node %s: %d flaps, want %d", node, len(ws), flaps)
+		}
+		for i, w := range ws {
+			if w.Start < 0 || w.End <= w.Start || w.End > horizon {
+				t.Fatalf("node %s window %d out of bounds: %+v", node, i, w)
+			}
+			if i > 0 && w.Start < ws[i-1].End {
+				t.Fatalf("node %s windows overlap: %+v then %+v", node, ws[i-1], w)
+			}
+		}
 	}
 }
 
 func TestChaosPlansRejectOversizedFaults(t *testing.T) {
-	names := chaosNames(4)
-	if _, err := GenerateChaosPlans(names, ChaosConfig{Crash: 3, Slow: 2}); err == nil {
-		t.Fatal("3 crash + 2 slow on a 4-node fleet accepted")
-	}
-	if _, err := GenerateChaosPlans(names, ChaosConfig{Crash: -1}); err == nil {
-		t.Fatal("negative crash count accepted")
+	names := FleetNames(4)
+	for _, spec := range []string{
+		"crash:3,slow:2",      // 5 faulty nodes on a 4-node fleet
+		"crash:-1",            // negative count
+		"crash:1,horizon:1ns", // no room for a window in its slot
+	} {
+		if _, err := fault.Parse(spec, 1, names); err == nil {
+			t.Errorf("spec %q accepted on a 4-node fleet", spec)
+		}
 	}
 }
 
 func TestChaosInjectorWindows(t *testing.T) {
-	ci := NewChaosInjector([]ChaosPlan{
-		{Node: "a", Crashes: []ChaosWindow{{Start: time.Second, End: 2 * time.Second}, {Start: 4 * time.Second, End: 5 * time.Second}}},
-		{Node: "b", Crashes: []ChaosWindow{{Start: 1500 * time.Millisecond, End: 3 * time.Second}}},
-		{Node: "s", SlowFactor: 4},
-	})
+	in := fault.NewInjector(fault.Plan{Faults: []fault.Fault{
+		{Node: "a", Start: time.Second, End: 2 * time.Second, Effect: fault.Down},
+		{Node: "a", Start: 4 * time.Second, End: 5 * time.Second, Effect: fault.Down},
+		{Node: "b", Start: 1500 * time.Millisecond, End: 3 * time.Second, Effect: fault.Down},
+		{Node: "s", Effect: fault.Slow, Factor: 4},
+		{Node: fault.AllNodes, Start: 8 * time.Second, End: 9 * time.Second, Effect: fault.Down},
+	}})
 	cases := []struct {
 		node string
 		now  time.Duration
@@ -120,34 +154,22 @@ func TestChaosInjectorWindows(t *testing.T) {
 		{"a", 2 * time.Second, false, 0}, // ... and excludes End
 		{"a", 4500 * time.Millisecond, true, 500 * time.Millisecond},
 		{"b", 2 * time.Second, true, time.Second},
-		{"s", time.Second, false, 0}, // slow plans never fail-stop
+		{"s", time.Second, false, 0}, // slow nodes never fail-stop
 		{"unknown", time.Second, false, 0},
+		{"unknown", 8500 * time.Millisecond, true, 500 * time.Millisecond}, // "*" downs every node
 	}
 	for _, tc := range cases {
-		down, left := ci.DownAt(tc.node, tc.now)
+		down, left := in.Down(tc.node, tc.now)
 		if down != tc.down || left != tc.left {
-			t.Fatalf("DownAt(%s, %v) = (%v, %v), want (%v, %v)", tc.node, tc.now, down, left, tc.down, tc.left)
+			t.Fatalf("Down(%s, %v) = (%v, %v), want (%v, %v)", tc.node, tc.now, down, left, tc.down, tc.left)
 		}
 	}
 	// NextRecovery: at 1.6s both a (ends 2s, 400ms left) and b (ends 3s,
 	// 1.4s left) are down — the soonest recovery wins.
-	if d := ci.NextRecovery(1600 * time.Millisecond); d != 400*time.Millisecond {
+	if d := in.NextRecovery(1600 * time.Millisecond); d != 400*time.Millisecond {
 		t.Fatalf("NextRecovery = %v, want 400ms", d)
 	}
-	if d := ci.NextRecovery(10 * time.Second); d != 0 {
+	if d := in.NextRecovery(10 * time.Second); d != 0 {
 		t.Fatalf("NextRecovery with nothing down = %v, want 0", d)
-	}
-	// Plans() is sorted by node name for stable operator output.
-	plans := ci.Plans()
-	for i := 1; i < len(plans); i++ {
-		if plans[i-1].Node >= plans[i].Node {
-			t.Fatalf("Plans() unsorted: %s before %s", plans[i-1].Node, plans[i].Node)
-		}
-	}
-	if _, ok := ci.Plan("a"); !ok {
-		t.Fatal("Plan(a) missing")
-	}
-	if _, ok := ci.Plan("unknown"); ok {
-		t.Fatal("Plan(unknown) found")
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"bomw/internal/core"
+	"bomw/internal/fault"
 )
 
 // Node is the narrow surface the cluster routes over — what
@@ -83,12 +84,13 @@ type Config struct {
 	// Seed parameterises hash-based routing policies built by name.
 	Seed int64
 
-	// Chaos scripts deterministic node-level faults on the shared
-	// virtual clock (crash windows, slow-node plans). Nil disables
-	// chaos. Crash windows act at the routing tier: the node is skipped
-	// by eligible() for the window and its pending deadline work is
+	// Faults evaluates a fault plan on the shared virtual clock; nil
+	// injects none. New arms it on every *core.Node member's runtime, so
+	// the plan's device faults and slow nodes act there, and its down
+	// windows act here, at the routing tier: the node is skipped by
+	// eligible() for the window and its pending deadline work is
 	// migrated, then it is routable again — the flapping-restart model.
-	Chaos *ChaosInjector
+	Faults *fault.Injector
 	// NodeHedge enables cluster-aware hedging: a deadline request whose
 	// slack halves with no completion (predicted at submit, or observed
 	// by a timer on Clock) launches a backup submission on the
@@ -171,7 +173,8 @@ type Cluster struct {
 
 // New builds a cluster over pre-built nodes. Node names must be unique —
 // they are the fleet's operator-facing identity (drain/evict/readmit
-// target names, stats keys).
+// target names, stats keys). A node's position in nodes is its index in
+// cfg.Faults' plan.
 func New(nodes []Node, cfg Config) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one node")
@@ -189,7 +192,23 @@ func New(nodes []Node, cfg Config) (*Cluster, error) {
 		c.members = append(c.members, m)
 		c.byName[n.Name()] = m
 	}
+	for i, n := range nodes {
+		if cn, ok := n.(*core.Node); ok && cfg.Faults != nil {
+			cn.Scheduler().Runtime().SetFaults(cfg.Faults, cn.Name(), i)
+		}
+	}
 	return c, nil
+}
+
+// FleetNames lists the names Build gives an n-node fleet,
+// node0..node{n-1}: what a fault plan written before the fleet exists
+// targets.
+func FleetNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("node%d", i)
+	}
+	return names
 }
 
 // Build replicates a trained template scheduler into n nodes named
@@ -216,8 +235,9 @@ func Build(template *core.Scheduler, n int, seed int64, pcfg core.PipelineConfig
 	}
 	var coreNodes []*core.Node
 	var nodes []Node
+	names := FleetNames(n)
 	for i, s := range scheds {
-		nd := core.NewNode(fmt.Sprintf("node%d", i), s, pcfg)
+		nd := core.NewNode(names[i], s, pcfg)
 		coreNodes = append(coreNodes, nd)
 		nodes = append(nodes, nd)
 	}
@@ -234,8 +254,8 @@ func Build(template *core.Scheduler, n int, seed int64, pcfg core.PipelineConfig
 // Policy returns the active routing policy's name.
 func (c *Cluster) Policy() string { return c.cfg.Policy.Name() }
 
-// Chaos returns the scripted chaos injector, nil when none is armed.
-func (c *Cluster) Chaos() *ChaosInjector { return c.cfg.Chaos }
+// Faults returns the fault plan's injector, nil when none is armed.
+func (c *Cluster) Faults() *fault.Injector { return c.cfg.Faults }
 
 // Clock returns a reader of the fleet's shared virtual clock.
 func (c *Cluster) Clock() func() time.Duration { return c.cfg.Clock.Now }
@@ -273,11 +293,11 @@ func putScratch(sc *routeScratch) {
 }
 
 // eligible fills sc.views with the current routing set: members that
-// are not evicted, not on probation, and not inside a chaos crash window
-// right now. A view's member is c.members[view.Index].
+// are not evicted, not on probation, and not inside a down window right
+// now. A view's member is c.members[view.Index].
 func (c *Cluster) eligible(sc *routeScratch) []NodeView {
 	var now time.Duration
-	if c.cfg.Chaos != nil {
+	if c.cfg.Faults != nil {
 		now = c.cfg.Clock.Now()
 	}
 	views := sc.views[:0]
@@ -285,8 +305,8 @@ func (c *Cluster) eligible(sc *routeScratch) []NodeView {
 		if m.evicted.Load() || m.suspect.Load() {
 			continue
 		}
-		if c.cfg.Chaos != nil {
-			if down, _ := c.cfg.Chaos.DownAt(m.node.Name(), now); down {
+		if c.cfg.Faults != nil {
+			if down, _ := c.cfg.Faults.Down(m.node.Name(), now); down {
 				continue
 			}
 		}
@@ -460,10 +480,10 @@ func (c *Cluster) sweep() {
 			c.readmit(m)
 		}
 	}
-	if ci := c.cfg.Chaos; ci != nil {
+	if in := c.cfg.Faults; in != nil {
 		now := c.cfg.Clock.Now()
 		for _, m := range c.members {
-			down, _ := ci.DownAt(m.node.Name(), now)
+			down, _ := in.Down(m.node.Name(), now)
 			switch {
 			case down && m.chaosDown.CompareAndSwap(false, true):
 				c.chaosTrips.Add(1)
@@ -577,13 +597,13 @@ func (c *Cluster) Close() {
 }
 
 // ReadmissionHint is how soon a fleet-wide refusal is worth retrying:
-// the soonest chaos crash-window recovery when chaos is scripted, else
+// the soonest down-window close when a fault plan is armed, else
 // a one-second floor covering the submission-driven sweep's readmission
 // cadence. Servers derive the Retry-After of ErrNoHealthyNodes 503s
 // from it.
 func (c *Cluster) ReadmissionHint() time.Duration {
-	if ci := c.cfg.Chaos; ci != nil {
-		if d := ci.NextRecovery(c.cfg.Clock.Now()); d > 0 {
+	if in := c.cfg.Faults; in != nil {
+		if d := in.NextRecovery(c.cfg.Clock.Now()); d > 0 {
 			return d
 		}
 	}
@@ -598,7 +618,7 @@ type NodeSnapshot struct {
 	Evicted bool   `json:"evicted"`
 	// Suspect marks a node on latency probation (no routed traffic,
 	// probe traffic only); ChaosDown marks a node inside a scripted
-	// crash window right now.
+	// down window right now.
 	Suspect   bool `json:"suspect"`
 	ChaosDown bool `json:"chaos_down"`
 	// AvgLatencyUs is the node's delivered-batch completion-latency
@@ -639,7 +659,7 @@ type ChaosCounts struct {
 
 // FleetStats aggregates the fleet: routing activity, membership, and the
 // sum of every node's serving counters. Its JSON form is the body of
-// /v1/cluster, which adds the suspects' names and the chaos plans.
+// /v1/cluster, which adds the suspects' names and the fault plan.
 type FleetStats struct {
 	Policy string `json:"policy"`
 	Nodes  int    `json:"nodes"`
@@ -682,7 +702,7 @@ func (c *Cluster) Stats() FleetStats {
 	st.ChaosRecoveries = c.chaosRecoveries.Load()
 	st.BenignCancels = c.benignCancels.Load()
 	var chaosNow time.Duration
-	if c.cfg.Chaos != nil {
+	if c.cfg.Faults != nil {
 		chaosNow = c.cfg.Clock.Now()
 	}
 	for _, m := range c.members {
@@ -702,8 +722,8 @@ func (c *Cluster) Stats() FleetStats {
 			QuarantinedDevices: h.Quarantined,
 			DegradedDevices:    h.Degraded,
 		}
-		if c.cfg.Chaos != nil {
-			snap.ChaosDown, _ = c.cfg.Chaos.DownAt(snap.Name, chaosNow)
+		if c.cfg.Faults != nil {
+			snap.ChaosDown, _ = c.cfg.Faults.Down(snap.Name, chaosNow)
 		}
 		if snap.Suspect {
 			st.Suspects++

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bomw/internal/core"
+	"bomw/internal/fault"
 )
 
 // serveCluster builds a fleet of serving fakes (instant completions by
@@ -63,12 +64,12 @@ func TestMassEvictionReturnsErrNoHealthyNodes(t *testing.T) {
 // is inside a scripted crash window refuses with ErrNoHealthyNodes and
 // derives the retry hint from the window's remaining span.
 func TestChaosWindowBlocksRoutingAndHintsRecovery(t *testing.T) {
-	ci := NewChaosInjector([]ChaosPlan{
-		{Node: "node0", Crashes: []ChaosWindow{{Start: 0, End: 2 * time.Second}}},
-	})
+	faults := fault.NewInjector(fault.Plan{Faults: []fault.Fault{
+		{Node: "node0", End: 2 * time.Second, Effect: fault.Down},
+	}})
 	clk := core.NewManualClock()
 	clk.Advance(500 * time.Millisecond)
-	c, _ := serveCluster(t, 1, Config{Chaos: ci, Clock: clk})
+	c, _ := serveCluster(t, 1, Config{Faults: faults, Clock: clk})
 	defer c.Close()
 	_, err := c.Submit(context.Background(), core.PipelineRequest{Model: "simple", Batch: 1})
 	if !errors.Is(err, ErrNoHealthyNodes) {
@@ -272,9 +273,9 @@ func TestChaosTripMigration(t *testing.T) {
 		Straggler:  true, // deadline requests take the arbitration path, which registers them for migration
 		SweepEvery: 1,
 		Clock:      clk,
-		Chaos: NewChaosInjector([]ChaosPlan{
-			{Node: "node0", Crashes: []ChaosWindow{{Start: time.Second, End: 2 * time.Second}}},
-		}),
+		Faults: fault.NewInjector(fault.Plan{Faults: []fault.Fault{
+			{Node: "node0", Start: time.Second, End: 2 * time.Second, Effect: fault.Down},
+		}}),
 	})
 	fakes[0].setServe(time.Hour, time.Millisecond, nil) // parked until cancelled
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"bomw/internal/opencl"
+	"bomw/internal/fault"
 )
 
 // The stepped-clock tests: every timer on the serving path is driven by
@@ -18,13 +18,13 @@ import (
 // timer that would cause it has not fired.
 
 // steppedScheduler is the package's shared scheduler, devices reset, with
-// a fresh counting fault injector attached for the length of the test —
+// a fresh counting fault injector armed for the length of the test —
 // so a stepped test costs milliseconds, not a scheduler build.
-func steppedScheduler(t *testing.T) (*Scheduler, *opencl.FaultInjector) {
+func steppedScheduler(t *testing.T) (*Scheduler, *fault.Injector) {
 	t.Helper()
 	s := testScheduler(t)
-	fi := countingInjector(s)
-	t.Cleanup(func() { s.Runtime().SetFaultInjector(nil) })
+	fi := armFaults(s, 1)
+	t.Cleanup(func() { s.Runtime().SetFaults(nil, "", 0) })
 	return s, fi
 }
 
@@ -127,7 +127,7 @@ func TestSteppedWindowFlush(t *testing.T) {
 // batch completes on the next-ranked device.
 func TestSteppedRetryBackoff(t *testing.T) {
 	const backoff = 60 * time.Millisecond
-	s, fi := steppedScheduler(t)
+	s, _ := steppedScheduler(t)
 	clk := NewManualClock()
 	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: backoff, Clock: clk})
 	defer p.Close()
@@ -138,7 +138,7 @@ func TestSteppedRetryBackoff(t *testing.T) {
 		t.Fatalf("warmup: %v / %v", err, warmup.Err)
 	}
 	failed := warmup.Decision.Device
-	fi.SetPlan(failed, opencl.FaultPlan{ErrorRate: 1})
+	armFaults(s, 1, failing(failed, 1))
 
 	fut, err := p.Submit(ctx, req)
 	if err != nil {
@@ -164,17 +164,17 @@ func TestSteppedRetryBackoff(t *testing.T) {
 // pipeline clock, and not one nanosecond before.
 func TestSteppedProber(t *testing.T) {
 	const every = 50 * time.Millisecond
-	s, fi := steppedScheduler(t)
+	s, _ := steppedScheduler(t)
 	first, err := s.Select("mnist-small", 8, BestThroughput, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi.SetPlan(first.Device, opencl.FaultPlan{ErrorRate: 1})
+	armFaults(s, 1, failing(first.Device, 1))
 	for i := 0; i < 3; i++ {
 		_, err := s.Runtime().Estimate(first.Device, "mnist-small", 8, 0)
 		s.ReportExecution(first.Device, err)
 	}
-	fi.ClearPlan(first.Device)
+	armFaults(s, 1)
 	if q := s.Quarantined(); len(q) != 1 {
 		t.Fatalf("quarantined = %v, want [%s]", q, first.Device)
 	}
@@ -202,21 +202,18 @@ func TestSteppedProber(t *testing.T) {
 // request lands in exactly one outcome bucket, and every future handed
 // out holds exactly one completion.
 func TestSteppedIdentities(t *testing.T) {
-	s, fi := steppedScheduler(t)
+	s, _ := steppedScheduler(t)
 	for _, realInputs := range []bool{false, true} {
 		for seed := int64(1); seed <= 32; seed++ {
 			s.ResetDevices()
-			for _, dev := range s.Devices() {
-				fi.ClearPlan(dev)
-			}
-			if err := steppedIdentities(s, fi, seed, realInputs); err != nil {
+			if err := steppedIdentities(s, seed, realInputs); err != nil {
 				t.Fatalf("seed %d, real inputs %t: %v", seed, realInputs, err)
 			}
 		}
 	}
 }
 
-func steppedIdentities(s *Scheduler, fi *opencl.FaultInjector, seed int64, realInputs bool) error {
+func steppedIdentities(s *Scheduler, seed int64, realInputs bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	clk := NewManualClock()
 	cfg := PipelineConfig{
@@ -228,11 +225,13 @@ func steppedIdentities(s *Scheduler, fi *opencl.FaultInjector, seed int64, realI
 	}
 	dev := s.Devices()[rng.Intn(len(s.Devices()))]
 	switch rng.Intn(3) {
+	case 0:
+		armFaults(s, 1)
 	case 1:
-		fi.SetPlan(dev, opencl.FaultPlan{ErrorRate: 0.1 + 0.8*rng.Float64()})
+		armFaults(s, 1, failing(dev, 0.1+0.8*rng.Float64()))
 	case 2:
 		start := time.Duration(rng.Intn(5)) * time.Millisecond
-		fi.SetPlan(dev, opencl.FaultPlan{Outages: []opencl.OutageWindow{{Start: start, End: start + 5*time.Millisecond}}})
+		armFaults(s, 1, fault.Fault{Node: fault.AllNodes, Device: dev, Start: start, End: start + 5*time.Millisecond, Effect: fault.Outage})
 	}
 	p := NewPipeline(s, cfg)
 

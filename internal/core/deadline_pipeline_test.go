@@ -10,29 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"bomw/internal/opencl"
+	"bomw/internal/fault"
 	"bomw/internal/tensor"
 )
 
-// countingInjector attaches a fault injector with an empty plan on every
-// device: it injects nothing and acts as a pure execution counter — the
-// mechanism the "never executed" assertions use.
-func countingInjector(s *Scheduler) *opencl.FaultInjector {
-	fi := opencl.NewFaultInjector(1)
-	s.Runtime().SetFaultInjector(fi)
-	for _, name := range s.Devices() {
-		fi.SetPlan(name, opencl.FaultPlan{})
-	}
-	return fi
-}
-
-func totalExecutions(fi *opencl.FaultInjector) int64 {
-	var n int64
-	for _, st := range fi.Stats() {
-		n += st.Executions
-	}
-	return n
-}
+// totalExecutions reads an empty plan's injector as a pure execution
+// counter — the mechanism the "never executed" assertions use.
+func totalExecutions(fi *fault.Injector) int64 { return fi.Counts(0, "").Executions }
 
 // TestPipelineSubmitRejectsCancelledContext is the regression test for
 // the admission bug: Submit used to accept requests whose context was
@@ -168,7 +152,7 @@ func TestPipelineCullsExpiredBeforeExecute(t *testing.T) {
 	}
 	// Only the SLO-free blocker may have touched a device.
 	if n := totalExecutions(fi); n != 1 {
-		t.Fatalf("expired requests reached the execute path: %d executions, want 1 (%+v)", n, fi.Stats())
+		t.Fatalf("expired requests reached the execute path: %d executions, want 1 (%+v)", n, fi.Counts(0, ""))
 	}
 }
 
@@ -177,10 +161,8 @@ func TestPipelineCullsExpiredBeforeExecute(t *testing.T) {
 // expires during the retry backoff, the request must be culled — not
 // retried on a second device.
 func TestPipelineNoRetryAfterDeadline(t *testing.T) {
-	s, fi := steppedScheduler(t)
-	for _, name := range s.Devices() {
-		fi.SetPlan(name, opencl.FaultPlan{ErrorRate: 1})
-	}
+	s, _ := steppedScheduler(t)
+	fi := armFaults(s, 1, failing("", 1))
 	clk := NewManualClock()
 	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: 60 * time.Millisecond, Clock: clk})
 	defer p.Close()
@@ -210,7 +192,7 @@ func TestPipelineNoRetryAfterDeadline(t *testing.T) {
 		t.Fatalf("stats = %+v, want Expired=1 ExecFailures=0", st)
 	}
 	if n := totalExecutions(fi); n != 1 {
-		t.Fatalf("executions = %d, want exactly the failed first attempt (%+v)", n, fi.Stats())
+		t.Fatalf("executions = %d, want exactly the failed first attempt (%+v)", n, fi.Counts(0, ""))
 	}
 }
 
@@ -220,7 +202,7 @@ func TestPipelineNoRetryAfterDeadline(t *testing.T) {
 // get net.Classify's classes, and the tensor must come back bit for bit.
 func TestServedInputTensorIsLeftUnchanged(t *testing.T) {
 	s := smallScheduler(t, Config{MaxQueueDelay: -1})
-	fi := countingInjector(s)
+	fi := armFaults(s, 1)
 	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -8,18 +8,25 @@ import (
 	"testing"
 	"time"
 
+	"bomw/internal/fault"
 	"bomw/internal/opencl"
 	"bomw/internal/trace"
 )
 
-// faultyScheduler builds a private scheduler with a fault injector
-// attached to its runtime.
-func faultyScheduler(t *testing.T, seed int64) (*Scheduler, *opencl.FaultInjector) {
-	t.Helper()
-	s := smallScheduler(t, Config{})
-	fi := opencl.NewFaultInjector(seed)
-	s.Runtime().SetFaultInjector(fi)
-	return s, fi
+// armFaults arms a plan of faults drawn from seed on s's runtime, as
+// node0 of a one-node fleet, in place of whatever was armed before, and
+// returns its injector. With no faults it injects nothing and only
+// counts executions.
+func armFaults(s *Scheduler, seed int64, faults ...fault.Fault) *fault.Injector {
+	in := fault.NewInjector(fault.Plan{Seed: seed, Faults: faults})
+	s.Runtime().SetFaults(in, "node0", 0)
+	return in
+}
+
+// failing fails executions on dev with probability p; an empty dev
+// fails every device.
+func failing(dev string, p float64) fault.Fault {
+	return fault.Fault{Node: fault.AllNodes, Device: dev, Effect: fault.Err, P: p}
 }
 
 func TestSelectExcluding(t *testing.T) {
@@ -61,12 +68,12 @@ func TestObserveRejectsResultWithoutEvents(t *testing.T) {
 }
 
 func TestQuarantineRoutesAroundAndReadmits(t *testing.T) {
-	s, fi := faultyScheduler(t, 1)
+	s := smallScheduler(t, Config{})
 	first, err := s.Select("mnist-small", 8, BestThroughput, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi.SetPlan(first.Device, opencl.FaultPlan{ErrorRate: 1})
+	armFaults(s, 1, failing(first.Device, 1))
 
 	// Three consecutive execution errors quarantine the device.
 	for i := 0; i < 3; i++ {
@@ -96,7 +103,7 @@ func TestQuarantineRoutesAroundAndReadmits(t *testing.T) {
 		t.Fatalf("probe re-admitted a failing device: %v", got)
 	}
 	// Once the fault clears, the probe re-admits.
-	fi.ClearPlan(first.Device)
+	armFaults(s, 1)
 	got := s.ProbeQuarantined(0)
 	if len(got) != 1 || got[0] != first.Device {
 		t.Fatalf("probe after recovery = %v, want [%s]", got, first.Device)
@@ -108,9 +115,9 @@ func TestQuarantineRoutesAroundAndReadmits(t *testing.T) {
 }
 
 func TestSelectServesEvenWhenAllQuarantined(t *testing.T) {
-	s, fi := faultyScheduler(t, 1)
+	s := smallScheduler(t, Config{})
+	armFaults(s, 1, failing("", 1))
 	for _, name := range s.Devices() {
-		fi.SetPlan(name, opencl.FaultPlan{ErrorRate: 1})
 		for i := 0; i < 3; i++ {
 			_, err := s.Runtime().Estimate(name, "mnist-small", 8, 0)
 			s.ReportExecution(name, err)
@@ -131,7 +138,7 @@ func TestSelectServesEvenWhenAllQuarantined(t *testing.T) {
 }
 
 func TestPipelineFailoverCompletesRequests(t *testing.T) {
-	s, fi := faultyScheduler(t, 1)
+	s := smallScheduler(t, Config{})
 	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: -1})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -143,7 +150,7 @@ func TestPipelineFailoverCompletesRequests(t *testing.T) {
 		t.Fatalf("warmup: %v / %v", err, warmup.Err)
 	}
 	failed := warmup.Decision.Device
-	fi.SetPlan(failed, opencl.FaultPlan{ErrorRate: 1})
+	armFaults(s, 1, failing(failed, 1))
 
 	for i := 0; i < 6; i++ {
 		c, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8})
@@ -276,8 +283,6 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	// ranked-best device until the failure domain (not queue occupancy)
 	// reroutes it — the point under test.
 	s := smallScheduler(t, Config{MaxQueueDelay: -1})
-	fi := opencl.NewFaultInjector(3)
-	s.Runtime().SetFaultInjector(fi)
 	const probeEvery = 5 * time.Millisecond
 	clk := NewManualClock()
 	p := NewPipeline(s, PipelineConfig{MaxBatch: 64, ProbeInterval: probeEvery, RetryBackoff: -1, Clock: clk})
@@ -292,8 +297,8 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 		t.Fatalf("warmup: %v / %v", err, warmup.Err)
 	}
 	failed := warmup.Decision.Device
-	outage := opencl.OutageWindow{Start: 100 * time.Millisecond, End: 450 * time.Millisecond}
-	fi.SetPlan(failed, opencl.FaultPlan{Outages: []opencl.OutageWindow{outage}})
+	outage := fault.Fault{Node: fault.AllNodes, Device: failed, Start: 100 * time.Millisecond, End: 450 * time.Millisecond, Effect: fault.Outage}
+	fi := armFaults(s, 3, outage)
 
 	// ~400 requests over ~0.8 s of trace time straddle the outage. Play
 	// paces arrivals on the wall clock, which the pipeline no longer
@@ -333,7 +338,7 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 		t.Fatalf("exec failures = %d: %d batches failed clients despite failover", st.ExecFailures, st.ExecFailures)
 	}
 	if st.Retries == 0 {
-		t.Fatalf("the outage never triggered a retry — fault not exercised (pipeline %+v, faults %+v)", st, fi.Stats())
+		t.Fatalf("the outage never triggered a retry — fault not exercised (pipeline %+v, faults %+v)", st, fi.Counts(0, ""))
 	}
 	if sst := s.Stats(); sst.Quarantines == 0 || sst.Readmissions != 0 {
 		t.Fatalf("inside the outage: %+v, want %s quarantined and not yet re-admitted", sst, failed)
@@ -373,7 +378,7 @@ func TestSoakShedRetryQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	s, fi := faultyScheduler(t, 13)
+	s := smallScheduler(t, Config{})
 	p := NewPipeline(s, PipelineConfig{
 		QueueDepth:    4,
 		MaxBatch:      32,
@@ -390,7 +395,7 @@ func TestSoakShedRetryQuarantine(t *testing.T) {
 		t.Fatalf("warmup: %v / %v", err, warmup.Err)
 	}
 	failed := warmup.Decision.Device
-	fi.SetPlan(failed, opencl.FaultPlan{ErrorRate: 1})
+	armFaults(s, 13, failing(failed, 1))
 
 	const (
 		clients = 24
@@ -430,7 +435,7 @@ func TestSoakShedRetryQuarantine(t *testing.T) {
 			case <-time.After(time.Millisecond):
 			}
 		}
-		fi.ClearPlan(failed)
+		armFaults(s, 13)
 	}()
 	wg.Wait()
 	close(errCh)

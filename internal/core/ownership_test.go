@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"bomw/internal/opencl"
 )
 
 // The input-ownership rule (PipelineRequest.Input): the pipeline reads a
@@ -129,7 +127,7 @@ func TestInputIsTheCallersOnceCulled(t *testing.T) {
 // serves the workload fails every execution, so batches are read once
 // on it and again on the next device before they resolve.
 func TestInputIsTheCallersOnceFailedOver(t *testing.T) {
-	s, fi := faultyScheduler(t, 1)
+	s := smallScheduler(t, Config{})
 	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: -1})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -138,7 +136,7 @@ func TestInputIsTheCallersOnceFailedOver(t *testing.T) {
 	if err != nil || warmup.Err != nil {
 		t.Fatalf("warmup: %v / %v", err, warmup.Err)
 	}
-	fi.SetPlan(warmup.Decision.Device, opencl.FaultPlan{ErrorRate: 1})
+	armFaults(s, 1, failing(warmup.Decision.Device, 1))
 
 	reqs := make([]PipelineRequest, 24)
 	for i := range reqs {

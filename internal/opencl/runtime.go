@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bomw/internal/device"
+	"bomw/internal/fault"
 	"bomw/internal/nn"
 	"bomw/internal/tensor"
 )
@@ -27,23 +28,33 @@ type Runtime struct {
 
 	mu       sync.Mutex
 	programs map[string]*Program // model name → compiled pipeline
-	faults   *FaultInjector
+	faults   *fault.Injector
+	node     string // the fleet node this runtime serves as, for faults
+	nodeIdx  int
 }
 
-// SetFaultInjector attaches a fault injector: subsequent executions
-// consult it while holding the device's submit lock, so per-device fault
-// sequences are deterministic. Pass nil to detach.
-func (r *Runtime) SetFaultInjector(fi *FaultInjector) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.faults = fi
+// DeviceFault is the error a faulty device surfaces from Classify or
+// Estimate: the simulated equivalent of CL_OUT_OF_RESOURCES or a hung
+// command queue. Schedulers treat it as a signal to retry elsewhere and
+// to quarantine the device when faults persist.
+type DeviceFault struct {
+	Device string
+	At     time.Duration // virtual submission time of the failed batch
+	Reason string        // "injected" (an err draw) or "outage" (a scripted window)
 }
 
-// FaultInjector returns the attached injector (nil when faults are off).
-func (r *Runtime) FaultInjector() *FaultInjector {
+func (e *DeviceFault) Error() string {
+	return fmt.Sprintf("opencl: device %q fault at %v (%s)", e.Device, e.At, e.Reason)
+}
+
+// SetFaults arms a fault plan's injector on the runtime, which serves
+// as node, the fleet's index-th node: subsequent executions consult it
+// while holding the device's submit lock, so per-device fault sequences
+// are deterministic. Pass nil to disarm.
+func (r *Runtime) SetFaults(in *fault.Injector, node string, index int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.faults
+	r.faults, r.node, r.nodeIdx = in, node, index
 }
 
 // NewRuntime discovers platforms over the simulated devices and prepares
@@ -169,18 +180,20 @@ func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.D
 	if err != nil {
 		return nil, err
 	}
+	r.mu.Lock()
+	faults, node, nodeIdx := r.faults, r.node, r.nodeIdx
+	r.mu.Unlock()
 	// Hold the device's submit lock for the whole command sequence so
 	// concurrent callers cannot interleave commands on its timeline.
 	lock := r.submit[dev.Name()]
 	lock.Lock()
 	defer lock.Unlock()
-	var spike float64
-	if fi := r.FaultInjector(); fi != nil {
-		v := fi.decide(devName, at)
-		if v.err != nil {
-			return nil, v.err
+	stretch := 1.0
+	if faults != nil {
+		var fail string
+		if fail, stretch = faults.Exec(node, nodeIdx, devName, at); fail != "" {
+			return nil, &DeviceFault{Device: devName, At: at, Reason: fail}
 		}
-		spike = v.spike
 	}
 	if in != nil {
 		wantShape := prog.Net.InputShape()
@@ -222,14 +235,14 @@ func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.D
 	res.Completed = q.Finish(at)
 	res.Events = q.Events()
 	res.EnergyJ = q.EnergyJ()
-	if spike > 1 && len(res.Events) > 0 {
-		// A latency spike stretches the observable execution span (start
-		// of the first command → completion) without failing the batch:
-		// the health monitor sees a degraded device, clients just see a
-		// slow response. Device occupancy is not re-booked — spikes model
-		// transient external contention, not queued work.
+	if stretch > 1 && len(res.Events) > 0 {
+		// A spike or a slow node stretches the observable execution span
+		// (start of the first command → completion) without failing the
+		// batch: the health monitor sees a degraded device, clients just
+		// see a slow response. Device occupancy is not re-booked — the
+		// stretch models external contention, not queued work.
 		span := res.Completed - res.Events[0].Start
-		res.Completed += time.Duration(float64(span) * (spike - 1))
+		res.Completed += time.Duration(float64(span) * (stretch - 1))
 	}
 	if in != nil {
 		// The charge above never depends on a computed value, so it is the

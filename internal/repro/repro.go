@@ -323,25 +323,7 @@ func runSchedulerStudy(rep *Report, seed int64) error {
 	}
 	sw := characterize.NewSweeper()
 	score := func(specs []*nn.Spec) (float64, float64, error) {
-		correct, total, loss := 0, 0, 0.0
-		for _, spec := range specs {
-			for _, b := range []int{8, 128, 2048, 32768} {
-				for _, warm := range []bool{false, true} {
-					cm, err := sw.MeasureConfig(spec, b, warm, 0)
-					if err != nil {
-						return 0, 0, err
-					}
-					feats := characterize.Features(spec.Descriptor(), b, warm)
-					pred := sched.Classifier(core.BestThroughput).Predict(feats)
-					total++
-					if pred == cm.Best(characterize.BestThroughput) {
-						correct++
-					}
-					loss += cm.LossVersusIdeal(characterize.BestThroughput, pred)
-				}
-			}
-		}
-		return float64(correct) / float64(total), loss / float64(total), nil
+		return sw.Score(specs, []int{8, 128, 2048, 32768}, core.BestThroughput, sched.Classifier(core.BestThroughput).Predict)
 	}
 	accTrained, lossTrained, err := score(models.PaperModels())
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"bomw/internal/cluster"
 	"bomw/internal/core"
+	"bomw/internal/fault"
 )
 
 // ---- /v1/cluster and /v1/nodes -----------------------------------------
@@ -22,14 +23,14 @@ type clusterWire struct {
 	Chaos struct {
 		Enabled bool `json:"enabled"`
 		cluster.ChaosCounts
-		Plans []cluster.ChaosPlan `json:"plans"`
+		Plan *fault.Plan `json:"plan"` // the armed fault plan; null when none is
 	} `json:"chaos"`
 }
 
 // handleCluster exposes fleet-wide statistics — routing activity,
 // membership churn, aggregated serving counters, the per-node rows, and
-// the resilience tier (hedging/migration counters, scripted chaos
-// state) — and accepts operator control POSTs.
+// the resilience tier (hedging/migration counters, the scripted fault
+// plan) — and accepts operator control POSTs.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -45,10 +46,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	out.Resilience.Resilience = st.Resilience
 	out.Resilience.Suspects = s.fleet.Suspects()
 	out.Chaos.ChaosCounts = st.ChaosCounts
-	out.Chaos.Plans = []cluster.ChaosPlan{}
-	if ci := s.fleet.Chaos(); ci != nil {
-		out.Chaos.Enabled = true
-		out.Chaos.Plans = ci.Plans()
+	if in := s.fleet.Faults(); in != nil {
+		plan := in.Plan()
+		out.Chaos.Enabled, out.Chaos.Plan = true, &plan
 	}
 	writeJSON(w, out)
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"bomw/internal/core"
+	"bomw/internal/fault"
 	"bomw/internal/models"
-	"bomw/internal/opencl"
 )
 
 // TestModelLoadResponseContentType is the regression test for the
@@ -73,8 +73,6 @@ func TestFailureDomainEndpoints(t *testing.T) {
 	if err := sched.LoadModel(models.Simple(), 1); err != nil {
 		t.Fatal(err)
 	}
-	fi := opencl.NewFaultInjector(5)
-	sched.Runtime().SetFaultInjector(fi)
 	// The prober is disabled so recovery timing stays deterministic.
 	api := NewWithConfig(sched, 1, core.PipelineConfig{ProbeInterval: -1, RetryBackoff: -1})
 	ts := httptest.NewServer(api)
@@ -95,7 +93,9 @@ func TestFailureDomainEndpoints(t *testing.T) {
 	}
 
 	failed := classify().Device // learn the hot device, then break it
-	fi.SetPlan(failed, opencl.FaultPlan{ErrorRate: 1})
+	sched.Runtime().SetFaults(fault.NewInjector(fault.Plan{Seed: 5, Faults: []fault.Fault{
+		{Node: fault.AllNodes, Device: failed, Effect: fault.Err, P: 1},
+	}}), "node0", 0)
 	for i := 0; i < 4; i++ {
 		if got := classify(); got.Device == failed {
 			t.Fatalf("request %d served by the failing device", i)
@@ -153,7 +153,7 @@ func TestFailureDomainEndpoints(t *testing.T) {
 
 	// Recovery: clear the fault, probe, and the device disappears from
 	// the quarantine list while the readmission counter ticks.
-	fi.ClearPlan(failed)
+	sched.Runtime().SetFaults(nil, "", 0)
 	if got := sched.ProbeQuarantined(0); len(got) != 1 || got[0] != failed {
 		t.Fatalf("probe after recovery = %v", got)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"bomw/internal/cluster"
 	"bomw/internal/core"
+	"bomw/internal/fault"
 	"bomw/internal/models"
 )
 
@@ -78,12 +79,11 @@ func TestWireKeys(t *testing.T) {
 	if err := sched.LoadModel(models.Simple(), 1); err != nil {
 		t.Fatal(err)
 	}
-	chaos := cluster.NewChaosInjector([]cluster.ChaosPlan{{
-		Node:    "node1",
-		Crashes: []cluster.ChaosWindow{{Start: time.Hour, End: 2 * time.Hour}},
+	faults := fault.NewInjector(fault.Plan{Seed: 1, Faults: []fault.Fault{
+		{Node: "node1", Start: time.Hour, End: 2 * time.Hour, Effect: fault.Down},
 	}})
 	api, err := NewCluster(sched, 1, core.PipelineConfig{}, 4, cluster.Config{
-		NodeHedge: true, Straggler: true, Chaos: chaos,
+		NodeHedge: true, Straggler: true, Faults: faults,
 	})
 	if err != nil {
 		t.Fatal(err)
