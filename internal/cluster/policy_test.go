@@ -24,7 +24,6 @@ type fakeNode struct {
 
 	mu       sync.Mutex
 	err      error // returned by Submit when set
-	avgLat   time.Duration
 	accepted []string
 	drains   int
 	kills    int
@@ -34,8 +33,7 @@ type fakeNode struct {
 	// future that a goroutine resolves with {serveErr, serveLat} after
 	// serveWait of wall time. A submission cancelled before then
 	// resolves with context.Canceled instead — the same contract a real
-	// pipeline honours when it culls queued work, which is what the
-	// resilience relays arbitrate on.
+	// pipeline honours when it culls queued work.
 	serve     bool
 	serveWait time.Duration
 	serveLat  time.Duration
@@ -49,17 +47,7 @@ func newFakeNode(name string, load int64) *fakeNode {
 func (f *fakeNode) Name() string { return f.name }
 func (f *fakeNode) Load() int64  { return f.load }
 
-func (f *fakeNode) AvgLatency() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.avgLat
-}
-
-func (f *fakeNode) setAvgLatency(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.avgLat = d
-}
+func (f *fakeNode) AvgLatency() time.Duration { return 0 }
 
 func (f *fakeNode) Submit(ctx context.Context, req core.PipelineRequest) (*core.Future, error) {
 	f.mu.Lock()

@@ -8,22 +8,16 @@ import (
 	"time"
 )
 
-// TestDetachedFutureResolveExactlyOnce covers the cluster tier's
-// first-result-wins arbitration primitive: the first Resolve wins, every
-// later one is discarded, and the waiter observes exactly the winner.
+// TestDetachedFutureResolveExactlyOnce covers the test fakes' future:
+// the first Resolve wins, every later one is discarded, and the waiter
+// observes exactly the winner.
 func TestDetachedFutureResolveExactlyOnce(t *testing.T) {
 	f := NewDetachedFuture()
-	if f.Resolved() {
-		t.Fatal("fresh detached future reports resolved")
-	}
 	if !f.Resolve(Completion{BatchSize: 1}) {
 		t.Fatal("first Resolve lost")
 	}
 	if f.Resolve(Completion{BatchSize: 2}) {
 		t.Fatal("second Resolve won")
-	}
-	if !f.Resolved() {
-		t.Fatal("resolved future reports unresolved")
 	}
 	c, err := f.Wait(context.Background())
 	if err != nil {
@@ -68,15 +62,14 @@ func TestDetachedFutureRacingResolvers(t *testing.T) {
 	if c.BatchSize != winners[0] {
 		t.Fatalf("waiter saw %d, winner was %d", c.BatchSize, winners[0])
 	}
-	// Wait leaves the arbitration state alone: a late resolver still loses.
-	if !f.detached || !f.Resolved() || f.Resolve(Completion{}) {
-		t.Fatalf("detached future mutated by Wait: detached=%v resolved=%v", f.detached, f.Resolved())
+	// Wait leaves the resolution state alone: a late resolver still loses.
+	if !f.detached || f.Resolve(Completion{}) {
+		t.Fatalf("detached future mutated by Wait: detached=%v", f.detached)
 	}
 }
 
 // TestResolveOnPipelineFuturePanics pins the misuse guard: Resolve is
-// the cluster's arbitration path, not an alternate delivery channel for
-// pipeline-owned futures.
+// not an alternate delivery channel for pipeline-owned futures.
 func TestResolveOnPipelineFuturePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -87,7 +80,7 @@ func TestResolveOnPipelineFuturePanics(t *testing.T) {
 	f.Resolve(Completion{})
 }
 
-// TestAvgLatencyTracksDeliveries checks the straggler signal: zero
+// TestAvgLatencyTracksDeliveries checks the latency reading: zero
 // before any delivery, positive and bounded by the observed worst
 // completion latency after traffic.
 func TestAvgLatencyTracksDeliveries(t *testing.T) {

@@ -38,12 +38,13 @@ const (
 	// Outage fails every execution.
 	Outage Effect = "outage"
 	// Down fail-stops the node at the routing tier: the router skips it,
-	// the sweep migrates its queued deadline work, and when the window
+	// work it already accepted still resolves, and when the window
 	// closes the node is routable again without operator action.
 	// Repeated short windows are the flapping-restart pattern.
 	Down Effect = "down"
 	// Slow stretches every execution's completion by Factor: a scripted
-	// straggler, slow end to end, for the straggler detector to find.
+	// straggler, slow end to end, which its devices' observed slowdown
+	// ratio and deadline admission see.
 	Slow Effect = "slow"
 )
 

@@ -10,8 +10,8 @@ import (
 
 // goleak demands a visible termination path for every goroutine spawned
 // in the concurrent serving packages (internal/core, internal/cluster,
-// internal/opencl): the chaos appliers, recovery probers and hedge
-// relays those packages spin up must not be able to outlive their node.
+// internal/opencl): the device workers and recovery probers those
+// packages spin up must not be able to outlive their node.
 // A `go` statement passes when the analyzer can see at least one of:
 //
 //   - WaitGroup registration — an X.Add(...) on a sync.WaitGroup (or a

@@ -1,7 +1,7 @@
-// Package cluster mirrors the real routing tier's chaos/resilience
-// wall-clock shapes: the default serving clock anchors on time.Now and
-// the reactive hedge timer arms time.AfterFunc — both justified with
-// directives — while unannotated timer reads must be flagged.
+// Package cluster mirrors the routing tier's wall-clock shapes: the
+// default serving clock anchors on time.Now and a serving-path timer
+// arms time.AfterFunc — both justified with directives — while
+// unannotated timer reads must be flagged.
 package cluster
 
 import "time"
@@ -19,15 +19,15 @@ func defaultClock() func() time.Duration {
 	return func() time.Duration { return time.Since(start) }
 }
 
-// armHedge mirrors the reactive node-hedge timer: firing at half the
-// deadline slack is a wall-clock action on the serving path.
-func armHedge(fire func()) *time.Timer {
-	//bomw:wallclock fixture: reactive hedge timer fires on real slack in serving mode
+// armTimer mirrors a serving-path timer: firing at half the deadline
+// slack is a wall-clock action on the serving path.
+func armTimer(fire func()) *time.Timer {
+	//bomw:wallclock fixture: the timer fires on real slack in serving mode
 	return time.AfterFunc(time.Millisecond, fire)
 }
 
-// badHedge forgets the directive — chaos code gets no free pass.
-func badHedge(fire func()) *time.Timer {
+// badTimer forgets the directive — chaos code gets no free pass.
+func badTimer(fire func()) *time.Timer {
 	return time.AfterFunc(time.Millisecond, fire) // want "wall-clock time.AfterFunc in virtual-clock package"
 }
 

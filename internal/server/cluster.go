@@ -12,14 +12,10 @@ import (
 // ---- /v1/cluster and /v1/nodes -----------------------------------------
 
 // clusterWire is the GET /v1/cluster body: the fleet snapshot as its
-// struct serialises, its resilience and chaos blocks shadowed by ones
-// that add what a second source knows.
+// struct serialises, its chaos block shadowed by one that adds the
+// armed fault plan.
 type clusterWire struct {
 	cluster.FleetStats
-	Resilience struct {
-		cluster.Resilience
-		Suspects []string `json:"suspects"` // members on probation, by name
-	} `json:"resilience"`
 	Chaos struct {
 		Enabled bool `json:"enabled"`
 		cluster.ChaosCounts
@@ -29,8 +25,8 @@ type clusterWire struct {
 
 // handleCluster exposes fleet-wide statistics — routing activity,
 // membership churn, aggregated serving counters, the per-node rows, and
-// the resilience tier (hedging/migration counters, the scripted fault
-// plan) — and accepts operator control POSTs.
+// the chaos block (down-window edges, the scripted fault plan) — and
+// accepts operator control POSTs.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -43,8 +39,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.fleet.Stats()
 	out := clusterWire{FleetStats: st}
-	out.Resilience.Resilience = st.Resilience
-	out.Resilience.Suspects = s.fleet.Suspects()
 	out.Chaos.ChaosCounts = st.ChaosCounts
 	if in := s.fleet.Faults(); in != nil {
 		plan := in.Plan()
@@ -60,9 +54,9 @@ type ClusterAction struct {
 }
 
 // handleClusterControl applies fleet-wide operator actions. "sweep" runs
-// a health sweep immediately — membership reconciliation, chaos-window
-// edges and straggler detection without waiting for the submission-
-// driven cadence, the operator's lever after changing node state.
+// a health sweep immediately — membership reconciliation and
+// down-window edges without waiting for the submission-driven cadence,
+// the operator's lever after changing node state.
 func (s *Server) handleClusterControl(w http.ResponseWriter, r *http.Request) {
 	var req ClusterAction
 	if !decodeBody(w, r, "cluster action", &req) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,9 +11,8 @@ import (
 	"bomw/internal/models"
 )
 
-// TestClusterEndpointResilienceBlocks: /v1/cluster carries the
-// resilience and chaos blocks, and the control POST runs a health
-// sweep.
+// TestClusterEndpointResilienceBlocks: /v1/cluster carries the chaos
+// block, and the control POST runs a health sweep.
 func TestClusterEndpointResilienceBlocks(t *testing.T) {
 	ts := fleetServer(t)
 	resp, err := http.Get(ts.URL + "/v1/cluster")
@@ -20,28 +20,29 @@ func TestClusterEndpointResilienceBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st struct {
-		Resilience struct {
-			NodeHedges    int64    `json:"node_hedges"`
-			Migrations    int64    `json:"migrations"`
-			FalseSuspects int64    `json:"false_suspects"`
-			Suspects      []string `json:"suspects"`
-		} `json:"resilience"`
-		Chaos struct {
-			Enabled bool  `json:"enabled"`
-			Trips   int64 `json:"trips"`
+		Chaos *struct {
+			Enabled    bool            `json:"enabled"`
+			Trips      *int64          `json:"trips"`
+			Recoveries *int64          `json:"recoveries"`
+			Plan       json.RawMessage `json:"plan"`
 		} `json:"chaos"`
 		PerNode []struct {
-			Suspect      bool  `json:"suspect"`
 			ChaosDown    bool  `json:"chaos_down"`
 			AvgLatencyUS int64 `json:"avg_latency_us"`
 		} `json:"per_node"`
 	}
 	decode(t, resp, &st)
-	if st.Resilience.Suspects == nil {
-		t.Fatal("resilience.suspects missing (want [] when empty)")
-	}
-	if st.Chaos.Enabled {
+	switch {
+	case st.Chaos == nil:
+		t.Fatal("chaos block missing")
+	case st.Chaos.Enabled:
 		t.Fatal("chaos reported enabled with no injector armed")
+	case st.Chaos.Trips == nil || st.Chaos.Recoveries == nil:
+		t.Fatalf("chaos block lacks its edge counters: %+v", *st.Chaos)
+	case *st.Chaos.Trips != 0 || *st.Chaos.Recoveries != 0:
+		t.Fatalf("chaos edges counted with no plan armed: trips %d, recoveries %d", *st.Chaos.Trips, *st.Chaos.Recoveries)
+	case string(st.Chaos.Plan) != "null":
+		t.Fatalf("chaos.plan = %s, want null with no plan armed", st.Chaos.Plan)
 	}
 	if len(st.PerNode) != 4 {
 		t.Fatalf("per_node rows = %d, want 4", len(st.PerNode))
