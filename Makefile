@@ -76,7 +76,9 @@ bench:
 	$(GO) test -run=NONE -bench='BenchmarkNewScheduler|BenchmarkLoadPaperModels' -cpu 1,2 -benchtime=$(BENCHTIME) ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkBuildDataset -cpu 1,2 -benchtime=$(BENCHTIME) ./internal/characterize/
 	$(GO) test -run=NONE -bench=BenchmarkForestFit -cpu 1,2 -benchtime=$(BENCHTIME) ./internal/mlsched/
-	$(GO) test -run=NONE -bench=BenchmarkPipelineServe -benchtime=$(BENCHTIME) ./internal/core/
+	# The simulator's ledger (ROADMAP item 13): one decision, one timing-only
+	# request, then the served path through one node and through the fleet.
+	$(GO) test -run=NONE -bench='^(BenchmarkSelect|BenchmarkEstimate|BenchmarkPipelineServe)$$' -benchtime=$(BENCHTIME) ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkClusterServe -benchtime=$(BENCHTIME) ./internal/cluster/
 	$(GO) test -run=NONE -bench='Conv|MaxPool2D|Linear|Forward' -benchtime=$(BENCHTIME) ./internal/tensor/
 	$(GO) test -run=NONE -bench=Forward -benchtime=$(BENCHTIME) ./internal/nn/

@@ -239,8 +239,8 @@ func (c *Cluster) NodeNames() []string {
 }
 
 // routeScratch is one routing decision's working set: the eligible
-// views and the policy's order over them. It is pooled, so a Submit
-// allocates neither.
+// views, which carry the policy's scores, and its order over them. It is
+// pooled, so a Submit allocates neither.
 type routeScratch struct {
 	views []NodeView
 	order []int
@@ -324,7 +324,7 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 		Model: req.Model,
 		Batch: size,
 		SLO:   routeSLO(req),
-		Now:   c.cfg.Clock.Now(),
+		clock: c.cfg.Clock,
 	}, views, sc.order)
 	sc.order = order // keep a grown backing for the scratch's next use
 	attempts := maxAttempts

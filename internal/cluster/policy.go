@@ -3,21 +3,32 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sync/atomic"
 	"time"
+
+	"bomw/internal/core"
 )
 
 // Request carries the routing-relevant facts of one submission: what is
-// being served, how big it is, the effective SLO (0 = none) and the
-// fleet's virtual now. Policies see only this plus the eligible node
-// views — never the payload.
+// being served, how big it is, the effective SLO (0 = none) and, read on
+// demand, the fleet's virtual now. Policies see only this plus the
+// eligible node views — never the payload.
 type Request struct {
 	Model string
 	Batch int
 	SLO   time.Duration
-	Now   time.Duration
+	clock core.Clock // the fleet's; nil outside Cluster.Submit
+}
+
+// Now reads the fleet's virtual now, zero for a Request built outside
+// Cluster.Submit. The clock is read here, not at Submit, so only a
+// policy that scores on time pays for reading it.
+func (r Request) Now() time.Duration {
+	if r.clock == nil {
+		return 0
+	}
+	return r.clock.Now()
 }
 
 // NodeView is the per-node snapshot a routing policy reads: a stable
@@ -28,6 +39,11 @@ type NodeView struct {
 	Name  string
 	Load  int64
 	node  Node
+	// score is a built-in policy's sort key, written by its Route into
+	// the router's pooled views so that ranking allocates nothing:
+	// weighted-scoring's slack, model-affinity's rendezvous hash (read
+	// back as a uint64).
+	score int64
 }
 
 // Predict returns the node's best predicted completion latency for the
@@ -137,13 +153,12 @@ func (ModelAffinity) Name() string { return "model-affinity" }
 
 // Route implements Policy.
 func (p ModelAffinity) Route(req Request, views []NodeView, order []int) []int {
-	scores := make([]uint64, len(views))
-	for i, v := range views {
-		scores[i] = rendezvousScore(req.Model, v.Name, p.Seed)
+	for i := range views {
+		views[i].score = int64(rendezvousScore(req.Model, views[i].Name, p.Seed))
 	}
 	order = identity(order, len(views))
 	slices.SortStableFunc(order, func(a, b int) int {
-		if sa, sb := scores[a], scores[b]; sa != sb {
+		if sa, sb := uint64(views[a].score), uint64(views[b].score); sa != sb {
 			return cmp.Compare(sb, sa)
 		}
 		return cmp.Compare(views[a].Index, views[b].Index)
@@ -151,17 +166,27 @@ func (p ModelAffinity) Route(req Request, views []NodeView, order []int) []int {
 	return order
 }
 
+// FNV-1a, 64-bit (hash/fnv's New64a, computed in place).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// rendezvousScore is the FNV-1a hash of the seed's eight little-endian
+// bytes, the model, a zero byte and the node.
 func rendezvousScore(model, node string, seed int64) uint64 {
-	h := fnv.New64a()
-	var s [8]byte
+	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
-		s[i] = byte(seed >> (8 * i))
+		h = (h ^ uint64(byte(seed>>(8*i)))) * fnvPrime64
 	}
-	h.Write(s[:])
-	h.Write([]byte(model))
-	h.Write([]byte{0})
-	h.Write([]byte(node))
-	return h.Sum64()
+	for i := 0; i < len(model); i++ {
+		h = (h ^ uint64(model[i])) * fnvPrime64
+	}
+	h *= fnvPrime64 // the zero byte: h ^ 0 == h
+	for i := 0; i < len(node); i++ {
+		h = (h ^ uint64(node[i])) * fnvPrime64
+	}
+	return h
 }
 
 // WeightedScoring scores each node by the predicted slack of the request
@@ -189,21 +214,21 @@ func (WeightedScoring) Route(req Request, views []NodeView, order []int) []int {
 	if deadline <= 0 {
 		deadline = scoreHorizon
 	}
-	slack := make([]time.Duration, len(views))
+	now := req.Now()
 	for i, v := range views {
-		predicted, err := v.Predict(req.Model, req.Batch, deadline, req.Now)
+		predicted, err := v.Predict(req.Model, req.Batch, deadline, now)
 		if err != nil {
 			// An unpredictable node (unknown model, no devices) scores
 			// worst; Submit will surface the real error if it is tried.
-			slack[i] = -scoreHorizon
+			views[i].score = int64(-scoreHorizon)
 			continue
 		}
-		slack[i] = deadline - predicted
+		views[i].score = int64(deadline - predicted)
 	}
 	order = identity(order, len(views))
 	slices.SortStableFunc(order, func(a, b int) int {
 		va, vb := views[a], views[b]
-		if sa, sb := slack[a], slack[b]; sa != sb {
+		if sa, sb := va.score, vb.score; sa != sb {
 			return cmp.Compare(sb, sa)
 		}
 		if va.Load != vb.Load {

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
@@ -263,6 +265,27 @@ func TestModelAffinityStableHomes(t *testing.T) {
 		a, b := q.Route(Request{Model: m}, views, nil)[0], q.Route(Request{Model: m}, views, nil)[0]
 		if a != b {
 			t.Fatalf("seed-8 home for %q unstable: %d vs %d", m, a, b)
+		}
+	}
+}
+
+// The in-place rendezvous hash is hash/fnv's FNV-1a over the same
+// bytes, so model homes are where they were.
+func TestRendezvousScoreIsFNV1a(t *testing.T) {
+	for _, seed := range []int64{0, 7, -1, 1 << 40} {
+		for _, model := range []string{"", "simple", "mnist-cnn"} {
+			for _, node := range []string{"node0", "node15", "ü"} {
+				h := fnv.New64a()
+				var s [8]byte
+				binary.LittleEndian.PutUint64(s[:], uint64(seed))
+				h.Write(s[:])
+				h.Write([]byte(model))
+				h.Write([]byte{0})
+				h.Write([]byte(node))
+				if got, want := rendezvousScore(model, node, seed), h.Sum64(); got != want {
+					t.Errorf("rendezvousScore(%q, %q, %d) = %#x, FNV-1a %#x", model, node, seed, got, want)
+				}
+			}
 		}
 	}
 }

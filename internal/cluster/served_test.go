@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -165,20 +166,28 @@ func servedBurstAllocations(t *testing.T, deadline time.Duration) {
 		burst() // warm the pools, the decision cache and the batching loop's timer
 	}
 	n := testing.AllocsPerRun(20, burst)
-	t.Logf("a burst of 64 allocates %.0f objects", n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun counts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		burst()
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("a burst of 64 allocates %.0f objects, %d B", n, (after.TotalAlloc-before.TotalAlloc)/20)
 	if n > 96 {
 		t.Fatalf("a burst of 64 allocates %.0f objects, want ≤ 96", n)
 	}
 }
 
-// TestRouteAllocatesNothing: the cheap policies order the fleet into the
-// router's buffer without allocating.
+// TestRouteAllocatesNothing: every policy orders the fleet into the
+// router's buffer without allocating — the scoring policies keep their
+// scores in the router's pooled views.
 func TestRouteAllocatesNothing(t *testing.T) {
 	views := fakeViews(newFakeNode("a", 3), newFakeNode("b", 0), newFakeNode("c", 2), newFakeNode("d", 0))
-	for _, p := range []Policy{NewRoundRobin(), LeastLoaded{}} {
+	for _, p := range []Policy{NewRoundRobin(), LeastLoaded{}, ModelAffinity{Seed: 7}, WeightedScoring{}} {
 		order := make([]int, 0, len(views))
 		n := testing.AllocsPerRun(100, func() {
-			order = p.Route(Request{Model: "simple"}, views, order)
+			order = p.Route(Request{Model: "simple", SLO: 10 * time.Millisecond}, views, order)
 		})
 		if n != 0 || len(order) != len(views) {
 			t.Errorf("%s: Route allocates %.1f objects and orders %v", p.Name(), n, order)

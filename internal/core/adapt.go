@@ -142,8 +142,8 @@ func (s *Scheduler) Observe(dec Decision, res *opencl.Result) error {
 	if res == nil {
 		return fmt.Errorf("core: Observe needs a result")
 	}
-	if len(res.Events) == 0 {
-		return fmt.Errorf("core: Observe needs a result with profiling events (device %s, model %s)", res.Device, res.Model)
+	if res.Completed <= res.Start {
+		return fmt.Errorf("core: Observe needs a result that executed (device %s, model %s)", res.Device, res.Model)
 	}
 	// The uncontended expectation reads through the memoised shadow-cost
 	// table (deadline.go): Observe runs once per served batch, and
@@ -154,7 +154,7 @@ func (s *Scheduler) Observe(dec Decision, res *opencl.Result) error {
 		return err
 	}
 	// Exclude queueing: interference shows in execution, not arrival.
-	observed := res.Completed - res.Events[0].Start
+	observed := res.Completed - res.Start
 	s.monitor().observe(dec.Device, shadow.latency, observed)
 	return nil
 }

@@ -40,8 +40,12 @@ func BenchmarkSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimate is one timing-only request end to end: the decision
+// BenchmarkSelect measures plus the runtime's charge of the batch on the
+// chosen device.
 func BenchmarkEstimate(b *testing.B) {
 	s := benchSched(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.Estimate("mnist-small", 4096, LowestLatency, 0); err != nil {

@@ -63,7 +63,7 @@ func TestObserveRejectsResultWithoutEvents(t *testing.T) {
 	}
 	res := &opencl.Result{Device: dec.Device, Model: "mnist-small", Batch: 8}
 	if err := s.Observe(dec, res); err == nil {
-		t.Fatal("Observe accepted a result with no profiling events")
+		t.Fatal("Observe accepted a result that never executed: no commands, no span")
 	}
 }
 

@@ -475,9 +475,11 @@ type batchWork struct {
 	clkCharge time.Duration // clock occupancy charged to the device queue
 
 	// stacked backs the input tensor of a batch of several requests
-	// (stackInputs); like reqs it is kept across reuse, so merging two
-	// clients' requests does not allocate a copy of both.
-	stacked []float32
+	// (stackInputs), and stackedT is the header over it; like reqs both
+	// are kept across reuse, so merging two clients' requests allocates
+	// neither a copy of both nor a tensor.
+	stacked  []float32
+	stackedT *tensor.Tensor
 }
 
 // Pools for the per-batch carriers. Both keep their []*pipeReq backing
@@ -513,9 +515,9 @@ func clearReqs(s []*pipeReq) {
 
 func getBatchWork() *batchWork {
 	w := bwPool.Get().(*batchWork)
-	reqs, stacked := w.reqs[:0], w.stacked[:0] // keep the recycled backings
+	reqs, stacked, stackedT := w.reqs[:0], w.stacked[:0], w.stackedT // keep the recycled backings
 	*w = batchWork{}
-	w.reqs, w.stacked = reqs, stacked
+	w.reqs, w.stacked, w.stackedT = reqs, stacked, stackedT
 	return w
 }
 
@@ -1200,7 +1202,7 @@ func (p *Pipeline) executeAttempt(dq *deviceQueue, w *batchWork, reqs []*pipeReq
 	if w.key.estimate {
 		res, err = p.sched.rt.Estimate(dec.Device, w.key.model, size, now)
 	} else {
-		res, err = p.sched.rt.Classify(dec.Device, w.key.model, stackInputs(reqs, size, &w.stacked), now)
+		res, err = p.sched.rt.Classify(dec.Device, w.key.model, w.stackInputs(reqs, size), now)
 	}
 	var observed time.Duration
 	if err == nil {
@@ -1353,20 +1355,25 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 // stackInputs stacks the requests' input tensors along dim 0. Shapes
 // were validated against the model spec at Submit, so per-sample layouts
 // agree. A batch of one request is that request's tensor itself: inputs
-// are only read from here on. A larger batch is stacked into *stacked,
-// whose backing it reuses and grows.
-func stackInputs(reqs []*pipeReq, size int, stacked *[]float32) *tensor.Tensor {
+// are only read from here on. A larger batch is stacked into w.stacked,
+// whose backing it reuses and grows, under w.stackedT rebound to the
+// batch: a header is made only when the per-sample shape changed.
+func (w *batchWork) stackInputs(reqs []*pipeReq, size int) *tensor.Tensor {
 	first := reqs[0].req.Input
 	if len(reqs) == 1 {
 		return first
 	}
-	flat := slices.Grow((*stacked)[:0], size*(first.Len()/first.Dim(0)))
+	flat := slices.Grow(w.stacked[:0], size*(first.Len()/first.Dim(0)))
 	for _, r := range reqs {
 		flat = append(flat, r.req.Input.Data()...)
 	}
-	*stacked = flat
-	shape := append([]int{size}, first.Shape()[1:]...)
-	return tensor.FromSlice(flat, shape...)
+	w.stacked = flat
+	if w.stackedT == nil || !slices.Equal(w.stackedT.Shape()[1:], first.Shape()[1:]) {
+		w.stackedT = tensor.FromSlice(flat, append([]int{size}, first.Shape()[1:]...)...)
+	} else {
+		w.stackedT.Rebind(flat, size)
+	}
+	return w.stackedT
 }
 
 // finish resolves one request's future exactly once, classifying the

@@ -561,19 +561,31 @@ func TestPipelinePlayDrivesTrace(t *testing.T) {
 }
 
 // A batch of one request is that request's tensor, not a copy of it;
-// two requests are stacked in order.
+// two requests are stacked in order, and the next stack of that
+// per-sample shape reuses the header as well as the backing.
 func TestConcatInputsPassesASingleRequestThrough(t *testing.T) {
 	a, b := simpleSamples(3), simpleSamples(2)
 	b.Data()[0] = 42
 	one := &pipeReq{req: PipelineRequest{Input: a}, size: 3}
 	two := &pipeReq{req: PipelineRequest{Input: b}, size: 2}
-	var stacked []float32
-	if got := stackInputs([]*pipeReq{one}, 3, &stacked); got != a {
+	var w batchWork
+	if got := w.stackInputs([]*pipeReq{one}, 3); got != a {
 		t.Error("a batch of one request was copied")
 	}
-	got := stackInputs([]*pipeReq{one, two}, 5, &stacked)
+	got := w.stackInputs([]*pipeReq{one, two}, 5)
 	if got.Dim(0) != 5 || got.Dim(1) != 4 || got.At(3, 0) != 42 || got.At(0, 1) != a.At(0, 1) {
 		t.Errorf("stacked batch = %v", got)
+	}
+	var again *tensor.Tensor
+	if n := testing.AllocsPerRun(10, func() { again = w.stackInputs([]*pipeReq{two, one}, 5) }); n != 0 {
+		t.Errorf("restacking allocates %v objects, want 0", n)
+	}
+	if again != got || again.Dim(0) != 5 || again.At(0, 0) != 42 || again.At(2, 1) != a.At(0, 1) {
+		t.Errorf("restacked batch = %v, a new header: %v", again, again != got)
+	}
+	wide := &pipeReq{req: PipelineRequest{Input: tensor.New(1, 6)}, size: 1}
+	if got := w.stackInputs([]*pipeReq{wide, wide}, 2); got.Dim(0) != 2 || got.Dim(1) != 6 {
+		t.Errorf("a new per-sample shape stacked as %v", got.Shape())
 	}
 }
 

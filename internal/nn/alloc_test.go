@@ -47,7 +47,8 @@ func TestDenseForwardAllocatesOnlyItsOutput(t *testing.T) {
 
 // The floor the plan sets: once an arena of the batch size exists, a
 // Forward allocates its [batch, classes] output tensor — a header and
-// the data — and nothing else, on every paper model. Before the plan,
+// the data — and nothing else, on every paper model, and a Classify
+// only its labels. Before the plan,
 // mnist-cnn at batch 8 made 54 allocations for 1571 KB here.
 func TestForwardAllocatesOnlyItsOutput(t *testing.T) {
 	if raceDetector {
@@ -68,6 +69,10 @@ func TestForwardAllocatesOnlyItsOutput(t *testing.T) {
 			}
 			if bytes, budget := bytesPerRun(3, forward), uint64(4*batch*spec.Classes+256); bytes > budget {
 				t.Errorf("%s batch %d: Forward allocates %d B, want at most %d (the output and 256 B)", spec.Name, batch, bytes, budget)
+			}
+			// Classify reads its labels from the arena: they are all it allocates.
+			if allocs := testing.AllocsPerRun(3, func() { _ = net.Classify(tensor.Serial, in) }); allocs > 1 {
+				t.Errorf("%s batch %d: Classify makes %v allocations, want at most 1 (the labels)", spec.Name, batch, allocs)
 			}
 		}
 	}

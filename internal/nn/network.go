@@ -70,6 +70,27 @@ func (n *Network) SampleBytes() int64 {
 // that batch size exists. The input must have shape [batch,
 // inputShape...] and is only read.
 func (n *Network) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
+	a, view := n.pass(pool, in)
+	out := tensor.New(in.Dim(0), n.classes)
+	copy(out.Data(), view.Data())
+	n.releaseArena(a)
+	return out
+}
+
+// Classify runs Forward's pass and reduces each row of its output to the
+// argmax class index, read straight from the arena: the labels are the
+// pass's only allocation once an arena of that batch size exists.
+func (n *Network) Classify(pool *tensor.Pool, in *tensor.Tensor) []int {
+	a, view := n.pass(pool, in)
+	classes := tensor.Argmax(view)
+	n.releaseArena(a)
+	return classes
+}
+
+// pass checks in against the network's input shape and runs the plan
+// over an arena it takes for itself. It returns the arena and its output
+// view, which the caller reads and then hands to releaseArena.
+func (n *Network) pass(pool *tensor.Pool, in *tensor.Tensor) (*arena, *tensor.Tensor) {
 	if n.plan == nil {
 		panic(noWeights(n.name))
 	}
@@ -83,20 +104,12 @@ func (n *Network) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	a := n.arenas.Get().(*arena)
-	out := tensor.New(in.Dim(0), n.classes)
-	copy(out.Data(), n.plan.run(pool, a, in).Data())
-	n.releaseArena(a)
-	return out
+	return a, n.plan.run(pool, a, in)
 }
 
-// releaseArena returns a to the idle arenas once its pass has copied the
+// releaseArena returns a to the idle arenas once its pass has read the
 // output out of it; the caller must not touch a afterwards.
 func (n *Network) releaseArena(a *arena) { n.arenas.Put(a) }
-
-// Classify runs Forward and reduces each row to its argmax class index.
-func (n *Network) Classify(pool *tensor.Pool, in *tensor.Tensor) []int {
-	return tensor.Argmax(n.Forward(pool, in))
-}
 
 // FlopsPerSample returns the total floating-point work for one sample.
 func (n *Network) FlopsPerSample() int64 {

@@ -181,7 +181,7 @@ func TestSlowAndErrCompose(t *testing.T) {
 	fails := 0
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * time.Second
-		ref, errWant := errOnly.Estimate(dev, "simple", 8, at)
+		ref, log, errWant := errOnly.Profile(dev, "simple", nil, 8, at)
 		got, err := both.Estimate(dev, "simple", 8, at)
 		if (err != nil) != (errWant != nil) {
 			t.Fatalf("run %d: slow+err failed=%v, err-only failed=%v", i, err != nil, errWant != nil)
@@ -190,7 +190,7 @@ func TestSlowAndErrCompose(t *testing.T) {
 			fails++
 			continue
 		}
-		span := ref.Completed - ref.Events[0].Start
+		span := ref.Completed - log[0].Start
 		if want := ref.Completed + 3*span; got.Completed != want {
 			t.Fatalf("run %d: completed at %v, want %v (err-only %v stretched ×4)", i, got.Completed, want, ref.Completed)
 		}

@@ -1,6 +1,7 @@
 package opencl
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,18 +78,18 @@ func TestWriteReadBufferRoundTrip(t *testing.T) {
 	if err := rt.LoadModel(models.Simple().MustBuild(1)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Classify("GTX 1080 Ti", "simple", tensor.New(4, 4), 0)
+	res, log, err := rt.Profile("GTX 1080 Ti", "simple", tensor.New(4, 4), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	write, read := res.Events[0], res.Events[len(res.Events)-1]
+	write, read := log[0], log[len(log)-1]
 	if write.Name != "clEnqueueWriteBuffer" || write.Duration() <= 0 {
 		t.Fatalf("first command %s took %v, want a charged write", write.Name, write.Duration())
 	}
 	if read.Name != "clEnqueueReadBuffer" || read.Duration() <= 0 {
 		t.Fatalf("last command %s took %v, want a charged read", read.Name, read.Duration())
 	}
-	if read.Start < res.Events[len(res.Events)-2].End {
+	if read.Start < log[len(log)-2].End {
 		t.Fatal("in-order queue violated: read started before the last kernel ended")
 	}
 	if len(res.Classes) != 4 {
@@ -107,14 +108,14 @@ func TestMapBufferZeroCopyOnUnified(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dev := range []string{"i7-8700 CPU", "UHD Graphics 630"} {
-		res, err := rt.Estimate(dev, "simple", 64, time.Millisecond)
+		_, log, err := rt.Profile(dev, "simple", nil, 64, time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev := res.Events[0]; ev.Name != "clEnqueueMapBuffer" || ev.Duration() != 0 {
+		if ev := log[0]; ev.Name != "clEnqueueMapBuffer" || ev.Duration() != 0 {
 			t.Fatalf("%s: first command %s took %v, want a free map", dev, ev.Name, ev.Duration())
 		}
-		for _, ev := range res.Events {
+		for _, ev := range log {
 			if ev.Name == "clEnqueueReadBuffer" {
 				t.Fatalf("%s: unified memory read its output back", dev)
 			}
@@ -139,9 +140,9 @@ func TestBuildProgramFoldsFlatten(t *testing.T) {
 	}
 }
 
-// The runtime charges one launch per kernel and computes the batch with
-// the network's own Forward: there is no second implementation to
-// disagree with it.
+// The runtime charges one launch per kernel and classifies the batch
+// with the network's own pass: there is no second implementation to
+// disagree with Network.Forward.
 func TestClassifyOutputIsTheNetworksForward(t *testing.T) {
 	rt, err := NewRuntime(testDevices()...)
 	if err != nil {
@@ -162,15 +163,15 @@ func TestClassifyOutputIsTheNetworksForward(t *testing.T) {
 		}
 		in := models.Synthesize(s, 6, 3).Batch(0, 6)
 		for _, d := range rt.Devices() {
-			res, err := rt.Classify(d.Name(), name, in, 0)
+			res, log, err := rt.Profile(d.Name(), name, in, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Output.Equal(net.Forward(d.Pool, in)) {
-				t.Errorf("%s on %s: Classify output differs from Network.Forward", name, d.Name())
+			if want := tensor.Argmax(net.Forward(d.Pool, in)); !slices.Equal(res.Classes, want) {
+				t.Errorf("%s on %s: Classify labels %v, the argmax of Network.Forward %v", name, d.Name(), res.Classes, want)
 			}
 			var launches []string
-			for _, ev := range res.Events {
+			for _, ev := range log {
 				if strings.HasPrefix(ev.Name, "clEnqueueNDRangeKernel:") {
 					launches = append(launches, ev.Name)
 				}
@@ -187,8 +188,10 @@ func TestClassifyOutputIsTheNetworksForward(t *testing.T) {
 	}
 }
 
-// A launch's event name is spelt when the program is compiled, so what a
-// batch allocates does not grow with the number of kernels it launches.
+// Charging a batch allocates its Result and nothing else, whatever the
+// number of kernels it launches: the charge keeps no per-command log
+// (only Profile builds one). Classifying a batch adds its labels, read
+// straight from the network's arena.
 func TestChargingABatchAllocatesTheSameForAnyKernelCount(t *testing.T) {
 	rt, err := NewRuntime(testDevices()...)
 	if err != nil {
@@ -219,20 +222,32 @@ func TestChargingABatchAllocatesTheSameForAnyKernelCount(t *testing.T) {
 	if kernels["simple"] == kernels["mnist-cnn"] {
 		t.Fatalf("both models compile to %d kernels: the comparison says nothing", kernels["simple"])
 	}
-	if allocs["simple"] != allocs["mnist-cnn"] {
-		t.Errorf("Estimate allocates %v times for %d kernels and %v for %d", allocs["simple"], kernels["simple"], allocs["mnist-cnn"], kernels["mnist-cnn"])
+	if allocs["simple"] != allocs["mnist-cnn"] || allocs["simple"] > 1 {
+		t.Errorf("Estimate allocates %v times for %d kernels and %v for %d, want 1 (the Result)", allocs["simple"], kernels["simple"], allocs["mnist-cnn"], kernels["mnist-cnn"])
+	}
+	if raceEnabled {
+		return // sync.Pool drops Puts at random under -race, so arenas are remade
+	}
+	in := models.Synthesize(models.Simple(), 8, 1).Batch(0, 8)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := rt.Classify(dev, "simple", in, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("Classify of 8 simple samples allocates %v times, want at most 2 (the Result and the labels)", n)
 	}
 }
 
 // Estimate is Classify without the math: for every model and device the
 // two log the same commands at the same virtual times for the same
-// energy, whichever runs.
+// energy, whichever runs — and Profile's log sums to what the batch was
+// charged.
 func TestClassifyAndEstimateLogTheSameEvents(t *testing.T) {
 	for _, spec := range models.PaperModels() {
 		net := spec.MustBuild(1)
 		in := models.Synthesize(spec, 4, 3).Batch(0, 4)
 		for i := range testDevices() {
-			var logs [2][]*Event
+			var logs [2][]Event
 			var energy [2]float64
 			for side := range logs {
 				rt, err := NewRuntime(testDevices()[i]) // a fresh device: the same clock and boost state on both sides
@@ -243,17 +258,24 @@ func TestClassifyAndEstimateLogTheSameEvents(t *testing.T) {
 					t.Fatal(err)
 				}
 				dev := rt.Devices()[0].Name()
-				var res *Result
+				batch := in
+				if side == 1 {
+					batch = nil
+				}
 				for _, at := range []time.Duration{0, time.Millisecond} { // the second batch queues behind the first
-					if side == 0 {
-						res, err = rt.Classify(dev, spec.Name, in, at)
-					} else {
-						res, err = rt.Estimate(dev, spec.Name, 4, at)
-					}
+					res, log, err := rt.Profile(dev, spec.Name, batch, 4, at)
 					if err != nil {
 						t.Fatal(err)
 					}
-					logs[side] = append(logs[side], res.Events...)
+					var sum float64
+					for _, ev := range log {
+						sum += ev.Report.EnergyJ()
+					}
+					if sum != res.EnergyJ || log[0].Start != res.Start || log[len(log)-1].End != res.Completed {
+						t.Fatalf("%s on %s: the log spans [%v, %v] for %g J, the result [%v, %v] for %g J",
+							spec.Name, dev, log[0].Start, log[len(log)-1].End, sum, res.Start, res.Completed, res.EnergyJ)
+					}
+					logs[side] = append(logs[side], log...)
 					energy[side] += res.EnergyJ
 				}
 			}
@@ -294,10 +316,11 @@ func TestRuntimeClassifyProducesRealResults(t *testing.T) {
 		if res.Latency() <= 0 || res.EnergyJ <= 0 {
 			t.Fatalf("%s: degenerate result %+v", d.Name(), res)
 		}
-		if len(res.Classes) != 16 {
-			t.Fatalf("%s: classes = %d", d.Name(), len(res.Classes))
+		out := net.Forward(d.Pool, in)
+		if want := tensor.Argmax(out); !slices.Equal(res.Classes, want) {
+			t.Fatalf("%s: classes %v, want %v", d.Name(), res.Classes, want)
 		}
-		outputs = append(outputs, res.Output)
+		outputs = append(outputs, out)
 	}
 	// Every device computes the same real math.
 	for i := 1; i < len(outputs); i++ {
@@ -335,7 +358,10 @@ func TestRuntimeEstimateMatchesClassifyTiming(t *testing.T) {
 		if a.EnergyJ != b.EnergyJ {
 			t.Fatalf("%s: estimate energy %g != classify %g", devName, b.EnergyJ, a.EnergyJ)
 		}
-		if b.Output != nil || b.Classes != nil {
+		if a.Start != b.Start {
+			t.Fatalf("%s: estimate starts at %v, classify at %v", devName, b.Start, a.Start)
+		}
+		if b.Classes != nil {
 			t.Fatal("estimate should not produce outputs")
 		}
 	}
@@ -392,19 +418,19 @@ func TestQueueEventsProfiling(t *testing.T) {
 	if err := rt.LoadModel(models.MnistCNN().MustBuild(1)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Estimate("GTX 1080 Ti", "mnist-cnn", 256, time.Millisecond)
+	res, log, err := rt.Profile("GTX 1080 Ti", "mnist-cnn", nil, 256, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// write + 6 kernels + read = 8 events, all in order.
-	if len(res.Events) != 8 {
-		t.Fatalf("events = %d, want 8", len(res.Events))
+	if len(log) != 8 {
+		t.Fatalf("events = %d, want 8", len(log))
 	}
-	if res.Events[0].Name != "clEnqueueWriteBuffer" || res.Events[7].Name != "clEnqueueReadBuffer" {
-		t.Fatalf("event order wrong: %s … %s", res.Events[0].Name, res.Events[7].Name)
+	if log[0].Name != "clEnqueueWriteBuffer" || log[7].Name != "clEnqueueReadBuffer" {
+		t.Fatalf("event order wrong: %s … %s", log[0].Name, log[7].Name)
 	}
-	for i := 1; i < len(res.Events); i++ {
-		if res.Events[i].Start < res.Events[i-1].End {
+	for i := 1; i < len(log); i++ {
+		if log[i].Start < log[i-1].End {
 			t.Fatalf("event %d starts before predecessor ends", i)
 		}
 	}
@@ -412,9 +438,9 @@ func TestQueueEventsProfiling(t *testing.T) {
 		t.Fatalf("submit/complete wrong: %v/%v", res.Submitted, res.Completed)
 	}
 	// Unified devices log a map instead of a write and skip the read.
-	res2, _ := rt.Estimate("i7-8700 CPU", "mnist-cnn", 256, 0)
-	if res2.Events[0].Name != "clEnqueueMapBuffer" || len(res2.Events) != 7 {
-		t.Fatalf("unified event log wrong: %d events, first %s", len(res2.Events), res2.Events[0].Name)
+	_, log2, _ := rt.Profile("i7-8700 CPU", "mnist-cnn", nil, 256, 0)
+	if log2[0].Name != "clEnqueueMapBuffer" || len(log2) != 7 {
+		t.Fatalf("unified event log wrong: %d events, first %s", len(log2), log2[0].Name)
 	}
 }
 

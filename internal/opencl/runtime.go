@@ -129,15 +129,17 @@ func (r *Runtime) Models() []string {
 	return names
 }
 
-// Result is the outcome of one dispatched classification batch.
+// Result is the outcome of one dispatched classification batch: when it
+// was submitted, when its first command started (queueing behind the
+// device's earlier work ends there) and when it completed, and what it
+// cost.
 type Result struct {
 	Device    string
 	Model     string
 	Batch     int
-	Output    *tensor.Tensor // nil for timing-only estimates
-	Classes   []int          // nil for timing-only estimates
-	Events    []*Event
+	Classes   []int // nil for timing-only estimates
 	Submitted time.Duration
+	Start     time.Duration
 	Completed time.Duration
 	EnergyJ   float64
 }
@@ -156,19 +158,32 @@ func (r *Result) ThroughputGbps(sampleBytes int64) float64 {
 // Classify dispatches a real batch to the named device at virtual time
 // at: input staged via write (discrete) or map (unified), one
 // NDRange launch per kernel, results read back. The returned result
-// carries both the actual classifications and the profiling log.
+// carries the actual classifications and what the batch was charged.
 func (r *Runtime) Classify(devName, model string, in *tensor.Tensor, at time.Duration) (*Result, error) {
-	return r.run(devName, model, in, in.Dim(0), at)
+	return r.run(devName, model, in, in.Dim(0), at, nil)
 }
 
 // Estimate charges the full command sequence for a batch of n samples
 // without executing the math — the fast path for characterisation sweeps
 // whose host compute would be prohibitive at 256K-sample batches.
 func (r *Runtime) Estimate(devName, model string, n int, at time.Duration) (*Result, error) {
-	return r.run(devName, model, nil, n, at)
+	return r.run(devName, model, nil, n, at, nil)
 }
 
-func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.Duration) (*Result, error) {
+// Profile is Classify when in is set and Estimate of n samples when it
+// is nil, and it also returns the batch's profiling log: one Event per
+// command, in enqueue order. It runs the same command sequence and
+// charges the same; only the log is extra.
+func (r *Runtime) Profile(devName, model string, in *tensor.Tensor, n int, at time.Duration) (*Result, []Event, error) {
+	if in != nil {
+		n = in.Dim(0)
+	}
+	var log []Event
+	res, err := r.run(devName, model, in, n, at, &log)
+	return res, log, err
+}
+
+func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.Duration, log *[]Event) (*Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("opencl: batch size must be positive, got %d", n)
 	}
@@ -207,49 +222,46 @@ func (r *Runtime) run(devName, model string, in *tensor.Tensor, n int, at time.D
 		}
 	}
 
-	q := NewQueue(dev)
-	q.Reserve(len(prog.Kernels) + 2) // write/map + kernels + read-back
+	q := queue{at: at, log: log}
 	res := &Result{Device: devName, Model: model, Batch: n, Submitted: at}
 
 	// Stage the input: page-locked write over PCIe for discrete devices,
-	// zero-copy map for unified memory (§IV-B).
-	inBytes := int64(n) * prog.Net.SampleBytes()
-	if dev.UnifiedMemory() {
-		// clEnqueueMapBuffer: zero-copy and free on shared physical
-		// memory, but still logged for profiling fidelity.
-		q.push("clEnqueueMapBuffer", at, device.Report{Device: devName, Model: "map", Start: max(at, q.last)})
-	} else {
-		q.push("clEnqueueWriteBuffer", at, dev.Sim.Transfer(max(at, q.last), inBytes))
+	// zero-copy map for unified memory (§IV-B). clEnqueueMapBuffer is
+	// free on shared physical memory, but still a command.
+	stage, rep := "clEnqueueMapBuffer", device.Report{Device: devName, Model: "map", Start: q.next()}
+	if !dev.UnifiedMemory() {
+		stage, rep = "clEnqueueWriteBuffer", dev.Sim.Transfer(q.next(), int64(n)*prog.Net.SampleBytes())
 	}
+	q.push(stage, rep)
+	res.Start = rep.Start
 
+	// One NDRange launch per kernel, charged by the device model. The
+	// math is not part of a launch: the network's plan runs once per
+	// batch below.
 	for _, k := range prog.Kernels {
-		q.EnqueueNDRangeKernel(at, k, n)
+		q.push(k.event, dev.Sim.ExecuteCompute(q.next(), k.Workload, n))
 	}
 
 	// Read results back on discrete devices; mapped output is free.
-	outBytes := int64(n) * int64(prog.Net.Classes()) * 4
 	if !dev.UnifiedMemory() {
-		q.push("clEnqueueReadBuffer", at, dev.Sim.Transfer(max(at, q.last), outBytes))
+		q.push("clEnqueueReadBuffer", dev.Sim.Transfer(q.next(), int64(n)*int64(prog.Net.Classes())*4))
 	}
 
-	res.Completed = q.Finish(at)
-	res.Events = q.Events()
-	res.EnergyJ = q.EnergyJ()
-	if stretch > 1 && len(res.Events) > 0 {
+	res.Completed, res.EnergyJ = q.next(), q.energyJ
+	if stretch > 1 {
 		// A spike or a slow node stretches the observable execution span
 		// (start of the first command → completion) without failing the
 		// batch: the health monitor sees a degraded device, clients just
 		// see a slow response. Device occupancy is not re-booked — the
 		// stretch models external contention, not queued work.
-		span := res.Completed - res.Events[0].Start
+		span := res.Completed - res.Start
 		res.Completed += time.Duration(float64(span) * (stretch - 1))
 	}
 	if in != nil {
 		// The charge above never depends on a computed value, so it is the
-		// same sequence Estimate logs; the math follows it, still under
+		// same sequence Estimate charges; the math follows it, still under
 		// the device's submit lock.
-		res.Output = prog.Net.Forward(dev.Pool, in)
-		res.Classes = tensor.Argmax(res.Output)
+		res.Classes = prog.Net.Classify(dev.Pool, in)
 	}
 	return res, nil
 }

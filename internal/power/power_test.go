@@ -134,10 +134,10 @@ func TestAccountantEfficiency(t *testing.T) {
 	}
 }
 
-// recordResult feeds every command of a runtime result into r, as the
-// paper's nvidia-smi and PCM loops see the device executing them.
-func recordResult(r *Recorder, res *opencl.Result) {
-	for _, ev := range res.Events {
+// recordLog feeds every command of a batch's profiling log into r, as
+// the paper's nvidia-smi and PCM loops see the device executing them.
+func recordLog(r *Recorder, log []opencl.Event) {
+	for _, ev := range log {
 		r.Record(ev.Report)
 	}
 }
@@ -157,11 +157,11 @@ func TestMonitorRecordsExecutions(t *testing.T) {
 	for _, d := range rt.Devices() {
 		rec.Register(d.Name(), d.Sim.Profile().IdleWatts)
 	}
-	res, err := rt.Estimate("GTX 1080 Ti", "mnist-small", 8192, 0)
+	res, log, err := rt.Profile("GTX 1080 Ti", "mnist-small", nil, 8192, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recordResult(rec, res)
+	recordLog(rec, log)
 	mid := res.Submitted + res.Latency()/2
 	if p := rec.PowerAt("GTX 1080 Ti", mid); p <= device.NvidiaGTX1080Ti().IdleWatts {
 		t.Fatalf("mid-run board power %g should exceed idle", p)
@@ -205,11 +205,15 @@ func TestMonitorOverSchedulerReplay(t *testing.T) {
 	}
 	var makespan time.Duration
 	for _, req := range tr {
-		res, _, err := sched.Estimate(req.Model, req.Batch, core.BestThroughput, req.At)
+		dec, err := sched.Select(req.Model, req.Batch, core.BestThroughput, req.At)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recordResult(rec, res)
+		res, log, err := sched.Runtime().Profile(dec.Device, req.Model, nil, req.Batch, req.At)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordLog(rec, log)
 		makespan = max(makespan, res.Completed)
 	}
 	// Some device must have drawn above-idle power during the replay.
