@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test test-v3 vet vet-portable lint lint-json lint-sarif race stepped bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test test-v3 vet vet-portable lint lint-json lint-sarif race stepped handoff bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -68,6 +68,14 @@ race:
 # counting a completion before its Wait can return.
 stepped:
 	$(GO) test -race -count=50 -run 'TestManualClock|TestStepped|TestOneKeyFillsEveryAdmissionSlot|TestFutureContract|TestNode|TestCompletionIsCountedBeforeItIsDelivered' ./internal/core/
+
+# The request hand-off protocol, twenty times under the race detector at
+# one and two CPUs (~30 s): a Wait that parks before finish and one that
+# arrives after it, a parked Wait cancelled against finish, admission's
+# kick under eight submitters, and the flow leaving a request's carrier
+# at finish — the race detector is that test's oracle.
+handoff:
+	$(GO) test -race -count=20 -cpu 1,2 -run 'TestWaitParkedOrLateReadsTheCompletionOnce|TestParkedWaitCancelledAgainstFinishKeepsCompletion|TestFutureWaitRaceNeverLosesCompletion|TestAdmissionNeverLosesAWakeup|TestFlowLeavesCarrierAtFinish' ./internal/core/
 
 BENCHTIME ?= 2s
 bench:

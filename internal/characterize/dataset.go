@@ -48,11 +48,11 @@ func (o Objective) String() string {
 // architecture descriptor, the (log₂-scaled) batch size and the probed
 // discrete-GPU state.
 func Features(desc nn.Descriptor, batch int, gpuWarm bool) []float64 {
-	f := desc.Features()
 	warm := 0.0
 	if gpuWarm {
 		warm = 1
 	}
+	f := desc.AppendFeatures(make([]float64, 0, nn.NumFeatures+2))
 	return append(f, log2(batch), warm)
 }
 

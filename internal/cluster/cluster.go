@@ -127,6 +127,7 @@ type Cluster struct {
 	byName  map[string]*member
 
 	submits      atomic.Int64 // Submit calls (drives the health sweep)
+	nextSweep    atomic.Int64 // the submits count that fires the next sweep
 	routeFails   atomic.Int64 // submits no node accepted
 	evictions    atomic.Int64
 	readmissions atomic.Int64
@@ -147,6 +148,7 @@ func New(nodes []Node, cfg Config) (*Cluster, error) {
 	}
 	cfg.fillDefaults()
 	c := &Cluster{cfg: cfg, byName: make(map[string]*member, len(nodes))}
+	c.nextSweep.Store(cfg.SweepEvery)
 	for i, n := range nodes {
 		if n == nil {
 			return nil, fmt.Errorf("cluster: node %d is nil", i)
@@ -305,9 +307,15 @@ func routeSLO(req core.PipelineRequest) time.Duration {
 // node's own, so no path copies the input, and no node reads req.Input
 // once the future has resolved or Submit has returned an error.
 func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.Future, error) {
+	// One sweep per SweepEvery submissions, without a division: the
+	// submission that reaches the next sweep count advances it and
+	// sweeps. Under concurrent submitters a later one may win the window,
+	// never two in one.
 	total := c.submits.Add(1)
-	if c.cfg.SweepEvery > 0 && total%c.cfg.SweepEvery == 0 {
-		c.sweep()
+	if every := c.cfg.SweepEvery; every > 0 {
+		if next := c.nextSweep.Load(); total >= next && c.nextSweep.CompareAndSwap(next, next+every) {
+			c.sweep()
+		}
 	}
 	size := req.Batch
 	if req.Input != nil && req.Input.Rank() >= 1 {

@@ -16,14 +16,14 @@ import (
 // TestPooledFutureReuseRace hammers the served path — Cluster.Submit and
 // the public Wait, as the HTTP handler and the benchmark drive it — with
 // concurrent completions, mid-flight cancellations and stale handles.
-// Run under -race this is the regression test for the slot-reuse
-// invariant: a completion slot recycled while a stale waiter or stage
+// Run under -race this is the regression test for the carrier-reuse
+// invariant: a request's carrier recycled while a stale waiter or stage
 // still touches it shows up as a data race, and a stale completion
-// leaking into a recycled slot shows up as a BatchSize mismatch — each
+// leaking into a recycled carrier shows up as a BatchSize mismatch — each
 // goroutine submits a unique batch size with MaxBatch 1, so every
 // request is its own batch and must come back with exactly its own size.
 // Spent handles go to one more goroutine that Waits each of them twice
-// while their slots serve other requests: both Waits must find the
+// while their carriers serve other requests: both Waits must find the
 // future claimed, never another request's completion.
 func TestPooledFutureReuseRace(t *testing.T) {
 	c := realCluster(t, 2, Config{}, core.PipelineConfig{MaxBatch: 1, QueueDepth: 4096})
@@ -67,7 +67,7 @@ func TestPooledFutureReuseRace(t *testing.T) {
 				if err == nil {
 					comp, err = fut.Wait(ctx)
 					if errors.Is(err, context.DeadlineExceeded) {
-						// The abandoned handle kept its slot: a fresh Wait
+						// The abandoned handle kept its carrier: a fresh Wait
 						// still receives this request's own completion.
 						comp, err = fut.Wait(context.Background())
 					}
@@ -91,7 +91,7 @@ func TestPooledFutureReuseRace(t *testing.T) {
 					return
 				}
 				if comp.BatchSize != size {
-					errs <- fmt.Errorf("stale completion: submitted batch %d, received BatchSize %d — a recycled slot delivered another request's result", size, comp.BatchSize)
+					errs <- fmt.Errorf("stale completion: submitted batch %d, received BatchSize %d — a recycled carrier delivered another request's result", size, comp.BatchSize)
 					return
 				}
 			}
@@ -114,9 +114,9 @@ func oneSample(i int) *tensor.Tensor {
 // TestServedBurstAllocations is the served path's allocation budget: a
 // burst of 64 one-sample requests through a 1-node fleet's Submit and
 // Wait — lib_simple_burst's loop — allocates each request its 24-byte
-// Future handle and little else. The slots, pipeline carriers and
-// routing scratch are pooled, and the labels are sliced out of the
-// batch's. The parent of this gate allocated ≈ 456 objects per burst.
+// Future handle and little else. The pipeline carriers, which also
+// hold the completions, and the routing scratch are pooled, and the
+// labels are sliced out of the batch's. The parent of this gate allocated ≈ 456 objects per burst.
 // A deadline request takes the same path under the same budget: the
 // router copies no request's input.
 func TestServedBurstAllocations(t *testing.T) {

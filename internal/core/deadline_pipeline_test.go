@@ -47,14 +47,14 @@ func TestPipelineSubmitRejectsCancelledContext(t *testing.T) {
 // can always be retried with a fresh context and still observe it.
 func TestFutureWaitRaceNeverLosesCompletion(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		slot := getSlot()
-		fut := &Future{s: slot}
+		r := getPipeReq()
+		fut := &Future{r: r}
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			slot.ch <- Completion{BatchSize: 42} // the pipeline's finish: it holds the slot, not the handle
+			r.resolve(&Completion{BatchSize: 42}) // the pipeline's finish: it holds the carrier, not the handle
 		}()
 		go func() {
 			defer wg.Done()

@@ -211,13 +211,12 @@ func TestPipelineCloseWaitsForQueuedBatches(t *testing.T) {
 	close(release)
 	<-closed
 	// The future must already be resolved — no waiting allowed.
-	select {
-	case c := <-fut.s.ch:
-		if c.Err != nil {
-			t.Fatalf("held batch failed: %v", c.Err)
-		}
-	default:
+	c, resolved := peek(fut)
+	if !resolved {
 		t.Fatal("Close returned before the accepted request's future resolved")
+	}
+	if c.Err != nil {
+		t.Fatalf("held batch failed: %v", c.Err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +112,35 @@ func TestSelectValidation(t *testing.T) {
 	}
 	if _, err := s.Select("simple", 8, Policy(99), 0); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// Select allocates the decision's feature vector and the forest's
+// ranking and nothing else: the features are sized once, and the votes
+// are tallied on the stack. The features are the descriptor's columns,
+// then log2 of the batch and the GPU-warm flag, as the forest was
+// trained on.
+func TestSelectAllocatesItsFeaturesAndRankingOnly(t *testing.T) {
+	s := testScheduler(t)
+	s.ResetDevices()
+	dec, err := s.Select("mnist-small", 4096, BestThroughput, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := s.disp.Spec("mnist-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(spec.Descriptor().Features(), 12, 0); !slices.Equal(dec.Features, want) {
+		t.Fatalf("features = %v, want %v", dec.Features, want)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := s.Select("mnist-small", 4096, BestThroughput, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 2 {
+		t.Fatalf("Select allocates %.1f objects, want at most 2 (features and ranking)", n)
 	}
 }
 

@@ -39,6 +39,10 @@ func (d *Device) Kind() Kind { return d.prof.Kind }
 // Profile returns the device's calibration constants.
 func (d *Device) Profile() Profile { return d.prof }
 
+// UnifiedMemory reports whether the device shares physical memory with
+// the host — it has no PCIe link — without copying the Profile.
+func (d *Device) UnifiedMemory() bool { return d.prof.PCIeGBs <= 0 }
+
 // Report describes one simulated batch execution.
 type Report struct {
 	Device string

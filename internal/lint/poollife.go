@@ -9,7 +9,7 @@ import (
 )
 
 // poollife machine-checks the PR-8 sync.Pool lifecycle that keeps the
-// hot path's pooled carriers (pipeReq, futureSlot, batchWork, aggregate,
+// hot path's pooled carriers (pipeReq, batchWork, aggregate,
 // routeScratch) from resurrecting under a stage that still reads them:
 //
 //  1. no use after Put — once a pooled pointer is Put, the function
@@ -41,12 +41,11 @@ var analyzerPoollife = &Analyzer{
 
 // poolRecyclers maps a pooled type name to the functions allowed to Put
 // it back. Seeded with the serving path's carriers; extend it when a new
-// pooled type earns a recycler. A completion slot is recycled by
-// Future.Wait, but through releaseSlot: registering "Wait" itself would
+// pooled type earns a recycler. A request's carrier is recycled by
+// Future.Wait, but through releaseReq: registering "Wait" itself would
 // make every wg.Wait() a hand-off of wg.
 var poolRecyclers = map[string][]string{
 	"pipeReq":      {"releaseReq"},
-	"futureSlot":   {"releaseSlot"},
 	"batchWork":    {"retireBatchWork"},
 	"aggregate":    {"putAggregate"},
 	"routeScratch": {"putScratch"},
@@ -58,7 +57,7 @@ var recyclerNameRe = regexp.MustCompile(`(?i)^(put|release|recycle|retire|free|d
 
 // recyclerFuncNames flattens poolRecyclers for wrapper-call tracking:
 // production code rarely calls pool.Put directly — it hands the pointer
-// to the recycler (`releaseReq(r)`, `releaseSlot(s)`), and from the
+// to the recycler (`releaseReq(r)`, `retireBatchWork(w)`), and from the
 // caller's side that hand-off relinquishes the reference just as hard
 // as a Put would.
 var recyclerFuncNames = func() map[string]bool {
@@ -218,7 +217,7 @@ func poolPutCall(pools map[string]poolVar, call *ast.CallExpr) (poolVar, ast.Exp
 
 // poolRecyclerHandoff matches a call that hands a pooled pointer to a
 // configured recycler — `releaseReq(r)` or method form
-// `s.releaseSlot()` — and returns the identifier whose reference is
+// `a.putAggregate()` — and returns the identifier whose reference is
 // relinquished by the call. Package-qualified selectors are excluded:
 // the receiver must be a value, not an import name.
 func poolRecyclerHandoff(pass *Pass, call *ast.CallExpr) (*ast.Ident, string, bool) {
@@ -235,7 +234,7 @@ func poolRecyclerHandoff(pass *Pass, call *ast.CallExpr) (*ast.Ident, string, bo
 		}
 		// With arguments, the relinquished pointer is the argument
 		// (`p.releaseReq(r)` retires r, not the pipeline receiver);
-		// without, it is the receiver (`s.releaseSlot()`).
+		// without, it is the receiver (`a.putAggregate()`).
 		if len(call.Args) >= 1 {
 			if id, ok := call.Args[0].(*ast.Ident); ok {
 				return id, fun.Sel.Name, true

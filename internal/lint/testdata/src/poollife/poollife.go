@@ -102,21 +102,21 @@ func mint(s *scratch) {
 	scratchPool.Put(s) // want "scratchPool.Put in mint, which is not a recycler"
 }
 
-// futureSlot mirrors the serving pipeline's completion slot; its
-// recycler is a method here so the method-form hand-off
-// (s.releaseSlot()) is exercised too.
-type futureSlot struct {
+// aggregate mirrors the batching loop's pooled aggregate; its recycler
+// is a method here so the method-form hand-off (a.putAggregate()) is
+// exercised too.
+type aggregate struct {
 	seq uint64
 }
 
-var slotPool = sync.Pool{
-	New: func() any { return &futureSlot{} },
+var aggPool = sync.Pool{
+	New: func() any { return &aggregate{} },
 }
 
-// releaseSlot is futureSlot's designated recycler.
-func (s *futureSlot) releaseSlot() {
-	s.seq++
-	slotPool.Put(s)
+// putAggregate is aggregate's designated recycler.
+func (a *aggregate) putAggregate() {
+	a.seq++
+	aggPool.Put(a)
 }
 
 // waitGroup has a Wait that is no recycler: waiting on it is not a
@@ -146,9 +146,9 @@ func handoffTwice(r *pipeReq) {
 
 // handoffMethod relinquishes via the method-form recycler and then
 // reads the receiver.
-func handoffMethod(s *futureSlot) uint64 {
-	s.releaseSlot()
-	return s.seq // want "s used after being returned to its pool"
+func handoffMethod(a *aggregate) uint64 {
+	a.putAggregate()
+	return a.seq // want "a used after being returned to its pool"
 }
 
 // handoffDeferred is clean: a deferred hand-off runs at function exit,

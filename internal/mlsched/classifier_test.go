@@ -2,6 +2,8 @@ package mlsched
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -354,5 +356,38 @@ func TestFeatureImportanceIdentifiesSignal(t *testing.T) {
 	// Untrained forests report nil.
 	if NewTunedForest(1).FeatureImportance() != nil {
 		t.Fatal("untrained forest should have nil importance")
+	}
+}
+
+// Rank orders the classes by descending vote, ties by class index — a
+// stable sort of Votes — whether it tallies on the stack (up to eight
+// classes) or through Votes (more). An untrained forest ranks class 0.
+func TestForestRankIsTheStableVoteOrder(t *testing.T) {
+	if got := NewForest(DefaultForestConfig()).Rank([]float64{1}); !slices.Equal(got, []int{0}) {
+		t.Fatalf("untrained Rank = %v, want [0]", got)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, classes := range []int{3, 10} {
+		X := make([][]float64, 40*classes)
+		y := make([]int, len(X))
+		for i := range X {
+			y[i] = i % classes
+			X[i] = []float64{float64(y[i]) + rng.NormFloat64(), rng.NormFloat64()}
+		}
+		f := NewForest(ForestConfig{NEstimators: 15, MaxDepth: 6, Seed: 9})
+		if err := f.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range X {
+			votes := f.Votes(x)
+			want := make([]int, len(votes))
+			for c := range want {
+				want[c] = c
+			}
+			sort.SliceStable(want, func(a, b int) bool { return votes[want[a]] > votes[want[b]] })
+			if got := f.Rank(x); !slices.Equal(got, want) {
+				t.Fatalf("%d classes, row %d: Rank = %v, want %v (votes %v)", classes, i, got, want, votes)
+			}
+		}
 	}
 }

@@ -152,20 +152,31 @@ func (f *Forest) FeatureImportance() []float64 {
 
 // Votes returns per-class tree votes (all zero before training).
 func (f *Forest) Votes(x []float64) []int {
-	votes := make([]int, f.classes)
-	if f.classes == 0 {
-		return []int{0}
-	}
-	for _, t := range f.trees {
-		votes[t.Predict(x)]++
-	}
+	votes := make([]int, max(f.classes, 1))
+	f.tally(x, votes)
 	return votes
 }
 
+// tally adds every tree's vote for x into votes, one slot per class
+// (one slot before training, when there are no trees).
+func (f *Forest) tally(x []float64, votes []int) {
+	for _, t := range f.trees {
+		votes[t.Predict(x)]++
+	}
+}
+
 // Rank implements Ranker: classes ordered by descending vote count
-// (ties broken by class index).
+// (ties broken by class index). A forest of up to eight classes tallies
+// its votes on the stack, so the order is Rank's only allocation.
 func (f *Forest) Rank(x []float64) []int {
-	votes := f.Votes(x)
+	var buf [8]int
+	var votes []int
+	if n := max(f.classes, 1); n <= len(buf) {
+		votes = buf[:n]
+	} else {
+		votes = make([]int, n)
+	}
+	f.tally(x, votes)
 	order := make([]int, len(votes))
 	for i := range order {
 		order[i] = i

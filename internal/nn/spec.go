@@ -210,15 +210,25 @@ func (s *Spec) Descriptor() Descriptor {
 	return d
 }
 
+// NumFeatures is the length of Features(): the architecture columns of
+// the scheduler's feature vector.
+const NumFeatures = 7
+
 // Features flattens the descriptor into the scheduler's numeric feature
 // vector (architecture part only; batch size and GPU state are appended
 // by the scheduler).
 func (d Descriptor) Features() []float64 {
+	return d.AppendFeatures(make([]float64, 0, NumFeatures))
+}
+
+// AppendFeatures appends Features() to dst, so a caller that adds its
+// own columns sizes the vector once.
+func (d Descriptor) AppendFeatures(dst []float64) []float64 {
 	isCNN := 0.0
 	if d.IsCNN {
 		isCNN = 1
 	}
-	return []float64{
+	return append(dst,
 		isCNN,
 		float64(d.Depth),
 		float64(d.TotalNeurons),
@@ -226,7 +236,7 @@ func (d Descriptor) Features() []float64 {
 		float64(d.ConvsPerBlock),
 		float64(d.FilterSize),
 		float64(d.PoolSize),
-	}
+	)
 }
 
 // FeatureNames labels Features() entries, in order.

@@ -30,7 +30,7 @@ func (d *ClDevice) Info() DeviceInfo {
 		Name:               p.Name,
 		MaxWorkGroupSize:   p.WorkGroupSize,
 		GlobalMemCacheSize: p.CacheBytes,
-		HostUnifiedMemory:  p.PCIeGBs <= 0,
+		HostUnifiedMemory:  d.UnifiedMemory(),
 		ProfilingTimerRes:  time.Nanosecond,
 	}
 	switch d.Kind().String() {

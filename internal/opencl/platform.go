@@ -43,7 +43,7 @@ func (d *ClDevice) Kind() device.Kind { return d.Sim.Kind() }
 
 // UnifiedMemory reports whether the device shares physical memory with
 // the host (CPU and iGPU; §II-A).
-func (d *ClDevice) UnifiedMemory() bool { return d.Sim.Profile().PCIeGBs <= 0 }
+func (d *ClDevice) UnifiedMemory() bool { return d.Sim.UnifiedMemory() }
 
 // NewClDevice wraps a simulated device with a host pool sized per §IV-B.
 func NewClDevice(sim *device.Device) *ClDevice {
