@@ -237,6 +237,11 @@ func TestDescriptorFeaturesAlignWithNames(t *testing.T) {
 	if len(f) != len(names) {
 		t.Fatalf("features %d, names %d", len(f), len(names))
 	}
+	// NumFeatures sizes the scheduler's feature vector up front: were it
+	// short, adding a column would grow the slice a second time.
+	if NumFeatures != len(names) {
+		t.Fatalf("NumFeatures = %d, FeatureNames has %d", NumFeatures, len(names))
+	}
 	if f[0] != 1 {
 		t.Fatal("is_cnn feature should be 1 for CNN")
 	}
