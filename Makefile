@@ -58,8 +58,8 @@ race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/fault/... ./internal/workload/...
 
 # The stepped-clock tests, fifty times under the race detector (seconds):
-# the three timers of the serving path — batching window, retry backoff,
-# recovery prober — and the accounting
+# the two timers of the serving path — batching window, recovery
+# prober — and the accounting
 # identities, each driven by stepping a core.ManualClock. They neither
 # sleep nor poll, so a failure here is an ordering bug, not a slow host.
 # The admission path rides along: one key filling every admission slot,

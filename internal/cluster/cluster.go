@@ -57,13 +57,8 @@ var (
 
 // maxAttempts bounds how many nodes one Submit may try: the policy's
 // first choice plus failovers onto the next-ranked nodes when a node
-// sheds (ErrAdmissionFull), predicts an SLO miss (ErrDeadlineInfeasible)
-// or is down.
+// refuses (see refusal).
 const maxAttempts = 3
-
-// evictAfter is the consecutive hard submit failures (node down,
-// draining, pipeline closed) after which a node is evicted from routing.
-const evictAfter = 2
 
 // Config parameterises the cluster.
 type Config struct {
@@ -109,11 +104,10 @@ type member struct {
 	node Node
 	idx  int
 
-	evicted   atomic.Bool  // out of the routing set
-	pinned    atomic.Bool  // evicted by the operator: only Readmit returns it
-	hardFails atomic.Int64 // consecutive down/draining submit failures
-	routed    atomic.Int64 // requests this node accepted
-	rerouted  atomic.Int64 // requests accepted after another node refused
+	evicted  atomic.Bool  // out of the routing set
+	pinned   atomic.Bool  // evicted by the operator: only Readmit returns it
+	routed   atomic.Int64 // requests this node accepted
+	rerouted atomic.Int64 // requests accepted after another node refused
 
 	// chaosDown tracks down-window membership edges so the sweep counts
 	// each window entry and exit once.
@@ -297,12 +291,14 @@ func routeSLO(req core.PipelineRequest) time.Duration {
 
 // Submit routes one request to a node and admits it there. The policy
 // orders the eligible nodes; the router tries up to maxAttempts of them,
-// failing over past nodes that shed (ErrAdmissionFull), predict an SLO
-// miss (ErrDeadlineInfeasible) or are down (evicting the latter after
-// evictAfter consecutive refusals). Validation errors (unknown model or
-// policy, bad batch) are identical on every replica and surface
-// immediately. On success the returned future resolves exactly once —
-// the node pipeline's contract, unchanged by routing — and so does
+// failing over past every node that refuses: one that sheds
+// (ErrAdmissionFull), predicts an SLO miss (ErrDeadlineInfeasible) or is
+// down, draining or closed. Submit evicts nobody: a node leaves routing
+// when the health sweep reads it not Ready, or when Drain, Kill or Close
+// evicts it first. Validation errors (unknown model or policy, bad
+// batch) are identical on every replica and surface immediately. On
+// success the returned future resolves exactly once — the node
+// pipeline's contract, unchanged by routing — and so does
 // core.PipelineRequest.Input's: the future returned is the accepting
 // node's own, so no path copies the input, and no node reads req.Input
 // once the future has resolved or Submit has returned an error.
@@ -348,29 +344,27 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 		m := c.members[views[pos].Index]
 		fut, err := m.node.Submit(ctx, req)
 		if err == nil {
-			m.hardFails.Store(0)
 			m.routed.Add(1)
 			if i > 0 {
 				m.rerouted.Add(1)
 			}
 			return fut, nil
 		}
-		lastErr = err
-		switch {
-		case errors.Is(err, core.ErrAdmissionFull), errors.Is(err, core.ErrDeadlineInfeasible):
-			// Overload, not failure: another node may have room.
-			continue
-		case errors.Is(err, core.ErrNodeDraining), errors.Is(err, core.ErrNodeDown), errors.Is(err, core.ErrPipelineClosed):
-			if m.hardFails.Add(1) >= evictAfter {
-				c.evict(m)
-			}
-			continue
-		default:
+		if !refusal(err) {
 			return nil, err
 		}
+		lastErr = err
 	}
 	c.routeFails.Add(1)
 	return nil, lastErr
+}
+
+// refusal reports whether a node's Submit error is about the node, not
+// the request, so that another node may accept it: overload or an SLO
+// the node cannot meet, or a node that is down, draining or closed.
+func refusal(err error) bool {
+	return errors.Is(err, core.ErrAdmissionFull) || errors.Is(err, core.ErrDeadlineInfeasible) ||
+		errors.Is(err, core.ErrNodeDraining) || errors.Is(err, core.ErrNodeDown) || errors.Is(err, core.ErrPipelineClosed)
 }
 
 // QueueDelay is the fleet's best-case backlog estimate: the smallest
@@ -412,7 +406,6 @@ func (c *Cluster) evict(m *member) {
 // readmit returns a member to the routing set (idempotent).
 func (c *Cluster) readmit(m *member) {
 	if m.evicted.CompareAndSwap(true, false) {
-		m.hardFails.Store(0)
 		c.readmissions.Add(1)
 	}
 }

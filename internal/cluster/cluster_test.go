@@ -103,25 +103,36 @@ func TestAllAttemptsFailSurfacesError(t *testing.T) {
 	}
 }
 
-func TestSubmitEvictsNodeAfterConsecutiveHardFailures(t *testing.T) {
-	c, fakes := fakeFleet(t, 3, Config{SweepEvery: -1})
+// TestRefusingNodeLosesNothingUntilSweepEvicts: a node that refuses
+// with ErrNodeDown costs no request — each one fails over to a
+// survivor — and leaves routing in one place only: the health sweep,
+// once the node's health says not Ready.
+func TestRefusingNodeLosesNothingUntilSweepEvicts(t *testing.T) {
+	const every = 8
+	c, fakes := fakeFleet(t, 3, Config{SweepEvery: every})
 	fakes[0].setErr(core.ErrNodeDown)
-	for k := 0; k < 6; k++ {
-		if _, err := c.Submit(context.Background(), core.PipelineRequest{Model: "simple", Batch: 4}); err != nil {
-			t.Fatalf("submit %d: %v", k, err)
+	submit := func(n int) {
+		t.Helper()
+		for k := 0; k < n; k++ {
+			if _, err := c.Submit(context.Background(), core.PipelineRequest{Model: "simple", Batch: 4}); err != nil {
+				t.Fatalf("submit %d: %v", k, err)
+			}
 		}
 	}
+	submit(2 * every)
+	if st := c.Stats(); st.Evictions != 0 || st.PerNode[0].Evicted {
+		t.Fatalf("a node whose health says Ready was evicted: %+v", st)
+	}
+	fakes[0].mu.Lock()
+	fakes[0].ready = false
+	fakes[0].mu.Unlock()
+	submit(every)
 	st := c.Stats()
-	if st.Evictions != 1 || !st.PerNode[0].Evicted {
-		t.Fatalf("dead node not evicted: %+v", st)
+	if st.Evictions != 1 || !st.PerNode[0].Evicted || st.Ready != 2 {
+		t.Fatalf("the sweep did not evict the not-Ready node: %+v", st)
 	}
-	if st.Ready != 2 {
-		t.Fatalf("ready = %d, want 2", st.Ready)
-	}
-	// Post-eviction traffic flows only to the survivors.
-	accepted := fakes[1].acceptCount() + fakes[2].acceptCount()
-	if accepted != 6 {
-		t.Fatalf("survivors accepted %d of 6", accepted)
+	if accepted := fakes[1].acceptCount() + fakes[2].acceptCount(); accepted != 3*every {
+		t.Fatalf("survivors accepted %d of %d", accepted, 3*every)
 	}
 }
 
@@ -350,6 +361,49 @@ func realCluster(t testing.TB, n int, cfg Config, pcfg core.PipelineConfig) *Clu
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestSweepEvictsNodeWhoseEveryDeviceFails: device quarantine rolled up
+// to the node. A node whose every device fails quarantines them all,
+// which is what makes its health read not Ready; the sweep then takes
+// it out of routing, and every later request goes to the healthy node.
+func TestSweepEvictsNodeWhoseEveryDeviceFails(t *testing.T) {
+	tmpl, err := templateScheduler(t).Replica(1) // devices of its own
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.NewInjector(fault.Plan{Seed: 1, Faults: []fault.Fault{{Node: "node0", Effect: fault.Err, P: 1}}})
+	c, _, err := Build(tmpl, 2, 1, core.PipelineConfig{ProbeInterval: -1}, Config{SweepEvery: 1, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	do := func() error {
+		comp, err := c.Do(ctx, core.PipelineRequest{Model: "simple", Batch: 4, Deadline: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp.Err
+	}
+	failed := 0
+	for i := 0; i < 16; i++ {
+		if do() != nil {
+			failed++
+		}
+	}
+	st := c.Stats()
+	if n := st.PerNode[0]; !n.Evicted || n.QuarantinedDevices != n.Devices || failed == 0 {
+		t.Fatalf("failing node: evicted %t, %d of %d devices quarantined, %d requests failed; want evicted, all, some",
+			n.Evicted, n.QuarantinedDevices, n.Devices, failed)
+	}
+	for i := 0; i < 16; i++ {
+		if err := do(); err != nil {
+			t.Fatalf("request %d after the eviction failed: %v", i, err)
+		}
+	}
+	t.Logf("%d of the first 16 requests failed before the sweep evicted node0", failed)
 }
 
 // core.Play drives the routing tier like a pipeline: a burst offered

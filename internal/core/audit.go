@@ -13,13 +13,17 @@ import (
 // do during the incident?" — the logging counterpart of cmd/explain's
 // "why would it?".
 
-// AuditEntry is one recorded decision with its arrival time.
+// AuditEntry is one recorded decision with its arrival time. A
+// deadline-routed decision (SelectWithDeadline) carries the deadline it
+// was routed against and no policy; a classifier-ranked one carries its
+// policy and a zero deadline.
 type AuditEntry struct {
 	Seq      int64         `json:"seq"`
 	At       time.Duration `json:"at_us"` // virtual arrival time, µs in JSON
 	Model    string        `json:"model"`
 	Batch    int           `json:"batch"`
 	Policy   string        `json:"policy"`
+	Deadline time.Duration `json:"deadline_us"` // µs in JSON
 	Device   string        `json:"device"`
 	GPUWarm  bool          `json:"gpu_warm"`
 	Spilled  bool          `json:"spilled"`
@@ -34,6 +38,7 @@ func (e AuditEntry) MarshalJSON() ([]byte, error) {
 		Model      string `json:"model"`
 		Batch      int    `json:"batch"`
 		Policy     string `json:"policy"`
+		DeadlineUS int64  `json:"deadline_us"`
 		Device     string `json:"device"`
 		GPUWarm    bool   `json:"gpu_warm"`
 		Spilled    bool   `json:"spilled"`
@@ -41,7 +46,7 @@ func (e AuditEntry) MarshalJSON() ([]byte, error) {
 	}
 	return json.Marshal(wire{
 		Seq: e.Seq, AtMicros: e.At.Microseconds(), Model: e.Model, Batch: e.Batch,
-		Policy: e.Policy, Device: e.Device, GPUWarm: e.GPUWarm, Spilled: e.Spilled,
+		Policy: e.Policy, DeadlineUS: e.Deadline.Microseconds(), Device: e.Device, GPUWarm: e.GPUWarm, Spilled: e.Spilled,
 		DecisionUS: e.Decision.Microseconds(),
 	})
 }
@@ -92,17 +97,13 @@ func (a *auditLog) recent(n int) []AuditEntry {
 // EnableAudit switches on decision recording with the given ring
 // capacity (≤0 selects 256). Call before serving traffic.
 func (s *Scheduler) EnableAudit(capacity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.audit = newAuditLog(capacity)
+	s.audit.Store(newAuditLog(capacity))
 }
 
 // RecentDecisions returns up to n recorded decisions, oldest first
 // (empty when auditing is off).
 func (s *Scheduler) RecentDecisions(n int) []AuditEntry {
-	s.mu.Lock()
-	a := s.audit
-	s.mu.Unlock()
+	a := s.audit.Load()
 	if a == nil {
 		return nil
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // auditScheduler is a private replica of the shared fixture: audit,
@@ -59,6 +61,36 @@ func TestAuditRecordsDecisions(t *testing.T) {
 	}
 }
 
+// TestAuditRecordsDeadlineRoutedDecisions: a batch routed on its
+// deadline (SelectWithDeadline) lands in the audit ring like a
+// policy-ranked one, marked with the deadline it was routed against, so
+// every decision the scheduler counts has its entry.
+func TestAuditRecordsDeadlineRoutedDecisions(t *testing.T) {
+	s := auditScheduler(t)
+	s.EnableAudit(8)
+	p := NewPipeline(s, PipelineConfig{ProbeInterval: -1})
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, deadline := range []time.Duration{time.Second, -1} {
+		c, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 4, Deadline: deadline})
+		if err != nil || c.Err != nil {
+			t.Fatalf("deadline %v: %v / %v", deadline, err, c.Err)
+		}
+	}
+	entries := s.RecentDecisions(0)
+	if n := s.Stats().Decisions; len(entries) != 2 || n != 2 {
+		t.Fatalf("%d decisions counted, %d recorded, want 2 and 2: %+v", n, len(entries), entries)
+	}
+	routed, ranked := entries[0], entries[1]
+	if routed.Deadline <= 0 || routed.Deadline > time.Second || routed.Policy != "" || routed.Device == "" {
+		t.Fatalf("deadline-routed entry = %+v, want its deadline in (0, 1s] and no policy", routed)
+	}
+	if ranked.Deadline != 0 || ranked.Policy != "best-throughput" || ranked.Device == "" {
+		t.Fatalf("policy-ranked entry = %+v, want no deadline and its policy", ranked)
+	}
+}
+
 func TestAuditRingWraps(t *testing.T) {
 	s := auditScheduler(t)
 	s.EnableAudit(4)
@@ -93,7 +125,7 @@ func TestAuditJSONExport(t *testing.T) {
 	if len(decoded) != 1 {
 		t.Fatalf("decoded %d entries", len(decoded))
 	}
-	for _, key := range []string{"seq", "at_us", "model", "batch", "policy", "device", "decision_us"} {
+	for _, key := range []string{"seq", "at_us", "model", "batch", "policy", "deadline_us", "device", "decision_us"} {
 		if _, ok := decoded[0][key]; !ok {
 			t.Fatalf("JSON missing %q: %s", key, buf.String())
 		}

@@ -8,9 +8,10 @@ import (
 
 // Clock is the serving path's one mechanism for time: Now reads it and
 // AfterFunc schedules on it, so a request's arrival stamp, its deadline
-// and every timer that acts on them (batching window, retry backoff,
-// recovery prober) live on one axis. Production serves on WallClock;
-// tests step a ManualClock instead of sleeping.
+// and the two timers that act on them (batching window, recovery
+// prober) live on one axis; no serving worker waits on it otherwise.
+// Production serves on WallClock; tests step a ManualClock instead of
+// sleeping.
 type Clock interface {
 	// Now is the time elapsed on this clock since its origin.
 	Now() time.Duration

@@ -122,43 +122,6 @@ func TestSteppedWindowFlush(t *testing.T) {
 	}
 }
 
-// TestSteppedRetryBackoff: the failover backoff is a pause on the
-// pipeline clock — no retry until RetryBackoff has elapsed, then the
-// batch completes on the next-ranked device.
-func TestSteppedRetryBackoff(t *testing.T) {
-	const backoff = 60 * time.Millisecond
-	s, _ := steppedScheduler(t)
-	clk := NewManualClock()
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: backoff, Clock: clk})
-	defer p.Close()
-	ctx := context.Background()
-	req := PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8}
-	warmup, err := p.Do(ctx, req)
-	if err != nil || warmup.Err != nil {
-		t.Fatalf("warmup: %v / %v", err, warmup.Err)
-	}
-	failed := warmup.Decision.Device
-	armFaults(s, 1, failing(failed, 1))
-
-	fut, err := p.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.BlockUntil(1) // the first attempt failed and its worker is in the backoff
-	clk.Advance(backoff - 1)
-	if st := p.Stats(); st.Retries != 0 || st.Completed != 1 {
-		t.Fatalf("before the backoff elapsed: %+v, want no retry and only the warmup completed", st)
-	}
-	clk.Advance(1)
-	c, _ := fut.Wait(ctx)
-	if c.Err != nil || c.Decision.Device == failed {
-		t.Fatalf("after the backoff: err %v on %s, want success off %s", c.Err, c.Decision.Device, failed)
-	}
-	if st := p.Stats(); st.Retries != 1 || st.Failovers != 1 || st.ExecFailures != 0 {
-		t.Fatalf("stats = %+v, want one retry, one failover, no exec failure", st)
-	}
-}
-
 // TestSteppedProber: a quarantined device whose fault has cleared is
 // re-admitted by the recovery prober's first tick — ProbeInterval on the
 // pipeline clock, and not one nanosecond before.
@@ -219,7 +182,7 @@ func steppedIdentities(s *Scheduler, seed int64, realInputs bool) error {
 	cfg := PipelineConfig{
 		DefaultSLO:       []time.Duration{0, 150 * time.Microsecond, 50 * time.Millisecond}[rng.Intn(3)],
 		HoldWindow:       rng.Intn(2) == 0,
-		QueueDepth:       4, // small queues: backoffs and held windows back up into shedding
+		QueueDepth:       4, // small queues: held windows back up into shedding
 		DeviceQueueDepth: 1,
 		Clock:            clk,
 	}

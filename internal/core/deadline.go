@@ -192,8 +192,7 @@ func (s *Scheduler) SelectWithDeadline(model string, batch int, deadline time.Du
 		Met:        met,
 		Candidates: meeting,
 	}
-	s.decisions.Add(1)
-	s.perDevice[chosen.class].Add(1)
+	s.record(&dec.Decision, now, deadline)
 	return dec, nil
 }
 

@@ -158,28 +158,38 @@ func TestPipelineCullsExpiredBeforeExecute(t *testing.T) {
 
 // TestPipelineNoRetryAfterDeadline covers the deadline × failover
 // interaction: when the first attempt fails and the request's SLO
-// expires during the retry backoff, the request must be culled — not
-// retried on a second device.
+// expires before the retry begins, the cull ahead of the retry resolves
+// the request as expired — it is not retried on a second device.
 func TestPipelineNoRetryAfterDeadline(t *testing.T) {
 	s, _ := steppedScheduler(t)
 	fi := armFaults(s, 1, failing("", 1))
 	clk := NewManualClock()
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: 60 * time.Millisecond, Clock: clk})
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Clock: clk})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Feasible at admission (idle queues), expired by the time the 60 ms
-	// backoff after the failed first attempt has elapsed.
+	// The hook runs before each attempt's cull: the second time, the
+	// first attempt has failed, and the clock steps past the deadline
+	// before the retry's cull reads it.
+	var attempts atomic.Int32
+	p.testExecHook = func(string) {
+		if attempts.Add(1) == 2 {
+			clk.Advance(60 * time.Millisecond)
+		}
+	}
+	// Feasible at admission (idle queues), expired once the clock has
+	// stepped 60 ms.
 	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 4, Deadline: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.BlockUntil(1) // the first attempt failed and its worker is in the backoff
-	clk.Advance(60 * time.Millisecond)
 	c, err := fut.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if attempts.Load() != 2 {
+		t.Fatalf("hook ran %d times, want 2 (the first attempt, then the retry's cull)", attempts.Load())
 	}
 	if !errors.Is(c.Err, ErrDeadlineExceeded) {
 		t.Fatalf("request resolved with %v, want ErrDeadlineExceeded (culled before retry)", c.Err)

@@ -16,8 +16,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bomw/internal/nn"
 	"bomw/internal/opencl"
@@ -39,15 +41,12 @@ import (
 type Dispatcher struct {
 	rt *opencl.Runtime
 
-	// specs holds registered model specs. It is a sync.Map because Spec
-	// sits on the serving pipeline's per-request admission path: a mutex
-	// here serialises every Submit across all models, while loads are
-	// rare (models register once) and lock-free reads are exactly the
-	// sync.Map sweet spot.
-	specs sync.Map // model name → *nn.Spec
-
+	// models is the table of registered models, copied on write: Spec
+	// sits on the serving pipeline's per-request admission path, so
+	// readers load the current map without a lock, while Register (rare:
+	// models register once) replaces it under mu.
+	models atomic.Pointer[map[string]loadedModel]
 	mu     sync.Mutex
-	models map[string]loadedModel
 }
 
 // loadedModel is one registered model: the network, and the spec and
@@ -61,14 +60,24 @@ type loadedModel struct {
 
 // NewDispatcher wraps a runtime.
 func NewDispatcher(rt *opencl.Runtime) *Dispatcher {
-	return &Dispatcher{rt: rt, models: map[string]loadedModel{}}
+	d := &Dispatcher{rt: rt}
+	d.models.Store(&map[string]loadedModel{})
+	return d
+}
+
+// model looks a registered model up without a lock.
+func (d *Dispatcher) model(name string) (loadedModel, error) {
+	if m, ok := (*d.models.Load())[name]; ok {
+		return m, nil
+	}
+	return loadedModel{}, fmt.Errorf("core: model %q not loaded", name)
 }
 
 // Load performs the full Fig. 2 cycle for one model: build from the spec
 // (1-2) and load model plus weights into every device (5). A name that
 // is already loaded is refused before anything is built.
 func (d *Dispatcher) Load(spec *nn.Spec, seed int64) (*nn.Network, error) {
-	if _, dup := d.specs.Load(spec.Name); dup {
+	if _, err := d.model(spec.Name); err == nil {
 		return nil, fmt.Errorf("core: model %q already loaded", spec.Name)
 	}
 	net, err := spec.Build(seed) // Model Building Module
@@ -94,29 +103,23 @@ func (d *Dispatcher) Register(spec *nn.Spec, seed int64, net *nn.Network) error 
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.specs.Store(spec.Name, spec)
-	d.models[spec.Name] = loadedModel{spec: spec, seed: seed, net: net}
+	next := maps.Clone(*d.models.Load())
+	next[spec.Name] = loadedModel{spec: spec, seed: seed, net: net}
+	d.models.Store(&next)
 	return nil
 }
 
 // Spec returns the registered spec for a model. Lock-free: this is the
 // admission hot path (once per Submit).
 func (d *Dispatcher) Spec(model string) (*nn.Spec, error) {
-	if s, ok := d.specs.Load(model); ok {
-		return s.(*nn.Spec), nil
-	}
-	return nil, fmt.Errorf("core: model %q not loaded", model)
+	m, err := d.model(model)
+	return m.spec, err
 }
 
 // Network returns the built network for a model.
 func (d *Dispatcher) Network(model string) (*nn.Network, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, ok := d.models[model]
-	if !ok {
-		return nil, fmt.Errorf("core: model %q not loaded", model)
-	}
-	return m.net, nil
+	m, err := d.model(model)
+	return m.net, err
 }
 
 // WeightBytes is the Weights Building Module of Fig. 2: the model's
@@ -138,25 +141,25 @@ func (d *Dispatcher) WeightBytes(model string) ([]byte, error) {
 // Models lists loaded model names, sorted so API responses and test
 // goldens are stable regardless of load order or map iteration.
 func (d *Dispatcher) Models() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.models))
-	for n := range d.models {
-		out = append(out, n)
+	return sortedNames(*d.models.Load())
+}
+
+// loaded snapshots the registered models in name order.
+func (d *Dispatcher) loaded() []loadedModel {
+	models := *d.models.Load()
+	names := sortedNames(models)
+	out := make([]loadedModel, len(names))
+	for i, name := range names {
+		out[i] = models[name]
 	}
-	sort.Strings(out)
 	return out
 }
 
-// loaded snapshots the registered models in name order (models are never
-// unloaded, so every listed name is still there).
-func (d *Dispatcher) loaded() []loadedModel {
-	names := d.Models()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]loadedModel, len(names))
-	for i, name := range names {
-		out[i] = d.models[name]
+func sortedNames(models map[string]loadedModel) []string {
+	names := make([]string, 0, len(models))
+	for name := range models {
+		names = append(names, name)
 	}
-	return out
+	sort.Strings(names)
+	return names
 }

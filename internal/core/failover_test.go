@@ -139,7 +139,7 @@ func TestSelectServesEvenWhenAllQuarantined(t *testing.T) {
 
 func TestPipelineFailoverCompletesRequests(t *testing.T) {
 	s := smallScheduler(t, Config{})
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: -1})
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -284,7 +284,7 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	s := smallScheduler(t, Config{MaxQueueDelay: -1})
 	const probeEvery = 5 * time.Millisecond
 	clk := NewManualClock()
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 64, ProbeInterval: probeEvery, RetryBackoff: -1, Clock: clk})
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 64, ProbeInterval: probeEvery, Clock: clk})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -382,7 +382,6 @@ func TestSoakShedRetryQuarantine(t *testing.T) {
 		QueueDepth:    4,
 		MaxBatch:      32,
 		ProbeInterval: 5 * time.Millisecond,
-		RetryBackoff:  -1,
 	})
 	// A slow executor induces real backpressure so admission sheds.
 	p.testExecHook = func(string) { time.Sleep(500 * time.Microsecond) }

@@ -128,7 +128,7 @@ func TestInputIsTheCallersOnceCulled(t *testing.T) {
 // on it and again on the next device before they resolve.
 func TestInputIsTheCallersOnceFailedOver(t *testing.T) {
 	s := smallScheduler(t, Config{})
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, RetryBackoff: -1})
+	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -135,9 +135,9 @@ type Pipeline struct {
 	failovers  atomic.Int64
 	execFails  atomic.Int64
 
-	// testExecHook, when set, runs in each device worker before a batch
-	// executes — tests use it to hold workers and fill queues
-	// deterministically.
+	// testExecHook, when set, runs in each device worker before every
+	// attempt of a batch, ahead of the attempt's cull — tests use it to
+	// hold workers, fill queues and move the clock deterministically.
 	testExecHook func(device string)
 }
 
@@ -171,12 +171,9 @@ type PipelineConfig struct {
 	// into an idle system dispatches immediately.
 	HoldWindow bool
 	// Clock supplies the virtual time requests are charged at and rings
-	// every timer that acts on it (window, backoff, prober).
+	// every timer that acts on it (window, prober).
 	// Defaults to WallClock() — wall time since the pipeline was created.
 	Clock Clock
-	// RetryBackoff is the pause on Clock before each failover attempt,
-	// doubling per attempt. Defaults to 1 ms; negative disables backoff.
-	RetryBackoff time.Duration
 	// ProbeInterval is how often the recovery prober re-tests
 	// quarantined devices with a one-sample probe (re-admitting them on
 	// success). Defaults to 50 ms; negative disables the prober —
@@ -203,9 +200,6 @@ func (c *PipelineConfig) fillDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = WallClock()
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 50 * time.Millisecond
@@ -618,22 +612,21 @@ func (dq *deviceQueue) completeBatch(virtCharge, clkCharge, obsVirt, obsClk time
 	dq.depth--
 	if n > 0 {
 		if obsVirt > 0 {
-			per := obsVirt / time.Duration(n)
-			if dq.perSample == 0 {
-				dq.perSample = per
-			} else {
-				dq.perSample = (7*dq.perSample + per) / 8
-			}
+			dq.perSample = ewma8(dq.perSample, obsVirt/time.Duration(n))
 		}
 		if obsClk > 0 {
-			per := obsClk / time.Duration(n)
-			if dq.clkPerSample == 0 {
-				dq.clkPerSample = per
-			} else {
-				dq.clkPerSample = (7*dq.clkPerSample + per) / 8
-			}
+			dq.clkPerSample = ewma8(dq.clkPerSample, obsClk/time.Duration(n))
 		}
 	}
+}
+
+// ewma8 folds sample x into the α = 1/8 estimate old. An estimate of
+// zero has seen no sample yet, so the first one seeds it.
+func ewma8(old, x time.Duration) time.Duration {
+	if old == 0 {
+		return x
+	}
+	return (7*old + x) / 8
 }
 
 func (dq *deviceQueue) occupancy() time.Duration {
@@ -1254,19 +1247,6 @@ func (p *Pipeline) batchDone() {
 	}
 }
 
-// pause blocks the calling worker for d on the pipeline clock — the
-// failover backoff. Close cuts it short: a draining pipeline retries at
-// once rather than wait on a clock nobody may be advancing.
-func (p *Pipeline) pause(d time.Duration) {
-	woke := make(chan struct{})
-	t := p.cfg.Clock.AfterFunc(d, func() { close(woke) })
-	select {
-	case <-woke:
-	case <-p.closing:
-		t.Stop()
-	}
-}
-
 // executeAttempt runs one attempt of batch w — its live requests reqs,
 // size samples — on the device dec names, releasing the attempt's queue
 // charges (dq may be nil when the failover device has no queue) and
@@ -1294,12 +1274,14 @@ func (p *Pipeline) executeAttempt(dq *deviceQueue, w *batchWork, reqs []*pipeReq
 
 // runBatch executes one flushed batch with bounded retry/failover: on an
 // execution error the batch re-Selects with every failed device excluded
-// and retries on the next-ranked device (after a doubling backoff), so a
-// failing device degrades throughput instead of failing every request
-// aggregated into the batch. Retries run inline on this worker — they
-// never re-enqueue onto another worker's channel, which keeps the drain
-// path deadlock-free; the runtime's per-device submit lock serialises
-// the cross-device execution with that device's own worker.
+// and runs on the next-ranked device at once, so a failing device
+// degrades throughput instead of failing every request aggregated into
+// the batch. No retry waits: the device it goes to has not failed this
+// batch, and the batch's deadlines keep running. Retries run inline on
+// this worker — they never re-enqueue onto another worker's channel,
+// which keeps the drain path deadlock-free; the runtime's per-device
+// submit lock serialises the cross-device execution with that device's
+// own worker.
 //
 // Before every attempt — the first and each retry — dead requests are
 // culled: a cancelled or deadline-expired request never reaches the
@@ -1325,11 +1307,11 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		excluded := map[string]bool{dec.Device: true}
 		p.sched.ReportExecution(dec.Device, err)
 		for attempt := 1; err != nil && attempt < maxAttempts; attempt++ {
-			if p.cfg.RetryBackoff > 0 {
-				p.pause(p.cfg.RetryBackoff << (attempt - 1))
+			if p.testExecHook != nil {
+				p.testExecHook(dq.name)
 			}
-			// Deadlines keep ticking through failures and backoff; an
-			// expired request must not fail over to another device.
+			// Deadlines keep ticking through failures; an expired
+			// request must not fail over to another device.
 			live, size = p.cullLive(live[:0], live, p.cfg.Clock.Now())
 			if size == 0 {
 				break
@@ -1388,18 +1370,12 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 	// completion) into the latency EWMA, α = 1/8. A plain load/store
 	// race between two workers loses at most one sample — fine for a
 	// smoothed signal — and keeps this off the hot path's lock budget.
-	worst := int64(res.Completed - reqs[0].at)
+	worst := res.Completed - reqs[0].at
 	for _, r := range reqs {
-		if l := int64(res.Completed - r.at); l > worst {
-			worst = l
-		}
+		worst = max(worst, res.Completed-r.at)
 	}
 	if worst > 0 {
-		if prev := p.latEWMA.Load(); prev == 0 {
-			p.latEWMA.Store(worst)
-		} else {
-			p.latEWMA.Store(prev + (worst-prev)/8)
-		}
+		p.latEWMA.Store(int64(ewma8(time.Duration(p.latEWMA.Load()), worst)))
 	}
 
 	off := 0

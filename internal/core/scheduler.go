@@ -139,7 +139,7 @@ type Scheduler struct {
 	// LoadState, Replica) and is read-only once it is shared.
 	classifiers map[Policy]mlsched.Classifier
 	health      *healthMonitor
-	audit       *auditLog
+	audit       atomic.Pointer[auditLog] // nil until EnableAudit
 
 	// policyMask is the immutable set of trained policies as a bitmask,
 	// written once at construction and read lock-free on the admission
@@ -164,8 +164,7 @@ type Scheduler struct {
 	perPolicy [EnergyEfficiency + 1]atomic.Int64 // by Policy
 
 	// mu guards the fields that can be swapped while the scheduler
-	// serves: health (ResetDevices), audit (EnableAudit) and queueProbe
-	// (SetQueueProbe).
+	// serves: health (ResetDevices) and queueProbe (SetQueueProbe).
 	mu         sync.Mutex
 	queueProbe func(device string) time.Duration
 
@@ -465,7 +464,6 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 	s.mu.Lock()
 	probe := s.queueProbe
 	health := s.health
-	audit := s.audit
 	s.mu.Unlock()
 
 	// Failure domain: drop excluded devices outright, and fence off
@@ -542,25 +540,39 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 		//bomw:wallclock real elapsed classification time, paired with the caller's t0
 		d.DecisionTime = time.Since(t0)
 	}
+	s.record(&d, now, 0)
+	return d, nil
+}
+
+// record accounts one committed decision in the decision counters and,
+// when auditing is on, the audit ring. Both decision paths commit
+// through it: the classifier-ranked one (decideFrom), which counts
+// under d.Policy, and the deadline-routed one (SelectWithDeadline),
+// which passes the deadline it routed against and has no policy.
+func (s *Scheduler) record(d *Decision, now, deadline time.Duration) {
 	s.decisions.Add(1)
-	if spilled {
+	if d.Spilled {
 		s.spills.Add(1)
 	}
-	s.perDevice[choice].Add(1)
-	s.perPolicy[pol].Add(1)
-	if audit != nil {
+	s.perDevice[d.Class].Add(1)
+	policy := ""
+	if deadline == 0 {
+		s.perPolicy[d.Policy].Add(1)
+		policy = d.Policy.String()
+	}
+	if audit := s.audit.Load(); audit != nil {
 		audit.record(AuditEntry{
 			At:       now,
 			Model:    d.Model,
 			Batch:    d.Batch,
-			Policy:   d.Policy.String(),
+			Policy:   policy,
+			Deadline: deadline,
 			Device:   d.Device,
 			GPUWarm:  d.GPUWarm,
 			Spilled:  d.Spilled,
 			Decision: d.DecisionTime,
 		})
 	}
-	return d, nil
 }
 
 // Classify selects a device and executes the batch on it, returning both

@@ -74,7 +74,7 @@ func TestFailureDomainEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The prober is disabled so recovery timing stays deterministic.
-	api := NewWithConfig(sched, 1, core.PipelineConfig{ProbeInterval: -1, RetryBackoff: -1})
+	api := NewWithConfig(sched, 1, core.PipelineConfig{ProbeInterval: -1})
 	ts := httptest.NewServer(api)
 	defer ts.Close()
 	defer api.Close()
