@@ -328,9 +328,10 @@ type (
 	NodeHealth = core.NodeHealth
 	// Cluster routes requests over N nodes on one shared virtual clock.
 	Cluster = cluster.Cluster
-	// ClusterConfig sets the routing policy, failover and sweep knobs.
+	// ClusterConfig sets the routing policy, clock, sweep and fault plan.
 	ClusterConfig = cluster.Config
-	// RoutingPolicy orders candidate nodes for one request.
+	// RoutingPolicy names the rule that ranks candidate nodes for one
+	// request: round-robin, least-loaded or model-affinity.
 	RoutingPolicy = cluster.Policy
 	// FleetStats aggregates routing activity and per-node serving counters.
 	FleetStats = cluster.FleetStats
@@ -368,8 +369,8 @@ func BuildCluster(template *Scheduler, n int, seed int64, pcfg PipelineConfig, c
 	return cluster.Build(template, n, seed, pcfg, cfg)
 }
 
-// RoutingPolicyByName builds a routing policy from its CLI/API name:
-// round-robin, least-loaded, model-affinity or weighted-scoring.
+// RoutingPolicyByName parses a routing policy's CLI/API name:
+// round-robin, least-loaded or model-affinity.
 var RoutingPolicyByName = cluster.PolicyByName
 
 // Play offers a trace open-loop to a live Pipeline, Node or Cluster and

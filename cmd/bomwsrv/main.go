@@ -46,9 +46,12 @@
 //
 // Fleet mode: -nodes N replicates the trained scheduler into N serving
 // nodes node0..node{N-1} (shared classifiers, fresh devices) behind the
-// -route policy (round-robin, least-loaded, model-affinity or
-// weighted-scoring). Requests route per the policy with automatic
-// failover; /v1/cluster and /v1/nodes expose fleet stats and node
+// -route policy: round-robin (the default), least-loaded or
+// model-affinity. Each won a setting of the routing drill the others
+// lost (EXPERIMENTS.md): round-robin a small fleet whose every node is
+// crashed or slow, least-loaded a large fault-free one, model-affinity
+// a large one under an incident. Requests route per the policy with
+// automatic failover; /v1/cluster and /v1/nodes expose fleet stats and node
 // lifecycle (drain/evict/readmit/kill). Node faults drill node-level
 // failure: down:start-end fail-stops a node for a window and slow:k
 // runs it k× slower; crash and slow clauses script a seeded incident
@@ -125,7 +128,7 @@ func main() {
 	faultSpec := flag.String("faults", "", "fault plan, e.g. 'node0/GTX 1080 Ti=err:0.05; crash:2:3,slow:2:4' (see doc comment)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault plan seed: which nodes crash and slow clauses pick, and every error and spike draw")
 	nodes := flag.Int("nodes", 1, "fleet size: serving-node replicas behind the router")
-	route := flag.String("route", "round-robin", "routing policy: round-robin, least-loaded, model-affinity or weighted-scoring")
+	route := flag.String("route", "round-robin", "routing policy: round-robin, least-loaded or model-affinity")
 	flag.Parse()
 
 	// Open the -save file and parse the routing policy and fault plan
@@ -143,7 +146,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	policy, err := cluster.PolicyByName(*route, *seed)
+	policy, err := cluster.PolicyByName(*route)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -210,7 +213,7 @@ func main() {
 		}
 	}
 	if *nodes > 1 {
-		fmt.Printf("bomwsrv: replicating into a %d-node fleet (%s routing)…\n", *nodes, policy.Name())
+		fmt.Printf("bomwsrv: replicating into a %d-node fleet (%s routing)…\n", *nodes, policy)
 	}
 	api, err := server.NewCluster(sched, *seed, core.PipelineConfig{
 		Window:     *window,
@@ -218,7 +221,6 @@ func main() {
 		DefaultSLO: *defaultSLO,
 	}, *nodes, cluster.Config{
 		Policy: policy,
-		Seed:   *seed,
 		Faults: faults,
 	})
 	if err != nil {

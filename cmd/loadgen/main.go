@@ -149,8 +149,7 @@ func main() {
 			defer p.Close()
 			target = scenario.LiveTarget{Name: "pipeline", Target: p}
 		} else {
-			pol, _ := cluster.PolicyByName("least-loaded", *seed)
-			fleet, _, err := cluster.Build(sched, *nodes, *seed, pcfg, cluster.Config{Policy: pol})
+			fleet, _, err := cluster.Build(sched, *nodes, *seed, pcfg, cluster.Config{Policy: cluster.LeastLoaded})
 			if err != nil {
 				fail(err)
 			}

@@ -18,12 +18,11 @@ import (
 func BenchmarkClusterServe(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			pol, _ := PolicyByName("least-loaded", 1)
 			c, _, err := Build(templateScheduler(b), 4, 1, core.PipelineConfig{
 				Window:        500 * time.Microsecond,
 				MaxBatch:      256,
 				ProbeInterval: -1,
-			}, Config{Policy: pol})
+			}, Config{Policy: LeastLoaded})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -42,13 +42,9 @@ func chaosTemplate(t testing.TB) *core.Scheduler {
 // from virtual 0 with seed 9; empty runs the no-fault baseline.
 func chaosRun(t *testing.T, tmpl *core.Scheduler, spec string, fleetSize, clients int, horizon, deadline time.Duration) (float64, FleetStats) {
 	t.Helper()
-	pol, err := PolicyByName("least-loaded", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clk := core.WallClock()
 	cfg := Config{
-		Policy:     pol,
+		Policy:     LeastLoaded,
 		SweepEvery: 50,
 		Clock:      clk,
 	}

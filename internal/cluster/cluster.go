@@ -1,7 +1,7 @@
 // Package cluster is the scale-out tier over internal/core: N serving
 // nodes — each one scheduler + pipeline + device set, the paper's whole
-// single-box system — behind a routing front-end with pluggable
-// policies, per-node health aggregation and fleet-wide statistics. The
+// single-box system — behind a routing front-end (three routing rules,
+// see Policy), per-node health aggregation and fleet-wide statistics. The
 // single box of the paper becomes a replaceable unit: the router picks a
 // node per request, fails over when a node sheds or dies, evicts nodes
 // whose health collapses (composing PR 3's device-level quarantine into
@@ -25,12 +25,11 @@ import (
 )
 
 // Node is the narrow surface the cluster routes over — what
-// internal/core's Node provides: admission, the deadline predictor, a
-// cheap load signal, stats/health snapshots and lifecycle control.
+// internal/core's Node provides: admission, a cheap load signal,
+// stats/health snapshots and lifecycle control.
 type Node interface {
 	Name() string
 	Submit(ctx context.Context, req core.PipelineRequest) (*core.Future, error)
-	FeasibleWithin(model string, batch int, deadline, now time.Duration) (bool, time.Duration, error)
 	Load() int64
 	QueueDelay() time.Duration
 	// AvgLatency is the node's delivered-batch completion-latency EWMA,
@@ -62,7 +61,7 @@ const maxAttempts = 3
 
 // Config parameterises the cluster.
 type Config struct {
-	// Policy orders candidate nodes per request. Defaults to round-robin.
+	// Policy ranks candidate nodes per request. Defaults to round-robin.
 	Policy Policy
 	// Clock is the fleet's shared virtual clock. Every node's pipeline
 	// should be built on the same one. Defaults to core.WallClock() —
@@ -75,21 +74,19 @@ type Config struct {
 	// than timer-driven so the cluster stays on the virtual clock and
 	// replays deterministically. Defaults to 64; negative disables.
 	SweepEvery int64
-	// Seed parameterises hash-based routing policies built by name.
-	Seed int64
 
 	// Faults evaluates a fault plan on the shared virtual clock; nil
 	// injects none. New arms it on every *core.Node member's runtime, so
 	// the plan's device faults and slow nodes act there, and its down
 	// windows act here, at the routing tier: the node is skipped by
-	// eligible() for the window, then it is routable again — the
+	// routing for the window, then it is routable again — the
 	// flapping-restart model.
 	Faults *fault.Injector
 }
 
 func (c *Config) fillDefaults() {
-	if c.Policy == nil {
-		c.Policy = NewRoundRobin()
+	if c.Policy == "" {
+		c.Policy = RoundRobin
 	}
 	if c.Clock == nil {
 		c.Clock = core.WallClock()
@@ -120,9 +117,10 @@ type Cluster struct {
 	members []*member
 	byName  map[string]*member
 
-	submits      atomic.Int64 // Submit calls (drives the health sweep)
-	nextSweep    atomic.Int64 // the submits count that fires the next sweep
-	routeFails   atomic.Int64 // submits no node accepted
+	cursor       atomic.Uint64 // round-robin's rotation
+	submits      atomic.Int64  // Submit calls (drives the health sweep)
+	nextSweep    atomic.Int64  // the submits count that fires the next sweep
+	routeFails   atomic.Int64  // submits no node accepted
 	evictions    atomic.Int64
 	readmissions atomic.Int64
 	sweeping     atomic.Bool
@@ -141,6 +139,9 @@ func New(nodes []Node, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
 	cfg.fillDefaults()
+	if _, err := PolicyByName(string(cfg.Policy)); err != nil {
+		return nil, err
+	}
 	c := &Cluster{cfg: cfg, byName: make(map[string]*member, len(nodes))}
 	c.nextSweep.Store(cfg.SweepEvery)
 	for i, n := range nodes {
@@ -213,9 +214,6 @@ func Build(template *core.Scheduler, n int, seed int64, pcfg core.PipelineConfig
 	return c, coreNodes, nil
 }
 
-// Policy returns the active routing policy's name.
-func (c *Cluster) Policy() string { return c.cfg.Policy.Name() }
-
 // Faults returns the fault plan's injector, nil when none is armed.
 func (c *Cluster) Faults() *fault.Injector { return c.cfg.Faults }
 
@@ -234,63 +232,8 @@ func (c *Cluster) NodeNames() []string {
 	return out
 }
 
-// routeScratch is one routing decision's working set: the eligible
-// views, which carry the policy's scores, and its order over them. It is
-// pooled, so a Submit allocates neither.
-type routeScratch struct {
-	views []NodeView
-	order []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return &routeScratch{} }}
-
-func getScratch() *routeScratch { return scratchPool.Get().(*routeScratch) }
-
-// putScratch recycles a scratch, dropping its node references so a
-// pooled scratch does not pin a closed fleet.
-func putScratch(sc *routeScratch) {
-	clear(sc.views)
-	sc.views, sc.order = sc.views[:0], sc.order[:0]
-	scratchPool.Put(sc)
-}
-
-// eligible fills sc.views with the current routing set: members that
-// are not evicted and not inside a down window right now. A view's
-// member is c.members[view.Index].
-func (c *Cluster) eligible(sc *routeScratch) []NodeView {
-	var now time.Duration
-	if c.cfg.Faults != nil {
-		now = c.cfg.Clock.Now()
-	}
-	views := sc.views[:0]
-	for _, m := range c.members {
-		if m.evicted.Load() {
-			continue
-		}
-		if c.cfg.Faults != nil {
-			if down, _ := c.cfg.Faults.Down(m.node.Name(), now); down {
-				continue
-			}
-		}
-		views = append(views, NodeView{Index: m.idx, Name: m.node.Name(), Load: m.node.Load(), node: m.node})
-	}
-	sc.views = views
-	return views
-}
-
-// routeSLO mirrors the node pipelines' SLO resolution for routing
-// purposes: the request's own deadline when positive, no SLO otherwise.
-// (The default SLO lives inside each node's pipeline config; the router
-// only sees the explicit deadline.)
-func routeSLO(req core.PipelineRequest) time.Duration {
-	if req.Deadline > 0 {
-		return req.Deadline
-	}
-	return 0
-}
-
 // Submit routes one request to a node and admits it there. The policy
-// orders the eligible nodes; the router tries up to maxAttempts of them,
+// ranks the routable nodes; the router tries up to maxAttempts of them,
 // failing over past every node that refuses: one that sheds
 // (ErrAdmissionFull), predicts an SLO miss (ErrDeadlineInfeasible) or is
 // down, draining or closed. Submit evicts nobody: a node leaves routing
@@ -313,35 +256,15 @@ func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.F
 			c.sweep()
 		}
 	}
-	size := req.Batch
-	if req.Input != nil && req.Input.Rank() >= 1 {
-		size = req.Input.Dim(0)
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	views := c.eligible(sc)
-	if len(views) == 0 {
+	var order [maxAttempts]int
+	n := c.rank(req.Model, &order)
+	if n == 0 {
 		c.routeFails.Add(1)
 		return nil, fmt.Errorf("%w: all %d nodes evicted or in a down window", ErrNoHealthyNodes, len(c.members))
 	}
-	order := c.cfg.Policy.Route(Request{
-		Model: req.Model,
-		Batch: size,
-		SLO:   routeSLO(req),
-		clock: c.cfg.Clock,
-	}, views, sc.order)
-	sc.order = order // keep a grown backing for the scratch's next use
-	attempts := maxAttempts
-	if attempts > len(order) {
-		attempts = len(order)
-	}
 	var lastErr error
-	for i := 0; i < attempts; i++ {
-		pos := order[i]
-		if pos < 0 || pos >= len(views) {
-			continue // defensive: policy returned an out-of-range position
-		}
-		m := c.members[views[pos].Index]
+	for i, idx := range order[:n] {
+		m := c.members[idx]
 		fut, err := m.node.Submit(ctx, req)
 		if err == nil {
 			m.routed.Add(1)
@@ -372,15 +295,14 @@ func refusal(err error) bool {
 // retried request could plausibly find room anywhere. Zero when no node
 // is ready (callers apply their own floor).
 func (c *Cluster) QueueDelay() time.Duration {
-	sc := getScratch()
-	defer putScratch(sc)
+	now := c.faultNow()
 	var best time.Duration
 	found := false
-	for _, v := range c.eligible(sc) {
-		if !v.node.Health().Ready {
+	for _, m := range c.members {
+		if !c.routable(m, now) || !m.node.Health().Ready {
 			continue
 		}
-		if d := v.node.QueueDelay(); !found || d < best {
+		if d := m.node.QueueDelay(); !found || d < best {
 			best, found = d, true
 		}
 	}
@@ -605,17 +527,14 @@ type FleetStats struct {
 
 // Stats snapshots the fleet.
 func (c *Cluster) Stats() FleetStats {
-	st := FleetStats{Policy: c.cfg.Policy.Name(), Nodes: len(c.members)}
+	st := FleetStats{Policy: string(c.cfg.Policy), Nodes: len(c.members)}
 	st.Submits = c.submits.Load()
 	st.RouteFailures = c.routeFails.Load()
 	st.Evictions = c.evictions.Load()
 	st.Readmissions = c.readmissions.Load()
 	st.ChaosTrips = c.chaosTrips.Load()
 	st.ChaosRecoveries = c.chaosRecoveries.Load()
-	var chaosNow time.Duration
-	if c.cfg.Faults != nil {
-		chaosNow = c.cfg.Clock.Now()
-	}
+	chaosNow := c.faultNow()
 	for _, m := range c.members {
 		ns := m.node.Stats()
 		h := m.node.Health()

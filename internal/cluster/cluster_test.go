@@ -47,12 +47,8 @@ func serveCluster(t *testing.T, n int, cfg Config) (*Cluster, []*fakeNode) {
 		fakes[i].setServe(0, time.Millisecond, nil)
 		nodes[i] = fakes[i]
 	}
-	if cfg.Policy == nil {
-		pol, err := PolicyByName("least-loaded", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Policy = pol
+	if cfg.Policy == "" {
+		cfg.Policy = LeastLoaded
 	}
 	c, err := New(nodes, cfg)
 	if err != nil {
@@ -437,8 +433,7 @@ func TestPlayAccountsEveryArrivalOnCluster(t *testing.T) {
 // future the fleet handed out must resolve, and the drained node's
 // accepted tail must complete rather than drop.
 func TestClusterDrainUnderLoad(t *testing.T) {
-	pol, _ := PolicyByName("least-loaded", 1)
-	c := realCluster(t, 3, Config{Policy: pol}, core.PipelineConfig{
+	c := realCluster(t, 3, Config{Policy: LeastLoaded}, core.PipelineConfig{
 		Window: 200 * time.Microsecond, MaxBatch: 16,
 	})
 	defer c.Close()
@@ -507,8 +502,7 @@ func TestClusterDrainUnderLoad(t *testing.T) {
 // the node's own lifecycle gate orders them, and the fleet keeps every
 // future it handed out.
 func TestClusterKillRacesDrain(t *testing.T) {
-	pol, _ := PolicyByName("least-loaded", 1)
-	c := realCluster(t, 3, Config{Policy: pol, SweepEvery: 25}, core.PipelineConfig{
+	c := realCluster(t, 3, Config{Policy: LeastLoaded, SweepEvery: 25}, core.PipelineConfig{
 		Window: 200 * time.Microsecond, MaxBatch: 16,
 	})
 	defer c.Close()
@@ -565,8 +559,7 @@ func TestClusterKillRacesDrain(t *testing.T) {
 // dead node, traffic fails over, every accepted future resolves, and the
 // fleet stays serviceable throughout.
 func TestClusterSmoke(t *testing.T) {
-	pol, _ := PolicyByName("least-loaded", 1)
-	c := realCluster(t, 8, Config{Policy: pol, SweepEvery: 50}, core.PipelineConfig{
+	c := realCluster(t, 8, Config{Policy: LeastLoaded, SweepEvery: 50}, core.PipelineConfig{
 		Window: 200 * time.Microsecond, MaxBatch: 16,
 	})
 	defer c.Close()
@@ -649,8 +642,7 @@ func TestSoakClusterTwoKills(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	run := func(kills []string) (attainment float64, st FleetStats) {
-		pol, _ := PolicyByName("least-loaded", 1)
-		c := realCluster(t, 64, Config{Policy: pol, SweepEvery: 200}, core.PipelineConfig{
+		c := realCluster(t, 64, Config{Policy: LeastLoaded, SweepEvery: 200}, core.PipelineConfig{
 			Window: 200 * time.Microsecond, MaxBatch: 32,
 		})
 		defer c.Close()

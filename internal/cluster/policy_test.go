@@ -1,26 +1,26 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"bomw/internal/core"
+	"bomw/internal/fault"
 )
 
 // fakeNode is a scriptable Node for routing tests: it accepts or refuses
-// submissions per its err field, predicts a fixed latency, and records
-// what it accepted. The nil *core.Future it returns is fine for the
+// submissions per its err field and records what it accepted. The nil *core.Future it returns is fine for the
 // router, which only passes futures through.
 type fakeNode struct {
-	name    string
-	load    int64
-	predict time.Duration // FeasibleWithin's predicted completion latency
-	predErr error
+	name string
+	load int64
 
 	ledger core.Ledger // Stats() reports it as the pipeline's
 
@@ -43,7 +43,7 @@ type fakeNode struct {
 }
 
 func newFakeNode(name string, load int64) *fakeNode {
-	return &fakeNode{name: name, load: load, predict: time.Millisecond, ready: true}
+	return &fakeNode{name: name, load: load, ready: true}
 }
 
 func (f *fakeNode) Name() string { return f.name }
@@ -92,14 +92,7 @@ func (f *fakeNode) setServe(wait, lat time.Duration, err error) {
 	f.serveErr = err
 }
 
-func (f *fakeNode) FeasibleWithin(_ string, _ int, deadline, _ time.Duration) (bool, time.Duration, error) {
-	if f.predErr != nil {
-		return false, 0, f.predErr
-	}
-	return f.predict <= deadline, f.predict, nil
-}
-
-func (f *fakeNode) QueueDelay() time.Duration { return f.predict }
+func (f *fakeNode) QueueDelay() time.Duration { return time.Millisecond }
 
 func (f *fakeNode) Stats() core.NodeStats {
 	return core.NodeStats{Name: f.name, State: core.NodeReady, Pipeline: core.PipelineStats{Ledger: f.ledger}}
@@ -137,43 +130,47 @@ func (f *fakeNode) acceptCount() int {
 	return len(f.accepted)
 }
 
-// fakeViews builds policy views over fakes, mirroring Cluster.eligible.
-func fakeViews(fakes ...*fakeNode) []NodeView {
-	views := make([]NodeView, len(fakes))
-	for i, f := range fakes {
-		views[i] = NodeView{Index: i, Name: f.name, Load: f.load, node: f}
-	}
-	return views
+// policies are the routing rules PolicyByName accepts.
+var policies = []Policy{RoundRobin, LeastLoaded, ModelAffinity}
+
+// ranked returns the router's ranking for one request to model.
+func ranked(c *Cluster, model string) []int {
+	var order [maxAttempts]int
+	return order[:c.rank(model, &order)]
 }
 
-func orderEq(got, want []int) bool {
-	if len(got) != len(want) {
-		return false
+// fakeRanker builds a fleet of non-serving fakes named node0.. with the
+// given loads under policy p.
+func fakeRanker(t *testing.T, p Policy, loads ...int64) (*Cluster, []*fakeNode) {
+	t.Helper()
+	fakes := make([]*fakeNode, len(loads))
+	nodes := make([]Node, len(loads))
+	for i, l := range loads {
+		fakes[i] = newFakeNode(fmt.Sprintf("node%d", i), l)
+		nodes[i] = fakes[i]
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
+	c, err := New(nodes, Config{Policy: p, Clock: core.NewManualClock(), SweepEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return true
+	return c, fakes
 }
 
 func TestRoundRobinFairness(t *testing.T) {
-	p := NewRoundRobin()
-	views := fakeViews(newFakeNode("a", 0), newFakeNode("b", 0), newFakeNode("c", 0), newFakeNode("d", 0))
-	counts := make([]int, len(views))
-	var order []int
+	c, _ := fakeRanker(t, RoundRobin, 0, 0, 0, 0)
+	const n = 4
+	counts := make([]int, n)
 	for k := 0; k < 40; k++ {
-		order = p.Route(Request{Model: "simple"}, views, order) // reused, as the router reuses its pooled buffer
-		if len(order) != len(views) {
-			t.Fatalf("order %v does not cover the fleet", order)
+		order := ranked(c, "simple")
+		if len(order) != maxAttempts {
+			t.Fatalf("request %d ranked %v, want %d nodes", k, order, maxAttempts)
 		}
-		if want := k % len(views); order[0] != want {
+		if want := k % n; order[0] != want {
 			t.Fatalf("request %d started at %d, want %d", k, order[0], want)
 		}
 		// The failover order continues the rotation.
 		for i := 1; i < len(order); i++ {
-			if order[i] != (order[0]+i)%len(views) {
+			if order[i] != (order[0]+i)%n {
 				t.Fatalf("request %d order %v is not a rotation", k, order)
 			}
 		}
@@ -192,40 +189,32 @@ func TestLeastLoadedUnderSkew(t *testing.T) {
 		loads []int64
 		want  []int
 	}{
-		{"skewed", []int64{5, 0, 3, 0}, []int{1, 3, 2, 0}},
+		{"skewed", []int64{5, 0, 3, 0}, []int{1, 3, 2}},
 		{"uniform ties break by index", []int64{2, 2, 2}, []int{0, 1, 2}},
 		{"single", []int64{9}, []int{0}},
-		{"monotone", []int64{0, 1, 2, 3}, []int{0, 1, 2, 3}},
+		{"monotone", []int64{0, 1, 2, 3}, []int{0, 1, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fakes := make([]*fakeNode, len(tc.loads))
-			for i, l := range tc.loads {
-				fakes[i] = newFakeNode(fmt.Sprintf("n%d", i), l)
-			}
-			got := LeastLoaded{}.Route(Request{Model: "simple"}, fakeViews(fakes...), nil)
-			if !orderEq(got, tc.want) {
-				t.Fatalf("Route(%v) = %v, want %v", tc.loads, got, tc.want)
+			c, _ := fakeRanker(t, LeastLoaded, tc.loads...)
+			if got := ranked(c, "simple"); !slices.Equal(got, tc.want) {
+				t.Fatalf("rank(%v) = %v, want %v", tc.loads, got, tc.want)
 			}
 		})
 	}
 }
 
 func TestModelAffinityStableHomes(t *testing.T) {
-	p := ModelAffinity{Seed: 7}
-	fakes := make([]*fakeNode, 5)
-	for i := range fakes {
-		fakes[i] = newFakeNode(fmt.Sprintf("node%d", i), int64(i))
-	}
-	views := fakeViews(fakes...)
+	c, fakes := fakeRanker(t, ModelAffinity, 0, 1, 2, 3, 4)
 	models := []string{"simple", "mnist-small", "mnist-deep", "mnist-cnn", "cifar10"}
 
 	// Same model, same fleet: the home never moves, regardless of load.
 	homes := map[string]int{}
 	for _, m := range models {
-		first := p.Route(Request{Model: m}, views, nil)[0]
+		first := ranked(c, m)[0]
 		for k := 0; k < 5; k++ {
-			if got := p.Route(Request{Model: m}, views, nil)[0]; got != first {
+			fakes[k].load = int64(4 - k)
+			if got := ranked(c, m)[0]; got != first {
 				t.Fatalf("model %q home moved %d -> %d", m, first, got)
 			}
 		}
@@ -242,158 +231,164 @@ func TestModelAffinityStableHomes(t *testing.T) {
 	// Removing one node moves ONLY the models homed there; every other
 	// model's home node is undisturbed (the rendezvous property).
 	dead := homes[models[0]]
-	var surviving []*fakeNode
-	for i, f := range fakes {
-		if i != dead {
-			surviving = append(surviving, f)
-		}
+	if err := c.Evict(fakes[dead].name); err != nil {
+		t.Fatal(err)
 	}
-	reduced := fakeViews(surviving...)
 	for _, m := range models {
-		got := reduced[p.Route(Request{Model: m}, reduced, nil)[0]].Name
+		got := ranked(c, m)[0]
 		if homes[m] == dead {
+			if got == dead {
+				t.Fatalf("model %q still routed to its evicted home", m)
+			}
 			continue // this model had to move
 		}
-		if want := fakes[homes[m]].name; got != want {
-			t.Fatalf("model %q moved from %s to %s when an unrelated node died", m, want, got)
-		}
-	}
-	// A different seed is allowed to disagree about placement entirely,
-	// but must itself be stable.
-	q := ModelAffinity{Seed: 8}
-	for _, m := range models {
-		a, b := q.Route(Request{Model: m}, views, nil)[0], q.Route(Request{Model: m}, views, nil)[0]
-		if a != b {
-			t.Fatalf("seed-8 home for %q unstable: %d vs %d", m, a, b)
+		if got != homes[m] {
+			t.Fatalf("model %q moved from node%d to node%d when an unrelated node left", m, homes[m], got)
 		}
 	}
 }
 
 // The in-place rendezvous hash is hash/fnv's FNV-1a over the same
-// bytes, so model homes are where they were.
+// bytes.
 func TestRendezvousScoreIsFNV1a(t *testing.T) {
-	for _, seed := range []int64{0, 7, -1, 1 << 40} {
-		for _, model := range []string{"", "simple", "mnist-cnn"} {
-			for _, node := range []string{"node0", "node15", "ü"} {
-				h := fnv.New64a()
-				var s [8]byte
-				binary.LittleEndian.PutUint64(s[:], uint64(seed))
-				h.Write(s[:])
-				h.Write([]byte(model))
-				h.Write([]byte{0})
-				h.Write([]byte(node))
-				if got, want := rendezvousScore(model, node, seed), h.Sum64(); got != want {
-					t.Errorf("rendezvousScore(%q, %q, %d) = %#x, FNV-1a %#x", model, node, seed, got, want)
+	for _, model := range []string{"", "simple", "mnist-cnn"} {
+		for _, node := range []string{"node0", "node15", "ü"} {
+			h := fnv.New64a()
+			h.Write([]byte(model))
+			h.Write([]byte{0})
+			h.Write([]byte(node))
+			if got, want := rendezvousScore(model, node), h.Sum64(); got != want {
+				t.Errorf("rendezvousScore(%q, %q) = %#x, FNV-1a %#x", model, node, got, want)
+			}
+		}
+	}
+}
+
+// referenceRank is the ranking's definition: a full stable sort of the
+// routable members by the policy's key, fleet index breaking ties, cut
+// to the first maxAttempts. cursor is round-robin's cursor before the
+// request.
+func referenceRank(p Policy, model string, fakes []*fakeNode, routable []bool, cursor uint64) []int {
+	var idx []int
+	for i, ok := range routable {
+		if ok {
+			idx = append(idx, i)
+		}
+	}
+	switch p {
+	case RoundRobin:
+		if len(idx) > 0 {
+			start := int(cursor % uint64(len(idx)))
+			idx = append(idx[start:], idx[:start]...)
+		}
+	case LeastLoaded:
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(fakes[a].load, fakes[b].load) })
+	case ModelAffinity:
+		slices.SortStableFunc(idx, func(a, b int) int {
+			return cmp.Compare(rendezvousScore(model, fakes[b].name), rendezvousScore(model, fakes[a].name))
+		})
+	}
+	return idx[:min(len(idx), maxAttempts)]
+}
+
+// TestRankMatchesStableSort: over random fleets of 1–64 nodes, with
+// tied loads, evicted members and open and closed down windows, the
+// router's stack ranking equals the head of a full stable sort of the
+// routable members.
+func TestRankMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	models := []string{"simple", "mnist-small", "mnist-cnn", "cifar10"}
+	now := time.Second
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(64)
+		fakes := make([]*fakeNode, n)
+		nodes := make([]Node, n)
+		routable := make([]bool, n)
+		evict := make([]bool, n)
+		var plan fault.Plan
+		for i := range fakes {
+			fakes[i] = newFakeNode(fmt.Sprintf("node%d", i), int64(rng.Intn(4)))
+			nodes[i] = fakes[i]
+			routable[i] = true
+			switch rng.Intn(6) {
+			case 0:
+				evict[i], routable[i] = true, false
+			case 1: // inside a down window
+				plan.Faults = append(plan.Faults, fault.Fault{Node: fakes[i].name, End: 2 * now, Effect: fault.Down})
+				routable[i] = false
+			case 2: // a window that has closed
+				plan.Faults = append(plan.Faults, fault.Fault{Node: fakes[i].name, End: now / 2, Effect: fault.Down})
+			}
+		}
+		if trial%25 == 0 { // now and then nothing is routable
+			for i := range evict {
+				evict[i], routable[i] = true, false
+			}
+		}
+		for _, p := range policies {
+			clk := core.NewManualClock()
+			clk.Advance(now)
+			c, err := New(nodes, Config{Policy: p, Clock: clk, SweepEvery: -1, Faults: fault.NewInjector(plan)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, out := range evict {
+				if out {
+					if err := c.Evict(fakes[i].name); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k := 0; k < 5; k++ {
+				for _, f := range fakes {
+					f.load = int64(rng.Intn(4))
+				}
+				model := models[rng.Intn(len(models))]
+				want := referenceRank(p, model, fakes, routable, c.cursor.Load())
+				if got := ranked(c, model); !slices.Equal(got, want) {
+					t.Fatalf("trial %d, %s, %d nodes, request %d for %s: rank %v, stable sort %v",
+						trial, p, n, k, model, got, want)
 				}
 			}
 		}
 	}
 }
 
-func TestWeightedScoringSlackOrderAndTieBreaks(t *testing.T) {
-	mk := func(name string, load int64, predict time.Duration, predErr error) *fakeNode {
-		f := newFakeNode(name, load)
-		f.predict = predict
-		f.predErr = predErr
-		return f
-	}
-	cases := []struct {
-		name  string
-		fakes []*fakeNode
-		req   Request
-		want  []int
-	}{
-		{
-			name: "largest slack first, infeasible last",
-			fakes: []*fakeNode{
-				mk("a", 0, 4*time.Millisecond, nil),
-				mk("b", 0, 2*time.Millisecond, nil),
-				mk("c", 0, 8*time.Millisecond, nil),
-				mk("d", 0, 12*time.Millisecond, nil), // misses the SLO
-			},
-			req:  Request{Model: "simple", SLO: 10 * time.Millisecond},
-			want: []int{1, 0, 2, 3},
-		},
-		{
-			name: "equal slack ties break on load then index",
-			fakes: []*fakeNode{
-				mk("a", 3, 2*time.Millisecond, nil),
-				mk("b", 1, 2*time.Millisecond, nil),
-				mk("c", 1, 2*time.Millisecond, nil),
-			},
-			req:  Request{Model: "simple", SLO: 10 * time.Millisecond},
-			want: []int{1, 2, 0},
-		},
-		{
-			name: "no SLO scores on predicted latency alone",
-			fakes: []*fakeNode{
-				mk("a", 0, 9*time.Millisecond, nil),
-				mk("b", 0, 1*time.Millisecond, nil),
-			},
-			req:  Request{Model: "simple"},
-			want: []int{1, 0},
-		},
-		{
-			name: "unpredictable node ranks last",
-			fakes: []*fakeNode{
-				mk("a", 0, time.Millisecond, fmt.Errorf("no devices")),
-				mk("b", 0, 5*time.Millisecond, nil),
-			},
-			req:  Request{Model: "simple", SLO: 10 * time.Millisecond},
-			want: []int{1, 0},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := WeightedScoring{}.Route(tc.req, fakeViews(tc.fakes...), nil)
-			if !orderEq(got, tc.want) {
-				t.Fatalf("Route = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// builtinPolicies are the names PolicyByName accepts.
-var builtinPolicies = []string{"round-robin", "least-loaded", "model-affinity", "weighted-scoring"}
-
 func TestPolicyByName(t *testing.T) {
-	for _, name := range builtinPolicies {
-		p, err := PolicyByName(name, 1)
-		if err != nil {
-			t.Fatalf("PolicyByName(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Fatalf("PolicyByName(%q).Name() = %q", name, p.Name())
+	for _, p := range policies {
+		got, err := PolicyByName(string(p))
+		if err != nil || got != p {
+			t.Fatalf("PolicyByName(%q) = %q, %v", p, got, err)
 		}
 	}
-	if p, err := PolicyByName("", 1); err != nil || p.Name() != "round-robin" {
-		t.Fatalf("empty name = %v/%v, want round-robin", p, err)
+	if p, err := PolicyByName(""); err != nil || p != RoundRobin {
+		t.Fatalf("empty name = %q/%v, want round-robin", p, err)
 	}
-	if _, err := PolicyByName("random", 1); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"random", "weighted-scoring"} {
+		if _, err := PolicyByName(name); err == nil {
+			t.Fatalf("unknown policy %q accepted", name)
+		}
+	}
+	if _, err := New([]Node{newFakeNode("node0", 0)}, Config{Policy: "random"}); err == nil {
+		t.Fatal("New accepted an unknown policy")
 	}
 }
 
 // TestRoutingDeterminism replays the same request trace against two
-// identically seeded fleets for every policy: the routing decisions —
-// which node accepted each request — must be identical, the property
-// seeded incident replay rests on.
+// identical fleets for every policy: the routing decisions — which node
+// accepted each request — must be identical, the property seeded
+// incident replay rests on.
 func TestRoutingDeterminism(t *testing.T) {
 	const nodes, requests = 6, 200
 	models := []string{"simple", "mnist-small", "mnist-deep", "cifar10"}
-	run := func(policyName string) []string {
+	run := func(p Policy) []string {
 		fakes := make([]*fakeNode, nodes)
 		clusterNodes := make([]Node, nodes)
 		for i := range fakes {
 			fakes[i] = newFakeNode(fmt.Sprintf("node%d", i), int64(i%3))
-			fakes[i].predict = time.Duration(i+1) * time.Millisecond
 			clusterNodes[i] = fakes[i]
 		}
-		pol, err := PolicyByName(policyName, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := New(clusterNodes, Config{Policy: pol, Clock: core.NewManualClock()})
+		c, err := New(clusterNodes, Config{Policy: p, Clock: core.NewManualClock()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,9 +418,9 @@ func TestRoutingDeterminism(t *testing.T) {
 		}
 		return trace
 	}
-	for _, policyName := range builtinPolicies {
-		t.Run(policyName, func(t *testing.T) {
-			a, b := run(policyName), run(policyName)
+	for _, p := range policies {
+		t.Run(string(p), func(t *testing.T) {
+			a, b := run(p), run(p)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("decision %d diverged: %s vs %s", i, a[i], b[i])

@@ -115,8 +115,8 @@ func oneSample(i int) *tensor.Tensor {
 // burst of 64 one-sample requests through a 1-node fleet's Submit and
 // Wait — lib_simple_burst's loop — allocates each request its 24-byte
 // Future handle and little else. The pipeline carriers, which also
-// hold the completions, and the routing scratch are pooled, and the
-// labels are sliced out of the batch's. The parent of this gate allocated ≈ 456 objects per burst.
+// hold the completions, are pooled, the router ranks on its stack, and
+// the labels are sliced out of the batch's. The parent of this gate allocated ≈ 456 objects per burst.
 // A deadline request takes the same path under the same budget: the
 // router copies no request's input.
 func TestServedBurstAllocations(t *testing.T) {
@@ -179,18 +179,18 @@ func servedBurstAllocations(t *testing.T, deadline time.Duration) {
 	}
 }
 
-// TestRouteAllocatesNothing: every policy orders the fleet into the
-// router's buffer without allocating — the scoring policies keep their
-// scores in the router's pooled views.
+// TestRouteAllocatesNothing: every policy ranks the fleet into the
+// router's stack array without allocating.
 func TestRouteAllocatesNothing(t *testing.T) {
-	views := fakeViews(newFakeNode("a", 3), newFakeNode("b", 0), newFakeNode("c", 2), newFakeNode("d", 0))
-	for _, p := range []Policy{NewRoundRobin(), LeastLoaded{}, ModelAffinity{Seed: 7}, WeightedScoring{}} {
-		order := make([]int, 0, len(views))
+	for _, p := range policies {
+		c, _ := fakeRanker(t, p, 3, 0, 2, 0)
+		var order [maxAttempts]int
+		got := 0
 		n := testing.AllocsPerRun(100, func() {
-			order = p.Route(Request{Model: "simple", SLO: 10 * time.Millisecond}, views, order)
+			got = c.rank("simple", &order)
 		})
-		if n != 0 || len(order) != len(views) {
-			t.Errorf("%s: Route allocates %.1f objects and orders %v", p.Name(), n, order)
+		if n != 0 || got != maxAttempts {
+			t.Errorf("%s: rank allocates %.1f objects and ranks %v", p, n, order[:got])
 		}
 	}
 }

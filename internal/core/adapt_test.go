@@ -113,8 +113,12 @@ func TestHealthRecovers(t *testing.T) {
 
 func TestReplayRoutesAroundInterference(t *testing.T) {
 	// End to end: a replay with the preferred device contended should
-	// end up cheaper than naively pinning to that device.
-	s := testScheduler(t)
+	// end up cheaper than naively pinning to that device. No queue is
+	// ever an hour deep, so queue spill never fires and only the
+	// observed slowdown ratio can move work away; with the default
+	// threshold, the 8× device's backlog alone would. (MaxQueueDelay -1
+	// would switch off the degraded demotion along with the spill.)
+	s := smallScheduler(t, Config{MaxQueueDelay: time.Hour})
 	tr, err := trace.Poisson(60, 50, []string{"mnist-small"}, []int{4096, 32768}, 9)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // A Node is one serving box: a named Pipeline (its scheduler, device
@@ -135,14 +134,6 @@ func (n *Node) Submit(ctx context.Context, req PipelineRequest) (*Future, error)
 		return nil, fmt.Errorf("%w: %s", err, n.name)
 	}
 	return fut, err
-}
-
-// FeasibleWithin predicts whether this node can complete a batch within
-// the deadline, and the best predicted completion latency — the
-// weighted-scoring router's per-node slack estimate, identical to the
-// node's own admission-control predictor.
-func (n *Node) FeasibleWithin(model string, batch int, deadline, now time.Duration) (bool, time.Duration, error) {
-	return n.sched.FeasibleWithin(model, batch, deadline, now)
 }
 
 // Stats snapshots the node's serving activity.

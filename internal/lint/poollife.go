@@ -9,8 +9,8 @@ import (
 )
 
 // poollife machine-checks the PR-8 sync.Pool lifecycle that keeps the
-// hot path's pooled carriers (pipeReq, batchWork, aggregate,
-// routeScratch) from resurrecting under a stage that still reads them:
+// hot path's pooled carriers (pipeReq, batchWork, aggregate) from
+// resurrecting under a stage that still reads them:
 //
 //  1. no use after Put — once a pooled pointer is Put, the function
 //     must not touch it again on that path: the pool may already have
@@ -45,10 +45,9 @@ var analyzerPoollife = &Analyzer{
 // Future.Wait, but through releaseReq: registering "Wait" itself would
 // make every wg.Wait() a hand-off of wg.
 var poolRecyclers = map[string][]string{
-	"pipeReq":      {"releaseReq"},
-	"batchWork":    {"retireBatchWork"},
-	"aggregate":    {"putAggregate"},
-	"routeScratch": {"putScratch"},
+	"pipeReq":   {"releaseReq"},
+	"batchWork": {"retireBatchWork"},
+	"aggregate": {"putAggregate"},
 }
 
 // recyclerNameRe is the fallback for pooled types not in poolRecyclers:

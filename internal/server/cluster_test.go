@@ -57,11 +57,7 @@ func buildFleet() (*httptest.Server, *Server, error) {
 	if err := sched.LoadModel(models.Simple(), 1); err != nil {
 		return nil, nil, err
 	}
-	pol, err := cluster.PolicyByName("least-loaded", 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	api, err := NewCluster(sched, 1, core.PipelineConfig{}, 4, cluster.Config{Policy: pol})
+	api, err := NewCluster(sched, 1, core.PipelineConfig{}, 4, cluster.Config{Policy: cluster.LeastLoaded})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -335,10 +335,9 @@ func livePipeline(t testing.TB) *core.Pipeline {
 
 func liveCluster(t testing.TB, n int) *cluster.Cluster {
 	t.Helper()
-	pol, _ := cluster.PolicyByName("least-loaded", 1)
 	c, _, err := cluster.Build(templateScheduler(t), n, 1,
 		core.PipelineConfig{Window: 200 * time.Microsecond, MaxBatch: 16, ProbeInterval: -1},
-		cluster.Config{Policy: pol})
+		cluster.Config{Policy: cluster.LeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
