@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test test-v3 vet vet-portable lint lint-json lint-sarif race stepped handoff bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test test-v3 vet vet-portable lint lint-sarif race stepped handoff bench bench-check smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -23,17 +23,12 @@ vet:
 vet-portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
-# Project-specific invariants go vet cannot see: virtual-clock
-# discipline, lock scope, sentinel errors, context
-# placement, atomic-access consistency, pool lifecycle, goroutine
-# ownership, lock ordering. See internal/lint and DESIGN.md "Static
-# analysis".
+# The five project-specific analyzers, for invariants go vet cannot
+# see: virtual-clock discipline, lock scope, sentinel errors, context
+# placement, goroutine ownership. See internal/lint and DESIGN.md
+# "Static analysis".
 lint:
 	$(GO) run ./cmd/bomwvet ./...
-
-# Machine-readable findings for editors and CI annotations.
-lint-json:
-	$(GO) run ./cmd/bomwvet -json ./...
 
 # SARIF 2.1.0 log for GitHub code-scanning annotations. The log is
 # written even when findings exist (the `|| true` is NOT here: the

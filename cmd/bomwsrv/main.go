@@ -50,7 +50,10 @@
 // model-affinity. Each won a setting of the routing drill the others
 // lost (EXPERIMENTS.md): round-robin a small fleet whose every node is
 // crashed or slow, least-loaded a large fault-free one, model-affinity
-// a large one under an incident. Requests route per the policy with
+// a large one under an incident. model-affinity queues SLO-free traffic,
+// which no deadline refuses, on the model's home node: in the drill's
+// mixed-SLO setting that traffic's virtual p99 was 60.8 ms, against
+// 0.63 ms under round-robin. Requests route per the policy with
 // automatic failover; /v1/cluster and /v1/nodes expose fleet stats and node
 // lifecycle (drain/evict/readmit/kill). Node faults drill node-level
 // failure: down:start-end fail-stops a node for a window and slow:k

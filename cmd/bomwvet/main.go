@@ -1,16 +1,13 @@
-// Command bomwvet runs bomw's project-specific static-analysis suite —
-// the invariants `go vet` cannot see: virtual-clock discipline, lock
-// scope, sentinel-error hygiene, context placement,
-// atomic-access consistency, sync.Pool lifecycle, goroutine ownership,
-// and lock ordering. See internal/lint for the analyzers and the
-// //bomw: directive syntax.
+// Command bomwvet runs bomw's five project-specific analyzers — the
+// invariants `go vet` cannot see: virtual-clock discipline, lock scope,
+// sentinel-error hygiene, context placement and goroutine ownership.
+// See internal/lint for the analyzers and the //bomw: directive syntax.
 //
 // Usage:
 //
 //	bomwvet [flags] [packages]
 //
 //	bomwvet ./...            # whole module (the make lint invocation)
-//	bomwvet -json ./...      # machine-readable findings for editors/CI
 //	bomwvet -sarif ./...     # SARIF 2.1.0 for code-scanning upload
 //	bomwvet -why ./...       # also explain directive suppressions
 //	bomwvet -only wallclock ./internal/core/...
@@ -24,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,12 +32,10 @@ import (
 
 func main() {
 	var (
-		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
 		sarifOut = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 (code-scanning upload format)")
 		why      = flag.Bool("why", false, "also print //bomw: directive suppressions (text mode only)")
 		only     = flag.String("only", "", "comma-separated analyzers to run (default: all)")
 		skip     = flag.String("skip", "", "comma-separated analyzers to disable")
-		tests    = flag.Bool("tests", false, "also analyze _test.go files")
 		list     = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
@@ -84,11 +78,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bomwvet:", err)
 		os.Exit(2)
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "bomwvet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
-	res, err := lint.RunAll(pkgs, analyzers, lint.RunOptions{IncludeTests: *tests})
+	res, err := lint.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bomwvet:", err)
 		os.Exit(2)
@@ -106,44 +96,28 @@ func main() {
 	}
 	for i := range findings {
 		findings[i].File = relPath(findings[i].File)
-		for j := range findings[i].Related {
-			findings[i].Related[j].File = relPath(findings[i].Related[j].File)
-		}
 	}
 
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "bomwvet:", err)
-			os.Exit(2)
-		}
-	case *sarifOut:
+	if *sarifOut {
 		if err := lint.WriteSARIF(os.Stdout, analyzers, findings); err != nil {
 			fmt.Fprintln(os.Stderr, "bomwvet:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Println(f)
 		}
 		if *why {
 			for _, s := range res.Suppressions {
-				fmt.Printf("%s:%d:%d: [%s] suppressed by //bomw:%s at %s:%d (cleared at %s)\n",
+				fmt.Printf("%s:%d:%d: [%s] suppressed by //bomw:%s at %s:%d\n",
 					relPath(s.Finding.File), s.Finding.Line, s.Finding.Col,
 					s.Finding.Analyzer, s.Finding.Analyzer,
-					relPath(s.DirFile), s.DirLine, s.ClearedAt)
+					relPath(s.DirFile), s.DirLine)
 			}
 		}
 	}
 	if len(findings) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "bomwvet: %d finding(s)\n", len(findings))
-		}
+		fmt.Fprintf(os.Stderr, "bomwvet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

@@ -517,7 +517,10 @@ type FleetStats struct {
 
 	ChaosCounts `json:"chaos"`
 
-	// Ledger sums the nodes' ledgers.
+	// Ledger sums the nodes' ledgers. Its Shed and Infeasible therefore
+	// count node refusals, one per node a request was tried on, not
+	// requests: a deadline request all three nodes of a fleet refuse
+	// reads Infeasible 3, RouteFailures 1 and Submits 1.
 	core.Ledger
 	// SLOAttainment is fleet-wide ok completions over admitted requests.
 	SLOAttainment float64 `json:"slo_attainment"`

@@ -346,6 +346,51 @@ func templateScheduler(t testing.TB) *core.Scheduler {
 	return tmpl
 }
 
+// TestConcurrentSweepsKeepTheirWordsAtomic: submitters that reach the
+// sweep count together race for the one sweep, so the sweep's flags —
+// the cluster's sweeping word, each member's evicted word — are shared.
+// Under the race detector (make race) every access to them must be
+// atomic: a whole-value reset such as c.sweeping = atomic.Bool{}
+// compiles and passes go vet, and shows here as a data race.
+func TestConcurrentSweepsKeepTheirWordsAtomic(t *testing.T) {
+	c, fakes := serveCluster(t, 3, Config{SweepEvery: -1})
+	fakes[1].Kill() // one member for the sweeps to evict
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c.sweep()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Evictions != 1 || st.Ready != 2 {
+		t.Fatalf("evictions %d, ready %d; want the killed node evicted once and 2 ready", st.Evictions, st.Ready)
+	}
+}
+
+// TestFleetLedgerCountsRefusalsPerNode: the fleet ledger sums the node
+// ledgers, so a request is counted in Shed or Infeasible once per node
+// that refused it, while Submits and RouteFailures count requests. One
+// deadline request no node of three can meet reads Infeasible 3.
+func TestFleetLedgerCountsRefusalsPerNode(t *testing.T) {
+	c := realCluster(t, 3, Config{}, core.PipelineConfig{})
+	defer c.Close()
+	_, err := c.Submit(context.Background(), core.PipelineRequest{
+		Model: "mnist-small", Policy: core.BestThroughput, Batch: 64, Deadline: time.Nanosecond,
+	})
+	if !errors.Is(err, core.ErrDeadlineInfeasible) {
+		t.Fatalf("Submit = %v, want ErrDeadlineInfeasible from every node", err)
+	}
+	st := c.Stats()
+	if st.Infeasible != 3 || st.RouteFailures != 1 || st.Submits != 1 || st.Submitted != 0 {
+		t.Fatalf("infeasible %d, route failures %d, submits %d, submitted %d; want 3, 1, 1, 0",
+			st.Infeasible, st.RouteFailures, st.Submits, st.Submitted)
+	}
+}
+
 // realCluster stands up n real nodes from the shared template.
 func realCluster(t testing.TB, n int, cfg Config, pcfg core.PipelineConfig) *Cluster {
 	t.Helper()

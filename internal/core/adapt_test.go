@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -114,11 +115,19 @@ func TestHealthRecovers(t *testing.T) {
 func TestReplayRoutesAroundInterference(t *testing.T) {
 	// End to end: a replay with the preferred device contended should
 	// end up cheaper than naively pinning to that device. No queue is
-	// ever an hour deep, so queue spill never fires and only the
-	// observed slowdown ratio can move work away; with the default
-	// threshold, the 8× device's backlog alone would. (MaxQueueDelay -1
-	// would switch off the degraded demotion along with the spill.)
-	s := smallScheduler(t, Config{MaxQueueDelay: time.Hour})
+	// ever an hour deep, and a negative threshold switches the queue
+	// spill off, so in both cases only the observed slowdown ratio can
+	// move work away; with the default threshold, the 8× device's
+	// backlog alone would.
+	for _, maxDelay := range []time.Duration{time.Hour, -1} {
+		t.Run(fmt.Sprintf("MaxQueueDelay=%v", maxDelay), func(t *testing.T) {
+			replayRoutesAroundInterference(t, maxDelay)
+		})
+	}
+}
+
+func replayRoutesAroundInterference(t *testing.T, maxDelay time.Duration) {
+	s := smallScheduler(t, Config{MaxQueueDelay: maxDelay})
 	tr, err := trace.Poisson(60, 50, []string{"mnist-small"}, []int{4096, 32768}, 9)
 	if err != nil {
 		t.Fatal(err)

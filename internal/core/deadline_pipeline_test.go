@@ -47,7 +47,7 @@ func TestPipelineSubmitRejectsCancelledContext(t *testing.T) {
 // can always be retried with a fresh context and still observe it.
 func TestFutureWaitRaceNeverLosesCompletion(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		r := getPipeReq()
+		r := reqPool.get()
 		fut := &Future{r: r}
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup

@@ -278,8 +278,8 @@ func waitForDrain(t *testing.T, p *Pipeline) {
 // completes every admitted request via failover, the failed device is
 // quarantined, and after the window it is probed and re-admitted.
 func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
-	// Spill adaptation is disabled so routing stays pinned to the
-	// ranked-best device until the failure domain (not queue occupancy)
+	// Queue spill is disabled so routing stays pinned to the best
+	// healthy device until the failure domain (not queue occupancy)
 	// reroutes it — the point under test.
 	s := smallScheduler(t, Config{MaxQueueDelay: -1})
 	const probeEvery = 5 * time.Millisecond
@@ -289,15 +289,8 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	// Learn the hot device for this workload, then script an outage that
-	// starts mid-run and ends before the trace does.
-	warmup, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 64})
-	if err != nil || warmup.Err != nil {
-		t.Fatalf("warmup: %v / %v", err, warmup.Err)
-	}
-	failed := warmup.Decision.Device
-	outage := fault.Fault{Node: fault.AllNodes, Device: failed, Start: 100 * time.Millisecond, End: 450 * time.Millisecond, Effect: fault.Outage}
-	fi := armFaults(s, 3, outage)
+	// The outage starts mid-run and ends before the trace does.
+	outage := fault.Fault{Node: fault.AllNodes, Start: 100 * time.Millisecond, End: 450 * time.Millisecond, Effect: fault.Outage}
 
 	// ~400 requests over ~0.8 s of trace time straddle the outage. Play
 	// paces arrivals on the wall clock, which the pipeline no longer
@@ -330,6 +323,16 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 		played, dropped = played+res.Requests, dropped+res.Dropped
 	}
 	play(0, outage.Start)
+	// Script the outage on the device the first stretch leaves routing
+	// on: the health monitor may have demoted the classifier's first
+	// pick by then.
+	hot, err := p.Do(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 64})
+	if err != nil || hot.Err != nil {
+		t.Fatalf("hot-device probe: %v / %v", err, hot.Err)
+	}
+	failed := hot.Decision.Device
+	outage.Device = failed
+	fi := armFaults(s, 3, outage)
 	clk.Advance(outage.Start + 50*time.Millisecond - clk.Now())
 	play(outage.Start, outage.End)
 	st := p.Stats()

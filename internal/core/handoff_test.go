@@ -80,7 +80,7 @@ func TestWaitParkedOrLateReadsTheCompletionOnce(t *testing.T) {
 	}
 	t.Run("parked before finish", func(t *testing.T) {
 		for i := 0; i < 200; i++ {
-			r := getPipeReq()
+			r := reqPool.get()
 			f := &Future{r: r}
 			res := waitAsync(f, ctx)
 			untilParked(t, r, res)
@@ -90,7 +90,7 @@ func TestWaitParkedOrLateReadsTheCompletionOnce(t *testing.T) {
 	})
 	t.Run("after finish", func(t *testing.T) {
 		for i := 0; i < 200; i++ {
-			r := getPipeReq()
+			r := reqPool.get()
 			f := &Future{r: r}
 			r.resolve(&Completion{BatchSize: i + 1})
 			if st := r.state.Load(); st != carrierResolved {
@@ -107,7 +107,7 @@ func TestWaitParkedOrLateReadsTheCompletionOnce(t *testing.T) {
 // goes back to the pool without a stale wake token.
 func TestParkedWaitCancelledAgainstFinishKeepsCompletion(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		r := getPipeReq()
+		r := reqPool.get()
 		f := &Future{r: r}
 		ctx, cancel := context.WithCancel(context.Background())
 		res := waitAsync(f, ctx)
@@ -161,7 +161,7 @@ func TestSecondResolvePanics(t *testing.T) {
 		}
 	}
 	t.Run("after finish", func(t *testing.T) {
-		r := getPipeReq()
+		r := reqPool.get()
 		f := &Future{r: r}
 		r.resolve(&Completion{BatchSize: 1})
 		secondResolve(t, r)
@@ -173,7 +173,7 @@ func TestSecondResolvePanics(t *testing.T) {
 		}
 	})
 	t.Run("parked", func(t *testing.T) {
-		r := getPipeReq()
+		r := reqPool.get()
 		f := &Future{r: r}
 		// An abandoned Wait leaves the carrier parked with nobody to take
 		// the token, so a second one would stay on wake.

@@ -373,7 +373,7 @@ func (f *Future) Wait(ctx context.Context) (Completion, error) {
 	c := r.c
 	f.r = nil
 	if !f.detached {
-		releaseReq(r)
+		reqPool.put(r)
 	}
 	f.waiting.Store(false)
 	return c, nil
@@ -439,22 +439,19 @@ const (
 	carrierWoken
 )
 
-var reqPool = sync.Pool{New: func() any { return &pipeReq{wake: make(chan struct{}, 1)} }}
+// reqPool holds request carriers: the Wait that read a completion
+// recycles its carrier, and so does a Submit that never issued one.
+var reqPool = newPool(func() *pipeReq { return &pipeReq{wake: make(chan struct{}, 1)} })
 
-func getPipeReq() *pipeReq { return reqPool.Get().(*pipeReq) }
-
-// releaseReq clears the carrier and returns it to the pool: the Wait
-// that read its completion recycles it, and so does a Submit that never
-// issued it. Its wake channel is empty then — a parked carrier's Wait
-// received the token first.
-func releaseReq(r *pipeReq) {
+// reset clears the carrier for reqPool. Its wake channel is empty then —
+// a parked carrier's Wait received the token first.
+func (r *pipeReq) reset() {
 	r.ctx = nil
 	r.req = PipelineRequest{}
 	r.key = aggKey{}
 	r.at, r.deadline, r.size = 0, 0, 0
 	r.c = Completion{}
 	r.state.Store(carrierEmpty)
-	reqPool.Put(r)
 }
 
 // resolve publishes c on the carrier. It is the resolver's last touch:
@@ -522,46 +519,22 @@ type batchWork struct {
 // (and the batch its stacked-input backing) across reuse — the flush
 // path copy-culls the aggregate's requests into the batchWork's own
 // backing, so steady-state batching allocates neither carriers nor
-// slices.
+// slices. Their resets drop the pipeReq aliases so a pooled backing
+// array never pins (or worse, resurrects) requests from a previous
+// cycle.
 var (
-	aggPool = sync.Pool{New: func() any { return &aggregate{} }}
-	bwPool  = sync.Pool{New: func() any { return &batchWork{} }}
+	aggPool = newPool(func() *aggregate { return &aggregate{} })
+	bwPool  = newPool(func() *batchWork { return &batchWork{} })
 )
 
-func getAggregate(firstAt time.Duration) *aggregate {
-	a := aggPool.Get().(*aggregate)
-	a.firstAt, a.size = firstAt, 0
-	a.reqs = a.reqs[:0] // backing retained from the previous cycle
-	return a
+func (a *aggregate) reset() {
+	clear(a.reqs)
+	*a = aggregate{reqs: a.reqs[:0]}
 }
 
-func putAggregate(a *aggregate) {
-	clearReqs(a.reqs)
-	a.reqs = a.reqs[:0]
-	aggPool.Put(a)
-}
-
-// clearReqs drops the pipeReq aliases so a pooled backing array never
-// pins (or worse, resurrects) requests from a previous cycle.
-func clearReqs(s []*pipeReq) {
-	for i := range s {
-		s[i] = nil
-	}
-}
-
-func getBatchWork() *batchWork {
-	w := bwPool.Get().(*batchWork)
-	reqs, stacked, stackedT := w.reqs[:0], w.stacked[:0], w.stackedT // keep the recycled backings
-	*w = batchWork{}
-	w.reqs, w.stacked, w.stackedT = reqs, stacked, stackedT
-	return w
-}
-
-// retireBatchWork recycles a finished batch.
-func retireBatchWork(w *batchWork) {
-	clearReqs(w.reqs)
-	w.reqs = w.reqs[:0]
-	bwPool.Put(w)
+func (w *batchWork) reset() {
+	clear(w.reqs)
+	*w = batchWork{reqs: w.reqs[:0], stacked: w.stacked[:0], stackedT: w.stackedT}
 }
 
 // deviceQueue tracks one device worker's occupancy in two currencies:
@@ -788,7 +761,7 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 		}
 	}
 
-	r := getPipeReq()
+	r := reqPool.get()
 	r.ctx, r.req, r.size = ctx, req, size
 	r.key = aggKey{model: req.Model, pol: req.Policy, estimate: req.Input == nil}
 	if slo > 0 {
@@ -804,7 +777,7 @@ func (p *Pipeline) Submit(ctx context.Context, req PipelineRequest) (*Future, er
 	if p.admitShut || p.queued.Load() >= int64(p.cfg.QueueDepth) {
 		shut := p.admitShut
 		p.admitMu.Unlock()
-		releaseReq(r) // never issued: nobody can be waiting on it
+		reqPool.put(r) // never issued: nobody can be waiting on it
 		if shut {
 			// The state left Ready after the check above, and the loop
 			// has begun its last drain.
@@ -1076,7 +1049,8 @@ func (p *Pipeline) ingest(r *pipeReq, now time.Duration) {
 	key := r.key
 	agg := p.aggs[key]
 	if agg == nil {
-		agg = getAggregate(r.at)
+		agg = aggPool.get()
+		agg.firstAt = r.at
 		p.aggs[key] = agg
 	}
 	agg.reqs = append(agg.reqs, r)
@@ -1159,13 +1133,13 @@ func (p *Pipeline) flushKey(key aggKey, now time.Duration, trigger *atomic.Int64
 	// Copy-cull the aggregate's requests into the batch carrier's own
 	// backing — requests that died while aggregating resolve here,
 	// before any device time — then recycle the aggregate immediately.
-	w := getBatchWork()
+	w := bwPool.get()
 	var size int
 	w.reqs, size = p.cullLive(w.reqs, agg.reqs, now)
-	putAggregate(agg)
+	aggPool.put(agg)
 	live := w.reqs
 	if len(live) == 0 {
-		retireBatchWork(w)
+		bwPool.put(w)
 		return
 	}
 
@@ -1198,7 +1172,7 @@ func (p *Pipeline) flushKey(key aggKey, now time.Duration, trigger *atomic.Int64
 		for _, r := range live {
 			p.finish(r, &Completion{Err: err})
 		}
-		retireBatchWork(w)
+		bwPool.put(w)
 		return
 	}
 	dq := p.queues[dec.Device]
@@ -1207,7 +1181,7 @@ func (p *Pipeline) flushKey(key aggKey, now time.Duration, trigger *atomic.Int64
 		for _, r := range live {
 			p.finish(r, &Completion{Decision: dec, Err: err})
 		}
-		retireBatchWork(w)
+		bwPool.put(w)
 		return
 	}
 	w.key, w.size, w.flushAt, w.deadline, w.dec = key, size, now, minDL, dec
@@ -1298,7 +1272,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		// spending device time.
 		dq.completeBatch(w.charge, w.clkCharge, 0, 0, 0)
 		p.batchDone()
-		retireBatchWork(w)
+		bwPool.put(w)
 		return
 	}
 	dec := w.dec
@@ -1343,7 +1317,7 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		// retry loop; their futures are resolved and they have left
 		// the flow (cullLive).
 		p.batchDone()
-		retireBatchWork(w)
+		bwPool.put(w)
 		return
 	}
 	if err == nil {
@@ -1355,11 +1329,11 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		for _, r := range live {
 			p.finish(r, &Completion{Decision: dec, Err: err})
 		}
-		retireBatchWork(w)
+		bwPool.put(w)
 		return
 	}
 	p.deliver(live, size, w.flushAt, dec, res)
-	retireBatchWork(w)
+	bwPool.put(w)
 }
 
 // deliver splits a batch result back into per-request completions

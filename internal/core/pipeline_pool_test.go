@@ -110,7 +110,7 @@ func TestFutureContract(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"second Wait is claimed", func(t *testing.T) {
-			r := getPipeReq()
+			r := reqPool.get()
 			f := &Future{r: r}
 			r.resolve(&Completion{BatchSize: 3})
 			if c, err := f.Wait(context.Background()); err != nil || c.BatchSize != 3 {
@@ -121,7 +121,7 @@ func TestFutureContract(t *testing.T) {
 			}
 		}},
 		{"concurrent Waits: one completion, one claimed", func(t *testing.T) {
-			r := getPipeReq()
+			r := reqPool.get()
 			f := &Future{r: r}
 			type result struct {
 				c   Completion
@@ -151,7 +151,7 @@ func TestFutureContract(t *testing.T) {
 			}
 		}},
 		{"cancelled Wait, then a fresh Wait delivers", func(t *testing.T) {
-			r := getPipeReq()
+			r := reqPool.get()
 			f := &Future{r: r}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()

@@ -76,7 +76,7 @@ func TestResolveOnPipelineFuturePanics(t *testing.T) {
 			t.Fatal("Resolve on a pooled pipeline future did not panic")
 		}
 	}()
-	f := &Future{r: getPipeReq()} // what Submit issues
+	f := &Future{r: reqPool.get()} // what Submit issues
 	f.Resolve(Completion{})
 }
 

@@ -53,7 +53,8 @@ type Config struct {
 	// device's queue would delay the request by more than this, the
 	// scheduler spills to the next-ranked device (overload response,
 	// §I "application overloads"). Defaults to 100 ms. Negative
-	// disables spilling.
+	// disables this queue-delay spill only: a device the health monitor
+	// flags degraded is still demoted behind a healthy one.
 	MaxQueueDelay time.Duration
 }
 
@@ -501,9 +502,9 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 	// serving pipeline is attached, the real work queued in its
 	// per-device worker queue.
 	choice := candidates[0]
-	if s.cfg.MaxQueueDelay >= 0 {
-		healthyIdx := -1
-		for _, c := range candidates {
+	healthyIdx := -1
+	for _, c := range candidates {
+		if s.cfg.MaxQueueDelay >= 0 {
 			wait := s.devices[c].StateAt(now).BusyUntil - now
 			if probe != nil {
 				wait += probe(s.devices[c].Name())
@@ -511,18 +512,18 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 			if wait > s.cfg.MaxQueueDelay {
 				continue
 			}
-			if health.degraded(s.devices[c].Name()) {
-				if healthyIdx == -1 {
-					healthyIdx = c // remember the best contended option
-				}
-				continue
+		}
+		if health.degraded(s.devices[c].Name()) {
+			if healthyIdx == -1 {
+				healthyIdx = c // remember the best contended option
 			}
-			healthyIdx = c
-			break
+			continue
 		}
-		if healthyIdx >= 0 {
-			choice = healthyIdx
-		}
+		healthyIdx = c
+		break
+	}
+	if healthyIdx >= 0 {
+		choice = healthyIdx
 	}
 	spilled := choice != order[0]
 

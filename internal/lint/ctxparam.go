@@ -18,7 +18,7 @@ var analyzerCtxparam = &Analyzer{
 }
 
 func runCtxparam(pass *Pass) error {
-	for _, f := range pass.Files() {
+	for _, f := range pass.Pkg.Files {
 		ctxName, ok := importName(f.AST, "context")
 		if !ok {
 			continue

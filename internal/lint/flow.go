@@ -2,40 +2,25 @@ package lint
 
 import "go/ast"
 
-// flowState is the per-path dataflow fact a flowWalk threads through a
-// function body. Implementations are pointer types; meet and set mutate
-// the receiver.
-type flowState[S any] interface {
-	// clone forks the state for a branch.
-	clone() S
-	// meet intersects other into the receiver — the optimistic join at
-	// a branch merge: only facts established on every arm survive.
-	meet(other S)
-	// set replaces the receiver's facts with other's (used when one
-	// branch arm cannot fall through, so the merge is the other arm).
-	set(other S)
-}
-
-// flowWalk drives the shared linear walk the path-sensitive analyzers
-// (lockscope, poollife, and the atomics CAS rule) build on: every
-// statement of body is visited in control-flow order with the state
-// holding *before* the statement's own effect, then effect applies the
-// statement's transition. Branches fork a clone and meet back
+// flowWalk drives lockscope's linear walk over the held-lock state:
+// every statement of body is visited in control-flow order with the
+// state holding *before* the statement's own effect, then effect applies
+// the statement's transition. Branches fork a clone and meet back
 // optimistically; a branch arm that terminates (return, branch
 // statement, panic) does not contribute to the merge. Function literals
 // are NOT entered — a closure runs later, under its own state — callers
 // analyze them as separate bodies.
-func flowWalk[S flowState[S]](body *ast.BlockStmt, init S, visit, effect func(ast.Stmt, S)) {
+func flowWalk(body *ast.BlockStmt, init *lockState, visit, effect func(ast.Stmt, *lockState)) {
 	flowStmts(body.List, init, visit, effect)
 }
 
-func flowStmts[S flowState[S]](list []ast.Stmt, st S, visit, effect func(ast.Stmt, S)) {
+func flowStmts(list []ast.Stmt, st *lockState, visit, effect func(ast.Stmt, *lockState)) {
 	for _, stmt := range list {
 		flowStmt(stmt, st, visit, effect)
 	}
 }
 
-func flowStmt[S flowState[S]](stmt ast.Stmt, st S, visit, effect func(ast.Stmt, S)) {
+func flowStmt(stmt ast.Stmt, st *lockState, visit, effect func(ast.Stmt, *lockState)) {
 	visit(stmt, st)
 	effect(stmt, st)
 	switch s := stmt.(type) {
@@ -94,7 +79,7 @@ func flowStmt[S flowState[S]](stmt ast.Stmt, st S, visit, effect func(ast.Stmt, 
 	}
 }
 
-func flowCaseBodies[S flowState[S]](body *ast.BlockStmt, st S, visit, effect func(ast.Stmt, S)) {
+func flowCaseBodies(body *ast.BlockStmt, st *lockState, visit, effect func(ast.Stmt, *lockState)) {
 	for _, cl := range body.List {
 		cc, ok := cl.(*ast.CaseClause)
 		if !ok {

@@ -69,7 +69,7 @@ func runGoleak(pass *Pass) error {
 		return nil
 	}
 	methods := indexFuncDecls(pass)
-	for _, f := range pass.Files() {
+	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -86,7 +86,7 @@ func runGoleak(pass *Pass) error {
 // under both "name" (when unambiguous) and "Type.name".
 func indexFuncDecls(pass *Pass) map[string][]*ast.FuncDecl {
 	idx := map[string][]*ast.FuncDecl{}
-	for _, f := range pass.Files() {
+	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {

@@ -4,16 +4,12 @@
 // correctness invariants — the rules `go vet` cannot see:
 //
 //   - wallclock: virtual-clock packages must not read the wall clock
-//   - lockscope: a held mutex must not span a blocking operation
+//   - lockscope: a held mutex must not span a blocking operation, a
+//     second Lock or a CompareAndSwap retry loop
 //   - senterr:   sentinel errors compare with errors.Is and wrap with %w
 //   - ctxparam:  no context.Context in struct fields; ctx comes first
-//   - atomics:   a field accessed via sync/atomic anywhere is accessed
-//     atomically everywhere; no CAS retry loop under a held mutex
-//   - poollife:  pooled carriers are never touched after retirement,
-//     never double-released, and Put only in designated recyclers
 //   - goleak:    every go statement in the serving packages shows a
 //     visible termination path (WaitGroup ownership or a quit guard)
-//   - lockorder: the package-level mutex acquisition graph is acyclic
 //
 // Intentional exceptions opt out with a justified directive comment
 // attached to the flagged line (same line or the line directly above):
@@ -36,26 +32,11 @@ import (
 
 // Finding is one rule violation at a file position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-
-	// Related holds the finding's other positions — a lockorder cycle
-	// reports every edge, not just the first. A //bomw: directive at any
-	// related position silences the finding exactly like one at the
-	// primary position (cross-file cycles can be justified where the
-	// exception actually lives).
-	Related []Related `json:"related,omitempty"`
-}
-
-// Related is one secondary position of a multi-site finding.
-type Related struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Note string `json:"note,omitempty"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -67,11 +48,6 @@ func (f Finding) String() string {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-
-	// IncludeTests extends the run to _test.go files (off by default:
-	// the invariants target production code; tests may legitimately
-	// spin wall clocks and poke internals).
-	IncludeTests bool
 
 	report func(Finding)
 }
@@ -86,46 +62,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportRelated records a finding that spans several positions (e.g. a
-// lock-order cycle: one edge per position). The first position is the
-// primary; the rest become Related, and a directive at any of them
-// silences the whole finding.
-func (p *Pass) ReportRelated(positions []token.Pos, notes []string, format string, args ...interface{}) {
-	if len(positions) == 0 {
-		return
-	}
-	primary := p.Pkg.Fset.Position(positions[0])
-	f := Finding{
-		Analyzer: p.Analyzer.Name,
-		File:     primary.Filename,
-		Line:     primary.Line,
-		Col:      primary.Column,
-		Message:  fmt.Sprintf(format, args...),
-	}
-	for i, pos := range positions[1:] {
-		rp := p.Pkg.Fset.Position(pos)
-		rel := Related{File: rp.Filename, Line: rp.Line, Col: rp.Column}
-		if i+1 < len(notes) {
-			rel.Note = notes[i+1]
-		}
-		f.Related = append(f.Related, rel)
-	}
-	p.report(f)
-}
-
-// Files yields the files this pass analyzes (test files only when
-// IncludeTests is set).
-func (p *Pass) Files() []*File {
-	var out []*File
-	for _, f := range p.Pkg.Files {
-		if f.Test && !p.IncludeTests {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
 }
 
 // Analyzer is one named rule with a run function.
@@ -146,10 +82,7 @@ func All() []*Analyzer {
 		analyzerLockscope,
 		analyzerSenterr,
 		analyzerCtxparam,
-		analyzerAtomics,
-		analyzerPoollife,
 		analyzerGoleak,
-		analyzerLockorder,
 	}
 }
 
@@ -215,27 +148,15 @@ func parseDirectives(fset *token.FileSet, f *ast.File) []*directive {
 	return out
 }
 
-// RunOptions parameterises Run.
-type RunOptions struct {
-	// IncludeTests analyzes _test.go files too.
-	IncludeTests bool
-}
-
 // Suppression records one finding a justified //bomw: directive
-// silenced — bomwvet -why surfaces these so a suppression is auditable,
-// and for multi-position findings (lockorder cycles) it names which
-// edge the directive cleared.
+// silenced — bomwvet -why surfaces these so a suppression is auditable.
 type Suppression struct {
-	Finding Finding `json:"finding"`
-	// Directive position.
-	DirFile string `json:"dir_file"`
-	DirLine int    `json:"dir_line"`
-	// ClearedAt describes the position the directive attached to:
-	// "primary" or "edge N of M" for a related position.
-	ClearedAt string `json:"cleared_at"`
+	Finding Finding
+	DirFile string // directive position
+	DirLine int
 }
 
-// Result is RunAll's full outcome: the surviving findings plus the
+// Result is Run's full outcome: the surviving findings plus the
 // suppressions justified directives applied.
 type Result struct {
 	Findings     []Finding
@@ -243,25 +164,19 @@ type Result struct {
 }
 
 // Run executes the analyzers over the packages, applies directive
-// suppression, and returns the surviving findings sorted by position.
-// Analyzer run errors are returned after the findings collected so far.
-func Run(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Finding, error) {
-	res, err := RunAll(pkgs, analyzers, opts)
-	return res.Findings, err
-}
-
-// RunAll is Run plus the suppression log.
-func RunAll(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Result, error) {
+// suppression, and returns the surviving findings sorted by position
+// with the suppression log. Analyzer run errors are returned after the
+// findings collected so far.
+func Run(pkgs []*Package, analyzers []*Analyzer) (Result, error) {
 	var raw []Finding
 	enabled := map[string]bool{}
 	for _, az := range analyzers {
 		enabled[az.Name] = true
 		for _, pkg := range pkgs {
 			pass := &Pass{
-				Analyzer:     az,
-				Pkg:          pkg,
-				IncludeTests: opts.IncludeTests,
-				report:       func(f Finding) { raw = append(raw, f) },
+				Analyzer: az,
+				Pkg:      pkg,
+				report:   func(f Finding) { raw = append(raw, f) },
 			}
 			if err := az.Run(pass); err != nil {
 				return Result{Findings: sortFindings(raw)}, fmt.Errorf("lint: %s on %s: %w", az.Name, pkg.Rel, err)
@@ -274,25 +189,19 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Result, er
 	byFileLine := map[string][]*directive{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			if f.Test && !opts.IncludeTests {
-				continue
-			}
 			for _, d := range parseDirectives(pkg.Fset, f.AST) {
 				directives = append(directives, d)
-				byFileLine[fmt.Sprintf("%s:%d", d.file, d.line)] = append(byFileLine[fmt.Sprintf("%s:%d", d.file, d.line)], d)
+				byFileLine[fileLine(d.file, d.line)] = append(byFileLine[fileLine(d.file, d.line)], d)
 			}
 		}
 	}
 
 	// Suppression: a justified directive naming the finding's analyzer,
 	// on the finding's line or the line directly above it, silences it.
-	// Multi-position findings (lockorder cycles) accept the directive at
-	// the primary position or at any related edge — the justification
-	// lives where the exception does, which may be another file.
 	var res Result
 	var out []Finding
 	for _, f := range raw {
-		if d, clearedAt := matchDirective(byFileLine, f); d != nil {
+		if d := matchDirective(byFileLine, f); d != nil {
 			d.used = true
 			if d.justification == "" {
 				out = append(out, Finding{
@@ -304,12 +213,7 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Result, er
 				})
 				continue
 			}
-			res.Suppressions = append(res.Suppressions, Suppression{
-				Finding:   f,
-				DirFile:   d.file,
-				DirLine:   d.line,
-				ClearedAt: clearedAt,
-			})
+			res.Suppressions = append(res.Suppressions, Suppression{Finding: f, DirFile: d.file, DirLine: d.line})
 			continue
 		}
 		out = append(out, f)
@@ -345,25 +249,14 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Result, er
 	return res, nil
 }
 
-// matchDirective finds a directive attached to the finding — same line
-// or the line directly above, at the primary position or any related
-// one — and describes which position it cleared.
-func matchDirective(byFileLine map[string][]*directive, f Finding) (*directive, string) {
-	if d := matchDirectiveAt(byFileLine, f.Analyzer, f.File, f.Line); d != nil {
-		return d, "primary"
-	}
-	for i, rel := range f.Related {
-		if d := matchDirectiveAt(byFileLine, f.Analyzer, rel.File, rel.Line); d != nil {
-			return d, fmt.Sprintf("edge %d of %d (%s:%d)", i+2, len(f.Related)+1, rel.File, rel.Line)
-		}
-	}
-	return nil, ""
-}
+func fileLine(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
 
-func matchDirectiveAt(byFileLine map[string][]*directive, analyzer, file string, line int) *directive {
-	for _, ln := range []int{line, line - 1} {
-		for _, d := range byFileLine[fmt.Sprintf("%s:%d", file, ln)] {
-			if d.name == analyzer {
+// matchDirective finds a directive attached to the finding: on its line
+// or the line directly above.
+func matchDirective(byFileLine map[string][]*directive, f Finding) *directive {
+	for _, ln := range []int{f.Line, f.Line - 1} {
+		for _, d := range byFileLine[fileLine(f.File, ln)] {
+			if d.name == f.Analyzer {
 				return d
 			}
 		}

@@ -22,12 +22,14 @@ type Package struct {
 	Rel string
 	// Fset positions every file of the load.
 	Fset *token.FileSet
-	// Files are the parsed sources, tests included (marked).
+	// Files are the parsed non-test sources: the invariants hold for
+	// production code, and tests may spin wall clocks and poke
+	// internals.
 	Files []*File
-	// Types and Info hold the best-effort check result. Imports outside
-	// the parse set resolve to stub packages, so cross-package types may
-	// be missing — analyzers must treat Info as advisory and fall back
-	// to syntax. Nil when the directory held no non-test files.
+	// Types and Info hold the best-effort check result. The standard
+	// library resolves through the gc importer; other imports resolve to
+	// empty stub packages, so cross-package types are missing —
+	// analyzers must treat Info as advisory and fall back to syntax.
 	Types *types.Package
 	Info  *types.Info
 }
@@ -36,7 +38,6 @@ type Package struct {
 type File struct {
 	Name string // absolute path
 	AST  *ast.File
-	Test bool // _test.go
 }
 
 // Load expands the patterns (a directory, or dir/... for a recursive
@@ -144,11 +145,15 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if !e.IsDir() && isSourceFile(e.Name()) {
 			return true
 		}
 	}
 	return false
+}
+
+func isSourceFile(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
 }
 
 func loadDir(fset *token.FileSet, imp types.Importer, root, dir string) (*Package, error) {
@@ -158,7 +163,7 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, dir string) (*Packag
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if !e.IsDir() && isSourceFile(e.Name()) {
 			names = append(names, e.Name())
 		}
 	}
@@ -172,58 +177,40 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, dir string) (*Packag
 		rel = dir
 	}
 	pkg := &Package{Dir: dir, Rel: filepath.ToSlash(rel), Fset: fset}
+	var checkFiles []*ast.File
 	for _, name := range names {
 		path := filepath.Join(dir, name)
 		astf, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		pkg.Files = append(pkg.Files, &File{
-			Name: path,
-			AST:  astf,
-			Test: strings.HasSuffix(name, "_test.go"),
-		})
+		pkg.Files = append(pkg.Files, &File{Name: path, AST: astf})
+		checkFiles = append(checkFiles, astf)
 	}
 
-	// Best-effort type check over the non-test files (test files may
-	// belong to an external _test package and would clash). Errors are
-	// expected — imports resolve to stubs — and deliberately swallowed;
-	// analyzers use whatever Info survived and fall back to syntax.
-	var checkFiles []*ast.File
-	for _, f := range pkg.Files {
-		if !f.Test {
-			checkFiles = append(checkFiles, f.AST)
-		}
+	// Best-effort type check. Errors are expected — module imports
+	// resolve to stubs — and deliberately swallowed; analyzers use
+	// whatever Info survived and fall back to syntax.
+	pkg.Info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	if len(checkFiles) > 0 {
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(error) {}, // collect nothing, check everything
-		}
-		tpkg, _ := conf.Check(pkg.Rel, fset, checkFiles, info)
-		pkg.Types = tpkg
-		pkg.Info = info
+	conf := types.Config{
+		Importer: imp,
+		Error:    func(error) {}, // collect nothing, check everything
 	}
+	pkg.Types, _ = conf.Check(pkg.Rel, fset, checkFiles, pkg.Info)
 	return pkg, nil
 }
 
-// stubImporter satisfies imports without compiled export data: it first
-// tries the gc importer (stdlib packages usually resolve), then a
-// hand-built synthetic package for the concurrency stdlib (sync,
-// sync/atomic — see stdtypes.go), then falls back to an empty stub
-// package so checking can continue. The empty stub makes every
-// cross-package reference an error the checker swallows — fine for our
-// analyzers, which only need intra-package types — but the synthetic
-// tier matters: on runners without stdlib export data an empty stub for
-// sync/atomic would silently strip atomic.Int64 fields (and every
-// struct containing one) out of the type info the atomics, goleak and
-// lockorder analyzers key on.
+// stubImporter resolves the standard library through the gc importer,
+// which finds its export data with `go list -export`, and satisfies
+// every other import with an empty stub package so checking can
+// continue. The stubs make cross-package references errors the checker
+// swallows — fine for these analyzers, which need intra-package types
+// and the stdlib's sync, time, context and fmt.
 type stubImporter struct {
 	gc    types.Importer
 	stubs map[string]*types.Package
@@ -234,22 +221,13 @@ func newStubImporter() *stubImporter {
 }
 
 func (im *stubImporter) Import(path string) (*types.Package, error) {
-	if im.gc != nil {
-		if p, err := im.gc.Import(path); err == nil && p != nil {
-			return p, nil
-		}
-	}
 	if p := im.stubs[path]; p != nil {
 		return p, nil
 	}
-	p := syntheticPkg(path)
-	if p == nil {
-		name := path
-		if i := strings.LastIndex(name, "/"); i >= 0 {
-			name = name[i+1:]
-		}
-		p = types.NewPackage(path, name)
+	if p, err := im.gc.Import(path); err == nil && p != nil {
+		return p, nil
 	}
+	p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
 	im.stubs[path] = p
 	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // lockscope enforces the pipeline's deadlock invariant: a mutex
@@ -12,7 +13,10 @@ import (
 // (Future.Wait, WaitGroup.Wait), or another lock acquisition. The
 // serving path holds its locks for bookkeeping only; anything that can
 // park the goroutine while a lock is held can wedge admission, drain,
-// and every worker behind it.
+// and every worker behind it. Nor may a CompareAndSwap retry loop run
+// under a held mutex: the CAS already serialises its update, and
+// spinning on it under the lock convoys every waiter behind the spin —
+// code that stays correct, so no test or race run would show it.
 //
 // The analysis walks each function body linearly over the shared
 // flowWalk, tracking mutexes locked directly in that function (x.Lock /
@@ -25,7 +29,7 @@ import (
 var analyzerLockscope = &Analyzer{
 	Name: "lockscope",
 	Doc: "forbid blocking operations (channel send/receive, blocking select, Wait,\n" +
-		"another Lock) while a mutex is held",
+		"another Lock) and CompareAndSwap retry loops while a mutex is held",
 	Run: runLockscope,
 }
 
@@ -37,17 +41,49 @@ type heldLock struct {
 }
 
 func runLockscope(pass *Pass) error {
-	for _, f := range pass.Files() {
+	for _, f := range pass.Pkg.Files {
 		forEachFuncBody(f.AST, func(body *ast.BlockStmt) {
+			inLoop := loopBodies(body)
 			lockWalk(body, func(stmt ast.Stmt, held []heldLock) {
 				if len(held) == 0 {
 					return
 				}
-				checkBlockingStmt(pass, stmt, held)
+				checkBlockingStmt(pass, stmt, held, inLoop)
 			})
 		})
 	}
 	return nil
+}
+
+// loopBodies reports whether a position is retried by a for or range
+// loop of this function — its condition, post statement or body
+// (function literals are their own functions).
+func loopBodies(body *ast.BlockStmt) func(token.Pos) bool {
+	type span struct{ from, to token.Pos }
+	var loops []span
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.ForStmt:
+			from := s.Body.Pos()
+			if s.Cond != nil {
+				from = s.Cond.Pos()
+			}
+			loops = append(loops, span{from, s.End()})
+		case *ast.RangeStmt:
+			loops = append(loops, span{s.Body.Pos(), s.End()})
+		case *ast.FuncLit:
+			return false
+		}
+		return true
+	})
+	return func(pos token.Pos) bool {
+		for _, l := range loops {
+			if l.from <= pos && pos < l.to {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // lockCallKind classifies a call as a mutex operation on a receiver.
@@ -142,34 +178,35 @@ func lockWalk(body *ast.BlockStmt, visit func(ast.Stmt, []heldLock)) {
 // expressions while locks are held. Nested statements get their own
 // visit calls from the walker, and function literals run later — both
 // are skipped here.
-func checkBlockingStmt(pass *Pass, stmt ast.Stmt, held []heldLock) {
+func checkBlockingStmt(pass *Pass, stmt ast.Stmt, held []heldLock, inLoop func(token.Pos) bool) {
 	holder := held[len(held)-1].key
+	check := func(exprs ...ast.Expr) { checkBlockingExprs(pass, holder, held, inLoop, exprs...) }
 	switch s := stmt.(type) {
 	case *ast.SendStmt:
 		pass.Reportf(s.Arrow, "channel send while mutex %s is held: a blocked send wedges every goroutine waiting on the lock", holder)
-		checkBlockingExprs(pass, holder, held, s.Chan, s.Value)
+		check(s.Chan, s.Value)
 	case *ast.SelectStmt:
 		if !selectHasDefault(s) {
 			pass.Reportf(s.Select, "blocking select while mutex %s is held (a default case would make it non-blocking)", holder)
 		}
 	case *ast.ExprStmt:
-		checkBlockingExprs(pass, holder, held, s.X)
+		check(s.X)
 	case *ast.AssignStmt:
-		checkBlockingExprs(pass, holder, held, append(append([]ast.Expr{}, s.Lhs...), s.Rhs...)...)
+		check(append(append([]ast.Expr{}, s.Lhs...), s.Rhs...)...)
 	case *ast.ReturnStmt:
-		checkBlockingExprs(pass, holder, held, s.Results...)
+		check(s.Results...)
 	case *ast.IfStmt:
-		checkBlockingExprs(pass, holder, held, s.Cond)
+		check(s.Cond)
 	case *ast.ForStmt:
 		if s.Cond != nil {
-			checkBlockingExprs(pass, holder, held, s.Cond)
+			check(s.Cond)
 		}
 	case *ast.SwitchStmt:
 		if s.Tag != nil {
-			checkBlockingExprs(pass, holder, held, s.Tag)
+			check(s.Tag)
 		}
 	case *ast.RangeStmt:
-		checkBlockingExprs(pass, holder, held, s.X)
+		check(s.X)
 	case *ast.DeferStmt, *ast.GoStmt:
 		// The call runs later (or concurrently), not under these locks.
 	}
@@ -184,7 +221,7 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 	return false
 }
 
-func checkBlockingExprs(pass *Pass, holder string, held []heldLock, exprs ...ast.Expr) {
+func checkBlockingExprs(pass *Pass, holder string, held []heldLock, inLoop func(token.Pos) bool, exprs ...ast.Expr) {
 	for _, e := range exprs {
 		if e == nil {
 			continue
@@ -208,6 +245,8 @@ func checkBlockingExprs(pass *Pass, holder string, held []heldLock, exprs ...ast
 					pass.Reportf(x.Pos(), "mutex %s acquired while %s is held: nested locking across scopes invites lock-order deadlocks", key, holder)
 				} else if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
 					pass.Reportf(x.Pos(), "blocking %s.Wait call while mutex %s is held", types.ExprString(sel.X), holder)
+				} else if ok && strings.HasPrefix(sel.Sel.Name, "CompareAndSwap") && inLoop(x.Pos()) {
+					pass.Reportf(x.Pos(), "CompareAndSwap retried in a loop while mutex %s is held: the CAS already serialises this update — holding the lock across the retry convoys every waiter behind a spin", holder)
 				}
 			}
 			return true

@@ -53,16 +53,14 @@ type sarifMessage struct {
 }
 
 type sarifResult struct {
-	RuleID           string          `json:"ruleId"`
-	Level            string          `json:"level"`
-	Message          sarifMessage    `json:"message"`
-	Locations        []sarifLocation `json:"locations"`
-	RelatedLocations []sarifLocation `json:"relatedLocations,omitempty"`
+	RuleID    string          `json:"ruleId"`
+	Level     string          `json:"level"`
+	Message   sarifMessage    `json:"message"`
+	Locations []sarifLocation `json:"locations"`
 }
 
 type sarifLocation struct {
 	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-	Message          *sarifMessage `json:"message,omitempty"`
 }
 
 type sarifPhysical struct {
@@ -106,16 +104,15 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding) error {
 
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
-		r := sarifResult{
-			RuleID:    f.Analyzer,
-			Level:     "error",
-			Message:   sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{sarifLoc(f.File, f.Line, f.Col, "")},
-		}
-		for _, rel := range f.Related {
-			r.RelatedLocations = append(r.RelatedLocations, sarifLoc(rel.File, rel.Line, rel.Col, rel.Note))
-		}
-		results = append(results, r)
+		results = append(results, sarifResult{
+			RuleID:  f.Analyzer,
+			Level:   "error",
+			Message: sarifMessage{Text: f.Message},
+			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
+				ArtifactLocation: sarifArtifact{URI: f.File, URIBaseID: sarifBaseID},
+				Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Col},
+			}}},
+		})
 	}
 
 	log := sarifLog{
@@ -129,17 +126,4 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(log)
-}
-
-func sarifLoc(file string, line, col int, note string) sarifLocation {
-	loc := sarifLocation{
-		PhysicalLocation: sarifPhysical{
-			ArtifactLocation: sarifArtifact{URI: file, URIBaseID: sarifBaseID},
-			Region:           sarifRegion{StartLine: line, StartColumn: col},
-		},
-	}
-	if note != "" {
-		loc.Message = &sarifMessage{Text: note}
-	}
-	return loc
 }

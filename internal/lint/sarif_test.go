@@ -11,18 +11,15 @@ import (
 
 // TestWriteSARIF pins the subset of SARIF 2.1.0 the CI upload depends
 // on: version, driver name, a rule per analyzer, result locations with
-// SRCROOT-relative URIs, and related locations for multi-edge findings.
+// SRCROOT-relative URIs.
 func TestWriteSARIF(t *testing.T) {
 	findings := []lint.Finding{
 		{
-			Analyzer: "lockorder",
+			Analyzer: "lockscope",
 			File:     "internal/cluster/cluster.go",
 			Line:     12,
 			Col:      3,
-			Message:  "lock-order cycle: Cluster.mu → Node.mu, Node.mu → Cluster.mu",
-			Related: []lint.Related{
-				{File: "internal/cluster/health.go", Line: 40, Col: 2, Note: "in Node.report"},
-			},
+			Message:  "channel send while mutex c.mu is held",
 		},
 		{
 			Analyzer: "directive",
@@ -62,11 +59,6 @@ func TestWriteSARIF(t *testing.T) {
 						} `json:"region"`
 					} `json:"physicalLocation"`
 				} `json:"locations"`
-				RelatedLocations []struct {
-					Message struct {
-						Text string `json:"text"`
-					} `json:"message"`
-				} `json:"relatedLocations"`
 			} `json:"results"`
 		} `json:"runs"`
 	}
@@ -92,7 +84,7 @@ func TestWriteSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"lockorder", "atomics", "poollife", "goleak", "directive"} {
+	for _, want := range []string{"wallclock", "lockscope", "senterr", "ctxparam", "goleak", "directive"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule %q missing from driver rules", want)
 		}
@@ -101,8 +93,8 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want 2", len(run.Results))
 	}
 	first := run.Results[0]
-	if first.RuleID != "lockorder" || first.Level != "error" {
-		t.Errorf("first result = %s/%s, want lockorder/error", first.RuleID, first.Level)
+	if first.RuleID != "lockscope" || first.Level != "error" {
+		t.Errorf("first result = %s/%s, want lockscope/error", first.RuleID, first.Level)
 	}
 	loc := first.Locations[0].PhysicalLocation
 	if loc.ArtifactLocation.URI != "internal/cluster/cluster.go" || loc.ArtifactLocation.URIBaseID != "%SRCROOT%" {
@@ -110,9 +102,6 @@ func TestWriteSARIF(t *testing.T) {
 	}
 	if loc.Region.StartLine != 12 {
 		t.Errorf("startLine = %d, want 12", loc.Region.StartLine)
-	}
-	if len(first.RelatedLocations) != 1 || first.RelatedLocations[0].Message.Text != "in Node.report" {
-		t.Errorf("relatedLocations = %+v, want the annotated edge", first.RelatedLocations)
 	}
 	// URIs must stay forward-slashed for the uploader.
 	if strings.Contains(buf.String(), `\\`) {

@@ -28,7 +28,7 @@ var analyzerSenterr = &Analyzer{
 var sentinelRe = regexp.MustCompile(`^(Err|err)[A-Z]`)
 
 func runSenterr(pass *Pass) error {
-	for _, f := range pass.Files() {
+	for _, f := range pass.Pkg.Files {
 		fmtName, hasFmt := importName(f.AST, "fmt")
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			switch x := n.(type) {

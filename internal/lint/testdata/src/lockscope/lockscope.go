@@ -1,6 +1,9 @@
 package lockscope
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type future struct{ done chan struct{} }
 
@@ -100,3 +103,36 @@ func goRunsElsewhere(mu *sync.Mutex, ch chan int) {
 }
 
 func send(ch chan int) { ch <- 1 }
+
+// casConvoy spins a CAS retry while holding the mutex.
+func casConvoy(mu *sync.Mutex, gen *atomic.Int64, v int64) {
+	mu.Lock()
+	for {
+		old := gen.Load()
+		if gen.CompareAndSwap(old, v) { // want "CompareAndSwap retried in a loop while mutex mu is held"
+			break
+		}
+	}
+	mu.Unlock()
+}
+
+// casSpin retries in the loop condition itself.
+func casSpin(mu *sync.Mutex, gen *atomic.Int64, v int64) {
+	mu.Lock()
+	defer mu.Unlock()
+	for !gen.CompareAndSwap(gen.Load(), v) { // want "CompareAndSwap retried in a loop while mutex mu is held"
+	}
+}
+
+// casFree is the lock-free ladder; a single CAS under a lock is no retry.
+func casFree(mu *sync.Mutex, gen *atomic.Int64, v int64) bool {
+	for {
+		old := gen.Load()
+		if gen.CompareAndSwap(old, v) {
+			break
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return gen.CompareAndSwap(v, v+1)
+}

@@ -61,12 +61,7 @@ func runWallclock(pass *Pass) error {
 	if !isVirtualClockPkg(pass.Pkg.Rel) {
 		return nil
 	}
-	for _, f := range pass.Files() {
-		if f.Test {
-			// Tests drive real goroutines and may legitimately sleep or
-			// time out on the wall clock.
-			continue
-		}
+	for _, f := range pass.Pkg.Files {
 		timeName, ok := importName(f.AST, "time")
 		if !ok {
 			continue
