@@ -24,6 +24,7 @@ import (
 	"bomw/internal/mlsched"
 	"bomw/internal/models"
 	"bomw/internal/nn"
+	"bomw/internal/opencl"
 	tracepkg "bomw/internal/trace"
 )
 
@@ -467,24 +468,42 @@ func BenchmarkAblation_BatchingWindow(b *testing.B) {
 
 // BenchmarkAblation_Pruning charges a dense network and its 90%-pruned
 // sparse variant on the simulated CPU — the §VII orthogonal-optimisation
-// hook quantified through the device models.
+// hook quantified through the runtime's command sequence. Each network
+// compiles once; each charge loads it into a fresh runtime.
 func BenchmarkAblation_Pruning(b *testing.B) {
 	dense := models.MnistSmall().MustBuild(1)
 	pruned := models.MnistSmall().MustBuild(1)
 	if _, err := nn.Prune(pruned, 0.9); err != nil {
 		b.Fatal(err)
 	}
-	sparse := nn.SparsifyNetwork(pruned)
-	var denseLat, sparseLat float64
-	for i := 0; i < b.N; i++ {
-		d1 := device.New(device.IntelCoreI7_8700())
-		r1 := d1.Execute(0, device.WorkloadOf(dense), 4096)
-		d2 := device.New(device.IntelCoreI7_8700())
-		r2 := d2.Execute(0, device.WorkloadOf(sparse), 4096)
-		denseLat = r1.Latency.Seconds() * 1e3
-		sparseLat = r2.Latency.Seconds() * 1e3
+	var progs [2]*opencl.Program
+	for i, net := range []*nn.Network{dense, nn.SparsifyNetwork(pruned)} {
+		prog, err := opencl.BuildProgram(net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = prog
 	}
-	b.ReportMetric(denseLat, "dense-ms")
-	b.ReportMetric(sparseLat, "sparse-ms")
-	b.ReportMetric(denseLat/sparseLat, "speedup")
+	cpu := device.IntelCoreI7_8700()
+	var lat [2]float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, prog := range progs {
+			rt, err := opencl.NewRuntime(device.New(cpu))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.LoadProgram(prog); err != nil {
+				b.Fatal(err)
+			}
+			res, err := rt.Estimate(cpu.Name, prog.Net.Name(), 4096, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lat[j] = res.Latency().Seconds() * 1e3
+		}
+	}
+	b.ReportMetric(lat[0], "dense-ms")
+	b.ReportMetric(lat[1], "sparse-ms")
+	b.ReportMetric(lat[0]/lat[1], "speedup")
 }

@@ -156,7 +156,7 @@ var (
 // Runtime is the simulated OpenCL runtime (§IV).
 type Runtime = opencl.Runtime
 
-// NewRuntime discovers platforms over simulated devices.
+// NewRuntime builds a runtime over simulated devices, in the order given.
 func NewRuntime(devices ...*Device) (*Runtime, error) { return opencl.NewRuntime(devices...) }
 
 // Deterministic fault injection for failure-domain drills: one seeded

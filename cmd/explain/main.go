@@ -1,8 +1,10 @@
 // Command explain audits one scheduling configuration: for a model,
-// batch size and GPU state it prints each device's cost-model breakdown
-// (transfer / launch / dispatch / roofline, which side of the roofline
-// binds, achieved utilisation) and the device a trained scheduler would
-// pick under every policy — "why did it choose that?" in one screen.
+// batch size and GPU state it prints what the runtime charges the batch
+// on each device, broken down into its command sequence's terms
+// (transfer / launch / dispatch / roofline, which side of each kernel's
+// roofline binds, the clocks it starts at), and the device a trained
+// scheduler would pick under every policy — "why did it choose that?" in
+// one screen.
 //
 // Usage:
 //
@@ -19,6 +21,7 @@ import (
 	"bomw/internal/core"
 	"bomw/internal/device"
 	"bomw/internal/models"
+	"bomw/internal/opencl"
 )
 
 func main() {
@@ -32,24 +35,34 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	net, err := spec.Build(1)
+	// A charge reads shapes only: the weightless outline compiles to the
+	// same kernels as the built network.
+	net, err := spec.Outline()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	w := device.WorkloadOf(net)
+	prog, err := opencl.BuildProgram(net)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("workload %s: %d flops/sample, %d B/sample, %d weights B, %d kernels\n\n",
-		spec.Name, w.FlopsPerSample, w.SampleBytes, w.WeightBytes, w.Kernels)
+		spec.Name, net.FlopsPerSample(), net.SampleBytes(), net.ParamBytes(), len(prog.Kernels))
 
 	best, bestLat := "", 0.0
 	for _, p := range device.DefaultProfiles() {
-		b := device.Explain(p, w, *batch, *warm && p.HasBoost)
+		b, err := opencl.Explain(p, prog, *batch, *warm && p.HasBoost)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		fmt.Println(b)
-		if best == "" || b.TotalLatency.Seconds() < bestLat {
-			best, bestLat = p.Name, b.TotalLatency.Seconds()
+		if best == "" || b.Latency.Seconds() < bestLat {
+			best, bestLat = p.Name, b.Latency.Seconds()
 		}
 	}
-	fmt.Printf("fastest by the cost model: %s\n\n", best)
+	fmt.Printf("fastest as charged: %s\n\n", best)
 
 	fmt.Println("training the scheduler for the learned view…")
 	sched, err := core.New(core.Config{TrainModels: models.AllModels()})

@@ -1,37 +1,29 @@
-package device
+package device_test
 
 import (
 	"testing"
 
-	"bomw/internal/models"
+	"bomw/internal/device"
 )
 
-func BenchmarkExecuteAggregate(b *testing.B) {
-	w := WorkloadOf(models.MnistSmall().MustBuild(1))
-	d := New(NvidiaGTX1080Ti())
+// BenchmarkCharge charges a batch of cifar-10 on a discrete GPU through
+// the runtime's command sequence: a write, eleven kernel launches and a
+// read.
+func BenchmarkCharge(b *testing.B) {
+	prog := program(b, "cifar-10")
+	rt := runtimeOn(b, device.New(device.NvidiaGTX1080Ti()), prog)
+	dev := rt.Devices()[0].Name()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Execute(0, w, 4096)
-	}
-}
-
-func BenchmarkExecutePerKernel(b *testing.B) {
-	net := models.Cifar10().MustBuild(1)
-	layers := LayerWorkloads(net)
-	d := New(NvidiaGTX1080Ti())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := d.Transfer(0, 4096*12288).Start
-		for _, lw := range layers {
-			r := d.ExecuteCompute(at, lw, 4096)
-			at = r.Start + r.Latency
+		if _, err := rt.Estimate(dev, "cifar-10", 4096, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkStateProbe(b *testing.B) {
-	d := New(NvidiaGTX1080Ti())
+	d := device.New(device.NvidiaGTX1080Ti())
 	d.Warm(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,11 +31,11 @@ func BenchmarkStateProbe(b *testing.B) {
 	}
 }
 
-func BenchmarkWorkloadOf(b *testing.B) {
-	net := models.Cifar10().MustBuild(1)
+func BenchmarkLayerWorkloads(b *testing.B) {
+	net := program(b, "cifar-10").Net
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WorkloadOf(net)
+		device.LayerWorkloads(net)
 	}
 }

@@ -11,6 +11,10 @@ import (
 // horizon (requests queue behind each other) and, for boosted devices, the
 // accumulated warm-up credit of the Boost clock state machine. All methods
 // are safe for concurrent use; time is virtual and supplied by the caller.
+//
+// A batch is charged as its OpenCL command sequence (internal/opencl): one
+// ExecuteCompute per layer kernel, with a Transfer before and after on a
+// discrete device. Those two methods are the whole cost model.
 type Device struct {
 	prof Profile
 
@@ -19,12 +23,6 @@ type Device struct {
 	boostBusy time.Duration // busy credit accumulated toward full clocks
 	lastEnd   time.Duration // virtual time of last execution end
 	slowdown  float64       // external interference factor (0 or 1 = none)
-	thermal   Thermal       // opt-in throttling model (§I clock changes)
-	heat      time.Duration // thermal leaky-bucket fill
-	govClock  float64       // DVFS clock scale (0 or 1 = performance)
-	govPower  float64       // DVFS power scale (0 or 1 = performance)
-	execs     int64
-	busyTotal time.Duration
 }
 
 // New creates a cold device from a profile.
@@ -43,7 +41,7 @@ func (d *Device) Profile() Profile { return d.prof }
 // the host — it has no PCIe link — without copying the Profile.
 func (d *Device) UnifiedMemory() bool { return d.prof.PCIeGBs <= 0 }
 
-// Report describes one simulated batch execution.
+// Report describes one simulated command: a kernel launch or a transfer.
 type Report struct {
 	Device string
 	Model  string
@@ -51,10 +49,10 @@ type Report struct {
 
 	Start      time.Duration // when execution began (after queueing)
 	QueueDelay time.Duration
-	Transfer   time.Duration // PCIe in+out (zero for unified memory)
+	Transfer   time.Duration // PCIe time of a transfer (zero for unified memory)
 	Launch     time.Duration // kernel launch overhead at full clocks
-	Compute    time.Duration // dispatch + roofline time at actual clocks
-	Latency    time.Duration // Transfer + Compute + Launch (clock-scaled)
+	Compute    time.Duration // a kernel's launch + dispatch + roofline time at actual clocks
+	Latency    time.Duration // the command's duration: Transfer or Compute
 
 	DeviceEnergyJ float64
 	HostEnergyJ   float64
@@ -76,26 +74,60 @@ func (r Report) AvgPowerW() float64 {
 	return r.EnergyJ() / r.Latency.Seconds()
 }
 
-// ThroughputGbps returns input-payload throughput in Gbit/s, the unit of
-// the paper's Fig. 3.
-func (r Report) ThroughputGbps(sampleBytes int64) float64 {
-	if r.Latency <= 0 {
-		return 0
-	}
-	return float64(r.Batch) * float64(sampleBytes) * 8 / r.Latency.Seconds() / 1e9
-}
-
 // String summarises the report.
 func (r Report) String() string {
 	return fmt.Sprintf("%s×%d on %s: latency=%v energy=%.3gJ util=%.2f clock=%.2f",
 		r.Model, r.Batch, r.Device, r.Latency, r.EnergyJ(), r.Utilization, r.ClockFrac)
 }
 
-// Execute simulates classifying a batch of n samples of workload w,
-// submitted at virtual time at. The execution queues behind any earlier
-// work on the device. The returned report carries latency and energy; the
-// device's boost and queue state advance accordingly.
-func (d *Device) Execute(at time.Duration, w Workload, n int) Report {
+// KernelCost is one kernel launch's cost at full clocks, split into the
+// terms ExecuteCompute charges before interference and the boost ramp
+// stretch it: launch overhead, dispatch, and a roofline whose longer side
+// binds.
+type KernelCost struct {
+	Launch   time.Duration // clEnqueueNDRangeKernel overhead
+	Dispatch time.Duration // per-work-item and per-work-group scheduling
+	Compute  time.Duration // FLOP time at the achieved utilisation
+	Memory   time.Duration // bytes moved / bandwidth, the roofline's partner
+	// Utilization is the fraction of the device's parallel width the
+	// batch occupies: small batches under-fill wide devices (§IV-C).
+	Utilization float64
+}
+
+// Roofline returns max(Compute, Memory).
+func (c KernelCost) Roofline() time.Duration { return max(c.Compute, c.Memory) }
+
+// KernelCost returns the full-clock cost terms of one launch of kernel w
+// over a batch of n samples on this device.
+func (p *Profile) KernelCost(w Workload, n int) KernelCost {
+	items := float64(int64(n) * w.ItemsPerSample)
+	util := min(max(items/float64(p.ParallelWidth), 0.01), 1)
+	groups := items/float64(p.WorkGroupSize) + 1
+
+	traffic := float64(int64(n) * 2 * w.ActivationBytes)
+	if w.WeightBytes <= p.CacheBytes {
+		traffic += float64(w.WeightBytes) // streamed once, then cached
+	} else {
+		traffic += float64(int64(n)*w.WeightBytes) / p.WeightReuse
+	}
+	flops := float64(int64(n) * w.FlopsPerSample)
+	return KernelCost{
+		Launch:      p.KernelLaunch,
+		Dispatch:    time.Duration(items*p.PerItemNs + groups*p.PerGroupNs),
+		Compute:     time.Duration(flops / (p.PeakGFLOPS * 1e9 * util) * float64(time.Second)),
+		Memory:      time.Duration(traffic / (p.MemBandwidthGBs * 1e9) * float64(time.Second)),
+		Utilization: util,
+	}
+}
+
+// ExecuteCompute simulates one kernel launch (no host transfers): launch
+// overhead, dispatch, roofline and the boost clock ramp, stretched by any
+// interference. It queues behind earlier work on the device; the
+// device's boost and queue state advance accordingly. Dynamic energy
+// tracks work done (clock-independent); idle power is paid for the full,
+// possibly stretched, duration — this is why cold starts always cost
+// more Joules (§IV-C, Fig. 4).
+func (d *Device) ExecuteCompute(at time.Duration, w Workload, n int) Report {
 	if n <= 0 {
 		panic(fmt.Sprintf("device: batch size must be positive, got %d", n))
 	}
@@ -109,110 +141,75 @@ func (d *Device) Execute(at time.Duration, w Workload, n int) Report {
 	d.coolLocked(start)
 	frac0 := d.clockFrac(d.boostBusy)
 
-	transfer := d.transferTime(w, n)
-	launch := time.Duration(w.Kernels) * d.prof.KernelLaunch
-	util := d.utilization(w, n)
-	warped := d.dispatchTime(w, n) + d.rooflineTime(w, n, util)
-	stretch := d.slowdownLocked() / (d.thermalFactorLocked() * d.govClockLocked())
-	warped = time.Duration(float64(launch+warped) * stretch)
+	c := d.prof.KernelCost(w, n)
+	warped := time.Duration(float64(c.Launch+c.Dispatch+c.Roofline()) * d.slowdownLocked())
+	scaled, credit := d.boostIntegrate(warped, frac0)
 
-	// Clock-scale the launch + compute portion through the boost ramp.
-	scaled, busyCredit := d.boostIntegrate(warped, frac0)
-
-	latency := transfer + scaled
-	// Dynamic energy tracks work done (clock-independent); static/idle
-	// power is paid for the full (possibly stretched) duration — this is
-	// why cold starts always cost more Joules (§IV-C, Fig. 4).
-	devE := d.prof.IdleWatts*latency.Seconds() +
-		(d.prof.ActiveWatts*d.govPowerLocked()-d.prof.IdleWatts)*util*warped.Seconds()
-	hostE := d.prof.HostWatts * latency.Seconds()
-
+	devE := d.prof.IdleWatts*scaled.Seconds() +
+		(d.prof.ActiveWatts-d.prof.IdleWatts)*c.Utilization*warped.Seconds()
 	rep := Report{
 		Device:        d.prof.Name,
 		Model:         w.Model,
 		Batch:         n,
 		Start:         start,
 		QueueDelay:    start - at,
-		Transfer:      transfer,
-		Launch:        launch,
-		Compute:       scaled - d.boostStretchOf(launch, frac0),
-		Latency:       latency,
+		Launch:        c.Launch,
+		Compute:       scaled,
+		Latency:       scaled,
 		DeviceEnergyJ: devE,
-		HostEnergyJ:   hostE,
-		Utilization:   util,
+		HostEnergyJ:   d.prof.HostWatts * scaled.Seconds(),
+		Utilization:   c.Utilization,
 		ClockFrac:     frac0,
 		StartedWarm:   frac0 >= 0.95,
 	}
-
-	d.busyUntil = start + latency
+	d.busyUntil = start + scaled
 	d.lastEnd = d.busyUntil
-	d.boostBusy += busyCredit
+	d.boostBusy += credit
 	if d.prof.HasBoost && d.boostBusy > d.prof.WarmupBusy {
 		d.boostBusy = d.prof.WarmupBusy
 	}
-	d.heatAfterLocked(scaled)
-	d.execs++
-	d.busyTotal += latency
 	return rep
 }
 
-// transferTime models the PCIe round trip: fixed latency per direction
-// plus a size-ramped effective bandwidth, so small transfers are
-// disproportionately expensive (§II-A). Unified-memory devices pay nothing
-// (clEnqueueMapBuffer zero-copy).
-func (d *Device) transferTime(w Workload, n int) time.Duration {
-	if d.prof.PCIeGBs <= 0 {
-		return 0
+// Transfer simulates moving bytes between host and device memory over the
+// interconnect (direction does not change the cost model): a fixed
+// latency plus a size-ramped effective bandwidth, so small transfers are
+// disproportionately expensive (§II-A). Unified-memory devices return a
+// zero-latency report: clEnqueueMapBuffer is free (§IV-B). During DMA the
+// device draws idle power and the host its assist power.
+func (d *Device) Transfer(at time.Duration, bytes int64) Report {
+	if bytes < 0 {
+		panic(fmt.Sprintf("device: negative transfer size %d", bytes))
 	}
-	in := float64(int64(n)*w.SampleBytes + w.PCIeExtraBytes())
-	out := float64(int64(n) * w.OutputBytes)
-	ramp := float64(d.prof.PCIeRampBytes)
-	bw := d.prof.PCIeGBs * 1e9
-	secs := (in+ramp)/bw + (out+ramp)/bw
-	return 2*d.prof.PCIeLatency + time.Duration(secs*float64(time.Second))
-}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 
-// dispatchTime charges per-work-item and per-work-group overheads for the
-// batch across all kernels.
-func (d *Device) dispatchTime(w Workload, n int) time.Duration {
-	items := float64(int64(n) * w.ItemsPerSample)
-	groups := items/float64(d.prof.WorkGroupSize) + float64(w.Kernels)
-	ns := items*d.prof.PerItemNs + groups*d.prof.PerGroupNs
-	return time.Duration(ns)
-}
-
-// utilization returns the fraction of the device's parallel width the
-// batch can occupy: small batches under-fill wide devices (§IV-C).
-func (d *Device) utilization(w Workload, n int) float64 {
-	concurrent := float64(int64(n) * w.AvgLayerWidth)
-	u := concurrent / float64(d.prof.ParallelWidth)
-	if u > 1 {
-		return 1
+	start := at
+	if d.busyUntil > start {
+		start = d.busyUntil
 	}
-	if u < 0.01 {
-		return 0.01
+	var dur time.Duration
+	if d.prof.PCIeGBs > 0 && bytes > 0 {
+		secs := (float64(bytes) + float64(d.prof.PCIeRampBytes)) / (d.prof.PCIeGBs * 1e9)
+		dur = d.prof.PCIeLatency + time.Duration(secs*float64(time.Second))
+		d.coolLocked(start) // the idle gap ends here: the device moves lastEnd below
 	}
-	return u
-}
-
-// rooflineTime returns max(compute, memory) time at full clocks.
-func (d *Device) rooflineTime(w Workload, n int, util float64) time.Duration {
-	flops := float64(int64(n) * w.FlopsPerSample)
-	tComp := flops / (d.prof.PeakGFLOPS * 1e9 * util)
-
-	traffic := float64(int64(n) * (w.SampleBytes + 2*w.ActivationBytes))
-	if w.WeightBytes <= d.prof.CacheBytes {
-		traffic += float64(w.WeightBytes) // streamed once, then cached
-	} else {
-		traffic += float64(int64(n)*w.WeightBytes) / d.prof.WeightReuse
+	rep := Report{
+		Device:        d.prof.Name,
+		Model:         "transfer",
+		Start:         start,
+		QueueDelay:    start - at,
+		Transfer:      dur,
+		Latency:       dur,
+		DeviceEnergyJ: d.prof.IdleWatts * dur.Seconds(),
+		HostEnergyJ:   d.prof.HostWatts * dur.Seconds(),
+		ClockFrac:     d.clockFrac(d.boostBusy),
 	}
-	tMem := traffic / (d.prof.MemBandwidthGBs * 1e9)
-
-	secs := tComp
-	if tMem > secs {
-		secs = tMem
+	d.busyUntil = start + dur
+	if dur > 0 {
+		d.lastEnd = d.busyUntil
 	}
-	return time.Duration(secs * float64(time.Second))
+	return rep
 }
 
 // boostIntegrate stretches a full-clock duration through the boost ramp
@@ -241,24 +238,14 @@ func (d *Device) boostIntegrate(work time.Duration, frac0 float64) (wall, credit
 	return time.Duration(T * float64(time.Second)), time.Duration(T * float64(time.Second))
 }
 
-// boostStretchOf reports how long a full-clock duration d0 lasts at the
-// starting clock fraction, for report breakdown purposes only.
-func (d *Device) boostStretchOf(d0 time.Duration, frac0 float64) time.Duration {
-	if !d.prof.HasBoost || frac0 <= 0 {
-		return d0
-	}
-	return time.Duration(float64(d0) / frac0)
-}
-
-// coolLocked commits the idle gap before now — boost credit and heat
-// both decay — and moves lastEnd to now, so the gap is cooled once.
+// coolLocked commits the idle gap before now — boost credit decays — and
+// moves lastEnd to now, so the gap is cooled once.
 // Every method that moves lastEnd calls it first.
 func (d *Device) coolLocked(now time.Duration) {
 	if now <= d.lastEnd {
 		return
 	}
 	d.boostBusy = d.cooledBoostLocked(now)
-	d.coolHeatLocked(now - d.lastEnd)
 	d.lastEnd = now
 }
 
@@ -323,18 +310,4 @@ func (d *Device) Reset() {
 	defer d.mu.Unlock()
 	d.busyUntil, d.boostBusy, d.lastEnd = 0, 0, 0
 	d.slowdown = 0
-	d.heat = 0
-	d.govClock, d.govPower = 0, 0
-	d.execs, d.busyTotal = 0, 0
 }
-
-// Stats returns lifetime execution counters.
-func (d *Device) Stats() (execs int64, busy time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.execs, d.busyTotal
-}
-
-// PCIeExtraBytes lets a workload charge additional per-batch transfer
-// payload (none for the paper's models; hook for future workloads).
-func (w Workload) PCIeExtraBytes() int64 { return 0 }

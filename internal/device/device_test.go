@@ -1,97 +1,37 @@
 package device
 
 import (
-	"strings"
+	"math/rand"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"bomw/internal/models"
-	"bomw/internal/nn"
 )
 
-// testWorkload is a hand-sized workload for unit tests.
+// Unit tests of the two commands a batch is charged as — ExecuteCompute
+// and Transfer — and of the device state they share. The batch-level
+// checks (paper shapes, properties, interference) run the runtime's
+// command sequence: charged_test.go and its neighbours.
+
+// testWorkload is a hand-sized kernel for unit tests.
 func testWorkload() Workload {
 	return Workload{
 		Model:           "test",
 		FlopsPerSample:  1000,
-		SampleBytes:     64,
-		OutputBytes:     8,
 		WeightBytes:     4096,
 		ActivationBytes: 128,
-		ItemsPerSample:  20,
-		Kernels:         2,
-		AvgLayerWidth:   10,
-	}
-}
-
-func TestExecutePanicsOnBadBatch(t *testing.T) {
-	d := New(IntelCoreI7_8700())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Execute(n=0) did not panic")
-		}
-	}()
-	d.Execute(0, testWorkload(), 0)
-}
-
-func TestExecuteBasicInvariants(t *testing.T) {
-	for _, p := range DefaultProfiles() {
-		d := New(p)
-		r := d.Execute(0, testWorkload(), 16)
-		if r.Latency <= 0 {
-			t.Fatalf("%s: non-positive latency", p.Name)
-		}
-		if r.EnergyJ() <= 0 {
-			t.Fatalf("%s: non-positive energy", p.Name)
-		}
-		if r.Utilization <= 0 || r.Utilization > 1 {
-			t.Fatalf("%s: utilization %g out of (0,1]", p.Name, r.Utilization)
-		}
-		if r.Device != p.Name || r.Model != "test" || r.Batch != 16 {
-			t.Fatalf("%s: report identity fields wrong: %+v", p.Name, r)
-		}
-		if r.Latency != r.Transfer+r.Launch+r.Compute && p.Kind != DiscreteGPU {
-			// For non-boost devices the breakdown must add up exactly.
-			t.Fatalf("%s: breakdown %v+%v+%v != %v", p.Name, r.Transfer, r.Launch, r.Compute, r.Latency)
-		}
-	}
-}
-
-func TestLatencyMonotonicInBatch(t *testing.T) {
-	w := testWorkload()
-	for _, p := range DefaultProfiles() {
-		prev := time.Duration(0)
-		for _, n := range []int{1, 8, 64, 512, 4096} {
-			d := New(p)
-			r := d.Execute(0, w, n)
-			if r.Latency < prev {
-				t.Fatalf("%s: latency decreased from %v at batch %d", p.Name, prev, n)
-			}
-			prev = r.Latency
-		}
-	}
-}
-
-func TestUnifiedMemoryHasNoTransfer(t *testing.T) {
-	w := testWorkload()
-	for _, p := range []Profile{IntelCoreI7_8700(), IntelUHD630()} {
-		r := New(p).Execute(0, w, 128)
-		if r.Transfer != 0 {
-			t.Fatalf("%s: unified-memory device charged %v transfer", p.Name, r.Transfer)
-		}
-	}
-	if r := New(NvidiaGTX1080Ti()).Execute(0, w, 128); r.Transfer <= 2*NvidiaGTX1080Ti().PCIeLatency {
-		t.Fatalf("dGPU transfer %v should exceed fixed PCIe latency", r.Transfer)
+		ItemsPerSample:  10,
 	}
 }
 
 func TestPCIeSmallTransfersInefficient(t *testing.T) {
 	// Effective PCIe bandwidth must ramp with transfer size (§II-A):
-	// doubling a small batch should much less than double transfer time.
+	// moving one 64-byte sample costs far more per sample than moving
+	// 100000 of them in one transfer.
 	d := New(NvidiaGTX1080Ti())
-	w := testWorkload()
-	small := d.transferTime(w, 1)
-	big := d.transferTime(w, 100000)
+	small := d.Transfer(0, 64).Latency
+	big := d.Transfer(0, 64*100000).Latency
 	perSampleSmall := float64(small)
 	perSampleBig := float64(big) / 100000
 	if perSampleSmall < 20*perSampleBig {
@@ -102,15 +42,15 @@ func TestPCIeSmallTransfersInefficient(t *testing.T) {
 func TestQueueingDelaysSecondBatch(t *testing.T) {
 	d := New(IntelCoreI7_8700())
 	w := testWorkload()
-	r1 := d.Execute(0, w, 1024)
-	r2 := d.Execute(0, w, 1024) // submitted at the same instant
+	r1 := d.ExecuteCompute(0, w, 1024)
+	r2 := d.ExecuteCompute(0, w, 1024) // submitted at the same instant
 	if r2.QueueDelay != r1.Latency {
 		t.Fatalf("second batch queue delay %v, want %v", r2.QueueDelay, r1.Latency)
 	}
 	if r2.Start != r1.Latency {
 		t.Fatalf("second batch start %v, want %v", r2.Start, r1.Latency)
 	}
-	r3 := d.Execute(r2.Start+r2.Latency+time.Second, w, 1)
+	r3 := d.ExecuteCompute(r2.Start+r2.Latency+time.Second, w, 1)
 	if r3.QueueDelay != 0 {
 		t.Fatalf("idle device should not queue, delay %v", r3.QueueDelay)
 	}
@@ -121,8 +61,8 @@ func TestBoostColdSlowerThanWarm(t *testing.T) {
 	cold := New(NvidiaGTX1080Ti())
 	warm := New(NvidiaGTX1080Ti())
 	warm.Warm(0)
-	rc := cold.Execute(0, w, 256)
-	rw := warm.Execute(0, w, 256)
+	rc := cold.ExecuteCompute(0, w, 256)
+	rw := warm.ExecuteCompute(0, w, 256)
 	if rc.Latency <= rw.Latency {
 		t.Fatalf("cold start %v should be slower than warm %v", rc.Latency, rw.Latency)
 	}
@@ -145,7 +85,7 @@ func TestBoostWarmsWithWork(t *testing.T) {
 		t.Fatal("new device should be cold")
 	}
 	// A very large batch accumulates enough busy time to warm the clocks.
-	r := d.Execute(0, w, 1<<22)
+	r := d.ExecuteCompute(0, w, 1<<23)
 	st := d.StateAt(r.Start + r.Latency)
 	if !st.Warm {
 		t.Fatalf("device should be warm after %v of work, clock %.2f", r.Latency, st.ClockFrac)
@@ -211,8 +151,8 @@ func TestBoostConvergenceForLongRuns(t *testing.T) {
 	cold := New(NvidiaGTX1080Ti())
 	warm := New(NvidiaGTX1080Ti())
 	warm.Warm(0)
-	rc := cold.Execute(0, w, 100_000)
-	rw := warm.Execute(0, w, 100_000)
+	rc := cold.ExecuteCompute(0, w, 100_000)
+	rw := warm.ExecuteCompute(0, w, 100_000)
 	ratio := float64(rc.Latency) / float64(rw.Latency)
 	if ratio > 1.2 {
 		t.Fatalf("long runs should converge, cold/warm = %.2f", ratio)
@@ -229,13 +169,13 @@ func TestNonBoostDevicesAlwaysWarm(t *testing.T) {
 }
 
 func TestWeightsCachedWhenSmall(t *testing.T) {
-	d := New(IntelCoreI7_8700())
+	p := IntelCoreI7_8700()
 	small := testWorkload() // 4 KB weights, fits L3
 	large := testWorkload()
 	large.WeightBytes = 64 << 20 // 64 MB, exceeds 12 MB L3
 	n := 4096
-	ts := d.rooflineTime(small, n, 1)
-	tl := d.rooflineTime(large, n, 1)
+	ts := p.KernelCost(small, n).Memory
+	tl := p.KernelCost(large, n).Memory
 	if tl < 10*ts {
 		t.Fatalf("uncacheable weights should dominate memory time: %v vs %v", tl, ts)
 	}
@@ -243,11 +183,11 @@ func TestWeightsCachedWhenSmall(t *testing.T) {
 
 func TestEnergyComponents(t *testing.T) {
 	w := testWorkload()
-	rd := New(NvidiaGTX1080Ti()).Execute(0, w, 1024)
+	rd := New(NvidiaGTX1080Ti()).ExecuteCompute(0, w, 1024)
 	if rd.HostEnergyJ <= 0 {
 		t.Fatal("dGPU execution must charge host-assist energy (§IV-C)")
 	}
-	rc := New(IntelCoreI7_8700()).Execute(0, w, 1024)
+	rc := New(IntelCoreI7_8700()).ExecuteCompute(0, w, 1024)
 	if rc.HostEnergyJ != 0 {
 		t.Fatal("CPU execution is the host; no separate host energy")
 	}
@@ -256,6 +196,9 @@ func TestEnergyComponents(t *testing.T) {
 	}
 	if rd.AvgPowerW() <= 0 {
 		t.Fatal("average power must be positive")
+	}
+	if (Report{}).AvgPowerW() != 0 {
+		t.Fatal("a zero-latency report should not divide by zero")
 	}
 }
 
@@ -266,7 +209,7 @@ func TestIGPULowestPower(t *testing.T) {
 	for _, p := range DefaultProfiles() {
 		d := New(p)
 		d.Warm(0)
-		r := d.Execute(0, w, 65536)
+		r := d.ExecuteCompute(0, w, 65536)
 		powers[p.Kind] = r.AvgPowerW()
 	}
 	if powers[IntegratedGPU] >= powers[CPU] || powers[IntegratedGPU] >= powers[DiscreteGPU] {
@@ -277,23 +220,10 @@ func TestIGPULowestPower(t *testing.T) {
 func TestResetRestoresColdIdle(t *testing.T) {
 	d := New(NvidiaGTX1080Ti())
 	d.Warm(0)
-	d.Execute(0, testWorkload(), 1024)
+	d.ExecuteCompute(0, testWorkload(), 1024)
 	d.Reset()
 	if st := d.StateAt(0); st.Warm || st.BusyUntil != 0 {
 		t.Fatalf("Reset left state %+v", st)
-	}
-	if execs, busy := d.Stats(); execs != 0 || busy != 0 {
-		t.Fatal("Reset should clear counters")
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	d := New(IntelCoreI7_8700())
-	r1 := d.Execute(0, testWorkload(), 10)
-	r2 := d.Execute(0, testWorkload(), 10)
-	execs, busy := d.Stats()
-	if execs != 2 || busy != r1.Latency+r2.Latency {
-		t.Fatalf("Stats = %d, %v", execs, busy)
 	}
 }
 
@@ -305,63 +235,107 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestThroughputGbps(t *testing.T) {
-	r := Report{Batch: 1000, Latency: time.Millisecond}
-	// 1000 samples × 125 bytes × 8 bits / 1ms = 1 Gbit/s.
-	if got := r.ThroughputGbps(125); got < 0.999 || got > 1.001 {
-		t.Fatalf("ThroughputGbps = %g, want 1", got)
+func TestLayerWorkloadsCoverNetwork(t *testing.T) {
+	net := models.MnistCNN().MustBuild(1)
+	layers := LayerWorkloads(net)
+	// Every layer but the Flatten is a kernel.
+	if want := len(net.Layers()) - 1; len(layers) != want {
+		t.Fatalf("layer workloads = %d, want %d", len(layers), want)
 	}
-	if (Report{}).ThroughputGbps(10) != 0 || (Report{}).AvgPowerW() != 0 {
-		t.Fatal("zero-latency report should not divide by zero")
+	var flops, weights int64
+	for _, lw := range layers {
+		if lw.ItemsPerSample <= 0 || lw.ActivationBytes <= 0 {
+			t.Fatalf("degenerate kernel %+v", lw)
+		}
+		flops += lw.FlopsPerSample
+		weights += lw.WeightBytes
+	}
+	if flops != net.FlopsPerSample() {
+		t.Fatalf("layer flops sum %d != network %d", flops, net.FlopsPerSample())
+	}
+	if weights != net.ParamBytes() {
+		t.Fatalf("layer weights sum %d != network %d", weights, net.ParamBytes())
 	}
 }
 
-func TestExplainBreakdown(t *testing.T) {
-	w := WorkloadOf(mustNet(t))
-	for _, p := range DefaultProfiles() {
-		for _, warm := range []bool{false, true} {
-			b := Explain(p, w, 4096, warm)
-			if b.Device != p.Name || b.Batch != 4096 {
-				t.Fatalf("identity fields wrong: %+v", b)
-			}
-			if b.TotalLatency <= 0 || b.EnergyJ <= 0 {
-				t.Fatalf("%s: degenerate breakdown", p.Name)
-			}
-			if b.Bound != "compute" && b.Bound != "memory" {
-				t.Fatalf("%s: bound = %q", p.Name, b.Bound)
-			}
-			if p.Kind != DiscreteGPU && b.Transfer != 0 {
-				t.Fatalf("%s: unified memory charged transfer", p.Name)
-			}
-			// Breakdown pieces must not exceed the total (boost and
-			// roofline make the total at least the max term).
-			if b.Compute > b.TotalLatency && b.Memory > b.TotalLatency {
-				t.Fatalf("%s: both roofline terms exceed the total", p.Name)
-			}
-			s := b.String()
-			for _, want := range []string{"bound by", "latency", "energy"} {
-				if !strings.Contains(s, want) {
-					t.Fatalf("breakdown rendering missing %q", want)
-				}
-			}
+func TestExecuteComputeQueuesAndWarms(t *testing.T) {
+	d := New(NvidiaGTX1080Ti())
+	w := testWorkload()
+	w.FlopsPerSample = 10_000_000
+	r1 := d.ExecuteCompute(0, w, 4096)
+	r2 := d.ExecuteCompute(0, w, 4096)
+	if r2.QueueDelay != r1.Latency {
+		t.Fatalf("kernel did not queue: delay %v, want %v", r2.QueueDelay, r1.Latency)
+	}
+	if r2.ClockFrac <= r1.ClockFrac {
+		t.Fatal("second kernel should see warmer clocks")
+	}
+	if r1.Transfer != 0 {
+		t.Fatal("ExecuteCompute must not charge transfers")
+	}
+}
+
+func TestExecuteComputePanicsOnBadBatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ExecuteCompute(n=-1) did not panic")
+		}
+	}()
+	New(IntelCoreI7_8700()).ExecuteCompute(0, testWorkload(), -1)
+}
+
+func TestTransferUnifiedMemoryFree(t *testing.T) {
+	for _, p := range []Profile{IntelCoreI7_8700(), IntelUHD630()} {
+		r := New(p).Transfer(0, 1<<20)
+		if r.Latency != 0 || r.EnergyJ() != 0 {
+			t.Fatalf("%s: unified-memory transfer should be free, got %v/%gJ", p.Name, r.Latency, r.EnergyJ())
 		}
 	}
-	// Warm vs cold dGPU: the warm breakdown must be faster.
-	cold := Explain(NvidiaGTX1080Ti(), w, 4096, false)
-	warm := Explain(NvidiaGTX1080Ti(), w, 4096, true)
-	if warm.TotalLatency >= cold.TotalLatency {
-		t.Fatal("warm breakdown not faster than cold")
+}
+
+func TestTransferDiscreteCharges(t *testing.T) {
+	d := New(NvidiaGTX1080Ti())
+	small := d.Transfer(0, 64)
+	if small.Latency <= d.Profile().PCIeLatency {
+		t.Fatalf("transfer latency %v should exceed the fixed PCIe latency", small.Latency)
 	}
-	if cold.ClockFrac >= warm.ClockFrac {
-		t.Fatal("clock fractions wrong")
+	big := d.Transfer(small.Start+small.Latency, 1<<30)
+	if big.Latency <= small.Latency {
+		t.Fatal("1 GiB transfer should dwarf a 64 B transfer")
+	}
+	if big.EnergyJ() <= 0 {
+		t.Fatal("transfer should consume energy")
+	}
+	// Zero-byte transfer is free even on PCIe devices.
+	if r := d.Transfer(0, 0); r.Latency != 0 {
+		t.Fatalf("zero-byte transfer charged %v", r.Latency)
 	}
 }
 
-func mustNet(t *testing.T) *nn.Network {
-	t.Helper()
-	spec, err := models.ByName("mnist-small")
-	if err != nil {
+func TestTransferPanicsOnNegative(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Transfer(-1) did not panic")
+		}
+	}()
+	New(NvidiaGTX1080Ti()).Transfer(0, -1)
+}
+
+func TestPropertyBoostIntegrateConsistency(t *testing.T) {
+	// Stretching work through the boost ramp never shortens it, and warm
+	// devices run 1:1.
+	d := New(NvidiaGTX1080Ti())
+	f := func(ms uint16, fracRaw uint8) bool {
+		work := time.Duration(1+int(ms)%5000) * time.Millisecond
+		frac := d.prof.IdleClock + (1-d.prof.IdleClock)*float64(fracRaw)/255
+		wall, credit := d.boostIntegrate(work, frac)
+		if wall < work || credit != wall {
+			return false
+		}
+		full, _ := d.boostIntegrate(work, 1)
+		return full == work
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
-	return spec.MustBuild(1)
 }

@@ -2,23 +2,6 @@ package device
 
 import "testing"
 
-func TestSlowdownStretchesCompute(t *testing.T) {
-	w := testWorkload()
-	w.FlopsPerSample = 10_000_000
-	clean := New(IntelCoreI7_8700())
-	contended := New(IntelCoreI7_8700())
-	contended.SetSlowdown(3)
-	rc := clean.Execute(0, w, 4096)
-	rs := contended.Execute(0, w, 4096)
-	ratio := float64(rs.Latency) / float64(rc.Latency)
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("slowdown 3 produced latency ratio %.2f", ratio)
-	}
-	if rs.EnergyJ() <= rc.EnergyJ() {
-		t.Fatal("contended execution should burn more energy")
-	}
-}
-
 func TestSlowdownAffectsKernelPath(t *testing.T) {
 	w := testWorkload()
 	w.FlopsPerSample = 10_000_000

@@ -1,44 +1,35 @@
-package device
+package device_test
 
 import (
 	"testing"
 	"time"
 
+	"bomw/internal/device"
 	"bomw/internal/models"
+	"bomw/internal/opencl"
 )
 
 // The tests in this file encode the acceptance checks of DESIGN.md §3:
 // the qualitative shapes of the paper's Fig. 3 and Fig. 4 must hold on the
-// calibrated device models. Crossover points are asserted to bracket the
+// calibrated device models, charged as the runtime charges a batch
+// (charged_test.go). Crossover points are asserted to bracket the
 // paper's values within one order of magnitude, per the reproduction rule
 // ("who wins, by roughly what factor, where crossovers fall").
 
-// latencyAt runs one batch on a fresh device, optionally pre-warmed.
-func latencyAt(p Profile, warm bool, w Workload, n int) time.Duration {
-	d := New(p)
-	if warm {
-		d.Warm(0)
-	}
-	return d.Execute(0, w, n).Latency
-}
-
-func workloadFor(t *testing.T, name string) Workload {
+// latencyAt charges one batch on a fresh device, optionally pre-warmed.
+func latencyAt(t *testing.T, p device.Profile, warm bool, prog *opencl.Program, n int) time.Duration {
 	t.Helper()
-	spec, err := models.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return WorkloadOf(spec.MustBuild(1))
+	return charge(t, p, warm, prog, n).Latency()
 }
 
 // crossover returns the smallest batch in sizes where the dGPU beats the
 // CPU, or -1 if the CPU wins everywhere.
-func crossover(t *testing.T, w Workload, warm bool, sizes []int) int {
+func crossover(t *testing.T, prog *opencl.Program, warm bool, sizes []int) int {
 	t.Helper()
-	cpu := IntelCoreI7_8700()
-	gpu := NvidiaGTX1080Ti()
+	cpu := device.IntelCoreI7_8700()
+	gpu := device.NvidiaGTX1080Ti()
 	for _, n := range sizes {
-		if latencyAt(gpu, warm, w, n) < latencyAt(cpu, true, w, n) {
+		if latencyAt(t, gpu, warm, prog, n) < latencyAt(t, cpu, true, prog, n) {
 			return n
 		}
 	}
@@ -48,26 +39,26 @@ func crossover(t *testing.T, w Workload, warm bool, sizes []int) int {
 var sweepSizes = []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144}
 
 func TestFig3aSimpleCrossovers(t *testing.T) {
-	w := workloadFor(t, "simple")
-	warm := crossover(t, w, true, sweepSizes)
+	prog := program(t, "simple")
+	warm := crossover(t, prog, true, sweepSizes)
 	// Paper: CPU wins up to 2048 against a warm GPU. Accept within one
 	// order of magnitude: crossover in [512, 32768].
 	if warm < 512 || warm > 32768 {
 		t.Fatalf("simple warm crossover at %d, paper ≈2048", warm)
 	}
 	// Paper: against an idle-start GPU the CPU wins at every tested size.
-	if idle := crossover(t, w, false, sweepSizes); idle != -1 {
+	if idle := crossover(t, prog, false, sweepSizes); idle != -1 {
 		t.Fatalf("simple idle crossover at %d, paper: CPU wins everywhere", idle)
 	}
 }
 
 func TestFig3eCifarCrossovers(t *testing.T) {
-	w := workloadFor(t, "cifar-10")
-	warm := crossover(t, w, true, sweepSizes)
+	prog := program(t, "cifar-10")
+	warm := crossover(t, prog, true, sweepSizes)
 	if warm == -1 || warm < 2 || warm > 64 {
 		t.Fatalf("cifar warm crossover at %d, paper ≈8", warm)
 	}
-	idle := crossover(t, w, false, sweepSizes)
+	idle := crossover(t, prog, false, sweepSizes)
 	if idle == -1 || idle < 16 || idle > 1024 {
 		t.Fatalf("cifar idle crossover at %d, paper ≈128", idle)
 	}
@@ -77,9 +68,9 @@ func TestFig3eCifarCrossovers(t *testing.T) {
 }
 
 func TestFig3cMnistDeepCrossoverSmall(t *testing.T) {
-	w := workloadFor(t, "mnist-deep")
-	warm := crossover(t, w, true, sweepSizes)
-	idle := crossover(t, w, false, sweepSizes)
+	prog := program(t, "mnist-deep")
+	warm := crossover(t, prog, true, sweepSizes)
+	idle := crossover(t, prog, false, sweepSizes)
 	// Paper: CPU wins only up to ≈8 regardless of GPU state.
 	if warm == -1 || warm > 64 {
 		t.Fatalf("mnist-deep warm crossover at %d, paper ≈8", warm)
@@ -92,10 +83,10 @@ func TestFig3cMnistDeepCrossoverSmall(t *testing.T) {
 func TestFig3bIdleConvergesToWarm(t *testing.T) {
 	// Paper (Fig. 3b): past batch ≈512 the idle-start GPU's latency grows
 	// better than linearly until it matches the warm GPU at ≥64K samples.
-	w := workloadFor(t, "mnist-small")
-	gpu := NvidiaGTX1080Ti()
-	smallRatio := float64(latencyAt(gpu, false, w, 256)) / float64(latencyAt(gpu, true, w, 256))
-	bigRatio := float64(latencyAt(gpu, false, w, 131072)) / float64(latencyAt(gpu, true, w, 131072))
+	prog := program(t, "mnist-small")
+	gpu := device.NvidiaGTX1080Ti()
+	smallRatio := float64(latencyAt(t, gpu, false, prog, 256)) / float64(latencyAt(t, gpu, true, prog, 256))
+	bigRatio := float64(latencyAt(t, gpu, false, prog, 131072)) / float64(latencyAt(t, gpu, true, prog, 131072))
 	if smallRatio < 2 {
 		t.Fatalf("idle penalty at small batch should be large, got %.2fx", smallRatio)
 	}
@@ -111,16 +102,14 @@ func TestFig3ThroughputSpans(t *testing.T) {
 	// Paper: dGPU peak throughput spans ≈0.8–20 Gbit/s across models and
 	// the CPU ≈0.05–15 Gbit/s. Require the same relative spread (>10x
 	// between the best and worst model) and peaks within ~3x of the paper.
-	maxOf := func(p Profile) (lo, hi float64) {
+	maxOf := func(p device.Profile) (lo, hi float64) {
 		lo = 1e18
 		for _, spec := range models.PaperModels() {
-			w := WorkloadOf(spec.MustBuild(1))
+			prog := program(t, spec.Name)
 			best := 0.0
 			for _, n := range sweepSizes {
-				d := New(p)
-				d.Warm(0)
-				r := d.Execute(0, w, n)
-				if g := r.ThroughputGbps(w.SampleBytes); g > best {
+				r := charge(t, p, true, prog, n)
+				if g := r.ThroughputGbps(prog.Net.SampleBytes()); g > best {
 					best = g
 				}
 			}
@@ -133,8 +122,8 @@ func TestFig3ThroughputSpans(t *testing.T) {
 		}
 		return lo, hi
 	}
-	gLo, gHi := maxOf(NvidiaGTX1080Ti())
-	cLo, cHi := maxOf(IntelCoreI7_8700())
+	gLo, gHi := maxOf(device.NvidiaGTX1080Ti())
+	cLo, cHi := maxOf(device.IntelCoreI7_8700())
 	if gHi < 7 || gHi > 60 {
 		t.Fatalf("dGPU peak %.1f Gbit/s, paper ≈20", gHi)
 	}
@@ -156,13 +145,10 @@ func TestFig4IdleStartAlwaysCostsMoreEnergy(t *testing.T) {
 	// Paper: "when the GPU starts from an idle state, it always consumes
 	// more energy in all the machine learning models".
 	for _, spec := range models.PaperModels() {
-		w := WorkloadOf(spec.MustBuild(1))
+		prog := program(t, spec.Name)
 		for _, n := range []int{8, 512, 32768} {
-			cold := New(NvidiaGTX1080Ti())
-			warm := New(NvidiaGTX1080Ti())
-			warm.Warm(0)
-			ec := cold.Execute(0, w, n).EnergyJ()
-			ew := warm.Execute(0, w, n).EnergyJ()
+			ec := charge(t, device.NvidiaGTX1080Ti(), false, prog, n).EnergyJ
+			ew := charge(t, device.NvidiaGTX1080Ti(), true, prog, n).EnergyJ
 			if ec <= ew {
 				t.Fatalf("%s batch %d: cold %gJ ≤ warm %gJ", spec.Name, n, ec, ew)
 			}
@@ -175,16 +161,12 @@ func TestFig4NoDeviceRulesThemAll(t *testing.T) {
 	// device must change across (model, batch, state) configurations.
 	winners := map[string]bool{}
 	for _, spec := range models.PaperModels() {
-		w := WorkloadOf(spec.MustBuild(1))
+		prog := program(t, spec.Name)
 		for _, n := range []int{2, 64, 4096, 262144} {
 			for _, gpuWarm := range []bool{false, true} {
 				bestD, bestE := "", 0.0
-				for _, p := range DefaultProfiles() {
-					d := New(p)
-					if gpuWarm {
-						d.Warm(0)
-					}
-					e := d.Execute(0, w, n).EnergyJ()
+				for _, p := range device.DefaultProfiles() {
+					e := charge(t, p, gpuWarm, prog, n).EnergyJ
 					if bestD == "" || e < bestE {
 						bestD, bestE = p.Name, e
 					}
@@ -202,13 +184,11 @@ func TestFig4WarmGPUBeatsIGPUOnBigBatches(t *testing.T) {
 	// Paper (Fig. 4b): for mid-size batches the iGPU is the most
 	// energy-efficient device when the dGPU is cold, but the warmed dGPU
 	// takes over.
-	w := workloadFor(t, "mnist-small")
+	prog := program(t, "mnist-small")
 	n := 2048
-	igpu := New(IntelUHD630()).Execute(0, w, n).EnergyJ()
-	cold := New(NvidiaGTX1080Ti()).Execute(0, w, n).EnergyJ()
-	warmDev := New(NvidiaGTX1080Ti())
-	warmDev.Warm(0)
-	warm := warmDev.Execute(0, w, n).EnergyJ()
+	igpu := charge(t, device.IntelUHD630(), false, prog, n).EnergyJ
+	cold := charge(t, device.NvidiaGTX1080Ti(), false, prog, n).EnergyJ
+	warm := charge(t, device.NvidiaGTX1080Ti(), true, prog, n).EnergyJ
 	if !(igpu < cold) {
 		t.Fatalf("iGPU (%gJ) should beat a cold dGPU (%gJ) at batch %d", igpu, cold, n)
 	}
@@ -217,24 +197,25 @@ func TestFig4WarmGPUBeatsIGPUOnBigBatches(t *testing.T) {
 	}
 }
 
-func TestWorkloadOfPaperModels(t *testing.T) {
+func TestLayerWorkloadsOfPaperModels(t *testing.T) {
 	for _, spec := range models.PaperModels() {
-		w := WorkloadOf(spec.MustBuild(1))
-		if w.Model != spec.Name {
-			t.Fatalf("workload model %q", w.Model)
+		net := program(t, spec.Name).Net
+		var weights int64
+		for _, w := range device.LayerWorkloads(net) {
+			if w.FlopsPerSample <= 0 || w.ItemsPerSample <= 0 {
+				t.Fatalf("%s: degenerate kernel %+v", spec.Name, w)
+			}
+			weights += w.WeightBytes
 		}
-		if w.FlopsPerSample <= 0 || w.ItemsPerSample <= 0 || w.Kernels <= 0 || w.AvgLayerWidth <= 0 {
-			t.Fatalf("%s: degenerate workload %+v", spec.Name, w)
-		}
-		if w.WeightBytes != spec.MustBuild(1).ParamBytes() {
-			t.Fatalf("%s: weight bytes mismatch", spec.Name)
+		if weights != net.ParamBytes() {
+			t.Fatalf("%s: kernels stage %d weight bytes, the network has %d", spec.Name, weights, net.ParamBytes())
 		}
 	}
 	// Kernel counts: FFNN = layers; CNN = convs + pools + dense.
-	if w := workloadFor(t, "simple"); w.Kernels != 3 {
-		t.Fatalf("simple kernels = %d, want 3", w.Kernels)
+	if n := len(device.LayerWorkloads(program(t, "simple").Net)); n != 3 {
+		t.Fatalf("simple kernels = %d, want 3", n)
 	}
-	if w := workloadFor(t, "cifar-10"); w.Kernels != 6+3+2 {
-		t.Fatalf("cifar kernels = %d, want 11", w.Kernels)
+	if n := len(device.LayerWorkloads(program(t, "cifar-10").Net)); n != 6+3+2 {
+		t.Fatalf("cifar kernels = %d, want 11", n)
 	}
 }

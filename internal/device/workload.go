@@ -4,31 +4,24 @@ import (
 	"bomw/internal/nn"
 )
 
-// Workload is the device-independent cost summary of one model's
-// classification pass, extracted once from a built network. The device
-// models consume only these aggregates.
+// Workload is the device-independent cost summary of one kernel launch:
+// one layer of a model's classification pass, extracted once from a
+// built network (LayerWorkloads). The device models consume only these
+// aggregates.
 type Workload struct {
 	Model string
-	// FlopsPerSample is the floating-point work to classify one sample.
+	// FlopsPerSample is the floating-point work the kernel does for one
+	// sample.
 	FlopsPerSample int64
-	// SampleBytes is the input payload per sample (the unit of the
-	// paper's Gbit/s throughput axis).
-	SampleBytes int64
-	// OutputBytes is the classification result payload per sample.
-	OutputBytes int64
-	// WeightBytes is the total parameter footprint staged on the device.
+	// WeightBytes is the layer's parameter footprint staged on the
+	// device.
 	WeightBytes int64
-	// ActivationBytes is the intermediate tensor traffic per sample.
+	// ActivationBytes is the mean of the layer's input and output tensor
+	// bytes per sample: the kernel reads one and writes the other.
 	ActivationBytes int64
 	// ItemsPerSample is the number of OpenCL work-items one sample
-	// spawns across all kernels (thread-per-node, §IV-B).
+	// spawns (thread-per-node, §IV-B): the kernel's concurrency.
 	ItemsPerSample int64
-	// Kernels is the number of kernel launches per batch (one per layer
-	// with weights or pooling).
-	Kernels int
-	// AvgLayerWidth is ItemsPerSample / Kernels: the mean per-kernel
-	// concurrency one sample contributes.
-	AvgLayerWidth int64
 }
 
 // isReshape reports whether a layer moves no data and runs no compute
@@ -40,31 +33,35 @@ func isReshape(l nn.Layer) bool {
 	return ok
 }
 
-// WorkloadOf derives the cost summary from a built network.
-func WorkloadOf(net *nn.Network) Workload {
-	w := Workload{
-		Model:           net.Name(),
-		FlopsPerSample:  net.FlopsPerSample(),
-		SampleBytes:     net.SampleBytes(),
-		OutputBytes:     int64(net.Classes()) * 4,
-		WeightBytes:     net.ParamBytes(),
-		ActivationBytes: net.ActivationBytesPerSample(),
-	}
+// LayerWorkloads splits a network into one Workload per kernel launch,
+// preserving per-layer parallelism so kernel utilisation follows each
+// layer's own width. Pure reshapes fold into their consumer (§IV-B).
+func LayerWorkloads(net *nn.Network) []Workload {
+	var out []Workload
 	shape := net.InputShape()
+	inBytes := int64(4)
+	for _, d := range shape {
+		inBytes *= int64(d)
+	}
 	for _, l := range net.Layers() {
-		shape = l.OutputShape(shape)
-		if isReshape(l) {
-			continue // pure reshapes fold into their consumer (§IV-B)
-		}
+		outShape := l.OutputShape(shape)
+		outBytes := int64(4)
 		items := int64(1)
-		for _, d := range shape {
+		for _, d := range outShape {
+			outBytes *= int64(d)
 			items *= int64(d)
 		}
-		w.ItemsPerSample += items
-		w.Kernels++
+		if !isReshape(l) {
+			out = append(out, Workload{
+				Model:           net.Name() + "/" + l.Name(),
+				FlopsPerSample:  l.FlopsPerSample(shape),
+				WeightBytes:     l.ParamBytes(),
+				ActivationBytes: (inBytes + outBytes) / 2,
+				ItemsPerSample:  items,
+			})
+		}
+		shape = outShape
+		inBytes = outBytes
 	}
-	if w.Kernels > 0 {
-		w.AvgLayerWidth = w.ItemsPerSample / int64(w.Kernels)
-	}
-	return w
+	return out
 }

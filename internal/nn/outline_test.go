@@ -36,7 +36,6 @@ func TestOutlineDescribesTheBuiltNetwork(t *testing.T) {
 			{"FlopsPerSample", outline.FlopsPerSample(), built.FlopsPerSample()},
 			{"ParamBytes", outline.ParamBytes(), built.ParamBytes()},
 			{"ActivationBytesPerSample", outline.ActivationBytesPerSample(), built.ActivationBytesPerSample()},
-			{"device.WorkloadOf", device.WorkloadOf(outline), device.WorkloadOf(built)},
 			{"device.LayerWorkloads", device.LayerWorkloads(outline), device.LayerWorkloads(built)},
 		} {
 			if !reflect.DeepEqual(q.got, q.want) {

@@ -20,24 +20,26 @@ func testDevices() []*device.Device {
 	}
 }
 
-func TestDiscoverPlatforms(t *testing.T) {
-	ps := DiscoverPlatforms(testDevices()...)
-	if len(ps) != 2 {
-		t.Fatalf("platforms = %d, want 2 (Intel + NVIDIA)", len(ps))
-	}
-	if ps[0].Name != "Intel OpenCL" || len(ps[0].Devices) != 2 {
-		t.Fatalf("Intel platform wrong: %+v", ps[0])
-	}
-	if ps[1].Name != "NVIDIA CUDA" || len(ps[1].Devices) != 1 {
-		t.Fatalf("NVIDIA platform wrong: %+v", ps[1])
-	}
-	// An accelerator gets the generic platform (device-agnostic claim).
+// A runtime's context lists the devices in the order given: an
+// accelerator, or a dGPU named first, keeps its place.
+func TestNewRuntimeKeepsDeviceOrder(t *testing.T) {
 	npu := device.New(device.Profile{Name: "npu", Kind: device.Accelerator, PeakGFLOPS: 100,
 		ParallelWidth: 64, WorkGroupSize: 64, MemBandwidthGBs: 10, CacheBytes: 1 << 20,
 		WeightReuse: 4, IdleWatts: 1, ActiveWatts: 5})
-	ps = DiscoverPlatforms(npu)
-	if len(ps) != 1 || ps[0].Name != "Generic Accelerators" {
-		t.Fatalf("accelerator platform wrong: %+v", ps)
+	devs := testDevices()
+	for _, order := range [][]*device.Device{
+		devs,
+		{npu, devs[2], devs[0], devs[1]},
+	} {
+		rt, err := NewRuntime(order...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range rt.Devices() {
+			if d.Sim != order[i] {
+				t.Fatalf("context device %d is %s, want %s", i, d.Name(), order[i].Name())
+			}
+		}
 	}
 }
 
@@ -134,8 +136,8 @@ func TestBuildProgramFoldsFlatten(t *testing.T) {
 		t.Fatalf("kernels = %d, want 6", len(prog.Kernels))
 	}
 	for _, k := range prog.Kernels {
-		if k.Workload.Kernels != 1 {
-			t.Fatalf("kernel %s has workload kernel count %d", k.Name, k.Workload.Kernels)
+		if want := net.Name() + "/" + k.Name; k.Workload.Model != want {
+			t.Fatalf("kernel %s charges workload %q, want %q", k.Name, k.Workload.Model, want)
 		}
 	}
 }
@@ -451,74 +453,6 @@ func TestThroughputGbpsHelper(t *testing.T) {
 	}
 	if (&Result{}).ThroughputGbps(125) != 0 {
 		t.Fatal("zero-latency throughput should be 0")
-	}
-}
-
-func TestDeviceInfoQueries(t *testing.T) {
-	for _, d := range testDevices() {
-		cd := NewClDevice(d)
-		info := cd.Info()
-		if info.Name != d.Name() {
-			t.Fatalf("info name %q", info.Name)
-		}
-		if info.MaxWorkGroupSize != d.Profile().WorkGroupSize {
-			t.Fatal("work-group size mismatch")
-		}
-		if info.MaxComputeUnits <= 0 || info.GlobalMemBytes <= 0 {
-			t.Fatalf("degenerate info: %+v", info)
-		}
-		s := info.String()
-		if !strings.Contains(s, "CL_DEVICE_TYPE") || !strings.Contains(s, info.Vendor) {
-			t.Fatalf("clinfo rendering wrong:\n%s", s)
-		}
-	}
-	// CPU local memory maps to global (§IV-B): reported as zero.
-	cpu := NewClDevice(device.New(device.IntelCoreI7_8700()))
-	if cpu.Info().LocalMemBytes != 0 {
-		t.Fatal("CPU should expose no dedicated local memory")
-	}
-	if !cpu.Info().HostUnifiedMemory {
-		t.Fatal("CPU must report unified memory")
-	}
-	dgpu := NewClDevice(device.New(device.NvidiaGTX1080Ti()))
-	if dgpu.Info().LocalMemBytes == 0 || dgpu.Info().HostUnifiedMemory {
-		t.Fatal("dGPU must report local memory and non-unified memory")
-	}
-	if dgpu.Info().Type != "CL_DEVICE_TYPE_GPU" {
-		t.Fatal("dGPU type wrong")
-	}
-	// Accelerators get the generic treatment.
-	npu := NewClDevice(device.New(device.Profile{Name: "npu", Kind: device.Accelerator,
-		ParallelWidth: 128, WorkGroupSize: 64}))
-	if npu.Info().Type != "CL_DEVICE_TYPE_ACCELERATOR" || npu.Info().MaxComputeUnits < 1 {
-		t.Fatalf("accelerator info wrong: %+v", npu.Info())
-	}
-}
-
-func TestKernelSourcesDeclareEntryPoints(t *testing.T) {
-	ffnn := KernelEntryPoints(FFNNKernelSource)
-	if len(ffnn) != 1 || ffnn[0] != "ffnn_layer" {
-		t.Fatalf("FFNN entry points = %v", ffnn)
-	}
-	cnn := KernelEntryPoints(CNNKernelSource)
-	if len(cnn) != 2 || cnn[0] != "conv2d" || cnn[1] != "maxpool2d" {
-		t.Fatalf("CNN entry points = %v", cnn)
-	}
-	if err := CompileSource(FFNNKernelSource, "ffnn_layer"); err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileSource(CNNKernelSource, "conv2d"); err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileSource(FFNNKernelSource, "missing"); err == nil {
-		t.Fatal("unknown entry point accepted")
-	}
-	// The paper's design notes must be reflected in the source text.
-	if !strings.Contains(FFNNKernelSource, "float4") {
-		t.Fatal("FFNN kernel should use float4 row-major loads (§IV-B)")
-	}
-	if !strings.Contains(CNNKernelSource, "LOCAL_STAGE") {
-		t.Fatal("CNN kernel should stage local memory only on the dGPU (§IV-B)")
 	}
 }
 

@@ -57,12 +57,12 @@ func (r *Runtime) SetFaults(in *fault.Injector, node string, index int) {
 	r.faults, r.node, r.nodeIdx = in, node, index
 }
 
-// NewRuntime discovers platforms over the simulated devices and prepares
-// a shared context.
+// NewRuntime prepares a shared context over the simulated devices, in
+// the order given.
 func NewRuntime(sims ...*device.Device) (*Runtime, error) {
-	var devs []*ClDevice
-	for _, p := range DiscoverPlatforms(sims...) {
-		devs = append(devs, p.Devices...)
+	devs := make([]*ClDevice, len(sims))
+	for i, s := range sims {
+		devs[i] = NewClDevice(s)
 	}
 	ctx, err := CreateContext(devs...)
 	if err != nil {
