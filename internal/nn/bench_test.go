@@ -7,8 +7,12 @@ import (
 	"bomw/internal/tensor"
 )
 
-// benchSink keeps the compiler from discarding the measured call.
-var benchSink *tensor.Tensor
+// benchSink and labelSink keep the compiler from discarding the
+// measured call.
+var (
+	benchSink *tensor.Tensor
+	labelSink []int
+)
 
 // benchForward feeds the serving benchmark's input pattern (k/1000,
 // k in 1..999, never zero): an all-zero input took MatMul's av == 0 skip
@@ -17,13 +21,7 @@ var benchSink *tensor.Tensor
 // same passes pinned to the Go kernels are internal/tensor's
 // BenchmarkForward*/portable.
 func benchForward(b *testing.B, spec *Spec, batch int) {
-	net := spec.MustBuild(1)
-	shape := append([]int{batch}, spec.InputShape...)
-	in := tensor.New(shape...)
-	rng := rand.New(rand.NewSource(1))
-	for i := range in.Data() {
-		in.Data()[i] = float32(1+rng.Intn(999)) / 1000
-	}
+	net, in := benchOperands(spec, batch)
 	b.SetBytes(int64(batch) * net.SampleBytes())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -31,6 +29,29 @@ func benchForward(b *testing.B, spec *Spec, batch int) {
 		benchSink = net.Forward(tensor.Default, in)
 	}
 	b.ReportMetric(float64(batch)*float64(net.FlopsPerSample())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+func benchOperands(spec *Spec, batch int) (*Network, *tensor.Tensor) {
+	in := tensor.New(append([]int{batch}, spec.InputShape...)...)
+	rng := rand.New(rand.NewSource(1))
+	for i := range in.Data() {
+		in.Data()[i] = float32(1+rng.Intn(999)) / 1000
+	}
+	return spec.MustBuild(1), in
+}
+
+// BenchmarkClassifySimple64 is the forward pass of lib_simple_burst in
+// bench/: a merged burst of 64 simple samples classified on a
+// one-worker pool, as the simulated CPU device's.
+func BenchmarkClassifySimple64(b *testing.B) {
+	net, in := benchOperands(simpleSpec, 64)
+	pool := tensor.NewPool(1, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		labelSink = net.Classify(pool, in)
+	}
+	b.ReportMetric(64*float64(net.FlopsPerSample())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // The five paper models (internal/models imports this package, so the

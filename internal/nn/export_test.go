@@ -11,7 +11,7 @@ type Arena = arena
 
 // ForwardOn is Forward over the caller's arena.
 func (n *Network) ForwardOn(a *Arena, pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
-	return n.plan.run(pool, a, in).Clone()
+	return n.plan.run(pool, a, in, false).Clone()
 }
 
 // StepNames lists the plan's kernel steps in order.

@@ -3,6 +3,7 @@ package nn_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bomw/internal/models"
@@ -199,6 +200,29 @@ func TestPaperModelsForwardBitIdenticalToReference(t *testing.T) {
 			for _, pool := range identityPools {
 				if !sameBits(net.Forward(pool, in), want) {
 					t.Errorf("%s batch %d: Forward on pool(%d,%d) differs from the reference sequence", spec.Name, batch, pool.Workers(), pool.GroupSize())
+				}
+			}
+		}
+	}
+}
+
+// Classify stops at the final softmax's logits and reads the labels from
+// them (tensor.SoftmaxArgmax); they must be Forward's argmax. This is the
+// one check of Classify that does not go through Classify: bench/'s
+// oracle calls it. The batch's first sample is zero, which ties logits
+// where the biases do.
+func TestClassifyMatchesArgmaxOfForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	pools := []*tensor.Pool{tensor.Serial, tensor.NewPool(2, 256), tensor.Default}
+	for _, spec := range identitySpecs() {
+		net := spec.MustBuild(1)
+		for _, batch := range []int{1, 7, 8, 9, 64} {
+			in := identityInput(rng, append([]int{batch}, spec.InputShape...)...)
+			clear(in.Data()[:in.Len()/batch])
+			for _, pool := range pools {
+				want := tensor.Argmax(net.Forward(pool, in))
+				if got := net.Classify(pool, in); !slices.Equal(got, want) {
+					t.Errorf("%s batch %d on pool(%d,%d): Classify %v, Argmax of Forward %v", spec.Name, batch, pool.Workers(), pool.GroupSize(), got, want)
 				}
 			}
 		}

@@ -95,14 +95,12 @@ func (l *Dense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
 
 // ForwardInto implements Layer.
 func (l *Dense) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
-	l.forwardPanel(pool, in, out, nil)
+	tensor.LinearInto(pool, out, in, l.W, l.B, l.Act)
 }
 
-// forwardPanel is ForwardInto with the plan's scratch for the vector
-// kernel, which only a caller with an arena can offer.
-func (l *Dense) forwardPanel(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32) {
-	tensor.LinearPanelInto(pool, out, in, l.W, l.B, l.Act, panel)
-}
+// linear returns the kernel's operands, for the plan, which runs the
+// kernel with the scratch only a caller with an arena can offer.
+func (l *Dense) linear() (w, bias *tensor.Tensor, act tensor.Activation) { return l.W, l.B, l.Act }
 
 // dims returns what the layer's cost and shape depend on.
 func (l *Dense) dims() denseDims { return denseDims{in: l.In(), out: l.Out(), act: l.Act} }

@@ -70,27 +70,35 @@ func (n *Network) SampleBytes() int64 {
 // that batch size exists. The input must have shape [batch,
 // inputShape...] and is only read.
 func (n *Network) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor {
-	a, view := n.pass(pool, in)
+	a, view := n.pass(pool, in, false)
 	out := tensor.New(in.Dim(0), n.classes)
 	copy(out.Data(), view.Data())
 	n.releaseArena(a)
 	return out
 }
 
-// Classify runs Forward's pass and reduces each row of its output to the
-// argmax class index, read straight from the arena: the labels are the
-// pass's only allocation once an arena of that batch size exists.
+// Classify returns the argmax class index of each row of Forward's
+// output, read straight from the arena: the labels are the pass's only
+// allocation once an arena of that batch size exists. A network that
+// ends in a softmax is not normalised: its pass stops at the logits, and
+// tensor.SoftmaxArgmax reads the labels the softmax would give from them.
 func (n *Network) Classify(pool *tensor.Pool, in *tensor.Tensor) []int {
-	a, view := n.pass(pool, in)
-	classes := tensor.Argmax(view)
+	a, view := n.pass(pool, in, true)
+	var classes []int
+	if n.plan.softmax {
+		classes = tensor.SoftmaxArgmax(view)
+	} else {
+		classes = tensor.Argmax(view)
+	}
 	n.releaseArena(a)
 	return classes
 }
 
 // pass checks in against the network's input shape and runs the plan
-// over an arena it takes for itself. It returns the arena and its output
-// view, which the caller reads and then hands to releaseArena.
-func (n *Network) pass(pool *tensor.Pool, in *tensor.Tensor) (*arena, *tensor.Tensor) {
+// over an arena it takes for itself, up to the logits if asked (plan.run).
+// It returns the arena and its output view, which the caller reads and
+// then hands to releaseArena.
+func (n *Network) pass(pool *tensor.Pool, in *tensor.Tensor, logits bool) (*arena, *tensor.Tensor) {
 	if n.plan == nil {
 		panic(noWeights(n.name))
 	}
@@ -104,7 +112,7 @@ func (n *Network) pass(pool *tensor.Pool, in *tensor.Tensor) (*arena, *tensor.Te
 		}
 	}
 	a := n.arenas.Get().(*arena)
-	return a, n.plan.run(pool, a, in)
+	return a, n.plan.run(pool, a, in, logits)
 }
 
 // releaseArena returns a to the idle arenas once its pass has read the

@@ -23,11 +23,16 @@ import (
 // fully connected layer's vector kernel lays the batch out a sample per
 // lane (tensor.LinearPanelInto). Each such step overwrites it before
 // reading it, so one serves them all, sized for the largest.
+//
+// A network that ends in a fully connected softmax layer ends in that
+// layer's logits: its step leaves the softmax out, and run applies it to
+// the output view unless the caller asked for the logits.
 type plan struct {
-	steps []step
-	views []view
-	bufs  []int    // per-sample float32 volume of each arena buffer, border included
-	dense [][2]int // fan-in and fan-out of every step that takes the panel
+	steps   []step
+	views   []view
+	bufs    []int    // per-sample float32 volume of each arena buffer, border included
+	dense   [][2]int // fan-in and fan-out of every step that takes the panel
+	softmax bool     // the last step stops at the logits of a softmax
 }
 
 // step is one kernel launch: run reads views[in] and fills views[out],
@@ -38,9 +43,11 @@ type step struct {
 	in, out int
 }
 
-// A panelLayer is a fully connected layer whose kernel can use the panel.
-type panelLayer interface {
-	forwardPanel(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32)
+// A denseLayer is a fully connected layer, whose kernel the plan runs
+// itself: with the panel for scratch, and in the last step without a
+// softmax. linear returns the kernel's operands as they are at the call.
+type denseLayer interface {
+	linear() (w, bias *tensor.Tensor, act tensor.Activation)
 }
 
 // view is one tensor shape over a buffer.
@@ -79,9 +86,18 @@ func compile(name string, inputShape []int, layers []Layer) (*plan, []int) {
 		fanIn := shape[0]
 		shape = l.OutputShape(shape)
 		checkShape(name, l.Name(), shape)
-		if pl, ok := l.(panelLayer); ok {
-			run = pl.forwardPanel
+		if dl, ok := l.(denseLayer); ok {
+			_, _, act := dl.linear()
+			logits := act == tensor.Softmax && i == len(layers)-1
+			run = func(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32) {
+				w, bias, act := dl.linear()
+				if logits {
+					act = tensor.Identity
+				}
+				tensor.LinearPanelInto(pool, out, in, w, bias, act, panel)
+			}
 			p.dense = append(p.dense, [2]int{fanIn, shape[0]})
+			p.softmax = logits
 		}
 		if conv != nil && i+1 < len(layers) {
 			if mp, ok := layers[i+1].(*MaxPool); ok {
@@ -165,7 +181,8 @@ type arena struct {
 
 // run executes the plan over a for the batch in in and returns the view
 // holding the output, which is a's until the caller has copied it out.
-func (p *plan) run(pool *tensor.Pool, a *arena, in *tensor.Tensor) *tensor.Tensor {
+// With logits, a plan that ends in a softmax returns the logits instead.
+func (p *plan) run(pool *tensor.Pool, a *arena, in *tensor.Tensor, logits bool) *tensor.Tensor {
 	batch := in.Dim(0)
 	if a.views == nil {
 		a.bufs = make([][]float32, len(p.bufs))
@@ -193,5 +210,9 @@ func (p *plan) run(pool *tensor.Pool, a *arena, in *tensor.Tensor) *tensor.Tenso
 	for _, s := range p.steps {
 		s.run(pool, a.views[s.in], a.views[s.out], a.panel)
 	}
-	return a.views[len(a.views)-1]
+	out := a.views[len(a.views)-1]
+	if p.softmax && !logits {
+		tensor.Softmax.Apply(pool, out)
+	}
+	return out
 }

@@ -128,12 +128,12 @@ func (l *HalfDense) Forward(pool *tensor.Pool, in *tensor.Tensor) *tensor.Tensor
 
 // ForwardInto implements Layer.
 func (l *HalfDense) ForwardInto(pool *tensor.Pool, in, out *tensor.Tensor) {
-	l.forwardPanel(pool, in, out, nil)
+	tensor.LinearInto(pool, out, in, l.expanded, l.B, l.Act)
 }
 
-// forwardPanel is ForwardInto with the plan's scratch, as Dense's is.
-func (l *HalfDense) forwardPanel(pool *tensor.Pool, in, out *tensor.Tensor, panel []float32) {
-	tensor.LinearPanelInto(pool, out, in, l.expanded, l.B, l.Act, panel)
+// linear returns the kernel's operands for the plan, as Dense's does.
+func (l *HalfDense) linear() (w, bias *tensor.Tensor, act tensor.Activation) {
+	return l.expanded, l.B, l.Act
 }
 
 // OutputShape implements Layer.

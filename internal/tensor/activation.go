@@ -170,20 +170,67 @@ func (a Activation) FlopsPerElement() int64 {
 // tensor; this is the classification decision of the paper's inference
 // kernels.
 func Argmax(t *Tensor) []int {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Argmax needs a rank-2 tensor, got %v", t.Shape()))
-	}
-	m, n := t.Dim(0), t.Dim(1)
+	m, n := argmaxDims(t)
 	out := make([]int, m)
-	for i := 0; i < m; i++ {
+	for i := range out {
+		out[i] = argmaxRow(t.data[i*n : (i+1)*n])
+	}
+	return out
+}
+
+// SoftmaxArgmax is Argmax of the rows' softmax, read from t's logits:
+// each row's label is its logits' first maximum where that is provably
+// the label softmax then Argmax would give — every logit finite and
+// every earlier one at least 2⁻²² below the maximum — and otherwise the
+// row is normalised in place and Argmax read from it. Under that guard
+// the softmax is exact enough to tell them apart: an earlier logit's
+// float32 v − max is at most −2⁻²², so float32(exp(v − max)) ≤ 1 − 2⁻²²
+// and its probability rounds to at least one ulp below the maximum's,
+// which is inv exactly (exp(0)·inv); a later logit's is at most inv, so
+// Argmax, which keeps the first of equals, picks the maximum. Ties
+// within 2⁻²², where rounding may make an earlier probability equal the
+// maximum's, take softmaxRow. t's rows may be overwritten.
+func SoftmaxArgmax(t *Tensor) []int {
+	m, n := argmaxDims(t)
+	out := make([]int, m)
+	for i := range out {
 		row := t.data[i*n : (i+1)*n]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
+		best, ok := logitsArgmax(row)
+		if !ok {
+			softmaxRow(row)
+			best = argmaxRow(row)
 		}
 		out[i] = best
 	}
 	return out
+}
+
+// logitsArgmax returns the first maximum of row, and whether
+// SoftmaxArgmax's guard holds for it.
+func logitsArgmax(row []float32) (int, bool) {
+	best := argmaxRow(row)
+	for j, v := range row {
+		if v-v != 0 || j < best && v-row[best] > -0x1p-22 { // v is ±Inf or NaN, or too close below
+			return 0, false
+		}
+	}
+	return best, true
+}
+
+func argmaxDims(t *Tensor) (m, n int) {
+	if t.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: Argmax needs a rank-2 tensor, got %v", t.Shape()))
+	}
+	return t.Dim(0), t.Dim(1)
+}
+
+// argmaxRow returns the index of row's first maximum under >.
+func argmaxRow(row []float32) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return best
 }

@@ -135,6 +135,66 @@ func TestArgmaxRankPanics(t *testing.T) {
 	Argmax(New(3))
 }
 
+// softmaxThenArgmax is how labels were read before SoftmaxArgmax:
+// normalise a copy of the rows, then Argmax.
+func softmaxThenArgmax(t *Tensor) []int {
+	c := t.Clone()
+	Softmax.Apply(Serial, c)
+	return Argmax(c)
+}
+
+func checkSoftmaxArgmax(t *testing.T, logits *Tensor) {
+	t.Helper()
+	want := softmaxThenArgmax(logits)
+	got := SoftmaxArgmax(logits.Clone())
+	for i := range want {
+		if got[i] != want[i] {
+			n := logits.Dim(1)
+			t.Fatalf("row %v: SoftmaxArgmax says %d, softmax then Argmax %d", logits.data[i*n:(i+1)*n], got[i], want[i])
+		}
+	}
+}
+
+func TestSoftmaxArgmaxMatchesSoftmaxThenArgmax(t *testing.T) {
+	// The middle logit is one ulp above its neighbours, so the logits'
+	// maximum, but its probability rounds to the first one's, and Argmax
+	// keeps the first of equals.
+	pinned := FromSlice([]float32{0.1676693, 0.16766933, 0.1676693}, 1, 3)
+	if got := Argmax(pinned); got[0] != 1 {
+		t.Fatalf("Argmax of the pinned logits = %d, want 1", got[0])
+	}
+	if got := softmaxThenArgmax(pinned); got[0] != 0 {
+		t.Fatalf("softmax then Argmax of the pinned logits = %d, want 0", got[0])
+	}
+	checkSoftmaxArgmax(t, pinned)
+
+	// Near-ties: every logit of a row 0–4 ulps from one base, which runs
+	// over the binades, so the guard's 2⁻²² falls anywhere from a fraction
+	// of an ulp to many. One logit in eight is special instead.
+	specials := []float32{0, negZero, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 0x1p-140,
+		math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	rng := rand.New(rand.NewSource(22))
+	var base float32
+	for round := 0; round < 60; round++ {
+		logits := New(1<<12, 1+round%10)
+		for i := range logits.data {
+			if i%logits.Dim(1) == 0 {
+				base = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-30))
+			}
+			if rng.Intn(8) == 0 {
+				logits.data[i] = specials[rng.Intn(len(specials))]
+				continue
+			}
+			v, toward := base, float32(math.Inf(1-2*rng.Intn(2)))
+			for step := rng.Intn(5); step > 0; step-- {
+				v = math.Nextafter32(v, toward)
+			}
+			logits.data[i] = v
+		}
+		checkSoftmaxArgmax(t, logits)
+	}
+}
+
 // Property: softmax preserves the argmax of each row.
 func TestPropertySoftmaxPreservesArgmax(t *testing.T) {
 	f := func(seed int64) bool {

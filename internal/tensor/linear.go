@@ -16,10 +16,12 @@ import "fmt"
 // Every output is one float32 accumulator summed over p = 0..k-1 in
 // ascending order, then + bias, then the activation: to the bit the
 // result of MatMul against a transposed copy of w, AddBiasRows and
-// Apply, on every pool. Speed comes from keeping four neurons'
-// accumulators in flight against one input row, never from splitting or
-// reordering a sum. The one difference from MatMul: there is no av == 0
-// skip, so 0·Inf in non-finite weights yields NaN here.
+// Apply, on every pool. Speed comes from keeping independent
+// accumulators in flight — eight samples against one weight row, or,
+// for the rows left over, four neurons against one input row — never
+// from splitting or reordering a sum. The one difference from MatMul:
+// there is no av == 0 skip, so 0·Inf in non-finite weights yields NaN
+// here.
 //
 // Where the host and the shape allow, the same sums run eight to a
 // vector register: under eight samples eight neurons a register
@@ -87,11 +89,26 @@ func linearDims(in, w, bias *Tensor) (m, n int) {
 	return m, n
 }
 
-// linearNeurons fills columns [lo, hi) of out: for every sample, the raw
-// dot products, then bias and activation over the segment just written.
+// linearNeurons fills columns [lo, hi) of out. Samples go eight at a
+// time against each weight row, read once for the eight: eight
+// accumulators, one per sample, each summed over p ascending from +0,
+// then + bias and ReLU while still in registers, then stored; Tanh and
+// Sigmoid follow over each row's segment. The m mod 8 samples left over
+// take one row at a time: the raw dot products (dotRows, four neurons
+// against the row), then bias and activation over the segment just
+// written. Either way every output is the same single sum.
 func linearNeurons(out, in, w, bias *Tensor, act Activation, lo, hi int) {
 	m, k, n := in.shape[0], in.shape[1], w.shape[0]
-	for i := 0; i < m; i++ {
+	blocked := m &^ (sampleBlock - 1)
+	for i := 0; i < blocked; i += sampleBlock {
+		linearSampleBlock(out.data[i*n:(i+sampleBlock)*n], in.data[i*k:(i+sampleBlock)*k], w, bias, act == ReLU, lo, hi)
+	}
+	if act == Tanh || act == Sigmoid {
+		for i := 0; i < blocked; i++ {
+			act.elementwise(out.data[i*n+lo : i*n+hi])
+		}
+	}
+	for i := blocked; i < m; i++ {
 		seg := out.data[i*n+lo : i*n+hi]
 		dotRows(seg, in.data[i*k:(i+1)*k], w.data[lo*k:hi*k])
 		if bias != nil {
@@ -100,6 +117,47 @@ func linearNeurons(out, in, w, bias *Tensor, act Activation, lo, hi int) {
 			}
 		}
 		act.elementwise(seg)
+	}
+}
+
+// sampleBlock is how many samples linearNeurons runs against one read
+// of a weight row: eight independent add chains to cover the add's
+// latency, where one sample row at a time keeps at most four in flight
+// (dotRows) and a layer of three neurons three.
+const sampleBlock = 8
+
+// linearSampleBlock fills columns [lo, hi) of the eight output rows in
+// out from the eight input rows in x, k = len(x)/8 values each: per
+// neuron, its weight row against all eight samples, then bias and, with
+// withReLU, ReLU before the store.
+func linearSampleBlock(out, x []float32, w, bias *Tensor, withReLU bool, lo, hi int) {
+	k, n := w.shape[1], w.shape[0]
+	x0, x1, x2, x3 := x[:k], x[k:][:k], x[2*k:][:k], x[3*k:][:k]
+	x4, x5, x6, x7 := x[4*k:][:k], x[5*k:][:k], x[6*k:][:k], x[7*k:][:k]
+	for j := lo; j < hi; j++ {
+		wj := w.data[j*k:][:k]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for p, v := range wj {
+			s0 += x0[p] * v
+			s1 += x1[p] * v
+			s2 += x2[p] * v
+			s3 += x3[p] * v
+			s4 += x4[p] * v
+			s5 += x5[p] * v
+			s6 += x6[p] * v
+			s7 += x7[p] * v
+		}
+		if bias != nil {
+			b := bias.data[j]
+			s0, s1, s2, s3 = s0+b, s1+b, s2+b, s3+b
+			s4, s5, s6, s7 = s4+b, s5+b, s6+b, s7+b
+		}
+		if withReLU {
+			s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
+			s4, s5, s6, s7 = relu(s4), relu(s5), relu(s6), relu(s7)
+		}
+		out[j], out[n+j], out[2*n+j], out[3*n+j] = s0, s1, s2, s3
+		out[4*n+j], out[5*n+j], out[6*n+j], out[7*n+j] = s4, s5, s6, s7
 	}
 }
 

@@ -65,10 +65,11 @@ func TestLinearBitIdenticalToMatMulSequence(t *testing.T) {
 	pools := []*Pool{Serial, NewPool(2, 64), NewPool(3, 1), NewPool(2, 4096)}
 
 	// The grid holds every tile tail (n mod 4), k below and at the tile
-	// width, and the mnist-small layer; the activation rotates so the
-	// large shapes are not run five times over.
+	// width, the mnist-small layer, and batches of whole eight-sample
+	// blocks with and without rows left over; the activation rotates so
+	// the large shapes are not run five times over.
 	idx := 0
-	for _, m := range []int{1, 2, 5, 64} {
+	for _, m := range []int{1, 2, 5, 8, 9, 16, 17, 64} {
 		for _, k := range []int{1, 3, 4, 784} {
 			for _, n := range []int{1, 2, 3, 4, 5, 7, 10, 800} {
 				in, w, bias := linearOperands(rng, m, k, n)
@@ -77,12 +78,60 @@ func TestLinearBitIdenticalToMatMulSequence(t *testing.T) {
 			}
 		}
 	}
+	// Layers under eight neurons, simple's among them, run the Go kernel
+	// on every host: every narrow shape, blocks and leftover rows, with
+	// and without bias, under every activation.
+	for _, m := range []int{1, 7, 8, 9, 17} {
+		for k := 1; k < 8; k++ {
+			for n := 1; n < 8; n++ {
+				in, w, bias := linearOperands(rng, m, k, n)
+				for _, act := range allActivations {
+					checkLinear(t, pools, in, w, bias, act)
+					checkLinear(t, pools, in, w, nil, act)
+				}
+			}
+		}
+	}
 	for i := 0; i < 40; i++ {
-		in, w, bias := linearOperands(rng, 1+rng.Intn(9), 1+rng.Intn(40), 1+rng.Intn(40))
+		in, w, bias := linearOperands(rng, 1+rng.Intn(20), 1+rng.Intn(40), 1+rng.Intn(40))
 		for _, act := range allActivations {
 			checkLinear(t, pools, in, w, bias, act)
 		}
 		checkLinear(t, pools, in, w, nil, ReLU)
+	}
+}
+
+// The eight-sample blocks and the rows left over sum the same way: a
+// batch through linearNeurons equals its rows one at a time, each a
+// batch of one, to the bit, on -0, ±Inf and NaN too — which the MatMul
+// sequence, skipping zero inputs, cannot be held to.
+func TestLinearSampleBlocksMatchOneRowAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	idx := 0
+	for _, m := range []int{8, 9, 15, 16, 17, 24} {
+		for _, k := range []int{1, 2, 3, 4, 5, 8, 33} {
+			for n := 1; n <= 9; n++ {
+				in, w, bias := New(m, k), New(n, k), New(n)
+				for _, d := range [][]float32{in.data, w.data, bias.data} {
+					fillOperand(rng, d, true)
+				}
+				if idx%3 == 0 {
+					bias = nil
+				}
+				act := allActivations[idx%len(allActivations)]
+				idx++
+				got := New(m, n)
+				linearNeurons(got, in, w, bias, act, 0, n)
+				for i := 0; i < m; i++ {
+					row := New(1, n)
+					linearNeurons(row, FromSlice(in.data[i*k:(i+1)*k], 1, k), w, bias, act, 0, n)
+					if j, ok := sameKernelBits(got.data[i*n:(i+1)*n], row.data); !ok {
+						t.Fatalf("m=%d k=%d n=%d bias=%v %s: row %d neuron %d is %v, one row at a time %v",
+							m, k, n, bias != nil, act, i, j, got.data[i*n+j], row.data[j])
+					}
+				}
+			}
+		}
 	}
 }
 

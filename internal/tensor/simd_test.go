@@ -202,6 +202,10 @@ func FuzzLinearKernels(f *testing.F) {
 	f.Add(int64(4), uint8(0), uint8(98), uint8(12), uint8(1), uint8(7))
 	f.Add(int64(2), uint8(17), uint8(33), uint8(19), uint8(4), uint8(7))
 	f.Add(int64(3), uint8(40), uint8(70), uint8(20), uint8(2), uint8(2))
+	// Under eight neurons: eight-sample blocks, with rows left over or not.
+	f.Add(int64(5), uint8(63), uint8(3), uint8(5), uint8(1), uint8(1))
+	f.Add(int64(6), uint8(8), uint8(5), uint8(2), uint8(3), uint8(7))
+	f.Add(int64(7), uint8(16), uint8(0), uint8(6), uint8(4), uint8(5))
 	ops := newKernelOperands(f, 64*128, 64*128, 64, 64*64, 64*128)
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n, act, flags uint8) {
 		skipWithoutVectorKernels(t)
