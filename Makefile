@@ -96,7 +96,8 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # Cluster smoke drill (CI): an 8-node fleet under load survives one
-# mid-run node kill — eviction, failover, no dropped futures.
+# mid-run node kill — the node leaves routing, traffic fails over, no
+# dropped futures.
 smoke-cluster:
 	$(GO) test -race -count=1 -run 'TestClusterSmoke' -v ./internal/cluster/
 
@@ -108,8 +109,8 @@ smoke-scenario:
 
 # Chaos smoke drill (CI): a 16-node fleet rides a seeded incident — 2
 # flapping crash-window nodes + 2 scripted stragglers — under the race
-# detector; every admitted future must resolve and the crash windows
-# must be observed.
+# detector; every admitted future must resolve and the router must count
+# the crash windows' entries.
 smoke-chaos:
 	$(GO) test -race -count=1 -run 'TestChaosSmoke' -v ./internal/cluster/
 

@@ -328,7 +328,7 @@ type (
 	NodeHealth = core.NodeHealth
 	// Cluster routes requests over N nodes on one shared virtual clock.
 	Cluster = cluster.Cluster
-	// ClusterConfig sets the routing policy, clock, sweep and fault plan.
+	// ClusterConfig sets the routing policy, clock and fault plan.
 	ClusterConfig = cluster.Config
 	// RoutingPolicy names the rule that ranks candidate nodes for one
 	// request: round-robin, least-loaded or model-affinity.
@@ -353,8 +353,8 @@ var (
 	ErrNodeDraining = core.ErrNodeDraining
 	// ErrNodeDown rejects work submitted to a drained or killed node.
 	ErrNodeDown = core.ErrNodeDown
-	// ErrNoHealthyNodes signals fleet-wide load shedding: every node is
-	// evicted from routing.
+	// ErrNoHealthyNodes signals fleet-wide load shedding: no node is
+	// routable — each is evicted, not Ready or inside a down window.
 	ErrNoHealthyNodes = cluster.ErrNoHealthyNodes
 )
 

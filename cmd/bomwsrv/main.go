@@ -53,9 +53,10 @@
 // a large one under an incident. model-affinity queues SLO-free traffic,
 // which no deadline refuses, on the model's home node: in the drill's
 // mixed-SLO setting that traffic's virtual p99 was 60.8 ms, against
-// 0.63 ms under round-robin. Requests route per the policy with
-// automatic failover; /v1/cluster and /v1/nodes expose fleet stats and node
-// lifecycle (drain/evict/readmit/kill). Node faults drill node-level
+// 0.63 ms under round-robin. Requests route per the policy, among the
+// nodes ready at that moment, with automatic failover; /v1/cluster
+// exposes fleet stats and /v1/nodes node health and lifecycle
+// (drain/evict/readmit/kill). Node faults drill node-level
 // failure: down:start-end fail-stops a node for a window and slow:k
 // runs it k× slower; crash and slow clauses script a seeded incident
 // of them — crash:N[:flaps] gives N nodes flaps down windows each
@@ -67,17 +68,21 @@
 //	bomwsrv -nodes 16 -route least-loaded \
 //	  -faults 'crash:2:3,slow:2:4,horizon:2m' -fault-seed 7 -default-slo 50ms
 //
-// Every request takes one path: the router tries up to three nodes in
-// policy order and returns the accepting node's own future. A crashed
-// node is skipped by the router for its down window. A slow node's
+// Every request takes one path: the router tries up to three of the
+// nodes ready at that moment in policy order, and returns the accepting
+// node's own future. A crashed node is skipped by the router for its
+// down window. A slow node's
 // devices show it in their observed slowdown ratio, which deadline
 // admission reads: the node refuses what it can no longer serve in
 // time, and the router fails over to the next node. A device that keeps
-// failing is quarantined until a recovery probe readmits it. Overload
+// failing is quarantined until a recovery probe readmits it; a node
+// whose every device is quarantined takes no traffic from the next
+// request on, until a probe readmits one of them. Overload
 // is shed where it arises: each node's admission queue refuses work
 // when full (503 with Retry-After). The same -fault-seed replays the
-// same incident. Watch the "chaos" block of /v1/cluster (it carries
-// the plan); POST {"action":"sweep"} there to force a health sweep.
+// same incident. Watch the "chaos" block of /v1/cluster: it carries the
+// plan and counts the down windows' entries and exits as the router
+// reads them.
 package main
 
 import (

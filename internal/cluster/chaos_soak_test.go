@@ -44,9 +44,8 @@ func chaosRun(t *testing.T, tmpl *core.Scheduler, spec string, fleetSize, client
 	t.Helper()
 	clk := core.WallClock()
 	cfg := Config{
-		Policy:     LeastLoaded,
-		SweepEvery: 50,
-		Clock:      clk,
+		Policy: LeastLoaded,
+		Clock:  clk,
 	}
 	_, nodes, err := Build(tmpl, fleetSize, 1, core.PipelineConfig{
 		Window: 200 * time.Microsecond, MaxBatch: 32,

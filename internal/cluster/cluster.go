@@ -1,11 +1,13 @@
 // Package cluster is the scale-out tier over internal/core: N serving
 // nodes — each one scheduler + pipeline + device set, the paper's whole
 // single-box system — behind a routing front-end (three routing rules,
-// see Policy), per-node health aggregation and fleet-wide statistics. The
-// single box of the paper becomes a replaceable unit: the router picks a
-// node per request, fails over when a node sheds or dies, evicts nodes
-// whose health collapses (composing PR 3's device-level quarantine into
-// node-level eviction) and readmits them when they recover.
+// see Policy) and fleet-wide statistics. The single box of the paper
+// becomes a replaceable unit: the router picks a node per request among
+// the nodes that are ready now, and fails over when a node sheds or
+// dies. A node leaves routing the moment it stops being Ready — drained,
+// killed, or every device quarantined (the device failure domain rolled
+// up to the node) — and returns the moment its recovery prober readmits
+// a device.
 //
 // All nodes share one virtual clock, so fleet-wide latency, energy and
 // SLO accounting stay on a single time axis exactly as they do inside
@@ -30,6 +32,10 @@ import (
 type Node interface {
 	Name() string
 	Submit(ctx context.Context, req core.PipelineRequest) (*core.Future, error)
+	// Ready reports whether the node takes traffic now. The router reads
+	// it for every member on every request, so it must be cheap and
+	// lock-free.
+	Ready() bool
 	Load() int64
 	QueueDelay() time.Duration
 	// AvgLatency is the node's delivered-batch completion-latency EWMA,
@@ -46,7 +52,7 @@ type Node interface {
 // Sentinel errors of the routing tier.
 var (
 	// ErrNoHealthyNodes is returned by Submit when the routing set is
-	// empty — every node evicted or inside a down window. The
+	// empty — every node evicted, not Ready or inside a down window. The
 	// fleet-level load-shedding signal: HTTP servers translate it to 503
 	// with a Retry-After derived from ReadmissionHint.
 	ErrNoHealthyNodes = errors.New("cluster: no healthy nodes")
@@ -67,13 +73,6 @@ type Config struct {
 	// should be built on the same one. Defaults to core.WallClock() —
 	// wall time since the cluster was created (the serving mapping).
 	Clock core.Clock
-	// SweepEvery runs the health sweep once per this many submissions:
-	// nodes whose NodeHealth reports not-Ready (killed, drained, or all
-	// devices quarantined) are evicted, and evicted nodes that report
-	// Ready again are readmitted. Deliberately submission-driven rather
-	// than timer-driven so the cluster stays on the virtual clock and
-	// replays deterministically. Defaults to 64; negative disables.
-	SweepEvery int64
 
 	// Faults evaluates a fault plan on the shared virtual clock; nil
 	// injects none. New arms it on every *core.Node member's runtime, so
@@ -91,9 +90,6 @@ func (c *Config) fillDefaults() {
 	if c.Clock == nil {
 		c.Clock = core.WallClock()
 	}
-	if c.SweepEvery == 0 {
-		c.SweepEvery = 64
-	}
 }
 
 // member is one node plus the cluster-side routing state around it.
@@ -101,13 +97,12 @@ type member struct {
 	node Node
 	idx  int
 
-	evicted  atomic.Bool  // out of the routing set
-	pinned   atomic.Bool  // evicted by the operator: only Readmit returns it
+	evicted  atomic.Bool  // evicted by the operator: only Readmit returns it
 	routed   atomic.Int64 // requests this node accepted
 	rerouted atomic.Int64 // requests accepted after another node refused
 
-	// chaosDown tracks down-window membership edges so the sweep counts
-	// each window entry and exit once.
+	// chaosDown is whether the router last read the node inside a down
+	// window, so that each window entry and exit is counted once.
 	chaosDown atomic.Bool
 }
 
@@ -117,14 +112,10 @@ type Cluster struct {
 	members []*member
 	byName  map[string]*member
 
-	cursor       atomic.Uint64 // round-robin's rotation
-	submits      atomic.Int64  // Submit calls (drives the health sweep)
-	nextSweep    atomic.Int64  // the submits count that fires the next sweep
-	routeFails   atomic.Int64  // submits no node accepted
-	evictions    atomic.Int64
-	readmissions atomic.Int64
-	sweeping     atomic.Bool
-	closeOnce    sync.Once
+	cursor     atomic.Uint64 // round-robin's rotation
+	submits    atomic.Int64  // Submit calls
+	routeFails atomic.Int64  // submits no node accepted
+	closeOnce  sync.Once
 
 	chaosTrips      atomic.Int64 // down-window entries observed
 	chaosRecoveries atomic.Int64 // down-window exits observed
@@ -143,7 +134,6 @@ func New(nodes []Node, cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, byName: make(map[string]*member, len(nodes))}
-	c.nextSweep.Store(cfg.SweepEvery)
 	for i, n := range nodes {
 		if n == nil {
 			return nil, fmt.Errorf("cluster: node %d is nil", i)
@@ -236,31 +226,22 @@ func (c *Cluster) NodeNames() []string {
 // ranks the routable nodes; the router tries up to maxAttempts of them,
 // failing over past every node that refuses: one that sheds
 // (ErrAdmissionFull), predicts an SLO miss (ErrDeadlineInfeasible) or is
-// down, draining or closed. Submit evicts nobody: a node leaves routing
-// when the health sweep reads it not Ready, or when Drain, Kill or Close
-// evicts it first. Validation errors (unknown model or policy, bad
-// batch) are identical on every replica and surface immediately. On
-// success the returned future resolves exactly once — the node
-// pipeline's contract, unchanged by routing — and so does
+// down, draining or closed. A node that is not Ready — drained, killed,
+// or with every device quarantined — is not ranked at all: readiness is
+// read live on every request. Validation errors (unknown model or
+// policy, bad batch) are identical on every replica and surface
+// immediately. On success the returned future resolves exactly once —
+// the node pipeline's contract, unchanged by routing — and so does
 // core.PipelineRequest.Input's: the future returned is the accepting
 // node's own, so no path copies the input, and no node reads req.Input
 // once the future has resolved or Submit has returned an error.
 func (c *Cluster) Submit(ctx context.Context, req core.PipelineRequest) (*core.Future, error) {
-	// One sweep per SweepEvery submissions, without a division: the
-	// submission that reaches the next sweep count advances it and
-	// sweeps. Under concurrent submitters a later one may win the window,
-	// never two in one.
-	total := c.submits.Add(1)
-	if every := c.cfg.SweepEvery; every > 0 {
-		if next := c.nextSweep.Load(); total >= next && c.nextSweep.CompareAndSwap(next, next+every) {
-			c.sweep()
-		}
-	}
+	c.submits.Add(1)
 	var order [maxAttempts]int
 	n := c.rank(req.Model, &order)
 	if n == 0 {
 		c.routeFails.Add(1)
-		return nil, fmt.Errorf("%w: all %d nodes evicted or in a down window", ErrNoHealthyNodes, len(c.members))
+		return nil, fmt.Errorf("%w: all %d nodes evicted, not ready or in a down window", ErrNoHealthyNodes, len(c.members))
 	}
 	var lastErr error
 	for i, idx := range order[:n] {
@@ -291,15 +272,15 @@ func refusal(err error) bool {
 }
 
 // QueueDelay is the fleet's best-case backlog estimate: the smallest
-// per-node pipeline queue delay over the ready nodes — the soonest a
+// per-node pipeline queue delay over the routable nodes — the soonest a
 // retried request could plausibly find room anywhere. Zero when no node
-// is ready (callers apply their own floor).
+// is routable (callers apply their own floor).
 func (c *Cluster) QueueDelay() time.Duration {
 	now := c.faultNow()
 	var best time.Duration
 	found := false
 	for _, m := range c.members {
-		if !c.routable(m, now) || !m.node.Health().Ready {
+		if !c.routable(m, now) {
 			continue
 		}
 		if d := m.node.QueueDelay(); !found || d < best {
@@ -318,59 +299,6 @@ func (c *Cluster) Do(ctx context.Context, req core.PipelineRequest) (core.Comple
 	return fut.Wait(ctx)
 }
 
-// evict removes a member from the routing set (idempotent).
-func (c *Cluster) evict(m *member) {
-	if m.evicted.CompareAndSwap(false, true) {
-		c.evictions.Add(1)
-	}
-}
-
-// readmit returns a member to the routing set (idempotent).
-func (c *Cluster) readmit(m *member) {
-	if m.evicted.CompareAndSwap(true, false) {
-		c.readmissions.Add(1)
-	}
-}
-
-// sweep aggregates node health into membership: routing members whose
-// node reports not-Ready (killed, drained, every device quarantined) are
-// evicted, and evicted nodes that report Ready again — device probes
-// that cleared the quarantine — are readmitted, unless the operator
-// evicted them: an Evict holds until Readmit. It also counts the fault
-// plan's down-window edges. At most one sweep runs at a time; callers
-// that lose the race skip it.
-func (c *Cluster) sweep() {
-	if !c.sweeping.CompareAndSwap(false, true) {
-		return
-	}
-	defer c.sweeping.Store(false)
-	for _, m := range c.members {
-		h := m.node.Health()
-		switch {
-		case !h.Ready && !m.evicted.Load():
-			c.evict(m)
-		case h.Ready && m.evicted.Load() && !m.pinned.Load():
-			c.readmit(m)
-		}
-	}
-	if in := c.cfg.Faults; in != nil {
-		now := c.cfg.Clock.Now()
-		for _, m := range c.members {
-			down, _ := in.Down(m.node.Name(), now)
-			switch {
-			case down && m.chaosDown.CompareAndSwap(false, true):
-				c.chaosTrips.Add(1)
-			case !down && m.chaosDown.CompareAndSwap(true, false):
-				c.chaosRecoveries.Add(1)
-			}
-		}
-	}
-}
-
-// Sweep runs one health sweep immediately (the submission-driven sweep
-// exposed for operators and tests).
-func (c *Cluster) Sweep() { c.sweep() }
-
 // findMember resolves an operator-facing node name.
 func (c *Cluster) findMember(name string) (*member, error) {
 	m, ok := c.byName[name]
@@ -380,38 +308,34 @@ func (c *Cluster) findMember(name string) (*member, error) {
 	return m, nil
 }
 
-// Drain removes a node from routing and drains it: every request it had
-// accepted resolves before Drain returns. The order matters — eviction
-// first, so the router stops picking the node before its pipeline begins
-// refusing work, extending the single-node graceful-drain guarantee to
-// the fleet.
+// Drain drains a node: every request it had accepted resolves before
+// Drain returns. The node leaves Ready as the drain begins, so the
+// router stops ranking it at once, and a request that read it Ready just
+// before is refused with ErrNodeDraining and fails over.
 func (c *Cluster) Drain(name string) error {
 	m, err := c.findMember(name)
 	if err != nil {
 		return err
 	}
-	c.evict(m)
 	m.node.Drain()
 	return nil
 }
 
 // Evict removes a node from routing without touching the node — the
 // operator's "stop sending traffic here" lever. The node keeps serving
-// what it already accepted. The eviction holds until Readmit: the
-// sweep does not readmit a Ready node the operator took out.
+// what it already accepted, and stays out of routing until Readmit.
 func (c *Cluster) Evict(name string) error {
 	m, err := c.findMember(name)
 	if err != nil {
 		return err
 	}
-	m.pinned.Store(true)
-	c.evict(m)
+	m.evicted.Store(true)
 	return nil
 }
 
 // Readmit returns an evicted node to the routing set, refusing nodes
-// that are not actually Ready (killed, drained, all devices
-// quarantined) — readmission must not resurrect a dead node.
+// that are not Ready (killed, drained, all devices quarantined): the
+// operator is told the node would still take no traffic.
 func (c *Cluster) Readmit(name string) error {
 	m, err := c.findMember(name)
 	if err != nil {
@@ -421,13 +345,12 @@ func (c *Cluster) Readmit(name string) error {
 		return fmt.Errorf("cluster: node %q is not ready (%s, %d/%d devices quarantined)",
 			name, h.State, h.Quarantined, h.Devices)
 	}
-	m.pinned.Store(false)
-	c.readmit(m)
+	m.evicted.Store(false)
 	return nil
 }
 
-// Kill fail-stops a node (the failure drill): it is evicted from routing
-// and refuses all new work immediately; requests it had already accepted
+// Kill fail-stops a node (the failure drill): it leaves routing and
+// refuses all new work immediately; requests it had already accepted
 // still resolve. A Kill landing while the node drains overtakes the
 // drain, as Node.Kill does: the node ends Killed.
 func (c *Cluster) Kill(name string) error {
@@ -435,7 +358,6 @@ func (c *Cluster) Kill(name string) error {
 	if err != nil {
 		return err
 	}
-	c.evict(m)
 	m.node.Kill()
 	return nil
 }
@@ -446,7 +368,6 @@ func (c *Cluster) Close() {
 	c.closeOnce.Do(func() {
 		var wg sync.WaitGroup
 		for _, m := range c.members {
-			c.evict(m)
 			wg.Add(1)
 			go func(m *member) {
 				defer wg.Done()
@@ -458,10 +379,10 @@ func (c *Cluster) Close() {
 }
 
 // ReadmissionHint is how soon a fleet-wide refusal is worth retrying:
-// the soonest down-window close when a fault plan is armed, else
-// a one-second floor covering the submission-driven sweep's readmission
-// cadence. Servers derive the Retry-After of ErrNoHealthyNodes 503s
-// from it.
+// the soonest down-window close when a fault plan is armed, else a
+// one-second floor covering the recovery prober, whose readmission of a
+// device makes a node whose every device failed Ready again. Servers
+// derive the Retry-After of ErrNoHealthyNodes 503s from it.
 func (c *Cluster) ReadmissionHint() time.Duration {
 	if in := c.cfg.Faults; in != nil {
 		if d := in.NextRecovery(c.cfg.Clock.Now()); d > 0 {
@@ -474,9 +395,10 @@ func (c *Cluster) ReadmissionHint() time.Duration {
 // NodeSnapshot is one node's row in the fleet stats; its JSON form is
 // the /v1/cluster per_node row.
 type NodeSnapshot struct {
-	Name    string `json:"name"`
-	State   string `json:"state"`
-	Evicted bool   `json:"evicted"`
+	Name  string `json:"name"`
+	State string `json:"state"`
+	// Evicted marks a node the operator evicted (Evict, until Readmit).
+	Evicted bool `json:"evicted"`
 	// ChaosDown marks a node inside a scripted down window right now.
 	ChaosDown bool `json:"chaos_down"`
 	// AvgLatencyUs is the node's delivered-batch completion-latency
@@ -508,12 +430,12 @@ type ChaosCounts struct {
 type FleetStats struct {
 	Policy string `json:"policy"`
 	Nodes  int    `json:"nodes"`
-	Ready  int    `json:"ready"`
+	// Ready counts the members routable now: not evicted, not inside a
+	// down window, and Ready.
+	Ready int `json:"ready"`
 
 	Submits       int64 `json:"submits"`        // routing attempts (Submit calls)
 	RouteFailures int64 `json:"route_failures"` // submits no node accepted
-	Evictions     int64 `json:"evictions"`
-	Readmissions  int64 `json:"readmissions"`
 
 	ChaosCounts `json:"chaos"`
 
@@ -533,11 +455,7 @@ func (c *Cluster) Stats() FleetStats {
 	st := FleetStats{Policy: string(c.cfg.Policy), Nodes: len(c.members)}
 	st.Submits = c.submits.Load()
 	st.RouteFailures = c.routeFails.Load()
-	st.Evictions = c.evictions.Load()
-	st.Readmissions = c.readmissions.Load()
-	st.ChaosTrips = c.chaosTrips.Load()
-	st.ChaosRecoveries = c.chaosRecoveries.Load()
-	chaosNow := c.faultNow()
+	now := c.faultNow()
 	for _, m := range c.members {
 		ns := m.node.Stats()
 		h := m.node.Health()
@@ -553,16 +471,16 @@ func (c *Cluster) Stats() FleetStats {
 			Devices:            h.Devices,
 			QuarantinedDevices: h.Quarantined,
 			DegradedDevices:    h.Degraded,
+			ChaosDown:          c.down(m, now),
 		}
-		if c.cfg.Faults != nil {
-			snap.ChaosDown, _ = c.cfg.Faults.Down(snap.Name, chaosNow)
-		}
-		if !snap.Evicted && !snap.ChaosDown {
+		if !snap.Evicted && !snap.ChaosDown && h.Ready {
 			st.Ready++
 		}
 		st.Add(snap.Ledger)
 		st.PerNode = append(st.PerNode, snap)
 	}
+	st.ChaosTrips = c.chaosTrips.Load()
+	st.ChaosRecoveries = c.chaosRecoveries.Load()
 	st.SLOAttainment = st.Ledger.Attainment()
 	return st
 }

@@ -101,17 +101,29 @@ func (c *Cluster) rank(model string, order *[maxAttempts]int) int {
 	return found
 }
 
-// routable reports whether m is in the routing set at now: not evicted
-// and not inside a fault plan's down window.
+// routable reports whether m is in the routing set at now: not inside a
+// fault plan's down window, not evicted by the operator, and Ready.
 func (c *Cluster) routable(m *member, now time.Duration) bool {
-	if m.evicted.Load() {
+	return !c.down(m, now) && !m.evicted.Load() && m.node.Ready()
+}
+
+// down reports whether m is inside a fault plan's down window at now,
+// and counts the window's edges: the read that first finds the node
+// down counts a trip, the one that first finds it up again a recovery.
+// Each edge costs one compare-and-swap; no plan, no read.
+func (c *Cluster) down(m *member, now time.Duration) bool {
+	if c.cfg.Faults == nil {
 		return false
 	}
-	if c.cfg.Faults == nil {
-		return true
-	}
 	down, _ := c.cfg.Faults.Down(m.node.Name(), now)
-	return !down
+	if m.chaosDown.Load() != down && m.chaosDown.CompareAndSwap(!down, down) {
+		if down {
+			c.chaosTrips.Add(1)
+		} else {
+			c.chaosRecoveries.Add(1)
+		}
+	}
+	return down
 }
 
 // faultNow reads the fleet clock for the fault plan's down windows, and

@@ -104,6 +104,18 @@ func (f *fakeNode) Health() core.NodeHealth {
 	return core.NodeHealth{State: core.NodeReady, Devices: 3, Ready: f.ready}
 }
 
+func (f *fakeNode) Ready() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ready
+}
+
+func (f *fakeNode) setReady(ready bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.ready = ready
+}
+
 func (f *fakeNode) Drain() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -149,7 +161,7 @@ func fakeRanker(t *testing.T, p Policy, loads ...int64) (*Cluster, []*fakeNode) 
 		fakes[i] = newFakeNode(fmt.Sprintf("node%d", i), l)
 		nodes[i] = fakes[i]
 	}
-	c, err := New(nodes, Config{Policy: p, Clock: core.NewManualClock(), SweepEvery: -1})
+	c, err := New(nodes, Config{Policy: p, Clock: core.NewManualClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +304,9 @@ func referenceRank(p Policy, model string, fakes []*fakeNode, routable []bool, c
 }
 
 // TestRankMatchesStableSort: over random fleets of 1–64 nodes, with
-// tied loads, evicted members and open and closed down windows, the
-// router's stack ranking equals the head of a full stable sort of the
-// routable members.
+// tied loads, evicted and not-Ready members and open and closed down
+// windows, the router's stack ranking equals the head of a full stable
+// sort of the routable members.
 func TestRankMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	models := []string{"simple", "mnist-small", "mnist-cnn", "cifar10"}
@@ -318,6 +330,8 @@ func TestRankMatchesStableSort(t *testing.T) {
 				routable[i] = false
 			case 2: // a window that has closed
 				plan.Faults = append(plan.Faults, fault.Fault{Node: fakes[i].name, End: now / 2, Effect: fault.Down})
+			case 3: // drained, killed or every device quarantined
+				fakes[i].ready, routable[i] = false, false
 			}
 		}
 		if trial%25 == 0 { // now and then nothing is routable
@@ -328,7 +342,7 @@ func TestRankMatchesStableSort(t *testing.T) {
 		for _, p := range policies {
 			clk := core.NewManualClock()
 			clk.Advance(now)
-			c, err := New(nodes, Config{Policy: p, Clock: clk, SweepEvery: -1, Faults: fault.NewInjector(plan)})
+			c, err := New(nodes, Config{Policy: p, Clock: clk, Faults: fault.NewInjector(plan)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bomw/internal/opencl"
@@ -31,17 +32,28 @@ type healthMonitor struct {
 	quarAfter   int             // consecutive errors that trigger quarantine
 	quarantines int64           // lifetime quarantine transitions
 	readmits    int64           // lifetime recovery transitions
+
+	// fenced is len(quar), written under mu whenever quar changes and
+	// read without it: Node.Ready reads it on every routing decision.
+	fenced atomic.Int32
 }
 
 func newHealthMonitor() *healthMonitor {
-	return &healthMonitor{
-		ratio:     map[string]float64{},
-		alpha:     0.4,
-		threshold: 1.5,
-		errs:      map[string]int{},
-		quar:      map[string]bool{},
-		quarAfter: 3,
-	}
+	h := &healthMonitor{alpha: 0.4, threshold: 1.5, quarAfter: 3}
+	h.reset()
+	return h
+}
+
+// reset forgets every estimate, error count, quarantine and lifetime
+// total, in place: the scheduler keeps one monitor for its lifetime.
+func (h *healthMonitor) reset() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.ratio = map[string]float64{}
+	h.errs = map[string]int{}
+	h.quar = map[string]bool{}
+	h.quarantines, h.readmits = 0, 0
+	h.fenced.Store(0)
 }
 
 // observe folds one (expected, observed) latency pair into the estimate.
@@ -87,6 +99,7 @@ func (h *healthMonitor) recordError(dev string) bool {
 	if !h.quar[dev] && h.errs[dev] >= h.quarAfter {
 		h.quar[dev] = true
 		h.quarantines++
+		h.fenced.Store(int32(len(h.quar)))
 		return true
 	}
 	return false
@@ -103,6 +116,7 @@ func (h *healthMonitor) recordSuccess(dev string) bool {
 	if h.quar[dev] {
 		delete(h.quar, dev)
 		h.readmits++
+		h.fenced.Store(int32(len(h.quar)))
 		return true
 	}
 	return false
@@ -155,7 +169,7 @@ func (s *Scheduler) Observe(dec Decision, res *opencl.Result) error {
 	}
 	// Exclude queueing: interference shows in execution, not arrival.
 	observed := res.Completed - res.Start
-	s.monitor().observe(dec.Device, shadow.latency, observed)
+	s.health.observe(dec.Device, shadow.latency, observed)
 	return nil
 }
 
@@ -165,12 +179,12 @@ func (s *Scheduler) Observe(dec Decision, res *opencl.Result) error {
 // serving pipeline calls it after every batch attempt.
 func (s *Scheduler) ReportExecution(dev string, err error) {
 	if err != nil {
-		if s.monitor().recordError(dev) {
+		if s.health.recordError(dev) {
 			s.invalidateDecisions() // quarantine transition changes fencing
 		}
 		return
 	}
-	if s.monitor().recordSuccess(dev) {
+	if s.health.recordSuccess(dev) {
 		s.invalidateDecisions() // readmission transition changes fencing
 	}
 }
@@ -178,7 +192,7 @@ func (s *Scheduler) ReportExecution(dev string, err error) {
 // Quarantined lists the devices currently fenced off by the failure
 // domain (sorted for stable output).
 func (s *Scheduler) Quarantined() []string {
-	out := s.monitor().quarantinedList()
+	out := s.health.quarantinedList()
 	sort.Strings(out)
 	return out
 }
@@ -186,11 +200,11 @@ func (s *Scheduler) Quarantined() []string {
 // ProbeQuarantined sends a one-sample probe execution to every
 // quarantined device at virtual time now; a successful probe re-admits
 // the device ("the system changes" both ways, §I — degradation and
-// recovery). Returns the devices re-admitted by this sweep. The serving
+// recovery). Returns the devices re-admitted by this probe. The serving
 // pipeline calls it periodically; tests and operators may call it
 // directly. A no-op when no model is loaded yet.
 func (s *Scheduler) ProbeQuarantined(now time.Duration) []string {
-	h := s.monitor()
+	h := s.health
 	quarantined := h.quarantinedList()
 	if len(quarantined) == 0 {
 		return nil
@@ -216,6 +230,6 @@ func (s *Scheduler) ProbeQuarantined(now time.Duration) []string {
 // DeviceHealth reports the monitor's current slowdown estimate and
 // degraded flag for a device.
 func (s *Scheduler) DeviceHealth(dev string) (slowdown float64, degraded bool) {
-	h := s.monitor()
+	h := s.health
 	return h.slowdownEstimate(dev), h.degraded(dev)
 }

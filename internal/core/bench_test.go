@@ -91,8 +91,9 @@ func BenchmarkLoadPaperModels(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeHealth is the cluster tier's per-member health read: it
-// runs per eligible member on every Cluster.QueueDelay and every sweep.
+// BenchmarkNodeHealth is the per-member row of a fleet snapshot
+// (Cluster.Stats, GET /v1/nodes) and Cluster.Readmit's check; routing
+// reads Ready instead (BenchmarkNodeReady).
 func BenchmarkNodeHealth(b *testing.B) {
 	n := NewNode("node0", benchSched(b), PipelineConfig{ProbeInterval: -1})
 	defer n.Close()
@@ -101,6 +102,21 @@ func BenchmarkNodeHealth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if h := n.Health(); !h.Ready {
 			b.Fatalf("health = %+v", h)
+		}
+	}
+}
+
+// BenchmarkNodeReady is the router's readiness read: it runs for every
+// member on every Cluster.Submit, so it must take no lock and allocate
+// nothing.
+func BenchmarkNodeReady(b *testing.B) {
+	n := NewNode("node0", benchSched(b), PipelineConfig{ProbeInterval: -1})
+	defer n.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !n.Ready() {
+			b.Fatal("node not ready")
 		}
 	}
 }

@@ -95,8 +95,8 @@ func (s *Scheduler) shadowCost(devName, model string, batch int, at time.Duratio
 func (s *Scheduler) deadlineCandidates(dst []deadlineCand, model string, batch int, now time.Duration) ([]deadlineCand, error) {
 	s.mu.Lock()
 	probe := s.queueProbe
-	health := s.health
 	s.mu.Unlock()
+	health := s.health
 
 	cands := dst[:0]
 	var fenced []deadlineCand // stays nil while no device is quarantined

@@ -91,9 +91,9 @@ type NodeStats struct {
 	Quarantined []string
 }
 
-// NodeHealth is the cheap health summary the cluster tier aggregates:
-// device-level quarantine/degradation (PR 3's failure domain) rolled up
-// to node granularity.
+// NodeHealth is a node's health summary: device-level
+// quarantine/degradation (the scheduler's failure domain) rolled up to
+// node granularity.
 type NodeHealth struct {
 	State NodeState `json:"state"`
 	// Devices is the node's device count; Quarantined and Degraded count
@@ -136,6 +136,14 @@ func (n *Node) Submit(ctx context.Context, req PipelineRequest) (*Future, error)
 	return fut, err
 }
 
+// Ready reports whether the node is schedulable: lifecycle-Ready with
+// fewer devices quarantined than it has. The router reads it for every
+// member on every request, so it is two atomic loads and takes no lock;
+// Health().Ready is the same answer inside a fuller snapshot.
+func (n *Node) Ready() bool {
+	return n.State() == NodeReady && int(n.sched.health.fenced.Load()) < len(n.sched.devices)
+}
+
 // Stats snapshots the node's serving activity.
 func (n *Node) Stats() NodeStats {
 	ss := n.sched.Stats()
@@ -150,14 +158,14 @@ func (n *Node) Stats() NodeStats {
 }
 
 // Health rolls the node's device-level failure domain up to node
-// granularity for the cluster's health aggregation.
+// granularity: the per-node row of the fleet's stats and of /v1/nodes.
 func (n *Node) Health() NodeHealth {
 	h := NodeHealth{
 		State:        n.State(),
 		Devices:      len(n.sched.devices),
 		ExecFailures: n.execFails.Load(),
 	}
-	mon := n.sched.monitor()
+	mon := n.sched.health
 	for _, d := range n.sched.devices {
 		if mon.isQuarantined(d.Name()) {
 			h.Quarantined++

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -45,6 +46,45 @@ func TestNodeServesAndObserves(t *testing.T) {
 	if h.Devices != len(s.Devices()) || h.Quarantined != 0 {
 		t.Fatalf("health devices = %+v", h)
 	}
+}
+
+// TestNodeReadyMatchesHealth: the router's lock-free readiness read
+// gives Health's answer through every way in and out of Ready —
+// quarantining the devices one by one, a readmission, ResetDevices,
+// and the drain.
+func TestNodeReadyMatchesHealth(t *testing.T) {
+	s, err := testScheduler(t).Replica(1) // a failure domain of its own
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode("node0", s, PipelineConfig{ProbeInterval: -1})
+	check := func(step string, want bool) {
+		t.Helper()
+		if h := n.Health(); n.Ready() != want || h.Ready != want {
+			t.Fatalf("%s: Ready() %t, Health() %+v; want ready %t from both", step, n.Ready(), h, want)
+		}
+	}
+	check("fresh", true)
+	devs := s.Devices()
+	fail := errors.New("injected")
+	for i, d := range devs {
+		for k := 0; k < 3; k++ {
+			s.ReportExecution(d, fail)
+		}
+		check(fmt.Sprintf("%d of %d devices quarantined", i+1, len(devs)), i+1 < len(devs))
+	}
+	s.ReportExecution(devs[0], nil)
+	check("one device readmitted", true)
+	s.ReportExecution(devs[0], fail)
+	s.ReportExecution(devs[0], fail)
+	s.ReportExecution(devs[0], fail)
+	check("every device quarantined again", false)
+	s.ResetDevices()
+	check("after ResetDevices", true)
+	release := holdDrain(t, n)
+	check("draining", false)
+	release()
+	check("drained", false)
 }
 
 func TestNodeDrainRefusesNewWorkAndSettles(t *testing.T) {

@@ -101,12 +101,11 @@ type Pipeline struct {
 	batched chan struct{} // the batching loop flushed its last aggregate and exited
 	drained chan struct{}
 
-	// closeMu guards the lifecycle state: Submit reads it to refuse
-	// (many submitters in parallel), shutdown takes the write side to
-	// move it. A Submit that read Ready may still append until the loop
-	// shuts admission, and the loop's last drain takes it.
-	closeMu sync.RWMutex
-	state   NodeState
+	// state is the lifecycle position, a NodeState. Submit, State and
+	// Node.Ready load it; shutdown moves it by compare-and-swap, one way
+	// down the ladder. A Submit that read Ready may still append until
+	// the loop shuts admission, and the loop's last drain takes it.
+	state atomic.Int32
 
 	queues   map[string]*deviceQueue
 	inflight atomic.Int64   // batches queued or executing
@@ -837,11 +836,7 @@ func (p *Pipeline) refusal() error {
 }
 
 // State reports the pipeline's lifecycle position.
-func (p *Pipeline) State() NodeState {
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
-	return p.state
-}
+func (p *Pipeline) State() NodeState { return NodeState(p.state.Load()) }
 
 // shutdown is the one way out of Ready, ending in final (NodeDrained or
 // NodeKilled). A drain refuses new work with ErrNodeDraining until the
@@ -850,16 +845,14 @@ func (p *Pipeline) State() NodeState {
 // every other waits for it, so each returns only once every accepted
 // future has resolved. A stopped pipeline keeps its resting state.
 func (p *Pipeline) shutdown(final NodeState) {
-	p.closeMu.Lock()
-	owner := p.state == NodeReady
-	switch {
-	case owner && final == NodeDrained:
-		p.state = NodeDraining
-	case owner, p.state == NodeDraining && final == NodeKilled:
-		p.state = NodeKilled
+	next := NodeKilled
+	if final == NodeDrained {
+		next = NodeDraining
 	}
-	p.closeMu.Unlock()
-	if !owner {
+	if !p.state.CompareAndSwap(int32(NodeReady), int32(next)) {
+		if final == NodeKilled {
+			p.state.CompareAndSwap(int32(NodeDraining), int32(NodeKilled))
+		}
 		<-p.drained
 		return
 	}
@@ -878,11 +871,7 @@ func (p *Pipeline) shutdown(final NodeState) {
 	// anymore, which is fine — sends are non-blocking.
 	p.workers.Wait()
 	p.sched.SetQueueProbe(nil)
-	p.closeMu.Lock()
-	if p.state == NodeDraining {
-		p.state = NodeDrained
-	}
-	p.closeMu.Unlock()
+	p.state.CompareAndSwap(int32(NodeDraining), int32(NodeDrained))
 	close(p.drained)
 }
 

@@ -227,9 +227,7 @@ func (s *Scheduler) ResetDevices() {
 	for _, d := range s.devices {
 		d.Reset()
 	}
-	s.mu.Lock()
-	s.health = newHealthMonitor()
-	s.mu.Unlock()
+	s.health.reset()
 	s.invalidateDecisions()
 }
 

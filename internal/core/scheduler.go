@@ -139,8 +139,10 @@ type Scheduler struct {
 	// classifiers is written only while the scheduler is built (New,
 	// LoadState, Replica) and is read-only once it is shared.
 	classifiers map[Policy]mlsched.Classifier
-	health      *healthMonitor
-	audit       atomic.Pointer[auditLog] // nil until EnableAudit
+	// health is the scheduler's one health monitor; ResetDevices clears
+	// it in place.
+	health *healthMonitor
+	audit  atomic.Pointer[auditLog] // nil until EnableAudit
 
 	// policyMask is the immutable set of trained policies as a bitmask,
 	// written once at construction and read lock-free on the admission
@@ -164,8 +166,8 @@ type Scheduler struct {
 	perDevice []atomic.Int64                     // by device class
 	perPolicy [EnergyEfficiency + 1]atomic.Int64 // by Policy
 
-	// mu guards the fields that can be swapped while the scheduler
-	// serves: health (ResetDevices) and queueProbe (SetQueueProbe).
+	// mu guards queueProbe, which SetQueueProbe swaps while the
+	// scheduler serves.
 	mu         sync.Mutex
 	queueProbe func(device string) time.Duration
 
@@ -292,13 +294,6 @@ func (s *Scheduler) buildPolicySet() {
 	for pol := range s.classifiers {
 		s.policyMask |= 1 << uint64(pol)
 	}
-}
-
-// monitor returns the current health monitor (swapped by ResetDevices).
-func (s *Scheduler) monitor() *healthMonitor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.health
 }
 
 // probeGPU performs the paper's PCIe state probe. Systems without a
@@ -464,8 +459,8 @@ func (s *Scheduler) decideFrom(model string, batch int, pol Policy, now time.Dur
 	}
 	s.mu.Lock()
 	probe := s.queueProbe
-	health := s.health
 	s.mu.Unlock()
+	health := s.health
 
 	// Failure domain: drop excluded devices outright, and fence off
 	// quarantined ones unless nothing else remains. The candidate list
@@ -621,7 +616,7 @@ func (s *Scheduler) Stats() Stats {
 	out.Decisions = int(s.decisions.Load())
 	out.DecisionCacheHits = s.decHits.Load()
 	out.DecisionCacheMisses = s.decMisses.Load()
-	h := s.monitor()
+	h := s.health
 	out.Quarantines, out.Readmissions = h.counters()
 	out.Quarantined = h.quarantinedList()
 	sort.Strings(out.Quarantined)

@@ -24,17 +24,11 @@ type clusterWire struct {
 }
 
 // handleCluster exposes fleet-wide statistics — routing activity,
-// membership churn, aggregated serving counters, the per-node rows, and
-// the chaos block (down-window edges, the scripted fault plan) — and
-// accepts operator control POSTs.
+// membership, aggregated serving counters, the per-node rows, and the
+// chaos block (down-window edges, the scripted fault plan).
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-	case http.MethodPost:
-		s.handleClusterControl(w, r)
-		return
-	default:
-		methodNotAllowed(w, "GET, POST")
+	if r.Method != http.MethodGet {
+		methodNotAllowed(w, "GET")
 		return
 	}
 	st := s.fleet.Stats()
@@ -45,31 +39,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		out.Chaos.Enabled, out.Chaos.Plan = true, &plan
 	}
 	writeJSON(w, out)
-}
-
-// ClusterAction is the POST /v1/cluster payload: one fleet-wide control
-// action.
-type ClusterAction struct {
-	Action string `json:"action"` // sweep
-}
-
-// handleClusterControl applies fleet-wide operator actions. "sweep" runs
-// a health sweep immediately — membership reconciliation and
-// down-window edges without waiting for the submission-driven cadence,
-// the operator's lever after changing node state.
-func (s *Server) handleClusterControl(w http.ResponseWriter, r *http.Request) {
-	var req ClusterAction
-	if !decodeBody(w, r, "cluster action", &req) {
-		return
-	}
-	switch req.Action {
-	case "sweep":
-		s.fleet.Sweep()
-	default:
-		httpError(w, http.StatusBadRequest, "unknown action %q (want sweep)", req.Action)
-		return
-	}
-	writeJSON(w, map[string]string{"action": req.Action, "status": "ok"})
 }
 
 // NodeAction is the POST /v1/nodes payload: one lifecycle action on one

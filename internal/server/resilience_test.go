@@ -12,7 +12,7 @@ import (
 )
 
 // TestClusterEndpointResilienceBlocks: /v1/cluster carries the chaos
-// block, and the control POST runs a health sweep.
+// block, and is read-only: a POST answers 405 with Allow: GET.
 func TestClusterEndpointResilienceBlocks(t *testing.T) {
 	ts := fleetServer(t)
 	resp, err := http.Get(ts.URL + "/v1/cluster")
@@ -48,16 +48,11 @@ func TestClusterEndpointResilienceBlocks(t *testing.T) {
 		t.Fatalf("per_node rows = %d, want 4", len(st.PerNode))
 	}
 
-	sweep := post(t, ts.URL+"/v1/cluster", map[string]string{"action": "sweep"})
-	if sweep.StatusCode != http.StatusOK {
-		t.Fatalf("sweep POST status = %d", sweep.StatusCode)
+	resp = post(t, ts.URL+"/v1/cluster", map[string]string{"action": "sweep"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" {
+		t.Fatalf("POST /v1/cluster: status %d, Allow %q; want 405, GET", resp.StatusCode, resp.Header.Get("Allow"))
 	}
-	sweep.Body.Close()
-	bad := post(t, ts.URL+"/v1/cluster", map[string]string{"action": "explode"})
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown action status = %d, want 400", bad.StatusCode)
-	}
-	bad.Body.Close()
 }
 
 // TestMassEvictionMapsTo503WithRetryAfter is the server half of the

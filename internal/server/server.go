@@ -15,7 +15,6 @@
 //	GET  /v1/stats      scheduler decision statistics (node0)
 //	GET  /v1/pipeline   serving-pipeline statistics (node0)
 //	GET  /v1/cluster    fleet-wide routing, serving and chaos statistics
-//	POST /v1/cluster    {"action":"sweep"}  (run a health sweep now)
 //	GET  /v1/nodes      per-node state, load and health
 //	POST /v1/nodes      {"node","action":"drain|evict|readmit|kill"}
 //
@@ -34,8 +33,10 @@
 // The server always serves through the cluster tier (internal/cluster):
 // a single-node server is a one-node fleet. NewCluster replicates the
 // scheduler into N nodes behind a routing policy; /v1/classify then
-// routes per request with failover, /v1/cluster and /v1/nodes expose the
-// fleet, and the node0-scoped endpoints (/v1/stats, /v1/devices,
+// routes each request among the nodes ready at that moment, with
+// failover; /v1/cluster (read-only) and /v1/nodes (where the operator
+// drains, evicts, readmits or kills a node) expose the fleet, and the
+// node0-scoped endpoints (/v1/stats, /v1/devices,
 // /v1/pipeline, /v1/decisions) keep their single-box semantics.
 package server
 
@@ -167,7 +168,7 @@ func methodNotAllowed(w http.ResponseWriter, allow string) {
 }
 
 // maxControlBody bounds the body of the control-plane POSTs
-// (/v1/models, /v1/cluster, /v1/nodes), each a small JSON object.
+// (/v1/models, /v1/nodes), each a small JSON object.
 const maxControlBody = 1 << 20
 
 // decodeBody unmarshals the whole body of a control-plane POST into v —
@@ -410,11 +411,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case errors.Is(err, cluster.ErrNoHealthyNodes):
-		// The mass-eviction wedge: every node is evicted or inside a down
-		// window. The back-off hint is the soonest
+		// The mass-eviction wedge: every node is evicted, not Ready or
+		// inside a down window. The back-off hint is the soonest
 		// readmission the fleet can predict — the next chaos-window
-		// recovery when chaos is scripted, else the sweep's readmission
-		// cadence floor.
+		// recovery when chaos is scripted, else a floor covering the
+		// recovery prober, whose device readmission makes a node Ready.
 		w.Header().Set("Retry-After", retryAfter(s.fleet.ReadmissionHint()))
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return

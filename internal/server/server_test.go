@@ -500,14 +500,13 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// The three control-plane POSTs read a bounded body and parse all of
+// The two control-plane POSTs read a bounded body and parse all of
 // it: over the cap is a 413 and anything after the object a 400, and
 // in neither case is the action taken.
 func TestControlPostBodiesAreBoundedAndParsedWhole(t *testing.T) {
 	ts := testServer(t)
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/models", `{"name":"never-loaded","kind":"ffnn","input_shape":[4],"hidden":[4],"classes":2}`},
-		{"/v1/cluster", `{"action":"sweep"}`},
 		{"/v1/nodes", `{"node":"nope","action":"readmit"}`},
 	} {
 		for name, c := range map[string]struct {
@@ -550,7 +549,7 @@ func TestMethodNotAllowedNamesTheAllowedMethods(t *testing.T) {
 		"/v1/stats":     "GET",
 		"/v1/decisions": "GET",
 		"/v1/pipeline":  "GET",
-		"/v1/cluster":   "GET, POST",
+		"/v1/cluster":   "GET",
 		"/v1/nodes":     "GET, POST",
 	} {
 		req, err := http.NewRequest(http.MethodPut, ts.URL+path, strings.NewReader("{}"))
