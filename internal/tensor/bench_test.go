@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func benchTensors(m, k, n int) (*Tensor, *Tensor) {
@@ -191,5 +192,44 @@ func BenchmarkPoolForOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.For(1<<16, func(lo, hi int) {})
+	}
+}
+
+// BenchmarkPoolForIdleHelper times a parallel For that starts while the
+// helper CPU is idle — the state a device pool's second worker is in
+// between requests — against the same work on the caller alone. Before
+// every call the timer stops and the benchmark sleeps 300 µs, so the
+// helper goroutine's CPU has gone idle; "parallel" then pays for waking
+// it, "serial" does not. The work is 256 dot products of 256 inputs,
+// one add chain each (≈ 60 µs on one 2.1 GHz Xeon core), in groups of
+// 16. Run it at -cpu 2: at one CPU both forms run on the caller.
+func BenchmarkPoolForIdleHelper(b *testing.B) {
+	const rows, width = 256, 256
+	x := make([]float32, rows*width)
+	for i := range x {
+		x[i] = float32(i%7) / 7
+	}
+	out := make([]float32, rows)
+	work := func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			var s float32
+			for _, v := range x[r*width : (r+1)*width] {
+				s += v * v
+			}
+			out[r] = s
+		}
+	}
+	for _, c := range []struct {
+		name string
+		pool *Pool
+	}{{"serial", Serial}, {"parallel", NewPool(0, 16)}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				time.Sleep(300 * time.Microsecond)
+				b.StartTimer()
+				c.pool.For(rows, work)
+			}
+		})
 	}
 }

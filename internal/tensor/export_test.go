@@ -10,3 +10,16 @@ func UsePortableKernels() (restore func()) {
 	useAVX2 = false
 	return func() { useAVX2 = was }
 }
+
+// LinearKernel names the kernel the dispatch rule gives a Linear of in
+// [m,k] and w [n,k] in this process, whose caller brings a panel of
+// LinearPanelLen: "sample lanes", "neuron lanes" or "go".
+func LinearKernel(m, k, n int) string {
+	switch {
+	case vectorLinear(m, k, n):
+		return "sample lanes"
+	case neuronLanes(m, k, n):
+		return "neuron lanes"
+	}
+	return "go"
+}

@@ -78,9 +78,11 @@ func TestLinearBitIdenticalToMatMulSequence(t *testing.T) {
 			}
 		}
 	}
-	// Layers under eight neurons, simple's among them, run the Go kernel
-	// on every host: every narrow shape, blocks and leftover rows, with
-	// and without bias, under every activation.
+	// Layers under eight neurons, simple's among them: every narrow
+	// shape, blocks and leftover rows, with and without bias, under
+	// every activation. Linear and LinearInto bring no panel, so these
+	// run the Go kernel on every host; the narrow sample-lane tile is
+	// held to it in simd_test.go.
 	for _, m := range []int{1, 7, 8, 9, 17} {
 		for k := 1; k < 8; k++ {
 			for n := 1; n < 8; n++ {

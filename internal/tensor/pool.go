@@ -108,12 +108,15 @@ func (p *Pool) inline(items int) bool {
 // CPU, the shapes below — runs the Go kernels, which compute the same
 // bits.
 //
-// Linear's lanes are samples and its tile eight neurons: a batch under
-// eight rows has nothing to fill the lanes with, a layer under eight
-// neurons no tile. Nothing smaller needs excluding: packing included,
-// 8×4×8 took 78 ns against the Go kernel's 347 (DESIGN.md §4 item 10).
+// Linear's lanes are samples and its tile up to eight neurons: a batch
+// under eight rows has nothing to fill the lanes with, but a layer under
+// eight neurons, or a split's tail group, is one tile whose spare
+// accumulators repeat its last neuron and are never stored. Nothing
+// smaller needs excluding: packing included, 8×4×8 took 78 ns against
+// the Go kernel's 347, and simple's 4→6→6→3 at a batch of 64 runs in
+// well under half the Go kernel's time (DESIGN.md §4 item 10).
 func vectorLinear(m, k, n int) bool {
-	return useAVX2 && m >= vecTile && n >= vecTile && k > 0
+	return useAVX2 && m >= vecTile && k > 0
 }
 
 // neuronLanes is Linear's rule under eight samples, where a lane is a

@@ -55,29 +55,34 @@ func LinearPanelLen(m, k, n int) int {
 // packPanels lays the batch in [m,k] out for the vector kernel: panel q
 // holds samples 8q…8q+7 — the last one m-8…m-1, overlapping the one
 // before it when 8 does not divide m — as [k][8], a sample per lane.
+// Features go eight at a time through every whole panel, the k mod 8
+// left over in one narrower transpose.
 func packPanels(panel, in []float32, m, k int) {
-	for q := 0; q*vecTile < m; q++ {
-		i := min(q*vecTile, m-vecTile)
-		dst := panel[q*vecTile*k : (q+1)*vecTile*k]
-		p := 0
-		for ; p+vecTile <= k; p += vecTile {
-			packTile(dst, in, i, p, k)
+	whole := m / vecTile
+	for p := 0; p < k; p += vecTile {
+		cols := min(vecTile, k-p)
+		if whole > 0 {
+			packTile(panel, in, 0, p, cols, k, whole)
 		}
-		for ; p < k; p++ {
-			lanes := dst[p*vecTile : (p+1)*vecTile]
-			for l := range lanes {
-				lanes[l] = in[(i+l)*k+p]
-			}
+		if m%vecTile != 0 {
+			packTile(panel[whole*vecTile*k:], in, m-vecTile, p, cols, k, 1)
 		}
 	}
 }
 
+// tileSteps bounds one sample-lane kernel call: it runs as many panels
+// as keep it near this many steps (p values), and always at least one.
+// The runtime cannot preempt assembly, so a call stays short (DESIGN.md
+// §4 item 10); a narrow, shallow layer takes all its panels in one.
+const tileSteps = 1024
+
 // linearGroup fills columns [lo, hi) of out. With a packed batch it
 // tiles them onto the sample-lane kernel: eight neurons at a time, the
-// last tile pulled back to end at hi, each against every panel. Under
-// eight samples, where neuronLanes admits the layer, the same tiles go
-// to the neuron-lane kernel instead (linearNeuronTiles). Otherwise, and
-// with fewer than eight neurons — the tail group of a split — it is
+// last tile pulled back to end at hi, each against every panel; a range
+// of fewer than eight neurons — a narrow layer, or the tail group of a
+// split — is one tile that stores only its own columns. Under eight
+// samples, where neuronLanes admits the layer, tiles of eight go to the
+// neuron-lane kernel instead (linearNeuronTiles). Otherwise it is
 // linearNeurons.
 func linearGroup(out, in, w, bias *Tensor, act Activation, panel []float32, lo, hi int) {
 	m, k, n := in.shape[0], in.shape[1], w.shape[0]
@@ -85,7 +90,7 @@ func linearGroup(out, in, w, bias *Tensor, act Activation, panel []float32, lo, 
 		linearNeuronTiles(out, in, w, bias, act, lo, hi)
 		return
 	}
-	if panel == nil || hi-lo < vecTile {
+	if panel == nil {
 		linearNeurons(out, in, w, bias, act, lo, hi)
 		return
 	}
@@ -93,10 +98,15 @@ func linearGroup(out, in, w, bias *Tensor, act Activation, panel []float32, lo, 
 	if bias != nil {
 		bv = bias.data
 	}
+	cols, whole, run := min(vecTile, hi-lo), m/vecTile, max(tileSteps/k, 1)
 	for j := lo; j < hi; j += vecTile {
-		j := min(j, hi-vecTile)
-		for q := 0; q*vecTile < m; q++ {
-			linearTile(out.data, min(q*vecTile, m-vecTile), j, n, panel[q*vecTile*k:(q+1)*vecTile*k], w.data, k, bv, act == ReLU)
+		j := min(j, hi-cols)
+		for q := 0; q < whole; q += run {
+			panels := min(run, whole-q)
+			linearTile(out.data, q*vecTile, j, cols, n, panel[q*vecTile*k:(q+panels)*vecTile*k], w.data, k, bv, act == ReLU, panels)
+		}
+		if m%vecTile != 0 {
+			linearTile(out.data, m-vecTile, j, cols, n, panel[whole*vecTile*k:(whole+1)*vecTile*k], w.data, k, bv, act == ReLU, 1)
 		}
 	}
 	if act == Tanh || act == Sigmoid {

@@ -30,28 +30,30 @@ func probeAVX2() bool {
 	return !goKernelsFuse()
 }
 
-// linearTileAVX2 loads panel[0 : 8k], the eight rows w[t·wStride/4 :
-// t·wStride/4 + k] and, unless nil, bias[0 : 8]; it stores the eight
-// rows dst[l·dstStride/4 : l·dstStride/4 + 8]. k ≥ 1.
+// linearTileAVX2 loads panel[0 : 8k·panels], the cols rows
+// w[t·wStride/4 : t·wStride/4 + k] and, unless nil, bias[0 : cols]; it
+// stores the 8·panels rows dst[l·dstStride/4 : l·dstStride/4 + cols].
+// k, panels ≥ 1, 1 ≤ cols ≤ 8.
 //
 //go:noescape
-func linearTileAVX2(dst *float32, dstStride uintptr, panel, w *float32, wStride, k uintptr, bias *float32, relu uintptr)
+func linearTileAVX2(dst *float32, dstStride uintptr, panel, w *float32, wStride, k uintptr, bias *float32, relu, cols, panels uintptr)
 
-// linearTile fills the 8×8 tile out[i : i+8][j : j+8] of a Linear whose
-// out is [·, n] and w [·, k]: neurons j…j+7 against the samples packed
-// in panel. bias is nil or the layer's.
-func linearTile(out []float32, i, j, n int, panel, w []float32, k int, bias []float32, relu bool) {
-	if k < 1 || i < 0 || j < 0 || j+vecTile > n {
+// linearTile fills out[i : i+8·panels][j : j+cols], cols ≤ 8, of a
+// Linear whose out is [·, n] and w [·, k]: neurons j…j+cols-1 against
+// the samples packed in panel, eight to a panel. bias is nil or the
+// layer's.
+func linearTile(out []float32, i, j, cols, n int, panel, w []float32, k int, bias []float32, relu bool, panels int) {
+	if k < 1 || panels < 1 || i < 0 || j < 0 || cols < 1 || cols > vecTile || j+cols > n {
 		panic("tensor: linearTile outside its operands")
 	}
 	dst := i*n + j
-	_, _, _ = out[dst+(vecTile-1)*n+vecTile-1], panel[vecTile*k-1], w[(j+vecTile)*k-1]
+	_, _, _ = out[dst+(vecTile*panels-1)*n+cols-1], panel[vecTile*k*panels-1], w[(j+cols)*k-1]
 	var b *float32
 	if bias != nil {
-		_ = bias[j+vecTile-1]
+		_ = bias[j+cols-1]
 		b = &bias[j]
 	}
-	linearTileAVX2(&out[dst], uintptr(n)*4, &panel[0], &w[j*k], uintptr(k)*4, uintptr(k), b, word(relu))
+	linearTileAVX2(&out[dst], uintptr(n)*4, &panel[0], &w[j*k], uintptr(k)*4, uintptr(k), b, word(relu), uintptr(cols), uintptr(panels))
 }
 
 // neuronTileAVX2 loads x[0 : 4·blocks] and the eight rows
@@ -74,20 +76,22 @@ func neuronTile(dst, x, w []float32, j, k int) {
 	neuronTileAVX2(&dst[0], &x[0], &w[j*k], uintptr(k)*4, uintptr(blocks))
 }
 
-// packTileAVX2 loads the eight rows in[l·inStride/4 : l·inStride/4 + 8]
-// and stores panel[0 : 64].
+// packTileAVX2 loads the 8·panels rows in[l·inStride/4 : l·inStride/4
+// + cols] and stores panel[q·panelStride/4 : q·panelStride/4 + 8·cols]
+// for q < panels. 1 ≤ cols ≤ 8, panels ≥ 1.
 //
 //go:noescape
-func packTileAVX2(panel, in *float32, inStride uintptr)
+func packTileAVX2(panel, in *float32, inStride, cols, panelStride, panels uintptr)
 
-// packTile transposes in[i : i+8][p : p+8] of a batch [·, k] into
-// panel[8p : 8p+64].
-func packTile(panel, in []float32, i, p, k int) {
-	if i < 0 || p < 0 || p+vecTile > k {
+// packTile transposes in[i : i+8·panels][p : p+cols], cols ≤ 8, of a
+// batch [·, k] into panel[q·8k + 8p : q·8k + 8(p+cols)], eight samples
+// to each of the panels q.
+func packTile(panel, in []float32, i, p, cols, k, panels int) {
+	if i < 0 || p < 0 || panels < 1 || cols < 1 || cols > vecTile || p+cols > k {
 		panic("tensor: packTile outside its operands")
 	}
-	_, _ = panel[vecTile*p+vecTile*vecTile-1], in[(i+vecTile-1)*k+p+vecTile-1]
-	packTileAVX2(&panel[vecTile*p], &in[i*k+p], uintptr(k)*4)
+	_, _ = panel[(panels-1)*vecTile*k+vecTile*(p+cols)-1], in[(i+vecTile*panels-1)*k+p+cols-1]
+	packTileAVX2(&panel[vecTile*p], &in[i*k+p], uintptr(k)*4, uintptr(cols), uintptr(vecTile*k)*4, uintptr(panels))
 }
 
 // convPoolRowAVX2 loads, for every channel c < inC, rows 0 … window+kH-2

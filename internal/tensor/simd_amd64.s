@@ -27,6 +27,18 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL AX, eax+0(FP)
 	RET
 
+// laneMask is eight all-ones lanes then eight zero lanes: the 32 bytes
+// at laneMask+32-4n mask lanes 0 … n-1 (LANEMASK).
+DATA  laneMask<>+0(SB)/8, $-1
+DATA  laneMask<>+8(SB)/8, $-1
+DATA  laneMask<>+16(SB)/8, $-1
+DATA  laneMask<>+24(SB)/8, $-1
+DATA  laneMask<>+32(SB)/8, $0
+DATA  laneMask<>+40(SB)/8, $0
+DATA  laneMask<>+48(SB)/8, $0
+DATA  laneMask<>+56(SB)/8, $0
+GLOBL laneMask<>(SB), RODATA|NOPTR, $64
+
 // STEP is one work-item step in eight lanes: acc += x·w, the product
 // rounded before the add. Y8 holds x; w is one weight, broadcast.
 #define STEP(w, tmp, acc) \
@@ -45,26 +57,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	STEP((DI)(R9*1), Y14, Y5); \
 	STEP((DI)(R9*2), Y15, Y6); \
 	STEP((DI)(R10*1), Y9, Y7)
-
-// BIAS8 adds the eight float32 at AX, one to every lane of its
-// accumulator.
-#define BIAS8 \
-	VBROADCASTSS 0(AX), Y8; \
-	VBROADCASTSS 4(AX), Y9; \
-	VBROADCASTSS 8(AX), Y10; \
-	VBROADCASTSS 12(AX), Y11; \
-	VADDPS       Y8, Y0, Y0; \
-	VADDPS       Y9, Y1, Y1; \
-	VADDPS       Y10, Y2, Y2; \
-	VADDPS       Y11, Y3, Y3; \
-	VBROADCASTSS 16(AX), Y8; \
-	VBROADCASTSS 20(AX), Y9; \
-	VBROADCASTSS 24(AX), Y10; \
-	VBROADCASTSS 28(AX), Y11; \
-	VADDPS       Y8, Y4, Y4; \
-	VADDPS       Y9, Y5, Y5; \
-	VADDPS       Y10, Y6, Y6; \
-	VADDPS       Y11, Y7, Y7
 
 // RELU8 is `if v < 0 { v = 0 }` on Y0…Y7: VMAXPS returns its second
 // source (in Go's operand order, the first) unless the other is
@@ -108,19 +100,83 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	VPERM2F128 $0x31, Y6, Y2, Y14; \
 	VPERM2F128 $0x31, Y7, Y3, Y15
 
-// func linearTileAVX2(dst *float32, dstStride uintptr, panel, w *float32, wStride, k uintptr, bias *float32, relu uintptr)
+// CLAMP sets reg to min(t, R10): a tile's neuron t, or for t past the
+// tile's last neuron R10, that neuron.
+#define CLAMP(t, reg) \
+	MOVQ    $t, reg; \
+	CMPQ    reg, R10; \
+	CMOVQGT R10, reg
+
+// ROW points reg at the weight row of CLAMP(t) among the rows at SI,
+// R9 bytes apart: a tile's rows past its last neuron alias that
+// neuron's.
+#define ROW(t, reg) \
+	CLAMP(t, reg); \
+	IMULQ R9, reg; \
+	ADDQ  SI, reg
+
+// BIAS adds bias[CLAMP(t)], at CX, to every lane of acc.
+#define BIAS(t, acc) \
+	CLAMP(t, R9); \
+	VBROADCASTSS (CX)(R9*4), Y8; \
+	VADDPS       Y8, acc, acc
+
+// LANEMASK sets mask to lanes 0 … n-1 all ones, the rest zero, for n in
+// 1 … 8 in reg, which it negates.
+#define LANEMASK(reg, mask) \
+	LEAQ    laneMask<>(SB), R9; \
+	NEGQ    reg; \
+	VMOVUPS 32(R9)(reg*4), mask
+
+// func linearTileAVX2(dst *float32, dstStride uintptr, panel, w *float32, wStride, k uintptr, bias *float32, relu, cols, panels uintptr)
 //
-// One 8-neuron × 8-sample tile of Linear. Accumulator t (Y0…Y7) is
-// neuron t of the tile, its lanes the panel's eight samples; after the
-// sum over p come bias, ReLU, and an 8×8 transpose so that each sample's
-// eight outputs are stored with one write. Strides are in bytes.
-TEXT ·linearTileAVX2(SB), NOSPLIT, $0-64
-	MOVQ panel+16(FP), AX
+// Tiles of Linear: cols ≤ 8 neurons against each of `panels` panels in
+// a row, eight samples each. Accumulator t (Y0…Y7) is neuron t of the
+// tile, its lanes the panel's eight samples; past the tile's last
+// neuron an accumulator repeats that neuron's sum, reading its row, and
+// is never stored. After the sum over p come bias, ReLU, and an 8×8
+// transpose so that each sample's outputs are stored with one write:
+// all eight, or the first cols under a lane mask, which neither stores
+// nor faults on the lanes it leaves. The next panel follows in memory,
+// its samples' outputs eight rows of dst on. The weight rows' addresses
+// wait in the frame between panels. Strides are in bytes.
+TEXT ·linearTileAVX2(SB), NOSPLIT, $80-80
 	MOVQ w+24(FP), SI
 	MOVQ wStride+32(FP), R9
-	MOVQ k+40(FP), CX
-	LEAQ (R9)(R9*2), R10
-	LEAQ (SI)(R9*4), DI
+	MOVQ cols+64(FP), R10
+	DECQ R10
+	ROW(1, DI)
+	ROW(2, BX)
+	ROW(3, DX)
+	ROW(4, R8)
+	ROW(5, R11)
+	ROW(6, R12)
+	ROW(7, R13)
+	MOVQ SI, 0(SP)
+	MOVQ DI, 8(SP)
+	MOVQ BX, 16(SP)
+	MOVQ DX, 24(SP)
+	MOVQ R8, 32(SP)
+	MOVQ R11, 40(SP)
+	MOVQ R12, 48(SP)
+	MOVQ R13, 56(SP)
+	MOVQ dst+0(FP), AX
+	MOVQ AX, 64(SP)
+	MOVQ panels+72(FP), AX
+	MOVQ AX, 72(SP)
+	MOVQ panel+16(FP), AX
+
+linearPanel:
+	MOVQ   0(SP), SI
+	MOVQ   8(SP), DI
+	MOVQ   16(SP), BX
+	MOVQ   24(SP), DX
+	MOVQ   32(SP), R8
+	MOVQ   40(SP), R11
+	MOVQ   48(SP), R12
+	MOVQ   56(SP), R13
+	MOVQ   k+40(FP), CX
+	XORQ   R14, R14
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -132,38 +188,72 @@ TEXT ·linearTileAVX2(SB), NOSPLIT, $0-64
 
 linearStep:
 	VMOVUPS (AX), Y8
-	STEP8
+	STEP((SI)(R14*1), Y9, Y0)
+	STEP((DI)(R14*1), Y10, Y1)
+	STEP((BX)(R14*1), Y11, Y2)
+	STEP((DX)(R14*1), Y12, Y3)
+	STEP((R8)(R14*1), Y13, Y4)
+	STEP((R11)(R14*1), Y14, Y5)
+	STEP((R12)(R14*1), Y15, Y6)
+	STEP((R13)(R14*1), Y9, Y7)
 	ADDQ $32, AX
-	ADDQ $4, SI
-	ADDQ $4, DI
+	ADDQ $4, R14
 	DECQ CX
 	JNZ  linearStep
 
-	MOVQ  bias+48(FP), AX
-	TESTQ AX, AX
+	MOVQ  bias+48(FP), CX
+	TESTQ CX, CX
 	JZ    linearAct
-	BIAS8
+	BIAS(0, Y0)
+	BIAS(1, Y1)
+	BIAS(2, Y2)
+	BIAS(3, Y3)
+	BIAS(4, Y4)
+	BIAS(5, Y5)
+	BIAS(6, Y6)
+	BIAS(7, Y7)
 
 linearAct:
-	MOVQ  relu+56(FP), AX
-	TESTQ AX, AX
+	MOVQ  relu+56(FP), CX
+	TESTQ CX, CX
 	JZ    linearStore
 	RELU8
 
 linearStore:
 	TRANSPOSE8
-	MOVQ       dst+0(FP), R8
-	MOVQ       dstStride+8(FP), AX
-	LEAQ       (AX)(AX*2), BX
-	LEAQ       (R8)(AX*4), DX
-	VMOVUPS    Y8, (R8)
-	VMOVUPS    Y9, (R8)(AX*1)
-	VMOVUPS    Y10, (R8)(AX*2)
-	VMOVUPS    Y11, (R8)(BX*1)
-	VMOVUPS    Y12, (DX)
-	VMOVUPS    Y13, (DX)(AX*1)
-	VMOVUPS    Y14, (DX)(AX*2)
-	VMOVUPS    Y15, (DX)(BX*1)
+	MOVQ 64(SP), R8
+	MOVQ dstStride+8(FP), R11
+	LEAQ (R11)(R11*2), BX
+	LEAQ (R8)(R11*4), DX
+	MOVQ cols+64(FP), CX
+	CMPQ CX, $8
+	JNE  linearMasked
+	VMOVUPS Y8, (R8)
+	VMOVUPS Y9, (R8)(R11*1)
+	VMOVUPS Y10, (R8)(R11*2)
+	VMOVUPS Y11, (R8)(BX*1)
+	VMOVUPS Y12, (DX)
+	VMOVUPS Y13, (DX)(R11*1)
+	VMOVUPS Y14, (DX)(R11*2)
+	VMOVUPS Y15, (DX)(BX*1)
+	JMP     linearNext
+
+linearMasked:
+	LANEMASK(CX, Y0)
+	VMASKMOVPS Y8, Y0, (R8)
+	VMASKMOVPS Y9, Y0, (R8)(R11*1)
+	VMASKMOVPS Y10, Y0, (R8)(R11*2)
+	VMASKMOVPS Y11, Y0, (R8)(BX*1)
+	VMASKMOVPS Y12, Y0, (DX)
+	VMASKMOVPS Y13, Y0, (DX)(R11*1)
+	VMASKMOVPS Y14, Y0, (DX)(R11*2)
+	VMASKMOVPS Y15, Y0, (DX)(BX*1)
+
+linearNext:
+	LEAQ (DX)(R11*4), R8
+	MOVQ R8, 64(SP)
+	DECQ 72(SP)
+	JNZ  linearPanel
 	VZEROUPPER
 	RET
 
@@ -225,33 +315,79 @@ neuronBlock:
 	VZEROUPPER
 	RET
 
-// func packTileAVX2(panel, in *float32, inStride uintptr)
+// func packTileAVX2(panel, in *float32, inStride, cols, panelStride, panels uintptr)
 //
-// Eight samples × eight features of the batch, transposed into a panel:
-// panel[p][l] = in[l][p] for l, p in 0…7. inStride is in bytes.
-TEXT ·packTileAVX2(SB), NOSPLIT, $0-24
-	MOVQ       in+8(FP), R8
-	MOVQ       inStride+16(FP), AX
-	LEAQ       (AX)(AX*2), BX
-	LEAQ       (R8)(AX*4), DX
-	VMOVUPS    (R8), Y0
-	VMOVUPS    (R8)(AX*1), Y1
-	VMOVUPS    (R8)(AX*2), Y2
-	VMOVUPS    (R8)(BX*1), Y3
-	VMOVUPS    (DX), Y4
-	VMOVUPS    (DX)(AX*1), Y5
-	VMOVUPS    (DX)(AX*2), Y6
-	VMOVUPS    (DX)(BX*1), Y7
+// Eight samples × cols ≤ 8 features of the batch, transposed into a
+// panel: panel[p][l] = in[l][p] for l in 0…7, p < cols; then the same
+// for the next eight samples into the panel panelStride on, `panels`
+// times. Under eight features each row is loaded under a lane mask,
+// which neither loads nor faults on the lanes it leaves, and only the
+// cols panel rows are stored. Strides are in bytes.
+TEXT ·packTileAVX2(SB), NOSPLIT, $0-48
+	MOVQ panel+0(FP), DI
+	MOVQ in+8(FP), R8
+	MOVQ inStride+16(FP), AX
+	MOVQ cols+24(FP), CX
+	MOVQ panelStride+32(FP), SI
+	MOVQ panels+40(FP), R10
+	LEAQ (AX)(AX*2), BX
+
+packPanel:
+	LEAQ (R8)(AX*4), DX
+	CMPQ CX, $8
+	JNE  packMasked
+	VMOVUPS (R8), Y0
+	VMOVUPS (R8)(AX*1), Y1
+	VMOVUPS (R8)(AX*2), Y2
+	VMOVUPS (R8)(BX*1), Y3
+	VMOVUPS (DX), Y4
+	VMOVUPS (DX)(AX*1), Y5
+	VMOVUPS (DX)(AX*2), Y6
+	VMOVUPS (DX)(BX*1), Y7
+	JMP     packStore
+
+packMasked:
+	MOVQ       CX, R11
+	LANEMASK(R11, Y8)
+	VMASKMOVPS (R8), Y8, Y0
+	VMASKMOVPS (R8)(AX*1), Y8, Y1
+	VMASKMOVPS (R8)(AX*2), Y8, Y2
+	VMASKMOVPS (R8)(BX*1), Y8, Y3
+	VMASKMOVPS (DX), Y8, Y4
+	VMASKMOVPS (DX)(AX*1), Y8, Y5
+	VMASKMOVPS (DX)(AX*2), Y8, Y6
+	VMASKMOVPS (DX)(BX*1), Y8, Y7
+
+packStore:
 	TRANSPOSE8
-	MOVQ       panel+0(FP), DI
-	VMOVUPS    Y8, 0(DI)
-	VMOVUPS    Y9, 32(DI)
-	VMOVUPS    Y10, 64(DI)
-	VMOVUPS    Y11, 96(DI)
-	VMOVUPS    Y12, 128(DI)
-	VMOVUPS    Y13, 160(DI)
-	VMOVUPS    Y14, 192(DI)
-	VMOVUPS    Y15, 224(DI)
+	VMOVUPS Y8, 0(DI)
+	CMPQ    CX, $2
+	JLT     packNext
+	VMOVUPS Y9, 32(DI)
+	CMPQ    CX, $3
+	JLT     packNext
+	VMOVUPS Y10, 64(DI)
+	CMPQ    CX, $4
+	JLT     packNext
+	VMOVUPS Y11, 96(DI)
+	CMPQ    CX, $5
+	JLT     packNext
+	VMOVUPS Y12, 128(DI)
+	CMPQ    CX, $6
+	JLT     packNext
+	VMOVUPS Y13, 160(DI)
+	CMPQ    CX, $7
+	JLT     packNext
+	VMOVUPS Y14, 192(DI)
+	CMPQ    CX, $8
+	JLT     packNext
+	VMOVUPS Y15, 224(DI)
+
+packNext:
+	LEAQ (DX)(AX*4), R8
+	ADDQ SI, DI
+	DECQ R10
+	JNZ  packPanel
 	VZEROUPPER
 	RET
 

@@ -7,7 +7,7 @@ package tensor
 
 func probeAVX2() bool { return false }
 
-func linearTile(out []float32, i, j, n int, panel, w []float32, k int, bias []float32, relu bool) {
+func linearTile(out []float32, i, j, cols, n int, panel, w []float32, k int, bias []float32, relu bool, panels int) {
 	panic("tensor: no vector kernels on this port")
 }
 
@@ -15,7 +15,7 @@ func neuronTile(dst, x, w []float32, j, k int) {
 	panic("tensor: no vector kernels on this port")
 }
 
-func packTile(panel, in []float32, i, p, k int) {
+func packTile(panel, in []float32, i, p, cols, k, panels int) {
 	panic("tensor: no vector kernels on this port")
 }
 

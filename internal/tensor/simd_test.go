@@ -195,6 +195,33 @@ func TestLinearVectorKernelBitIdenticalToGoKernel(t *testing.T) {
 			linearCase(t, big, rng, pool, m, 800, 10, true, Softmax, false)
 		}
 	}
+	// The narrow tile on -0, ±Inf and NaN: layers under eight neurons
+	// (the masked store, the aliased rows), under every activation, and
+	// layers whose split leaves a last group under eight neurons beside
+	// a full tile's.
+	for _, m := range []int{8, 9, 64, 65} {
+		for _, k := range []int{1, 4, 9} {
+			for _, n := range []int{1, 3, 7} {
+				for _, act := range allActivations {
+					linearCase(t, big, rng, kernelPools[(m+k+n)%4], m, k, n, true, act, true)
+					linearCase(t, big, rng, kernelPools[(m+k)%4], m, k, n, false, act, true)
+				}
+			}
+		}
+	}
+	for _, s := range narrowSplits {
+		for _, act := range allActivations {
+			linearCase(t, big, rng, kernelPools[s.pool], s.m, s.k, s.n, true, act, true)
+		}
+	}
+}
+
+// narrowSplits are layers of eight neurons or more that a pool splits
+// into groups of whole tiles and a last group under eight neurons.
+var narrowSplits = []struct{ m, k, n, pool int }{
+	{64, 9, 13, 1},  // pool(2,64): groups of 8, the last 5 wide
+	{65, 4, 20, 2},  // pool(2,256): groups of 8, the last 4 wide
+	{64, 33, 15, 1}, // pool(2,64): the last group 7 wide
 }
 
 func FuzzLinearKernels(f *testing.F) {
@@ -206,11 +233,26 @@ func FuzzLinearKernels(f *testing.F) {
 	f.Add(int64(5), uint8(63), uint8(3), uint8(5), uint8(1), uint8(1))
 	f.Add(int64(6), uint8(8), uint8(5), uint8(2), uint8(3), uint8(7))
 	f.Add(int64(7), uint8(16), uint8(0), uint8(6), uint8(4), uint8(5))
-	ops := newKernelOperands(f, 64*128, 64*128, 64, 64*64, 64*128)
+	// The narrow tile: m 8, 9, 64, 65 against n 1, 3, 7 and k 1, 4, 9,
+	// bias, special values and pool rotating; then splits that leave a
+	// last group under eight neurons.
+	idx := 0
+	for _, m := range []int{8, 9, 64, 65} {
+		for _, n := range []int{1, 3, 7} {
+			for _, k := range []int{1, 4, 9} {
+				f.Add(int64(8+idx), uint8(m-1), uint8(k-1), uint8(n-1), uint8(idx), uint8(idx%16))
+				idx++
+			}
+		}
+	}
+	for i, s := range narrowSplits {
+		f.Add(int64(100+i), uint8(s.m-1), uint8(s.k-1), uint8(s.n-1), uint8(i), uint8(s.pool<<2|3))
+	}
+	ops := newKernelOperands(f, 72*128, 64*128, 64, 72*64, 72*128)
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n, act, flags uint8) {
 		skipWithoutVectorKernels(t)
 		rng := rand.New(rand.NewSource(seed))
-		linearCase(t, ops, rng, kernelPools[flags>>2%4], 1+int(m%64), 1+int(k%128), 1+int(n%64), flags&1 != 0, allActivations[act%5], flags&2 != 0)
+		linearCase(t, ops, rng, kernelPools[flags>>2%4], 1+int(m%72), 1+int(k%128), 1+int(n%64), flags&1 != 0, allActivations[act%5], flags&2 != 0)
 	})
 }
 
@@ -314,8 +356,8 @@ func FuzzConvKernels(f *testing.F) {
 func TestPackPanelsLayout(t *testing.T) {
 	skipWithoutVectorKernels(t)
 	rng := rand.New(rand.NewSource(21))
-	for _, m := range []int{8, 9, 15, 16, 23} {
-		for _, k := range []int{1, 7, 8, 9, 31, 64} {
+	for _, m := range []int{8, 9, 15, 16, 23, 64, 65} {
+		for _, k := range []int{1, 4, 6, 7, 8, 9, 31, 64} {
 			in := randTensor(rng, m, k)
 			panels := (m + vecTile - 1) / vecTile
 			g := newGuarded(t, panels*vecTile*k+64)
@@ -339,13 +381,15 @@ func TestPackPanelsLayout(t *testing.T) {
 }
 
 // The rule: what must stay on the Go kernels stays there whatever the
-// CPU — a layer under eight neurons at any batch, simple's 4→6→6→3
-// among them, and a neuron-lane layer under four inputs — and no batch
-// under eight samples asks for a panel.
+// CPU — a layer under eight neurons at under eight samples, simple's
+// 4→6→6→3 at batch 1 among them, and a neuron-lane layer under four
+// inputs — and no batch under eight samples asks for a panel. From
+// eight samples up every layer takes the sample lanes where the CPU has
+// them, however narrow.
 func TestVectorRuleKeepsSmallShapesOnGoKernels(t *testing.T) {
-	for _, s := range [][3]int{{1, 4, 6}, {1, 6, 6}, {1, 6, 3}, {8, 4, 6}, {8, 6, 6}, {8, 6, 3}, {64, 4, 6}, {1, 784, 7}, {7, 784, 7}, {8, 784, 7}, {1, 3, 800}, {7, 3, 8}} {
+	for _, s := range [][3]int{{1, 4, 6}, {1, 6, 6}, {1, 6, 3}, {7, 4, 6}, {1, 784, 7}, {7, 784, 7}, {1, 3, 800}, {7, 3, 8}} {
 		if vectorLinear(s[0], s[1], s[2]) || neuronLanes(s[0], s[1], s[2]) {
-			t.Errorf("Linear %d×%d×%d takes a vector kernel: a layer under 8 neurons, or one under 4 inputs at under 8 samples, must run the Go kernel", s[0], s[1], s[2])
+			t.Errorf("Linear %d×%d×%d takes a vector kernel: under 8 samples, a layer under 8 neurons or 4 inputs must run the Go kernel", s[0], s[1], s[2])
 		}
 	}
 	for _, s := range [][3]int{{1, 784, 800}, {7, 784, 800}, {1, 3, 800}, {7, 4, 6}} {
@@ -364,6 +408,11 @@ func TestVectorRuleKeepsSmallShapesOnGoKernels(t *testing.T) {
 	if useAVX2 {
 		if !vectorLinear(8, 1568, 128) || !vectorLinear(64, 784, 800) || !vectorConv(14, 32, 288, 2, ReLU) || !vectorConv(28, 32, 9, 2, ReLU) {
 			t.Error("the benchmark's layers must take the vector kernels where the CPU has them")
+		}
+		for _, s := range [][3]int{{8, 4, 6}, {8, 6, 3}, {64, 4, 6}, {65, 6, 3}, {8, 784, 7}, {8, 1, 1}} {
+			if !vectorLinear(s[0], s[1], s[2]) || LinearPanelLen(s[0], s[1], s[2]) != (s[0]+vecTile-1)/vecTile*vecTile*s[1] {
+				t.Errorf("Linear %d×%d×%d must take the sample lanes, with a panel, where the CPU has them", s[0], s[1], s[2])
+			}
 		}
 		for _, s := range [][3]int{{1, 784, 784}, {1, 784, 800}, {7, 784, 800}, {1, 800, 10}, {1, 4, 8}} {
 			if !neuronLanes(s[0], s[1], s[2]) || vectorLinear(s[0], s[1], s[2]) {
